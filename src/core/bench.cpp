@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
-#include <optional>
 #include <ostream>
 
 #include "channel/session.hpp"
@@ -25,97 +23,6 @@ namespace lruleak::core {
 namespace {
 
 using sim::Addr;
-
-/**
- * Faithful copy of the SEED CacheSet (PR 1 state): an array-of-structs
- * line vector plus a heap-allocated virtual replacement policy, one
- * virtual dispatch per access.  This is the baseline lane the redesign
- * is measured against; it must keep the old code shape, so don't "fix"
- * it.  The access body is the seed's Fig. 10 flow chart verbatim
- * (PL-mode branches included) and stays out of line because the seed
- * compiled it in its own translation unit — per-access calls never
- * inlined into the experiment loops.
- */
-class LegacySet
-{
-  public:
-    LegacySet(std::uint32_t ways, sim::ReplPolicyKind kind,
-              std::uint64_t seed)
-        : ways_(ways), lines_(ways),
-          policy_(sim::makeReplacementPolicy(kind, ways, seed))
-    {}
-
-    struct LineState
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool locked = false;
-        std::uint16_t utag = 0;
-        sim::ThreadId filled_by = 0;
-    };
-
-    struct Result
-    {
-        bool hit = false;
-        std::uint32_t way = sim::kNoWay;
-        bool filled = false;
-        bool bypassed = false;
-        bool utag_mismatch = false;
-        std::optional<Addr> evicted_tag;
-    };
-
-    [[gnu::noinline]] Result
-    access(Addr tag, std::uint16_t utag, bool check_utag,
-           sim::LockReq lock_req, sim::ThreadId thread)
-    {
-        Result res;
-
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (lines_[w].valid && lines_[w].tag == tag) {
-                res.hit = true;
-                res.way = w;
-                LineState &line = lines_[w];
-                if (check_utag && line.utag != utag) {
-                    res.utag_mismatch = true;
-                    line.utag = utag;
-                }
-                policy_->touch(w);
-                if (lock_req == sim::LockReq::Lock)
-                    line.locked = true;
-                else if (lock_req == sim::LockReq::Unlock)
-                    line.locked = false;
-                return res;
-            }
-        }
-
-        std::uint32_t victim = sim::kNoWay;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (!lines_[w].valid) {
-                victim = w;
-                break;
-            }
-        }
-        if (victim == sim::kNoWay) {
-            victim = policy_->selectVictim();
-            res.evicted_tag = lines_[victim].tag;
-        }
-        LineState &line = lines_[victim];
-        line.tag = tag;
-        line.valid = true;
-        line.locked = false;
-        line.utag = utag;
-        line.filled_by = thread;
-        policy_->onFill(victim);
-        res.way = victim;
-        res.filled = true;
-        return res;
-    }
-
-  private:
-    std::uint32_t ways_;
-    std::vector<LineState> lines_;
-    std::unique_ptr<sim::ReplacementPolicy> policy_;
-};
 
 /** The shared tag trace of one workload, replayed cyclically. */
 std::vector<Addr>
@@ -167,26 +74,6 @@ fold(std::uint64_t sink, std::uint32_t way, bool hit)
 
 // Keep the checksum observable so no lane gets optimised away.
 volatile std::uint64_t g_bench_sink = 0;
-
-double
-benchLegacy(const SimBenchConfig &config, sim::ReplPolicyKind kind,
-            const std::vector<Addr> &trace)
-{
-    LegacySet set(config.ways, kind, config.seed);
-    std::uint64_t sink = 0;
-    std::size_t pos = 0;
-    const auto start = Clock::now();
-    for (std::uint64_t i = 0; i < config.accesses; ++i) {
-        const auto res =
-            set.access(trace[pos], 0, false, sim::LockReq::None, 0);
-        if (++pos == trace.size())
-            pos = 0;
-        sink = fold(sink, res.way, res.hit);
-    }
-    const auto stop = Clock::now();
-    g_bench_sink = g_bench_sink + sink;
-    return accessesPerSecond(config.accesses, start, stop);
-}
 
 double
 benchValue(const SimBenchConfig &config, sim::ReplPolicyKind kind,
@@ -478,12 +365,10 @@ runSimBench(const SimBenchConfig &config)
                 SimBenchConfig warm = config;
                 warm.accesses = std::min<std::uint64_t>(config.accesses,
                                                         100'000);
-                benchLegacy(warm, kind, trace);
                 benchValue(warm, kind, trace);
                 benchBatch(warm, kind, trace);
                 benchReplay(warm, kind, trace);
             }
-            row.legacy_aps = benchLegacy(config, kind, trace);
             row.value_aps = benchValue(config, kind, trace);
             row.batch_aps = benchBatch(config, kind, trace);
             row.replay_aps = benchReplay(config, kind, trace);
@@ -495,19 +380,9 @@ runSimBench(const SimBenchConfig &config)
 
 bool
 checkSimBench(const BenchCheckConfig &check,
-              const std::vector<SimBenchRow> &rows,
               const std::vector<MacroBenchRow> &macro, std::ostream &os)
 {
     bool ok = true;
-    for (const auto &row : rows) {
-        if (row.replayOverLegacy() < check.replay_ratio_floor) {
-            os << "CHECK FAILED: " << benchWorkloadName(row.workload)
-               << "/" << sim::replPolicyName(row.policy)
-               << " replay_over_legacy " << row.replayOverLegacy()
-               << " < " << check.replay_ratio_floor << "\n";
-            ok = false;
-        }
-    }
     const auto macroFloor = [&](const char *lane, double floor) {
         for (const auto &row : macro) {
             if (row.name != lane)
@@ -545,13 +420,10 @@ writeSimBenchJson(const SimBenchConfig &config,
         const auto &row = rows[i];
         os << "    {\"workload\": \"" << benchWorkloadName(row.workload)
            << "\", \"policy\": \"" << sim::replPolicyName(row.policy)
-           << "\", \"legacy_virtual\": " << row.legacy_aps
-           << ", \"value_access\": " << row.value_aps
+           << "\", \"value_access\": " << row.value_aps
            << ", \"value_batch\": " << row.batch_aps
-           << ", \"value_replay\": " << row.replay_aps
-           << ", \"batch_over_legacy\": " << row.batchOverLegacy()
-           << ", \"replay_over_legacy\": " << row.replayOverLegacy()
-           << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+           << ", \"value_replay\": " << row.replay_aps << "}"
+           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ],\n"
        << "  \"macro\": [\n";

@@ -2,11 +2,9 @@
  * @file
  * The `lruleak bench` harness: accesses/sec of the simulator hot path.
  *
- * Four lanes replay the same tag trace through one cache set per
+ * Three lanes replay the same tag trace through one cache set per
  * policy:
  *
- *   legacy  - a faithful copy of the seed CacheSet: per-access calls
- *             into a heap-allocated virtual ReplacementPolicy;
  *   value   - CacheSet::access on the inline ReplState (per-access
  *             std::visit dispatch);
  *   batch   - CacheSet::accessBatch (dispatch hoisted out of the loop,
@@ -19,9 +17,9 @@
  * Two workloads: "seq1_walk", the paper's Sequence 1 (lines 0..N walked
  * in order — the access pattern of the channel protocols and Table I),
  * and "hot_mix", a random hot/cold tag mix.  Results feed
- * BENCH_sim.json, the repo's perf trajectory seed; the headline number
- * is replay-over-legacy on TreePLRU under seq1_walk (the Intel L1D
- * policy and access pattern every channel experiment exercises).
+ * BENCH_sim.json; the lane that matters most is replay on TreePLRU
+ * under seq1_walk (the Intel L1D policy and access pattern every
+ * channel experiment exercises).
  */
 
 #ifndef LRULEAK_CORE_BENCH_HPP
@@ -58,27 +56,14 @@ enum class BenchWorkload
 
 std::string_view benchWorkloadName(BenchWorkload w);
 
-/** Throughput of the four lanes for one (workload, policy) cell. */
+/** Throughput of the three lanes for one (workload, policy) cell. */
 struct SimBenchRow
 {
     BenchWorkload workload = BenchWorkload::Seq1Walk;
     sim::ReplPolicyKind policy = sim::ReplPolicyKind::TreePlru;
-    double legacy_aps = 0.0; //!< accesses/sec, virtual per-access path
-    double value_aps = 0.0;  //!< accesses/sec, ReplState per-access path
+    double value_aps = 0.0;  //!< accesses/sec, per-access path
     double batch_aps = 0.0;  //!< accesses/sec, accessBatch (results)
     double replay_aps = 0.0; //!< accesses/sec, replayBatch (stats only)
-
-    double
-    batchOverLegacy() const
-    {
-        return legacy_aps > 0.0 ? batch_aps / legacy_aps : 0.0;
-    }
-
-    double
-    replayOverLegacy() const
-    {
-        return legacy_aps > 0.0 ? replay_aps / legacy_aps : 0.0;
-    }
 };
 
 /** Run the bench for every configured policy. */
@@ -108,24 +93,20 @@ std::vector<MacroBenchRow> runMacroBench(const SimBenchConfig &config);
  * single shared-runner core (covert ~75e3, xcore ~34e3 bits/s) but
  * above the pre-fast-path baselines (~18e3 / ~8e3), so the gate trips
  * on a genuine regression of the Session hot path rather than on
- * machine noise.  The replay floor guards every (workload, policy)
- * cell — in particular hot_mix, where replayBatch once slipped below
- * the legacy per-access path.
+ * machine noise.
  */
 struct BenchCheckConfig
 {
     double covert_bit_floor = 30'000.0; //!< covert_channel_bit items/s
     double xcore_bit_floor = 15'000.0;  //!< xcore_channel_bit items/s
     double trace_replay_floor = 500'000.0; //!< trace_replay_access items/s
-    double replay_ratio_floor = 1.0;    //!< replay_over_legacy, all cells
 };
 
 /**
- * Apply the floors to a finished run; prints one line per violation to
- * @p os.  Returns true when every floor holds.
+ * Apply the floors to a finished run's macro lanes; prints one line per
+ * violation to @p os.  Returns true when every floor holds.
  */
 bool checkSimBench(const BenchCheckConfig &check,
-                   const std::vector<SimBenchRow> &rows,
                    const std::vector<MacroBenchRow> &macro,
                    std::ostream &os);
 

@@ -17,7 +17,7 @@
 #include "channel/channel_factory.hpp"
 #include "channel/session.hpp"
 #include "core/histogram.hpp"
-#include "sim/replacement.hpp"
+#include "sim/repl_state.hpp"
 #include "timing/uarch.hpp"
 #include "workload/cpu_model.hpp"
 

@@ -33,8 +33,7 @@
 #include "sim/plcache.hpp"
 #include "sim/prefetcher.hpp"
 #include "sim/random.hpp"
-#include "sim/replacement.hpp"
-#include "sim/secure_caches.hpp"
+#include "sim/repl_state.hpp"
 #include "sim/stats.hpp"
 #include "sim/way_predictor.hpp"
 

@@ -3,11 +3,12 @@
  * Ablation as a registered experiment: the other secure caches of
  * Section IX-B — DAWG-style way partitioning (partitions the Tree-PLRU
  * state: channel dead) versus the Random Fill cache (hits still update
- * the LRU state: channel alive), measured at the protocol level.
+ * the LRU state: channel alive), probed at the set level on the same
+ * sim::Cache secure modes the channel Sessions run.
  */
 
 #include "experiments/common.hpp"
-#include "sim/secure_caches.hpp"
+#include "sim/cache.hpp"
 
 namespace lruleak::experiments {
 
@@ -19,41 +20,56 @@ using namespace lruleak::sim;
 constexpr Addr kSenderBase = 0x1000'0000'0000ULL;
 constexpr Addr kReceiverBase = 0x2000'0000'0000ULL;
 
+/** Line @p i of @p set, accessed by hardware thread @p thread. */
 MemRef
 mkLine(const AddressLayout &layout, std::uint32_t set, std::uint32_t i,
-       Addr base)
+       Addr base, ThreadId thread = 0)
 {
-    const Addr a = lineInSet(layout, set, i, base);
-    return MemRef{a, a, 0, false};
+    return MemRef::load(lineInSet(layout, set, i, base), thread);
+}
+
+/** An Intel L1D running secure-cache mode @p mode. */
+Cache
+secureL1(SecureMode mode, std::uint64_t seed = 0)
+{
+    CacheConfig config = CacheConfig::intelL1d();
+    config.secure = mode;
+    config.seed = seed;
+    // A 16-line Random Fill window keeps every neighbour fill that lands
+    // in a set on lines 0..7 of that set, so the probe below plants all
+    // eight without them evicting each other.
+    config.fill_window = 16;
+    return Cache(config);
 }
 
 /**
- * One Algorithm 2 style probe against a DAWG cache: returns whether the
+ * One Algorithm 2 style probe against a DAWG L1 (sender on thread 0,
+ * receiver on thread 1, each in its own partition): returns whether the
  * receiver's line 0 survived its decode phase.
  */
 bool
 dawgProbe(bool sender_touches)
 {
-    DawgCache cache;
+    Cache cache = secureL1(SecureMode::Dawg);
     const AddressLayout &layout = cache.layout();
     const auto sender_line = mkLine(layout, 7, 0, kSenderBase);
-    cache.access(sender_line, 0);
+    cache.access(sender_line);
     for (std::uint32_t i = 0; i < 4; ++i)
-        cache.access(mkLine(layout, 7, i, kReceiverBase), 1);
+        cache.access(mkLine(layout, 7, i, kReceiverBase, 1));
     if (sender_touches)
-        cache.access(sender_line, 0);
+        cache.access(sender_line);
     for (std::uint32_t i = 4; i < 8; ++i)
-        cache.access(mkLine(layout, 7, i, kReceiverBase), 1);
-    return cache.contains(mkLine(layout, 7, 0, kReceiverBase), 1);
+        cache.access(mkLine(layout, 7, i, kReceiverBase, 1));
+    return cache.contains(mkLine(layout, 7, 0, kReceiverBase, 1));
 }
 
-/** Same probe against the Random Fill cache's replacement state. */
+/** Same probe against a Random Fill L1's replacement state. */
 bool
 randomFillStateDiffers(std::uint64_t seed)
 {
     auto state = [seed](bool sender_touches) {
-        RandomFillCache cache(CacheConfig::intelL1d(), 64, seed);
-        const AddressLayout layout(64, 64);
+        Cache cache = secureL1(SecureMode::RandomFill, seed);
+        const AddressLayout &layout = cache.layout();
         // Seed lines 0..7 of set 13 via neighbour fills.
         for (std::uint32_t i = 0; i < 8; ++i) {
             const auto want = mkLine(layout, 13, i, kSenderBase);
@@ -66,7 +82,7 @@ randomFillStateDiffers(std::uint64_t seed)
             cache.access(mkLine(layout, 13, i, kSenderBase));
         if (sender_touches)
             cache.access(mkLine(layout, 13, 0, kSenderBase));
-        return cache.replacementState(13);
+        return cache.cacheSet(13).repl();
     };
     return state(true) != state(false);
 }

@@ -11,7 +11,7 @@
 #include <string>
 #include <string_view>
 
-#include "sim/replacement.hpp"
+#include "sim/repl_state.hpp"
 #include "sim/write_policy.hpp"
 
 namespace lruleak::sim {
@@ -19,8 +19,7 @@ namespace lruleak::sim {
 /**
  * Secure-cache operating mode of one level (Section IX-B designs,
  * integrated so whole hierarchies — and therefore channel::Session —
- * can run them end to end; the standalone DawgCache/RandomFillCache in
- * sim/secure_caches.hpp remain the single-set reference models):
+ * run them end to end):
  *
  *  - Dawg: DAWG-style way partitioning.  The ways and the replacement
  *    state of every set are split into `secure_domains` partitions;

@@ -21,13 +21,12 @@
 #define LRULEAK_SIM_CACHE_SET_HPP
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "sim/address.hpp"
-#include "sim/replacement.hpp"
+#include "sim/repl_state.hpp"
 #include "sim/write_policy.hpp"
 
 namespace lruleak::sim {
@@ -136,13 +135,6 @@ class CacheSet
              PlMode pl_mode = PlMode::Disabled,
              WriteHitPolicy write_hit = WriteHitPolicy::WriteBack,
              WriteMissPolicy write_miss = WriteMissPolicy::WriteAllocate);
-
-    /**
-     * Legacy-compatible constructor: snapshots the virtual policy's
-     * state into the value core.  Prefer the ReplState overload.
-     */
-    CacheSet(std::uint32_t ways, std::unique_ptr<ReplacementPolicy> policy,
-             PlMode pl_mode = PlMode::Disabled);
 
     CacheSet(const CacheSet &) = default;
     CacheSet &operator=(const CacheSet &) = default;

@@ -5,10 +5,9 @@
  * The replacement state of a cache set is the leak surface this repo
  * exists to study: it is updated on *every* access, hit or miss, which
  * is why every experiment is a Monte-Carlo loop hammering it millions of
- * times.  The seed design put that state behind a heap-allocated
- * `ReplacementPolicy` virtual interface (one indirection + one virtual
- * dispatch per access); this header replaces it with small, trivially
- * copyable POD state machines wrapped in a `std::variant`:
+ * times.  Each policy is a small, trivially copyable POD state machine,
+ * and `ReplState` wraps the six in a `std::variant` (no heap object, no
+ * virtual dispatch per access):
  *
  *   TrueLruState   - per-way age counters (exact recency order)
  *   TreePlruState  - N-1 tree bits packed into one word
@@ -35,9 +34,9 @@
  *                     every RRPV).  For LRU/Tree-PLRU/Bit-PLRU/FIFO it
  *                     is identical to victim().
  *
- * The legacy virtual `sim::ReplacementPolicy` hierarchy still exists
- * (see sim/replacement.hpp) as the white-box-testable reference
- * implementation and migration adapter; new code should use ReplState.
+ * This is the only replacement model in the simulator.  The tests check
+ * it against small, independently written reference models
+ * (tests/reference_policies.hpp) on randomized operation traces.
  */
 
 #ifndef LRULEAK_SIM_REPL_STATE_HPP
@@ -90,8 +89,8 @@ void checkWays(std::uint32_t ways);
 
 /**
  * Exact LRU as per-way age counters: age 0 = MRU, ways-1 = LRU.
- * Equivalent to the legacy recency list but without the O(N)
- * erase/insert churn on a heap vector.
+ * Equivalent to a recency list but without the O(N) erase/insert churn
+ * on a heap vector.
  */
 struct TrueLruState
 {
@@ -124,7 +123,7 @@ struct TrueLruState
     std::uint32_t selectVictim() { return victim(); }
     void reset();
 
-    /** MRU-first recency order, bit-identical to the legacy encoding. */
+    /** MRU-first recency order: one way index per byte. */
     std::vector<std::uint8_t> stateBits() const;
 
     static constexpr ReplPolicyKind kKind = ReplPolicyKind::TrueLru;
@@ -208,7 +207,7 @@ inline constexpr std::array<std::array<std::uint8_t, 128>, 4>
 
 /**
  * Tree-PLRU with the N-1 node bits packed into one word.  Node layout is
- * the implicit heap of the legacy class: node i has children 2i+1/2i+2,
+ * the implicit heap: node i has children 2i+1/2i+2,
  * bit 0 = victim in the LEFT subtree.  Updates and (for trees up to 8
  * ways) victim selection are table lookups instead of root-to-leaf
  * walks — this is the Intel L1D policy, the hottest state machine in
@@ -248,7 +247,7 @@ struct TreePlruState
         bits = v ? (bits | mask) : (bits & ~mask);
     }
 
-    /** One byte per tree node, bit-identical to the legacy encoding. */
+    /** One byte per tree node, node i at index i. */
     std::vector<std::uint8_t> stateBits() const;
 
     static constexpr ReplPolicyKind kKind = ReplPolicyKind::TreePlru;
@@ -298,7 +297,7 @@ struct BitPlruState
 
     bool mruBit(std::uint32_t way) const { return (mru >> way) & 1u; }
 
-    /** One byte per way, bit-identical to the legacy encoding. */
+    /** One MRU bit per way, one byte each. */
     std::vector<std::uint8_t> stateBits() const;
 
     static constexpr ReplPolicyKind kKind = ReplPolicyKind::BitPlru;
@@ -335,7 +334,7 @@ struct FifoState
     std::uint32_t selectVictim() { return victim(); }
     void reset();
 
-    /** Oldest-first fill order, bit-identical to the legacy encoding. */
+    /** Oldest-first fill order: one way index per byte. */
     std::vector<std::uint8_t> stateBits() const;
 
     static constexpr ReplPolicyKind kKind = ReplPolicyKind::Fifo;
@@ -391,7 +390,8 @@ struct RandomState
 /**
  * SRRIP-HP with 2-bit RRPVs.  victim() previews the way aging would
  * choose without applying it; selectVictim() ages every RRPV so the
- * chosen way sits at the maximum, exactly like the legacy loop.
+ * chosen way sits at the maximum, exactly as a step-by-step aging loop
+ * would.
  */
 struct SrripState
 {
@@ -434,7 +434,7 @@ struct SrripState
 
     void reset();
 
-    /** Raw RRPVs, bit-identical to the legacy encoding. */
+    /** Raw RRPVs, one byte per way. */
     std::vector<std::uint8_t> stateBits() const;
 
     static constexpr ReplPolicyKind kKind = ReplPolicyKind::Srrip;

@@ -10,7 +10,7 @@
  * implementations live on here verbatim — independent stepping loops,
  * independent RNG consumption — as the oracle the randomized
  * differential suite compares the engine against, the same pattern the
- * repo uses for the legacy virtual ReplacementPolicy vs sim::ReplState.
+ * repo uses for the reference replacement models vs sim::ReplState.
  *
  * Do not "fix" or modernise this code: its value is being the seed
  * behaviour, byte for byte.

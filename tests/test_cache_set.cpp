@@ -16,7 +16,7 @@ makeSet(std::uint32_t ways = 8,
         ReplPolicyKind kind = ReplPolicyKind::TreePlru,
         PlMode mode = PlMode::Disabled)
 {
-    return CacheSet(ways, makeReplacementPolicy(kind, ways, 1), mode);
+    return CacheSet(ways, ReplState::make(kind, ways, 1), mode);
 }
 
 SetAccessResult

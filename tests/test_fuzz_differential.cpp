@@ -2,8 +2,8 @@
  * @file
  * Randomized differential fuzz: the four ways to drive a cache set —
  * per-access `CacheSet::access`, `accessBatch`, `replayBatch`, and a
- * faithful seed-shape legacy set over the virtual ReplacementPolicy
- * interface — must stay state-bit-identical on long random traces, for
+ * plain array-of-structs set over the reference replacement models —
+ * must stay state-bit-identical on long random traces, for
  * every policy and for way counts the targeted unit tests never
  * exercise (including the non-power-of-two 6 and 12).
  *
@@ -18,26 +18,26 @@
 #include <memory>
 #include <vector>
 
+#include "reference_policies.hpp"
 #include "sim/cache_set.hpp"
 #include "sim/repl_state.hpp"
-#include "sim/replacement.hpp"
 
 using namespace lruleak::sim;
+namespace reference = lruleak::reference;
 
 namespace {
 
 /**
- * Independent reference: the seed's array-of-structs set over the
- * virtual policy hierarchy (the same shape `lruleak bench`'s legacy
- * lane keeps).  Deliberately separate code from CacheSet.
+ * Independent reference: an array-of-structs set over the reference
+ * replacement models.  Deliberately separate code from CacheSet.
  */
-class LegacyReferenceSet
+class ReferenceSet
 {
   public:
-    LegacyReferenceSet(std::uint32_t ways, ReplPolicyKind kind,
-                       std::uint64_t seed)
+    ReferenceSet(std::uint32_t ways, ReplPolicyKind kind,
+                 std::uint64_t seed)
         : ways_(ways), tags_(ways, 0), valid_(ways, false),
-          policy_(makeReplacementPolicy(kind, ways, seed))
+          policy_(reference::makePolicy(kind, ways, seed))
     {}
 
     struct Result
@@ -92,7 +92,7 @@ class LegacyReferenceSet
     std::uint32_t ways_;
     std::vector<Addr> tags_;
     std::vector<bool> valid_;
-    std::unique_ptr<ReplacementPolicy> policy_;
+    std::unique_ptr<reference::Policy> policy_;
 };
 
 struct FuzzCase
@@ -137,26 +137,26 @@ TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
     CacheSet per_access(ways, ReplState::make(kind, ways, kSeed));
     CacheSet batched(ways, ReplState::make(kind, ways, kSeed));
     CacheSet replayed(ways, ReplState::make(kind, ways, kSeed));
-    LegacyReferenceSet legacy(ways, kind, kSeed);
+    ReferenceSet model(ways, kind, kSeed);
 
     const auto trace = fuzzTrace(kAccesses, ways, kSeed ^ ways);
 
-    // Per-access lane, checked against the legacy oracle continuously
+    // Per-access lane, checked against the reference set continuously
     // (a divergence is reported at the access that introduced it).
     std::uint64_t hits = 0, fills = 0, evictions = 0;
     std::vector<SetAccessResult> per_results(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const auto res =
             per_access.access(trace[i], 0, false, LockReq::None, 0);
-        const auto ref = legacy.access(trace[i]);
+        const auto ref = model.access(trace[i]);
         ASSERT_EQ(res.hit, ref.hit) << "access " << i;
         ASSERT_EQ(res.way, ref.way) << "access " << i;
         ASSERT_EQ(res.filled, ref.filled) << "access " << i;
         ASSERT_EQ(res.evicted, ref.evicted) << "access " << i;
         if (ref.evicted)
             ASSERT_EQ(res.evicted_tag, ref.evicted_tag) << "access " << i;
-        ASSERT_EQ(per_access.repl().stateBits(), legacy.stateBits())
-            << "state diverged from the legacy oracle at access " << i;
+        ASSERT_EQ(per_access.repl().stateBits(), model.stateBits())
+            << "state diverged from the reference set at access " << i;
         per_results[i] = res;
         hits += res.hit ? 1 : 0;
         fills += res.filled ? 1 : 0;
@@ -186,14 +186,14 @@ TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
     // End state: all four lanes bit-identical.
     EXPECT_EQ(per_access.repl(), batched.repl());
     EXPECT_EQ(per_access.repl(), replayed.repl());
-    EXPECT_EQ(per_access.repl().stateBits(), legacy.stateBits());
+    EXPECT_EQ(per_access.repl().stateBits(), model.stateBits());
     for (std::uint32_t w = 0; w < ways; ++w) {
         EXPECT_EQ(per_access.line(w).tag, batched.line(w).tag) << w;
         EXPECT_EQ(per_access.line(w).valid, batched.line(w).valid) << w;
         EXPECT_EQ(per_access.line(w).tag, replayed.line(w).tag) << w;
-        EXPECT_EQ(per_access.line(w).valid, legacy.valid(w)) << w;
-        if (legacy.valid(w))
-            EXPECT_EQ(per_access.line(w).tag, legacy.tag(w)) << w;
+        EXPECT_EQ(per_access.line(w).valid, model.valid(w)) << w;
+        if (model.valid(w))
+            EXPECT_EQ(per_access.line(w).tag, model.tag(w)) << w;
     }
 }
 
@@ -515,12 +515,12 @@ INSTANTIATE_TEST_SUITE_P(AllPoliciesSharp, SharpFuzz,
 
 TEST(DifferentialFuzz, TreePlruRejectsNonPowerOfTwoWaysEverywhere)
 {
-    // Both the value core and the legacy oracle must refuse the way
+    // Both the value core and the reference model must refuse the way
     // counts the fuzz matrix skips, so the skip hides no behaviour.
     for (std::uint32_t ways : {6u, 12u}) {
         EXPECT_THROW(ReplState::make(ReplPolicyKind::TreePlru, ways),
                      std::invalid_argument) << ways;
-        EXPECT_THROW(makeReplacementPolicy(ReplPolicyKind::TreePlru, ways),
+        EXPECT_THROW(reference::makePolicy(ReplPolicyKind::TreePlru, ways),
                      std::invalid_argument) << ways;
     }
 }

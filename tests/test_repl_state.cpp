@@ -2,21 +2,22 @@
  * @file
  * Equivalence tests for the value-semantic replacement core.
  *
- * The legacy virtual classes (sim/replacement.hpp) keep the seed's
- * independent vector-based implementations, so they serve as the oracle:
+ * The reference models (reference_policies.hpp) are independent
+ * list- and vector-based implementations, so they serve as the oracle:
  * ReplState must match them state-bit-for-state-bit and victim-for-
  * victim on randomized operation traces, for all six policies.  The
- * ReplStatePolicy adapter and the CacheSet batch APIs are checked the
- * same way.
+ * CacheSet batch APIs are checked against the per-access path the same
+ * way.
  */
 
 #include <gtest/gtest.h>
 
+#include "reference_policies.hpp"
 #include "sim/cache_set.hpp"
 #include "sim/repl_state.hpp"
-#include "sim/replacement.hpp"
 
 using namespace lruleak::sim;
+namespace reference = lruleak::reference;
 
 namespace {
 
@@ -31,17 +32,18 @@ class ReplStateEquivalence : public ::testing::TestWithParam<StateCase>
 
 } // namespace
 
+// "Legacy" in the name is historical: the oracle is the reference model.
 TEST_P(ReplStateEquivalence, MatchesLegacyOnRandomizedTraces)
 {
     const auto [kind, ways] = GetParam();
     constexpr std::uint64_t kSeed = 77;
 
     ReplState state = ReplState::make(kind, ways, kSeed);
-    auto legacy = makeReplacementPolicy(kind, ways, kSeed);
+    auto model = reference::makePolicy(kind, ways, kSeed);
 
     ASSERT_EQ(state.kind(), kind);
     ASSERT_EQ(state.ways(), ways);
-    ASSERT_EQ(state.stateBits(), legacy->stateBits())
+    ASSERT_EQ(state.stateBits(), model->stateBits())
         << "power-on state differs";
 
     Xoshiro256 rng(123456);
@@ -50,26 +52,26 @@ TEST_P(ReplStateEquivalence, MatchesLegacyOnRandomizedTraces)
         switch (rng.below(100)) {
           case 0: // occasional reset
             state.reset();
-            legacy->reset();
+            model->reset();
             break;
           case 1:
           case 2: // victim commit (the mutating query)
-            ASSERT_EQ(state.selectVictim(), legacy->selectVictim())
+            ASSERT_EQ(state.selectVictim(), model->selectVictim())
                 << "op " << op;
             break;
           default:
             if (rng.chance(0.5)) {
                 state.touch(way);
-                legacy->touch(way);
+                model->touch(way);
             } else {
                 state.onFill(way);
-                legacy->onFill(way);
+                model->onFill(way);
             }
             break;
         }
-        ASSERT_EQ(state.stateBits(), legacy->stateBits())
+        ASSERT_EQ(state.stateBits(), model->stateBits())
             << replPolicyName(kind) << " diverged at op " << op;
-        ASSERT_EQ(state.victim(), legacy->victim())
+        ASSERT_EQ(state.victim(), model->victim())
             << replPolicyName(kind) << " victim preview at op " << op;
     }
 }
@@ -91,25 +93,31 @@ TEST_P(ReplStateEquivalence, VictimPreviewIsPure)
 
 TEST_P(ReplStateEquivalence, AdapterRoundTripsThroughState)
 {
+    // A ReplState loaded from a mid-stream reference state (not evolved
+    // from power-on) must behave exactly like the model it came from.
     const auto [kind, ways] = GetParam();
-    auto legacy = makeReplacementPolicy(kind, ways, 9);
+    auto model = reference::makePolicy(kind, ways, 9);
     Xoshiro256 rng(7);
-    for (int op = 0; op < 100; ++op)
-        legacy->touch(static_cast<std::uint32_t>(rng.below(ways)));
+    for (int op = 0; op < 100; ++op) {
+        const auto way = static_cast<std::uint32_t>(rng.below(ways));
+        if (rng.chance(0.5))
+            model->touch(way);
+        else
+            model->onFill(way);
+    }
 
-    // Snapshot into the value core and wrap back behind the interface.
-    ReplStatePolicy adapter(legacy->state());
-    EXPECT_EQ(adapter.stateBits(), legacy->stateBits());
-    EXPECT_EQ(adapter.kind(), legacy->kind());
-    EXPECT_EQ(adapter.victim(), legacy->victim());
+    ReplState state = model->toState();
+    EXPECT_EQ(state.kind(), kind);
+    EXPECT_EQ(state.stateBits(), model->stateBits());
+    EXPECT_EQ(state.victim(), model->victim());
 
     // Both sides must continue in lockstep after the snapshot.
     for (int op = 0; op < 200; ++op) {
         const auto way = static_cast<std::uint32_t>(rng.below(ways));
-        adapter.touch(way);
-        legacy->touch(way);
-        ASSERT_EQ(adapter.stateBits(), legacy->stateBits());
-        ASSERT_EQ(adapter.selectVictim(), legacy->selectVictim());
+        state.touch(way);
+        model->touch(way);
+        ASSERT_EQ(state.stateBits(), model->stateBits());
+        ASSERT_EQ(state.selectVictim(), model->selectVictim());
     }
 }
 

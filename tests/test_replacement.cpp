@@ -9,7 +9,7 @@
 
 #include <set>
 
-#include "sim/replacement.hpp"
+#include "sim/repl_state.hpp"
 
 using namespace lruleak::sim;
 
@@ -17,7 +17,7 @@ using namespace lruleak::sim;
 
 TEST(TrueLru, VictimIsLeastRecentlyUsed)
 {
-    TrueLru lru(4);
+    TrueLruState lru(4);
     // Power-on order: 0 MRU ... 3 LRU.
     EXPECT_EQ(lru.victim(), 3u);
     lru.touch(3);
@@ -30,19 +30,19 @@ TEST(TrueLru, VictimIsLeastRecentlyUsed)
 
 TEST(TrueLru, AgeTracksRecency)
 {
-    TrueLru lru(4);
+    TrueLruState lru(4);
     lru.touch(2);
-    EXPECT_EQ(lru.age(2), 0u);
+    EXPECT_EQ(lru.age[2], 0u);
     lru.touch(1);
-    EXPECT_EQ(lru.age(1), 0u);
-    EXPECT_EQ(lru.age(2), 1u);
+    EXPECT_EQ(lru.age[1], 0u);
+    EXPECT_EQ(lru.age[2], 1u);
 }
 
 TEST(TrueLru, SequentialFillEvictsOldest)
 {
     // The property the paper's protocols rely on: access 0..N-1 in
     // order, then the victim is way 0.
-    TrueLru lru(8);
+    TrueLruState lru(8);
     for (std::uint32_t w = 0; w < 8; ++w)
         lru.touch(w);
     EXPECT_EQ(lru.victim(), 0u);
@@ -52,17 +52,17 @@ TEST(TrueLru, SequentialFillEvictsOldest)
 
 TEST(TreePlru, RequiresPowerOfTwoWays)
 {
-    EXPECT_THROW(TreePlru(6), std::invalid_argument);
-    EXPECT_THROW(TreePlru(1), std::invalid_argument);
-    EXPECT_NO_THROW(TreePlru(2));
-    EXPECT_NO_THROW(TreePlru(16));
+    EXPECT_THROW(TreePlruState(6), std::invalid_argument);
+    EXPECT_THROW(TreePlruState(1), std::invalid_argument);
+    EXPECT_NO_THROW(TreePlruState(2));
+    EXPECT_NO_THROW(TreePlruState(16));
 }
 
 TEST(TreePlru, HandComputedTransitions4Way)
 {
     // 4-way tree: node0 root, node1 = left pair {0,1}, node2 = right
     // pair {2,3}.  Bit semantics: 0 = victim left, 1 = victim right.
-    TreePlru t(4);
+    TreePlruState t(4);
     EXPECT_EQ(t.victim(), 0u); // all bits 0 -> leftmost
 
     t.touch(0); // root -> right (1), node1 -> right (1)
@@ -86,7 +86,7 @@ TEST(TreePlru, SequentialFillEvictsWay0)
 {
     // Core channel property (Algorithm 1 init with d = 8): after touching
     // 0..7 in order, the victim is way 0.
-    TreePlru t(8);
+    TreePlruState t(8);
     for (std::uint32_t w = 0; w < 8; ++w)
         t.touch(w);
     EXPECT_EQ(t.victim(), 0u);
@@ -94,7 +94,7 @@ TEST(TreePlru, SequentialFillEvictsWay0)
 
 TEST(TreePlru, TouchProtectsWay)
 {
-    TreePlru t(8);
+    TreePlruState t(8);
     for (std::uint32_t w = 0; w < 8; ++w)
         t.touch(w);
     t.touch(0); // the sender's encode access
@@ -103,13 +103,13 @@ TEST(TreePlru, TouchProtectsWay)
 
 TEST(TreePlru, StateBitsSize)
 {
-    EXPECT_EQ(TreePlru(8).stateBits().size(), 7u);
-    EXPECT_EQ(TreePlru(16).stateBits().size(), 15u);
+    EXPECT_EQ(TreePlruState(8).stateBits().size(), 7u);
+    EXPECT_EQ(TreePlruState(16).stateBits().size(), 15u);
 }
 
 TEST(TreePlru, VictimIsDeterministicAndStateless)
 {
-    TreePlru t(8);
+    TreePlruState t(8);
     t.touch(3);
     t.touch(5);
     const auto v1 = t.victim();
@@ -121,7 +121,7 @@ TEST(TreePlru, VictimIsDeterministicAndStateless)
 
 TEST(BitPlru, VictimIsLowestClearBit)
 {
-    BitPlru b(4);
+    BitPlruState b(4);
     EXPECT_EQ(b.victim(), 0u);
     b.touch(0);
     EXPECT_EQ(b.victim(), 1u);
@@ -133,7 +133,7 @@ TEST(BitPlru, VictimIsLowestClearBit)
 
 TEST(BitPlru, SaturationResetsAllButAccessed)
 {
-    BitPlru b(4);
+    BitPlruState b(4);
     b.touch(0);
     b.touch(1);
     b.touch(2);
@@ -147,8 +147,8 @@ TEST(BitPlru, SaturationResetsAllButAccessed)
 
 TEST(BitPlru, FillDoesNotSetMruBit)
 {
-    // The behaviour Table I implies (see replacement.hpp).
-    BitPlru b(4);
+    // The behaviour Table I implies (see repl_state.hpp).
+    BitPlruState b(4);
     b.onFill(2);
     EXPECT_FALSE(b.mruBit(2));
     EXPECT_EQ(b.victim(), 0u);
@@ -159,7 +159,7 @@ TEST(BitPlru, SequenceOneSteadyStateEvictsLine0)
     // Steady state of the paper's Sequence 1: line 0 refills into the
     // same way and is chosen again -- 100% eviction (Table I, >= 8
     // iterations).
-    BitPlru b(8);
+    BitPlruState b(8);
     for (std::uint32_t w = 0; w < 8; ++w)
         b.touch(w); // saturate: only bit 7 remains
     const auto victim_for_8 = b.victim();
@@ -173,7 +173,7 @@ TEST(BitPlru, SequenceOneSteadyStateEvictsLine0)
 TEST(Fifo, HitsDoNotChangeState)
 {
     // The security property the defense study relies on.
-    Fifo f(4);
+    FifoState f(4);
     const auto before = f.stateBits();
     f.touch(0);
     f.touch(3);
@@ -183,7 +183,7 @@ TEST(Fifo, HitsDoNotChangeState)
 
 TEST(Fifo, EvictsInFillOrder)
 {
-    Fifo f(4);
+    FifoState f(4);
     f.onFill(2);
     f.onFill(0);
     f.onFill(3);
@@ -197,22 +197,22 @@ TEST(Fifo, EvictsInFillOrder)
 
 TEST(Srrip, InsertAtLongReReference)
 {
-    Srrip s(4);
+    SrripState s(4);
     s.onFill(1);
-    EXPECT_EQ(s.rrpv(1), Srrip::kInsertRrpv);
+    EXPECT_EQ(s.rrpv[1], SrripState::kInsertRrpv);
 }
 
 TEST(Srrip, HitPromotesToZero)
 {
-    Srrip s(4);
+    SrripState s(4);
     s.onFill(1);
     s.touch(1);
-    EXPECT_EQ(s.rrpv(1), 0);
+    EXPECT_EQ(s.rrpv[1], 0);
 }
 
 TEST(Srrip, VictimIsFirstMaxRrpv)
 {
-    Srrip s(4);
+    SrripState s(4);
     // Power-on: all at max -> way 0.
     EXPECT_EQ(s.victim(), 0u);
     s.onFill(0);
@@ -228,14 +228,14 @@ TEST(Srrip, VictimIsFirstMaxRrpv)
 
 TEST(RandomRepl, DeterministicForSeed)
 {
-    RandomRepl a(8, 5), b(8, 5);
+    RandomState a(8, 5), b(8, 5);
     for (int i = 0; i < 100; ++i)
         ASSERT_EQ(a.selectVictim(), b.selectVictim());
 }
 
 TEST(RandomRepl, ResetReplaysStream)
 {
-    RandomRepl r(8, 5);
+    RandomState r(8, 5);
     std::vector<std::uint32_t> first;
     for (int i = 0; i < 10; ++i)
         first.push_back(r.selectVictim());
@@ -246,7 +246,7 @@ TEST(RandomRepl, ResetReplaysStream)
 
 TEST(RandomRepl, CoversAllWays)
 {
-    RandomRepl r(8, 5);
+    RandomState r(8, 5);
     std::set<std::uint32_t> seen;
     for (int i = 0; i < 500; ++i)
         seen.insert(r.selectVictim());
@@ -257,7 +257,7 @@ TEST(RandomRepl, VictimIsAPureSelectVictimPreview)
 {
     // The fixed contract: victim() never advances the stream, and always
     // previews exactly what the next selectVictim() will commit.
-    RandomRepl r(8, 5);
+    RandomState r(8, 5);
     for (int i = 0; i < 50; ++i) {
         const auto preview = r.victim();
         ASSERT_EQ(r.victim(), preview) << "victim() must not mutate";
@@ -269,7 +269,7 @@ TEST(Srrip, VictimPreviewDoesNotAge)
 {
     // The fixed contract for SRRIP: victim() previews the aging outcome
     // without modifying the RRPVs; selectVictim() commits the aging.
-    Srrip s(4);
+    SrripState s(4);
     for (std::uint32_t w = 0; w < 4; ++w)
         s.onFill(w); // all at RRPV=2: victim selection must age
     s.touch(0);
@@ -278,28 +278,23 @@ TEST(Srrip, VictimPreviewDoesNotAge)
     EXPECT_EQ(s.stateBits(), before) << "victim() must not mutate";
     EXPECT_EQ(s.selectVictim(), preview);
     EXPECT_NE(s.stateBits(), before) << "selectVictim() ages the RRPVs";
-    EXPECT_EQ(s.rrpv(preview), Srrip::kMaxRrpv);
+    EXPECT_EQ(s.rrpv[preview], SrripState::kMaxRrpv);
 }
 
 // ---------------------------------------------------- factory and names
 
 TEST(Factory, CreatesEveryKind)
 {
-    for (auto kind : {ReplPolicyKind::TrueLru, ReplPolicyKind::TreePlru,
-                      ReplPolicyKind::BitPlru, ReplPolicyKind::Fifo,
-                      ReplPolicyKind::Random, ReplPolicyKind::Srrip}) {
-        auto policy = makeReplacementPolicy(kind, 8, 1);
-        ASSERT_NE(policy, nullptr);
-        EXPECT_EQ(policy->kind(), kind);
-        EXPECT_EQ(policy->numWays(), 8u);
+    for (auto kind : allReplPolicyKinds()) {
+        const ReplState state = ReplState::make(kind, 8, 1);
+        EXPECT_EQ(state.kind(), kind);
+        EXPECT_EQ(state.ways(), 8u);
     }
 }
 
 TEST(Factory, NamesRoundTrip)
 {
-    for (auto kind : {ReplPolicyKind::TrueLru, ReplPolicyKind::TreePlru,
-                      ReplPolicyKind::BitPlru, ReplPolicyKind::Fifo,
-                      ReplPolicyKind::Random, ReplPolicyKind::Srrip})
+    for (auto kind : allReplPolicyKinds())
         EXPECT_EQ(replPolicyFromName(std::string(replPolicyName(kind))),
                   kind);
     EXPECT_THROW(replPolicyFromName("nonsense"), std::invalid_argument);
@@ -307,11 +302,10 @@ TEST(Factory, NamesRoundTrip)
 
 TEST(VictimUnlocked, SkipsLockedWays)
 {
-    TrueLru lru(4); // victim would be way 3
-    std::vector<bool> locked{false, false, false, true};
-    EXPECT_NE(lru.victimUnlocked(locked), 3u);
-    std::vector<bool> all_locked{true, true, true, true};
-    EXPECT_EQ(lru.victimUnlocked(all_locked), ReplacementPolicy::kNoVictim);
+    ReplState lru = ReplState::make(ReplPolicyKind::TrueLru, 4);
+    // The victim would be way 3.
+    EXPECT_NE(lru.selectVictimUnlocked(0b1000), 3u);
+    EXPECT_EQ(lru.selectVictimUnlocked(0b1111), kNoWay);
 }
 
 // --------------------------------------- property sweeps over policies
@@ -328,43 +322,41 @@ class PolicyProperties : public ::testing::TestWithParam<PolicyCase>
 TEST_P(PolicyProperties, VictimAlwaysInRange)
 {
     const auto [kind, ways] = GetParam();
-    auto policy = makeReplacementPolicy(kind, ways, 3);
+    ReplState state = ReplState::make(kind, ways, 3);
     Xoshiro256 rng(99);
     for (int i = 0; i < 2000; ++i) {
         if (rng.chance(0.5))
-            policy->touch(static_cast<std::uint32_t>(rng.below(ways)));
+            state.touch(static_cast<std::uint32_t>(rng.below(ways)));
         else
-            policy->onFill(static_cast<std::uint32_t>(rng.below(ways)));
-        ASSERT_LT(policy->victim(), ways);
+            state.onFill(static_cast<std::uint32_t>(rng.below(ways)));
+        ASSERT_LT(state.victim(), ways);
     }
 }
 
 TEST_P(PolicyProperties, CloneIsIndependentCopy)
 {
     const auto [kind, ways] = GetParam();
-    auto policy = makeReplacementPolicy(kind, ways, 3);
-    policy->touch(1 % ways);
-    auto copy = policy->clone();
-    EXPECT_EQ(copy->stateBits(), policy->stateBits());
-    copy->touch((ways - 1) % ways);
-    // Originals must be unaffected by mutations of the clone (state
-    // comparison only meaningful for stateful policies).
-    if (kind != ReplPolicyKind::Random) {
-        auto again = makeReplacementPolicy(kind, ways, 3);
-        again->touch(1 % ways);
-        EXPECT_EQ(policy->stateBits(), again->stateBits());
-    }
+    ReplState state = ReplState::make(kind, ways, 3);
+    state.touch(1 % ways);
+    ReplState copy = state;
+    EXPECT_EQ(copy, state);
+    copy.touch((ways - 1) % ways);
+    copy.selectVictim();
+    // The original must be unaffected by mutations of the copy.
+    ReplState again = ReplState::make(kind, ways, 3);
+    again.touch(1 % ways);
+    EXPECT_EQ(state, again);
 }
 
 TEST_P(PolicyProperties, ResetRestoresPowerOnVictim)
 {
     const auto [kind, ways] = GetParam();
-    auto policy = makeReplacementPolicy(kind, ways, 3);
-    auto fresh = makeReplacementPolicy(kind, ways, 3);
+    ReplState state = ReplState::make(kind, ways, 3);
+    const ReplState fresh = ReplState::make(kind, ways, 3);
     for (std::uint32_t w = 0; w < ways; ++w)
-        policy->touch(w);
-    policy->reset();
-    EXPECT_EQ(policy->victim(), fresh->victim());
+        state.touch(w);
+    state.reset();
+    EXPECT_EQ(state.victim(), fresh.victim());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -392,8 +384,8 @@ TEST(PolicyContrast, TrueLruGuaranteesPlrusDoNot)
     Xoshiro256 rng(4242);
     int tree_mismatch = 0;
     for (int trial = 0; trial < 200; ++trial) {
-        TrueLru lru(8);
-        TreePlru tree(8);
+        TrueLruState lru(8);
+        TreePlruState tree(8);
         // Random permutation: way holding "line i".
         std::uint32_t perm[8] = {0, 1, 2, 3, 4, 5, 6, 7};
         for (std::uint32_t i = 8; i > 1; --i)
