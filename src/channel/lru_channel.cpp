@@ -170,6 +170,10 @@ LruSender::LruSender(const ChannelLayout &layout, SenderConfig config)
                                            ChannelLayout::kSenderBase);
         stack_.push_back(sim::MemRef{a, a, kSenderThread, false});
     }
+    one_refs_.push_back(line_);
+    one_refs_.insert(one_refs_.end(), stack_.begin(), stack_.end());
+    setOffersSteady(!config_.batch_walks && !config_.write_polarity &&
+                    !config_.kick_private && config_.ts != 0);
 
     // kick_private: 16 lines sharing the target line's private L1/L2
     // index but living in other LLC sets (same aliasing scheme as the
@@ -190,15 +194,85 @@ LruSender::LruSender(const ChannelLayout &layout, SenderConfig config)
     }
 }
 
+std::size_t
+LruSender::totalBits() const
+{
+    if (config_.message.empty())
+        return 0;
+    return config_.message.size() *
+        (config_.infinite ? ~std::size_t{0} / config_.message.size()
+                          : config_.repeats);
+}
+
 int
 LruSender::currentBit(std::size_t index) const
 {
-    const std::size_t total = config_.message.size() *
-        (config_.infinite ? ~std::size_t{0} / config_.message.size()
-                          : config_.repeats);
-    if (config_.message.empty() || index >= total)
+    if (index >= totalBits())
         return -1;
     return config_.message[index % config_.message.size()];
+}
+
+std::optional<exec::SteadyIteration>
+LruSender::steadyIteration(std::uint64_t now) const
+{
+    // Only at an iteration boundary of a started encode loop: next(now)
+    // would yield the iteration's first access (or its spin).
+    if (phase_ != Phase::Encode || !started_ || sub_step_ != 0)
+        return std::nullopt;
+    std::size_t index = bit_index_;
+    std::uint64_t deadline = bit_deadline_;
+    if (now >= deadline) {
+        const std::uint64_t skip = (now - deadline) / config_.ts + 1;
+        index += skip;
+        deadline += skip * config_.ts;
+    }
+    const int bit = currentBit(index);
+    if (bit < 0)
+        return std::nullopt;
+
+    // The iteration repeats until the first later bit with another
+    // value, or the end of the message.  A full message period of equal
+    // bits means the message is constant: the run lasts to the end.
+    const std::size_t total = totalBits();
+    std::size_t next = index + 1;
+    for (std::size_t k = 0; k < config_.message.size() && next < total &&
+                            currentBit(next) == bit;
+         ++k)
+        ++next;
+    if (next < total && currentBit(next) == bit)
+        next = total;
+    const std::uint64_t steps = next - index - 1;
+    const std::uint64_t limit =
+        steps > (~std::uint64_t{0} - deadline) / config_.ts
+            ? ~std::uint64_t{0}
+            : deadline + steps * config_.ts;
+
+    exec::SteadyIteration it;
+    it.refs = bit == 1 ? std::span<const sim::MemRef>(one_refs_)
+                       : std::span<const sim::MemRef>(stack_);
+    it.gap = config_.encode_gap;
+    it.deadline = deadline;
+    it.period = config_.ts;
+    it.limit = limit;
+    return it;
+}
+
+void
+LruSender::foldSteady(std::uint64_t iterations, std::uint64_t deadline)
+{
+    const std::uint64_t advanced = (deadline - bit_deadline_) / config_.ts;
+    bit_index_ += advanced;
+    bit_deadline_ = deadline;
+    // What the folded iterations' next()/onResult() calls would have
+    // done: a 1 bit records one L1 encode level per iteration and
+    // clears fresh_bit_; a 0 bit leaves it set once a bit began.
+    if (currentBit(bit_index_) == 1) {
+        fresh_bit_ = false;
+        encode_levels_.insert(encode_levels_.end(), iterations,
+                              sim::HitLevel::L1);
+    } else if (advanced > 0) {
+        fresh_bit_ = true;
+    }
 }
 
 exec::Op

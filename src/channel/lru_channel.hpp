@@ -160,6 +160,17 @@ class LruSender : public exec::ThreadProgram
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
 
+    /**
+     * The plain encode loop (no batch_walks, write_polarity or
+     * kick_private) offers each iteration for folding: the encode
+     * access when sending 1, the stack work, then the spin, repeated
+     * until the bit value changes or the message ends.
+     */
+    std::optional<exec::SteadyIteration>
+    steadyIteration(std::uint64_t now) const override;
+    void foldSteady(std::uint64_t iterations,
+                    std::uint64_t deadline) override;
+
     /** TSC at which bit 0 started (for decoder alignment). */
     std::uint64_t startTsc() const { return start_tsc_; }
 
@@ -186,6 +197,8 @@ class LruSender : public exec::ThreadProgram
         Finished,
     };
 
+    /** Bits the sender will send (huge when infinite). */
+    std::size_t totalBits() const;
     /** The bit currently being sent, or -1 past the end. */
     int currentBit(std::size_t index) const;
 
@@ -194,6 +207,8 @@ class LruSender : public exec::ThreadProgram
     sim::MemRef line_;
     std::vector<sim::MemRef> stack_;
     std::vector<sim::MemRef> kick_; //!< kick_private: private-copy expellers
+    /** A 1-bit iteration's accesses: the encode access, then stack_. */
+    std::vector<sim::MemRef> one_refs_;
     /** batch_walks: reusable per-iteration run buffer (encode first). */
     std::vector<sim::MemRef> iter_refs_;
 

@@ -5,11 +5,16 @@
 
 #include "core/result_cache.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <system_error>
+#include <thread>
 
 #include "util/hash.hpp"
 
@@ -75,12 +80,16 @@ ResultCache::store(const std::string &key, const std::string &artifact) const
         return false;
     // Write-then-rename: the entry appears atomically under its final
     // name, so parallel shard workers sharing one cache dir can race
-    // on the same key harmlessly.
+    // on the same key harmlessly.  The tmp name is unique per writer
+    // (pid + thread + a process-wide counter), so two writers of one
+    // key never truncate each other's half-written file.
+    static std::atomic<std::uint64_t> writes{0};
     const std::string final_path = entryPath(key);
     const std::string tmp_path =
-        final_path + ".tmp." +
-        std::to_string(static_cast<unsigned long long>(
-            std::hash<std::string>{}(artifact) & 0xffffff));
+        final_path + ".tmp." + std::to_string(::getpid()) + "." +
+        std::to_string(std::hash<std::thread::id>{}(
+            std::this_thread::get_id())) +
+        "." + std::to_string(writes.fetch_add(1));
     {
         std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
         if (!out)

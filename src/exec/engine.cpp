@@ -412,8 +412,86 @@ TimeSlice::closeSlice(Engine &engine)
     state_ = State::NeedSlice;
 }
 
+bool
+TimeSlice::foldSteady(Engine &engine, unsigned idx)
+{
+    auto &t = engine.thread(idx);
+    const std::optional<SteadyIteration> it =
+        t.program->steadyIteration(now_);
+    if (!it || it->period == 0 || (it->refs.empty() && it->gap == 0))
+        return false;
+    // Per-op stepping services a tick before, and ends the slice at, the
+    // first op that starts at or past `bound`.
+    const std::uint64_t bound = config_.tick_period != 0
+                                    ? std::min(slice_end_, next_tick_)
+                                    : slice_end_;
+    if (now_ >= bound || now_ >= it->limit)
+        return false;
+    sim::PerfCounters *const l1 =
+        engine.port().steadyHitCounters(core_, it->refs);
+    if (l1 == nullptr)
+        return false;
+
+    // Every access is an L1 hit: latency + overhead + one jitter draw,
+    // drawn on a copy so a partial iteration can be dropped.
+    const EngineConfig &ec = engine.config();
+    const std::uint64_t hit_cost =
+        engine.uarch().latency(sim::HitLevel::L1) + ec.op_overhead;
+    sim::Xoshiro256 rng = engine.rng();
+    std::uint64_t time = now_;
+    std::uint64_t deadline = it->deadline;
+    std::uint64_t clock = 0;
+    std::uint64_t wake = 0;
+    std::uint64_t busy = 0;
+    std::uint64_t iterations = 0;
+    while (time < bound && time < it->limit) {
+        // Move the deadline past `time`; usually one period, so try that
+        // before paying for a division.
+        std::uint64_t d = deadline;
+        if (time >= d) {
+            d += it->period;
+            if (time >= d)
+                d += ((time - d) / it->period + 1) * it->period;
+        }
+        sim::Xoshiro256 draws = rng;
+        std::uint64_t end = time;
+        for (std::size_t i = 0; i < it->refs.size(); ++i)
+            end += hit_cost + (ec.jitter ? draws.below(ec.jitter) : 0);
+        // Each op after the first, and the spin, starts by `end` at the
+        // latest: all must start before the bound and the deadline (a
+        // program restarts its iteration at the deadline).  A spin must
+        // also finish by the bound rather than be cut at a tick.
+        const std::uint64_t w = std::min(end + it->gap, d);
+        if (end >= bound || end >= d || w > bound)
+            break;
+        rng = draws;
+        busy += end - time;
+        deadline = d;
+        clock = end;
+        wake = w;
+        time = std::max(end, w);
+        ++iterations;
+    }
+    if (iterations == 0)
+        return false;
+
+    const std::uint64_t accesses = iterations * it->refs.size();
+    engine.rng() = rng;
+    for (const sim::MemRef &ref : it->refs)
+        l1->recordMany(ref.thread, iterations, iterations);
+    t.stats.accesses += accesses;
+    t.stats.spins += iterations;
+    t.stats.busy_cycles += busy;
+    t.clock = clock;
+    t.spin_until = wake;
+    t.program->foldSteady(iterations, deadline);
+    now_ = time;
+    engine.noteTime(now_);
+    return true;
+}
+
 void
-TimeSlice::runInSlice(Engine &engine)
+TimeSlice::runInSlice(Engine &engine, bool fold)
 {
     const unsigned idx = threads_[active_];
     auto &t = engine.thread(idx);
@@ -429,6 +507,8 @@ TimeSlice::runInSlice(Engine &engine)
         engine.noteTime(now_);
         return;
     }
+    if (fold && foldSteady(engine, idx))
+        return;
 
     const Op op = t.program->next(now_);
     if (op.kind == OpKind::Done) {
@@ -461,9 +541,12 @@ TimeSlice::step(Engine &engine)
             // primary finishes, stop before closeSlice: per-op stepping
             // never reaches the switch either (the run loop exits
             // first), and the switch's RNG draws must not happen.
+            // The resident program may also fold its steady iterations
+            // (see foldSteady); others pay one predictable branch per op.
             const auto &t = engine.thread(threads_[active_]);
+            const bool fold = t.program->offersSteady();
             while (now_ < slice_end_ && !t.done)
-                runInSlice(engine);
+                runInSlice(engine, fold);
             if (!engine.thread(engine.primary()).done)
                 closeSlice(engine);
         }

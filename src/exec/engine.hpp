@@ -316,6 +316,13 @@ struct TimeSlicePolicyConfig
      * nextEventTime() call cadence changes.  Nested instances ignore
      * this and stay per-op: the parent must be able to interleave
      * other cores' shared-LLC traffic between ops.
+     *
+     * The same switch enables the steady-iteration fold: when the
+     * resident program offers a steady iteration (ThreadProgram::
+     * steadyIteration) whose accesses the port confirms are L1 hits
+     * that leave the memory system unchanged, the iterations up to the
+     * next tick, the slice end or the offer's limit run as one
+     * arithmetic loop with the same jitter draws (see foldSteady).
      */
     bool slice_events = true;
 
@@ -363,7 +370,18 @@ class TimeSlice final : public ArbitrationPolicy
     void backgroundSlice(Engine &engine, std::uint64_t slice_end);
     void openSlice(Engine &engine);
     void closeSlice(Engine &engine);
-    void runInSlice(Engine &engine);
+    /** One op (or spin) of the resident thread; @p fold allows the
+     *  steady-iteration fold in its place. */
+    void runInSlice(Engine &engine, bool fold = false);
+    /**
+     * Run every whole steady iteration the resident thread @p idx offers
+     * at now_ that per-op stepping would run before the next tick or the
+     * slice end, as arithmetic: one jitter draw per access, the clock,
+     * ThreadStats, the thread's clock/spin_until, the L1 counters and the
+     * program state advanced exactly as per-op stepping would.  Returns
+     * false, changing nothing, when it folds no iteration.
+     */
+    bool foldSteady(Engine &engine, unsigned idx);
 
     enum class State
     {

@@ -14,6 +14,7 @@
 #define LRULEAK_EXEC_OP_HPP
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "sim/address.hpp"
@@ -162,6 +163,24 @@ struct OpResult
 };
 
 /**
+ * A steady iteration a program offers for folding (see TimeSlice): it
+ * issues @c refs as Access ops in order, then spins until
+ * min(end + gap, deadline), where end is when its last access
+ * completed.  The program repeats it unchanged, except that an
+ * iteration starting at or past the deadline first moves the deadline
+ * on by whole @c period steps, for as long as each iteration ends
+ * before its deadline and starts before @c limit.
+ */
+struct SteadyIteration
+{
+    std::span<const sim::MemRef> refs; //!< program-owned storage
+    std::uint64_t gap = 0;
+    std::uint64_t deadline = 0; //!< the current one, > the offer's now
+    std::uint64_t period = 0;   //!< > 0
+    std::uint64_t limit = 0;    //!< first start with a different iteration
+};
+
+/**
  * A simulated thread.  @c next is called whenever the thread is runnable;
  * @c onResult delivers the outcome of the op that just executed.
  */
@@ -176,12 +195,44 @@ class ThreadProgram
     /** Outcome of the last Access/Measure/Flush. */
     virtual void onResult(const OpResult &result) { (void)result; }
 
+    /**
+     * The iteration next(@p now) would start, when it is a steady one;
+     * nullopt (the default) otherwise.  Changes nothing.  Only asked
+     * when offersSteady() is set.
+     */
+    virtual std::optional<SteadyIteration>
+    steadyIteration(std::uint64_t now) const
+    {
+        (void)now;
+        return std::nullopt;
+    }
+
+    /**
+     * The engine ran @p iterations of the offered iteration without
+     * calling next() or onResult(): every access hit L1, and the
+     * deadline moved on to @p deadline.  Leave the program in the state
+     * per-op stepping would have left.
+     */
+    virtual void
+    foldSteady(std::uint64_t iterations, std::uint64_t deadline)
+    {
+        (void)iterations;
+        (void)deadline;
+    }
+
+    /** Whether steadyIteration() can ever offer (fixed per program). */
+    bool offersSteady() const { return offers_steady_; }
+
     /** The scheduler's thread id for this program's accesses. */
     sim::ThreadId threadId() const { return thread_id_; }
     void setThreadId(sim::ThreadId id) { thread_id_ = id; }
 
+  protected:
+    void setOffersSteady(bool offers) { offers_steady_ = offers; }
+
   private:
     sim::ThreadId thread_id_ = 0;
+    bool offers_steady_ = false;
 };
 
 } // namespace lruleak::exec

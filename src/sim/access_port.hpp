@@ -93,6 +93,24 @@ class AccessPort
     {
         return std::nullopt;
     }
+
+    /**
+     * Fold probe for the engine's steady-iteration fast path: when
+     * replaying @p refs from @p core would be all L1 hits that leave the
+     * memory system unchanged (CacheHierarchy::steadyL1Hits), return the
+     * L1 counters those hits tally into, so a caller that skips the
+     * replays can credit them; nullptr otherwise.  Changes nothing.
+     * The default never folds (multi-core: another core's traffic can
+     * land between any two ops).  A port that confirms must have no
+     * inclusion invariant: folded accesses skip the engine's audits.
+     */
+    virtual PerfCounters *
+    steadyHitCounters(std::uint32_t core, std::span<const MemRef> refs)
+    {
+        (void)core;
+        (void)refs;
+        return nullptr;
+    }
 };
 
 /**
@@ -140,6 +158,13 @@ class SingleCorePort final : public AccessPort
     flush(const MemRef &ref) override
     {
         return hierarchy_.flush(ref);
+    }
+
+    PerfCounters *
+    steadyHitCounters(std::uint32_t, std::span<const MemRef> refs) override
+    {
+        return hierarchy_.steadyL1Hits(refs) ? &hierarchy_.l1().counters()
+                                             : nullptr;
     }
 
     CacheHierarchy &hierarchy() { return hierarchy_; }

@@ -313,6 +313,35 @@ Cache::contains(const MemRef &ref) const
         .has_value();
 }
 
+bool
+Cache::steadyHits(std::span<const MemRef> refs) const
+{
+    if (config_.secure != SecureMode::None)
+        return false;
+    // Refs are an iteration's handful of lines, so a flat list of the
+    // touched sets' copies beats a map.
+    std::vector<std::pair<std::uint32_t, CacheSet>> copies;
+    for (const MemRef &ref : refs) {
+        const std::uint32_t set = layout_.setIndex(ref.vaddr);
+        auto it = std::find_if(copies.begin(), copies.end(),
+                               [set](const auto &c) { return c.first == set; });
+        if (it == copies.end())
+            it = copies.emplace(copies.end(), set, sets_[set]);
+        const std::uint16_t utag =
+            way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
+        const SetAccessResult sr =
+            it->second.access(layout_.tag(ref.paddr), utag, way_predictor_,
+                              LockReq::None, ref.thread, ref.is_write);
+        if (!sr.hit || sr.utag_mismatch)
+            return false;
+    }
+    for (const auto &[set, copy] : copies) {
+        if (!(copy == sets_[set]))
+            return false;
+    }
+    return true;
+}
+
 CacheFlushResult
 Cache::flush(const MemRef &ref)
 {

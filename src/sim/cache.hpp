@@ -133,6 +133,16 @@ class Cache
     bool contains(const MemRef &ref) const;
 
     /**
+     * Steady-hit probe: would replaying @p refs (demand accesses, no
+     * lock requests) hit on every one, with no utag mismatch, and leave
+     * every touched set byte-equal to its current state?  Replays on
+     * copies of the touched sets; changes nothing.  Then the sequence
+     * is a fixed point: any number of repeats hits the same way and
+     * only ticks the perf counters.  Secure modes always answer false.
+     */
+    bool steadyHits(std::span<const MemRef> refs) const;
+
+    /**
      * clflush semantics for this level.  The result reports presence
      * and whether the dropped copy was dirty (its data must be written
      * back before the invalidation completes).

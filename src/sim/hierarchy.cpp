@@ -179,6 +179,20 @@ CacheHierarchy::peekLevel(const MemRef &ref) const
     return HitLevel::Memory;
 }
 
+bool
+CacheHierarchy::steadyL1Hits(std::span<const MemRef> refs) const
+{
+    if (prefetcher_)
+        return false;
+    if (config_.l1.write_hit == WriteHitPolicy::WriteThrough) {
+        for (const MemRef &ref : refs) {
+            if (ref.is_write)
+                return false;
+        }
+    }
+    return l1_->steadyHits(refs);
+}
+
 void
 CacheHierarchy::reset()
 {

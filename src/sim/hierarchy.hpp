@@ -128,6 +128,16 @@ class CacheHierarchy
      */
     HitLevel peekLevel(const MemRef &ref) const;
 
+    /**
+     * Steady-hit probe (see Cache::steadyHits): would replaying @p refs
+     * be all L1 hits that leave the whole hierarchy unchanged, so that
+     * repeating them only ticks the L1 perf counters?  False whenever
+     * an L1 hit has effects beyond its set: an attached prefetcher
+     * (which observes every access) or a store into a write-through L1
+     * (which forwards a write-back downstream).  Changes nothing.
+     */
+    bool steadyL1Hits(std::span<const MemRef> refs) const;
+
     Cache &l1() { return *l1_; }
     Cache &l2() { return *l2_; }
     Cache &llc() { return *llc_; }

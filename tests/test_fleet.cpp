@@ -14,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
@@ -29,6 +32,19 @@ using namespace lruleak;
 using namespace lruleak::core;
 
 namespace {
+
+/**
+ * A scratch directory under TempDir() private to this process: ctest
+ * runs every case as its own process, and parallel cases must not
+ * delete each other's store.
+ */
+std::string
+processTempDir(const std::string &name)
+{
+    return (std::filesystem::path(testing::TempDir()) /
+            (name + "-" + std::to_string(::getpid())))
+        .string();
+}
 
 // ---------------------------------------------------------------- shards
 
@@ -173,9 +189,7 @@ TEST(ResultCache, KeySerializationIsUnambiguous)
 
 TEST(ResultCache, StoreFetchRoundTripsArbitraryBytes)
 {
-    const std::string dir =
-        (std::filesystem::path(testing::TempDir()) / "lruleak-cache-rt")
-            .string();
+    const std::string dir = processTempDir("lruleak-cache-rt");
     std::filesystem::remove_all(dir);
     const ResultCache cache(dir, "h");
     const std::string key = cache.keyFor("exp", {}, "json");
@@ -188,6 +202,40 @@ TEST(ResultCache, StoreFetchRoundTripsArbitraryBytes)
     const auto fetched = cache.fetch(key);
     ASSERT_TRUE(fetched.has_value());
     EXPECT_EQ(*fetched, artifact); // byte-identical, embedded NUL kept
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ResultCache, ConcurrentStoresOfOneKeyBothSucceed)
+{
+    // Two writers of the same key must not share a tmp file: each
+    // writes its own and renames it into place, so both succeed and
+    // fetch serves one complete artifact, never a torn mix.
+    const std::string dir = processTempDir("lruleak-cache-race");
+    std::filesystem::remove_all(dir);
+    const ResultCache cache(dir, "h");
+    const std::string key = cache.keyFor("exp", {}, "json");
+    const std::string a(1 << 20, 'a');
+    const std::string b(1 << 20, 'b');
+
+    for (int round = 0; round < 8; ++round) {
+        bool ok_a = false, ok_b = false;
+        std::thread ta([&] { ok_a = cache.store(key, a); });
+        std::thread tb([&] { ok_b = cache.store(key, b); });
+        ta.join();
+        tb.join();
+        EXPECT_TRUE(ok_a) << "round " << round;
+        EXPECT_TRUE(ok_b) << "round " << round;
+        const auto fetched = cache.fetch(key);
+        ASSERT_TRUE(fetched.has_value());
+        EXPECT_TRUE(*fetched == a || *fetched == b) << "round " << round;
+    }
+    // No tmp file is left behind.
+    std::size_t entries = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        (void)e;
+        ++entries;
+    }
+    EXPECT_EQ(entries, 1u);
     std::filesystem::remove_all(dir);
 }
 
@@ -215,9 +263,7 @@ class FleetCatalogTest : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        cache_dir_ = (std::filesystem::path(testing::TempDir()) /
-                      "lruleak-fleet-cache")
-                         .string();
+        cache_dir_ = processTempDir("lruleak-fleet-cache");
         std::filesystem::remove_all(cache_dir_);
         cache_ = new ResultCache(cache_dir_, "fleet-test-binary");
 

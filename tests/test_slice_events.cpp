@@ -7,14 +7,21 @@
  * stepping.  The suite sweeps quantum/jitter/tick grids, random program
  * mixes and both engine shapes (root TimeSlice; TimeSlice nested under
  * LowestClock, where the fast path must disable itself).
+ *
+ * The same pair is the oracle for the steady-iteration fold, which only
+ * the slice-event loop applies: randomized LruSender configurations
+ * (and a store loop) must leave identical samples, clocks, telemetry,
+ * perf counters, sender state and RNG stream with and without it.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "channel/lru_channel.hpp"
 #include "exec/engine.hpp"
 #include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
@@ -133,19 +140,28 @@ struct GridCell
     double background_prob;
 };
 
+/** The OS model of one grid cell (small kernel/background footprints). */
+TimeSlicePolicyConfig
+policyFor(const GridCell &cell, bool slice_events)
+{
+    TimeSlicePolicyConfig pc;
+    pc.quantum = cell.quantum;
+    pc.quantum_jitter = cell.quantum_jitter;
+    pc.switch_cost = 300;
+    pc.kernel_noise_lines = 8;
+    pc.background_prob = cell.background_prob;
+    pc.background_lines = 32;
+    pc.tick_period = cell.tick_period;
+    pc.tick_lines = 4;
+    pc.slice_events = slice_events;
+    return pc;
+}
+
 /** Run both stepping modes for one config+seed; compare everything. */
 void
 runCell(const GridCell &cell, std::uint64_t seed)
 {
-    TimeSlicePolicyConfig base;
-    base.quantum = cell.quantum;
-    base.quantum_jitter = cell.quantum_jitter;
-    base.switch_cost = 300;
-    base.kernel_noise_lines = 8;
-    base.background_prob = cell.background_prob;
-    base.background_lines = 32;
-    base.tick_period = cell.tick_period;
-    base.tick_lines = 4;
+    const TimeSlicePolicyConfig base = policyFor(cell, false);
 
     struct RunOut
     {
@@ -160,9 +176,7 @@ runCell(const GridCell &cell, std::uint64_t seed)
         out.p1 = std::make_unique<RandomProgram>(seed * 19, 1200, 0x50000);
         out.h = std::make_unique<sim::CacheHierarchy>();
         sim::SingleCorePort port(*out.h);
-        TimeSlicePolicyConfig pc = base;
-        pc.slice_events = slice_events;
-        TimeSlice policy(pc);
+        TimeSlice policy(policyFor(cell, slice_events));
         EngineConfig ec;
         ec.seed = seed;
         Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
@@ -189,21 +203,26 @@ runCell(const GridCell &cell, std::uint64_t seed)
     }
 }
 
+/** The differential grid: quantum, jitter, tick and background mixes. */
+constexpr GridCell kGrid[] = {
+    // Small quanta: many slices, switches, background slices.
+    {5'000, 2'000, 2'500, 0.3},
+    // Quantum smaller than a typical op run: degenerate slices.
+    {500, 0, 0, 0.0},
+    // Tick-dominated: several ticks per slice.
+    {20'000, 5'000, 1'000, 0.2},
+    // No jitter, no background: pure rotation.
+    {8'000, 0, 4'000, 0.0},
+    // Large quantum: whole program inside one slice.
+    {50'000'000, 10'000'000, 1'000'000, 0.25},
+};
+
+/** The paper's true OS quantum with the default jitter/tick knobs. */
+constexpr GridCell kTrueQuantum{150'000'000, 80'000'000, 4'000'000, 0.25};
+
 TEST(SliceEvents, EquivalentToPerOpSteppingAcrossQuantumGrid)
 {
-    const GridCell grid[] = {
-        // Small quanta: many slices, switches, background slices.
-        {5'000, 2'000, 2'500, 0.3},
-        // Quantum smaller than a typical op run: degenerate slices.
-        {500, 0, 0, 0.0},
-        // Tick-dominated: several ticks per slice.
-        {20'000, 5'000, 1'000, 0.2},
-        // No jitter, no background: pure rotation.
-        {8'000, 0, 4'000, 0.0},
-        // Large quantum: whole program inside one slice.
-        {50'000'000, 10'000'000, 1'000'000, 0.25},
-    };
-    for (const GridCell &cell : grid) {
+    for (const GridCell &cell : kGrid) {
         for (std::uint64_t seed = 1; seed <= 4; ++seed)
             runCell(cell, seed);
     }
@@ -215,9 +234,8 @@ TEST(SliceEvents, TrueQuantumScaleMatchesPerOpStepping)
     // default jitter/tick knobs.  Per-op stepping can still afford this
     // at test sizes; the equality here is what licenses the fast path
     // for the fig6/fig15/channel_matrix experiments.
-    GridCell cell{150'000'000, 80'000'000, 4'000'000, 0.25};
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
-        runCell(cell, seed);
+        runCell(kTrueQuantum, seed);
 }
 
 TEST(SliceEvents, NestedUnderLowestClockIgnoresSliceEvents)
@@ -276,6 +294,396 @@ TEST(SliceEvents, NestedUnderLowestClockIgnoresSliceEvents)
         expectSameTrace(*off.p1, *on.p1);
         expectSameTrace(*off.p2, *on.p2);
         EXPECT_EQ(off.h->backInvalidations(), on.h->backInvalidations());
+    }
+}
+
+// ------------------------------------------------ steady-iteration fold
+
+/** An LruSender that counts next() calls, to see the fold fire. */
+class CountingSender : public channel::LruSender
+{
+  public:
+    using LruSender::LruSender;
+
+    Op
+    next(std::uint64_t now) override
+    {
+        ++calls_;
+        return LruSender::next(now);
+    }
+
+    std::uint64_t calls() const { return calls_; }
+
+  private:
+    std::uint64_t calls_ = 0;
+};
+
+/** One randomized sender/receiver pair on one core. */
+struct FoldCase
+{
+    sim::ReplPolicyKind policy = sim::ReplPolicyKind::TreePlru;
+    bool way_predictor = false;
+    bool shared_same_vaddr = true;
+    channel::SenderConfig sender;
+    channel::ReceiverConfig receiver;
+};
+
+/**
+ * Draw a case: bit 0/1, constant (infinite) or finite multi-bit
+ * messages, Ts below and above encode_gap (sometimes shorter than one
+ * iteration, so iterations are cut at the deadline), 0-3 stack lines,
+ * the AMD way predictor with aliased or same-address shared lines.
+ */
+FoldCase
+randomFoldCase(sim::ReplPolicyKind policy, std::uint64_t seed)
+{
+    sim::Xoshiro256 rng(seed);
+    FoldCase c;
+    c.policy = policy;
+    c.way_predictor = rng.chance(0.3);
+    c.shared_same_vaddr = !c.way_predictor || rng.chance(0.5);
+
+    channel::SenderConfig &sc = c.sender;
+    sc.alg = rng.chance(0.5) ? channel::LruAlgorithm::Alg1Shared
+                             : channel::LruAlgorithm::Alg2Disjoint;
+    const std::uint32_t gaps[] = {1'000, 5'000, 20'000};
+    sc.encode_gap = gaps[rng.below(3)];
+    sc.stack_lines = static_cast<std::uint32_t>(rng.below(4));
+    if (rng.chance(0.4)) {
+        sc.message = {static_cast<std::uint8_t>(rng.below(2))};
+        sc.infinite = true;
+    } else {
+        const std::uint64_t len = 2 + rng.below(11);
+        for (std::uint64_t i = 0; i < len; ++i)
+            sc.message.push_back(static_cast<std::uint8_t>(rng.below(2)));
+        sc.repeats = 1 + static_cast<std::uint32_t>(rng.below(3));
+    }
+    const std::uint64_t gap = sc.encode_gap;
+    if (!sc.infinite && rng.chance(0.25))
+        sc.ts = 20 + rng.below(60); // shorter than one iteration
+    else if (rng.chance(0.5))
+        sc.ts = gap / 2 + rng.below(gap / 2); // below encode_gap
+    else
+        sc.ts = gap + 1 + rng.below(4 * gap); // above encode_gap
+
+    channel::ReceiverConfig &rc = c.receiver;
+    rc.alg = sc.alg;
+    rc.d = 1 + static_cast<std::uint32_t>(rng.below(8));
+    rc.tr = 2'000 + rng.below(40'000);
+    rc.max_samples = 24;
+    return c;
+}
+
+/** Everything a fold could perturb, after one run. */
+struct FoldRun
+{
+    std::unique_ptr<CountingSender> sender;
+    std::unique_ptr<channel::LruReceiver> receiver;
+    std::unique_ptr<sim::CacheHierarchy> h;
+    std::uint64_t end = 0;
+    ThreadStats s0, s1;
+    std::uint64_t next_draw = 0;
+};
+
+FoldRun
+runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
+            bool slice_events)
+{
+    sim::HierarchyConfig hc;
+    hc.l1 = sim::CacheConfig::intelL1d(c.policy);
+    hc.l1.seed = seed;
+    hc.l1_way_predictor = c.way_predictor;
+    const channel::ChannelLayout layout(hc.l1, 7, 63, c.shared_same_vaddr);
+
+    FoldRun out;
+    out.sender = std::make_unique<CountingSender>(layout, c.sender);
+    out.receiver = std::make_unique<channel::LruReceiver>(layout, c.receiver);
+    out.h = std::make_unique<sim::CacheHierarchy>(hc);
+    sim::SingleCorePort port(*out.h);
+    TimeSlice policy(policyFor(cell, slice_events));
+    EngineConfig ec;
+    ec.seed = seed;
+    Engine engine(port,
+                  c.way_predictor ? timing::Uarch::amdEpyc7571()
+                                  : timing::Uarch::intelXeonE52690(),
+                  policy, ec);
+    out.end = engine.run(*out.sender, *out.receiver, 1);
+    out.s0 = engine.stats(0);
+    out.s1 = engine.stats(1);
+    out.next_draw = engine.rng()();
+    return out;
+}
+
+/** next() calls the sender saw per-op and folded. */
+struct SenderCalls
+{
+    std::uint64_t per_op = 0;
+    std::uint64_t folded = 0;
+};
+
+/** Compare one case folded vs per-op. */
+SenderCalls
+expectFoldExact(const FoldCase &c, const GridCell &cell, std::uint64_t seed)
+{
+    const FoldRun per_op = runFoldCase(c, cell, seed, false);
+    const FoldRun folded = runFoldCase(c, cell, seed, true);
+    SCOPED_TRACE(testing::Message()
+                 << sim::replPolicyName(c.policy) << " quantum "
+                 << cell.quantum << " seed " << seed << " ts "
+                 << c.sender.ts << " gap " << c.sender.encode_gap
+                 << " stack " << c.sender.stack_lines << " bits "
+                 << c.sender.message.size() << " wp " << c.way_predictor);
+
+    EXPECT_EQ(per_op.end, folded.end);
+    const auto &a = per_op.receiver->samples();
+    const auto &b = folded.receiver->samples();
+    EXPECT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        EXPECT_EQ(a[i].tsc, b[i].tsc) << i;
+        EXPECT_EQ(a[i].latency, b[i].latency) << i;
+        EXPECT_EQ(a[i].level, b[i].level) << i;
+    }
+    expectSameStats(per_op.s0, folded.s0);
+    expectSameStats(per_op.s1, folded.s1);
+    const TimeSlicePolicyConfig pc = policyFor(cell, true);
+    for (sim::ThreadId t : {channel::kSenderThread, channel::kReceiverThread,
+                            pc.kernel_thread, pc.background_thread}) {
+        expectSameCounters(per_op.h->l1(), folded.h->l1(), t);
+        expectSameCounters(per_op.h->l2(), folded.h->l2(), t);
+        expectSameCounters(per_op.h->llc(), folded.h->llc(), t);
+    }
+    EXPECT_EQ(per_op.sender->encodeLevels(), folded.sender->encodeLevels());
+    EXPECT_EQ(per_op.next_draw, folded.next_draw);
+    EXPECT_LE(folded.sender->calls(), per_op.sender->calls());
+    return {per_op.sender->calls(), folded.sender->calls()};
+}
+
+TEST(SteadyFold, SenderMatchesPerOpSteppingAcrossQuantumGrid)
+{
+    std::uint64_t saved = 0;
+    std::uint64_t case_seed = 100;
+    for (const GridCell &cell : kGrid) {
+        for (sim::ReplPolicyKind kind : sim::allReplPolicyKinds()) {
+            for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+                const SenderCalls calls = expectFoldExact(
+                    randomFoldCase(kind, ++case_seed), cell, seed);
+                saved += calls.per_op - calls.folded;
+            }
+        }
+    }
+    EXPECT_GT(saved, 0u) << "the fold never fired";
+}
+
+TEST(SteadyFold, SenderMatchesPerOpSteppingAtTrueQuantum)
+{
+    // The fig6/8/15 regime: whole slices of repeated L1-hit iterations.
+    std::uint64_t saved = 0;
+    std::uint64_t case_seed = 500;
+    for (sim::ReplPolicyKind kind : sim::allReplPolicyKinds()) {
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            const SenderCalls calls = expectFoldExact(
+                randomFoldCase(kind, ++case_seed), kTrueQuantum, seed);
+            saved += calls.per_op - calls.folded;
+        }
+    }
+    EXPECT_GT(saved, 0u) << "the fold never fired";
+}
+
+TEST(SteadyFold, ConstantBitAtTrueQuantumFoldsAlmostEverything)
+{
+    // fig6's shape: constant bit, Ts below encode_gap.  Both bits fold,
+    // and the sender's next() calls drop by orders of magnitude.
+    for (std::uint8_t bit : {0, 1}) {
+        FoldCase c;
+        c.sender.message = {bit};
+        c.sender.infinite = true;
+        c.sender.ts = 6'000;
+        c.sender.encode_gap = 20'000;
+        c.receiver.d = 8;
+        c.receiver.tr = 25'000;
+        c.receiver.max_samples = 24;
+        const SenderCalls calls = expectFoldExact(c, kTrueQuantum, 3);
+        EXPECT_LT(calls.folded * 100, calls.per_op) << "bit " << int(bit);
+    }
+}
+
+/**
+ * A steady loop with stores: the LruSender iteration shape (refs, then a
+ * spin to min(end + gap, deadline), restarted at each deadline) over
+ * arbitrary loads and stores, never-ending, folding as the sender does.
+ */
+class StoreLoop : public ThreadProgram
+{
+  public:
+    StoreLoop(std::vector<sim::MemRef> refs, std::uint64_t gap,
+              std::uint64_t period)
+        : refs_(std::move(refs)), gap_(gap), period_(period)
+    {
+        setOffersSteady(true);
+    }
+
+    Op
+    next(std::uint64_t now) override
+    {
+        if (!started_) {
+            started_ = true;
+            deadline_ = now + period_;
+        }
+        while (now >= deadline_) {
+            deadline_ += period_;
+            ++periods_;
+            step_ = 0;
+        }
+        if (step_ < refs_.size())
+            return Op::access(refs_[step_++]);
+        step_ = 0;
+        return Op::spinUntil(std::min(now + gap_, deadline_));
+    }
+
+    void
+    onResult(const OpResult &result) override
+    {
+        ++levels_[static_cast<std::size_t>(result.level)];
+    }
+
+    std::optional<SteadyIteration>
+    steadyIteration(std::uint64_t now) const override
+    {
+        if (!started_ || step_ != 0)
+            return std::nullopt;
+        std::uint64_t d = deadline_;
+        if (now >= d)
+            d += ((now - d) / period_ + 1) * period_;
+        return SteadyIteration{refs_, gap_, d, period_, ~std::uint64_t{0}};
+    }
+
+    void
+    foldSteady(std::uint64_t iterations, std::uint64_t deadline) override
+    {
+        periods_ += (deadline - deadline_) / period_;
+        deadline_ = deadline;
+        levels_[static_cast<std::size_t>(sim::HitLevel::L1)] +=
+            iterations * refs_.size();
+    }
+
+    bool
+    operator==(const StoreLoop &o) const
+    {
+        return deadline_ == o.deadline_ && periods_ == o.periods_ &&
+               levels_ == o.levels_;
+    }
+
+  private:
+    std::vector<sim::MemRef> refs_;
+    std::uint64_t gap_;
+    std::uint64_t period_;
+    bool started_ = false;
+    std::size_t step_ = 0;
+    std::uint64_t deadline_ = 0;
+    std::uint64_t periods_ = 0;
+    std::array<std::uint64_t, 5> levels_{};
+};
+
+TEST(SteadyFold, StoresMatchPerOpSteppingUnderEveryWritePolicy)
+{
+    // Stores fold into a write-back L1 once their lines are dirty; a
+    // write-through L1 forwards every store and must never fold.
+    std::uint64_t case_seed = 900;
+    const GridCell cells[] = {kGrid[0], kGrid[2], kGrid[4], kTrueQuantum};
+    for (const GridCell &cell : cells) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            sim::Xoshiro256 rng(++case_seed);
+            sim::HierarchyConfig hc;
+            hc.l1 = sim::CacheConfig::intelL1d(
+                sim::allReplPolicyKinds()[rng.below(6)]);
+            hc.l1.write_hit = rng.chance(0.7)
+                                  ? sim::WriteHitPolicy::WriteBack
+                                  : sim::WriteHitPolicy::WriteThrough;
+            hc.l1.write_miss = rng.chance(0.7)
+                                   ? sim::WriteMissPolicy::WriteAllocate
+                                   : sim::WriteMissPolicy::NoWriteAllocate;
+            std::vector<sim::MemRef> refs;
+            const std::uint64_t n = 1 + rng.below(4);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const sim::Addr a = 0x10000 + rng.below(96) * 64;
+                refs.push_back(sim::MemRef{a, a, 0, rng.chance(0.5)});
+            }
+            const std::uint64_t gap = 500 + rng.below(5'000);
+            const std::uint64_t period = 300 + rng.below(10'000);
+
+            struct Out
+            {
+                std::unique_ptr<StoreLoop> loop;
+                std::unique_ptr<RandomProgram> other;
+                std::unique_ptr<sim::CacheHierarchy> h;
+                std::uint64_t end = 0;
+                ThreadStats s0, s1;
+                std::uint64_t next_draw = 0;
+            };
+            auto run = [&](bool slice_events) {
+                Out out;
+                out.loop = std::make_unique<StoreLoop>(refs, gap, period);
+                out.other =
+                    std::make_unique<RandomProgram>(seed * 23, 600, 0x50000);
+                out.h = std::make_unique<sim::CacheHierarchy>(hc);
+                sim::SingleCorePort port(*out.h);
+                TimeSlice policy(policyFor(cell, slice_events));
+                EngineConfig ec;
+                ec.seed = seed;
+                Engine engine(port, timing::Uarch::intelXeonE52690(),
+                              policy, ec);
+                out.end = engine.run(*out.loop, *out.other, 1);
+                out.s0 = engine.stats(0);
+                out.s1 = engine.stats(1);
+                out.next_draw = engine.rng()();
+                return out;
+            };
+            const Out per_op = run(false);
+            const Out folded = run(true);
+            SCOPED_TRACE(testing::Message() << "quantum " << cell.quantum
+                                            << " case " << case_seed);
+            EXPECT_EQ(per_op.end, folded.end);
+            EXPECT_TRUE(*per_op.loop == *folded.loop);
+            expectSameTrace(*per_op.other, *folded.other);
+            expectSameStats(per_op.s0, folded.s0);
+            expectSameStats(per_op.s1, folded.s1);
+            for (sim::ThreadId t : {sim::ThreadId{0}, sim::ThreadId{1}}) {
+                expectSameCounters(per_op.h->l1(), folded.h->l1(), t);
+                expectSameCounters(per_op.h->l2(), folded.h->l2(), t);
+                expectSameCounters(per_op.h->llc(), folded.h->llc(), t);
+            }
+            EXPECT_EQ(per_op.next_draw, folded.next_draw);
+        }
+    }
+}
+
+TEST(SteadyFold, NestedUnderLowestClockNeverFolds)
+{
+    // A MultiCorePort never confirms a steady iteration and a nested
+    // TimeSlice never asks: the sender steps op by op either way.
+    for (bool slice_events : {false, true}) {
+        sim::MultiCoreConfig mc;
+        mc.cores = 1;
+        sim::MultiCoreHierarchy h(mc);
+        sim::MultiCorePort port(h);
+        const channel::ChannelLayout layout;
+        channel::SenderConfig sc;
+        sc.message = {1};
+        sc.infinite = true;
+        sc.ts = 6'000;
+        sc.encode_gap = 20'000;
+        channel::ReceiverConfig rc;
+        rc.tr = 25'000;
+        rc.max_samples = 8;
+        CountingSender sender(layout, sc);
+        channel::LruReceiver receiver(layout, rc);
+        LowestClock policy;
+        policy.nest(0, std::make_unique<TimeSlice>(
+                           policyFor(kGrid[0], slice_events)));
+        Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+        engine.run(sender, receiver, 1);
+        // One next() per executed op: nothing was folded.
+        EXPECT_EQ(sender.calls(), engine.stats(0).totalOps());
     }
 }
 
