@@ -5,11 +5,14 @@
 
 #include "workload/trace_file.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <sstream>
+#include <memory>
 #include <stdexcept>
+#include <string_view>
 
 #include "sim/random.hpp"
 #include "workload/trace_gen.hpp"
@@ -20,7 +23,14 @@ namespace {
 
 constexpr char kMagic[4] = {'L', 'R', 'U', 'T'};
 constexpr std::uint8_t kVersion = 1;
+constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kRecordBytes = 8;
 constexpr sim::Addr kWriteBit = sim::Addr{1} << 63;
+
+// istream::read only comes back short at the end of the stream, so
+// with whole records per chunk no record straddles two chunks.
+static_assert(kTraceIoChunk % kRecordBytes == 0 &&
+              kHeaderBytes % kRecordBytes == 0);
 
 [[noreturn]] void
 badTrace(const std::string &source, const std::string &why)
@@ -29,21 +39,190 @@ badTrace(const std::string &source, const std::string &why)
 }
 
 std::uint64_t
-readLe64(const unsigned char *p)
+readLe64(const char *p)
 {
     std::uint64_t v = 0;
     for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
+        v = (v << 8) | static_cast<unsigned char>(p[i]);
     return v;
 }
 
-void
-writeLe64(std::ostream &out, std::uint64_t v)
+char *
+writeLe64(char *p, std::uint64_t v)
 {
-    char bytes[8];
     for (int i = 0; i < 8; ++i)
-        bytes[i] = static_cast<char>(v >> (8 * i));
-    out.write(bytes, 8);
+        p[i] = static_cast<char>(v >> (8 * i));
+    return p + 8;
+}
+
+std::string
+hex(sim::Addr v)
+{
+    char digits[16];
+    const auto end = std::to_chars(digits, digits + 16, v, 16).ptr;
+    return std::string(digits, end);
+}
+
+/** Reads a stream one kTraceIoChunk block at a time. */
+class ChunkReader
+{
+  public:
+    explicit ChunkReader(std::istream &in)
+        : in_(in), buf_(std::make_unique<char[]>(kTraceIoChunk))
+    {
+    }
+
+    /** The next block; shorter than a chunk only at the end of the
+     *  stream, empty after it.  Valid until the next call. */
+    std::string_view
+    next()
+    {
+        in_.read(buf_.get(), kTraceIoChunk);
+        return {buf_.get(), static_cast<std::size_t>(in_.gcount())};
+    }
+
+  private:
+    std::istream &in_;
+    std::unique_ptr<char[]> buf_;
+};
+
+/** Collects output in one kTraceIoChunk block and writes it to a file
+ *  a block at a time. */
+class ChunkWriter
+{
+  public:
+    ChunkWriter(const std::string &path, std::ios::openmode mode)
+        : path_(path), out_(path, mode | std::ios::trunc),
+          buf_(std::make_unique<char[]>(kTraceIoChunk))
+    {
+        if (!out_)
+            throw std::runtime_error("cannot write trace file: " + path);
+    }
+
+    /** Room for @p n (at most a chunk) bytes; hand the end of what was
+     *  written to commit(). */
+    char *
+    room(std::size_t n)
+    {
+        if (used_ + n > kTraceIoChunk)
+            flush();
+        return buf_.get() + used_;
+    }
+
+    void
+    commit(const char *end)
+    {
+        used_ = static_cast<std::size_t>(end - buf_.get());
+    }
+
+    /** Write out what is buffered.  Throws std::runtime_error if any
+     *  write failed. */
+    void
+    finish()
+    {
+        flush();
+        out_.flush();
+        if (!out_.good())
+            throw std::runtime_error("write failed: " + path_);
+    }
+
+  private:
+    void
+    flush()
+    {
+        out_.write(buf_.get(), static_cast<std::streamsize>(used_));
+        used_ = 0;
+    }
+
+    const std::string path_;
+    std::ofstream out_;
+    std::unique_ptr<char[]> buf_;
+    std::size_t used_ = 0;
+};
+
+// The separators std::istream's >> skips in the classic locale.
+constexpr bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** The next whitespace-delimited token of @p rest (empty when none is
+ *  left), consumed from it. */
+std::string_view
+nextToken(std::string_view &rest)
+{
+    std::size_t begin = 0;
+    while (begin < rest.size() && isSpace(rest[begin]))
+        ++begin;
+    std::size_t end = begin;
+    while (end < rest.size() && !isSpace(rest[end]))
+        ++end;
+    const std::string_view token = rest.substr(begin, end - begin);
+    rest.remove_prefix(end);
+    return token;
+}
+
+/** Decode an address the way strtoull base 0 reads it — `0x`/`0X` hex,
+ *  a leading `0` octal, else decimal — but with no sign and no value
+ *  above kTraceAddrMax. */
+bool
+parseAddr(std::string_view text, sim::Addr &addr)
+{
+    int base = 10;
+    if (text.size() > 1 && text[0] == '0') {
+        const bool is_hex = text[1] == 'x' || text[1] == 'X';
+        base = is_hex ? 16 : 8;
+        text.remove_prefix(is_hex ? 2 : 1);
+    }
+    const char *end = text.data() + text.size();
+    const auto [stop, err] = std::from_chars(text.data(), end, addr, base);
+    return err == std::errc{} && stop == end && addr <= kTraceAddrMax;
+}
+
+/** Parse one text line (without its '\n') into @p trace. */
+void
+parseLine(std::string_view line, std::size_t lineno, TraceFile &trace)
+{
+    if (!line.empty() && line.back() == '\r')
+        line.remove_suffix(1);
+    const auto begin = line.find_first_not_of(" \t");
+    if (begin == std::string_view::npos || line[begin] == '#')
+        return;
+    line.remove_prefix(begin);
+    const std::string_view op = nextToken(line);
+    const std::string_view addr_text = nextToken(line);
+    const auto where = [&] { return "line " + std::to_string(lineno); };
+    if (op != "R" && op != "W") {
+        badTrace(trace.source, where() + ": opcode must be R or W, got '" +
+                                   std::string(op) + "'");
+    }
+    if (addr_text.empty())
+        badTrace(trace.source, where() + ": missing address");
+    if (const std::string_view extra = nextToken(line); !extra.empty()) {
+        badTrace(trace.source, where() + ": trailing text '" +
+                                   std::string(extra) + "'");
+    }
+    sim::Addr addr = 0;
+    if (!parseAddr(addr_text, addr)) {
+        badTrace(trace.source, where() + ": bad address '" +
+                                   std::string(addr_text) + "'");
+    }
+    trace.records.push_back(TraceRecord{addr, op == "W"});
+}
+
+/** Bytes from the read position to the end of @p in, or -1 when the
+ *  stream cannot seek. */
+std::streamoff
+remainingBytes(std::istream &in)
+{
+    const std::streampos here = in.tellg();
+    if (here < 0)
+        return -1;
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(here);
+    return end < 0 ? -1 : end - here;
 }
 
 } // namespace
@@ -53,79 +232,75 @@ parseTextTrace(std::istream &in, const std::string &source)
 {
     TraceFile trace;
     trace.source = source;
-    std::string line;
+    ChunkReader reader(in);
+    std::string carry; // a line begun in an earlier chunk
     std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        const auto begin = line.find_first_not_of(" \t");
-        if (begin == std::string::npos || line[begin] == '#')
-            continue;
-        std::istringstream fields(line.substr(begin));
-        std::string op, addr_text, extra;
-        fields >> op >> addr_text;
-        if (op != "R" && op != "W") {
-            badTrace(source, "line " + std::to_string(lineno) +
-                                 ": opcode must be R or W, got '" + op +
-                                 "'");
+    for (std::string_view chunk = reader.next(); !chunk.empty();
+         chunk = reader.next()) {
+        while (const void *nl =
+                   std::memchr(chunk.data(), '\n', chunk.size())) {
+            const std::string_view line = chunk.substr(
+                0, static_cast<const char *>(nl) - chunk.data());
+            chunk.remove_prefix(line.size() + 1);
+            if (carry.empty()) {
+                parseLine(line, ++lineno, trace);
+            } else {
+                carry.append(line);
+                parseLine(carry, ++lineno, trace);
+                carry.clear();
+            }
         }
-        if (addr_text.empty()) {
-            badTrace(source, "line " + std::to_string(lineno) +
-                                 ": missing address");
-        }
-        if (fields >> extra) {
-            badTrace(source, "line " + std::to_string(lineno) +
-                                 ": trailing text '" + extra + "'");
-        }
-        sim::Addr addr = 0;
-        try {
-            std::size_t used = 0;
-            addr = std::stoull(addr_text, &used, 0);
-            if (used != addr_text.size())
-                throw std::invalid_argument(addr_text);
-        } catch (const std::exception &) {
-            badTrace(source, "line " + std::to_string(lineno) +
-                                 ": bad address '" + addr_text + "'");
-        }
-        trace.records.push_back(TraceRecord{addr, op == "W"});
+        carry.append(chunk);
     }
+    if (!carry.empty()) // a last line with no newline
+        parseLine(carry, ++lineno, trace);
     return trace;
 }
 
 TraceFile
 parseBinaryTrace(std::istream &in, const std::string &source)
 {
-    unsigned char header[16];
-    in.read(reinterpret_cast<char *>(header), sizeof(header));
-    if (in.gcount() != sizeof(header))
+    const std::streamoff size = remainingBytes(in);
+    ChunkReader reader(in);
+    std::string_view chunk = reader.next();
+    if (chunk.size() < kHeaderBytes)
         badTrace(source, "truncated header");
-    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(chunk.data(), kMagic, sizeof(kMagic)) != 0)
         badTrace(source, "bad magic (not an LRUT trace)");
-    if (header[4] != kVersion) {
-        badTrace(source, "unsupported version " +
-                             std::to_string(header[4]) + " (expected " +
-                             std::to_string(kVersion) + ")");
+    const auto version = static_cast<std::uint8_t>(chunk[4]);
+    if (version != kVersion) {
+        badTrace(source, "unsupported version " + std::to_string(version) +
+                             " (expected " + std::to_string(kVersion) +
+                             ")");
     }
-    if (header[5] != 0 || header[6] != 0 || header[7] != 0)
+    if (chunk[5] != 0 || chunk[6] != 0 || chunk[7] != 0)
         badTrace(source, "nonzero header padding");
-    const std::uint64_t count = readLe64(header + 8);
+    const std::uint64_t count = readLe64(chunk.data() + 8);
+    chunk.remove_prefix(kHeaderBytes);
 
     TraceFile trace;
     trace.source = source;
-    trace.records.reserve(static_cast<std::size_t>(count));
-    unsigned char word[8];
+    // The header's count is untrusted: reserve no more than the body
+    // can hold.
+    if (size >= static_cast<std::streamoff>(kHeaderBytes)) {
+        const auto body_records =
+            static_cast<std::uint64_t>(size - kHeaderBytes) / kRecordBytes;
+        trace.records.reserve(
+            static_cast<std::size_t>(std::min(count, body_records)));
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
-        in.read(reinterpret_cast<char *>(word), sizeof(word));
-        if (in.gcount() != sizeof(word)) {
+        if (chunk.empty())
+            chunk = reader.next();
+        if (chunk.size() < kRecordBytes) {
             badTrace(source, "truncated at record " + std::to_string(i) +
                                  " of " + std::to_string(count));
         }
-        const std::uint64_t packed = readLe64(word);
+        const std::uint64_t packed = readLe64(chunk.data());
+        chunk.remove_prefix(kRecordBytes);
         trace.records.push_back(
             TraceRecord{packed & ~kWriteBit, (packed & kWriteBit) != 0});
     }
-    if (in.peek() != std::istream::traits_type::eof())
+    if (!chunk.empty() || !reader.next().empty())
         badTrace(source, "trailing bytes after the last record");
     return trace;
 }
@@ -148,41 +323,39 @@ loadTrace(const std::string &path)
 void
 saveTextTrace(const TraceFile &trace, const std::string &path)
 {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("cannot write trace file: " + path);
+    ChunkWriter out(path, std::ios::out);
     for (const TraceRecord &r : trace.records) {
-        out << (r.is_write ? 'W' : 'R') << " 0x" << std::hex << r.addr
-            << std::dec << "\n";
+        char *p = out.room(4 + 16 + 1);
+        *p++ = r.is_write ? 'W' : 'R';
+        *p++ = ' ';
+        *p++ = '0';
+        *p++ = 'x';
+        p = std::to_chars(p, p + 16, r.addr, 16).ptr;
+        *p++ = '\n';
+        out.commit(p);
     }
-    if (!out.good())
-        throw std::runtime_error("write failed: " + path);
+    out.finish();
 }
 
 void
 saveBinaryTrace(const TraceFile &trace, const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("cannot write trace file: " + path);
-    out.write(kMagic, sizeof(kMagic));
+    ChunkWriter out(path, std::ios::out | std::ios::binary);
+    char *p = out.room(kHeaderBytes);
+    p = std::copy(std::begin(kMagic), std::end(kMagic), p);
     const char version_pad[4] = {static_cast<char>(kVersion), 0, 0, 0};
-    out.write(version_pad, sizeof(version_pad));
-    writeLe64(out, trace.records.size());
+    p = std::copy(std::begin(version_pad), std::end(version_pad), p);
+    out.commit(writeLe64(p, trace.records.size()));
     for (const TraceRecord &r : trace.records) {
         if (r.addr > kTraceAddrMax) {
             throw std::runtime_error(
                 "address does not fit the binary trace format: 0x" +
-                [&] {
-                    std::ostringstream os;
-                    os << std::hex << r.addr;
-                    return os.str();
-                }());
+                hex(r.addr));
         }
-        writeLe64(out, r.addr | (r.is_write ? kWriteBit : 0));
+        out.commit(writeLe64(out.room(kRecordBytes),
+                             r.addr | (r.is_write ? kWriteBit : 0)));
     }
-    if (!out.good())
-        throw std::runtime_error("write failed: " + path);
+    out.finish();
 }
 
 TraceFile

@@ -9,9 +9,14 @@
  * the bench harness, or a bare hierarchy in a test.  Two formats share
  * one in-memory representation:
  *
- *   text    one access per line, `R <addr>` / `W <addr>` (addresses in
- *           decimal or 0x hex), `#` comments and blank lines ignored —
- *           trivially hand-editable and diffable;
+ *   text    one access per line, `R <addr>` / `W <addr>`, fields split
+ *           by any whitespace (space, tab, \v, \f, \r).  One
+ *           trailing `\r` is dropped (CRLF files load).  A line of
+ *           only spaces and tabs, or whose first other character is
+ *           `#`, is ignored; there are no comments after a record.
+ *           An address is `0x`/`0X` hex, octal when it starts with `0`
+ *           (`010` is 8), or decimal; it takes no sign and is at most
+ *           kTraceAddrMax.  Trivially hand-editable and diffable;
  *
  *   binary  "LRUT" magic, a version byte, a record count, then one
  *           little-endian u64 per access with the write flag in bit 63
@@ -21,12 +26,14 @@
  * Loading sniffs the magic, so callers never pass a format flag.  Both
  * loaders reject malformed input with error messages naming the
  * offending line/offset; round-tripping either format preserves the
- * record sequence exactly.
+ * record sequence exactly.  Reads and writes go through one buffer of
+ * kTraceIoChunk bytes, never the whole file.
  */
 
 #ifndef LRULEAK_WORKLOAD_TRACE_FILE_HPP
 #define LRULEAK_WORKLOAD_TRACE_FILE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -71,13 +78,17 @@ struct TraceFile
  *  flag). */
 inline constexpr sim::Addr kTraceAddrMax = ~(sim::Addr{1} << 63);
 
+/** Bytes a trace read or write moves per block. */
+inline constexpr std::size_t kTraceIoChunk = 64 * 1024;
+
 /** Parse the text format from a stream.  @p source names the input in
  *  error messages.  Throws std::runtime_error on malformed lines. */
 TraceFile parseTextTrace(std::istream &in, const std::string &source);
 
 /** Parse the binary format ("LRUT") from a stream.  Throws
  *  std::runtime_error on bad magic/version, truncation or trailing
- *  bytes. */
+ *  bytes; the header's record count never sizes an allocation beyond
+ *  what the stream holds. */
 TraceFile parseBinaryTrace(std::istream &in, const std::string &source);
 
 /**

@@ -1,16 +1,21 @@
 /**
  * @file
- * Trace files and their replay: format round trips, malformed-input
- * rejection, and the equivalence of export-then-replay with running
- * the synthetic generator live — on both topologies, write path
- * included.
+ * Trace files and their replay: format round trips, lines and records
+ * that cross a read chunk, malformed-input rejection with verbatim
+ * messages, a seeded mutation fuzz of loadTrace, and the equivalence
+ * of export-then-replay with running the synthetic generator live — on
+ * both topologies, write path included.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "exec/trace_program.hpp"
 #include "sim/access_port.hpp"
@@ -23,6 +28,7 @@
 using namespace lruleak;
 using workload::TraceFile;
 using workload::TraceRecord;
+using namespace std::string_literals;
 
 namespace {
 
@@ -31,6 +37,57 @@ tempPath(const std::string &leaf)
 {
     return (std::filesystem::path(testing::TempDir()) / leaf).string();
 }
+
+constexpr std::size_t kChunk = workload::kTraceIoChunk;
+
+/** The message of the std::runtime_error parsing @p text throws, or
+ *  "" when it loads. */
+std::string
+textError(const std::string &text)
+{
+    std::istringstream in(text);
+    try {
+        workload::parseTextTrace(in, "inline");
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** A comment line of exactly @p bytes bytes, its newline included. */
+std::string
+commentOf(std::size_t bytes)
+{
+    return "#" + std::string(bytes - 2, '-') + "\n";
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** A stringbuf that refuses to seek, as a pipe does. */
+class UnseekableBuf : public std::stringbuf
+{
+  public:
+    using std::stringbuf::stringbuf;
+
+  protected:
+    pos_type
+    seekoff(off_type, std::ios::seekdir, std::ios::openmode) override
+    {
+        return pos_type(off_type(-1));
+    }
+    pos_type
+    seekpos(pos_type, std::ios::openmode) override
+    {
+        return pos_type(off_type(-1));
+    }
+};
 
 // ----------------------------------------------------------- round trips
 
@@ -71,6 +128,46 @@ TEST(TraceFile, TextAndBinaryLoadIdentically)
     std::filesystem::remove(bin_path);
 }
 
+TEST(TraceFile, RoundTripsAroundChunkMultiples)
+{
+    // Binary files of exactly one chunk, one record either side of it,
+    // and several chunks; the text files cross chunks mid-line.
+    const std::size_t one_chunk = (kChunk - 16) / 8;
+    for (const std::size_t n : {one_chunk - 1, one_chunk, one_chunk + 1,
+                                std::size_t{20000}}) {
+        const auto trace = workload::generateTrace("gccmix", n, n, 0.5);
+        const std::string text_path = tempPath("chunks.trace");
+        const std::string bin_path = tempPath("chunks.bintrace");
+        workload::saveTextTrace(trace, text_path);
+        workload::saveBinaryTrace(trace, bin_path);
+        EXPECT_EQ(fileBytes(bin_path).size(), 16 + 8 * n);
+        EXPECT_EQ(workload::loadTrace(text_path).records, trace.records)
+            << n << " records";
+        EXPECT_EQ(workload::loadTrace(bin_path).records, trace.records)
+            << n << " records";
+        // A stray byte after the last record, at a chunk start for
+        // one_chunk records.
+        std::istringstream trailing(fileBytes(bin_path) + "x");
+        EXPECT_THROW(workload::parseBinaryTrace(trailing, "inline"),
+                     std::runtime_error)
+            << n << " records";
+        std::filesystem::remove(text_path);
+        std::filesystem::remove(bin_path);
+    }
+}
+
+TEST(TraceFile, SavedTextIsOneHexLinePerRecord)
+{
+    TraceFile trace;
+    trace.records = {TraceRecord{0, false}, TraceRecord{0xabc, true},
+                     TraceRecord{workload::kTraceAddrMax, false}};
+    const std::string path = tempPath("format.trace");
+    workload::saveTextTrace(trace, path);
+    EXPECT_EQ(fileBytes(path),
+              "R 0x0\nW 0xabc\nR 0x7fffffffffffffff\n");
+    std::filesystem::remove(path);
+}
+
 TEST(TraceFile, TextParserAcceptsCommentsBlanksAndBothBases)
 {
     std::istringstream in("# header comment\n"
@@ -86,20 +183,118 @@ TEST(TraceFile, TextParserAcceptsCommentsBlanksAndBothBases)
     EXPECT_EQ(trace.records[2], (TraceRecord{0xABCDEF, true}));
 }
 
+TEST(TraceFile, TextParserReadsAcrossChunkBoundaries)
+{
+    using R = TraceRecord;
+    const struct
+    {
+        const char *what;
+        std::string text;
+        std::vector<TraceRecord> want;
+    } cases[] = {
+        {"record line straddling the chunk boundary",
+         commentOf(kChunk - 4) + "R 0x1234\n", {R{0x1234, false}}},
+        {"newline as the last byte of a chunk",
+         commentOf(kChunk - 9) + "R 0x1234\nW 5\n",
+         {R{0x1234, false}, R{5, true}}},
+        {"CRLF split: \\r ends a chunk, \\n starts the next",
+         commentOf(kChunk - 7) + "W 0x10\r\nR 0x20\r\n",
+         {R{0x10, true}, R{0x20, false}}},
+        {"blank CRLF line split across the boundary",
+         commentOf(kChunk - 1) + "\r\n \t\r\nR 7\r\n", {R{7, false}}},
+        {"last line without a newline", "R 1\nW 0x2",
+         {R{1, false}, R{2, true}}},
+        {"last line without a newline past a chunk",
+         commentOf(kChunk + 3) + "W 0x2", {R{2, true}}},
+        {"\\v, \\f and tab separators",
+         "R\v0x10\nW\f0x20\nR\t0x30\n \tW \v 0x40 \f\r\n",
+         {R{0x10, false}, R{0x20, true}, R{0x30, false}, R{0x40, true}}},
+        {"0X hex, octal and zero", "R 0X1F\nW 010\nR 0\nR 00\nW 0x0\n",
+         {R{31, false}, R{8, true}, R{0, false}, R{0, false}, R{0, true}}},
+        {"comment line longer than two chunks",
+         "#" + std::string(2 * kChunk + 5, 'c') + "\nR 0x1\n",
+         {R{1, false}}},
+        {"record line longer than a chunk",
+         "W" + std::string(kChunk + 9, ' ') + "0x77\n", {R{0x77, true}}},
+        {"lines of only spaces and tabs", " \t \n\n\t\nR 3\n",
+         {R{3, false}}},
+    };
+    for (const auto &c : cases) {
+        std::istringstream in(c.text);
+        EXPECT_EQ(workload::parseTextTrace(in, "inline").records, c.want)
+            << c.what;
+    }
+}
+
 // ------------------------------------------------------ malformed input
 
 TEST(TraceFile, TextParserRejectsMalformedLines)
 {
-    for (const char *bad : {"X 0x1000\n",      // bad opcode
-                            "R\n",             // missing address
-                            "R zzz\n",         // unparsable address
-                            "R 0x10 extra\n",  // trailing token
-                            "read 0x10\n"}) {
-        std::istringstream in(bad);
-        EXPECT_THROW(workload::parseTextTrace(in, "inline"),
-                     std::runtime_error)
-            << "accepted: " << bad;
+    // Checks run in a fixed order — opcode, missing address, trailing
+    // text, bad address — and the message names the first that fails.
+    std::string bad_far;
+    for (int i = 0; i < 5000; ++i)
+        bad_far += "R 0x123456789abc\n"; // 85,000 bytes
+    bad_far += "R zz\n";
+    ASSERT_GT(bad_far.size(), kChunk);
+    const struct
+    {
+        std::string text;
+        std::string why;
+    } cases[] = {
+        {"X 0x1000\n", "line 1: opcode must be R or W, got 'X'"},
+        {"R\n", "line 1: missing address"},
+        {"R zzz\n", "line 1: bad address 'zzz'"},
+        {"R 0x10 extra\n", "line 1: trailing text 'extra'"},
+        {"read 0x10\n", "line 1: opcode must be R or W, got 'read'"},
+        {"X\n", "line 1: opcode must be R or W, got 'X'"},
+        {"Q zz extra\n", "line 1: opcode must be R or W, got 'Q'"},
+        {"R zz extra more\n", "line 1: trailing text 'extra'"},
+        {"R 0x1 # note\n", "line 1: trailing text '#'"},
+        {"\v\n", "line 1: opcode must be R or W, got ''"},
+        {"\v# not a comment\n", "line 1: opcode must be R or W, got '#'"},
+        {"# ok\nR 0x1\n\nW 0x\n", "line 4: bad address '0x'"},
+        {"R 08\n", "line 1: bad address '08'"},
+        {"R 0x1g\n", "line 1: bad address '0x1g'"},
+        {"R 18446744073709551616\n",
+         "line 1: bad address '18446744073709551616'"},
+        // A NUL is part of a token; what() is a C string, so the
+        // message reads up to it.
+        {"R 0x1\0\n"s, "line 1: bad address '0x1"},
+        {"R\0 1\n"s, "line 1: opcode must be R or W, got 'R"},
+        {commentOf(kChunk - 3) + "X 0x1\n",
+         "line 2: opcode must be R or W, got 'X'"},
+        {bad_far, "line 5001: bad address 'zz'"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(textError(c.text), "malformed trace inline: " + c.why)
+            << "input of " << c.text.size() << " bytes";
     }
+}
+
+TEST(TraceFile, TextParserRejectsSignsAndAddressesPastTheBinaryLimit)
+{
+    for (const std::string addr :
+         {"-1", "+5", "-0x10", "+0", "0xffffffffffffffff",
+          "0x8000000000000000", "9223372036854775808",
+          "01000000000000000000000"}) {
+        EXPECT_EQ(textError("R " + addr + "\n"),
+                  "malformed trace inline: line 1: bad address '" + addr +
+                      "'");
+    }
+    // kTraceAddrMax in all three bases loads, and fits the binary
+    // format.
+    std::istringstream in("R 0x7fffffffffffffff\n"
+                          "W 9223372036854775807\n"
+                          "R 0777777777777777777777\n");
+    const TraceFile trace = workload::parseTextTrace(in, "inline");
+    ASSERT_EQ(trace.size(), 3u);
+    for (const TraceRecord &r : trace.records)
+        EXPECT_EQ(r.addr, workload::kTraceAddrMax);
+    const std::string path = tempPath("max.bintrace");
+    workload::saveBinaryTrace(trace, path);
+    EXPECT_EQ(workload::loadTrace(path).records, trace.records);
+    std::filesystem::remove(path);
 }
 
 TEST(TraceFile, BinaryParserRejectsCorruptStreams)
@@ -107,45 +302,223 @@ TEST(TraceFile, BinaryParserRejectsCorruptStreams)
     const auto trace = workload::generateTrace("stream", 16, 5, 0.0);
     const std::string path = tempPath("corrupt.bintrace");
     workload::saveBinaryTrace(trace, path);
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream os;
-        os << in.rdbuf();
-        bytes = os.str();
-    }
+    const std::string bytes = fileBytes(path);
     std::filesystem::remove(path);
 
-    const auto expectBad = [](std::string data, const char *what) {
+    const auto expectBad = [](std::string data, const std::string &why) {
         std::istringstream in(data);
-        EXPECT_THROW(workload::parseBinaryTrace(in, "inline"),
-                     std::runtime_error)
-            << what;
+        try {
+            workload::parseBinaryTrace(in, "inline");
+            ADD_FAILURE() << "accepted: " << why;
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "malformed trace inline: " + why);
+        }
+    };
+    const auto withCount = [](std::string data, std::uint64_t count) {
+        for (int i = 0; i < 8; ++i)
+            data[8 + i] = static_cast<char>(count >> (8 * i));
+        return data;
     };
     expectBad(bytes.substr(0, 10), "truncated header");
-    expectBad(bytes.substr(0, bytes.size() - 3), "truncated payload");
-    expectBad(bytes + "x", "trailing bytes");
+    expectBad(bytes.substr(0, bytes.size() - 3),
+              "truncated at record 15 of 16");
+    expectBad(bytes + "x", "trailing bytes after the last record");
     {
         std::string wrong_magic = bytes;
         wrong_magic[0] = 'X';
-        expectBad(wrong_magic, "bad magic");
+        expectBad(wrong_magic, "bad magic (not an LRUT trace)");
     }
     {
         std::string wrong_version = bytes;
         wrong_version[4] = 9;
-        expectBad(wrong_version, "unsupported version");
+        expectBad(wrong_version, "unsupported version 9 (expected 1)");
     }
     {
         std::string dirty_pad = bytes;
         dirty_pad[5] = 1;
-        expectBad(dirty_pad, "nonzero padding");
+        expectBad(dirty_pad, "nonzero header padding");
     }
+    // A header claiming far more records than the body holds must not
+    // size an allocation from the claim.
+    const std::string header = bytes.substr(0, 16);
+    expectBad(withCount(header, std::uint64_t{1} << 40),
+              "truncated at record 0 of 1099511627776");
+    expectBad(withCount(header, std::uint64_t{1} << 61),
+              "truncated at record 0 of 2305843009213693952");
+    expectBad(withCount(bytes, std::uint64_t{1} << 61),
+              "truncated at record 16 of 2305843009213693952");
+}
+
+TEST(TraceFile, BinaryParserReadsUnseekableStreams)
+{
+    const auto trace = workload::generateTrace("gccmix", 9000, 4, 0.5);
+    const std::string path = tempPath("pipe.bintrace");
+    workload::saveBinaryTrace(trace, path);
+    std::string bytes = fileBytes(path);
+    std::filesystem::remove(path);
+    {
+        UnseekableBuf buf(bytes);
+        std::istream in(&buf);
+        EXPECT_EQ(workload::parseBinaryTrace(in, "pipe").records,
+                  trace.records);
+    }
+    bytes[15] = 0x20; // a count of 2^61 + 9000
+    UnseekableBuf buf(bytes);
+    std::istream in(&buf);
+    EXPECT_THROW(workload::parseBinaryTrace(in, "pipe"),
+                 std::runtime_error);
 }
 
 TEST(TraceFile, LoadRejectsMissingFile)
 {
     EXPECT_THROW(workload::loadTrace(tempPath("no-such.trace")),
                  std::runtime_error);
+}
+
+// ------------------------------------------------------ mutation fuzz
+//
+// Seeded byte flips, truncations and splices over generateTrace outputs
+// saved as text and as LRUT, with a fixed iteration budget.  The
+// contract: each mutant is either rejected with std::runtime_error, or
+// the records it loads round-trip exactly through saveTextTrace and
+// saveBinaryTrace.
+
+constexpr int kIterations = 2000;
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+struct Seed
+{
+    std::string bytes;
+    bool binary = false;
+};
+
+/** Valid inputs in both formats; the last two cross a read chunk. */
+std::vector<Seed>
+seedCorpus()
+{
+    std::vector<Seed> corpus;
+    corpus.push_back({"# hand-written\r\n  R 010\r\n\tW 4096\n\n"
+                      "R 0X1f\nW 0x7fffffffffffffff",
+                      false});
+    const struct
+    {
+        const char *workload;
+        std::size_t count;
+        double writes;
+    } traces[] = {{"gccmix", 40, 0.5},
+                  {"ptrchase", 24, 0.3},
+                  {"stream", 8, 0.0},
+                  {"gccmix", 6000, 0.5}};
+    const std::string text_path = tempPath("fuzz-seed.trace");
+    const std::string bin_path = tempPath("fuzz-seed.bintrace");
+    for (const auto &t : traces) {
+        const auto trace =
+            workload::generateTrace(t.workload, t.count, 17, t.writes);
+        workload::saveTextTrace(trace, text_path);
+        workload::saveBinaryTrace(trace, bin_path);
+        corpus.push_back({fileBytes(text_path), false});
+        corpus.push_back({fileBytes(bin_path), true});
+    }
+    std::filesystem::remove(text_path);
+    std::filesystem::remove(bin_path);
+    return corpus;
+}
+
+// Bytes that steer the text grammar and the LRUT header.
+const std::string kTokens[] = {
+    "\n", "\r", "\r\n", " ", "\t", "\v", "\f", "#", "-", "+", "0", "0x",
+    "0X", "8", "R ", "W ", "ffffffffffffffff", "8000000000000000",
+    std::string(1, '\0'), "LRUT", "\x01"};
+
+/** One to three edits of @p bytes: a byte set to a random value, a
+ *  truncation, a span replaced by a slice of @p donor, or a token
+ *  inserted. */
+std::string
+mutate(std::string bytes, const std::string &donor, sim::Xoshiro256 &rng)
+{
+    const auto edits = 1 + rng.below(3);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+        const std::size_t pos = rng.below(bytes.size() + 1);
+        switch (rng.below(4)) {
+        case 0:
+            if (!bytes.empty()) {
+                bytes[rng.below(bytes.size())] =
+                    static_cast<char>(rng.below(256));
+            }
+            break;
+        case 1:
+            bytes.resize(pos);
+            break;
+        case 2: {
+            const std::size_t from = rng.below(donor.size());
+            const std::size_t len = rng.below(
+                std::min<std::size_t>(donor.size() - from, 64) + 1);
+            const std::size_t cut = rng.below(
+                std::min<std::size_t>(bytes.size() - pos, 64) + 1);
+            bytes.replace(pos, cut, donor, from, len);
+            break;
+        }
+        default:
+            bytes.insert(pos, kTokens[rng.below(std::size(kTokens))]);
+        }
+    }
+    return bytes;
+}
+
+TEST(TraceFuzz, LoadTraceRejectsOrRoundTripsEveryMutant)
+{
+    const std::vector<Seed> corpus = seedCorpus();
+    const std::string mutant_path = tempPath("fuzz-mutant.trace");
+    const std::string text_path = tempPath("fuzz-rt.trace");
+    const std::string bin_path = tempPath("fuzz-rt.bintrace");
+    sim::Xoshiro256 rng(0xf022'7ace);
+    // [seed is binary][mutant accepted]
+    int outcomes[2][2] = {};
+    for (int i = 0; i < kIterations && !HasFailure(); ++i) {
+        // The two seeds that cross a chunk cost most; draw them 1 in 16.
+        const std::size_t small = corpus.size() - 2;
+        const std::size_t pick = rng.below(16) == 0
+                                     ? small + rng.below(2)
+                                     : rng.below(small);
+        const Seed &seed = corpus[pick];
+        const std::string &donor = corpus[rng.below(corpus.size())].bytes;
+        writeBytes(mutant_path, mutate(seed.bytes, donor, rng));
+        try {
+            TraceFile loaded;
+            try {
+                loaded = workload::loadTrace(mutant_path);
+            } catch (const std::runtime_error &) {
+                ++outcomes[seed.binary][0];
+                continue;
+            }
+            ++outcomes[seed.binary][1];
+            workload::saveTextTrace(loaded, text_path);
+            EXPECT_EQ(workload::loadTrace(text_path).records,
+                      loaded.records)
+                << "iteration " << i << ": text round trip";
+            workload::saveBinaryTrace(loaded, bin_path);
+            EXPECT_EQ(workload::loadTrace(bin_path).records,
+                      loaded.records)
+                << "iteration " << i << ": binary round trip";
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "iteration " << i << ": " << e.what();
+        }
+    }
+    // The budget reaches both sides of the contract for both formats.
+    for (const bool binary : {false, true}) {
+        EXPECT_GT(outcomes[binary][0], 0) << "binary=" << binary;
+        EXPECT_GT(outcomes[binary][1], 0) << "binary=" << binary;
+    }
+    std::filesystem::remove(mutant_path);
+    std::filesystem::remove(text_path);
+    std::filesystem::remove(bin_path);
 }
 
 // ----------------------------------------------------------- generation
