@@ -6,6 +6,7 @@
 #include "channel/session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -149,28 +150,32 @@ partyCoreTimeSlice(const SessionConfig &config, std::uint32_t core)
     return tc;
 }
 
+/** Topologies built by the pools below, over all threads. */
+std::atomic<std::uint64_t> g_topology_builds{0};
+
 /**
  * Topology reuse pool.  Building a topology is the dominant cost of a
- * short session (the LLC alone is 8192 sets, each with four per-way
- * vectors), while reset() — verified by test_session_fastpath — returns
- * a used topology to its exactly-as-constructed state: every
- * replacement-state struct's constructor delegates to its reset(), and
- * Cache::reset() reseeds the fill RNG with the constructor expression.
- * So runSession caches the last topology per thread and swaps it in
- * whenever the config tuple repeats, which is every repeated-session
- * workload (bench lanes, matrix sweeps, percent-ones loops).
+ * short session (the LLC alone is 8192 sets), while reset(seed) —
+ * verified by test_session_fastpath and test_hierarchy — returns a
+ * used topology to exactly the state a fresh construction under the
+ * new seeds would have.  So each thread keeps its last topology and
+ * reuses it whenever the next session's config matches it in
+ * everything but the seeds (sameTopology): every repeated-session
+ * workload, including seed-per-cell sweeps.  On a miss the old
+ * topology is released before the new one is built, so a thread never
+ * holds two.
  */
 sim::CacheHierarchy &
 pooledHierarchy(const sim::HierarchyConfig &config)
 {
     static thread_local std::unique_ptr<sim::CacheHierarchy> pool;
-    static thread_local sim::HierarchyConfig pool_config;
-    if (pool && pool_config == config) {
-        pool->reset();
+    if (pool && sim::sameTopology(pool->config(), config)) {
+        pool->reset(config);
         return *pool;
     }
+    pool.reset();
     pool = std::make_unique<sim::CacheHierarchy>(config);
-    pool_config = config;
+    g_topology_builds.fetch_add(1, std::memory_order_relaxed);
     return *pool;
 }
 
@@ -178,13 +183,13 @@ sim::MultiCoreHierarchy &
 pooledMultiCore(const sim::MultiCoreConfig &config)
 {
     static thread_local std::unique_ptr<sim::MultiCoreHierarchy> pool;
-    static thread_local sim::MultiCoreConfig pool_config;
-    if (pool && pool_config == config) {
-        pool->reset();
+    if (pool && sim::sameTopology(pool->config(), config)) {
+        pool->reset(config.seed);
         return *pool;
     }
+    pool.reset();
     pool = std::make_unique<sim::MultiCoreHierarchy>(config);
-    pool_config = config;
+    g_topology_builds.fetch_add(1, std::memory_order_relaxed);
     return *pool;
 }
 
@@ -485,6 +490,12 @@ runSession(const SessionConfig &config)
         run.end > res.sender_start ? run.end - res.sender_start : 0;
     res.kbps = config.uarch.kbps(nbits, res.elapsed_cycles);
     return res;
+}
+
+std::uint64_t
+topologyBuilds()
+{
+    return g_topology_builds.load(std::memory_order_relaxed);
 }
 
 double

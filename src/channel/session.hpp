@@ -244,6 +244,13 @@ ChannelLayout sessionLayoutFor(const SessionConfig &config);
 SessionResult runSession(const SessionConfig &config);
 
 /**
+ * Topologies runSession has constructed so far, over all threads.  A
+ * session whose topology matches its thread's pooled one in everything
+ * but the seeds reuses it and does not count.
+ */
+std::uint64_t topologyBuilds();
+
+/**
  * Observation experiment (Figures 6, 8 and 15): the sender constantly
  * sends @p constant_bit (config.message/repeats are ignored); the
  * receiver takes max_samples measurements with period Tr; returns the

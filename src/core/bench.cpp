@@ -85,8 +85,8 @@ benchValue(const SimBenchConfig &config, sim::ReplPolicyKind kind,
     std::size_t pos = 0;
     const auto start = Clock::now();
     for (std::uint64_t i = 0; i < config.accesses; ++i) {
-        const auto res = set.access(trace[pos], 0, false,
-                                    sim::LockReq::None, 0);
+        const auto res =
+            set.access(trace[pos], 0, false, sim::LockReq::None);
         if (++pos == trace.size())
             pos = 0;
         sink = fold(sink, res.way, res.hit);

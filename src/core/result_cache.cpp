@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <sstream>
 #include <system_error>
 #include <thread>
@@ -21,6 +22,29 @@
 namespace lruleak::core {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/** Size of the trailer store() appends to every artifact. */
+constexpr std::size_t kTrailerBytes = 8 + 32;
+
+/** The artifact's length (8 bytes, little-endian) and SHA-256 digest. */
+std::string
+trailerFor(std::string_view artifact)
+{
+    std::string trailer;
+    std::uint64_t len = artifact.size();
+    for (int i = 0; i < 8; ++i, len >>= 8)
+        trailer += static_cast<char>(len & 0xff);
+    util::Sha256 h;
+    h.update(artifact);
+    const auto digest = h.digest();
+    trailer.append(reinterpret_cast<const char *>(digest.data()),
+                   digest.size());
+    return trailer;
+}
+
+} // namespace
 
 ResultCache::ResultCache(std::string dir, std::string binary_hash)
     : dir_(std::move(dir)), binary_hash_(std::move(binary_hash))
@@ -68,7 +92,18 @@ ResultCache::fetch(const std::string &key) const
     os << in.rdbuf();
     if (!in.good() && !in.eof())
         return std::nullopt;
-    return os.str();
+    std::string bytes = os.str();
+    const std::string_view view(bytes);
+    if (bytes.size() < kTrailerBytes ||
+        trailerFor(view.substr(0, bytes.size() - kTrailerBytes)) !=
+            view.substr(bytes.size() - kTrailerBytes)) {
+        std::cerr << "cache: entry " << key
+                  << " is truncated or corrupt (length/SHA-256 mismatch);"
+                     " treating it as a miss\n";
+        return std::nullopt;
+    }
+    bytes.resize(bytes.size() - kTrailerBytes);
+    return bytes;
 }
 
 bool
@@ -94,7 +129,7 @@ ResultCache::store(const std::string &key, const std::string &artifact) const
         std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
         if (!out)
             return false;
-        out << artifact;
+        out << artifact << trailerFor(artifact);
         if (!out.good())
             return false;
     }

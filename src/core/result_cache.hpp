@@ -64,14 +64,19 @@ class ResultCache
                        const std::map<std::string, std::string> &params,
                        std::string_view format) const;
 
-    /** The stored artifact, or nullopt on a miss / unreadable entry. */
+    /**
+     * The stored artifact, or nullopt on a miss / unreadable entry.  An
+     * entry whose length + SHA-256 trailer does not match its bytes
+     * (truncated, corrupted) is a miss too, reported on stderr.
+     */
     std::optional<std::string> fetch(const std::string &key) const;
 
     /**
-     * Store an artifact under @p key (atomic rename, so a concurrent
-     * reader sees either nothing or the full bytes).  Returns false
-     * when the store cannot be written; callers treat that as "cache
-     * off", never as a run failure.
+     * Store an artifact under @p key, followed by a trailer of its
+     * length and SHA-256 digest that fetch() checks (atomic rename, so
+     * a concurrent reader sees either nothing or the full bytes).
+     * Returns false when the store cannot be written; callers treat
+     * that as "cache off", never as a run failure.
      */
     bool store(const std::string &key, const std::string &artifact) const;
 

@@ -8,6 +8,8 @@
 #ifndef LRULEAK_EXPERIMENTS_COMMON_HPP
 #define LRULEAK_EXPERIMENTS_COMMON_HPP
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +73,25 @@ std::vector<channel::ChannelId> parseChannels(const std::string &list);
 /** First @p limit sample latencies as a plottable series. */
 std::vector<double> sampleLatencies(const std::vector<channel::Sample> &s,
                                     std::size_t limit);
+
+/**
+ * Fraction of 1s received in every (bit, Tr, d) cell of a time-sliced
+ * Algorithm 1 grid (Figs. 6, 8, 15), in (bit, Tr, d) order: one Session
+ * per cell, seeded @p seed + d, fanned out by core::runTrials over
+ * @p threads workers (0 = the default); identical for any count.
+ */
+std::vector<double> timeslicedGrid(const timing::Uarch &uarch,
+                                   std::span<const std::uint64_t> trs,
+                                   std::span<const std::uint32_t> ds,
+                                   std::uint64_t max_samples,
+                                   std::uint64_t seed, unsigned threads = 0);
+
+/** Run timeslicedGrid at the "measurements" and "seed" of @p params and
+ *  emit one "Tr x d" table per sent bit. */
+void timeslicedTables(core::ResultSink &sink, const core::ParamMap &params,
+                      const timing::Uarch &uarch,
+                      std::span<const std::uint64_t> trs,
+                      std::span<const std::uint32_t> ds);
 
 } // namespace lruleak::experiments
 

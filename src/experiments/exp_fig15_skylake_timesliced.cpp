@@ -4,7 +4,6 @@
  * percentage-of-1s experiment on Intel Xeon E3-1245 v5 (Skylake).
  */
 
-#include "channel/session.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -12,7 +11,6 @@ namespace lruleak::experiments {
 namespace {
 
 using namespace lruleak::core;
-using namespace lruleak::channel;
 
 class Fig15SkylakeTimesliced final : public Experiment
 {
@@ -43,7 +41,6 @@ class Fig15SkylakeTimesliced final : public Experiment
     run(const ParamMap &params, ResultSink &sink) const override
     {
         const auto max_samples = params.getUint("measurements");
-        const auto seed = params.getUint("seed");
 
         sink.note("=== Fig. 15 (Appendix B): time-sliced % of 1s, "
                   "Intel Xeon E3-1245 v5, Algorithm 1 ===\n(" +
@@ -52,29 +49,9 @@ class Fig15SkylakeTimesliced final : public Experiment
 
         const std::uint64_t trs[] = {25'000'000, 100'000'000,
                                      200'000'000, 400'000'000};
-        for (std::uint8_t bit : {0, 1}) {
-            Table table({"Tr (x1e6)", "d=2", "d=4", "d=6", "d=8"});
-            for (std::uint64_t tr : trs) {
-                std::vector<std::string> row{
-                    std::to_string(tr / 1'000'000)};
-                for (std::uint32_t d : {2u, 4u, 6u, 8u}) {
-                    SessionConfig cfg;
-                    cfg.uarch = timing::Uarch::intelXeonE31245v5();
-                    cfg.mode = SharingMode::TimeSliced;
-                    cfg.d = d;
-                    cfg.tr = tr;
-                    cfg.encode_gap = 20'000;
-                    cfg.max_samples = max_samples;
-                    cfg.seed = seed + d;
-                    row.push_back(
-                        fmtPercent(sessionPercentOnes(cfg, bit)));
-                }
-                table.addRow(row);
-            }
-            sink.table("--- Sender constantly sending " +
-                           std::to_string(int(bit)) + " ---",
-                       table);
-        }
+        const std::uint32_t ds[] = {2, 4, 6, 8};
+        timeslicedTables(sink, params, timing::Uarch::intelXeonE31245v5(),
+                         trs, ds);
 
         sink.note("\nPaper reference: same shape as the E5-2690 "
                   "(Fig. 6): sending 0 near 0%, sending 1\nclearly "

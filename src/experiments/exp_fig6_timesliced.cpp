@@ -6,7 +6,6 @@
  * Algorithm 1.
  */
 
-#include "channel/session.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -14,7 +13,6 @@ namespace lruleak::experiments {
 namespace {
 
 using namespace lruleak::core;
-using namespace lruleak::channel;
 
 class Fig6Timesliced final : public Experiment
 {
@@ -43,7 +41,6 @@ class Fig6Timesliced final : public Experiment
     run(const ParamMap &params, ResultSink &sink) const override
     {
         const auto max_samples = params.getUint("measurements");
-        const auto seed = params.getUint("seed");
         const auto uarch = uarchFromParams(params);
 
         sink.note("=== Fig. 6: time-sliced sharing, % of 1s received, " +
@@ -53,31 +50,8 @@ class Fig6Timesliced final : public Experiment
 
         const std::uint64_t trs[] = {25'000'000, 50'000'000, 100'000'000,
                                      200'000'000, 400'000'000};
-
-        for (std::uint8_t bit : {0, 1}) {
-            Table table({"Tr (x1e6)", "d=1", "d=2", "d=3", "d=4", "d=5",
-                         "d=6", "d=7", "d=8"});
-            for (std::uint64_t tr : trs) {
-                std::vector<std::string> row{
-                    std::to_string(tr / 1'000'000)};
-                for (std::uint32_t d = 1; d <= 8; ++d) {
-                    SessionConfig cfg;
-                    cfg.uarch = uarch;
-                    cfg.mode = SharingMode::TimeSliced;
-                    cfg.d = d;
-                    cfg.tr = tr;
-                    cfg.encode_gap = 20'000;
-                    cfg.max_samples = max_samples;
-                    cfg.seed = seed + d;
-                    row.push_back(
-                        fmtPercent(sessionPercentOnes(cfg, bit)));
-                }
-                table.addRow(row);
-            }
-            sink.table("--- Sender constantly sending " +
-                           std::to_string(int(bit)) + " ---",
-                       table);
-        }
+        const std::uint32_t ds[] = {1, 2, 3, 4, 5, 6, 7, 8};
+        timeslicedTables(sink, params, uarch, trs, ds);
 
         sink.note("\nPaper reference: sending 0 -> ~0% of 1s for d = 8; "
                   "sending 1 -> ~30% of 1s around\nTr = 1e8 with "

@@ -5,7 +5,6 @@
  * 0 or 1 (Algorithm 1 between threads of one address space).
  */
 
-#include "channel/session.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -13,7 +12,6 @@ namespace lruleak::experiments {
 namespace {
 
 using namespace lruleak::core;
-using namespace lruleak::channel;
 
 class Fig8AmdTimesliced final : public Experiment
 {
@@ -41,7 +39,6 @@ class Fig8AmdTimesliced final : public Experiment
     run(const ParamMap &params, ResultSink &sink) const override
     {
         const auto max_samples = params.getUint("measurements");
-        const auto seed = params.getUint("seed");
 
         sink.note("=== Fig. 8: AMD EPYC 7571, time-sliced, % of 1s "
                   "received, Algorithm 1 ===\n(" +
@@ -51,30 +48,8 @@ class Fig8AmdTimesliced final : public Experiment
 
         const std::uint64_t trs[] = {25'000'000, 100'000'000,
                                      200'000'000, 400'000'000};
-
-        for (std::uint8_t bit : {0, 1}) {
-            Table table({"Tr (x1e6)", "d=2", "d=4", "d=6", "d=8"});
-            for (std::uint64_t tr : trs) {
-                std::vector<std::string> row{
-                    std::to_string(tr / 1'000'000)};
-                for (std::uint32_t d : {2u, 4u, 6u, 8u}) {
-                    SessionConfig cfg;
-                    cfg.uarch = timing::Uarch::amdEpyc7571();
-                    cfg.mode = SharingMode::TimeSliced;
-                    cfg.d = d;
-                    cfg.tr = tr;
-                    cfg.encode_gap = 20'000;
-                    cfg.max_samples = max_samples;
-                    cfg.seed = seed + d;
-                    row.push_back(
-                        fmtPercent(sessionPercentOnes(cfg, bit)));
-                }
-                table.addRow(row);
-            }
-            sink.table("--- Sender constantly sending " +
-                           std::to_string(int(bit)) + " ---",
-                       table);
-        }
+        const std::uint32_t ds[] = {2, 4, 6, 8};
+        timeslicedTables(sink, params, timing::Uarch::amdEpyc7571(), trs, ds);
 
         sink.note("\nPaper reference: ~70% of 1s when sending 0 vs ~77% "
                   "when sending 1 at Tr = 1e8 on\nAMD (the coarse TSC "

@@ -11,10 +11,29 @@
 
 namespace lruleak::sim {
 
+namespace {
+
+/** Seed of storage set @p s's Random stream: each set gets its own, so
+ *  sets do not evict in lockstep. */
+std::uint64_t
+setSeed(std::uint64_t seed, std::uint32_t s)
+{
+    return seed + s;
+}
+
+/** The RandomFill neighbourhood stream of a cache seeded @p seed. */
+Xoshiro256
+fillStream(std::uint64_t seed)
+{
+    return Xoshiro256(seed ^ 0xf177ed5ecULL);
+}
+
+} // namespace
+
 Cache::Cache(const CacheConfig &config, PlMode pl_mode, bool way_predictor)
     : config_(config), layout_(config.line_size, config.numSets()),
       pl_mode_(pl_mode), way_predictor_(way_predictor),
-      fill_rng_(config.seed ^ 0xf177ed5ecULL)
+      fill_rng_(fillStream(config.seed))
 {
     config_.validate();
 
@@ -49,11 +68,9 @@ Cache::Cache(const CacheConfig &config, PlMode pl_mode, bool way_predictor)
 
     sets_.reserve(static_cast<std::size_t>(layout_.numSets()) * per_set);
     for (std::uint32_t s = 0; s < layout_.numSets() * per_set; ++s) {
-        // Give each Random-policy set its own derived seed so sets do not
-        // evict in lockstep.
         sets_.emplace_back(ways,
                            ReplState::make(config_.policy, ways,
-                                           config_.seed + s),
+                                           setSeed(config_.seed, s)),
                            pl_mode, config_.write_hit, config_.write_miss);
     }
 }
@@ -78,7 +95,7 @@ Cache::randomFill(const MemRef &ref, std::uint32_t &fill_set)
     const std::uint16_t utag =
         way_predictor_ ? WayPredictor::utag(fill_vaddr) : 0;
     return routeSet(fill_set, ref.thread)
-        .prefetchFill(layout_.tag(fill_paddr), utag, ref.thread);
+        .prefetchFill(layout_.tag(fill_paddr), utag);
 }
 
 CacheAccessResult
@@ -96,7 +113,7 @@ Cache::accessSharpImpl(std::uint32_t domain, const MemRef &ref)
 
     SharpSetEvents ev;
     const SetAccessResult sr = sets_[set].accessSharp(
-        tag, ref.thread, ref.is_write, domain, flagged, ev);
+        tag, ref.is_write, domain, flagged, ev);
     sharp_alarms_[domain] += ev.alarms;
     sharp_forced_[domain] += ev.forced ? 1 : 0;
     sharp_denied_[domain] += ev.denied ? 1 : 0;
@@ -203,9 +220,8 @@ Cache::access(const MemRef &ref, LockReq lock_req)
         return res;
     }
 
-    SetAccessResult sr = target.access(tag, utag, way_predictor_,
-                                       lock_req, ref.thread,
-                                       ref.is_write);
+    SetAccessResult sr =
+        target.access(tag, utag, way_predictor_, lock_req, ref.is_write);
 
     CacheAccessResult res;
     res.hit = sr.hit;
@@ -252,8 +268,7 @@ Cache::accessBatch(std::span<const MemRef> refs,
             way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
 
         SetAccessResult sr = sets_[set].access(tag, utag, way_predictor_,
-                                               LockReq::None, ref.thread,
-                                               ref.is_write);
+                                               LockReq::None, ref.is_write);
 
         CacheAccessResult &res = results[i];
         res = CacheAccessResult{};
@@ -292,7 +307,7 @@ Cache::prefetch(const MemRef &ref)
         way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
 
     SetAccessResult sr =
-        routeSet(set, ref.thread).prefetchFill(tag, utag, ref.thread);
+        routeSet(set, ref.thread).prefetchFill(tag, utag);
 
     CacheAccessResult res;
     res.hit = sr.hit;
@@ -331,7 +346,7 @@ Cache::steadyHits(std::span<const MemRef> refs) const
             way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
         const SetAccessResult sr =
             it->second.access(layout_.tag(ref.paddr), utag, way_predictor_,
-                              LockReq::None, ref.thread, ref.is_write);
+                              LockReq::None, ref.is_write);
         if (!sr.hit || sr.utag_mismatch)
             return false;
     }
@@ -392,12 +407,17 @@ Cache::markDirtyLine(Addr line_base)
 }
 
 void
-Cache::reset()
+Cache::reset(std::uint64_t seed)
 {
-    for (auto &set : sets_)
-        set.reset();
+    config_.seed = seed;
+    for (std::uint32_t s = 0; s < sets_.size(); ++s) {
+        sets_[s].reset();
+        if (config_.policy == ReplPolicyKind::Random)
+            sets_[s].repl() = ReplState::make(
+                config_.policy, sets_[s].ways(), setSeed(seed, s));
+    }
     counters_.reset();
-    fill_rng_ = Xoshiro256(config_.seed ^ 0xf177ed5ecULL);
+    fill_rng_ = fillStream(seed);
     std::fill(sharp_alarms_.begin(), sharp_alarms_.end(), 0);
     std::fill(sharp_forced_.begin(), sharp_forced_.end(), 0);
     std::fill(sharp_denied_.begin(), sharp_denied_.end(), 0);

@@ -170,7 +170,14 @@ class Cache
     bool markDirtyLine(Addr line_base);
 
     /** Clear all contents, replacement state and counters. */
-    void reset();
+    void reset() { reset(config_.seed); }
+
+    /**
+     * reset() under a new Random-policy seed: leaves the cache
+     * byte-equal to a fresh Cache built from config() with seed = @p seed
+     * (per-set Random streams seed + s, the RandomFill stream).
+     */
+    void reset(std::uint64_t seed);
 
     const CacheConfig &config() const { return config_; }
     const AddressLayout &layout() const { return layout_; }

@@ -13,7 +13,7 @@ CacheSet::CacheSet(std::uint32_t ways, ReplState state, PlMode pl_mode,
                    WriteHitPolicy write_hit, WriteMissPolicy write_miss)
     : ways_(ways), pl_mode_(pl_mode), write_hit_(write_hit),
       write_miss_(write_miss), tags_(ways, 0), utags_(ways, 0),
-      filled_by_(ways, 0), owners_(ways, kNoOwner), repl_(std::move(state))
+      repl_(std::move(state))
 {
 }
 
@@ -30,7 +30,7 @@ CacheSet::probe(Addr tag) const
 
 void
 CacheSet::fill(std::uint32_t way, Addr tag, bool lock, std::uint16_t utag,
-               ThreadId thread, bool dirty)
+               bool dirty)
 {
     tags_[way] = tag;
     valid_mask_ |= 1u << way;
@@ -43,14 +43,14 @@ CacheSet::fill(std::uint32_t way, Addr tag, bool lock, std::uint16_t utag,
     else
         dirty_mask_ &= ~(1u << way);
     utags_[way] = utag;
-    filled_by_[way] = thread;
-    owners_[way] = kNoOwner; // plain fills install unowned lines;
-                             // accessSharp re-stamps after filling
+    if (!owners_.empty())
+        owners_[way] = kNoOwner; // plain fills install unowned lines;
+                                 // accessSharp re-stamps after filling
 }
 
 SetAccessResult
 CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
-                 LockReq lock_req, ThreadId thread, bool is_write)
+                 LockReq lock_req, bool is_write)
 {
     SetAccessResult res;
     // A store leaves the line dirty only under write-back; under
@@ -106,7 +106,7 @@ CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
     const std::uint32_t first_invalid =
         std::countr_one(valid_mask_); // index of the lowest clear bit
     if (first_invalid < ways_) {
-        fill(first_invalid, tag, lock, utag, thread, mark_dirty);
+        fill(first_invalid, tag, lock, utag, mark_dirty);
         repl_.onFill(first_invalid);
         res.hit = false;
         res.way = first_invalid;
@@ -136,7 +136,7 @@ CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
     res.evicted = true;
     res.evicted_tag = tags_[victim_way];
     res.dirty_writeback = ((dirty_mask_ >> victim_way) & 1u) != 0;
-    fill(victim_way, tag, lock, utag, thread, mark_dirty);
+    fill(victim_way, tag, lock, utag, mark_dirty);
     repl_.onFill(victim_way);
 
     res.hit = false;
@@ -146,9 +146,11 @@ CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
 }
 
 SetAccessResult
-CacheSet::accessSharp(Addr tag, ThreadId thread, bool is_write,
-                      std::uint32_t domain, bool flagged, SharpSetEvents &ev)
+CacheSet::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
+                      bool flagged, SharpSetEvents &ev)
 {
+    if (owners_.empty())
+        owners_.assign(ways_, kNoOwner);
     SetAccessResult res;
     const bool mark_dirty =
         is_write && write_hit_ == WriteHitPolicy::WriteBack;
@@ -173,7 +175,7 @@ CacheSet::accessSharp(Addr tag, ThreadId thread, bool is_write,
 
     const std::uint32_t first_invalid = std::countr_one(valid_mask_);
     if (first_invalid < ways_) {
-        fill(first_invalid, tag, false, 0, thread, mark_dirty);
+        fill(first_invalid, tag, false, 0, mark_dirty);
         repl_.onFill(first_invalid);
         owners_[first_invalid] = domain;
         res.way = first_invalid;
@@ -229,7 +231,7 @@ CacheSet::accessSharp(Addr tag, ThreadId thread, bool is_write,
     res.evicted = true;
     res.evicted_tag = tags_[victim_way];
     res.dirty_writeback = ((dirty_mask_ >> victim_way) & 1u) != 0;
-    fill(victim_way, tag, false, 0, thread, mark_dirty);
+    fill(victim_way, tag, false, 0, mark_dirty);
     repl_.onFill(victim_way);
     owners_[victim_way] = domain;
     res.way = victim_way;
@@ -240,6 +242,8 @@ CacheSet::accessSharp(Addr tag, ThreadId thread, bool is_write,
 bool
 CacheSet::releaseOwner(Addr tag, std::uint32_t domain)
 {
+    if (owners_.empty())
+        return false;
     if (auto way = probe(tag)) {
         if (owners_[*way] == domain) {
             owners_[*way] = kNoOwner;
@@ -263,11 +267,11 @@ namespace {
 template <std::uint32_t kWays, bool kCollect, bool kWrites, typename St>
 inline SetBatchStats
 runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
-             ThreadId *const filled_by, std::uint32_t &valid_ref,
+             std::uint32_t &valid_ref,
              std::uint32_t &dirty_ref, std::uint32_t runtime_ways,
              std::uint32_t full, std::span<const Addr> tags,
              const std::uint8_t *const writes, bool wb_hits, bool allocate,
-             SetAccessResult *const results, ThreadId thread)
+             SetAccessResult *const results)
 {
     const std::uint32_t ways = kWays != 0 ? kWays : runtime_ways;
     // Work on register-resident copies: the POD state and the masks stay
@@ -346,7 +350,6 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
                 dirty &= ~(1u << victim);
             set_tags[victim] = tag;
             utags[victim] = 0;
-            filled_by[victim] = thread;
             local.onFill(victim);
             if constexpr (kCollect) {
                 res.way = victim;
@@ -368,29 +371,26 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
 template <bool kCollect, bool kWrites>
 inline SetBatchStats
 dispatchBatch(ReplState &repl, Addr *set_tags, std::uint16_t *utags,
-              ThreadId *filled_by, std::uint32_t &valid_ref,
+              std::uint32_t &valid_ref,
               std::uint32_t &dirty_ref, std::uint32_t ways,
               std::uint32_t full, std::span<const Addr> tags,
               const std::uint8_t *writes, bool wb_hits, bool allocate,
-              SetAccessResult *results, ThreadId thread)
+              SetAccessResult *results)
 {
     return repl.visitState([&](auto &st) {
         switch (ways) {
           case 8:
             return runBatchLoop<8, kCollect, kWrites>(
-                st, set_tags, utags, filled_by, valid_ref, dirty_ref,
-                ways, full, tags, writes, wb_hits, allocate, results,
-                thread);
+                st, set_tags, utags, valid_ref, dirty_ref, ways, full,
+                tags, writes, wb_hits, allocate, results);
           case 16:
             return runBatchLoop<16, kCollect, kWrites>(
-                st, set_tags, utags, filled_by, valid_ref, dirty_ref,
-                ways, full, tags, writes, wb_hits, allocate, results,
-                thread);
+                st, set_tags, utags, valid_ref, dirty_ref, ways, full,
+                tags, writes, wb_hits, allocate, results);
           default:
             return runBatchLoop<0, kCollect, kWrites>(
-                st, set_tags, utags, filled_by, valid_ref, dirty_ref,
-                ways, full, tags, writes, wb_hits, allocate, results,
-                thread);
+                st, set_tags, utags, valid_ref, dirty_ref, ways, full,
+                tags, writes, wb_hits, allocate, results);
         }
     });
 }
@@ -399,12 +399,12 @@ dispatchBatch(ReplState &repl, Addr *set_tags, std::uint16_t *utags,
 
 void
 CacheSet::accessBatch(std::span<const Addr> tags,
-                      std::span<SetAccessResult> results, ThreadId thread)
+                      std::span<SetAccessResult> results)
 {
     if (pl_mode_ != PlMode::Disabled) {
         // Lock bits in play: take the general per-access path.
         for (std::size_t i = 0; i < tags.size(); ++i)
-            results[i] = access(tags[i], 0, false, LockReq::None, thread);
+            results[i] = access(tags[i], 0, false, LockReq::None);
         return;
     }
 
@@ -413,41 +413,40 @@ CacheSet::accessBatch(std::span<const Addr> tags,
     // touch/onFill/selectVictim are direct, inlinable calls on a
     // register-resident state machine.
     dispatchBatch<true, false>(repl_, tags_.data(), utags_.data(),
-                               filled_by_.data(), valid_mask_, dirty_mask_,
-                               ways_, fullMask(), tags, nullptr,
+                               valid_mask_, dirty_mask_, ways_, fullMask(),
+                               tags, nullptr,
                                write_hit_ == WriteHitPolicy::WriteBack,
                                write_miss_ == WriteMissPolicy::WriteAllocate,
-                               results.data(), thread);
+                               results.data());
 }
 
 void
 CacheSet::accessBatch(std::span<const Addr> tags,
                       std::span<const std::uint8_t> writes,
-                      std::span<SetAccessResult> results, ThreadId thread)
+                      std::span<SetAccessResult> results)
 {
     if (pl_mode_ != PlMode::Disabled) {
         for (std::size_t i = 0; i < tags.size(); ++i)
-            results[i] = access(tags[i], 0, false, LockReq::None, thread,
-                                writes[i] != 0);
+            results[i] =
+                access(tags[i], 0, false, LockReq::None, writes[i] != 0);
         return;
     }
     dispatchBatch<true, true>(repl_, tags_.data(), utags_.data(),
-                              filled_by_.data(), valid_mask_, dirty_mask_,
-                              ways_, fullMask(), tags, writes.data(),
+                              valid_mask_, dirty_mask_, ways_, fullMask(),
+                              tags, writes.data(),
                               write_hit_ == WriteHitPolicy::WriteBack,
                               write_miss_ == WriteMissPolicy::WriteAllocate,
-                              results.data(), thread);
+                              results.data());
 }
 
 SetBatchStats
-CacheSet::replayBatch(std::span<const Addr> tags, ThreadId thread)
+CacheSet::replayBatch(std::span<const Addr> tags)
 {
     if (pl_mode_ != PlMode::Disabled) {
         SetBatchStats stats;
         stats.accesses = tags.size();
         for (const Addr tag : tags) {
-            const auto res =
-                access(tag, 0, false, LockReq::None, thread);
+            const auto res = access(tag, 0, false, LockReq::None);
             stats.hits += res.hit ? 1 : 0;
             stats.fills += res.filled ? 1 : 0;
             stats.evictions += res.evicted ? 1 : 0;
@@ -456,22 +455,21 @@ CacheSet::replayBatch(std::span<const Addr> tags, ThreadId thread)
         return stats;
     }
     return dispatchBatch<false, false>(
-        repl_, tags_.data(), utags_.data(), filled_by_.data(), valid_mask_,
-        dirty_mask_, ways_, fullMask(), tags, nullptr,
-        write_hit_ == WriteHitPolicy::WriteBack,
-        write_miss_ == WriteMissPolicy::WriteAllocate, nullptr, thread);
+        repl_, tags_.data(), utags_.data(), valid_mask_, dirty_mask_, ways_,
+        fullMask(), tags, nullptr, write_hit_ == WriteHitPolicy::WriteBack,
+        write_miss_ == WriteMissPolicy::WriteAllocate, nullptr);
 }
 
 SetBatchStats
 CacheSet::replayBatch(std::span<const Addr> tags,
-                      std::span<const std::uint8_t> writes, ThreadId thread)
+                      std::span<const std::uint8_t> writes)
 {
     if (pl_mode_ != PlMode::Disabled) {
         SetBatchStats stats;
         stats.accesses = tags.size();
         for (std::size_t i = 0; i < tags.size(); ++i) {
             const auto res = access(tags[i], 0, false, LockReq::None,
-                                    thread, writes[i] != 0);
+                                    writes[i] != 0);
             stats.hits += res.hit ? 1 : 0;
             stats.fills += res.filled ? 1 : 0;
             stats.evictions += res.evicted ? 1 : 0;
@@ -480,10 +478,10 @@ CacheSet::replayBatch(std::span<const Addr> tags,
         return stats;
     }
     return dispatchBatch<false, true>(
-        repl_, tags_.data(), utags_.data(), filled_by_.data(), valid_mask_,
-        dirty_mask_, ways_, fullMask(), tags, writes.data(),
+        repl_, tags_.data(), utags_.data(), valid_mask_, dirty_mask_, ways_,
+        fullMask(), tags, writes.data(),
         write_hit_ == WriteHitPolicy::WriteBack,
-        write_miss_ == WriteMissPolicy::WriteAllocate, nullptr, thread);
+        write_miss_ == WriteMissPolicy::WriteAllocate, nullptr);
 }
 
 bool
@@ -505,8 +503,8 @@ CacheSet::flushLine(Addr tag)
         dirty_mask_ &= ~bit;
         tags_[*way] = 0;
         utags_[*way] = 0;
-        filled_by_[*way] = 0;
-        owners_[*way] = kNoOwner;
+        if (!owners_.empty())
+            owners_[*way] = kNoOwner;
     }
     return res;
 }
@@ -522,7 +520,7 @@ CacheSet::markDirty(Addr tag)
 }
 
 SetAccessResult
-CacheSet::prefetchFill(Addr tag, std::uint16_t utag, ThreadId thread)
+CacheSet::prefetchFill(Addr tag, std::uint16_t utag)
 {
     SetAccessResult res;
     if (auto way = probe(tag)) {
@@ -532,7 +530,7 @@ CacheSet::prefetchFill(Addr tag, std::uint16_t utag, ThreadId thread)
         repl_.touch(*way);
         return res;
     }
-    return access(tag, utag, false, LockReq::None, thread);
+    return access(tag, utag, false, LockReq::None);
 }
 
 std::uint32_t
@@ -550,9 +548,8 @@ CacheSet::reset()
     for (std::uint32_t w = 0; w < ways_; ++w) {
         tags_[w] = 0;
         utags_[w] = 0;
-        filled_by_[w] = 0;
-        owners_[w] = kNoOwner;
     }
+    owners_.clear();
     repl_.reset();
 }
 

@@ -56,7 +56,6 @@ struct LineState
     bool valid = false;
     bool locked = false;        //!< PL-cache lock bit
     std::uint16_t utag = 0;     //!< AMD linear-address micro-tag
-    ThreadId filled_by = 0;     //!< thread that installed the line
     bool dirty = false;         //!< modified since fill (write-back)
 };
 
@@ -157,13 +156,11 @@ class CacheSet
      * @param check_utag when true, a tag hit whose stored utag differs
      *        from @p utag is flagged (and the stored utag is retrained)
      * @param lock_req PL-cache lock/unlock request
-     * @param thread issuing thread (recorded on fills)
      * @param is_write store access: applies the set's write policies
      *        (dirty marking, no-allocate bypass)
      */
     SetAccessResult access(Addr tag, std::uint16_t utag, bool check_utag,
-                           LockReq lock_req, ThreadId thread,
-                           bool is_write = false);
+                           LockReq lock_req, bool is_write = false);
 
     /**
      * SHARP-protected access (SecureMode::Sharp).  Hits behave exactly
@@ -184,12 +181,16 @@ class CacheSet
      * No utag / way-predictor or PL-lock modelling on this path (the
      * cache rejects those combinations at construction).
      */
-    SetAccessResult accessSharp(Addr tag, ThreadId thread, bool is_write,
+    SetAccessResult accessSharp(Addr tag, bool is_write,
                                 std::uint32_t domain, bool flagged,
                                 SharpSetEvents &ev);
 
     /** Owning domain of @p way (kNoOwner when unowned or invalid). */
-    std::uint32_t owner(std::uint32_t way) const { return owners_[way]; }
+    std::uint32_t
+    owner(std::uint32_t way) const
+    {
+        return owners_.empty() ? kNoOwner : owners_[way];
+    }
 
     /**
      * Drop @p domain's ownership of the line holding @p tag, if it is
@@ -210,8 +211,7 @@ class CacheSet
      * @pre results.size() >= tags.size()
      */
     void accessBatch(std::span<const Addr> tags,
-                     std::span<SetAccessResult> results,
-                     ThreadId thread = 0);
+                     std::span<SetAccessResult> results);
 
     /**
      * Read/write flavour: @p writes runs parallel to @p tags (non-zero
@@ -222,8 +222,7 @@ class CacheSet
      */
     void accessBatch(std::span<const Addr> tags,
                      std::span<const std::uint8_t> writes,
-                     std::span<SetAccessResult> results,
-                     ThreadId thread = 0);
+                     std::span<SetAccessResult> results);
 
     /**
      * Stats-only flavour of accessBatch for callers that replay a
@@ -231,13 +230,11 @@ class CacheSet
      * measured loops, channel init/decode walks): no per-access results
      * are materialised, only the aggregate tallies.
      */
-    SetBatchStats replayBatch(std::span<const Addr> tags,
-                              ThreadId thread = 0);
+    SetBatchStats replayBatch(std::span<const Addr> tags);
 
     /** Read/write flavour of the stats-only replay. */
     SetBatchStats replayBatch(std::span<const Addr> tags,
-                              std::span<const std::uint8_t> writes,
-                              ThreadId thread = 0);
+                              std::span<const std::uint8_t> writes);
 
     /** Invalidate the line holding @p tag (clflush). @return true if hit */
     bool invalidate(Addr tag);
@@ -259,8 +256,7 @@ class CacheSet
      * Install @p tag without it being a demand access (prefetch fill).
      * Updates the replacement state like any fill.  No-op if present.
      */
-    SetAccessResult prefetchFill(Addr tag, std::uint16_t utag,
-                                 ThreadId thread);
+    SetAccessResult prefetchFill(Addr tag, std::uint16_t utag);
 
     /** Metadata of one way (assembled view). */
     LineState
@@ -269,7 +265,7 @@ class CacheSet
         return LineState{tags_[way],
                          ((valid_mask_ >> way) & 1u) != 0,
                          ((locked_mask_ >> way) & 1u) != 0,
-                         utags_[way], filled_by_[way],
+                         utags_[way],
                          ((dirty_mask_ >> way) & 1u) != 0};
     }
 
@@ -310,7 +306,7 @@ class CacheSet
     }
 
     void fill(std::uint32_t way, Addr tag, bool lock,
-              std::uint16_t utag, ThreadId thread, bool dirty);
+              std::uint16_t utag, bool dirty);
 
     std::uint32_t ways_;
     PlMode pl_mode_;
@@ -321,9 +317,10 @@ class CacheSet
     std::uint32_t dirty_mask_ = 0;    //!< subset of valid_mask_
     std::vector<Addr> tags_;
     std::vector<std::uint16_t> utags_;
-    std::vector<ThreadId> filled_by_;
-    std::vector<std::uint32_t> owners_; //!< SHARP owner per way (kNoOwner
-                                        //!< unless stamped by accessSharp)
+    /** SHARP owner per way (kNoOwner unless stamped by accessSharp).
+     *  Empty until the set's first accessSharp, so only the sets of a
+     *  SHARP cache pay for it; reset() empties it again. */
+    std::vector<std::uint32_t> owners_;
     ReplState repl_;
 };
 

@@ -5,7 +5,18 @@
 
 #include "sim/hierarchy.hpp"
 
+#include <stdexcept>
+
 namespace lruleak::sim {
+
+bool
+sameTopology(HierarchyConfig a, const HierarchyConfig &b)
+{
+    a.l1.seed = b.l1.seed;
+    a.l2.seed = b.l2.seed;
+    a.llc.seed = b.llc.seed;
+    return a == b;
+}
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
     : config_(config),
@@ -194,11 +205,15 @@ CacheHierarchy::steadyL1Hits(std::span<const MemRef> refs) const
 }
 
 void
-CacheHierarchy::reset()
+CacheHierarchy::reset(const HierarchyConfig &config)
 {
-    l1_->reset();
-    l2_->reset();
-    llc_->reset();
+    if (!sameTopology(config_, config))
+        throw std::invalid_argument(
+            "CacheHierarchy::reset: config differs beyond its seeds");
+    config_ = config;
+    l1_->reset(config.l1.seed);
+    l2_->reset(config.l2.seed);
+    llc_->reset(config.llc.seed);
     if (prefetcher_)
         prefetcher_->reset();
 }

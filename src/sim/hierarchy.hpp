@@ -55,9 +55,14 @@ struct HierarchyConfig
     bool l1_way_predictor = false;  //!< AMD utag model
     bool enable_prefetcher = false; //!< attach a stride prefetcher to L1
 
-    /** Member-wise equality (drives the session topology reuse pool). */
     bool operator==(const HierarchyConfig &) const = default;
 };
+
+/**
+ * Equal in everything but the per-level seeds: a CacheHierarchy built
+ * from @p a can be reset(@p b) (the session topology pool's key).
+ */
+bool sameTopology(HierarchyConfig a, const HierarchyConfig &b);
 
 /**
  * The memory system seen by the simulated threads.  Non-inclusive:
@@ -148,7 +153,14 @@ class CacheHierarchy
     const HierarchyConfig &config() const { return config_; }
 
     /** Reset contents, replacement state and counters of all levels. */
-    void reset();
+    void reset() { reset(config_); }
+
+    /**
+     * reset() under @p config's seeds: leaves the hierarchy byte-equal
+     * to a fresh CacheHierarchy(@p config).
+     * @throws std::invalid_argument unless sameTopology(config(), @p config)
+     */
+    void reset(const HierarchyConfig &config);
 
     /** Reset only the performance counters (start of a measured region). */
     void resetCounters();

@@ -19,7 +19,21 @@ coreSeed(std::uint64_t base, std::uint32_t core, std::uint32_t level)
     return base + 0x9e3779b97f4a7c15ULL * (core * 4ULL + level + 1);
 }
 
+/** The shared LLC's seed. */
+std::uint64_t
+llcSeed(std::uint64_t base)
+{
+    return base + 0x51ed2700'51ed2700ULL;
+}
+
 } // namespace
+
+bool
+sameTopology(MultiCoreConfig a, const MultiCoreConfig &b)
+{
+    a.seed = b.seed;
+    return a == b;
+}
 
 MultiCoreHierarchy::MultiCoreHierarchy(const MultiCoreConfig &config)
     : config_(config)
@@ -38,7 +52,7 @@ MultiCoreHierarchy::MultiCoreHierarchy(const MultiCoreConfig &config)
         l2_.push_back(std::make_unique<Cache>(l2));
     }
     CacheConfig llc = config.llc;
-    llc.seed = config.seed + 0x51ed2700'51ed2700ULL;
+    llc.seed = llcSeed(config.seed);
     if (llc.secure == SecureMode::Sharp) {
         // SHARP protection domains on a shared LLC are the cores.
         llc.secure_domains = config.cores;
@@ -332,13 +346,14 @@ MultiCoreHierarchy::auditInclusion() const
 }
 
 void
-MultiCoreHierarchy::reset()
+MultiCoreHierarchy::reset(std::uint64_t seed)
 {
+    config_.seed = seed;
     for (std::uint32_t c = 0; c < cores(); ++c) {
-        l1_[c]->reset();
-        l2_[c]->reset();
+        l1_[c]->reset(coreSeed(seed, c, 0));
+        l2_[c]->reset(coreSeed(seed, c, 1));
     }
-    llc_->reset();
+    llc_->reset(llcSeed(seed));
     back_invalidations_ = 0;
     dirty_writebacks_ = 0;
 }

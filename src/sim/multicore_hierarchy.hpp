@@ -47,9 +47,14 @@ struct MultiCoreConfig
     CacheConfig llc = CacheConfig::intelLlc(); //!< shared inclusive LLC
     std::uint64_t seed = 0; //!< base seed (per-core caches derive theirs)
 
-    /** Member-wise equality (drives the session topology reuse pool). */
     bool operator==(const MultiCoreConfig &) const = default;
 };
+
+/**
+ * Equal in everything but the base seed: a MultiCoreHierarchy built
+ * from @p a can be reset(@p b.seed) (the session topology pool's key).
+ */
+bool sameTopology(MultiCoreConfig a, const MultiCoreConfig &b);
 
 /** Outcome of one multi-core access. */
 struct MultiCoreAccessResult
@@ -154,7 +159,13 @@ class MultiCoreHierarchy
     std::optional<std::string> auditInclusion() const;
 
     /** Reset contents, replacement state and counters of every cache. */
-    void reset();
+    void reset() { reset(config_.seed); }
+
+    /**
+     * reset() under base seed @p seed: leaves the topology byte-equal
+     * to a fresh MultiCoreHierarchy whose config differs only in seed.
+     */
+    void reset(std::uint64_t seed);
 
     /** Reset only the performance counters (start of a measured region). */
     void resetCounters();

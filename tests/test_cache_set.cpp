@@ -22,7 +22,7 @@ makeSet(std::uint32_t ways = 8,
 SetAccessResult
 access(CacheSet &set, Addr tag, LockReq req = LockReq::None)
 {
-    return set.access(tag, 0, false, req, 0);
+    return set.access(tag, 0, false, req);
 }
 
 } // namespace
@@ -86,9 +86,9 @@ TEST(CacheSet, InvalidateRemovesLine)
 TEST(CacheSet, PrefetchFillInstallsAndPromotes)
 {
     auto set = makeSet();
-    const auto fill = set.prefetchFill(5, 0, 0);
+    const auto fill = set.prefetchFill(5, 0);
     EXPECT_TRUE(fill.filled);
-    const auto again = set.prefetchFill(5, 0, 0);
+    const auto again = set.prefetchFill(5, 0);
     EXPECT_TRUE(again.hit);
 }
 
@@ -111,15 +111,6 @@ TEST(CacheSet, CopyIsDeep)
     access(copy, 2);
     EXPECT_TRUE(copy.probe(2).has_value());
     EXPECT_FALSE(set.probe(2).has_value());
-}
-
-TEST(CacheSet, TracksFillingThread)
-{
-    auto set = makeSet();
-    set.access(11, 0, false, LockReq::None, 3);
-    const auto way = set.probe(11);
-    ASSERT_TRUE(way.has_value());
-    EXPECT_EQ(set.line(*way).filled_by, 3u);
 }
 
 // --------------------------------------------------------- lock bits
@@ -215,12 +206,12 @@ TEST(PlCacheSet, FixedExcludesLockedWaysFromVictimSelection)
 TEST(CacheSetUtag, MismatchFlaggedAndRetrained)
 {
     auto set = makeSet();
-    set.access(9, /*utag=*/0xaa, /*check_utag=*/true, LockReq::None, 0);
+    set.access(9, /*utag=*/0xaa, /*check_utag=*/true, LockReq::None);
     // Same tag, different utag: flagged once, then retrained.
-    const auto first = set.access(9, 0xbb, true, LockReq::None, 1);
+    const auto first = set.access(9, 0xbb, true, LockReq::None);
     EXPECT_TRUE(first.hit);
     EXPECT_TRUE(first.utag_mismatch);
-    const auto second = set.access(9, 0xbb, true, LockReq::None, 1);
+    const auto second = set.access(9, 0xbb, true, LockReq::None);
     EXPECT_TRUE(second.hit);
     EXPECT_FALSE(second.utag_mismatch);
 }
@@ -228,8 +219,8 @@ TEST(CacheSetUtag, MismatchFlaggedAndRetrained)
 TEST(CacheSetUtag, NoCheckNoFlag)
 {
     auto set = makeSet();
-    set.access(9, 0xaa, false, LockReq::None, 0);
-    const auto res = set.access(9, 0xbb, false, LockReq::None, 0);
+    set.access(9, 0xaa, false, LockReq::None);
+    const auto res = set.access(9, 0xbb, false, LockReq::None);
     EXPECT_FALSE(res.utag_mismatch);
 }
 

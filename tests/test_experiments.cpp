@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the experiment runners: Table I shapes, Fig. 3/13
- * separability, Table V ordering, Table VI contrasts, Fig. 9 deltas.
+ * separability, Table V ordering, Table VI contrasts, Fig. 9 deltas,
+ * and the worker-count invariance of the time-sliced grids.
  */
 
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "channel/session.hpp"
 #include "core/experiments.hpp"
+#include "experiments/common.hpp"
 
 using namespace lruleak;
 using namespace lruleak::core;
@@ -183,4 +188,48 @@ TEST(ChannelKindNames, AllDistinct)
     EXPECT_EQ(channelKindName(ChannelKind::FrL1), "F+R (L1)");
     EXPECT_EQ(channelKindName(ChannelKind::LruAlg1), "L1 LRU Alg.1");
     EXPECT_EQ(channelKindName(ChannelKind::LruAlg2), "L1 LRU Alg.2");
+}
+
+// ------------------------------------------- time-sliced percent-ones grid
+
+TEST(TimeslicedGrid, CellsIdenticalAtOneAndFourWorkersOneBuildPerWorker)
+{
+    // The Fig. 6 / Fig. 8 / Fig. 15 grids at smoke scale (40 samples).
+    const std::uint64_t fig6_trs[] = {25'000'000, 50'000'000, 100'000'000,
+                                      200'000'000, 400'000'000};
+    const std::uint64_t trs[] = {25'000'000, 100'000'000, 200'000'000,
+                                 400'000'000};
+    const std::uint32_t fig6_ds[] = {1, 2, 3, 4, 5, 6, 7, 8};
+    const std::uint32_t ds[] = {2, 4, 6, 8};
+    struct Grid
+    {
+        timing::Uarch uarch;
+        std::span<const std::uint64_t> trs;
+        std::span<const std::uint32_t> ds;
+        std::uint64_t seed;
+    };
+    const Grid grids[] = {
+        {timing::Uarch::intelXeonE52690(), fig6_trs, fig6_ds, 31},
+        {timing::Uarch::amdEpyc7571(), trs, ds, 51},
+        {timing::Uarch::intelXeonE31245v5(), trs, ds, 61},
+    };
+    for (const Grid &g : grids) {
+        const std::uint64_t before = channel::topologyBuilds();
+        const auto one = experiments::timeslicedGrid(g.uarch, g.trs, g.ds,
+                                                     40, g.seed, 1);
+        const std::uint64_t inline_builds =
+            channel::topologyBuilds() - before;
+        const auto four = experiments::timeslicedGrid(g.uarch, g.trs, g.ds,
+                                                      40, g.seed, 4);
+        const std::uint64_t pooled_builds =
+            channel::topologyBuilds() - before - inline_builds;
+
+        ASSERT_EQ(one.size(), 2 * g.trs.size() * g.ds.size()) << g.uarch.name;
+        EXPECT_EQ(one, four) << g.uarch.name;
+        // Every cell has its own seed, yet each worker builds its
+        // topology once and reseeds it for the rest of its cells.
+        EXPECT_LE(inline_builds, 1u) << g.uarch.name;
+        EXPECT_GE(pooled_builds, 1u) << g.uarch.name;
+        EXPECT_LE(pooled_builds, 4u) << g.uarch.name;
+    }
 }

@@ -239,6 +239,46 @@ TEST(ResultCache, ConcurrentStoresOfOneKeyBothSucceed)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ResultCache, TruncatedOrCorruptedEntriesAreReportedMisses)
+{
+    const std::string dir = processTempDir("lruleak-cache-corrupt");
+    std::filesystem::remove_all(dir);
+    const ResultCache cache(dir, "h");
+    const std::string cut = cache.keyFor("cut", {}, "json");
+    const std::string flip = cache.keyFor("flip", {}, "json");
+    const std::string artifact(4096, 'x');
+    ASSERT_TRUE(cache.store(cut, artifact));
+    ASSERT_TRUE(cache.store(flip, artifact));
+    const auto path = [&](const std::string &key) {
+        return std::filesystem::path(dir) / (key + ".artifact");
+    };
+
+    // Truncate one entry (a writer killed mid-copy) ...
+    std::filesystem::resize_file(
+        path(cut), std::filesystem::file_size(path(cut)) / 2);
+    // ... and flip one bit of the other's artifact bytes (bit rot).
+    {
+        std::fstream f(path(flip),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(100);
+        f.put('x' ^ 0x01);
+    }
+
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(cache.fetch(cut).has_value());
+    EXPECT_FALSE(cache.fetch(flip).has_value());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(cut), std::string::npos) << err;
+    EXPECT_NE(err.find(flip), std::string::npos) << err;
+
+    // A re-store (what a miss leads to) heals the entry.
+    ASSERT_TRUE(cache.store(flip, artifact));
+    const auto healed = cache.fetch(flip);
+    ASSERT_TRUE(healed.has_value());
+    EXPECT_EQ(*healed, artifact);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ResultCache, ResolveCacheDirPrecedence)
 {
     ASSERT_EQ(unsetenv("LRULEAK_CACHE"), 0);

@@ -147,7 +147,7 @@ TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
     std::vector<SetAccessResult> per_results(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const auto res =
-            per_access.access(trace[i], 0, false, LockReq::None, 0);
+            per_access.access(trace[i], 0, false, LockReq::None);
         const auto ref = model.access(trace[i]);
         ASSERT_EQ(res.hit, ref.hit) << "access " << i;
         ASSERT_EQ(res.way, ref.way) << "access " << i;
@@ -299,8 +299,7 @@ TEST_P(WritePathFuzz, ThreePathsAgreeOnDirtyStateAndWritebacks)
     std::vector<SetAccessResult> per_results(kAccesses);
     for (std::size_t i = 0; i < kAccesses; ++i) {
         per_results[i] = per_access.access(tags[i], 0, false,
-                                           LockReq::None, 0,
-                                           writes[i] != 0);
+                                           LockReq::None, writes[i] != 0);
         hits += per_results[i].hit ? 1 : 0;
         fills += per_results[i].filled ? 1 : 0;
         evictions += per_results[i].evicted ? 1 : 0;
@@ -402,8 +401,8 @@ TEST_P(SharpFuzz, SingleOwnerTraceMatchesPlainAccessBitForBit)
     for (std::size_t i = 0; i < kAccesses; ++i) {
         const Addr tag = rng.below(ways * 3 + 1);
         const bool write = rng.chance(1.0 / 3.0);
-        const auto a = plain.access(tag, 0, false, LockReq::None, 0, write);
-        const auto b = sharp.accessSharp(tag, 0, write, /*domain=*/0,
+        const auto a = plain.access(tag, 0, false, LockReq::None, write);
+        const auto b = sharp.accessSharp(tag, write, /*domain=*/0,
                                          /*flagged=*/false, ev);
         ASSERT_EQ(a.hit, b.hit) << "access " << i;
         ASSERT_EQ(a.way, b.way) << "access " << i;
@@ -451,8 +450,8 @@ TEST_P(SharpFuzz, ForeignEvictionImpliesAlarmOrDenial)
         const std::uint32_t valid_before = sharp.validMask();
 
         SharpSetEvents ev;
-        const auto res = sharp.accessSharp(tag, 0, false, domain,
-                                           flagged, ev);
+        const auto res =
+            sharp.accessSharp(tag, false, domain, flagged, ev);
         alarms += ev.alarms;
         forced += ev.forced ? 1 : 0;
         denied += ev.denied ? 1 : 0;
@@ -497,7 +496,7 @@ TEST_P(SharpFuzz, AlarmCountsDeterministicPerSeed)
             const Addr tag = rng.below(ways * 2 + 3);
             const std::uint32_t domain = rng.below(3u);
             SharpSetEvents ev;
-            sharp.accessSharp(tag, 0, false, domain, domain == 2, ev);
+            sharp.accessSharp(tag, false, domain, domain == 2, ev);
             alarms += ev.alarms;
             forced += ev.forced ? 1 : 0;
             denied += ev.denied ? 1 : 0;

@@ -1,11 +1,16 @@
 /**
  * @file
- * Tests for the three-level cache hierarchy.
+ * Tests for the three-level cache hierarchy, and for resetting both
+ * topologies under new seeds.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/hierarchy.hpp"
+#include "sim/multicore_hierarchy.hpp"
 
 using namespace lruleak::sim;
 
@@ -319,4 +324,177 @@ TEST(SteadyHitProbe, RefusesEverySecureMode)
         EXPECT_FALSE(h.l1().steadyHits(refs)) << secureModeName(mode);
         before.expectUnchanged(h);
     }
+}
+
+// ------------------------------------------------- reset under a new seed
+
+namespace {
+
+/** One topology variant: a replacement policy on every level, plus a
+ *  secure mode where sessions put it (DAWG / Random Fill on L1, SHARP
+ *  on the LLC). */
+struct ResetCase
+{
+    ReplPolicyKind policy;
+    SecureMode secure;
+};
+
+std::vector<ResetCase>
+resetCases()
+{
+    std::vector<ResetCase> cases;
+    for (ReplPolicyKind kind : allReplPolicyKinds())
+        cases.push_back({kind, SecureMode::None});
+    for (SecureMode mode :
+         {SecureMode::Dawg, SecureMode::RandomFill, SecureMode::Sharp})
+        cases.push_back({ReplPolicyKind::Random, mode});
+    return cases;
+}
+
+template <typename Config>
+void
+applyCase(Config &config, const ResetCase &c)
+{
+    config.l1.policy = config.l2.policy = config.llc.policy = c.policy;
+    (c.secure == SecureMode::Sharp ? config.llc : config.l1).secure =
+        c.secure;
+}
+
+std::string
+caseName(const ResetCase &c)
+{
+    return std::string(replPolicyName(c.policy)) + "/" +
+           std::string(secureModeName(c.secure));
+}
+
+/** Same-set conflict traffic from three threads, a third of it stores:
+ *  drives evictions, write-backs, Random streams, DAWG partitions,
+ *  Random Fill draws and SHARP ownership. */
+template <typename Access>
+void
+storm(const AddressLayout &l1, std::uint64_t seed, Access &&access)
+{
+    Xoshiro256 rng(seed);
+    for (int i = 0; i < 3000; ++i) {
+        const Addr a = lineInSet(l1, static_cast<std::uint32_t>(rng.below(4)),
+                                 static_cast<std::uint32_t>(rng.below(40)));
+        const auto thread = static_cast<ThreadId>(rng.below(3));
+        access(MemRef{a, a, thread, rng.chance(1.0 / 3.0)});
+    }
+}
+
+void
+expectSameCache(const Cache &a, const Cache &b, const std::string &what)
+{
+    ASSERT_EQ(a.storageSets(), b.storageSets()) << what;
+    for (std::uint32_t s = 0; s < a.storageSets(); ++s)
+        ASSERT_TRUE(a.cacheSet(s) == b.cacheSet(s)) << what << " set " << s;
+    const LevelStats &x = a.counters().total();
+    const LevelStats &y = b.counters().total();
+    EXPECT_EQ(x.accesses, y.accesses) << what;
+    EXPECT_EQ(x.hits, y.hits) << what;
+    EXPECT_EQ(x.writebacks, y.writebacks) << what;
+    EXPECT_EQ(a.sharpAlarmsTotal(), b.sharpAlarmsTotal()) << what;
+    EXPECT_EQ(a.sharpForcedTotal(), b.sharpForcedTotal()) << what;
+}
+
+void
+expectSameHierarchy(const CacheHierarchy &a, const CacheHierarchy &b,
+                    const std::string &what)
+{
+    EXPECT_TRUE(a.config() == b.config()) << what;
+    expectSameCache(a.l1(), b.l1(), what + " L1");
+    expectSameCache(a.l2(), b.l2(), what + " L2");
+    expectSameCache(a.llc(), b.llc(), what + " LLC");
+}
+
+void
+expectSameMultiCore(const MultiCoreHierarchy &a, const MultiCoreHierarchy &b,
+                    const std::string &what)
+{
+    EXPECT_TRUE(a.config() == b.config()) << what;
+    for (std::uint32_t c = 0; c < a.cores(); ++c) {
+        expectSameCache(a.l1(c), b.l1(c), what + " L1." + std::to_string(c));
+        expectSameCache(a.l2(c), b.l2(c), what + " L2." + std::to_string(c));
+    }
+    expectSameCache(a.llc(), b.llc(), what + " LLC");
+    EXPECT_EQ(a.backInvalidations(), b.backInvalidations()) << what;
+    EXPECT_EQ(a.dirtyWritebacks(), b.dirtyWritebacks()) << what;
+}
+
+} // namespace
+
+TEST(HierarchyReset, NewSeedEqualsFreshConstruction)
+{
+    for (const ResetCase &c : resetCases()) {
+        HierarchyConfig old_config;
+        applyCase(old_config, c);
+        old_config.l1.seed = 11;
+        old_config.l2.seed = 12;
+        old_config.llc.seed = 13;
+        HierarchyConfig config = old_config;
+        config.l1.seed = 21;
+        config.l2.seed = 22;
+        config.llc.seed = 23;
+
+        CacheHierarchy used(old_config);
+        const AddressLayout &l1 = used.l1().layout();
+        storm(l1, 1, [&](const MemRef &r) { used.access(r); });
+        ASSERT_TRUE(sameTopology(used.config(), config));
+        used.reset(config);
+        CacheHierarchy fresh(config);
+        expectSameHierarchy(used, fresh, caseName(c));
+
+        // Equal state must keep evolving identically: this also covers
+        // what == cannot see (the Random Fill stream, SHARP counters).
+        storm(l1, 2, [&](const MemRef &r) { used.access(r); });
+        storm(l1, 2, [&](const MemRef &r) { fresh.access(r); });
+        expectSameHierarchy(used, fresh, caseName(c) + " after traffic");
+    }
+}
+
+TEST(HierarchyReset, MultiCoreNewSeedEqualsFreshConstruction)
+{
+    for (const ResetCase &c : resetCases()) {
+        MultiCoreConfig config;
+        config.cores = 3;
+        applyCase(config, c);
+        config.seed = 5;
+
+        MultiCoreHierarchy used(config);
+        const AddressLayout &l1 = used.l1(0).layout();
+        const auto drive = [&](MultiCoreHierarchy &h) {
+            return [&h](const MemRef &r) { h.access(r.thread, r); };
+        };
+        storm(l1, 1, drive(used));
+        config.seed = 6;
+        ASSERT_TRUE(sameTopology(used.config(), config));
+        used.reset(config.seed);
+        MultiCoreHierarchy fresh(config);
+        expectSameMultiCore(used, fresh, caseName(c));
+
+        storm(l1, 2, drive(used));
+        storm(l1, 2, drive(fresh));
+        expectSameMultiCore(used, fresh, caseName(c) + " after traffic");
+    }
+}
+
+TEST(HierarchyReset, TopologyKeyIgnoresOnlySeeds)
+{
+    HierarchyConfig a;
+    HierarchyConfig b = a;
+    b.l1.seed = 99;
+    b.llc.seed = 7;
+    EXPECT_TRUE(sameTopology(a, b));
+    b.l1.policy = ReplPolicyKind::Random;
+    EXPECT_FALSE(sameTopology(a, b));
+    CacheHierarchy h(a);
+    EXPECT_THROW(h.reset(b), std::invalid_argument);
+
+    MultiCoreConfig m;
+    MultiCoreConfig n = m;
+    n.seed = 42;
+    EXPECT_TRUE(sameTopology(m, n));
+    n.cores = 3;
+    EXPECT_FALSE(sameTopology(m, n));
 }

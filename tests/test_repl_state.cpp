@@ -198,7 +198,7 @@ TEST_P(BatchEquivalence, AccessBatchMatchesPerAccessPath)
     a.accessBatch(tags, batch_results);
 
     for (std::size_t i = 0; i < tags.size(); ++i) {
-        const auto res = b.access(tags[i], 0, false, LockReq::None, 0);
+        const auto res = b.access(tags[i], 0, false, LockReq::None);
         ASSERT_EQ(batch_results[i].hit, res.hit) << "access " << i;
         ASSERT_EQ(batch_results[i].way, res.way) << "access " << i;
         ASSERT_EQ(batch_results[i].filled, res.filled) << "access " << i;
@@ -252,7 +252,7 @@ TEST(CacheSetValueSemantics, CopyAssignmentIsDeepAndIndependent)
 {
     CacheSet a(8, ReplState::make(ReplPolicyKind::TreePlru, 8));
     for (Addr t = 0; t < 8; ++t)
-        a.access(t, 0, false, LockReq::None, 0);
+        a.access(t, 0, false, LockReq::None);
 
     CacheSet b(8, ReplState::make(ReplPolicyKind::TreePlru, 8));
     b = a; // the seed deleted this operator
@@ -260,7 +260,7 @@ TEST(CacheSetValueSemantics, CopyAssignmentIsDeepAndIndependent)
     EXPECT_EQ(b.occupancy(), a.occupancy());
 
     // Mutating the copy must not leak back into the original.
-    b.access(99, 0, false, LockReq::None, 0);
+    b.access(99, 0, false, LockReq::None);
     EXPECT_TRUE(b.probe(99).has_value());
     EXPECT_FALSE(a.probe(99).has_value());
     EXPECT_NE(b.repl(), a.repl());

@@ -9,7 +9,8 @@
  *    uarch's name;
  *  - the thread-local topology pool makes a reused (reset) hierarchy
  *    indistinguishable from a freshly constructed one, for both the
- *    single-core and the multi-core topology;
+ *    single-core and the multi-core topology, also when the next
+ *    session changes the seed (the pool ignores seeds and reseeds);
  *  - batch_walks (AccessRun walk batching) preserves the decoded
  *    transmission of every LRU channel.
  */
@@ -175,13 +176,41 @@ TEST(TopologyPool, SurvivesInterleavedTopologies)
 
     const SessionResult smt_a = runSession(smt);
     const SessionResult xcore_a = runSession(xcore);
-    // The cross-core run displaced the single-core pool entry (and vice
-    // versa), so both of these rebuild — results must not change.
+    // The single-core and multi-core pools are separate, so interleaving
+    // does not displace either: both of these reuse — and results must
+    // not change.
+    const std::uint64_t builds = topologyBuilds();
     const SessionResult smt_b = runSession(smt);
     const SessionResult xcore_b = runSession(xcore);
+    EXPECT_EQ(topologyBuilds(), builds);
 
     expectSameSession(smt_a, smt_b);
     expectSameSession(xcore_a, xcore_b);
+}
+
+TEST(TopologyPool, NewSeedReusesAndMatchesFreshThread)
+{
+    // Random replacement makes the seed observable: a pooled topology
+    // that kept its old per-set streams would decode differently.
+    SessionConfig smt = smtConfig();
+    smt.l1_policy = sim::ReplPolicyKind::Random;
+    SessionConfig xcore = xcoreConfig();
+    xcore.llc_policy = sim::ReplPolicyKind::Random;
+    xcore.noise_cores = 1;
+
+    for (SessionConfig config : {smt, xcore}) {
+        runSession(config); // fills this thread's pool
+        config.seed += 1000;
+
+        SessionResult fresh;
+        std::thread worker([&] { fresh = runSession(config); });
+        worker.join();
+
+        const std::uint64_t builds = topologyBuilds();
+        const SessionResult pooled = runSession(config);
+        EXPECT_EQ(topologyBuilds(), builds) << "a new seed must not rebuild";
+        expectSameSession(fresh, pooled);
+    }
 }
 
 // ----------------------------------------------------------- batch walks
