@@ -320,15 +320,15 @@ cmdRun(const std::string &name, const std::vector<std::string> &args)
             core::resolveParams(e->params(), overrides);
         const std::string key =
             cache.keyFor(e->name(), resolved.values(), format);
-        if (const auto artifact = cache.fetch(key)) {
+        core::CacheCounters counters;
+        if (const auto artifact = cache.fetch(key, &counters)) {
             std::cout << *artifact;
-            std::cerr << "cache: 1 hit, 0 miss, 0 skip\n";
-            return 0;
+        } else {
+            const std::string rendered = renderOne(*e, overrides, fmt);
+            cache.store(key, rendered);
+            std::cout << rendered;
         }
-        const std::string rendered = renderOne(*e, overrides, fmt);
-        cache.store(key, rendered);
-        std::cout << rendered;
-        std::cerr << "cache: 0 hit, 1 miss, 0 skip\n";
+        std::cerr << core::cacheSummary(counters) << "\n";
         return 0;
     }
     std::cout << renderOne(*e, overrides, fmt);

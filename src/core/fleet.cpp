@@ -125,13 +125,12 @@ runAllCatalog(const RunAllOptions &options, std::ostream &out,
                 const std::string key = options.cache->keyFor(
                     e->name(), resolved.values(),
                     formatToken(options.format));
-                if (auto artifact = options.cache->fetch(key)) {
+                if (auto artifact =
+                        options.cache->fetch(key, &outcome.cache)) {
                     rendered = std::move(*artifact);
-                    ++outcome.cache.hits;
                 } else {
                     rendered = renderOne(*e, merged, options.format);
                     options.cache->store(key, rendered);
-                    ++outcome.cache.misses;
                 }
             } else {
                 rendered = renderOne(*e, merged, options.format);
@@ -172,9 +171,7 @@ runAllSummary(const RunAllOptions &options, const RunAllOutcome &outcome)
            << options.shard->count << ")";
     if (outcome.failures > 0)
         os << ", " << outcome.failures << " FAILED";
-    os << "; cache: " << outcome.cache.hits << " hit, "
-       << outcome.cache.misses << " miss, " << outcome.cache.skips
-       << " skip";
+    os << "; " << cacheSummary(outcome.cache);
     return os.str();
 }
 

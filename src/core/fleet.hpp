@@ -96,7 +96,7 @@ RunAllOutcome runAllCatalog(const RunAllOptions &options,
                             std::ostream &out, std::ostream &err);
 
 /** The one-line run summary ("ran 12, skipped 19 (shard 0/3); cache:
- *  12 hit, 0 miss, 0 skip"). */
+ *  12 hit, 0 miss, 0 corrupt, 0 skip"). */
 std::string runAllSummary(const RunAllOptions &options,
                           const RunAllOutcome &outcome);
 

@@ -83,15 +83,21 @@ ResultCache::entryPath(const std::string &key) const
 }
 
 std::optional<std::string>
-ResultCache::fetch(const std::string &key) const
+ResultCache::fetch(const std::string &key, CacheCounters *counters) const
 {
+    CacheCounters unused;
+    CacheCounters &count = counters ? *counters : unused;
     std::ifstream in(entryPath(key), std::ios::binary);
-    if (!in)
+    if (!in) {
+        ++count.misses;
         return std::nullopt;
+    }
     std::ostringstream os;
     os << in.rdbuf();
-    if (!in.good() && !in.eof())
+    if (!in.good() && !in.eof()) {
+        ++count.misses;
         return std::nullopt;
+    }
     std::string bytes = os.str();
     const std::string_view view(bytes);
     if (bytes.size() < kTrailerBytes ||
@@ -99,10 +105,12 @@ ResultCache::fetch(const std::string &key) const
             view.substr(bytes.size() - kTrailerBytes)) {
         std::cerr << "cache: entry " << key
                   << " is truncated or corrupt (length/SHA-256 mismatch);"
-                     " treating it as a miss\n";
+                     " not serving it\n";
+        ++count.corrupt;
         return std::nullopt;
     }
     bytes.resize(bytes.size() - kTrailerBytes);
+    ++count.hits;
     return bytes;
 }
 
@@ -139,6 +147,15 @@ ResultCache::store(const std::string &key, const std::string &artifact) const
         return false;
     }
     return true;
+}
+
+std::string
+cacheSummary(const CacheCounters &counters)
+{
+    return "cache: " + std::to_string(counters.hits) + " hit, " +
+           std::to_string(counters.misses) + " miss, " +
+           std::to_string(counters.corrupt) + " corrupt, " +
+           std::to_string(counters.skips) + " skip";
 }
 
 std::string

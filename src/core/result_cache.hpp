@@ -36,10 +36,16 @@ namespace lruleak::core {
 /** What the cache did across one CLI invocation (the run summary). */
 struct CacheCounters
 {
-    std::uint64_t hits = 0;   //!< artifacts served from the store
-    std::uint64_t misses = 0; //!< executed and stored
-    std::uint64_t skips = 0;  //!< executed without cache consultation
+    std::uint64_t hits = 0;    //!< artifacts served from the store
+    std::uint64_t misses = 0;  //!< no entry: executed and stored
+    std::uint64_t corrupt = 0; //!< entry failed its trailer check:
+                               //!< executed and stored over it
+    std::uint64_t skips = 0;   //!< executed without cache consultation
 };
+
+/** The counters as the CLI prints them on stderr ("cache: 12 hit,
+ *  0 miss, 0 corrupt, 0 skip"). */
+std::string cacheSummary(const CacheCounters &counters);
 
 class ResultCache
 {
@@ -65,11 +71,14 @@ class ResultCache
                        std::string_view format) const;
 
     /**
-     * The stored artifact, or nullopt on a miss / unreadable entry.  An
-     * entry whose length + SHA-256 trailer does not match its bytes
-     * (truncated, corrupted) is a miss too, reported on stderr.
+     * The stored artifact, or nullopt when there is none or it cannot
+     * be served.  An entry whose length + SHA-256 trailer does not
+     * match its bytes (truncated, corrupted) is reported on stderr.
+     * With @p counters, the lookup is counted there as a hit, a miss
+     * or a corrupt entry.
      */
-    std::optional<std::string> fetch(const std::string &key) const;
+    std::optional<std::string>
+    fetch(const std::string &key, CacheCounters *counters = nullptr) const;
 
     /**
      * Store an artifact under @p key, followed by a trailer of its

@@ -581,7 +581,6 @@ LowestClock::begin(Engine &engine, std::span<const unsigned> threads)
     // Partition the thread set by core, ascending core id, preserving
     // spec order within a core.
     children_.clear();
-    leaves_.clear();
     std::vector<std::uint32_t> core_ids;
     for (unsigned t : threads) {
         const std::uint32_t core = engine.thread(t).core;
@@ -617,12 +616,13 @@ LowestClock::begin(Engine &engine, std::span<const unsigned> threads)
             }
         }
         if (child == nullptr) {
-            leaves_.push_back(std::make_unique<RoundRobinSmt>());
-            child = leaves_.back().get();
+            for (unsigned t : group)
+                children_.push_back(Child{nullptr, t});
+            continue;
         }
         child->onNested();
         child->begin(engine, group);
-        children_.push_back(Child{core, child});
+        children_.push_back(Child{child, 0});
     }
 }
 
@@ -630,14 +630,26 @@ LowestClock::Pick
 LowestClock::pick(const Engine &engine) const
 {
     // Step the core whose next event is earliest (ties toward the
-    // lowest core id).
+    // lowest core id; within a core, toward spec order).  A bare thread
+    // is runnable while live and below max_cycles, like a RoundRobinSmt
+    // child.
+    const bool bare_runnable = engine.now() < engine.config().max_cycles;
     Pick best{children_.size(), 0};
     for (std::size_t i = 0; i < children_.size(); ++i) {
-        const auto t = children_[i].policy->nextEventTime(engine);
-        if (!t)
+        const Child &child = children_[i];
+        std::uint64_t time = 0;
+        if (child.policy == nullptr) {
+            const Engine::Thread &ctx = engine.thread(child.thread);
+            if (!bare_runnable || ctx.done)
+                continue;
+            time = ctx.clock;
+        } else if (const auto next = child.policy->nextEventTime(engine)) {
+            time = *next;
+        } else {
             continue;
-        if (best.index == children_.size() || *t < best.time)
-            best = Pick{i, *t};
+        }
+        if (best.index == children_.size() || time < best.time)
+            best = Pick{i, time};
     }
     return best;
 }
@@ -657,7 +669,11 @@ LowestClock::step(Engine &engine)
     const Pick best = pick(engine);
     if (best.index == children_.size())
         return false;
-    return children_[best.index].policy->step(engine);
+    const Child &child = children_[best.index];
+    if (child.policy != nullptr)
+        return child.policy->step(engine);
+    engine.stepClockThread(child.thread);
+    return true;
 }
 
 // ---------------------------------------------------------------- noise

@@ -25,10 +25,11 @@
  * Policies nest: LowestClock arbitrates *cores* and delegates each
  * core's intra-core schedule to a child policy — a RoundRobinSmt child
  * models a hyperthread pair on one core of a multi-core system, a
- * TimeSlice child models an OS time-slicing that core.  Cores without
- * an explicit child get a single-context leaf.  That composability is
- * what opens the combined-scenario matrix (`xcore_timesliced`,
- * `smt_multicore_traces`) without a fourth hand-rolled scheduler.
+ * TimeSlice child models an OS time-slicing that core.  The threads of
+ * a core without an explicit child step on their own private clocks.
+ * That composability is what opens the combined-scenario matrix
+ * (`xcore_timesliced`, `smt_multicore_traces`) without a fourth
+ * hand-rolled scheduler.
  *
  * Determinism: one engine-owned Xoshiro256 stream drives op jitter,
  * measurement noise and kernel bursts; the stepping order is a pure
@@ -401,13 +402,13 @@ class TimeSlice final : public ArbitrationPolicy
 };
 
 /**
- * Cross-core arbitration: each core runs its threads under a child
- * policy (explicitly nested, or a single-context RoundRobinSmt leaf by
- * default), and the engine always steps the core whose next event is
- * earliest (ties toward the lowest core id).  Every core makes progress
- * at hardware speed, the interleaving at the shared level is fine-
- * grained and phase-drifting, and the whole run is deterministic for a
- * given seed.
+ * Cross-core arbitration: each core runs its threads under an
+ * explicitly nested child policy, or by default on their private
+ * clocks as RoundRobinSmt would, and the engine always steps the core
+ * whose next event is earliest (ties toward the lowest core id, then
+ * spec order).  Every core makes progress at hardware speed, the
+ * interleaving at the shared level is fine-grained and phase-drifting,
+ * and the whole run is deterministic for a given seed.
  */
 class LowestClock final : public ArbitrationPolicy
 {
@@ -415,9 +416,10 @@ class LowestClock final : public ArbitrationPolicy
     LowestClock() = default;
 
     /**
-     * Nest a child policy for one core's thread group.  Cores without
-     * an explicit child get a RoundRobinSmt leaf (for a single bound
-     * thread that degenerates to plain private-clock stepping).
+     * Nest a child policy for one core's thread group.  The threads of
+     * a core without one are arbitrated directly: the live thread with
+     * the lowest private clock steps, until max_cycles — what a
+     * RoundRobinSmt child would do, without a child per core.
      */
     void nest(std::uint32_t core,
               std::unique_ptr<ArbitrationPolicy> child);
@@ -430,6 +432,14 @@ class LowestClock final : public ArbitrationPolicy
     bool step(Engine &engine) override;
 
   private:
+    /** A nested core policy, or (policy == nullptr) one thread of a
+     *  core with none. */
+    struct Child
+    {
+        ArbitrationPolicy *policy = nullptr;
+        unsigned thread = 0; //!< engine thread index of a bare thread
+    };
+
     /** Child with the earliest next event (and that time), or
      *  index == children_.size() when nothing is runnable. */
     struct Pick
@@ -439,17 +449,10 @@ class LowestClock final : public ArbitrationPolicy
     };
     Pick pick(const Engine &engine) const;
 
-    struct Child
-    {
-        std::uint32_t core = 0;
-        ArbitrationPolicy *policy = nullptr;
-    };
-
     /** Explicitly nested per-core policies, in nest() order. */
     std::vector<std::pair<std::uint32_t,
                           std::unique_ptr<ArbitrationPolicy>>> nested_;
-    std::vector<std::unique_ptr<ArbitrationPolicy>> leaves_; //!< implicit
-    std::vector<Child> children_; //!< active groups, ascending core id
+    std::vector<Child> children_; //!< ascending core id, then spec order
 };
 
 // ------------------------------------------------------ noise programs

@@ -147,7 +147,7 @@ class TraceReplay final : public Experiment
                 : workload::loadTrace(trace_path));
         std::uint64_t stores = 0;
         for (const auto &r : trace->records)
-            stores += r.is_write ? 1 : 0;
+            stores += r.isWrite() ? 1 : 0;
         const double store_frac =
             trace->empty() ? 0.0
                            : static_cast<double>(stores) /

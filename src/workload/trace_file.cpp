@@ -25,7 +25,8 @@ constexpr char kMagic[4] = {'L', 'R', 'U', 'T'};
 constexpr std::uint8_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kRecordBytes = 8;
-constexpr sim::Addr kWriteBit = sim::Addr{1} << 63;
+// The shortest text line that holds a record: `R 0\n`.
+constexpr std::size_t kMinRecordLine = 4;
 
 // istream::read only comes back short at the end of the stream, so
 // with whole records per chunk no record straddles two chunks.
@@ -211,6 +212,42 @@ parseLine(std::string_view line, std::size_t lineno, TraceFile &trace)
     trace.records.push_back(TraceRecord{addr, op == "W"});
 }
 
+/**
+ * At most how many records the text from the read position of @p in
+ * to its end can hold: its line count, and no more than lines of
+ * kMinRecordLine bytes would fill, so a file of blank lines does not
+ * size a large array.  Read in one pass through @p reader that rewinds
+ * @p in afterwards; 0 when the stream cannot seek.
+ */
+std::size_t
+textRecordBound(std::istream &in, ChunkReader &reader,
+                const std::string &source)
+{
+    const std::streampos start = in.tellg();
+    if (start < 0)
+        return 0;
+    std::size_t lines = 0;
+    std::size_t bytes = 0;
+    char last = '\n';
+    for (std::string_view chunk = reader.next(); !chunk.empty();
+         chunk = reader.next()) {
+        bytes += chunk.size();
+        last = chunk.back();
+        while (const void *nl =
+                   std::memchr(chunk.data(), '\n', chunk.size())) {
+            ++lines;
+            chunk.remove_prefix(
+                static_cast<const char *>(nl) - chunk.data() + 1);
+        }
+    }
+    if (last != '\n') // a last line with no newline
+        ++lines;
+    in.clear();
+    if (!in.seekg(start))
+        throw std::runtime_error("cannot rewind trace " + source);
+    return std::min(lines, (bytes + 1) / kMinRecordLine);
+}
+
 /** Bytes from the read position to the end of @p in, or -1 when the
  *  stream cannot seek. */
 std::streamoff
@@ -227,12 +264,21 @@ remainingBytes(std::istream &in)
 
 } // namespace
 
+void
+TraceRecord::throwAddrOutOfRange(sim::Addr addr)
+{
+    throw std::out_of_range("trace address 0x" + hex(addr) +
+                            " is above the 63-bit limit 0x" +
+                            hex(kTraceAddrMax));
+}
+
 TraceFile
 parseTextTrace(std::istream &in, const std::string &source)
 {
     TraceFile trace;
     trace.source = source;
     ChunkReader reader(in);
+    trace.records.reserve(textRecordBound(in, reader, source));
     std::string carry; // a line begun in an earlier chunk
     std::size_t lineno = 0;
     for (std::string_view chunk = reader.next(); !chunk.empty();
@@ -295,10 +341,9 @@ parseBinaryTrace(std::istream &in, const std::string &source)
             badTrace(source, "truncated at record " + std::to_string(i) +
                                  " of " + std::to_string(count));
         }
-        const std::uint64_t packed = readLe64(chunk.data());
-        chunk.remove_prefix(kRecordBytes);
         trace.records.push_back(
-            TraceRecord{packed & ~kWriteBit, (packed & kWriteBit) != 0});
+            TraceRecord::fromBits(readLe64(chunk.data())));
+        chunk.remove_prefix(kRecordBytes);
     }
     if (!chunk.empty() || !reader.next().empty())
         badTrace(source, "trailing bytes after the last record");
@@ -326,11 +371,11 @@ saveTextTrace(const TraceFile &trace, const std::string &path)
     ChunkWriter out(path, std::ios::out);
     for (const TraceRecord &r : trace.records) {
         char *p = out.room(4 + 16 + 1);
-        *p++ = r.is_write ? 'W' : 'R';
+        *p++ = r.isWrite() ? 'W' : 'R';
         *p++ = ' ';
         *p++ = '0';
         *p++ = 'x';
-        p = std::to_chars(p, p + 16, r.addr, 16).ptr;
+        p = std::to_chars(p, p + 16, r.addr(), 16).ptr;
         *p++ = '\n';
         out.commit(p);
     }
@@ -346,15 +391,8 @@ saveBinaryTrace(const TraceFile &trace, const std::string &path)
     const char version_pad[4] = {static_cast<char>(kVersion), 0, 0, 0};
     p = std::copy(std::begin(version_pad), std::end(version_pad), p);
     out.commit(writeLe64(p, trace.records.size()));
-    for (const TraceRecord &r : trace.records) {
-        if (r.addr > kTraceAddrMax) {
-            throw std::runtime_error(
-                "address does not fit the binary trace format: 0x" +
-                hex(r.addr));
-        }
-        out.commit(writeLe64(out.room(kRecordBytes),
-                             r.addr | (r.is_write ? kWriteBit : 0)));
-    }
+    for (const TraceRecord &r : trace.records)
+        out.commit(writeLe64(out.room(kRecordBytes), r.bits()));
     out.finish();
 }
 

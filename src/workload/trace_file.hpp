@@ -23,6 +23,14 @@
  *           (simulator addresses stay far below it) — 8 bytes per
  *           access for traces with millions of records.
  *
+ * In memory a record IS the LRUT record: one u64, the address in bits
+ * 0-62 and the write flag in bit 63, so a loaded trace costs 8 bytes
+ * per access whichever format it came from.  A load sizes the record
+ * array once, before parsing: the binary loader from the header count
+ * (capped by what the body holds), the text loader from a line count
+ * taken in a first pass over a seekable stream (an unseekable one
+ * grows the array as it parses).
+ *
  * Loading sniffs the magic, so callers never pass a format flag.  Both
  * loaders reject malformed input with error messages naming the
  * offending line/offset; round-tripping either format preserves the
@@ -43,26 +51,63 @@
 
 namespace lruleak::workload {
 
-/** One replayable access: an address and a load/store direction. */
-struct TraceRecord
+/** Highest address a trace record can carry (bit 63 is the write
+ *  flag). */
+inline constexpr sim::Addr kTraceAddrMax = ~(sim::Addr{1} << 63);
+
+/** One replayable access, an address and a load/store direction,
+ *  packed like an LRUT record: the write flag in bit 63. */
+class TraceRecord
 {
-    sim::Addr addr = 0;
-    bool is_write = false;
+  public:
+    constexpr TraceRecord() = default;
+
+    /** Throws std::out_of_range when @p addr is above kTraceAddrMax: a
+     *  record never truncates an address. */
+    constexpr TraceRecord(sim::Addr addr, bool is_write)
+        // A shift, not a select: GCC turns `is_write ? bit : 0` into a
+        // branch, which a random store mix mispredicts.
+        : bits_(addr | std::uint64_t{is_write} << 63)
+    {
+        if (addr > kTraceAddrMax)
+            throwAddrOutOfRange(addr);
+    }
+
+    /** The record an LRUT body stores as @p bits (every u64 is one). */
+    static constexpr TraceRecord
+    fromBits(std::uint64_t bits)
+    {
+        TraceRecord r;
+        r.bits_ = bits;
+        return r;
+    }
+
+    constexpr sim::Addr addr() const { return bits_ & kTraceAddrMax; }
+    constexpr bool isWrite() const { return (bits_ >> 63) != 0; }
+    /** The packed form, as the binary format stores it. */
+    constexpr std::uint64_t bits() const { return bits_; }
 
     /** As a MemRef issued by @p thread (same VA/PA, like the synthetic
      *  generators). */
     constexpr sim::MemRef
     ref(sim::ThreadId thread = 0) const
     {
-        return sim::MemRef{addr, addr, thread, is_write};
+        return sim::MemRef{addr(), addr(), thread, isWrite()};
     }
 
     friend constexpr bool
     operator==(const TraceRecord &a, const TraceRecord &b)
     {
-        return a.addr == b.addr && a.is_write == b.is_write;
+        return a.bits_ == b.bits_;
     }
+
+  private:
+    [[noreturn]] static void throwAddrOutOfRange(sim::Addr addr);
+
+    std::uint64_t bits_ = 0;
 };
+
+static_assert(sizeof(TraceRecord) == 8);
 
 /** An ordered access sequence plus where it came from. */
 struct TraceFile
@@ -74,15 +119,13 @@ struct TraceFile
     std::size_t size() const { return records.size(); }
 };
 
-/** Highest address the binary format can carry (bit 63 is the write
- *  flag). */
-inline constexpr sim::Addr kTraceAddrMax = ~(sim::Addr{1} << 63);
-
 /** Bytes a trace read or write moves per block. */
 inline constexpr std::size_t kTraceIoChunk = 64 * 1024;
 
 /** Parse the text format from a stream.  @p source names the input in
- *  error messages.  Throws std::runtime_error on malformed lines. */
+ *  error messages.  A seekable stream is read twice: once to count its
+ *  lines, which sizes the record array, then to parse.  Throws
+ *  std::runtime_error on malformed lines. */
 TraceFile parseTextTrace(std::istream &in, const std::string &source);
 
 /** Parse the binary format ("LRUT") from a stream.  Throws
@@ -101,8 +144,7 @@ TraceFile loadTrace(const std::string &path);
 /** Write the text format.  Throws std::runtime_error on I/O failure. */
 void saveTextTrace(const TraceFile &trace, const std::string &path);
 
-/** Write the binary format.  Throws std::runtime_error on I/O failure
- *  or an address above kTraceAddrMax. */
+/** Write the binary format.  Throws std::runtime_error on I/O failure. */
 void saveBinaryTrace(const TraceFile &trace, const std::string &path);
 
 /**

@@ -240,6 +240,52 @@ TEST(LowestClock, DefaultLeavesMatchCoreOrder)
     EXPECT_GE(c.stamps_.size(), 499u);
 }
 
+TEST(LowestClock, BareThreadsStepLikeExplicitRoundRobinChildren)
+{
+    // Cores without a nested policy step their threads inline; that
+    // must replay exactly what an explicit RoundRobinSmt child per core
+    // does: same op order (ties toward the lower core, then spec
+    // order), same stop at max_cycles, beside a nested TimeSlice core.
+    struct Run
+    {
+        std::vector<std::vector<std::uint64_t>> stamps;
+        std::uint64_t now = 0;
+    };
+    const auto run = [](bool explicit_children) {
+        sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 4});
+        sim::MultiCorePort port(h);
+        LowestClock policy;
+        if (explicit_children) {
+            for (std::uint32_t core : {0u, 1u, 3u})
+                policy.nest(core, std::make_unique<RoundRobinSmt>());
+        }
+        policy.nest(2, std::make_unique<TimeSlice>(quietSlices(3'000)));
+        EngineConfig ec;
+        ec.max_cycles = 60'000;
+        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+
+        std::vector<StampingProgram> programs;
+        for (sim::Addr a : {0x1000, 0x1000, 0x2040, 0x3080, 0x4000, 0x50c0})
+            programs.emplace_back(a, 1'000'000);
+        const ThreadSpec specs[] = {{&programs[0], 3}, {&programs[1], 0},
+                                    {&programs[2], 0}, {&programs[3], 1},
+                                    {&programs[4], 2}, {&programs[5], 0}};
+        Run out;
+        out.now = engine.run(specs, /*primary=*/2);
+        for (const auto &p : programs)
+            out.stamps.push_back(p.stamps_);
+        return out;
+    };
+    const Run bare = run(false);
+    const Run nested = run(true);
+    EXPECT_EQ(bare.now, nested.now);
+    EXPECT_GE(bare.now, 60'000u); // stopped by max_cycles
+    for (std::size_t i = 0; i < bare.stamps.size(); ++i) {
+        EXPECT_GT(bare.stamps[i].size(), 0u) << "thread " << i;
+        EXPECT_EQ(bare.stamps[i], nested.stamps[i]) << "thread " << i;
+    }
+}
+
 TEST(Engine, DeterministicForSeed)
 {
     auto run = [](std::uint64_t seed) {

@@ -14,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -265,11 +268,21 @@ TEST(ResultCache, TruncatedOrCorruptedEntriesAreReportedMisses)
     }
 
     testing::internal::CaptureStderr();
-    EXPECT_FALSE(cache.fetch(cut).has_value());
-    EXPECT_FALSE(cache.fetch(flip).has_value());
+    CacheCounters counters;
+    EXPECT_FALSE(cache.fetch(cut, &counters).has_value());
+    EXPECT_FALSE(cache.fetch(flip, &counters).has_value());
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find(cut), std::string::npos) << err;
     EXPECT_NE(err.find(flip), std::string::npos) << err;
+    // Counted apart from plain misses.
+    EXPECT_FALSE(
+        cache.fetch(cache.keyFor("absent", {}, "json"), &counters)
+            .has_value());
+    EXPECT_EQ(counters.corrupt, 2u);
+    EXPECT_EQ(counters.misses, 1u);
+    EXPECT_EQ(counters.hits, 0u);
+    EXPECT_EQ(cacheSummary(counters),
+              "cache: 0 hit, 1 miss, 2 corrupt, 0 skip");
 
     // A re-store (what a miss leads to) heals the entry.
     ASSERT_TRUE(cache.store(flip, artifact));
@@ -292,29 +305,122 @@ TEST(ResultCache, ResolveCacheDirPrecedence)
 
 // --------------------------- the real catalog, sharded and cached
 
+namespace fs = std::filesystem;
+
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+void
+writeFile(const fs::path &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/** An exclusive flock() on @p path, held for the object's lifetime. */
+class FileLock
+{
+  public:
+    explicit FileLock(const fs::path &path)
+        : fd_(::open(path.c_str(), O_CREAT | O_RDWR, 0644))
+    {
+        if (fd_ < 0 || ::flock(fd_, LOCK_EX) != 0)
+            throw std::runtime_error("cannot lock " + path.string());
+    }
+    ~FileLock() { ::close(fd_); }
+    FileLock(const FileLock &) = delete;
+    FileLock &operator=(const FileLock &) = delete;
+
+  private:
+    int fd_;
+};
+
+/** Where this test binary shares results between its processes: under
+ *  the build's test stash, keyed by the binary's size and mtime so a
+ *  rebuilt binary never reads a stale entry. */
+fs::path
+stashFor(const std::string &name)
+{
+    const fs::path exe = fs::read_symlink("/proc/self/exe");
+    return fs::path(LRULEAK_TEST_STASH_DIR) /
+           (name + "-" + std::to_string(fs::file_size(exe)) + "-" +
+            std::to_string(static_cast<std::uint64_t>(
+                fs::last_write_time(exe).time_since_epoch().count())));
+}
+
 /**
  * One unsharded smoke-scale pass over the real registry (populating a
  * cache), then shard sweeps for several N replaying from that cache.
  * Everything downstream compares against `all`.
+ *
+ * ctest runs every case in its own process, so the cold pass is
+ * stashed: the first process to take the stash lock runs it and
+ * leaves the store, the document, the stderr text and the outcome
+ * there, and the other cases read them.  The ctest fixture
+ * `test_stash_reset` empties the stash first, so a suite run makes the
+ * pass once.  Every case copies the store into a directory of its own.
  */
 class FleetCatalogTest : public ::testing::Test
 {
   protected:
+    static constexpr const char *kBinary = "fleet-test-binary";
+
     static void
     SetUpTestSuite()
     {
+        const fs::path stash = stashFor("fleet-catalog");
+        fs::create_directories(stash.parent_path());
+        {
+            const FileLock lock(stash.string() + ".lock");
+            if (!fs::exists(stash))
+                runColdPass(stash);
+        }
         cache_dir_ = processTempDir("lruleak-fleet-cache");
-        std::filesystem::remove_all(cache_dir_);
-        cache_ = new ResultCache(cache_dir_, "fleet-test-binary");
+        fs::remove_all(cache_dir_);
+        fs::create_directories(cache_dir_);
+        if (fs::exists(stash / "store"))
+            fs::copy(stash / "store", cache_dir_);
+        cache_ = new ResultCache(cache_dir_, kBinary);
+        all_ = readFile(stash / "all.json");
+        errors_ = readFile(stash / "errors.txt");
+        std::istringstream counts(readFile(stash / "outcome"));
+        counts >> outcome_.ran >> outcome_.skipped >> outcome_.failures >>
+            outcome_.cache.hits >> outcome_.cache.misses >>
+            outcome_.cache.corrupt >> outcome_.cache.skips;
+    }
 
+    /** The cold pass into a fresh store, written beside @p stash and
+     *  renamed into place. */
+    static void
+    runColdPass(const fs::path &stash)
+    {
+        const fs::path fresh = stash.string() + ".tmp";
+        fs::remove_all(fresh);
+        fs::create_directories(fresh);
+        ResultCache cache((fresh / "store").string(), kBinary);
         RunAllOptions options;
         options.format = OutputFormat::Json;
         options.smoke = true;
-        options.cache = cache_;
+        options.cache = &cache;
         std::ostringstream out, err;
-        outcome_ = runAllCatalog(options, out, err);
-        all_ = out.str();
-        errors_ = err.str();
+        const RunAllOutcome outcome = runAllCatalog(options, out, err);
+        writeFile(fresh / "all.json", out.str());
+        writeFile(fresh / "errors.txt", err.str());
+        writeFile(fresh / "outcome",
+                  std::to_string(outcome.ran) + " " +
+                      std::to_string(outcome.skipped) + " " +
+                      std::to_string(outcome.failures) + " " +
+                      std::to_string(outcome.cache.hits) + " " +
+                      std::to_string(outcome.cache.misses) + " " +
+                      std::to_string(outcome.cache.corrupt) + " " +
+                      std::to_string(outcome.cache.skips));
+        fs::rename(fresh, stash);
     }
 
     static void
@@ -357,6 +463,7 @@ TEST_F(FleetCatalogTest, UnshardedPassRanEverythingCold)
     EXPECT_EQ(outcome_.ran, Registry::instance().size());
     EXPECT_EQ(outcome_.cache.misses, Registry::instance().size());
     EXPECT_EQ(outcome_.cache.hits, 0u);
+    EXPECT_EQ(outcome_.cache.corrupt, 0u);
     EXPECT_EQ(outcome_.cache.skips, 0u);
 }
 
@@ -379,6 +486,7 @@ TEST_F(FleetCatalogTest, ShardUnionIsByteIdenticalForManyCounts)
             // Warm cache: the shard replays, it never re-executes.
             EXPECT_EQ(outcome.cache.hits, outcome.ran);
             EXPECT_EQ(outcome.cache.misses, 0u);
+            EXPECT_EQ(outcome.cache.corrupt, 0u);
             ran += outcome.ran;
             documents.push_back(out.str());
         }
@@ -403,7 +511,51 @@ TEST_F(FleetCatalogTest, WarmCacheRerunIsByteIdenticalWithZeroExecutions)
                   std::to_string(Registry::instance().size()) +
                   ", skipped 0; cache: " +
                   std::to_string(Registry::instance().size()) +
-                  " hit, 0 miss, 0 skip");
+                  " hit, 0 miss, 0 corrupt, 0 skip");
+}
+
+TEST_F(FleetCatalogTest, CorruptEntryIsCountedApartFromMisses)
+{
+    // Flip one artifact byte of a cheap experiment's entry: the re-run
+    // reports it, counts it as corrupt (not as a miss), re-executes it
+    // to the same bytes and stores it back.
+    const Experiment *e = Registry::instance().find("tab2_cache_latency");
+    ASSERT_NE(e, nullptr);
+    const std::string key = cache_->keyFor(
+        e->name(), resolveParams(e->params(), e->smokeParams()).values(),
+        "json");
+    const fs::path entry = fs::path(cache_dir_) / (key + ".artifact");
+    ASSERT_TRUE(fs::exists(entry));
+    {
+        std::fstream f(entry,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(1);
+        const char c = static_cast<char>(f.get());
+        f.seekp(1);
+        f.put(static_cast<char>(c ^ 0x01));
+    }
+
+    RunAllOptions options;
+    options.format = OutputFormat::Json;
+    options.smoke = true;
+    options.cache = cache_;
+    const auto size = Registry::instance().size();
+    for (const std::uint64_t corrupt : {1u, 0u}) {
+        std::ostringstream out;
+        testing::internal::CaptureStderr();
+        const auto outcome = runAllCatalog(options, out, std::cerr);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(out.str(), all_);
+        EXPECT_EQ(outcome.cache.hits, size - corrupt);
+        EXPECT_EQ(outcome.cache.misses, 0u);
+        EXPECT_EQ(outcome.cache.corrupt, corrupt);
+        EXPECT_EQ(err.find(key) != std::string::npos, corrupt == 1) << err;
+        EXPECT_EQ(runAllSummary(options, outcome),
+                  "run-all: ran " + std::to_string(size) +
+                      ", skipped 0; cache: " +
+                      std::to_string(size - corrupt) + " hit, 0 miss, " +
+                      std::to_string(corrupt) + " corrupt, 0 skip");
+    }
 }
 
 TEST_F(FleetCatalogTest, RebuiltBinaryMissesEveryEntry)

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,13 @@ fileBytes(const std::string &path)
     return os.str();
 }
 
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 /** A stringbuf that refuses to seek, as a pipe does. */
 class UnseekableBuf : public std::stringbuf
 {
@@ -93,7 +101,11 @@ class UnseekableBuf : public std::stringbuf
 
 TEST(TraceFile, TextRoundTripPreservesRecords)
 {
-    const auto trace = workload::generateTrace("gccmix", 2000, 7, 0.3);
+    auto trace = workload::generateTrace("gccmix", 2000, 7, 0.3);
+    // Edge addresses, as loads and as stores.
+    trace.records.push_back(TraceRecord{0, true});
+    trace.records.push_back(TraceRecord{workload::kTraceAddrMax, false});
+    trace.records.push_back(TraceRecord{workload::kTraceAddrMax, true});
     const std::string path = tempPath("rt.trace");
     workload::saveTextTrace(trace, path);
     const TraceFile loaded = workload::loadTrace(path);
@@ -290,7 +302,7 @@ TEST(TraceFile, TextParserRejectsSignsAndAddressesPastTheBinaryLimit)
     const TraceFile trace = workload::parseTextTrace(in, "inline");
     ASSERT_EQ(trace.size(), 3u);
     for (const TraceRecord &r : trace.records)
-        EXPECT_EQ(r.addr, workload::kTraceAddrMax);
+        EXPECT_EQ(r.addr(), workload::kTraceAddrMax);
     const std::string path = tempPath("max.bintrace");
     workload::saveBinaryTrace(trace, path);
     EXPECT_EQ(workload::loadTrace(path).records, trace.records);
@@ -370,6 +382,118 @@ TEST(TraceFile, BinaryParserReadsUnseekableStreams)
                  std::runtime_error);
 }
 
+// ------------------------------------------------------ memory contract
+
+TEST(TraceFile, RecordIsThePackedLrutRecord)
+{
+    static_assert(sizeof(TraceRecord) == 8);
+    EXPECT_EQ((TraceRecord{0x1234, false}).bits(), 0x1234u);
+    EXPECT_EQ((TraceRecord{0x1234, true}).bits(),
+              0x1234u | (std::uint64_t{1} << 63));
+    EXPECT_EQ((TraceRecord{workload::kTraceAddrMax, true}).bits(),
+              ~std::uint64_t{0});
+    const TraceRecord max = TraceRecord::fromBits(~std::uint64_t{0});
+    EXPECT_EQ(max.addr(), workload::kTraceAddrMax);
+    EXPECT_TRUE(max.isWrite());
+    EXPECT_EQ(max.ref(3).paddr, workload::kTraceAddrMax);
+    EXPECT_TRUE(max.ref(3).is_write);
+    EXPECT_EQ(max.ref(3).thread, 3u);
+}
+
+TEST(TraceFile, RecordBuilderRejectsAddressesPastTheLimit)
+{
+    for (const sim::Addr addr :
+         {workload::kTraceAddrMax + 1, ~sim::Addr{0}}) {
+        for (const bool is_write : {false, true}) {
+            try {
+                (void)TraceRecord(addr, is_write);
+                ADD_FAILURE() << "accepted 0x" << std::hex << addr;
+            } catch (const std::out_of_range &e) {
+                EXPECT_NE(std::string(e.what()).find("above the 63-bit"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    TraceFile trace;
+    EXPECT_THROW(trace.records.emplace_back(workload::kTraceAddrMax + 1,
+                                            true),
+                 std::out_of_range);
+    EXPECT_TRUE(trace.empty());
+}
+
+TEST(TraceFile, SeekableTextLoadSizesTheRecordsOnce)
+{
+    // More than a chunk of text, with comment, blank and CRLF lines.
+    // Grown by doubling, 5000 records would end at a capacity of 8192;
+    // sized from the line count, the array is allocated once and never
+    // exceeds the lines.
+    const auto trace = workload::generateTrace("gccmix", 5000, 21, 0.5);
+    std::string text = "# comment\r\n\r\n";
+    std::size_t lines = 2;
+    for (const TraceRecord &r : trace.records) {
+        text += (r.isWrite() ? "W " : "R ") + std::to_string(r.addr()) +
+                (lines % 3 == 0 ? "\r\n" : "\n");
+        ++lines;
+    }
+    text += "  # trailing comment";
+    ++lines;
+    ASSERT_GT(text.size(), kChunk);
+
+    std::istringstream in(text);
+    const TraceFile parsed = workload::parseTextTrace(in, "inline");
+    EXPECT_EQ(parsed.records, trace.records);
+    EXPECT_LE(parsed.records.capacity(), lines);
+
+    const std::string path = tempPath("sized.trace");
+    writeBytes(path, text);
+    const TraceFile loaded = workload::loadTrace(path);
+    EXPECT_EQ(loaded.records, trace.records);
+    EXPECT_LE(loaded.records.capacity(), lines);
+
+    // Records only: the capacity is exactly the record count, a last
+    // line without a newline included.
+    workload::saveTextTrace(trace, path);
+    EXPECT_EQ(workload::loadTrace(path).records.capacity(), trace.size());
+    std::filesystem::remove(path);
+    std::istringstream unterminated("R 1\nW 0x2\nR 3");
+    EXPECT_EQ(workload::parseTextTrace(unterminated, "inline")
+                  .records.capacity(),
+              3u);
+}
+
+TEST(TraceFile, TextLoadReservesNoMoreThanShortestLinesCouldHold)
+{
+    // A record line is at least `R 0\n`, 4 bytes: 40004 bytes of
+    // mostly blank lines size the array for 10001 records, not 40001.
+    std::istringstream in(std::string(40000, '\n') + "R 0\n");
+    const TraceFile trace = workload::parseTextTrace(in, "inline");
+    ASSERT_EQ(trace.size(), 1u);
+    EXPECT_LE(trace.records.capacity(), 10001u);
+}
+
+TEST(TraceFile, UnseekableTextStreamStillLoads)
+{
+    const auto trace = workload::generateTrace("gccmix", 9000, 4, 0.5);
+    const std::string path = tempPath("pipe.trace");
+    workload::saveTextTrace(trace, path);
+    UnseekableBuf buf(fileBytes(path));
+    std::filesystem::remove(path);
+    std::istream in(&buf);
+    EXPECT_EQ(workload::parseTextTrace(in, "pipe").records, trace.records);
+}
+
+TEST(TraceFile, BinaryLoadCapacityIsTheRecordCount)
+{
+    const auto trace = workload::generateTrace("stream", 5000, 6, 0.3);
+    const std::string path = tempPath("sized.bintrace");
+    workload::saveBinaryTrace(trace, path);
+    const TraceFile loaded = workload::loadTrace(path);
+    EXPECT_EQ(loaded.records, trace.records);
+    EXPECT_EQ(loaded.records.capacity(), trace.size());
+    std::filesystem::remove(path);
+}
+
 TEST(TraceFile, LoadRejectsMissingFile)
 {
     EXPECT_THROW(workload::loadTrace(tempPath("no-such.trace")),
@@ -385,13 +509,6 @@ TEST(TraceFile, LoadRejectsMissingFile)
 // saveBinaryTrace.
 
 constexpr int kIterations = 2000;
-
-void
-writeBytes(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 struct Seed
 {
@@ -542,11 +659,11 @@ TEST(TraceGen, WriteFractionControlsStoresNotAddresses)
     for (std::size_t i = 0; i < loads.size(); ++i) {
         // The address stream is identical across write fractions: the
         // store promotion draws from its own RNG stream.
-        EXPECT_EQ(loads.records[i].addr, mixed.records[i].addr);
-        EXPECT_EQ(loads.records[i].addr, stores.records[i].addr);
-        EXPECT_FALSE(loads.records[i].is_write);
-        EXPECT_TRUE(stores.records[i].is_write);
-        mixed_stores += mixed.records[i].is_write ? 1 : 0;
+        EXPECT_EQ(loads.records[i].addr(), mixed.records[i].addr());
+        EXPECT_EQ(loads.records[i].addr(), stores.records[i].addr());
+        EXPECT_FALSE(loads.records[i].isWrite());
+        EXPECT_TRUE(stores.records[i].isWrite());
+        mixed_stores += mixed.records[i].isWrite() ? 1 : 0;
     }
     EXPECT_GT(mixed_stores, 350u);
     EXPECT_LT(mixed_stores, 650u);
@@ -673,8 +790,8 @@ TEST(TraceProgram, ReplaysInOrderThenStops)
     for (const auto &expected : trace->records) {
         const exec::Op op = program.next(0);
         ASSERT_EQ(op.kind, exec::OpKind::Access);
-        EXPECT_EQ(op.ref.vaddr, expected.addr);
-        EXPECT_EQ(op.ref.is_write, expected.is_write);
+        EXPECT_EQ(op.ref.vaddr, expected.addr());
+        EXPECT_EQ(op.ref.is_write, expected.isWrite());
         EXPECT_EQ(op.ref.thread, 5u);
     }
     EXPECT_EQ(program.next(0).kind, exec::OpKind::Done);
