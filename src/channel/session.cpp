@@ -155,10 +155,10 @@ std::atomic<std::uint64_t> g_topology_builds{0};
 
 /**
  * Topology reuse pool.  Building a topology is the dominant cost of a
- * short session (the LLC alone is 8192 sets), while reset(seed) —
- * verified by test_session_fastpath and test_hierarchy — returns a
- * used topology to exactly the state a fresh construction under the
- * new seeds would have.  So each thread keeps its last topology and
+ * short session (the LLC alone is 2,048 sets of 16 ways), while
+ * reset(seed) — verified by test_session_fastpath and test_hierarchy —
+ * returns a used topology to exactly the state a fresh construction
+ * under the new seeds would have.  So each thread keeps its last topology and
  * reuses it whenever the next session's config matches it in
  * everything but the seeds (sameTopology): every repeated-session
  * workload, including seed-per-cell sweeps.  On a miss the old

@@ -14,6 +14,7 @@
 #include "sim/access_port.hpp"
 #include "sim/cache_set.hpp"
 #include "sim/hierarchy.hpp"
+#include "sim/multicore_hierarchy.hpp"
 #include "sim/random.hpp"
 #include "spectre/transient_core.hpp"
 #include "spectre/victim.hpp"
@@ -231,6 +232,39 @@ runMacroBench(const SimBenchConfig &config)
         g_bench_sink = g_bench_sink + sink;
         rows.push_back({"hierarchy_walk", walk_ops,
                         accessesPerSecond(walk_ops, start, stop)});
+    }
+    {
+        // Cross-core layer: the default topology at 4 cores, driven
+        // through MultiCoreHierarchy::access.  Of every four accesses,
+        // three are L1 hits on cores 0-2's hot lines and one is a miss
+        // stream over 25 lines of one LLC set, issued by the cores in
+        // turn: each stream access misses every level, evicts from the
+        // LLC and back-invalidates the victim's private copies.
+        sim::MultiCoreConfig mc;
+        mc.cores = 4;
+        sim::MultiCoreHierarchy h(mc);
+        const std::uint64_t llc_stride =
+            std::uint64_t{h.llc().numSets()} * mc.llc.line_size;
+        const auto op = [&](std::uint64_t i) {
+            const std::uint64_t n = i / 4;
+            const bool stream = i % 4 == 3;
+            const auto core =
+                static_cast<std::uint32_t>(stream ? n % 4 : i % 4);
+            const sim::Addr addr = stream
+                                       ? 0x4000000 + (n % 25) * llc_stride
+                                       : 0x40 * (1 + core);
+            return h.access(core, sim::MemRef::load(addr)).level;
+        };
+        for (std::uint64_t i = 0; i < 4 * 100; ++i)
+            op(i);
+        std::uint64_t sink = 0;
+        const auto start = Clock::now();
+        for (std::uint64_t i = 0; i < fast_ops; ++i)
+            sink += static_cast<std::uint64_t>(op(i));
+        const auto stop = Clock::now();
+        g_bench_sink = g_bench_sink + sink + h.backInvalidations();
+        rows.push_back({"multicore_access", fast_ops,
+                        accessesPerSecond(fast_ops, start, stop)});
     }
     {
         // Trace-fed hierarchy replay: the fleet front end's fast path

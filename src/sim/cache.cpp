@@ -32,7 +32,8 @@ fillStream(std::uint64_t seed)
 
 Cache::Cache(const CacheConfig &config, PlMode pl_mode, bool way_predictor)
     : config_(config), layout_(config.line_size, config.numSets()),
-      pl_mode_(pl_mode), way_predictor_(way_predictor),
+      way_predictor_(way_predictor),
+      shape_{config.ways, pl_mode, config.write_hit, config.write_miss},
       fill_rng_(fillStream(config.seed))
 {
     config_.validate();
@@ -40,14 +41,13 @@ Cache::Cache(const CacheConfig &config, PlMode pl_mode, bool way_predictor)
     // DAWG partitions the ways of every address set into secure_domains
     // independent slices, each with its own replacement state.
     std::uint32_t per_set = 1;
-    std::uint32_t ways = config_.ways;
     if (config_.secure == SecureMode::Dawg) {
         if (config_.secure_domains == 0 ||
             config_.ways % config_.secure_domains != 0)
             throw std::invalid_argument(config_.name +
                 ": DAWG domains must evenly divide the ways");
         per_set = config_.secure_domains;
-        ways = config_.ways / config_.secure_domains;
+        shape_.ways = config_.ways / config_.secure_domains;
     }
     if (config_.secure == SecureMode::RandomFill &&
         config_.fill_window == 0)
@@ -57,7 +57,7 @@ Cache::Cache(const CacheConfig &config, PlMode pl_mode, bool way_predictor)
         if (config_.secure_domains == 0)
             throw std::invalid_argument(config_.name +
                 ": SHARP needs at least one protection domain");
-        if (way_predictor_ || pl_mode_ != PlMode::Disabled)
+        if (way_predictor_ || pl_mode != PlMode::Disabled)
             throw std::invalid_argument(config_.name +
                 ": SHARP composes with neither the way predictor nor "
                 "PL lock bits");
@@ -66,13 +66,76 @@ Cache::Cache(const CacheConfig &config, PlMode pl_mode, bool way_predictor)
         sharp_denied_.assign(config_.secure_domains, 0);
     }
 
-    sets_.reserve(static_cast<std::size_t>(layout_.numSets()) * per_set);
-    for (std::uint32_t s = 0; s < layout_.numSets() * per_set; ++s) {
-        sets_.emplace_back(ways,
-                           ReplState::make(config_.policy, ways,
-                                           setSeed(config_.seed, s)),
-                           pl_mode, config_.write_hit, config_.write_miss);
+    const std::uint32_t sets = layout_.numSets() * per_set;
+    const std::size_t lines = static_cast<std::size_t>(sets) * shape_.ways;
+    tags_.assign(lines, 0);
+    if (way_predictor_)
+        utags_.assign(lines, 0);
+    if (config_.secure == SecureMode::Sharp)
+        owners_.assign(lines, kNoOwner);
+    states_.reserve(sets);
+    for (std::uint32_t s = 0; s < sets; ++s)
+        states_.emplace_back(ReplState::make(config_.policy, shape_.ways,
+                                             setSeed(config_.seed, s)));
+}
+
+void
+Cache::setResult(const SetAccessResult &sr, std::uint32_t set,
+                 CacheAccessResult &res) const
+{
+    res.hit = sr.hit;
+    res.set = set;
+    res.way = sr.way;
+    res.filled = sr.filled;
+    res.bypassed = sr.bypassed;
+    res.utag_mismatch = sr.utag_mismatch;
+    res.dirty_writeback = sr.dirty_writeback;
+    res.write_no_alloc = sr.write_no_alloc;
+    if (sr.evicted)
+        res.evicted_line = layout_.compose(sr.evicted_tag, set);
+}
+
+inline void
+Cache::demandAccess(std::uint32_t storage, std::uint32_t set,
+                    const MemRef &ref, LockReq lock_req,
+                    CacheAccessResult &res)
+{
+    const std::uint16_t utag =
+        way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
+    const SetAccessResult sr = cacheSet(storage).access(
+        layout_.tag(ref.paddr), utag, way_predictor_, lock_req,
+        ref.is_write);
+    setResult(sr, set, res);
+    counters_.record(ref.thread, sr.hit);
+    if (sr.dirty_writeback)
+        counters_.recordWriteback(ref.thread);
+}
+
+CacheAccessResult
+Cache::access(const MemRef &ref, LockReq lock_req)
+{
+    // One named result and one return: the result is built in place in
+    // the caller's slot on the plain path.
+    CacheAccessResult res;
+    if (config_.secure == SecureMode::None) [[likely]] {
+        const std::uint32_t set = layout_.setIndex(ref.vaddr);
+        demandAccess(set, set, ref, lock_req, res);
+    } else {
+        // No explicit domain: SHARP falls back to the thread id, which
+        // matches the core on single-core topologies (and keeps
+        // standalone SHARP caches usable without a hierarchy).
+        res = accessSecure(static_cast<std::uint32_t>(ref.thread), ref,
+                           lock_req);
     }
+    return res;
+}
+
+CacheAccessResult
+Cache::accessFrom(std::uint32_t domain, const MemRef &ref, LockReq lock_req)
+{
+    return config_.secure == SecureMode::Sharp
+               ? accessSecure(domain, ref, lock_req)
+               : access(ref, lock_req);
 }
 
 SetAccessResult
@@ -94,53 +157,60 @@ Cache::randomFill(const MemRef &ref, std::uint32_t &fill_set)
     fill_set = layout_.setIndex(fill_vaddr);
     const std::uint16_t utag =
         way_predictor_ ? WayPredictor::utag(fill_vaddr) : 0;
-    return routeSet(fill_set, ref.thread)
-        .prefetchFill(layout_.tag(fill_paddr), utag);
+    return cacheSet(fill_set).prefetchFill(layout_.tag(fill_paddr), utag);
 }
 
 CacheAccessResult
-Cache::accessSharpImpl(std::uint32_t domain, const MemRef &ref)
+Cache::accessSecure(std::uint32_t domain, const MemRef &ref,
+                    LockReq lock_req)
 {
     const std::uint32_t set = layout_.setIndex(ref.vaddr);
     const Addr tag = layout_.tag(ref.paddr);
-    domain %= config_.secure_domains;
-
-    // A domain whose alarm count already crossed the threshold gets its
-    // forced evictions denied outright (threshold 0 = pure detector).
-    const bool flagged =
-        config_.sharp_alarm_threshold > 0 &&
-        sharp_alarms_[domain] >= config_.sharp_alarm_threshold;
-
-    SharpSetEvents ev;
-    const SetAccessResult sr = sets_[set].accessSharp(
-        tag, ref.is_write, domain, flagged, ev);
-    sharp_alarms_[domain] += ev.alarms;
-    sharp_forced_[domain] += ev.forced ? 1 : 0;
-    sharp_denied_[domain] += ev.denied ? 1 : 0;
-
     CacheAccessResult res;
-    res.hit = sr.hit;
-    res.set = set;
-    res.way = sr.way;
-    res.filled = sr.filled;
-    res.bypassed = sr.bypassed;
-    res.dirty_writeback = sr.dirty_writeback;
-    res.write_no_alloc = sr.write_no_alloc;
-    if (sr.evicted)
-        res.evicted_line = layout_.compose(sr.evicted_tag, set);
 
-    counters_.record(ref.thread, sr.hit);
-    if (sr.dirty_writeback)
-        counters_.recordWriteback(ref.thread);
+    if (config_.secure == SecureMode::Sharp) {
+        domain %= config_.secure_domains;
+        // A domain whose alarm count already crossed the threshold gets
+        // its forced evictions denied outright (threshold 0 = pure
+        // detector).
+        const bool flagged =
+            config_.sharp_alarm_threshold > 0 &&
+            sharp_alarms_[domain] >= config_.sharp_alarm_threshold;
+
+        SharpSetEvents ev;
+        const SetAccessResult sr = cacheSet(set).accessSharp(
+            tag, ref.is_write, domain, flagged, ev);
+        sharp_alarms_[domain] += ev.alarms;
+        sharp_forced_[domain] += ev.forced ? 1 : 0;
+        sharp_denied_[domain] += ev.denied ? 1 : 0;
+
+        setResult(sr, set, res);
+        counters_.record(ref.thread, sr.hit);
+        if (sr.dirty_writeback)
+            counters_.recordWriteback(ref.thread);
+    } else if (config_.secure == SecureMode::RandomFill &&
+               !cacheSet(set).probe(tag)) {
+        // Demand miss: serve it uncached and install a random
+        // neighbourhood line instead, decoupling the fill address from
+        // the access address.
+        std::uint32_t fill_set = 0;
+        const SetAccessResult fr = randomFill(ref, fill_set);
+
+        res.set = set;
+        res.bypassed = true;
+        res.write_no_alloc = ref.is_write;
+        res.dirty_writeback = fr.dirty_writeback;
+        if (fr.evicted)
+            res.evicted_line = layout_.compose(fr.evicted_tag, fill_set);
+
+        counters_.record(ref.thread, false);
+        if (fr.dirty_writeback)
+            counters_.recordWriteback(ref.thread);
+    } else {
+        demandAccess(storageIndex(set, ref.thread), set, ref, lock_req,
+                     res);
+    }
     return res;
-}
-
-CacheAccessResult
-Cache::accessFrom(std::uint32_t domain, const MemRef &ref, LockReq lock_req)
-{
-    if (config_.secure == SecureMode::Sharp)
-        return accessSharpImpl(domain, ref);
-    return access(ref, lock_req);
 }
 
 void
@@ -149,9 +219,9 @@ Cache::releaseOwner(std::uint32_t domain, Addr line_base)
     if (config_.secure != SecureMode::Sharp)
         return;
     const MemRef ref = MemRef::load(line_base);
-    const std::uint32_t set = layout_.setIndex(ref.vaddr);
-    sets_[set].releaseOwner(layout_.tag(ref.paddr),
-                            domain % config_.secure_domains);
+    cacheSet(layout_.setIndex(ref.vaddr))
+        .releaseOwner(layout_.tag(ref.paddr),
+                      domain % config_.secure_domains);
 }
 
 std::uint64_t
@@ -181,66 +251,6 @@ Cache::sharpDeniedTotal() const
     return total;
 }
 
-CacheAccessResult
-Cache::access(const MemRef &ref, LockReq lock_req)
-{
-    if (config_.secure == SecureMode::Sharp) {
-        // No explicit domain: fall back to the thread id, which matches
-        // the core on single-core topologies (and keeps standalone
-        // SHARP caches usable without a hierarchy).
-        return accessSharpImpl(
-            static_cast<std::uint32_t>(ref.thread), ref);
-    }
-
-    const std::uint32_t set = layout_.setIndex(ref.vaddr);
-    const Addr tag = layout_.tag(ref.paddr);
-    const std::uint16_t utag =
-        way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
-
-    CacheSet &target = routeSet(set, ref.thread);
-
-    if (config_.secure == SecureMode::RandomFill && !target.probe(tag)) {
-        // Demand miss: serve it uncached and install a random
-        // neighbourhood line instead, decoupling the fill address from
-        // the access address.
-        std::uint32_t fill_set = 0;
-        const SetAccessResult fr = randomFill(ref, fill_set);
-
-        CacheAccessResult res;
-        res.set = set;
-        res.bypassed = true;
-        res.write_no_alloc = ref.is_write;
-        res.dirty_writeback = fr.dirty_writeback;
-        if (fr.evicted)
-            res.evicted_line = layout_.compose(fr.evicted_tag, fill_set);
-
-        counters_.record(ref.thread, false);
-        if (fr.dirty_writeback)
-            counters_.recordWriteback(ref.thread);
-        return res;
-    }
-
-    SetAccessResult sr =
-        target.access(tag, utag, way_predictor_, lock_req, ref.is_write);
-
-    CacheAccessResult res;
-    res.hit = sr.hit;
-    res.set = set;
-    res.way = sr.way;
-    res.filled = sr.filled;
-    res.bypassed = sr.bypassed;
-    res.utag_mismatch = sr.utag_mismatch;
-    res.dirty_writeback = sr.dirty_writeback;
-    res.write_no_alloc = sr.write_no_alloc;
-    if (sr.evicted)
-        res.evicted_line = layout_.compose(sr.evicted_tag, set);
-
-    counters_.record(ref.thread, sr.hit);
-    if (sr.dirty_writeback)
-        counters_.recordWriteback(ref.thread);
-    return res;
-}
-
 void
 Cache::accessBatch(std::span<const MemRef> refs,
                    std::span<CacheAccessResult> results)
@@ -263,25 +273,15 @@ Cache::accessBatch(std::span<const MemRef> refs,
     for (std::size_t i = 0; i < refs.size(); ++i) {
         const MemRef &ref = refs[i];
         const std::uint32_t set = layout_.setIndex(ref.vaddr);
-        const Addr tag = layout_.tag(ref.paddr);
         const std::uint16_t utag =
             way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
 
-        SetAccessResult sr = sets_[set].access(tag, utag, way_predictor_,
-                                               LockReq::None, ref.is_write);
-
-        CacheAccessResult &res = results[i];
-        res = CacheAccessResult{};
-        res.hit = sr.hit;
-        res.set = set;
-        res.way = sr.way;
-        res.filled = sr.filled;
-        res.bypassed = sr.bypassed;
-        res.utag_mismatch = sr.utag_mismatch;
-        res.dirty_writeback = sr.dirty_writeback;
-        res.write_no_alloc = sr.write_no_alloc;
-        if (sr.evicted)
-            res.evicted_line = layout_.compose(sr.evicted_tag, set);
+        const SetAccessResult sr =
+            cacheSet(set).access(layout_.tag(ref.paddr), utag,
+                                 way_predictor_, LockReq::None,
+                                 ref.is_write);
+        results[i] = CacheAccessResult{};
+        setResult(sr, set, results[i]);
 
         if (sr.dirty_writeback)
             counters_.recordWriteback(ref.thread);
@@ -302,20 +302,13 @@ CacheAccessResult
 Cache::prefetch(const MemRef &ref)
 {
     const std::uint32_t set = layout_.setIndex(ref.vaddr);
-    const Addr tag = layout_.tag(ref.paddr);
     const std::uint16_t utag =
         way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
-
-    SetAccessResult sr =
-        routeSet(set, ref.thread).prefetchFill(tag, utag);
-
+    const SetAccessResult sr =
+        cacheSet(storageIndex(set, ref.thread))
+            .prefetchFill(layout_.tag(ref.paddr), utag);
     CacheAccessResult res;
-    res.hit = sr.hit;
-    res.set = set;
-    res.way = sr.way;
-    res.filled = sr.filled;
-    if (sr.evicted)
-        res.evicted_line = layout_.compose(sr.evicted_tag, set);
+    setResult(sr, set, res);
     return res;
 }
 
@@ -323,7 +316,7 @@ bool
 Cache::contains(const MemRef &ref) const
 {
     const std::uint32_t set = layout_.setIndex(ref.vaddr);
-    return routeSet(set, ref.thread)
+    return cacheSet(storageIndex(set, ref.thread))
         .probe(layout_.tag(ref.paddr))
         .has_value();
 }
@@ -336,12 +329,13 @@ Cache::steadyHits(std::span<const MemRef> refs) const
     // Refs are an iteration's handful of lines, so a flat list of the
     // touched sets' copies beats a map.
     std::vector<std::pair<std::uint32_t, CacheSet>> copies;
+    copies.reserve(refs.size());
     for (const MemRef &ref : refs) {
         const std::uint32_t set = layout_.setIndex(ref.vaddr);
         auto it = std::find_if(copies.begin(), copies.end(),
                                [set](const auto &c) { return c.first == set; });
         if (it == copies.end())
-            it = copies.emplace(copies.end(), set, sets_[set]);
+            it = copies.emplace(copies.end(), set, CacheSet(cacheSet(set)));
         const std::uint16_t utag =
             way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
         const SetAccessResult sr =
@@ -351,7 +345,7 @@ Cache::steadyHits(std::span<const MemRef> refs) const
             return false;
     }
     for (const auto &[set, copy] : copies) {
-        if (!(copy == sets_[set]))
+        if (!(copy == cacheSet(set)))
             return false;
     }
     return true;
@@ -366,24 +360,17 @@ Cache::flush(const MemRef &ref)
     // Coherence reaches across DAWG partitions even though visibility
     // does not: clflush and back-invalidations must remove the line no
     // matter which domain installed it.
-    if (config_.secure == SecureMode::Dawg) {
-        for (std::uint32_t d = 0; d < config_.secure_domains; ++d) {
-            const std::size_t idx =
-                static_cast<std::size_t>(set) * config_.secure_domains + d;
-            const SetFlushResult sr = sets_[idx].flushLine(tag);
-            if (sr.present) {
-                if (sr.dirty)
-                    counters_.recordWriteback(ref.thread);
-                return CacheFlushResult{sr.present, sr.dirty};
-            }
+    const std::uint32_t parts =
+        config_.secure == SecureMode::Dawg ? config_.secure_domains : 1;
+    for (std::uint32_t d = 0; d < parts; ++d) {
+        const SetFlushResult sr = cacheSet(set * parts + d).flushLine(tag);
+        if (sr.present) {
+            if (sr.dirty)
+                counters_.recordWriteback(ref.thread);
+            return CacheFlushResult{sr.present, sr.dirty};
         }
-        return CacheFlushResult{};
     }
-
-    const SetFlushResult sr = sets_[set].flushLine(tag);
-    if (sr.dirty)
-        counters_.recordWriteback(ref.thread);
-    return CacheFlushResult{sr.present, sr.dirty};
+    return CacheFlushResult{};
 }
 
 bool
@@ -393,42 +380,38 @@ Cache::markDirtyLine(Addr line_base)
     const std::uint32_t set = layout_.setIndex(ref.vaddr);
     const Addr tag = layout_.tag(ref.paddr);
 
-    if (config_.secure == SecureMode::Dawg) {
-        for (std::uint32_t d = 0; d < config_.secure_domains; ++d) {
-            const std::size_t idx =
-                static_cast<std::size_t>(set) * config_.secure_domains + d;
-            if (sets_[idx].markDirty(tag))
-                return true;
-        }
-        return false;
+    const std::uint32_t parts =
+        config_.secure == SecureMode::Dawg ? config_.secure_domains : 1;
+    for (std::uint32_t d = 0; d < parts; ++d) {
+        if (cacheSet(set * parts + d).markDirty(tag))
+            return true;
     }
-
-    return sets_[set].markDirty(tag);
+    return false;
 }
 
 void
 Cache::reset(std::uint64_t seed)
 {
     config_.seed = seed;
-    for (std::uint32_t s = 0; s < sets_.size(); ++s) {
-        sets_[s].reset();
+    std::fill(tags_.begin(), tags_.end(), 0);
+    std::fill(utags_.begin(), utags_.end(), 0);
+    std::fill(owners_.begin(), owners_.end(), kNoOwner);
+    for (std::uint32_t s = 0; s < states_.size(); ++s) {
+        SetState &st = states_[s];
+        st.valid_mask = 0;
+        st.locked_mask = 0;
+        st.dirty_mask = 0;
         if (config_.policy == ReplPolicyKind::Random)
-            sets_[s].repl() = ReplState::make(
-                config_.policy, sets_[s].ways(), setSeed(seed, s));
+            st.repl = ReplState::make(config_.policy, shape_.ways,
+                                      setSeed(seed, s));
+        else
+            st.repl.reset();
     }
     counters_.reset();
     fill_rng_ = fillStream(seed);
     std::fill(sharp_alarms_.begin(), sharp_alarms_.end(), 0);
     std::fill(sharp_forced_.begin(), sharp_forced_.end(), 0);
     std::fill(sharp_denied_.begin(), sharp_denied_.end(), 0);
-}
-
-void
-Cache::setPlMode(PlMode mode)
-{
-    pl_mode_ = mode;
-    for (auto &set : sets_)
-        set.setPlMode(mode);
 }
 
 } // namespace lruleak::sim

@@ -1,6 +1,10 @@
 /**
  * @file
- * A set-associative cache level built from CacheSet instances.
+ * A set-associative cache level stored as flat arrays: one tag array of
+ * storage sets x ways, one SetState record (masks + replacement state)
+ * per storage set, and a utag array / owner array only when the level
+ * has the way predictor / runs SHARP.  The set algorithms run on
+ * SetView slices of that storage (see cache_set.hpp).
  */
 
 #ifndef LRULEAK_SIM_CACHE_HPP
@@ -184,24 +188,36 @@ class Cache
     const PerfCounters &counters() const { return counters_; }
     PerfCounters &counters() { return counters_; }
 
-    const CacheSet &cacheSet(std::uint32_t index) const
+    /**
+     * View of storage set @p index (see storageSets()).  Views point into
+     * the level's flat arrays: valid until the Cache is destroyed or
+     * assigned to.
+     */
+    ConstSetView
+    cacheSet(std::uint32_t index) const
     {
-        return sets_[index];
+        return const_cast<Cache *>(this)->cacheSet(index);
     }
-    CacheSet &cacheSet(std::uint32_t index) { return sets_[index]; }
+    SetView
+    cacheSet(std::uint32_t index)
+    {
+        const std::size_t base = static_cast<std::size_t>(index) * shape_.ways;
+        return SetView(shape_, tags_.data() + base, states_[index],
+                       utags_.empty() ? nullptr : utags_.data() + base,
+                       owners_.empty() ? nullptr : owners_.data() + base);
+    }
 
     std::uint32_t numSets() const { return layout_.numSets(); }
 
     /**
-     * Number of CacheSet instances actually stored: numSets() for a
-     * plain cache, numSets() * secure_domains under SecureMode::Dawg.
-     * Audit walks iterate storage sets and map back to the address set
-     * with addressSetOf().
+     * Number of storage sets: numSets() for a plain cache, numSets() *
+     * secure_domains under SecureMode::Dawg.  Audit walks iterate
+     * storage sets and map back to the address set with addressSetOf().
      */
     std::uint32_t
     storageSets() const
     {
-        return static_cast<std::uint32_t>(sets_.size());
+        return static_cast<std::uint32_t>(states_.size());
     }
 
     /** Address set index a storage index belongs to. */
@@ -215,41 +231,47 @@ class Cache
 
     SecureMode secureMode() const { return config_.secure; }
     bool wayPredictorEnabled() const { return way_predictor_; }
-    PlMode plMode() const { return pl_mode_; }
-
-    /** Switch the PL mode for every set (used by the defense study). */
-    void setPlMode(PlMode mode);
+    PlMode plMode() const { return shape_.pl_mode; }
 
   private:
     /** Storage set for (address set, issuing thread): the thread's DAWG
      *  partition when partitioned, the plain set otherwise. */
-    CacheSet &
-    routeSet(std::uint32_t set, ThreadId thread)
+    std::uint32_t
+    storageIndex(std::uint32_t set, ThreadId thread) const
     {
         if (config_.secure == SecureMode::Dawg)
-            return sets_[static_cast<std::size_t>(set) *
-                             config_.secure_domains +
-                         thread % config_.secure_domains];
-        return sets_[set];
+            return set * config_.secure_domains +
+                   thread % config_.secure_domains;
+        return set;
     }
-    const CacheSet &
-    routeSet(std::uint32_t set, ThreadId thread) const
-    {
-        return const_cast<Cache *>(this)->routeSet(set, thread);
-    }
+
+    /** The plain demand access of @p ref on storage set @p storage
+     *  (address set @p set), with its counter updates. */
+    void demandAccess(std::uint32_t storage, std::uint32_t set,
+                      const MemRef &ref, LockReq lock_req,
+                      CacheAccessResult &res);
+
+    /** Demand access under a secure mode (DAWG, RandomFill, SHARP);
+     *  @p domain names the SHARP protection domain. */
+    CacheAccessResult accessSecure(std::uint32_t domain, const MemRef &ref,
+                                   LockReq lock_req);
 
     /** RandomFill miss handler: install a random neighbourhood line. */
     SetAccessResult randomFill(const MemRef &ref, std::uint32_t &fill_set);
 
-    /** The SHARP access path shared by access() and accessFrom(). */
-    CacheAccessResult accessSharpImpl(std::uint32_t domain,
-                                      const MemRef &ref);
+    /** Translate a set-level outcome on address set @p set. */
+    void setResult(const SetAccessResult &sr, std::uint32_t set,
+                   CacheAccessResult &res) const;
 
     CacheConfig config_;
     AddressLayout layout_;
-    PlMode pl_mode_;
     bool way_predictor_;
-    std::vector<CacheSet> sets_;
+    SetShape shape_;
+    // Flat per-level storage, storage set s at [s * ways, (s+1) * ways).
+    std::vector<Addr> tags_;
+    std::vector<SetState> states_;
+    std::vector<std::uint16_t> utags_;  //!< empty without way predictor
+    std::vector<std::uint32_t> owners_; //!< empty unless SecureMode::Sharp
     PerfCounters counters_;
     Xoshiro256 fill_rng_; //!< RandomFill neighbourhood stream
     // SHARP per-domain event counters (sized secure_domains iff Sharp).

@@ -1,6 +1,7 @@
 /**
  * @file
- * CacheSet implementation: the paper's Fig. 10 flow chart lives here.
+ * The set algorithms (SetView) and the standalone CacheSet: the paper's
+ * Fig. 10 flow chart lives here.
  */
 
 #include "sim/cache_set.hpp"
@@ -11,53 +12,114 @@ namespace lruleak::sim {
 
 CacheSet::CacheSet(std::uint32_t ways, ReplState state, PlMode pl_mode,
                    WriteHitPolicy write_hit, WriteMissPolicy write_miss)
-    : ways_(ways), pl_mode_(pl_mode), write_hit_(write_hit),
-      write_miss_(write_miss), tags_(ways, 0), utags_(ways, 0),
-      repl_(std::move(state))
+    : store_{SetShape{ways, pl_mode, write_hit, write_miss},
+             SetState(std::move(state))}
 {
+    checkWays(ways);
+    store_.owners.fill(kNoOwner);
+    bind();
+}
+
+CacheSet::CacheSet(const ConstSetView &view)
+    : store_{*view.shape_, *view.state_}
+{
+    store_.owners.fill(kNoOwner);
+    for (std::uint32_t w = 0; w < view.ways(); ++w) {
+        store_.tags[w] = view.tags_[w];
+        store_.utags[w] = view.line(w).utag;
+        store_.owners[w] = view.owner(w);
+    }
+    bind();
+}
+
+// The inherited view points into store_, so a copy takes the storage
+// and re-points its own view; assignment keeps the view it has.
+CacheSet::CacheSet(const CacheSet &other) : SetView(), store_(other.store_)
+{
+    bind();
+}
+
+CacheSet &
+CacheSet::operator=(const CacheSet &other)
+{
+    store_ = other.store_;
+    return *this;
+}
+
+void
+CacheSet::bind()
+{
+    static_cast<SetView &>(*this) =
+        SetView(store_.shape, store_.tags.data(), store_.state,
+                store_.utags.data(), store_.owners.data());
+}
+
+bool
+operator==(const ConstSetView &a, const ConstSetView &b)
+{
+    if (!(*a.shape_ == *b.shape_) || !(*a.state_ == *b.state_))
+        return false;
+    for (std::uint32_t w = 0; w < a.ways(); ++w) {
+        if (a.tags_[w] != b.tags_[w] || a.line(w).utag != b.line(w).utag ||
+            a.owner(w) != b.owner(w))
+            return false;
+    }
+    return true;
 }
 
 std::optional<std::uint32_t>
-CacheSet::probe(Addr tag) const
+ConstSetView::probe(Addr tag) const
 {
-    const Addr *tags = tags_.data();
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (((valid_mask_ >> w) & 1u) && tags[w] == tag)
+    const Addr *const tags = tags_;
+    const std::uint32_t valid = state_->valid_mask;
+    const std::uint32_t ways = shape_->ways;
+    for (std::uint32_t w = 0; w < ways; ++w) {
+        if (((valid >> w) & 1u) && tags[w] == tag)
             return w;
     }
     return std::nullopt;
 }
 
-void
-CacheSet::fill(std::uint32_t way, Addr tag, bool lock, std::uint16_t utag,
-               bool dirty)
+std::uint32_t
+ConstSetView::occupancy() const
 {
+    return static_cast<std::uint32_t>(std::popcount(state_->valid_mask));
+}
+
+void
+SetView::fill(std::uint32_t way, Addr tag, bool lock, std::uint16_t utag,
+              bool dirty)
+{
+    SetState &st = *state_;
     tags_[way] = tag;
-    valid_mask_ |= 1u << way;
+    st.valid_mask |= 1u << way;
     if (lock)
-        locked_mask_ |= 1u << way;
+        st.locked_mask |= 1u << way;
     else
-        locked_mask_ &= ~(1u << way);
+        st.locked_mask &= ~(1u << way);
     if (dirty)
-        dirty_mask_ |= 1u << way;
+        st.dirty_mask |= 1u << way;
     else
-        dirty_mask_ &= ~(1u << way);
-    utags_[way] = utag;
-    if (!owners_.empty())
+        st.dirty_mask &= ~(1u << way);
+    if (utags_)
+        utags_[way] = utag;
+    if (owners_)
         owners_[way] = kNoOwner; // plain fills install unowned lines;
                                  // accessSharp re-stamps after filling
 }
 
 SetAccessResult
-CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
-                 LockReq lock_req, bool is_write)
+SetView::access(Addr tag, std::uint16_t utag, bool check_utag,
+                LockReq lock_req, bool is_write)
 {
+    SetState &st = *state_;
+    const SetShape &shape = *shape_;
     SetAccessResult res;
     // A store leaves the line dirty only under write-back; under
     // write-through the data goes downstream immediately and the cached
     // copy stays clean.
     const bool mark_dirty =
-        is_write && write_hit_ == WriteHitPolicy::WriteBack;
+        is_write && shape.write_hit == WriteHitPolicy::WriteBack;
 
     if (auto way = probe(tag)) {
         // ----- Cache hit path of Fig. 10.
@@ -74,24 +136,24 @@ CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
             utags_[w] = utag;
         }
 
-        const bool locked_hit = ((locked_mask_ >> w) & 1u) != 0;
-        if (pl_mode_ == PlMode::FixedLruLock && locked_hit) {
+        const bool locked_hit = ((st.locked_mask >> w) & 1u) != 0;
+        if (shape.pl_mode == PlMode::FixedLruLock && locked_hit) {
             // Blue box: "Normal hit; Do not update replacement state".
         } else {
-            repl_.touch(w);
+            st.repl.touch(w);
         }
 
         if (mark_dirty)
-            dirty_mask_ |= 1u << w;
+            st.dirty_mask |= 1u << w;
 
-        if (lock_req == LockReq::Lock && pl_mode_ != PlMode::Disabled)
-            locked_mask_ |= 1u << w;
+        if (lock_req == LockReq::Lock && shape.pl_mode != PlMode::Disabled)
+            st.locked_mask |= 1u << w;
         else if (lock_req == LockReq::Unlock)
-            locked_mask_ &= ~(1u << w);
+            st.locked_mask &= ~(1u << w);
         return res;
     }
 
-    if (is_write && write_miss_ == WriteMissPolicy::NoWriteAllocate) {
+    if (is_write && shape.write_miss == WriteMissPolicy::NoWriteAllocate) {
         // No-write-allocate: the store bypasses this level entirely —
         // no fill, no replacement-state update.
         res.write_no_alloc = true;
@@ -102,12 +164,12 @@ CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
     // Invalid ways are filled first (lowest index), as in real caches;
     // the replacement policy only arbitrates between valid lines.
     const bool lock =
-        lock_req == LockReq::Lock && pl_mode_ != PlMode::Disabled;
+        lock_req == LockReq::Lock && shape.pl_mode != PlMode::Disabled;
     const std::uint32_t first_invalid =
-        std::countr_one(valid_mask_); // index of the lowest clear bit
-    if (first_invalid < ways_) {
+        std::countr_one(st.valid_mask); // index of the lowest clear bit
+    if (first_invalid < shape.ways) {
         fill(first_invalid, tag, lock, utag, mark_dirty);
-        repl_.onFill(first_invalid);
+        st.repl.onFill(first_invalid);
         res.hit = false;
         res.way = first_invalid;
         res.filled = true;
@@ -115,18 +177,18 @@ CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
     }
 
     std::uint32_t victim_way;
-    if (pl_mode_ == PlMode::FixedLruLock) {
+    if (shape.pl_mode == PlMode::FixedLruLock) {
         // Blue behaviour: locked ways are excluded from victim selection
         // so the replacement decision is independent of locked lines.
-        victim_way = repl_.selectVictimUnlocked(locked_mask_);
+        victim_way = st.repl.selectVictimUnlocked(st.locked_mask);
         if (victim_way == kNoWay) {
             res.bypassed = true; // whole set locked: handle uncached
             return res;
         }
     } else {
-        victim_way = repl_.selectVictim();
-        if (pl_mode_ == PlMode::Original &&
-            ((locked_mask_ >> victim_way) & 1u)) {
+        victim_way = st.repl.selectVictim();
+        if (shape.pl_mode == PlMode::Original &&
+            ((st.locked_mask >> victim_way) & 1u)) {
             // White box: "victim locked? -> ld/st without replacement".
             res.bypassed = true;
             return res;
@@ -135,9 +197,9 @@ CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
 
     res.evicted = true;
     res.evicted_tag = tags_[victim_way];
-    res.dirty_writeback = ((dirty_mask_ >> victim_way) & 1u) != 0;
+    res.dirty_writeback = ((st.dirty_mask >> victim_way) & 1u) != 0;
     fill(victim_way, tag, lock, utag, mark_dirty);
-    repl_.onFill(victim_way);
+    st.repl.onFill(victim_way);
 
     res.hit = false;
     res.way = victim_way;
@@ -146,14 +208,14 @@ CacheSet::access(Addr tag, std::uint16_t utag, bool check_utag,
 }
 
 SetAccessResult
-CacheSet::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
-                      bool flagged, SharpSetEvents &ev)
+SetView::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
+                     bool flagged, SharpSetEvents &ev)
 {
-    if (owners_.empty())
-        owners_.assign(ways_, kNoOwner);
+    SetState &st = *state_;
+    const SetShape &shape = *shape_;
     SetAccessResult res;
     const bool mark_dirty =
-        is_write && write_hit_ == WriteHitPolicy::WriteBack;
+        is_write && shape.write_hit == WriteHitPolicy::WriteBack;
 
     if (auto way = probe(tag)) {
         // Hit: identical to the plain path, plus an ownership transfer —
@@ -161,22 +223,22 @@ CacheSet::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
         const std::uint32_t w = *way;
         res.hit = true;
         res.way = w;
-        repl_.touch(w);
+        st.repl.touch(w);
         if (mark_dirty)
-            dirty_mask_ |= 1u << w;
+            st.dirty_mask |= 1u << w;
         owners_[w] = domain;
         return res;
     }
 
-    if (is_write && write_miss_ == WriteMissPolicy::NoWriteAllocate) {
+    if (is_write && shape.write_miss == WriteMissPolicy::NoWriteAllocate) {
         res.write_no_alloc = true;
         return res;
     }
 
-    const std::uint32_t first_invalid = std::countr_one(valid_mask_);
-    if (first_invalid < ways_) {
+    const std::uint32_t first_invalid = std::countr_one(st.valid_mask);
+    if (first_invalid < shape.ways) {
         fill(first_invalid, tag, false, 0, mark_dirty);
-        repl_.onFill(first_invalid);
+        st.repl.onFill(first_invalid);
         owners_[first_invalid] = domain;
         res.way = first_invalid;
         res.filled = true;
@@ -187,13 +249,13 @@ CacheSet::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
     // (victim() is guaranteed to preview the exact way selectVictim()
     // commits).  A foreign-owned choice is a refusal event.
     std::uint32_t foreign = 0;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
+    for (std::uint32_t w = 0; w < shape.ways; ++w) {
         if (owners_[w] != kNoOwner && owners_[w] != domain)
             foreign |= 1u << w;
     }
 
     std::uint32_t victim_way;
-    if ((foreign >> repl_.victim()) & 1u) {
+    if ((foreign >> st.repl.victim()) & 1u) {
         ++ev.alarms;
         if (foreign == fullMask()) {
             // Every way belongs to someone else: nothing safe to evict.
@@ -206,7 +268,7 @@ CacheSet::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
                 return res;
             }
             ev.forced = true;
-            victim_way = repl_.selectVictim();
+            victim_way = st.repl.selectVictim();
         } else {
             // Re-victimize like the SHARP paper: prefer a line nobody
             // holds privately (unowned) before sacrificing one of the
@@ -214,7 +276,7 @@ CacheSet::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
             // recently-touched data would let any cross-core miss stream
             // degrade an innocent core's working set.
             std::uint32_t unowned = kNoWay;
-            for (std::uint32_t w = 0; w < ways_; ++w) {
+            for (std::uint32_t w = 0; w < shape.ways; ++w) {
                 if (owners_[w] == kNoOwner) {
                     unowned = w;
                     break;
@@ -222,17 +284,17 @@ CacheSet::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
             }
             victim_way = unowned != kNoWay
                              ? unowned
-                             : repl_.selectVictimUnlocked(foreign);
+                             : st.repl.selectVictimUnlocked(foreign);
         }
     } else {
-        victim_way = repl_.selectVictim();
+        victim_way = st.repl.selectVictim();
     }
 
     res.evicted = true;
     res.evicted_tag = tags_[victim_way];
-    res.dirty_writeback = ((dirty_mask_ >> victim_way) & 1u) != 0;
+    res.dirty_writeback = ((st.dirty_mask >> victim_way) & 1u) != 0;
     fill(victim_way, tag, false, 0, mark_dirty);
-    repl_.onFill(victim_way);
+    st.repl.onFill(victim_way);
     owners_[victim_way] = domain;
     res.way = victim_way;
     res.filled = true;
@@ -240,9 +302,9 @@ CacheSet::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
 }
 
 bool
-CacheSet::releaseOwner(Addr tag, std::uint32_t domain)
+SetView::releaseOwner(Addr tag, std::uint32_t domain)
 {
-    if (owners_.empty())
+    if (!owners_)
         return false;
     if (auto way = probe(tag)) {
         if (owners_[*way] == domain) {
@@ -349,7 +411,8 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
             else
                 dirty &= ~(1u << victim);
             set_tags[victim] = tag;
-            utags[victim] = 0;
+            if (utags)
+                utags[victim] = 0;
             local.onFill(victim);
             if constexpr (kCollect) {
                 res.way = victim;
@@ -397,160 +460,136 @@ dispatchBatch(ReplState &repl, Addr *set_tags, std::uint16_t *utags,
 
 } // namespace
 
-void
-CacheSet::accessBatch(std::span<const Addr> tags,
-                      std::span<SetAccessResult> results)
+template <bool kCollect, bool kWrites>
+SetBatchStats
+SetView::runBatch(std::span<const Addr> tags, const std::uint8_t *writes,
+                  SetAccessResult *results)
 {
-    if (pl_mode_ != PlMode::Disabled) {
+    if (shape_->pl_mode != PlMode::Disabled) {
         // Lock bits in play: take the general per-access path.
-        for (std::size_t i = 0; i < tags.size(); ++i)
-            results[i] = access(tags[i], 0, false, LockReq::None);
-        return;
+        SetBatchStats stats;
+        stats.accesses = tags.size();
+        for (std::size_t i = 0; i < tags.size(); ++i) {
+            const auto res = access(tags[i], 0, false, LockReq::None,
+                                    kWrites && writes[i] != 0);
+            if constexpr (kCollect)
+                results[i] = res;
+            stats.hits += res.hit ? 1 : 0;
+            stats.fills += res.filled ? 1 : 0;
+            stats.evictions += res.evicted ? 1 : 0;
+            stats.dirty_writebacks += res.dirty_writeback ? 1 : 0;
+        }
+        return stats;
     }
 
     // One dispatch for the whole batch: the loop is instantiated per
     // concrete replacement state (and per common way count), so
     // touch/onFill/selectVictim are direct, inlinable calls on a
     // register-resident state machine.
-    dispatchBatch<true, false>(repl_, tags_.data(), utags_.data(),
-                               valid_mask_, dirty_mask_, ways_, fullMask(),
-                               tags, nullptr,
-                               write_hit_ == WriteHitPolicy::WriteBack,
-                               write_miss_ == WriteMissPolicy::WriteAllocate,
-                               results.data());
+    return dispatchBatch<kCollect, kWrites>(
+        state_->repl, tags_, utags_, state_->valid_mask, state_->dirty_mask,
+        shape_->ways, fullMask(), tags, writes,
+        shape_->write_hit == WriteHitPolicy::WriteBack,
+        shape_->write_miss == WriteMissPolicy::WriteAllocate, results);
 }
 
 void
-CacheSet::accessBatch(std::span<const Addr> tags,
-                      std::span<const std::uint8_t> writes,
-                      std::span<SetAccessResult> results)
+SetView::accessBatch(std::span<const Addr> tags,
+                     std::span<SetAccessResult> results)
 {
-    if (pl_mode_ != PlMode::Disabled) {
-        for (std::size_t i = 0; i < tags.size(); ++i)
-            results[i] =
-                access(tags[i], 0, false, LockReq::None, writes[i] != 0);
-        return;
-    }
-    dispatchBatch<true, true>(repl_, tags_.data(), utags_.data(),
-                              valid_mask_, dirty_mask_, ways_, fullMask(),
-                              tags, writes.data(),
-                              write_hit_ == WriteHitPolicy::WriteBack,
-                              write_miss_ == WriteMissPolicy::WriteAllocate,
-                              results.data());
+    runBatch<true, false>(tags, nullptr, results.data());
+}
+
+void
+SetView::accessBatch(std::span<const Addr> tags,
+                     std::span<const std::uint8_t> writes,
+                     std::span<SetAccessResult> results)
+{
+    runBatch<true, true>(tags, writes.data(), results.data());
 }
 
 SetBatchStats
-CacheSet::replayBatch(std::span<const Addr> tags)
+SetView::replayBatch(std::span<const Addr> tags)
 {
-    if (pl_mode_ != PlMode::Disabled) {
-        SetBatchStats stats;
-        stats.accesses = tags.size();
-        for (const Addr tag : tags) {
-            const auto res = access(tag, 0, false, LockReq::None);
-            stats.hits += res.hit ? 1 : 0;
-            stats.fills += res.filled ? 1 : 0;
-            stats.evictions += res.evicted ? 1 : 0;
-            stats.dirty_writebacks += res.dirty_writeback ? 1 : 0;
-        }
-        return stats;
-    }
-    return dispatchBatch<false, false>(
-        repl_, tags_.data(), utags_.data(), valid_mask_, dirty_mask_, ways_,
-        fullMask(), tags, nullptr, write_hit_ == WriteHitPolicy::WriteBack,
-        write_miss_ == WriteMissPolicy::WriteAllocate, nullptr);
+    return runBatch<false, false>(tags, nullptr, nullptr);
 }
 
 SetBatchStats
-CacheSet::replayBatch(std::span<const Addr> tags,
-                      std::span<const std::uint8_t> writes)
+SetView::replayBatch(std::span<const Addr> tags,
+                     std::span<const std::uint8_t> writes)
 {
-    if (pl_mode_ != PlMode::Disabled) {
-        SetBatchStats stats;
-        stats.accesses = tags.size();
-        for (std::size_t i = 0; i < tags.size(); ++i) {
-            const auto res = access(tags[i], 0, false, LockReq::None,
-                                    writes[i] != 0);
-            stats.hits += res.hit ? 1 : 0;
-            stats.fills += res.filled ? 1 : 0;
-            stats.evictions += res.evicted ? 1 : 0;
-            stats.dirty_writebacks += res.dirty_writeback ? 1 : 0;
-        }
-        return stats;
-    }
-    return dispatchBatch<false, true>(
-        repl_, tags_.data(), utags_.data(), valid_mask_, dirty_mask_, ways_,
-        fullMask(), tags, writes.data(),
-        write_hit_ == WriteHitPolicy::WriteBack,
-        write_miss_ == WriteMissPolicy::WriteAllocate, nullptr);
+    return runBatch<false, true>(tags, writes.data(), nullptr);
 }
 
 bool
-CacheSet::invalidate(Addr tag)
+SetView::invalidate(Addr tag)
 {
     return flushLine(tag).present;
 }
 
 SetFlushResult
-CacheSet::flushLine(Addr tag)
+SetView::flushLine(Addr tag)
 {
     SetFlushResult res;
     if (auto way = probe(tag)) {
         const std::uint32_t bit = 1u << *way;
         res.present = true;
-        res.dirty = (dirty_mask_ & bit) != 0;
-        valid_mask_ &= ~bit;
-        locked_mask_ &= ~bit;
-        dirty_mask_ &= ~bit;
+        res.dirty = (state_->dirty_mask & bit) != 0;
+        state_->valid_mask &= ~bit;
+        state_->locked_mask &= ~bit;
+        state_->dirty_mask &= ~bit;
         tags_[*way] = 0;
-        utags_[*way] = 0;
-        if (!owners_.empty())
+        if (utags_)
+            utags_[*way] = 0;
+        if (owners_)
             owners_[*way] = kNoOwner;
     }
     return res;
 }
 
 bool
-CacheSet::markDirty(Addr tag)
+SetView::markDirty(Addr tag)
 {
     if (auto way = probe(tag)) {
-        dirty_mask_ |= 1u << *way;
+        state_->dirty_mask |= 1u << *way;
         return true;
     }
     return false;
 }
 
 SetAccessResult
-CacheSet::prefetchFill(Addr tag, std::uint16_t utag)
+SetView::prefetchFill(Addr tag, std::uint16_t utag)
 {
     SetAccessResult res;
     if (auto way = probe(tag)) {
         // Already present: hardware prefetchers still promote the line.
         res.hit = true;
         res.way = *way;
-        repl_.touch(*way);
+        state_->repl.touch(*way);
         return res;
     }
     return access(tag, utag, false, LockReq::None);
 }
 
-std::uint32_t
-CacheSet::occupancy() const
-{
-    return static_cast<std::uint32_t>(std::popcount(valid_mask_));
-}
-
 void
-CacheSet::reset()
+SetView::reset()
 {
-    valid_mask_ = 0;
-    locked_mask_ = 0;
-    dirty_mask_ = 0;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
+    const std::uint32_t ways = shape_->ways;
+    SetState &st = *state_;
+    st.valid_mask = 0;
+    st.locked_mask = 0;
+    st.dirty_mask = 0;
+    for (std::uint32_t w = 0; w < ways; ++w)
         tags_[w] = 0;
-        utags_[w] = 0;
+    if (utags_) {
+        for (std::uint32_t w = 0; w < ways; ++w)
+            utags_[w] = 0;
     }
-    owners_.clear();
-    repl_.reset();
+    if (owners_) {
+        for (std::uint32_t w = 0; w < ways; ++w)
+            owners_[w] = kNoOwner;
+    }
+    st.repl.reset();
 }
 
 } // namespace lruleak::sim

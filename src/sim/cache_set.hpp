@@ -1,15 +1,18 @@
 /**
  * @file
- * One set of a set-associative cache: tags, valid/lock bits, utags, and
- * the per-set replacement state machine.
+ * One set of a set-associative cache: tags, valid/lock/dirty bits,
+ * utags, SHARP owners and the per-set replacement state machine.
  *
- * Value-semantic redesign: the replacement state is a `ReplState` stored
- * inline (no heap policy object) and the per-way metadata is kept as
- * structure-of-arrays — the tag array is contiguous (one cache line for
- * an 8-way set) and the valid/lock bits are bitmasks, so the probe loop
- * in the hot path touches a fraction of the memory the old
- * array-of-LineState layout did.  CacheSet is cheaply copyable and
- * copy-assignable.
+ * Storage is flat and per level (see cache.hpp): one tag array of
+ * sets x ways, one `SetState` record per set (the three bitmasks and
+ * the inline `ReplState`), a utag array only when the level has the
+ * way predictor and an owner array only under SHARP.  The set
+ * algorithms are written once, against `SetView`, a five-pointer view
+ * of one set's slice of that storage; `ConstSetView` is its read-only
+ * base.  `CacheSet` is a standalone set that owns one set's storage
+ * inline and runs the same code — the tests, `lruleak bench` and the
+ * Monte-Carlo experiments use it.  It is a value type: cheap to copy,
+ * no heap blocks.
  *
  * Besides the per-access entry point, `accessBatch` replays a whole tag
  * sequence with the policy dispatch hoisted out of the loop — the hot
@@ -20,10 +23,11 @@
 #ifndef LRULEAK_SIM_CACHE_SET_HPP
 #define LRULEAK_SIM_CACHE_SET_HPP
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "sim/address.hpp"
 #include "sim/repl_state.hpp"
@@ -124,27 +128,140 @@ struct SharpSetEvents
 };
 
 /**
- * A single cache set.  The cache decomposes addresses; the set works in
- * tag space only.  Value type: copy, assign and move freely.
+ * What every set of one cache level shares: the way count and the lock
+ * and write policies.  A level stores it once; each set view points at
+ * it.
  */
-class CacheSet
+struct SetShape
+{
+    std::uint32_t ways = 0;
+    PlMode pl_mode = PlMode::Disabled;
+    WriteHitPolicy write_hit = WriteHitPolicy::WriteBack;
+    WriteMissPolicy write_miss = WriteMissPolicy::WriteAllocate;
+
+    bool operator==(const SetShape &) const = default;
+};
+
+/**
+ * The per-set record of a level: the valid/lock/dirty bitmasks (bit w =
+ * way w) and the inline replacement state.  Tags, utags and owners live
+ * in the level's flat per-way arrays beside it.
+ */
+struct SetState
+{
+    explicit SetState(ReplState state) : repl(std::move(state)) {}
+
+    std::uint32_t valid_mask = 0;
+    std::uint32_t locked_mask = 0; //!< subset of valid_mask
+    std::uint32_t dirty_mask = 0;  //!< subset of valid_mask
+    ReplState repl;
+
+    bool operator==(const SetState &) const = default;
+};
+
+/**
+ * Read-only view of one set: the level's shape, the set's record and
+ * its slice of the level's tag array, plus its utag slice (levels with
+ * the way predictor) and owner slice (SHARP levels).  A view is five
+ * pointers; it never owns storage.
+ */
+class ConstSetView
 {
   public:
-    CacheSet(std::uint32_t ways, ReplState state,
-             PlMode pl_mode = PlMode::Disabled,
-             WriteHitPolicy write_hit = WriteHitPolicy::WriteBack,
-             WriteMissPolicy write_miss = WriteMissPolicy::WriteAllocate);
-
-    CacheSet(const CacheSet &) = default;
-    CacheSet &operator=(const CacheSet &) = default;
-    CacheSet(CacheSet &&) noexcept = default;
-    CacheSet &operator=(CacheSet &&) noexcept = default;
-
-    /** Member-wise equality: every line, mask and the replacement state. */
-    bool operator==(const CacheSet &) const = default;
+    ConstSetView(const SetShape &shape, const Addr *tags,
+                 const SetState &state, const std::uint16_t *utags,
+                 const std::uint32_t *owners)
+        : shape_(&shape), tags_(const_cast<Addr *>(tags)),
+          state_(const_cast<SetState *>(&state)),
+          utags_(const_cast<std::uint16_t *>(utags)),
+          owners_(const_cast<std::uint32_t *>(owners))
+    {
+    }
 
     /** Find the way holding @p tag without touching any state. */
     std::optional<std::uint32_t> probe(Addr tag) const;
+
+    /** Owning domain of @p way (kNoOwner when unowned or invalid). */
+    std::uint32_t
+    owner(std::uint32_t way) const
+    {
+        return owners_ ? owners_[way] : kNoOwner;
+    }
+
+    /** Metadata of one way (assembled view). */
+    LineState
+    line(std::uint32_t way) const
+    {
+        return LineState{tags_[way],
+                         ((state_->valid_mask >> way) & 1u) != 0,
+                         ((state_->locked_mask >> way) & 1u) != 0,
+                         utags_ ? utags_[way] : std::uint16_t{0},
+                         ((state_->dirty_mask >> way) & 1u) != 0};
+    }
+
+    /** The value-semantic replacement state of this set. */
+    const ReplState &repl() const { return state_->repl; }
+
+    std::uint32_t ways() const { return shape_->ways; }
+
+    /**
+     * Valid bits as a mask (bit w = way w holds a line).  Lets audit
+     * walks (the multi-core inclusion checker) skip invalid ways without
+     * assembling a LineState per way.
+     */
+    std::uint32_t validMask() const { return state_->valid_mask; }
+
+    /** Dirty bits as a mask (always a subset of validMask()). */
+    std::uint32_t dirtyMask() const { return state_->dirty_mask; }
+
+    PlMode plMode() const { return shape_->pl_mode; }
+    WriteHitPolicy writeHitPolicy() const { return shape_->write_hit; }
+    WriteMissPolicy writeMissPolicy() const { return shape_->write_miss; }
+
+    /** Number of valid lines currently in the set. */
+    std::uint32_t occupancy() const;
+
+    /**
+     * Equal sets: same shape, masks and replacement state, and the same
+     * tag, utag and owner in every way (a missing utag or owner array
+     * reads as 0 / kNoOwner).
+     */
+    friend bool operator==(const ConstSetView &a, const ConstSetView &b);
+
+  protected:
+    ConstSetView() = default;
+
+    /** Bitmask with one bit per way. */
+    std::uint32_t
+    fullMask() const
+    {
+        return shape_->ways >= 32 ? ~0u : (1u << shape_->ways) - 1;
+    }
+
+    // Non-const so SetView can share them; a ConstSetView never writes.
+    const SetShape *shape_ = nullptr;
+    Addr *tags_ = nullptr;
+    SetState *state_ = nullptr;
+    std::uint16_t *utags_ = nullptr;  //!< nullptr: no way predictor
+    std::uint32_t *owners_ = nullptr; //!< nullptr: not a SHARP level
+
+  private:
+    friend class CacheSet;
+};
+
+/**
+ * Mutable view of one set: the one implementation of the set
+ * algorithms (the paper's Fig. 10 flow chart, SHARP, the batch kernels).
+ * `Cache` runs them on its flat arrays; `CacheSet` on its own storage.
+ */
+class SetView : public ConstSetView
+{
+  public:
+    SetView(const SetShape &shape, Addr *tags, SetState &state,
+            std::uint16_t *utags, std::uint32_t *owners)
+        : ConstSetView(shape, tags, state, utags, owners)
+    {
+    }
 
     /**
      * Perform an access: hit updates replacement state (subject to the
@@ -154,7 +271,8 @@ class CacheSet
      * @param utag linear-address micro-tag of the access (AMD model);
      *        pass 0 when the way predictor is disabled
      * @param check_utag when true, a tag hit whose stored utag differs
-     *        from @p utag is flagged (and the stored utag is retrained)
+     *        from @p utag is flagged (and the stored utag is retrained);
+     *        needs a utag array
      * @param lock_req PL-cache lock/unlock request
      * @param is_write store access: applies the set's write policies
      *        (dirty marking, no-allocate bypass)
@@ -163,16 +281,16 @@ class CacheSet
                            LockReq lock_req, bool is_write = false);
 
     /**
-     * SHARP-protected access (SecureMode::Sharp).  Hits behave exactly
-     * like plain access() (and re-stamp the line's owner to @p domain:
-     * a cross-domain hit transfers ownership to the accessor).  On a
-     * miss, the replacement-chosen victim is previewed first: if it is
-     * owned by another domain the eviction is refused — @p ev.alarms
-     * increments and the victim is re-selected among ways that are not
-     * foreign-owned.  When *every* way is foreign-owned, the original
-     * victim is evicted anyway (`ev.forced`), unless @p flagged is set,
-     * in which case the fill is denied outright (`ev.denied`,
-     * result.bypassed) and no state changes at all.
+     * SHARP-protected access (SecureMode::Sharp); needs an owner array.
+     * Hits behave exactly like plain access() (and re-stamp the line's
+     * owner to @p domain: a cross-domain hit transfers ownership to the
+     * accessor).  On a miss, the replacement-chosen victim is previewed
+     * first: if it is owned by another domain the eviction is refused —
+     * @p ev.alarms increments and the victim is re-selected among ways
+     * that are not foreign-owned.  When *every* way is foreign-owned,
+     * the original victim is evicted anyway (`ev.forced`), unless
+     * @p flagged is set, in which case the fill is denied outright
+     * (`ev.denied`, result.bypassed) and no state changes at all.
      *
      * With a single accessing domain no way is ever foreign, so the
      * replacement-state call sequence is identical to access() — plain
@@ -184,13 +302,6 @@ class CacheSet
     SetAccessResult accessSharp(Addr tag, bool is_write,
                                 std::uint32_t domain, bool flagged,
                                 SharpSetEvents &ev);
-
-    /** Owning domain of @p way (kNoOwner when unowned or invalid). */
-    std::uint32_t
-    owner(std::uint32_t way) const
-    {
-        return owners_.empty() ? kNoOwner : owners_[way];
-    }
 
     /**
      * Drop @p domain's ownership of the line holding @p tag, if it is
@@ -258,70 +369,60 @@ class CacheSet
      */
     SetAccessResult prefetchFill(Addr tag, std::uint16_t utag);
 
-    /** Metadata of one way (assembled view). */
-    LineState
-    line(std::uint32_t way) const
-    {
-        return LineState{tags_[way],
-                         ((valid_mask_ >> way) & 1u) != 0,
-                         ((locked_mask_ >> way) & 1u) != 0,
-                         utags_[way],
-                         ((dirty_mask_ >> way) & 1u) != 0};
-    }
-
-    /** The value-semantic replacement state of this set. */
-    const ReplState &repl() const { return repl_; }
-    ReplState &repl() { return repl_; }
-
-    std::uint32_t ways() const { return ways_; }
-
-    /**
-     * Valid bits as a mask (bit w = way w holds a line).  Lets audit
-     * walks (the multi-core inclusion checker) skip invalid ways without
-     * assembling a LineState per way.
-     */
-    std::uint32_t validMask() const { return valid_mask_; }
-
-    /** Dirty bits as a mask (always a subset of validMask()). */
-    std::uint32_t dirtyMask() const { return dirty_mask_; }
-
-    PlMode plMode() const { return pl_mode_; }
-    void setPlMode(PlMode mode) { pl_mode_ = mode; }
-
-    WriteHitPolicy writeHitPolicy() const { return write_hit_; }
-    WriteMissPolicy writeMissPolicy() const { return write_miss_; }
-
-    /** Number of valid lines currently in the set. */
-    std::uint32_t occupancy() const;
+    using ConstSetView::repl;
+    ReplState &repl() { return state_->repl; }
 
     /** Clear all lines and the replacement state. */
     void reset();
 
-  private:
-    /** Bitmask with one bit per way. */
-    std::uint32_t
-    fullMask() const
-    {
-        return ways_ >= 32 ? ~0u : (1u << ways_) - 1;
-    }
+  protected:
+    SetView() = default;
 
+  private:
     void fill(std::uint32_t way, Addr tag, bool lock,
               std::uint16_t utag, bool dirty);
 
-    std::uint32_t ways_;
-    PlMode pl_mode_;
-    WriteHitPolicy write_hit_;
-    WriteMissPolicy write_miss_;
-    std::uint32_t valid_mask_ = 0;
-    std::uint32_t locked_mask_ = 0;   //!< subset of valid_mask_
-    std::uint32_t dirty_mask_ = 0;    //!< subset of valid_mask_
-    std::vector<Addr> tags_;
-    std::vector<std::uint16_t> utags_;
-    /** SHARP owner per way (kNoOwner unless stamped by accessSharp).
-     *  Empty until the set's first accessSharp, so only the sets of a
-     *  SHARP cache pay for it; reset() empties it again. */
-    std::vector<std::uint32_t> owners_;
-    ReplState repl_;
+    /** The four batch entry points: @p kCollect writes @p results,
+     *  @p kWrites reads @p writes. */
+    template <bool kCollect, bool kWrites>
+    SetBatchStats runBatch(std::span<const Addr> tags,
+                           const std::uint8_t *writes,
+                           SetAccessResult *results);
+};
+
+/**
+ * A standalone set that owns its storage (inline, up to kMaxWays ways,
+ * with utags and owners) and runs the SetView algorithms on it — the
+ * set tests, `lruleak bench` and the Monte-Carlo experiments drive.
+ * Value type: copy and assign freely; copies are deep.
+ */
+class CacheSet : public SetView
+{
+  public:
+    CacheSet(std::uint32_t ways, ReplState state,
+             PlMode pl_mode = PlMode::Disabled,
+             WriteHitPolicy write_hit = WriteHitPolicy::WriteBack,
+             WriteMissPolicy write_miss = WriteMissPolicy::WriteAllocate);
+
+    /** Owning copy of the set @p view shows (e.g. one set of a Cache). */
+    explicit CacheSet(const ConstSetView &view);
+
+    CacheSet(const CacheSet &other);
+    CacheSet &operator=(const CacheSet &other);
+
+  private:
+    /** Point the inherited view at this object's own storage. */
+    void bind();
+
+    struct Storage
+    {
+        SetShape shape;
+        SetState state;
+        std::array<Addr, kMaxWays> tags{};
+        std::array<std::uint16_t, kMaxWays> utags{};
+        std::array<std::uint32_t, kMaxWays> owners{};
+    };
+    Storage store_;
 };
 
 } // namespace lruleak::sim

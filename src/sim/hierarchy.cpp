@@ -49,9 +49,8 @@ CacheHierarchy::landWriteback(int from, Addr line_base)
 HierarchyAccessResult
 CacheHierarchy::access(const MemRef &ref, LockReq lock_req)
 {
-    HierarchyAccessResult res;
-
-    res.l1 = l1_->access(ref, lock_req);
+    // res.l1 is built in place: no temporary, no copy.
+    HierarchyAccessResult res{.l1 = l1_->access(ref, lock_req)};
     res.l1_utag_mismatch = res.l1.utag_mismatch;
     res.l1_bypassed = res.l1.bypassed;
 

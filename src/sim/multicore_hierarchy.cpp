@@ -268,7 +268,7 @@ MultiCoreHierarchy::auditInclusion() const
             // level is partitioned) and compose line bases with the
             // owning *address* set.
             for (std::uint32_t s = 0; s < cache.storageSets(); ++s) {
-                const CacheSet &set = cache.cacheSet(s);
+                const ConstSetView set = cache.cacheSet(s);
                 const std::uint32_t addr_set = cache.addressSetOf(s);
                 const std::uint32_t valid = set.validMask();
                 const std::uint32_t dirty = set.dirtyMask();
@@ -307,7 +307,7 @@ MultiCoreHierarchy::auditInclusion() const
     // and under SHARP its ownership must be coherent: a line owned by
     // core c is a line whose freshest copy sits in c's private caches.
     for (std::uint32_t s = 0; s < llc_->storageSets(); ++s) {
-        const CacheSet &set = llc_->cacheSet(s);
+        const ConstSetView set = llc_->cacheSet(s);
         if ((set.dirtyMask() & ~set.validMask()) != 0) {
             std::ostringstream os;
             os << "dirty-state violation: LLC set " << s

@@ -8,7 +8,7 @@
  * *original* design still leaks through the LRU state (accesses to locked
  * lines update it) and proposes the fix of locking the LRU state too.
  *
- * The actual flow chart is implemented in CacheSet::access; this class is
+ * The actual flow chart is implemented in SetView::access; this class is
  * the user-facing handle that issues lock/unlock requests and toggles the
  * original/fixed behaviour.
  */
@@ -63,9 +63,9 @@ class PlCache
         const auto &l1 = hierarchy_.l1();
         const auto set = l1.layout().setIndex(ref.vaddr);
         const auto tag = l1.layout().tag(ref.paddr);
-        if (auto way = l1.cacheSet(set).probe(tag))
-            return l1.cacheSet(set).line(*way).locked;
-        return false;
+        const ConstSetView view = l1.cacheSet(set);
+        const auto way = view.probe(tag);
+        return way && view.line(*way).locked;
     }
 
     PlMode mode() const { return hierarchy_.l1().plMode(); }

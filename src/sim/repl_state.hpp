@@ -18,10 +18,10 @@
  *
  * `ReplState` dispatches non-virtually via `std::visit`; batch code can
  * hoist the dispatch out of its loop entirely (one visit around the
- * whole loop, see CacheSet::accessBatch) so the compiler specialises the
- * hot path per concrete policy.  Everything is value-semantic: a
- * `CacheSet` holding a `ReplState` is cheaply copyable and lives in one
- * contiguous allocation.
+ * whole loop, see SetView::accessBatch) so the compiler specialises the
+ * hot path per concrete policy.  Everything is value-semantic: a set's
+ * `ReplState` sits inline in its `SetState` record, so a cache level's
+ * records are one flat array and a `CacheSet` copies with a memcpy.
  *
  * The victim query is split to fix the seed contract lie ("Does not
  * modify state" while Random advanced its RNG and SRRIP aged RRPVs):
@@ -323,11 +323,11 @@ struct FifoState
     {
         // Remove `way` from the queue, re-append as newest.
         std::uint32_t pos = 0;
-        while (pos < ways && order[pos] != way)
+        while (pos + 1 < ways && order[pos] != way)
             ++pos;
-        for (std::uint32_t i = pos; i + 1 < ways; ++i)
-            order[i] = order[i + 1];
-        order[ways - 1] = static_cast<std::uint8_t>(way);
+        for (; pos + 1 < ways; ++pos)
+            order[pos] = order[pos + 1];
+        order[pos] = static_cast<std::uint8_t>(way); // pos == ways - 1
     }
 
     std::uint32_t victim() const { return order[0]; }

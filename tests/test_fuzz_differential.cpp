@@ -5,7 +5,9 @@
  * plain array-of-structs set over the reference replacement models —
  * must stay state-bit-identical on long random traces, for
  * every policy and for way counts the targeted unit tests never
- * exercise (including the non-power-of-two 6 and 12).
+ * exercise (including the non-power-of-two 6 and 12).  A cache level
+ * (flat arrays, set views) must match the same level built from
+ * standalone CacheSets step by step.
  *
  * Rationale: the batch paths specialise their inner loops per concrete
  * policy and common way count, so an off-by-one in an uncommon
@@ -15,12 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "reference_policies.hpp"
+#include "sim/cache.hpp"
 #include "sim/cache_set.hpp"
 #include "sim/repl_state.hpp"
+#include "sim/way_predictor.hpp"
 
 using namespace lruleak::sim;
 namespace reference = lruleak::reference;
@@ -153,8 +159,9 @@ TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
         ASSERT_EQ(res.way, ref.way) << "access " << i;
         ASSERT_EQ(res.filled, ref.filled) << "access " << i;
         ASSERT_EQ(res.evicted, ref.evicted) << "access " << i;
-        if (ref.evicted)
+        if (ref.evicted) {
             ASSERT_EQ(res.evicted_tag, ref.evicted_tag) << "access " << i;
+        }
         ASSERT_EQ(per_access.repl().stateBits(), model.stateBits())
             << "state diverged from the reference set at access " << i;
         per_results[i] = res;
@@ -171,9 +178,10 @@ TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
         ASSERT_EQ(batch_results[i].way, per_results[i].way) << i;
         ASSERT_EQ(batch_results[i].filled, per_results[i].filled) << i;
         ASSERT_EQ(batch_results[i].evicted, per_results[i].evicted) << i;
-        if (per_results[i].evicted)
+        if (per_results[i].evicted) {
             ASSERT_EQ(batch_results[i].evicted_tag,
                       per_results[i].evicted_tag) << i;
+        }
     }
 
     // Replay lane: aggregate stats only.
@@ -192,8 +200,9 @@ TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
         EXPECT_EQ(per_access.line(w).valid, batched.line(w).valid) << w;
         EXPECT_EQ(per_access.line(w).tag, replayed.line(w).tag) << w;
         EXPECT_EQ(per_access.line(w).valid, model.valid(w)) << w;
-        if (model.valid(w))
+        if (model.valid(w)) {
             EXPECT_EQ(per_access.line(w).tag, model.tag(w)) << w;
+        }
     }
 }
 
@@ -319,9 +328,10 @@ TEST_P(WritePathFuzz, ThreePathsAgreeOnDirtyStateAndWritebacks)
             << "write-back divergence at access " << i;
         ASSERT_EQ(batch_results[i].write_no_alloc,
                   per_results[i].write_no_alloc) << i;
-        if (per_results[i].evicted)
+        if (per_results[i].evicted) {
             ASSERT_EQ(batch_results[i].evicted_tag,
                       per_results[i].evicted_tag) << i;
+        }
     }
 
     // Replay lane: aggregate write-back tally.
@@ -408,8 +418,9 @@ TEST_P(SharpFuzz, SingleOwnerTraceMatchesPlainAccessBitForBit)
         ASSERT_EQ(a.way, b.way) << "access " << i;
         ASSERT_EQ(a.filled, b.filled) << "access " << i;
         ASSERT_EQ(a.evicted, b.evicted) << "access " << i;
-        if (a.evicted)
+        if (a.evicted) {
             ASSERT_EQ(a.evicted_tag, b.evicted_tag) << "access " << i;
+        }
         ASSERT_EQ(a.dirty_writeback, b.dirty_writeback) << "access " << i;
         ASSERT_EQ(plain.repl(), sharp.repl())
             << "replacement state diverged at access " << i;
@@ -473,9 +484,10 @@ TEST_P(SharpFuzz, ForeignEvictionImpliesAlarmOrDenial)
             ASSERT_EQ(sharp.validMask(), valid_before)
                 << "access " << i << ": a denied fill must not touch the set";
         }
-        if (res.hit)
+        if (res.hit) {
             ASSERT_EQ(sharp.owner(res.way), domain)
                 << "access " << i << ": a hit must transfer ownership";
+        }
     }
     // The contended trace must actually exercise the refusal machinery,
     // or the invariants above were vacuous.
@@ -523,3 +535,409 @@ TEST(DifferentialFuzz, TreePlruRejectsNonPowerOfTwoWaysEverywhere)
                      std::invalid_argument) << ways;
     }
 }
+
+// ------------------------------------------------- flat level storage fuzz
+
+namespace {
+
+/** One cache-level configuration the flat-storage fuzz replays. */
+struct LevelCase
+{
+    std::string name;
+    CacheConfig config;
+    PlMode pl_mode = PlMode::Disabled;
+    bool way_predictor = false;
+};
+
+/** A 4-set level: small enough to compare every set after every step. */
+CacheConfig
+smallLevel(ReplPolicyKind kind, std::uint32_t ways = 8)
+{
+    CacheConfig c;
+    c.name = "fuzz";
+    c.size_bytes = 4 * ways * 64;
+    c.ways = ways;
+    c.policy = kind;
+    c.seed = 1234;
+    return c;
+}
+
+std::vector<LevelCase>
+levelMatrix()
+{
+    std::vector<LevelCase> cases;
+    const auto wh = {WriteHitPolicy::WriteBack, WriteHitPolicy::WriteThrough};
+    const auto wm = {WriteMissPolicy::WriteAllocate,
+                     WriteMissPolicy::NoWriteAllocate};
+    for (ReplPolicyKind kind : allReplPolicyKinds()) {
+        const std::string policy(replPolicyName(kind));
+        for (WriteHitPolicy h : wh) {
+            for (WriteMissPolicy m : wm) {
+                CacheConfig c = smallLevel(kind);
+                c.write_hit = h;
+                c.write_miss = m;
+                cases.push_back({policy + "_" + writeHitPolicyName(h) + "_" +
+                                     writeMissPolicyName(m),
+                                 c});
+            }
+        }
+        for (PlMode pl : {PlMode::Original, PlMode::FixedLruLock})
+            cases.push_back({policy + (pl == PlMode::Original
+                                           ? "_PlOriginal"
+                                           : "_PlFixedLruLock"),
+                             smallLevel(kind), pl});
+        cases.push_back({policy + "_WayPredictor", smallLevel(kind),
+                         PlMode::Disabled, true});
+
+        CacheConfig dawg = smallLevel(kind);
+        dawg.secure = SecureMode::Dawg;
+        cases.push_back({policy + "_Dawg", dawg});
+
+        CacheConfig fill = smallLevel(kind);
+        fill.secure = SecureMode::RandomFill;
+        fill.fill_window = 6;
+        cases.push_back({policy + "_RandomFill", fill});
+        cases.push_back({policy + "_RandomFillWayPredictor", fill,
+                         PlMode::Disabled, true});
+
+        for (std::uint32_t threshold : {0u, 4u}) {
+            CacheConfig sharp = smallLevel(kind, 4);
+            sharp.secure = SecureMode::Sharp;
+            sharp.secure_domains = 3;
+            sharp.sharp_alarm_threshold = threshold;
+            cases.push_back({policy + "_Sharp" + std::to_string(threshold),
+                             sharp});
+        }
+    }
+    return cases;
+}
+
+/**
+ * The level as standalone CacheSets: one per storage set, seeded and
+ * shaped as the Cache builds them (storage set s runs its Random stream
+ * from seed + s, the RandomFill stream starts at seed ^ 0xf177ed5ec;
+ * DAWG set s's partition d is storage set s * domains + d), with the
+ * level's routing, RandomFill draws, SHARP bookkeeping and counters
+ * written out here.
+ */
+class LevelModel
+{
+  public:
+    LevelModel(const CacheConfig &c, PlMode pl_mode, bool way_predictor)
+        : alarms(c.secure_domains, 0), forced(c.secure_domains, 0),
+          denied(c.secure_domains, 0), c_(c),
+          layout_(c.line_size, c.numSets()), way_predictor_(way_predictor),
+          parts_(c.secure == SecureMode::Dawg ? c.secure_domains : 1),
+          fill_rng_(c.seed ^ 0xf177ed5ecULL)
+    {
+        const std::uint32_t ways = c.ways / parts_;
+        for (std::uint32_t s = 0; s < c.numSets() * parts_; ++s) {
+            sets.emplace_back(ways,
+                              ReplState::make(c.policy, ways, c.seed + s),
+                              pl_mode, c.write_hit, c.write_miss);
+        }
+    }
+
+    CacheAccessResult
+    access(std::uint32_t domain, const MemRef &ref, LockReq lock_req)
+    {
+        const std::uint32_t set = layout_.setIndex(ref.vaddr);
+        const Addr tag = layout_.tag(ref.paddr);
+        CacheAccessResult res;
+        res.set = set;
+        SetAccessResult sr;
+        if (c_.secure == SecureMode::Sharp) {
+            domain %= c_.secure_domains;
+            const bool flagged = c_.sharp_alarm_threshold > 0 &&
+                                 alarms[domain] >= c_.sharp_alarm_threshold;
+            SharpSetEvents ev;
+            sr = sets[set].accessSharp(tag, ref.is_write, domain, flagged, ev);
+            alarms[domain] += ev.alarms;
+            forced[domain] += ev.forced ? 1 : 0;
+            denied[domain] += ev.denied ? 1 : 0;
+        } else if (c_.secure == SecureMode::RandomFill &&
+                   !sets[set].probe(tag)) {
+            const std::int64_t offset = fill_rng_.range(1, c_.fill_window) *
+                                        (fill_rng_.chance(0.5) ? 1 : -1);
+            const Addr delta = static_cast<Addr>(offset * 64);
+            const Addr fill_vaddr = layout_.lineBase(ref.vaddr) + delta;
+            const Addr fill_paddr = layout_.lineBase(ref.paddr) + delta;
+            const std::uint32_t fill_set = layout_.setIndex(fill_vaddr);
+            const SetAccessResult fr = sets[fill_set].prefetchFill(
+                layout_.tag(fill_paddr),
+                way_predictor_ ? WayPredictor::utag(fill_vaddr) : 0);
+            res.bypassed = true;
+            res.write_no_alloc = ref.is_write;
+            res.dirty_writeback = fr.dirty_writeback;
+            if (fr.evicted)
+                res.evicted_line = layout_.compose(fr.evicted_tag, fill_set);
+            counters.record(ref.thread, false);
+            if (fr.dirty_writeback)
+                counters.recordWriteback(ref.thread);
+            return res;
+        } else {
+            sr = sets[set * parts_ + ref.thread % parts_].access(
+                tag, way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0,
+                way_predictor_, lock_req, ref.is_write);
+        }
+        res.hit = sr.hit;
+        res.way = sr.way;
+        res.filled = sr.filled;
+        res.bypassed = sr.bypassed;
+        res.utag_mismatch = sr.utag_mismatch;
+        res.dirty_writeback = sr.dirty_writeback;
+        res.write_no_alloc = sr.write_no_alloc;
+        if (sr.evicted)
+            res.evicted_line = layout_.compose(sr.evicted_tag, set);
+        counters.record(ref.thread, sr.hit);
+        if (sr.dirty_writeback)
+            counters.recordWriteback(ref.thread);
+        return res;
+    }
+
+    /** Cache::flush: the first partition holding the line drops it. */
+    CacheFlushResult
+    flush(const MemRef &ref)
+    {
+        const std::uint32_t set = layout_.setIndex(ref.vaddr);
+        for (std::uint32_t d = 0; d < parts_; ++d) {
+            const SetFlushResult f =
+                sets[set * parts_ + d].flushLine(layout_.tag(ref.paddr));
+            if (f.present) {
+                if (f.dirty)
+                    counters.recordWriteback(ref.thread);
+                return CacheFlushResult{true, f.dirty};
+            }
+        }
+        return CacheFlushResult{};
+    }
+
+    bool
+    markDirtyLine(Addr line)
+    {
+        const std::uint32_t set = layout_.setIndex(line);
+        for (std::uint32_t d = 0; d < parts_; ++d) {
+            if (sets[set * parts_ + d].markDirty(layout_.tag(line)))
+                return true;
+        }
+        return false;
+    }
+
+    bool
+    prefetch(const MemRef &ref)
+    {
+        const std::uint32_t set = layout_.setIndex(ref.vaddr);
+        return sets[set * parts_ + ref.thread % parts_]
+            .prefetchFill(layout_.tag(ref.paddr),
+                          way_predictor_ ? WayPredictor::utag(ref.vaddr)
+                                         : 0)
+            .hit;
+    }
+
+    void
+    releaseOwner(std::uint32_t domain, Addr line)
+    {
+        if (c_.secure == SecureMode::Sharp)
+            sets[layout_.setIndex(line)].releaseOwner(
+                layout_.tag(line), domain % c_.secure_domains);
+    }
+
+    bool
+    contains(const MemRef &ref) const
+    {
+        const std::uint32_t set = layout_.setIndex(ref.vaddr);
+        return sets[set * parts_ + ref.thread % parts_]
+            .probe(layout_.tag(ref.paddr))
+            .has_value();
+    }
+
+    static std::uint64_t
+    total(const std::vector<std::uint64_t> &v)
+    {
+        std::uint64_t t = 0;
+        for (const std::uint64_t x : v)
+            t += x;
+        return t;
+    }
+
+    std::vector<CacheSet> sets;
+    PerfCounters counters;
+    std::vector<std::uint64_t> alarms, forced, denied;
+
+  private:
+    CacheConfig c_;
+    AddressLayout layout_;
+    bool way_predictor_;
+    std::uint32_t parts_;
+    Xoshiro256 fill_rng_;
+};
+
+/** How often the stream reached each access outcome. */
+struct PathTally
+{
+    std::uint64_t evictions = 0, dirty_writebacks = 0, bypasses = 0,
+                  utag_mismatches = 0, no_allocates = 0;
+
+    void
+    add(const CacheAccessResult &r)
+    {
+        evictions += r.evicted_line ? 1 : 0;
+        dirty_writebacks += r.dirty_writeback ? 1 : 0;
+        bypasses += r.bypassed ? 1 : 0;
+        utag_mismatches += r.utag_mismatch ? 1 : 0;
+        no_allocates += r.write_no_alloc ? 1 : 0;
+    }
+};
+
+void
+expectSameResult(const CacheAccessResult &a, const CacheAccessResult &b,
+                 std::size_t step)
+{
+    ASSERT_EQ(a.hit, b.hit) << "step " << step;
+    ASSERT_EQ(a.set, b.set) << "step " << step;
+    ASSERT_EQ(a.way, b.way) << "step " << step;
+    ASSERT_EQ(a.filled, b.filled) << "step " << step;
+    ASSERT_EQ(a.bypassed, b.bypassed) << "step " << step;
+    ASSERT_EQ(a.utag_mismatch, b.utag_mismatch) << "step " << step;
+    ASSERT_EQ(a.dirty_writeback, b.dirty_writeback) << "step " << step;
+    ASSERT_EQ(a.write_no_alloc, b.write_no_alloc) << "step " << step;
+    ASSERT_EQ(a.evicted_line, b.evicted_line) << "step " << step;
+}
+
+class FlatStorageFuzz : public ::testing::TestWithParam<LevelCase>
+{};
+
+} // namespace
+
+/**
+ * A Cache keeps every level in flat arrays (one tag array, one record
+ * per set, utags and owners only when the level has them) and runs the
+ * set algorithms on views of it.  Replaying one randomized stream of
+ * demand accesses, batches, flushes, write-back landings, prefetches
+ * and SHARP releases through a Cache and through standalone CacheSets
+ * must give identical results, identical PerfCounters and SHARP
+ * tallies, and identical set state after every step.
+ */
+TEST_P(FlatStorageFuzz, CacheMatchesStandaloneSetsStepByStep)
+{
+    const LevelCase &lc = GetParam();
+    Cache cache(lc.config, lc.pl_mode, lc.way_predictor);
+    LevelModel model(lc.config, lc.pl_mode, lc.way_predictor);
+    ASSERT_EQ(cache.storageSets(), model.sets.size());
+
+    const AddressLayout &layout = cache.layout();
+    const bool plain = lc.config.secure == SecureMode::None;
+    Xoshiro256 rng(lc.config.seed ^ std::hash<std::string>{}(lc.name));
+    const auto randomRef = [&] {
+        const Addr line = layout.compose(
+            rng.below(lc.config.ways * 3),
+            static_cast<std::uint32_t>(rng.below(cache.numSets())));
+        // A VA alias that keeps the set index but changes the utag.
+        const Addr alias = rng.chance(0.2) ? 0x100000 : 0;
+        return MemRef{line + alias, line,
+                      static_cast<ThreadId>(rng.below(3)),
+                      rng.chance(1.0 / 3.0)};
+    };
+
+    std::vector<CacheAccessResult> batch_results(8);
+    PathTally tally;
+    for (std::size_t step = 0; step < 3000; ++step) {
+        const MemRef ref = randomRef();
+        const Addr line = layout.lineBase(ref.paddr);
+        const double op = rng.uniform();
+        if (op < 0.6) {
+            LockReq req = LockReq::None;
+            if (lc.pl_mode != PlMode::Disabled && rng.chance(0.3))
+                req = rng.chance(0.6) ? LockReq::Lock : LockReq::Unlock;
+            const auto domain = static_cast<std::uint32_t>(rng.below(4));
+            const bool from = rng.chance(0.5);
+            const CacheAccessResult got =
+                from ? cache.accessFrom(domain, ref, req)
+                     : cache.access(ref, req);
+            const CacheAccessResult want = model.access(
+                from ? domain : static_cast<std::uint32_t>(ref.thread), ref,
+                req);
+            expectSameResult(got, want, step);
+            tally.add(got);
+        } else if (op < 0.7 && plain) {
+            std::vector<MemRef> refs(1 + rng.below(batch_results.size()));
+            for (MemRef &r : refs)
+                r = randomRef();
+            cache.accessBatch(refs, batch_results);
+            for (std::size_t i = 0; i < refs.size(); ++i) {
+                expectSameResult(batch_results[i],
+                                 model.access(0, refs[i], LockReq::None),
+                                 step);
+                tally.add(batch_results[i]);
+            }
+        } else if (op < 0.8) {
+            const CacheFlushResult got = cache.flush(ref);
+            const CacheFlushResult want = model.flush(ref);
+            ASSERT_EQ(got.present, want.present) << "step " << step;
+            ASSERT_EQ(got.dirty, want.dirty) << "step " << step;
+        } else if (op < 0.88) {
+            ASSERT_EQ(cache.markDirtyLine(line), model.markDirtyLine(line))
+                << "step " << step;
+        } else if (op < 0.94) {
+            ASSERT_EQ(cache.prefetch(ref).hit, model.prefetch(ref))
+                << "step " << step;
+        } else {
+            const auto domain = static_cast<std::uint32_t>(rng.below(3));
+            cache.releaseOwner(domain, line);
+            model.releaseOwner(domain, line);
+        }
+        if (HasFatalFailure())
+            return;
+
+        ASSERT_EQ(cache.contains(ref), model.contains(ref)) << "step " << step;
+        for (std::uint32_t s = 0; s < cache.storageSets(); ++s) {
+            ASSERT_TRUE(cache.cacheSet(s) == model.sets[s])
+                << "set " << s << " diverged at step " << step;
+        }
+        const LevelStats &x = cache.counters().total();
+        const LevelStats &y = model.counters.total();
+        ASSERT_EQ(x.accesses, y.accesses) << "step " << step;
+        ASSERT_EQ(x.hits, y.hits) << "step " << step;
+        ASSERT_EQ(x.misses, y.misses) << "step " << step;
+        ASSERT_EQ(x.writebacks, y.writebacks) << "step " << step;
+        for (ThreadId t = 0; t < 3; ++t) {
+            const LevelStats a = cache.counters().forThread(t);
+            const LevelStats b = model.counters.forThread(t);
+            ASSERT_EQ(a.accesses, b.accesses) << "thread " << t;
+            ASSERT_EQ(a.hits, b.hits) << "thread " << t;
+            ASSERT_EQ(a.writebacks, b.writebacks) << "thread " << t;
+        }
+        ASSERT_EQ(cache.sharpAlarmsTotal(), model.total(model.alarms));
+        ASSERT_EQ(cache.sharpForcedTotal(), model.total(model.forced));
+        ASSERT_EQ(cache.sharpDeniedTotal(), model.total(model.denied));
+    }
+
+    // The stream really reached the paths the case names.
+    const CacheConfig &c = lc.config;
+    EXPECT_GT(tally.evictions, 0u);
+    EXPECT_GT(tally.dirty_writebacks, 0u);
+    if (lc.pl_mode != PlMode::Disabled ||
+        c.secure == SecureMode::RandomFill) {
+        EXPECT_GT(tally.bypasses, 0u);
+    }
+    if (lc.way_predictor) {
+        EXPECT_GT(tally.utag_mismatches, 0u);
+    }
+    if (c.write_miss == WriteMissPolicy::NoWriteAllocate ||
+        c.secure == SecureMode::RandomFill) {
+        EXPECT_GT(tally.no_allocates, 0u);
+    }
+    if (c.secure == SecureMode::Sharp) {
+        EXPECT_GT(cache.sharpAlarmsTotal(), 0u);
+        EXPECT_GT(cache.sharpForcedTotal(), 0u);
+        if (c.sharp_alarm_threshold > 0) {
+            EXPECT_GT(cache.sharpDeniedTotal(), 0u);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLevelShapes, FlatStorageFuzz, ::testing::ValuesIn(levelMatrix()),
+    [](const ::testing::TestParamInfo<LevelCase> &info) {
+        return info.param.name;
+    });

@@ -162,7 +162,7 @@ struct Snapshot
           llc(h.llc().counters().total())
     {
         for (std::uint32_t s = 0; s < h.l1().storageSets(); ++s)
-            l1_sets.push_back(h.l1().cacheSet(s));
+            l1_sets.emplace_back(h.l1().cacheSet(s));
     }
 
     void
