@@ -73,9 +73,10 @@ std::vector<SimBenchRow> runSimBench(const SimBenchConfig &config);
  * One macro lane: a whole-subsystem hot path timed end to end.  These
  * absorb the orphan google-benchmark binary (bench/microbench_simulator)
  * into the `lruleak bench` flow: raw cache hits and miss streams, full
- * hierarchy walks, 4-core hierarchy accesses with back-invalidation,
- * covert-channel bits through the execution engine (single-core SMT and
- * cross-core LLC), and Spectre victim calls.
+ * hierarchy walks, 4-core hierarchy accesses in the level and store
+ * mix of lrubench's trace_writes workload, covert-channel bits through
+ * the execution engine (single-core SMT and cross-core LLC), and
+ * Spectre victim calls.
  */
 struct MacroBenchRow
 {

@@ -307,8 +307,15 @@ Cache::prefetch(const MemRef &ref)
     const SetAccessResult sr =
         cacheSet(storageIndex(set, ref.thread))
             .prefetchFill(layout_.tag(ref.paddr), utag);
+    // A prefetch reports only what it installed and displaced; the
+    // demand-path flags (write-back, bypass, utag) stay clear.
     CacheAccessResult res;
-    setResult(sr, set, res);
+    res.hit = sr.hit;
+    res.set = set;
+    res.way = sr.way;
+    res.filled = sr.filled;
+    if (sr.evicted)
+        res.evicted_line = layout_.compose(sr.evicted_tag, set);
     return res;
 }
 
@@ -345,7 +352,7 @@ Cache::steadyHits(std::span<const MemRef> refs) const
             return false;
     }
     for (const auto &[set, copy] : copies) {
-        if (!(copy == cacheSet(set)))
+        if (!(copy.view() == cacheSet(set)))
             return false;
     }
     return true;

@@ -196,7 +196,10 @@ class Cache
     ConstSetView
     cacheSet(std::uint32_t index) const
     {
-        return const_cast<Cache *>(this)->cacheSet(index);
+        const std::size_t base = static_cast<std::size_t>(index) * shape_.ways;
+        return ConstSetView(shape_, tags_.data() + base, states_[index],
+                            utags_.empty() ? nullptr : utags_.data() + base,
+                            owners_.empty() ? nullptr : owners_.data() + base);
     }
     SetView
     cacheSet(std::uint32_t index)

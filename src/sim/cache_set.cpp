@@ -90,8 +90,8 @@ void
 SetView::fill(std::uint32_t way, Addr tag, bool lock, std::uint16_t utag,
               bool dirty)
 {
-    SetState &st = *state_;
-    tags_[way] = tag;
+    SetState &st = mutableState();
+    mutableTags()[way] = tag;
     st.valid_mask |= 1u << way;
     if (lock)
         st.locked_mask |= 1u << way;
@@ -102,9 +102,9 @@ SetView::fill(std::uint32_t way, Addr tag, bool lock, std::uint16_t utag,
     else
         st.dirty_mask &= ~(1u << way);
     if (utags_)
-        utags_[way] = utag;
+        mutableUtags()[way] = utag;
     if (owners_)
-        owners_[way] = kNoOwner; // plain fills install unowned lines;
+        mutableOwners()[way] = kNoOwner; // plain fills install unowned lines;
                                  // accessSharp re-stamps after filling
 }
 
@@ -112,7 +112,7 @@ SetAccessResult
 SetView::access(Addr tag, std::uint16_t utag, bool check_utag,
                 LockReq lock_req, bool is_write)
 {
-    SetState &st = *state_;
+    SetState &st = mutableState();
     const SetShape &shape = *shape_;
     SetAccessResult res;
     // A store leaves the line dirty only under write-back; under
@@ -133,7 +133,7 @@ SetView::access(Addr tag, std::uint16_t utag, bool check_utag,
             // misses in the predicted way and retrains the utag.  The
             // caller charges miss-like latency for this access.
             res.utag_mismatch = true;
-            utags_[w] = utag;
+            mutableUtags()[w] = utag;
         }
 
         const bool locked_hit = ((st.locked_mask >> w) & 1u) != 0;
@@ -211,7 +211,7 @@ SetAccessResult
 SetView::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
                      bool flagged, SharpSetEvents &ev)
 {
-    SetState &st = *state_;
+    SetState &st = mutableState();
     const SetShape &shape = *shape_;
     SetAccessResult res;
     const bool mark_dirty =
@@ -226,7 +226,7 @@ SetView::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
         st.repl.touch(w);
         if (mark_dirty)
             st.dirty_mask |= 1u << w;
-        owners_[w] = domain;
+        mutableOwners()[w] = domain;
         return res;
     }
 
@@ -239,7 +239,7 @@ SetView::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
     if (first_invalid < shape.ways) {
         fill(first_invalid, tag, false, 0, mark_dirty);
         st.repl.onFill(first_invalid);
-        owners_[first_invalid] = domain;
+        mutableOwners()[first_invalid] = domain;
         res.way = first_invalid;
         res.filled = true;
         return res;
@@ -295,7 +295,7 @@ SetView::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
     res.dirty_writeback = ((st.dirty_mask >> victim_way) & 1u) != 0;
     fill(victim_way, tag, false, 0, mark_dirty);
     st.repl.onFill(victim_way);
-    owners_[victim_way] = domain;
+    mutableOwners()[victim_way] = domain;
     res.way = victim_way;
     res.filled = true;
     return res;
@@ -308,7 +308,7 @@ SetView::releaseOwner(Addr tag, std::uint32_t domain)
         return false;
     if (auto way = probe(tag)) {
         if (owners_[*way] == domain) {
-            owners_[*way] = kNoOwner;
+            mutableOwners()[*way] = kNoOwner;
             return true;
         }
     }
@@ -486,8 +486,9 @@ SetView::runBatch(std::span<const Addr> tags, const std::uint8_t *writes,
     // concrete replacement state (and per common way count), so
     // touch/onFill/selectVictim are direct, inlinable calls on a
     // register-resident state machine.
+    SetState &st = mutableState();
     return dispatchBatch<kCollect, kWrites>(
-        state_->repl, tags_, utags_, state_->valid_mask, state_->dirty_mask,
+        st.repl, mutableTags(), mutableUtags(), st.valid_mask, st.dirty_mask,
         shape_->ways, fullMask(), tags, writes,
         shape_->write_hit == WriteHitPolicy::WriteBack,
         shape_->write_miss == WriteMissPolicy::WriteAllocate, results);
@@ -533,16 +534,17 @@ SetView::flushLine(Addr tag)
     SetFlushResult res;
     if (auto way = probe(tag)) {
         const std::uint32_t bit = 1u << *way;
+        SetState &st = mutableState();
         res.present = true;
-        res.dirty = (state_->dirty_mask & bit) != 0;
-        state_->valid_mask &= ~bit;
-        state_->locked_mask &= ~bit;
-        state_->dirty_mask &= ~bit;
-        tags_[*way] = 0;
+        res.dirty = (st.dirty_mask & bit) != 0;
+        st.valid_mask &= ~bit;
+        st.locked_mask &= ~bit;
+        st.dirty_mask &= ~bit;
+        mutableTags()[*way] = 0;
         if (utags_)
-            utags_[*way] = 0;
+            mutableUtags()[*way] = 0;
         if (owners_)
-            owners_[*way] = kNoOwner;
+            mutableOwners()[*way] = kNoOwner;
     }
     return res;
 }
@@ -551,7 +553,7 @@ bool
 SetView::markDirty(Addr tag)
 {
     if (auto way = probe(tag)) {
-        state_->dirty_mask |= 1u << *way;
+        mutableState().dirty_mask |= 1u << *way;
         return true;
     }
     return false;
@@ -565,7 +567,7 @@ SetView::prefetchFill(Addr tag, std::uint16_t utag)
         // Already present: hardware prefetchers still promote the line.
         res.hit = true;
         res.way = *way;
-        state_->repl.touch(*way);
+        mutableState().repl.touch(*way);
         return res;
     }
     return access(tag, utag, false, LockReq::None);
@@ -575,19 +577,19 @@ void
 SetView::reset()
 {
     const std::uint32_t ways = shape_->ways;
-    SetState &st = *state_;
+    SetState &st = mutableState();
     st.valid_mask = 0;
     st.locked_mask = 0;
     st.dirty_mask = 0;
     for (std::uint32_t w = 0; w < ways; ++w)
-        tags_[w] = 0;
+        mutableTags()[w] = 0;
     if (utags_) {
         for (std::uint32_t w = 0; w < ways; ++w)
-            utags_[w] = 0;
+            mutableUtags()[w] = 0;
     }
     if (owners_) {
         for (std::uint32_t w = 0; w < ways; ++w)
-            owners_[w] = kNoOwner;
+            mutableOwners()[w] = kNoOwner;
     }
     st.repl.reset();
 }

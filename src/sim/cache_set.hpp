@@ -9,10 +9,12 @@
  * way predictor and an owner array only under SHARP.  The set
  * algorithms are written once, against `SetView`, a five-pointer view
  * of one set's slice of that storage; `ConstSetView` is its read-only
- * base.  `CacheSet` is a standalone set that owns one set's storage
- * inline and runs the same code — the tests, `lruleak bench` and the
- * Monte-Carlo experiments use it.  It is a value type: cheap to copy,
- * no heap blocks.
+ * base and holds only pointers to const.  `CacheSet` is a standalone
+ * set that owns one set's storage inline and runs the same code — the
+ * tests, `lruleak bench` and the Monte-Carlo experiments use it.  It is
+ * a value type: cheap to copy, no heap blocks.  It keeps its view of
+ * itself private, so a view of a CacheSet exists only as the explicit
+ * `view()`.
  *
  * Besides the per-access entry point, `accessBatch` replays a whole tag
  * sequence with the policy dispatch hoisted out of the loop — the hot
@@ -171,10 +173,8 @@ class ConstSetView
     ConstSetView(const SetShape &shape, const Addr *tags,
                  const SetState &state, const std::uint16_t *utags,
                  const std::uint32_t *owners)
-        : shape_(&shape), tags_(const_cast<Addr *>(tags)),
-          state_(const_cast<SetState *>(&state)),
-          utags_(const_cast<std::uint16_t *>(utags)),
-          owners_(const_cast<std::uint32_t *>(owners))
+        : shape_(&shape), tags_(tags), state_(&state), utags_(utags),
+          owners_(owners)
     {
     }
 
@@ -238,12 +238,11 @@ class ConstSetView
         return shape_->ways >= 32 ? ~0u : (1u << shape_->ways) - 1;
     }
 
-    // Non-const so SetView can share them; a ConstSetView never writes.
     const SetShape *shape_ = nullptr;
-    Addr *tags_ = nullptr;
-    SetState *state_ = nullptr;
-    std::uint16_t *utags_ = nullptr;  //!< nullptr: no way predictor
-    std::uint32_t *owners_ = nullptr; //!< nullptr: not a SHARP level
+    const Addr *tags_ = nullptr;
+    const SetState *state_ = nullptr;
+    const std::uint16_t *utags_ = nullptr;  //!< nullptr: no way predictor
+    const std::uint32_t *owners_ = nullptr; //!< nullptr: not a SHARP level
 
   private:
     friend class CacheSet;
@@ -370,7 +369,7 @@ class SetView : public ConstSetView
     SetAccessResult prefetchFill(Addr tag, std::uint16_t utag);
 
     using ConstSetView::repl;
-    ReplState &repl() { return state_->repl; }
+    ReplState &repl() { return mutableState().repl; }
 
     /** Clear all lines and the replacement state. */
     void reset();
@@ -379,6 +378,25 @@ class SetView : public ConstSetView
     SetView() = default;
 
   private:
+    // Write access to the storage.  The constructor took it mutable,
+    // so casting the base's pointers back is sound.
+    Addr *mutableTags() const { return const_cast<Addr *>(tags_); }
+    SetState &
+    mutableState() const
+    {
+        return const_cast<SetState &>(*state_);
+    }
+    std::uint16_t *
+    mutableUtags() const
+    {
+        return const_cast<std::uint16_t *>(utags_);
+    }
+    std::uint32_t *
+    mutableOwners() const
+    {
+        return const_cast<std::uint32_t *>(owners_);
+    }
+
     void fill(std::uint32_t way, Addr tag, bool lock,
               std::uint16_t utag, bool dirty);
 
@@ -395,8 +413,13 @@ class SetView : public ConstSetView
  * with utags and owners) and runs the SetView algorithms on it — the
  * set tests, `lruleak bench` and the Monte-Carlo experiments drive.
  * Value type: copy and assign freely; copies are deep.
+ *
+ * The view it runs on points into its own storage, so it inherits
+ * SetView privately: a CacheSet cannot be sliced into a view that
+ * outlives it, nor re-pointed at other storage.  `view()` hands out a
+ * read-only view, valid while the set lives where it is.
  */
-class CacheSet : public SetView
+class CacheSet : private SetView
 {
   public:
     CacheSet(std::uint32_t ways, ReplState state,
@@ -409,6 +432,37 @@ class CacheSet : public SetView
 
     CacheSet(const CacheSet &other);
     CacheSet &operator=(const CacheSet &other);
+
+    /** Read-only view of this set's storage. */
+    ConstSetView view() const { return *this; }
+
+    friend bool
+    operator==(const CacheSet &a, const CacheSet &b)
+    {
+        return a.view() == b.view();
+    }
+
+    using ConstSetView::dirtyMask;
+    using ConstSetView::line;
+    using ConstSetView::occupancy;
+    using ConstSetView::owner;
+    using ConstSetView::plMode;
+    using ConstSetView::probe;
+    using ConstSetView::validMask;
+    using ConstSetView::ways;
+    using ConstSetView::writeHitPolicy;
+    using ConstSetView::writeMissPolicy;
+    using SetView::access;
+    using SetView::accessBatch;
+    using SetView::accessSharp;
+    using SetView::flushLine;
+    using SetView::invalidate;
+    using SetView::markDirty;
+    using SetView::prefetchFill;
+    using SetView::releaseOwner;
+    using SetView::repl;
+    using SetView::replayBatch;
+    using SetView::reset;
 
   private:
     /** Point the inherited view at this object's own storage. */

@@ -723,15 +723,23 @@ class LevelModel
         return false;
     }
 
-    bool
+    /** Cache::prefetch: only hit, set, way, filled and the victim. */
+    CacheAccessResult
     prefetch(const MemRef &ref)
     {
         const std::uint32_t set = layout_.setIndex(ref.vaddr);
-        return sets[set * parts_ + ref.thread % parts_]
-            .prefetchFill(layout_.tag(ref.paddr),
-                          way_predictor_ ? WayPredictor::utag(ref.vaddr)
-                                         : 0)
-            .hit;
+        const SetAccessResult sr =
+            sets[set * parts_ + ref.thread % parts_].prefetchFill(
+                layout_.tag(ref.paddr),
+                way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0);
+        CacheAccessResult res;
+        res.hit = sr.hit;
+        res.set = set;
+        res.way = sr.way;
+        res.filled = sr.filled;
+        if (sr.evicted)
+            res.evicted_line = layout_.compose(sr.evicted_tag, set);
+        return res;
     }
 
     void
@@ -879,8 +887,7 @@ TEST_P(FlatStorageFuzz, CacheMatchesStandaloneSetsStepByStep)
             ASSERT_EQ(cache.markDirtyLine(line), model.markDirtyLine(line))
                 << "step " << step;
         } else if (op < 0.94) {
-            ASSERT_EQ(cache.prefetch(ref).hit, model.prefetch(ref))
-                << "step " << step;
+            expectSameResult(cache.prefetch(ref), model.prefetch(ref), step);
         } else {
             const auto domain = static_cast<std::uint32_t>(rng.below(3));
             cache.releaseOwner(domain, line);
@@ -891,7 +898,7 @@ TEST_P(FlatStorageFuzz, CacheMatchesStandaloneSetsStepByStep)
 
         ASSERT_EQ(cache.contains(ref), model.contains(ref)) << "step " << step;
         for (std::uint32_t s = 0; s < cache.storageSets(); ++s) {
-            ASSERT_TRUE(cache.cacheSet(s) == model.sets[s])
+            ASSERT_TRUE(cache.cacheSet(s) == model.sets[s].view())
                 << "set " << s << " diverged at step " << step;
         }
         const LevelStats &x = cache.counters().total();

@@ -208,7 +208,7 @@ TEST(SteadyHitProbe, AcceptsAWarmFixedPointWithoutTouchingAnything)
         // ...and it really is one: a replay changes only the counters.
         h.accessBatch(refs);
         for (std::uint32_t s = 0; s < h.l1().numSets(); ++s)
-            EXPECT_TRUE(h.l1().cacheSet(s) == before.l1_sets[s]);
+            EXPECT_TRUE(h.l1().cacheSet(s) == before.l1_sets[s].view());
     }
 }
 
