@@ -58,8 +58,9 @@ usage(std::ostream &os, int code)
           "  lruleak trace-gen <workload> <out-file> [--accesses=N] "
           "[--writes=F]\n"
           "              [--seed=N] [--format=text|binary]\n"
-          "  lruleak bench [--accesses=N] [--policies=a,b,...] "
-          "[--out=FILE] [--smoke] [--check]\n"
+          "  lruleak bench [--accesses=N] [--repeats=N] "
+          "[--policies=a,b,...] [--out=FILE]\n"
+          "              [--smoke] [--check]\n"
           "\n"
           "`--smoke` applies the experiment's reduced-scale parameter "
           "set (the same one\nthe CI golden-snapshot suite runs); "
@@ -86,7 +87,9 @@ usage(std::ostream &os, int code)
           "trace_replay\nexperiment).  `lruleak bench` times the "
           "per-access, batched and replay cache-set\npaths "
           "(accesses/sec per replacement policy), runs the macro "
-          "subsystem lanes,\nand writes BENCH_sim.json.\n";
+          "subsystem lanes,\n--repeats times each (default 5), and writes the "
+          "median, min and max of\nevery lane to BENCH_sim.json; "
+          "--check holds the medians to the CI floors.\n";
     return code;
 }
 
@@ -559,6 +562,12 @@ cmdBench(const std::vector<std::string> &args)
                 return 2;
             cfg.batch = static_cast<std::uint32_t>(
                 std::min<std::uint64_t>(batch, 1u << 20));
+        } else if (name == "repeats") {
+            std::uint64_t repeats = 0;
+            if (!parseCount(name, value, repeats))
+                return 2;
+            cfg.repeats = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(repeats, 1000));
         } else if (name == "seed") {
             if (!parseCount(name, value, cfg.seed, /*min_one=*/false))
                 return 2;
@@ -571,8 +580,8 @@ cmdBench(const std::vector<std::string> &args)
                 cfg.policies.push_back(sim::replPolicyFromName(token));
         } else {
             std::cerr << "unknown bench option '--" << name
-                      << "' (valid: --accesses --batch --seed "
-                         "--policies --out --smoke --check)\n";
+                      << "' (valid: --accesses --repeats --batch "
+                         "--seed --policies --out --smoke --check)\n";
             return 2;
         }
     }
@@ -583,7 +592,8 @@ cmdBench(const std::vector<std::string> &args)
     const auto macro = core::runMacroBench(cfg);
 
     std::cout << "sim access throughput (" << cfg.accesses
-              << " accesses/lane, " << cfg.ways << "-way set)\n\n"
+              << " accesses/lane, " << cfg.ways << "-way set; medians of "
+              << cfg.repeats << " runs)\n\n"
               << std::left << std::setw(11) << "workload" << std::setw(10)
               << "policy" << std::right << std::setw(14) << "value (a/s)"
               << std::setw(14) << "batch (a/s)" << std::setw(14)
@@ -593,19 +603,22 @@ cmdBench(const std::vector<std::string> &args)
                   << core::benchWorkloadName(row.workload) << std::setw(10)
                   << sim::replPolicyName(row.policy) << std::right
                   << std::fixed << std::setprecision(0) << std::setw(14)
-                  << row.value_aps << std::setw(14) << row.batch_aps
-                  << std::setw(14) << row.replay_aps << "\n";
+                  << row.value.median << std::setw(14)
+                  << row.batch.median << std::setw(14)
+                  << row.replay.median << "\n";
     }
 
     std::cout << "\nmacro lanes (whole-subsystem hot paths)\n\n"
               << std::left << std::setw(22) << "lane" << std::right
               << std::setw(14) << "items" << std::setw(16) << "items/sec"
-              << "\n";
+              << std::setw(16) << "min" << std::setw(16) << "max" << "\n";
     for (const auto &row : macro) {
         std::cout << std::left << std::setw(22) << row.name << std::right
                   << std::setw(14) << row.items << std::fixed
                   << std::setprecision(0) << std::setw(16)
-                  << row.items_per_sec << "\n";
+                  << row.items_per_sec.median << std::setw(16)
+                  << row.items_per_sec.min << std::setw(16)
+                  << row.items_per_sec.max << "\n";
     }
 
     std::ofstream out(out_path);
@@ -617,8 +630,8 @@ cmdBench(const std::vector<std::string> &args)
     std::cout << "\nwrote " << out_path << "\n";
 
     if (check) {
-        // The CI perf gate: the Session fast path and the trace replay
-        // lane must hold their post-overhaul floors.
+        // The CI perf gate: the medians of the Session fast path and
+        // the trace replay lane must hold their post-overhaul floors.
         if (!core::checkSimBench(core::BenchCheckConfig{}, macro,
                                  std::cerr))
             return 1;

@@ -156,7 +156,26 @@ benchBatch(const SimBenchConfig &config, sim::ReplPolicyKind kind,
     return accessesPerSecond(config.accesses, start, stop);
 }
 
+/** `{"median": ..., "min": ..., "max": ...}` */
+void
+writeRate(std::ostream &os, const LaneRate &rate)
+{
+    os << "{\"median\": " << rate.median << ", \"min\": " << rate.min
+       << ", \"max\": " << rate.max << "}";
+}
+
 } // namespace
+
+LaneRate
+laneRate(std::vector<double> samples)
+{
+    if (samples.empty())
+        return {};
+    std::sort(samples.begin(), samples.end());
+    const std::size_t n = samples.size();
+    return {(samples[(n - 1) / 2] + samples[n / 2]) / 2.0, samples.front(),
+            samples.back()};
+}
 
 std::string_view
 benchWorkloadName(BenchWorkload w)
@@ -168,8 +187,18 @@ benchWorkloadName(BenchWorkload w)
     return "unknown";
 }
 
-std::vector<MacroBenchRow>
-runMacroBench(const SimBenchConfig &config)
+namespace {
+
+/** One timed run of a macro lane. */
+struct MacroSample
+{
+    std::string name;
+    std::uint64_t items = 0;
+    double items_per_sec = 0.0;
+};
+
+std::vector<MacroSample>
+macroPass(const SimBenchConfig &config)
 {
     // Per-lane op counts scale with --accesses (and therefore shrink
     // under --smoke); the expensive end-to-end lanes scale sublinearly.
@@ -186,7 +215,7 @@ runMacroBench(const SimBenchConfig &config)
     const std::uint64_t victim_calls =
         std::max<std::uint64_t>(config.accesses / 2'000, 200);
 
-    std::vector<MacroBenchRow> rows;
+    std::vector<MacroSample> rows;
 
     {
         // L1 hit path: one resident line accessed repeatedly.
@@ -431,6 +460,28 @@ runMacroBench(const SimBenchConfig &config)
     return rows;
 }
 
+} // namespace
+
+std::vector<MacroBenchRow>
+runMacroBench(const SimBenchConfig &config)
+{
+    std::vector<MacroBenchRow> rows;
+    std::vector<std::vector<double>> rates;
+    for (std::uint32_t r = 0; r < config.repeats; ++r) {
+        const auto pass = macroPass(config);
+        rows.resize(pass.size());
+        rates.resize(pass.size());
+        for (std::size_t i = 0; i < pass.size(); ++i) {
+            rows[i].name = pass[i].name;
+            rows[i].items = pass[i].items;
+            rates[i].push_back(pass[i].items_per_sec);
+        }
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i].items_per_sec = laneRate(std::move(rates[i]));
+    return rows;
+}
+
 std::vector<SimBenchRow>
 runSimBench(const SimBenchConfig &config)
 {
@@ -456,9 +507,15 @@ runSimBench(const SimBenchConfig &config)
                 benchBatch(warm, kind, trace);
                 benchReplay(warm, kind, trace);
             }
-            row.value_aps = benchValue(config, kind, trace);
-            row.batch_aps = benchBatch(config, kind, trace);
-            row.replay_aps = benchReplay(config, kind, trace);
+            std::vector<double> value, batch, replay;
+            for (std::uint32_t r = 0; r < config.repeats; ++r) {
+                value.push_back(benchValue(config, kind, trace));
+                batch.push_back(benchBatch(config, kind, trace));
+                replay.push_back(benchReplay(config, kind, trace));
+            }
+            row.value = laneRate(std::move(value));
+            row.batch = laneRate(std::move(batch));
+            row.replay = laneRate(std::move(replay));
             rows.push_back(row);
         }
     }
@@ -474,9 +531,10 @@ checkSimBench(const BenchCheckConfig &check,
         for (const auto &row : macro) {
             if (row.name != lane)
                 continue;
-            if (row.items_per_sec < floor) {
-                os << "CHECK FAILED: " << lane << " " << row.items_per_sec
-                   << " items/s < floor " << floor << "\n";
+            if (row.items_per_sec.median < floor) {
+                os << "CHECK FAILED: " << lane << " median "
+                   << row.items_per_sec.median << " items/s < floor "
+                   << floor << "\n";
                 ok = false;
             }
             return;
@@ -502,23 +560,28 @@ writeSimBenchJson(const SimBenchConfig &config,
        << "  \"ways\": " << config.ways << ",\n"
        << "  \"batch\": " << config.batch << ",\n"
        << "  \"seed\": " << config.seed << ",\n"
+       << "  \"repeats\": " << config.repeats << ",\n"
        << "  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &row = rows[i];
         os << "    {\"workload\": \"" << benchWorkloadName(row.workload)
            << "\", \"policy\": \"" << sim::replPolicyName(row.policy)
-           << "\", \"value_access\": " << row.value_aps
-           << ", \"value_batch\": " << row.batch_aps
-           << ", \"value_replay\": " << row.replay_aps << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
+           << "\",\n     \"value_access\": ";
+        writeRate(os, row.value);
+        os << ",\n     \"value_batch\": ";
+        writeRate(os, row.batch);
+        os << ",\n     \"value_replay\": ";
+        writeRate(os, row.replay);
+        os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ],\n"
        << "  \"macro\": [\n";
     for (std::size_t i = 0; i < macro.size(); ++i) {
         os << "    {\"lane\": \"" << macro[i].name
            << "\", \"items\": " << macro[i].items
-           << ", \"items_per_second\": " << macro[i].items_per_sec << "}"
-           << (i + 1 < macro.size() ? "," : "") << "\n";
+           << ", \"items_per_second\": ";
+        writeRate(os, macro[i].items_per_sec);
+        os << "}" << (i + 1 < macro.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
 }

@@ -44,8 +44,21 @@ struct SimBenchConfig
     double hot_fraction = 0.75;         //!< P(access draws a hot tag)
     std::uint32_t batch = 4096;         //!< accessBatch chunk size
     std::uint64_t seed = 1;
+    std::uint32_t repeats = 5; //!< timed runs of every lane
     std::vector<sim::ReplPolicyKind> policies; //!< empty = all six
 };
+
+/** One lane's rate over the repeats of a run. */
+struct LaneRate
+{
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+/** Median (of the middle two for an even count), min and max of
+ *  @p samples; all zero when there are none. */
+LaneRate laneRate(std::vector<double> samples);
 
 /** The trace shapes the bench drives. */
 enum class BenchWorkload
@@ -61,12 +74,13 @@ struct SimBenchRow
 {
     BenchWorkload workload = BenchWorkload::Seq1Walk;
     sim::ReplPolicyKind policy = sim::ReplPolicyKind::TreePlru;
-    double value_aps = 0.0;  //!< accesses/sec, per-access path
-    double batch_aps = 0.0;  //!< accesses/sec, accessBatch (results)
-    double replay_aps = 0.0; //!< accesses/sec, replayBatch (stats only)
+    LaneRate value;  //!< accesses/sec, per-access path
+    LaneRate batch;  //!< accesses/sec, accessBatch (results)
+    LaneRate replay; //!< accesses/sec, replayBatch (stats only)
 };
 
-/** Run the bench for every configured policy. */
+/** Run the bench for every configured policy, each lane
+ *  config.repeats times. */
 std::vector<SimBenchRow> runSimBench(const SimBenchConfig &config);
 
 /**
@@ -80,12 +94,13 @@ std::vector<SimBenchRow> runSimBench(const SimBenchConfig &config);
  */
 struct MacroBenchRow
 {
-    std::string name;          //!< lane identifier
-    std::uint64_t items = 0;   //!< operations executed
-    double items_per_sec = 0.0;
+    std::string name;        //!< lane identifier
+    std::uint64_t items = 0; //!< operations executed per run
+    LaneRate items_per_sec;
 };
 
-/** Run the macro lanes (scaled from config.accesses). */
+/** Run the macro lanes (scaled from config.accesses), all of them
+ *  once per repeat. */
 std::vector<MacroBenchRow> runMacroBench(const SimBenchConfig &config);
 
 /**
@@ -105,8 +120,9 @@ struct BenchCheckConfig
 };
 
 /**
- * Apply the floors to a finished run's macro lanes; prints one line per
- * violation to @p os.  Returns true when every floor holds.
+ * Apply the floors to the medians of a finished run's macro lanes;
+ * prints one line per violation to @p os.  Returns true when every
+ * floor holds.
  */
 bool checkSimBench(const BenchCheckConfig &check,
                    const std::vector<MacroBenchRow> &macro,

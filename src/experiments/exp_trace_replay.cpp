@@ -154,15 +154,16 @@ class TraceReplay final : public Experiment
                                  static_cast<double>(trace->size());
 
         // ----- characterize the workload on a bare hierarchy (the
-        // engine-free replay fast path).
-        sim::CacheHierarchy hierarchy;
-        sim::SingleCorePort port(hierarchy);
-        const auto replay = exec::replayTrace(port, 0, *trace);
-        const double hit_rate =
-            replay.accesses == 0
-                ? 0.0
-                : static_cast<double>(replay.hits) /
-                      static_cast<double>(replay.accesses);
+        // engine-free replay fast path), gone before the sweep below.
+        const double hit_rate = [&] {
+            sim::CacheHierarchy hierarchy;
+            sim::SingleCorePort port(hierarchy);
+            const auto replay = exec::replayTrace(port, 0, *trace);
+            return replay.accesses == 0
+                       ? 0.0
+                       : static_cast<double>(replay.hits) /
+                             static_cast<double>(replay.accesses);
+        }();
 
         sink.note("=== trace replay: x-core LRU channel vs trace-fed "
                   "noise cores, " + uarch.name + " ===\n(trace '" +

@@ -307,15 +307,19 @@ Cache::prefetch(const MemRef &ref)
     const SetAccessResult sr =
         cacheSet(storageIndex(set, ref.thread))
             .prefetchFill(layout_.tag(ref.paddr), utag);
-    // A prefetch reports only what it installed and displaced; the
-    // demand-path flags (write-back, bypass, utag) stay clear.
+    // A prefetch reports only what it installed and displaced, and
+    // whether the displaced line owes a write-back; the demand-path
+    // flags (bypass, utag) stay clear.
     CacheAccessResult res;
     res.hit = sr.hit;
     res.set = set;
     res.way = sr.way;
     res.filled = sr.filled;
+    res.dirty_writeback = sr.dirty_writeback;
     if (sr.evicted)
         res.evicted_line = layout_.compose(sr.evicted_tag, set);
+    if (sr.dirty_writeback)
+        counters_.recordWriteback(ref.thread);
     return res;
 }
 

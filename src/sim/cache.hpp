@@ -130,7 +130,9 @@ class Cache
     void accessBatch(std::span<const MemRef> refs,
                      std::span<CacheAccessResult> results);
 
-    /** Prefetch fill: installs the line, updates LRU, no perf counters. */
+    /** Prefetch fill: installs the line and updates LRU without a hit
+     *  or miss count.  A dirty victim sets dirty_writeback and counts
+     *  as a write-back; the caller lands it one level down. */
     CacheAccessResult prefetch(const MemRef &ref);
 
     /** Presence check without any state change. */

@@ -121,9 +121,15 @@ CacheHierarchy::access(const MemRef &ref, LockReq lock_req)
             // triggering access.
             MemRef pf{pf_vaddr, pf_vaddr + (ref.paddr - ref.vaddr),
                       ref.thread, false};
+            // A dirty victim of either fill lands one level down; it is
+            // not a write-back of this demand access.
             if (!l1_->contains(pf)) {
-                l2_->prefetch(pf);
-                l1_->prefetch(pf);
+                const auto l2_res = l2_->prefetch(pf);
+                if (l2_res.dirty_writeback)
+                    landWriteback(1, *l2_res.evicted_line);
+                const auto l1_res = l1_->prefetch(pf);
+                if (l1_res.dirty_writeback)
+                    landWriteback(0, *l1_res.evicted_line);
             }
         }
     }

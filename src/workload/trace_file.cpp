@@ -14,6 +14,9 @@
 #include <stdexcept>
 #include <string_view>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "sim/random.hpp"
 #include "workload/trace_gen.hpp"
 
@@ -262,7 +265,50 @@ remainingBytes(std::istream &in)
     return end < 0 ? -1 : end - here;
 }
 
+std::size_t
+pageSize()
+{
+    static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return page;
+}
+
+/** Pages that hold @p bytes. */
+std::size_t
+dataPages(std::size_t bytes)
+{
+    return (bytes + pageSize() - 1) / pageSize();
+}
+
 } // namespace
+
+namespace detail {
+
+void *
+mapGuarded(std::size_t bytes)
+{
+    const std::size_t page = pageSize();
+    const std::size_t pages = dataPages(bytes);
+    void *map = mmap(nullptr, (pages + 1) * page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED)
+        throw std::bad_alloc();
+    char *guard = static_cast<char *>(map) + pages * page;
+    if (mprotect(guard, page, PROT_NONE) != 0) {
+        munmap(map, (pages + 1) * page);
+        throw std::bad_alloc();
+    }
+    return guard - bytes;
+}
+
+void
+unmapGuarded(void *p, std::size_t bytes) noexcept
+{
+    char *guard = static_cast<char *>(p) + bytes;
+    const std::size_t pages = dataPages(bytes);
+    munmap(guard - pages * pageSize(), (pages + 1) * pageSize());
+}
+
+} // namespace detail
 
 void
 TraceRecord::throwAddrOutOfRange(sim::Addr addr)

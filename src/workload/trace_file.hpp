@@ -29,7 +29,10 @@
  * array once, before parsing: the binary loader from the header count
  * (capped by what the body holds), the text loader from a line count
  * taken in a first pass over a seekable stream (an unseekable one
- * grows the array as it parses).
+ * grows the array as it parses).  The array lives in its own anonymous
+ * mapping that ends against a PROT_NONE guard page (GuardedAllocator):
+ * a read one record past its capacity faults, and freeing the trace
+ * returns every page to the system at once.
  *
  * Loading sniffs the magic, so callers never pass a format flag.  Both
  * loaders reject malformed input with error messages naming the
@@ -44,6 +47,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -109,14 +113,71 @@ class TraceRecord
 
 static_assert(sizeof(TraceRecord) == 8);
 
-/** An ordered access sequence plus where it came from. */
+namespace detail {
+
+/** Map @p bytes of zeroed memory that ends exactly where a PROT_NONE
+ *  guard page begins.  Throws std::bad_alloc when the map fails. */
+void *mapGuarded(std::size_t bytes);
+
+/** Unmap what mapGuarded(@p bytes) returned as @p p, guard page
+ *  included. */
+void unmapGuarded(void *p, std::size_t bytes) noexcept;
+
+} // namespace detail
+
+/**
+ * Gives every array its own anonymous mapping, ended by a guard page:
+ * an access one element past the capacity faults, and the memory goes
+ * back to the system when the array is freed, whatever the heap's
+ * state (a freed multi-megabyte malloc block can stay resident).
+ */
+template <class T>
+struct GuardedAllocator
+{
+    using value_type = T;
+
+    GuardedAllocator() = default;
+    template <class U>
+    constexpr GuardedAllocator(const GuardedAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        if (n > PTRDIFF_MAX / sizeof(T))
+            throw std::bad_array_new_length();
+        return static_cast<T *>(detail::mapGuarded(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        detail::unmapGuarded(p, n * sizeof(T));
+    }
+
+    friend constexpr bool
+    operator==(const GuardedAllocator &, const GuardedAllocator &)
+    {
+        return true;
+    }
+};
+
+/** A trace's record array. */
+using TraceRecords = std::vector<TraceRecord, GuardedAllocator<TraceRecord>>;
+
+/** An ordered access sequence plus where it came from.  The records
+ *  are released as soon as the TraceFile is destroyed: hold it in a
+ *  shared_ptr and the last holder frees them. */
 struct TraceFile
 {
-    std::vector<TraceRecord> records;
+    TraceRecords records;
     std::string source; //!< path or generator label, for messages
 
     bool empty() const { return records.empty(); }
     std::size_t size() const { return records.size(); }
+
+    friend bool operator==(const TraceFile &, const TraceFile &) = default;
 };
 
 /** Bytes a trace read or write moves per block. */

@@ -1,0 +1,76 @@
+/**
+ * @file
+ * The `lruleak bench` summary: per-lane median, min and max over the
+ * repeats, and the --check floors applied to the medians.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/bench.hpp"
+
+using namespace lruleak::core;
+
+TEST(BenchSummary, LaneRateIsMedianMinAndMax)
+{
+    const LaneRate odd = laneRate({5.0, 1.0, 9.0, 3.0, 7.0});
+    EXPECT_EQ(odd.median, 5.0);
+    EXPECT_EQ(odd.min, 1.0);
+    EXPECT_EQ(odd.max, 9.0);
+
+    const LaneRate even = laneRate({4.0, 1.0, 2.0, 10.0});
+    EXPECT_EQ(even.median, 3.0); // the mean of the middle two
+    EXPECT_EQ(even.min, 1.0);
+    EXPECT_EQ(even.max, 10.0);
+
+    const LaneRate one = laneRate({2.5});
+    EXPECT_EQ(one.median, 2.5);
+    EXPECT_EQ(one.min, 2.5);
+    EXPECT_EQ(one.max, 2.5);
+
+    const LaneRate none = laneRate({});
+    EXPECT_EQ(none.median, 0.0);
+    EXPECT_EQ(none.max, 0.0);
+}
+
+TEST(BenchSummary, CheckHoldsTheMediansToTheFloors)
+{
+    const BenchCheckConfig check;
+    const auto run = [&](LaneRate covert) {
+        const std::vector<MacroBenchRow> macro = {
+            {"covert_channel_bit", 160, covert},
+            {"xcore_channel_bit", 160, laneRate({check.xcore_bit_floor})},
+            {"trace_replay_access", 500'000,
+             laneRate({check.trace_replay_floor * 2})},
+        };
+        std::ostringstream os;
+        const bool ok = checkSimBench(check, macro, os);
+        return std::make_pair(ok, os.str());
+    };
+    const double floor = check.covert_bit_floor;
+
+    // One slow repeat does not fail the gate: its median holds.
+    const auto [slow_min_ok, slow_min_msg] =
+        run(laneRate({floor * 0.1, floor * 1.2, floor * 1.3}));
+    EXPECT_TRUE(slow_min_ok) << slow_min_msg;
+
+    // One fast repeat does not pass it: its median is below the floor.
+    const auto [fast_max_ok, fast_max_msg] =
+        run(laneRate({floor * 0.8, floor * 0.9, floor * 5.0}));
+    EXPECT_FALSE(fast_max_ok);
+    EXPECT_NE(fast_max_msg.find("covert_channel_bit median"),
+              std::string::npos)
+        << fast_max_msg;
+
+    const auto [missing_ok, missing_msg] = [&] {
+        std::ostringstream os;
+        const bool ok = checkSimBench(check, {}, os);
+        return std::make_pair(ok, os.str());
+    }();
+    EXPECT_FALSE(missing_ok);
+    EXPECT_NE(missing_msg.find("missing"), std::string::npos);
+}

@@ -723,7 +723,8 @@ class LevelModel
         return false;
     }
 
-    /** Cache::prefetch: only hit, set, way, filled and the victim. */
+    /** Cache::prefetch: only hit, set, way, filled, the victim and
+     *  its write-back. */
     CacheAccessResult
     prefetch(const MemRef &ref)
     {
@@ -737,8 +738,11 @@ class LevelModel
         res.set = set;
         res.way = sr.way;
         res.filled = sr.filled;
+        res.dirty_writeback = sr.dirty_writeback;
         if (sr.evicted)
             res.evicted_line = layout_.compose(sr.evicted_tag, set);
+        if (sr.dirty_writeback)
+            counters.recordWriteback(ref.thread);
         return res;
     }
 

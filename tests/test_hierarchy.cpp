@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,42 @@ TEST(Hierarchy, NoPrefetchWhenDisabled)
     for (int i = 0; i < 8; ++i)
         h.access(MemRef::load(base + static_cast<Addr>(i) * 64));
     EXPECT_FALSE(h.inL1(MemRef::load(base + 9 * 64)));
+}
+
+/** Dirty lines held by @p cache. */
+std::uint64_t
+dirtyLines(const Cache &cache)
+{
+    std::uint64_t n = 0;
+    for (std::uint32_t i = 0; i < cache.storageSets(); ++i)
+        n += static_cast<std::uint64_t>(
+            std::popcount(cache.cacheSet(i).dirtyMask()));
+    return n;
+}
+
+TEST(Hierarchy, PrefetchFillsWriteBackTheDirtyLinesTheyEvict)
+{
+    HierarchyConfig cfg;
+    cfg.enable_prefetcher = true;
+    CacheHierarchy h(cfg);
+    // A store stream over twice L1's lines, well inside L2: once it
+    // wraps L1, the stride prefetcher's fills (ahead of the demand
+    // stores, which then hit) evict the dirty lines of the first lap.
+    const std::uint64_t lines = 2 * cfg.l1.size_bytes / cfg.l1.line_size;
+    ASSERT_LT(lines, cfg.l2.size_bytes / cfg.l2.line_size);
+    std::uint64_t demand_writebacks = 0;
+    for (std::uint64_t i = 0; i < lines; ++i)
+        demand_writebacks +=
+            h.access(MemRef::store(0x10'0000 + i * cfg.l1.line_size))
+                .writebacks;
+    // Every stored line's data is dirty in L1, or was written back into
+    // L2 when it left L1: none is dropped.
+    EXPECT_EQ(dirtyLines(h.l1()) + dirtyLines(h.l2()), lines);
+    EXPECT_EQ(dirtyLines(h.l2()), h.l1().counters().total().writebacks);
+    // Most of those write-backs came from prefetch fills, which run off
+    // the demand path and so are not in any access's count.
+    EXPECT_LT(demand_writebacks, h.l1().counters().total().writebacks / 2);
+    EXPECT_EQ(h.l2().counters().total().writebacks, 0u);
 }
 
 TEST(Hierarchy, PlBypassDoesNotFillL1)

@@ -10,13 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "exec/trace_program.hpp"
 #include "sim/access_port.hpp"
@@ -202,7 +208,7 @@ TEST(TraceFile, TextParserReadsAcrossChunkBoundaries)
     {
         const char *what;
         std::string text;
-        std::vector<TraceRecord> want;
+        workload::TraceRecords want;
     } cases[] = {
         {"record line straddling the chunk boundary",
          commentOf(kChunk - 4) + "R 0x1234\n", {R{0x1234, false}}},
@@ -492,6 +498,75 @@ TEST(TraceFile, BinaryLoadCapacityIsTheRecordCount)
     EXPECT_EQ(loaded.records, trace.records);
     EXPECT_EQ(loaded.records.capacity(), trace.size());
     std::filesystem::remove(path);
+}
+
+// ------------------------------------------------------ record storage
+
+TEST(TraceStorage, LastHolderReleasesTheRecords)
+{
+    auto trace = std::make_shared<const TraceFile>(
+        workload::generateTrace("gccmix", 100'000, 3, 0.5));
+    // The array's pages: mincore fails with ENOMEM once any is unmapped.
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    const auto first =
+        reinterpret_cast<std::uintptr_t>(trace->records.data());
+    const std::uintptr_t begin = first & ~(page - 1);
+    const std::size_t bytes =
+        first + trace->size() * sizeof(TraceRecord) - begin;
+    std::vector<unsigned char> residency((bytes + page - 1) / page);
+    const auto mapped = [&] {
+        return mincore(reinterpret_cast<void *>(begin), bytes,
+                       residency.data());
+    };
+    ASSERT_EQ(mapped(), 0);
+    auto holder = trace;
+    trace.reset();
+    EXPECT_EQ(mapped(), 0) << "freed while still held";
+    holder.reset();
+    errno = 0;
+    EXPECT_EQ(mapped(), -1) << "still mapped after the last holder";
+    EXPECT_EQ(errno, ENOMEM);
+}
+
+TEST(TraceStorage, CopyOwnsASeparateArray)
+{
+    const TraceFile trace = workload::generateTrace("stream", 3000, 8, 0.3);
+    TraceFile copy = trace;
+    EXPECT_EQ(copy, trace);
+    EXPECT_NE(copy.records.data(), trace.records.data());
+    const TraceRecord first = trace.records[0];
+    copy.records[0] = TraceRecord::fromBits(first.bits() ^ (1ull << 63));
+    EXPECT_EQ(trace.records[0], first);
+    EXPECT_NE(copy, trace);
+}
+
+TEST(TraceStorageDeathTest, ReadingPastTheCapacityFaults)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A partial last page, exactly one page, and several pages.
+    for (const std::size_t n : {std::size_t{1}, std::size_t{512},
+                                std::size_t{5000}}) {
+        const TraceFile trace = workload::generateTrace("gccmix", n, 5, 0.5);
+        const auto *past = reinterpret_cast<const volatile std::uint64_t *>(
+            trace.records.data() + trace.records.capacity());
+        EXPECT_DEATH((void)*past, "") << n << " records";
+    }
+}
+
+TEST(TraceStorage, UnseekableStreamRegrowsToTheSeekableLoad)
+{
+    // Parsed from a pipe, the array is grown record by record, through
+    // a fresh mapping at every regrowth.
+    const auto trace = workload::generateTrace("gccmix", 150'000, 9, 0.4);
+    const std::string path = tempPath("regrow.trace");
+    workload::saveTextTrace(trace, path);
+    const TraceFile seekable = workload::loadTrace(path);
+    UnseekableBuf buf(fileBytes(path));
+    std::filesystem::remove(path);
+    std::istream in(&buf);
+    const TraceFile piped = workload::parseTextTrace(in, "pipe");
+    EXPECT_EQ(seekable.records, trace.records);
+    EXPECT_EQ(piped.records, seekable.records);
 }
 
 TEST(TraceFile, LoadRejectsMissingFile)
