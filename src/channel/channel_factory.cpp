@@ -163,7 +163,6 @@ ChannelPair::ChannelPair(ChannelId id, const ChannelLayout &layout,
     sc.encode_gap = config.encode_gap;
     sc.infinite = config.infinite;
     sc.lock_line = config.lock_line;
-    sc.batch_walks = config.batch_walks;
     sc.write_polarity = channelCaps(id).dirty_state;
     if (id == ChannelId::DirtyEvict) {
         // A line the sender keeps re-touching is MRU/PLRU-protected and
@@ -204,7 +203,6 @@ ChannelPair::ChannelPair(ChannelId id, const ChannelLayout &layout,
         rc.tr = config.tr;
         rc.max_samples = config.max_samples;
         rc.chain_len = config.chain_len;
-        rc.batch_walks = config.batch_walks;
         auto receiver = std::make_unique<LruReceiver>(layout, rc);
         samples_ = &receiver->samples();
         receiver_ = std::move(receiver);

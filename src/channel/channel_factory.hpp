@@ -9,8 +9,6 @@
  * parameters ("lru-alg1", "fr-mem", "prime-probe", ...); ChannelPair
  * instantiates the matching sender/receiver ThreadPrograms over one
  * ChannelLayout so experiment code never dispatches on the kind again.
- *
- * core::ChannelKind (Tables V-VII) is an alias of ChannelId.
  */
 
 #ifndef LRULEAK_CHANNEL_CHANNEL_FACTORY_HPP
@@ -111,14 +109,6 @@ struct ChannelPairConfig
     std::uint32_t encode_gap = 40;
     bool infinite = false;         //!< sender loops the message forever
     bool lock_line = false;        //!< PL cache: lock the sender's line
-
-    /**
-     * Issue the parties' multi-line walks as single AccessRun engine
-     * events (LRU sender/receiver only; the other designs ignore it).
-     * Identical per-access charges but coarser interleaving — the
-     * throughput mode of the bench lanes, not bit-exact with per-op.
-     */
-    bool batch_walks = false;
 };
 
 /**

@@ -22,74 +22,11 @@ LruReceiver::LruReceiver(const ChannelLayout &layout, ReceiverConfig config)
                      ? layout_.ways()
                      : layout_.ways() - 1;
     samples_.reserve(config_.max_samples);
-
-    if (config_.batch_walks) {
-        for (std::uint32_t i = 0; i < config_.d; ++i)
-            init_refs_.push_back(layout_.receiverLine(config_.alg, i));
-        for (std::uint32_t i = config_.d; i <= last_line_; ++i)
-            decode_refs_.push_back(layout_.receiverLine(config_.alg, i));
-    }
-}
-
-exec::Op
-LruReceiver::nextBatch(std::uint64_t now)
-{
-    // Same phase machine as next(), with every multi-line walk emitted
-    // as one AccessRun.  Each case transitions first and emits second,
-    // so the `now` a phase sees is the completion time of the previous
-    // walk — exactly what the per-op path sees at its phase boundaries.
-    switch (phase_) {
-      case Phase::Prewarm:
-        phase_ = Phase::Init;
-        return exec::Op::accessRun(chase_);
-
-      case Phase::Init:
-        if (first_init_) {
-            // Tlast arms when the prewarm walk completes, as in next().
-            mark_ = now;
-            first_init_ = false;
-        }
-        phase_ = Phase::Sleep;
-        if (!init_refs_.empty())
-            return exec::Op::accessRun(init_refs_);
-        [[fallthrough]];
-
-      case Phase::Sleep: {
-        phase_ = Phase::Decode;
-        const std::uint64_t deadline = mark_ + config_.tr;
-        mark_ = std::max(deadline, now);
-        if (deadline > now)
-            return exec::Op::spinUntil(deadline);
-        [[fallthrough]];
-      }
-
-      case Phase::Decode:
-        phase_ = Phase::Chain;
-        if (!decode_refs_.empty())
-            return exec::Op::accessRun(decode_refs_);
-        [[fallthrough]];
-
-      case Phase::Chain:
-        phase_ = Phase::Measure;
-        return exec::Op::accessRun(chase_);
-
-      case Phase::Measure:
-        phase_ = Phase::Init;
-        return exec::Op::measure(layout_.receiverLine(config_.alg, 0),
-                                 chain_hint_);
-
-      case Phase::Finished:
-        break;
-    }
-    return exec::Op::done();
 }
 
 exec::Op
 LruReceiver::next(std::uint64_t now)
 {
-    if (config_.batch_walks)
-        return nextBatch(now);
-
     switch (phase_) {
       case Phase::Prewarm:
         if (index_ < chase_.size())
@@ -172,8 +109,8 @@ LruSender::LruSender(const ChannelLayout &layout, SenderConfig config)
     }
     one_refs_.push_back(line_);
     one_refs_.insert(one_refs_.end(), stack_.begin(), stack_.end());
-    setOffersSteady(!config_.batch_walks && !config_.write_polarity &&
-                    !config_.kick_private && config_.ts != 0);
+    setOffersSteady(!config_.write_polarity && !config_.kick_private &&
+                    config_.ts != 0);
 
     // kick_private: 16 lines sharing the target line's private L1/L2
     // index but living in other LLC sets (same aliasing scheme as the
@@ -279,19 +216,7 @@ exec::Op
 LruSender::next(std::uint64_t now)
 {
     if (phase_ == Phase::Prewarm) {
-        // batch_walks: the whole prewarm (line fetch + kick expel) is one
-        // run.  Locked prewarms stay per-op — AccessRun carries no lock
-        // request.
-        if (config_.batch_walks && !config_.lock_line) {
-            phase_ = Phase::Encode;
-            if (config_.prewarm) {
-                iter_refs_.assign(1, line_);
-                iter_refs_.insert(iter_refs_.end(), kick_.begin(),
-                                  kick_.end());
-                return exec::Op::accessRun(iter_refs_);
-            }
-        }
-        if (phase_ == Phase::Prewarm && config_.prewarm && pre_step_ == 0) {
+        if (config_.prewarm && pre_step_ == 0) {
             ++pre_step_;
             return config_.lock_line
                        ? exec::Op::accessLock(line_, sim::LockReq::Lock)
@@ -333,44 +258,6 @@ LruSender::next(std::uint64_t now)
     // short spin.  The iteration then repeats until Ts expires.
     const std::uint32_t kicks = static_cast<std::uint32_t>(kick_.size());
 
-    // batch_walks: the iteration's whole access burst is one run with
-    // the encode access first, so the run's OpResult.level is the
-    // encode level onResult() records.  The spin stays its own op.
-    if (config_.batch_walks) {
-        if (sub_step_ == 0) {
-            sub_step_ = 1;
-            iter_refs_.clear();
-            if (config_.write_polarity) {
-                sim::MemRef ref = line_;
-                ref.is_write = bit == 1;
-                awaiting_encode_ = true;
-                iter_refs_.push_back(ref);
-                iter_refs_.insert(iter_refs_.end(), kick_.begin(),
-                                  kick_.end());
-            } else if (bit == 1) {
-                fresh_bit_ = false;
-                awaiting_encode_ = true;
-                iter_refs_.push_back(line_);
-                iter_refs_.insert(iter_refs_.end(), kick_.begin(),
-                                  kick_.end());
-            } else if (config_.kick_private && fresh_bit_) {
-                // Park the (unowned) line once at the start of a 0 bit,
-                // then expel the private copies — see the per-op path.
-                fresh_bit_ = false;
-                iter_refs_.push_back(line_);
-                iter_refs_.insert(iter_refs_.end(), kick_.begin(),
-                                  kick_.end());
-            }
-            iter_refs_.insert(iter_refs_.end(), stack_.begin(),
-                              stack_.end());
-            if (!iter_refs_.empty())
-                return exec::Op::accessRun(iter_refs_);
-        }
-        sub_step_ = 0;
-        const std::uint64_t wake =
-            std::min(now + config_.encode_gap, bit_deadline_);
-        return exec::Op::spinUntil(wake);
-    }
     if (sub_step_ == 0) {
         sub_step_ = 1;
         if (config_.write_polarity) {
@@ -415,10 +302,7 @@ LruSender::next(std::uint64_t now)
 void
 LruSender::onResult(const exec::OpResult &result)
 {
-    if (awaiting_encode_ && (result.kind == exec::OpKind::Access ||
-                             result.kind == exec::OpKind::AccessRun)) {
-        // For a batched run the encode access is the run's first ref,
-        // and an AccessRun's result.level is exactly that first level.
+    if (awaiting_encode_ && result.kind == exec::OpKind::Access) {
         encode_levels_.push_back(result.level);
         awaiting_encode_ = false;
     }

@@ -47,16 +47,6 @@ struct ReceiverConfig
     std::uint64_t tr = 600;         //!< sampling period in cycles
     std::uint64_t max_samples = 1000;
     std::uint32_t chain_len = 7;    //!< chase-chain length
-
-    /**
-     * Issue each protocol walk (prewarm, init, decode, chain refetch)
-     * as one OpKind::AccessRun engine event instead of one Op per line.
-     * Per-access charges are identical, but a walk becomes a single
-     * scheduling event, so the interleaving under SMT/time-slicing is
-     * coarser — a throughput mode for the bench lanes and bulk sweeps,
-     * NOT bit-exact with the per-op default.
-     */
-    bool batch_walks = false;
 };
 
 /**
@@ -85,23 +75,16 @@ class LruReceiver : public exec::ThreadProgram
         Finished,
     };
 
-    /** batch_walks: the whole protocol iteration as AccessRun events. */
-    exec::Op nextBatch(std::uint64_t now);
-
     ChannelLayout layout_;
     ReceiverConfig config_;
     std::vector<sim::MemRef> chase_;
     /** All-L1 chain expectation reused by every measure op. */
     std::vector<sim::HitLevel> chain_hint_;
     std::vector<Sample> samples_;
-    /** batch_walks: precomputed init / decode walks. */
-    std::vector<sim::MemRef> init_refs_;
-    std::vector<sim::MemRef> decode_refs_;
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t index_ = 0;      //!< loop index within the phase
     std::uint64_t mark_ = 0;       //!< Tlast of Algorithm 3
-    bool first_init_ = true;       //!< batch_walks: arm mark_ once
     std::uint32_t last_line_;      //!< N for Alg 1, N-1 for Alg 2
 };
 
@@ -129,14 +112,6 @@ struct SenderConfig
     bool write_polarity = false;
 
     /**
-     * Issue each encode iteration's access burst (encode access, kick
-     * walk, stack work) as one OpKind::AccessRun engine event.  Same
-     * per-access charges, coarser interleaving — the throughput twin of
-     * ReceiverConfig::batch_walks; not bit-exact with the default.
-     */
-    bool batch_walks = false;
-
-    /**
      * Anti-SHARP team protocol (see channel/multi_spy.hpp): after every
      * encode access the sender expels its own private copies of the
      * target line (a kick walk over lines that conflict in the private
@@ -161,10 +136,10 @@ class LruSender : public exec::ThreadProgram
     void onResult(const exec::OpResult &result) override;
 
     /**
-     * The plain encode loop (no batch_walks, write_polarity or
-     * kick_private) offers each iteration for folding: the encode
-     * access when sending 1, the stack work, then the spin, repeated
-     * until the bit value changes or the message ends.
+     * The plain encode loop (no write_polarity or kick_private) offers
+     * each iteration for folding: the encode access when sending 1, the
+     * stack work, then the spin, repeated until the bit value changes
+     * or the message ends.
      */
     std::optional<exec::SteadyIteration>
     steadyIteration(std::uint64_t now) const override;
@@ -209,8 +184,6 @@ class LruSender : public exec::ThreadProgram
     std::vector<sim::MemRef> kick_; //!< kick_private: private-copy expellers
     /** A 1-bit iteration's accesses: the encode access, then stack_. */
     std::vector<sim::MemRef> one_refs_;
-    /** batch_walks: reusable per-iteration run buffer (encode first). */
-    std::vector<sim::MemRef> iter_refs_;
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t pre_step_ = 0;   //!< prewarm sub-step

@@ -314,7 +314,6 @@ runSession(const SessionConfig &config)
     pc.encode_gap = config.encode_gap;
     pc.infinite = config.infinite;
     pc.lock_line = config.sender_locks_line;
-    pc.batch_walks = config.batch_walks;
     // Sample slightly past the end of the message so the last bit gets
     // its full window even with scheduling skew.
     pc.max_samples = config.max_samples

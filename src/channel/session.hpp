@@ -147,16 +147,6 @@ struct SessionConfig
                                     //!< (or 300 when infinite)
     std::uint32_t chain_len = 7;
 
-    /**
-     * Fast path: issue the LRU parties' multi-line walks as single
-     * AccessRun engine events (see ChannelPairConfig::batch_walks).
-     * Identical per-access latency/jitter charges, but a walk is one
-     * scheduling event, so interleaving under SMT/time-slicing is
-     * coarser than per-op stepping.  Off by default — golden experiments
-     * stay bit-exact; the bench macro lanes and bulk sweeps turn it on.
-     */
-    bool batch_walks = false;
-
     // ----- topology beyond the minimal one the mode implies.
     /** Run on the multi-core topology even without noise cores or
      *  cross-core parties (the SMT-pair-on-core-0 scenarios). */

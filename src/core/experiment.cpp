@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iostream>
 #include <stdexcept>
 
 namespace lruleak::core {
@@ -88,26 +87,6 @@ runExperiment(const Experiment &experiment,
     sink.begin(experiment.name(), experiment.description(), params);
     experiment.run(params, sink);
     sink.end();
-}
-
-int
-runRegisteredExperimentMain(const std::string &name)
-{
-    const Experiment *experiment = Registry::instance().find(name);
-    if (!experiment) {
-        std::cerr << "experiment '" << name
-                  << "' is not registered (this wrapper is stale; see "
-                     "`lruleak list`)\n";
-        return 2;
-    }
-    try {
-        TableSink sink(std::cout);
-        runExperiment(*experiment, {}, sink);
-    } catch (const std::exception &e) {
-        std::cerr << name << ": " << e.what() << "\n";
-        return 1;
-    }
-    return 0;
 }
 
 } // namespace lruleak::core

@@ -16,6 +16,8 @@
 
 namespace lruleak::core {
 
+using channel::ChannelId;
+
 // ------------------------------------------------------------- Table I
 
 namespace {
@@ -146,12 +148,6 @@ singleAccessHistograms(const timing::Uarch &uarch, std::uint32_t samples,
 
 // ------------------------------------------------------ Tables V and VI
 
-std::string
-channelKindName(ChannelKind kind)
-{
-    return channel::channelDisplayName(kind);
-}
-
 namespace {
 
 /**
@@ -161,7 +157,7 @@ namespace {
  * its first revision (64-bit message x4, 2000 receiver samples).
  */
 channel::SessionResult
-runChannelKind(const timing::Uarch &uarch, ChannelKind kind,
+runChannelKind(const timing::Uarch &uarch, ChannelId kind,
                std::uint64_t seed)
 {
     channel::SessionConfig s;
@@ -180,7 +176,7 @@ runChannelKind(const timing::Uarch &uarch, ChannelKind kind,
 } // namespace
 
 double
-meanEncodeLatency(const timing::Uarch &uarch, ChannelKind kind,
+meanEncodeLatency(const timing::Uarch &uarch, ChannelId kind,
                   std::uint64_t seed)
 {
     // Micro-protocol matching the paper's Table V methodology: put the
@@ -200,15 +196,15 @@ meanEncodeLatency(const timing::Uarch &uarch, ChannelKind kind,
     hierarchy.access(line); // establish residency
     for (std::uint32_t t = 0; t < kTrials; ++t) {
         switch (kind) {
-          case ChannelKind::FrMem:
+          case ChannelId::FrMem:
             hierarchy.flush(line);
             break;
-          case ChannelKind::FlushDirty:
+          case ChannelId::FlushDirty:
             // The receiver's timed clflush removes the line each sample.
             hierarchy.flush(line);
             break;
-          case ChannelKind::FrL1:
-          case ChannelKind::DirtyEvict:
+          case ChannelId::FrL1:
+          case ChannelId::DirtyEvict:
             // The receiver evicts the line from L1 via 8 same-set lines
             // (for dirty-evict that is its refill walk).
             for (std::uint32_t i = 1; i <= layout.ways(); ++i)
@@ -216,10 +212,10 @@ meanEncodeLatency(const timing::Uarch &uarch, ChannelKind kind,
                     layout.receiverLine(channel::LruAlgorithm::Alg1Shared,
                                         i));
             break;
-          case ChannelKind::LruAlg1:
-          case ChannelKind::LruAlg2:
-          case ChannelKind::PrimeProbe:
-          case ChannelKind::XCoreLruAlg2:
+          case ChannelId::LruAlg1:
+          case ChannelId::LruAlg2:
+          case ChannelId::PrimeProbe:
+          case ChannelId::XCoreLruAlg2:
             // LRU-state and Prime+Probe senders leave the line wherever
             // it is — typically L1.
             break;
@@ -236,22 +232,23 @@ std::vector<MissRateRow>
 senderMissRates(const timing::Uarch &uarch, std::uint64_t seed)
 {
     return senderMissRates(uarch,
-                           {ChannelKind::FrMem, ChannelKind::FrL1,
-                            ChannelKind::LruAlg1, ChannelKind::LruAlg2},
+                           {ChannelId::FrMem, ChannelId::FrL1,
+                            ChannelId::LruAlg1, ChannelId::LruAlg2},
                            seed);
 }
 
 std::vector<MissRateRow>
 senderMissRates(const timing::Uarch &uarch,
-                const std::vector<ChannelKind> &channels,
+                const std::vector<ChannelId> &channels,
                 std::uint64_t seed)
 {
     std::vector<MissRateRow> rows;
 
-    for (ChannelKind kind : channels) {
+    for (ChannelId kind : channels) {
         const auto run = runChannelKind(uarch, kind, seed);
-        rows.push_back(MissRateRow{channelKindName(kind), run.sender_l1,
-                                   run.sender_l2, run.sender_llc});
+        rows.push_back(MissRateRow{channel::channelDisplayName(kind),
+                                   run.sender_l1, run.sender_l2,
+                                   run.sender_llc});
     }
 
     // ----- sender & gcc: the sender shares the core with a benign

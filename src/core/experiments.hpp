@@ -81,21 +81,12 @@ LatencyHistograms singleAccessHistograms(const timing::Uarch &uarch,
 // ------------------------------------------------------------- Table V
 
 /**
- * The channels compared in Tables V and VI — now the library-wide
- * channel::ChannelId (see channel/channel_factory.hpp), so experiment
- * code and the CLI select channels through one name table.
- */
-using ChannelKind = channel::ChannelId;
-
-std::string channelKindName(ChannelKind kind);
-
-/**
  * Mean sender encoding latency in cycles (Table V): victim-address
  * arithmetic plus the sender's one memory access at whatever level the
  * channel leaves its line.
  */
-double meanEncodeLatency(const timing::Uarch &uarch, ChannelKind kind,
-                         std::uint64_t seed = 5);
+double meanEncodeLatency(const timing::Uarch &uarch,
+                         channel::ChannelId kind, std::uint64_t seed = 5);
 
 // ------------------------------------------------------------ Table VI
 
@@ -118,7 +109,7 @@ std::vector<MissRateRow> senderMissRates(const timing::Uarch &uarch,
 /** Same, over an explicit channel list (CLI --channels path). */
 std::vector<MissRateRow>
 senderMissRates(const timing::Uarch &uarch,
-                const std::vector<ChannelKind> &channels,
+                const std::vector<channel::ChannelId> &channels,
                 std::uint64_t seed);
 
 // -------------------------------------------------------------- Fig. 9

@@ -65,33 +65,6 @@ Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
         t.stats.busy_cycles += cost;
         return cost;
       }
-      case OpKind::AccessRun: {
-        const std::size_t n = op.run_refs.size();
-        if (n == 0)
-            return 0;
-        run_levels_.resize(n);
-        const std::uint64_t wbs =
-            port_.accessRun(t.core, op.run_refs, run_levels_);
-        // Charge exactly what n individual Access ops would have cost:
-        // per-access latency, overhead and one jitter draw each (the
-        // draw at the top of this function covers the first access).
-        std::uint64_t cost = uarch_.latency(run_levels_[0]) +
-                             config_.op_overhead + jitter;
-        for (std::size_t i = 1; i < n; ++i)
-            cost += uarch_.latency(run_levels_[i]) + config_.op_overhead +
-                    (config_.jitter ? rng_.below(config_.jitter) : 0);
-        cost += wbs * uarch_.wb_latency;
-        OpResult out;
-        out.kind = OpKind::AccessRun;
-        out.level = run_levels_[0];
-        out.writebacks = static_cast<std::uint32_t>(wbs);
-        out.tsc = start;
-        t.program->onResult(out);
-        t.stats.accesses += n;
-        maybeAudit();
-        t.stats.busy_cycles += cost;
-        return cost;
-      }
       case OpKind::Measure: {
         const auto pa = port_.access(t.core, op.ref, op.lock_req);
         OpResult out;

@@ -248,7 +248,6 @@ class Engine
     unsigned primary_ = 0;
     std::vector<sim::MemRef> burst_refs_;     //!< reused burst buffer
     std::vector<sim::HitLevel> burst_levels_; //!< reused burst buffer
-    std::vector<sim::HitLevel> run_levels_;   //!< reused AccessRun buffer
 };
 
 // ------------------------------------------------- arbitration policies

@@ -27,12 +27,6 @@ namespace lruleak::exec {
 enum class OpKind
 {
     Access,       //!< one load/store through the hierarchy
-    AccessRun,    //!< a span of loads/stores as ONE engine event; each
-                  //!< access is charged exactly like a lone Access op
-                  //!< (per-access latency, overhead and jitter draw), but
-                  //!< other threads cannot interleave inside the run and
-                  //!< the program gets one aggregated OpResult.  Opt-in
-                  //!< for throughput paths (SessionConfig::batch_walks).
     Measure,      //!< timed load of @c ref using the pointer-chase readout
     Flush,        //!< clflush @c ref from all levels
     MeasureFlush, //!< timed clflush of @c ref: the readout depends on
@@ -61,12 +55,6 @@ struct Op
     std::span<const sim::HitLevel> chain_levels;
 
     /**
-     * For AccessRun: the accesses, in issue order.  A view into
-     * program-owned storage, like chain_levels.
-     */
-    std::span<const sim::MemRef> run_refs;
-
-    /**
      * For Measure: write-back transactions the preceding chain accesses
      * triggered (collected from their OpResults).  Each one stalled the
      * timed walk by the uarch's write-back latency, so the engine adds
@@ -88,15 +76,6 @@ struct Op
     {
         Op op = access(ref);
         op.lock_req = req;
-        return op;
-    }
-
-    static Op
-    accessRun(std::span<const sim::MemRef> refs)
-    {
-        Op op;
-        op.kind = OpKind::AccessRun;
-        op.run_refs = refs;
         return op;
     }
 
@@ -146,19 +125,15 @@ struct Op
     }
 };
 
-/** Outcome of an executed Access/AccessRun/Measure/Flush op. */
+/** Outcome of an executed Access/Measure/Flush op. */
 struct OpResult
 {
     OpKind kind = OpKind::Access;
     sim::HitLevel level = sim::HitLevel::Memory; //!< where it was served
-                                  //!< (AccessRun: the run's FIRST access
-                                  //!< — senders put the encode access
-                                  //!< first so its level survives)
     std::uint32_t measured = 0;   //!< latency readout (Measure kinds only)
     std::uint32_t writebacks = 0; //!< write-back transactions triggered
-                                  //!< (Access/Measure; AccessRun: summed
-                                  //!< over the run; receivers fold these
-                                  //!< into the next timed readout)
+                                  //!< (receivers fold these into the
+                                  //!< next timed readout)
     std::uint64_t tsc = 0;        //!< completion time
 };
 

@@ -44,12 +44,12 @@ class Tab5EncodingLatency final : public Experiment
                               timing::Uarch::intelXeonE31245v5(),
                               timing::Uarch::amdEpyc7571()}) {
             const double fr_mem =
-                meanEncodeLatency(u, ChannelKind::FrMem, seed);
+                meanEncodeLatency(u, channel::ChannelId::FrMem, seed);
             const double fr_l1 =
-                meanEncodeLatency(u, ChannelKind::FrL1, seed);
+                meanEncodeLatency(u, channel::ChannelId::FrL1, seed);
             const double lru =
-                (meanEncodeLatency(u, ChannelKind::LruAlg1, seed) +
-                 meanEncodeLatency(u, ChannelKind::LruAlg2, seed)) /
+                (meanEncodeLatency(u, channel::ChannelId::LruAlg1, seed) +
+                 meanEncodeLatency(u, channel::ChannelId::LruAlg2, seed)) /
                 2.0;
             table.addRow({u.name, fmtDouble(fr_mem, 0),
                           fmtDouble(fr_l1, 0), fmtDouble(lru, 0)});

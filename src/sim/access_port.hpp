@@ -68,15 +68,6 @@ class AccessPort
                              std::span<const MemRef> refs) = 0;
 
     /**
-     * Batched demand run for the engine's AccessRun op: per-ref levels
-     * recorded into @p levels, summed write-back transactions returned.
-     * @pre levels.size() >= refs.size()
-     */
-    virtual std::uint64_t accessRun(std::uint32_t core,
-                                    std::span<const MemRef> refs,
-                                    std::span<HitLevel> levels) = 0;
-
-    /**
      * clflush: remove the line from every cache of every core.  Reports
      * presence and whether any dropped copy was dirty (the flush then
      * stalls on the write-back — the `flush-dirty` channel observable).
@@ -147,13 +138,6 @@ class SingleCorePort final : public AccessPort
         hierarchy_.accessBatch(refs);
     }
 
-    std::uint64_t
-    accessRun(std::uint32_t, std::span<const MemRef> refs,
-              std::span<HitLevel> levels) override
-    {
-        return hierarchy_.accessRun(refs, levels);
-    }
-
     CacheFlushResult
     flush(const MemRef &ref) override
     {
@@ -206,13 +190,6 @@ class MultiCorePort final : public AccessPort
     accessBatch(std::uint32_t core, std::span<const MemRef> refs) override
     {
         hierarchy_.accessBatch(core, refs);
-    }
-
-    std::uint64_t
-    accessRun(std::uint32_t core, std::span<const MemRef> refs,
-              std::span<HitLevel> levels) override
-    {
-        return hierarchy_.accessRun(core, refs, levels);
     }
 
     CacheFlushResult

@@ -104,10 +104,10 @@ class CacheHierarchy
                      std::span<HitLevel> levels);
 
     /**
-     * Batched demand run for the engine's AccessRun op: one access()
-     * per reference, recording the level each was served from and
-     * returning the run's summed write-back transactions (the caller
-     * charges per-access latency plus the aggregate write-back stall).
+     * Demand run: one access() per reference, recording the level each
+     * was served from and returning the run's summed write-back
+     * transactions.  No in-tree caller: kept as a layer entry point that
+     * the benchmark's traced build intercepts by name.
      * @pre levels.size() >= refs.size()
      */
     std::uint64_t accessRun(std::span<const MemRef> refs,

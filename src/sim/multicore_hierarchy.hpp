@@ -106,8 +106,10 @@ class MultiCoreHierarchy
     void accessBatch(std::uint32_t core, std::span<const MemRef> refs);
 
     /**
-     * Batched demand run for the engine's AccessRun op: per-ref levels
-     * out, summed write-back transactions returned.
+     * Demand run: one access() per reference, per-ref levels out, summed
+     * write-back transactions returned.  No in-tree caller: kept as a
+     * layer entry point that the benchmark's traced build intercepts by
+     * name.
      * @pre levels.size() >= refs.size()
      */
     std::uint64_t accessRun(std::uint32_t core, std::span<const MemRef> refs,

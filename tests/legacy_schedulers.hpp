@@ -137,8 +137,8 @@ class LegacySmtScheduler
             prog.onResult(out);
             return uarch_.mem_latency + config_.op_overhead + jitter;
           }
-          case exec::OpKind::AccessRun:    // newer than these schedulers:
-          case exec::OpKind::MeasureFlush: // their programs never yield it
+          case exec::OpKind::MeasureFlush: // newer than these schedulers:
+                                           // their programs never yield it
           case exec::OpKind::SpinUntil:
           case exec::OpKind::Done:
             return 0;
@@ -289,8 +289,8 @@ class LegacyTimeSliceScheduler
             prog.onResult(out);
             return uarch_.mem_latency + config_.op_overhead + jitter;
           }
-          case exec::OpKind::AccessRun:    // newer than these schedulers:
-          case exec::OpKind::MeasureFlush: // their programs never yield it
+          case exec::OpKind::MeasureFlush: // newer than these schedulers:
+                                           // their programs never yield it
           case exec::OpKind::SpinUntil:
           case exec::OpKind::Done:
             return 0;
@@ -478,8 +478,8 @@ class LegacyMultiCoreScheduler
             maybeAudit();
             return uarch_.mem_latency + config_.op_overhead + jitter;
           }
-          case exec::OpKind::AccessRun:    // newer than these schedulers:
-          case exec::OpKind::MeasureFlush: // their programs never yield it
+          case exec::OpKind::MeasureFlush: // newer than these schedulers:
+                                           // their programs never yield it
           case exec::OpKind::SpinUntil:
           case exec::OpKind::Done:
             return 0;

@@ -9,6 +9,7 @@
 
 #include <span>
 
+#include "channel/channel_factory.hpp"
 #include "channel/session.hpp"
 #include "core/experiments.hpp"
 #include "experiments/common.hpp"
@@ -108,10 +109,10 @@ TEST(TableV, EncodeLatencyOrdering)
 {
     // F+R (mem) >> F+R (L1) > LRU; LRU Alg 1 == Alg 2 (both L1 hits).
     const auto u = timing::Uarch::intelXeonE52690();
-    const double fr_mem = meanEncodeLatency(u, ChannelKind::FrMem);
-    const double fr_l1 = meanEncodeLatency(u, ChannelKind::FrL1);
-    const double lru1 = meanEncodeLatency(u, ChannelKind::LruAlg1);
-    const double lru2 = meanEncodeLatency(u, ChannelKind::LruAlg2);
+    const double fr_mem = meanEncodeLatency(u, channel::ChannelId::FrMem);
+    const double fr_l1 = meanEncodeLatency(u, channel::ChannelId::FrL1);
+    const double lru1 = meanEncodeLatency(u, channel::ChannelId::LruAlg1);
+    const double lru2 = meanEncodeLatency(u, channel::ChannelId::LruAlg2);
     EXPECT_GT(fr_mem, 5 * fr_l1);
     EXPECT_GT(fr_l1, lru1);
     EXPECT_NEAR(lru1, lru2, 1.0);
@@ -123,9 +124,9 @@ TEST(TableV, EncodeLatencyOrdering)
 TEST(TableV, AmdEncodeCostsMore)
 {
     const double intel = meanEncodeLatency(
-        timing::Uarch::intelXeonE52690(), ChannelKind::LruAlg1);
+        timing::Uarch::intelXeonE52690(), channel::ChannelId::LruAlg1);
     const double amd = meanEncodeLatency(
-        timing::Uarch::amdEpyc7571(), ChannelKind::LruAlg1);
+        timing::Uarch::amdEpyc7571(), channel::ChannelId::LruAlg1);
     EXPECT_GT(amd, intel);
 }
 
@@ -184,10 +185,13 @@ TEST(Fig11, PlAttackTraceShapes)
 
 TEST(ChannelKindNames, AllDistinct)
 {
-    EXPECT_EQ(channelKindName(ChannelKind::FrMem), "F+R (mem)");
-    EXPECT_EQ(channelKindName(ChannelKind::FrL1), "F+R (L1)");
-    EXPECT_EQ(channelKindName(ChannelKind::LruAlg1), "L1 LRU Alg.1");
-    EXPECT_EQ(channelKindName(ChannelKind::LruAlg2), "L1 LRU Alg.2");
+    using channel::ChannelId;
+    EXPECT_EQ(channel::channelDisplayName(ChannelId::FrMem), "F+R (mem)");
+    EXPECT_EQ(channel::channelDisplayName(ChannelId::FrL1), "F+R (L1)");
+    EXPECT_EQ(channel::channelDisplayName(ChannelId::LruAlg1),
+              "L1 LRU Alg.1");
+    EXPECT_EQ(channel::channelDisplayName(ChannelId::LruAlg2),
+              "L1 LRU Alg.2");
 }
 
 // ------------------------------------------- time-sliced percent-ones grid

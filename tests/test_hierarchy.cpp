@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the three-level cache hierarchy, and for resetting both
- * topologies under new seeds.
+ * topologies under new seeds (whose traffic also checks accessRun
+ * against per-ref access).
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -420,6 +422,29 @@ storm(const AddressLayout &l1, std::uint64_t seed, Access &&access)
     }
 }
 
+/** The storm's refs through @p run (accessRun over spans of them) and
+ *  one by one through @p access on a twin: per-ref levels and summed
+ *  write-backs agree, and the stream has dirty victims. */
+template <typename Run, typename Access>
+void
+expectRunMatchesAccess(const AddressLayout &l1, std::uint64_t seed, Run &&run,
+                       Access &&access, const std::string &what)
+{
+    std::vector<MemRef> refs;
+    storm(l1, seed, [&](const MemRef &r) { refs.push_back(r); });
+    std::vector<HitLevel> levels(refs.size());
+    const std::uint64_t run_writebacks =
+        run(std::span<const MemRef>(refs), std::span<HitLevel>(levels));
+    std::uint64_t writebacks = 0;
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        const auto res = access(refs[i]);
+        EXPECT_EQ(levels[i], res.level) << what << " ref " << i;
+        writebacks += res.writebacks;
+    }
+    EXPECT_GT(writebacks, 0u) << what;
+    EXPECT_EQ(run_writebacks, writebacks) << what;
+}
+
 void
 expectSameCache(const Cache &a, const Cache &b, const std::string &what)
 {
@@ -484,8 +509,13 @@ TEST(HierarchyReset, NewSeedEqualsFreshConstruction)
 
         // Equal state must keep evolving identically: this also covers
         // what == cannot see (the Random Fill stream, SHARP counters).
-        storm(l1, 2, [&](const MemRef &r) { used.access(r); });
-        storm(l1, 2, [&](const MemRef &r) { fresh.access(r); });
+        // One twin takes the traffic as a single accessRun.
+        expectRunMatchesAccess(
+            l1, 2,
+            [&](std::span<const MemRef> refs, std::span<HitLevel> levels) {
+                return used.accessRun(refs, levels);
+            },
+            [&](const MemRef &r) { return fresh.access(r); }, caseName(c));
         expectSameHierarchy(used, fresh, caseName(c) + " after traffic");
     }
 }
@@ -500,18 +530,31 @@ TEST(HierarchyReset, MultiCoreNewSeedEqualsFreshConstruction)
 
         MultiCoreHierarchy used(config);
         const AddressLayout &l1 = used.l1(0).layout();
-        const auto drive = [&](MultiCoreHierarchy &h) {
-            return [&h](const MemRef &r) { h.access(r.thread, r); };
-        };
-        storm(l1, 1, drive(used));
+        storm(l1, 1, [&](const MemRef &r) { used.access(r.thread, r); });
         config.seed = 6;
         ASSERT_TRUE(sameTopology(used.config(), config));
         used.reset(config.seed);
         MultiCoreHierarchy fresh(config);
         expectSameMultiCore(used, fresh, caseName(c));
 
-        storm(l1, 2, drive(used));
-        storm(l1, 2, drive(fresh));
+        // One twin takes the traffic as accessRun calls, one per run
+        // of consecutive refs from the same core.
+        const auto run = [&](std::span<const MemRef> refs,
+                             std::span<HitLevel> levels) {
+            std::uint64_t writebacks = 0;
+            for (std::size_t i = 0, j = 0; i < refs.size(); i = j) {
+                while (j < refs.size() && refs[j].thread == refs[i].thread)
+                    ++j;
+                writebacks += used.accessRun(refs[i].thread,
+                                             refs.subspan(i, j - i),
+                                             levels.subspan(i, j - i));
+            }
+            return writebacks;
+        };
+        expectRunMatchesAccess(
+            l1, 2, run,
+            [&](const MemRef &r) { return fresh.access(r.thread, r); },
+            caseName(c));
         expectSameMultiCore(used, fresh, caseName(c) + " after traffic");
     }
 }

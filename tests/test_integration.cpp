@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/lruleak.hpp"
+#include "channel/bitstring.hpp"
+#include "channel/decoder.hpp"
+#include "channel/session.hpp"
+#include "core/experiments.hpp"
+#include "spectre/attack.hpp"
+#include "timing/uarch.hpp"
 
 using namespace lruleak;
 using namespace lruleak::channel;

@@ -11,8 +11,8 @@
  *    indistinguishable from a freshly constructed one, for both the
  *    single-core and the multi-core topology, also when the next
  *    session changes the seed (the pool ignores seeds and reseeds);
- *  - batch_walks (AccessRun walk batching) preserves the decoded
- *    transmission of every LRU channel.
+ *  - every LRU channel decodes its transmission per-op, also with the
+ *    sender paced at the receiver's sampling period.
  */
 
 #include <gtest/gtest.h>
@@ -213,53 +213,37 @@ TEST(TopologyPool, NewSeedReusesAndMatchesFreshThread)
     }
 }
 
-// ----------------------------------------------------------- batch walks
+// ---------------------------------------------------------- per-op walks
 
-TEST(BatchWalks, LruChannelsDecodeIdentically)
+TEST(PerOpWalks, LruChannelsDecodeWithinOneBit)
 {
     SessionConfig configs[] = {smtConfig(), smtConfig(), xcoreConfig()};
     configs[1].channel = ChannelId::LruAlg2; // disjoint-address variant
     configs[1].d = 5; // Alg.2 needs odd d on Tree-PLRU (Fig. 4)
-    for (SessionConfig config : configs) {
-        SessionConfig per_op = config;
-        per_op.batch_walks = false;
-        SessionConfig batched = config;
-        batched.batch_walks = true;
-
-        const SessionResult a = runSession(per_op);
-        const SessionResult b = runSession(batched);
-
-        // Batching coarsens the interleaving (a walk is one engine
-        // event), so timestamps may differ — but the transmission must
-        // decode bit-for-bit identically.
-        EXPECT_EQ(a.sent, b.sent) << channelIdToken(config.channel);
-        EXPECT_EQ(a.received, b.received)
+    for (const SessionConfig &config : configs) {
+        const SessionResult res = runSession(config);
+        ASSERT_EQ(res.sent.size(), res.received.size())
             << channelIdToken(config.channel);
-        EXPECT_EQ(a.error_rate, b.error_rate);
-        EXPECT_EQ(a.threshold, b.threshold);
         // The SMT carriers are clean here; the cross-core channel
         // deterministically loses only its first bit to startup sync.
-        EXPECT_LE(a.error_rate * static_cast<double>(a.sent.size()), 1.0)
+        EXPECT_LE(res.error_rate * static_cast<double>(res.sent.size()), 1.0)
             << channelIdToken(config.channel);
     }
 }
 
-TEST(BatchWalks, SenderPacingKeepsChannelClean)
+TEST(PerOpWalks, SenderPacingKeepsSmtChannelClean)
 {
-    // The bench lanes pace the sender at the receiver's sampling period
-    // (encode_gap = tr) on top of batching; the channel must stay
-    // error-free there too.
-    for (SessionConfig config : {smtConfig(), xcoreConfig()}) {
-        config.batch_walks = true;
-        config.encode_gap = static_cast<std::uint32_t>(config.tr);
-        const SessionResult res = runSession(config);
-        ASSERT_EQ(res.sent.size(), res.received.size());
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < res.sent.size(); ++i)
-            mismatches += res.sent[i] != res.received[i];
-        // At most the cross-core channel's one startup-sync bit.
-        EXPECT_LE(mismatches, 1u) << channelIdToken(config.channel);
-    }
+    // The covert bench lane paces the sender at the receiver's sampling
+    // period (encode_gap = tr); the SMT channel must stay error-free
+    // there.
+    SessionConfig config = smtConfig();
+    config.encode_gap = static_cast<std::uint32_t>(config.tr);
+    const SessionResult res = runSession(config);
+    ASSERT_EQ(res.sent.size(), res.received.size());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < res.sent.size(); ++i)
+        mismatches += res.sent[i] != res.received[i];
+    EXPECT_EQ(mismatches, 0u);
 }
 
 } // namespace
