@@ -1,6 +1,6 @@
 /**
  * @file
- * Wagner-Fischer edit distance (paper Section V-A, reference [40]).
+ * Levenshtein edit distance (paper Section V-A, reference [40]).
  *
  * The channel has three error types — bit flips, insertions and losses —
  * so the paper scores a transmission by the Levenshtein distance between
@@ -16,7 +16,11 @@
 
 namespace lruleak::channel {
 
-/** Levenshtein distance between two bit strings (Wagner-Fischer DP). */
+/**
+ * Levenshtein distance between two symbol strings: bits, or any byte
+ * alphabet (such as windowSymbols' erasures).  Exact, computed
+ * bit-parallel (Hyyrö's form of Myers' algorithm).
+ */
 std::size_t editDistance(const Bits &a, const Bits &b);
 
 /**

@@ -410,6 +410,14 @@ TimeSlice::foldSteady(Engine &engine, unsigned idx)
     const EngineConfig &ec = engine.config();
     const std::uint64_t hit_cost =
         engine.uarch().latency(sim::HitLevel::L1) + ec.op_overhead;
+    const std::uint64_t period = it->period;
+    // Spin-bound: the accesses end before the next deadline even at the
+    // highest jitter, and the spin reaches it, so an iteration that
+    // starts on a deadline ends on the next one.
+    const bool spin_bound =
+        it->gap >= period &&
+        it->refs.size() * (hit_cost + (ec.jitter ? ec.jitter - 1 : 0)) <
+            period;
     sim::Xoshiro256 rng = engine.rng();
     std::uint64_t time = now_;
     std::uint64_t deadline = it->deadline;
@@ -418,13 +426,39 @@ TimeSlice::foldSteady(Engine &engine, unsigned idx)
     std::uint64_t busy = 0;
     std::uint64_t iterations = 0;
     while (time < bound && time < it->limit) {
+        if (spin_bound && (deadline == time || deadline - time == period) &&
+            bound - time >= period) {
+            // Iteration j then runs from time + j * period to the next
+            // deadline; it runs iff it starts before the limit and its
+            // spin ends by the bound.  Only its draws are left to make.
+            const std::uint64_t k =
+                std::min(it->limit - time - 1, bound - time - period) /
+                    period +
+                1;
+            const std::uint64_t fixed = it->refs.size() * hit_cost;
+            std::uint64_t drawn = 0; // the last iteration's jitter
+            for (std::uint64_t j = 0; j < k; ++j) {
+                drawn = 0;
+                for (std::size_t i = 0; i < it->refs.size(); ++i)
+                    drawn += rng.below(ec.jitter);
+                busy += fixed + drawn;
+            }
+            clock = time + (k - 1) * period + fixed + drawn;
+            time += k * period;
+            deadline = time;
+            wake = time;
+            iterations += k;
+            // What is left cannot end its spin by the bound, or starts
+            // at or past the limit.
+            break;
+        }
         // Move the deadline past `time`; usually one period, so try that
         // before paying for a division.
         std::uint64_t d = deadline;
         if (time >= d) {
-            d += it->period;
+            d += period;
             if (time >= d)
-                d += ((time - d) / it->period + 1) * it->period;
+                d += ((time - d) / period + 1) * period;
         }
         sim::Xoshiro256 draws = rng;
         std::uint64_t end = time;

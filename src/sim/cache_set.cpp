@@ -70,14 +70,17 @@ operator==(const ConstSetView &a, const ConstSetView &b)
 std::optional<std::uint32_t>
 ConstSetView::probe(Addr tag) const
 {
+    // Compare every way without branching, then keep the valid matches:
+    // an invalid way still holds a tag (0 after flushLine or reset).
     const Addr *const tags = tags_;
-    const std::uint32_t valid = state_->valid_mask;
     const std::uint32_t ways = shape_->ways;
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if (((valid >> w) & 1u) && tags[w] == tag)
-            return w;
-    }
-    return std::nullopt;
+    std::uint32_t match = 0;
+    for (std::uint32_t w = 0; w < ways; ++w)
+        match |= std::uint32_t{tags[w] == tag} << w;
+    match &= state_->valid_mask;
+    if (match == 0)
+        return std::nullopt;
+    return static_cast<std::uint32_t>(std::countr_zero(match));
 }
 
 std::uint32_t

@@ -74,6 +74,27 @@ TEST(CacheSet, ProbeDoesNotTouchState)
     EXPECT_EQ(set.repl().stateBits(), before);
 }
 
+TEST(CacheSet, ProbeSkipsAFlushedWayThatHoldsTheTag)
+{
+    // flushLine leaves tag 0 in the way it invalidates, so a probe for
+    // tag 0 meets a matching but invalid way.
+    auto set = makeSet();
+    for (Addr t = 1; t <= 8; ++t)
+        access(set, t);
+    ASSERT_TRUE(set.flushLine(8).present); // way 7
+    EXPECT_EQ(set.line(7).tag, 0u);
+    EXPECT_FALSE(set.line(7).valid);
+    EXPECT_FALSE(set.probe(0).has_value());
+    EXPECT_EQ(access(set, 0).way, 7u);
+    // Now way 1 holds tag 0 invalid, below the valid copy in way 7.
+    ASSERT_TRUE(set.flushLine(2).present);
+    EXPECT_EQ(set.line(1).tag, 0u);
+    EXPECT_EQ(set.probe(0), std::optional<std::uint32_t>(7));
+    const auto hit = access(set, 0);
+    EXPECT_TRUE(hit.hit);
+    EXPECT_EQ(hit.way, 7u);
+}
+
 TEST(CacheSet, InvalidateRemovesLine)
 {
     auto set = makeSet();

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the Wagner-Fischer edit distance used to score channel
- * transmissions (flips + insertions + losses).
+ * Tests for the edit distance used to score channel transmissions
+ * (flips + insertions + losses), with the Wagner-Fischer DP as the
+ * oracle of the bit-parallel implementation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "channel/bitstring.hpp"
+#include "channel/decoder.hpp"
 #include "channel/edit_distance.hpp"
 #include "sim/random.hpp"
 
@@ -23,7 +28,89 @@ b(const std::string &s)
     return out;
 }
 
+/** The two-row Wagner-Fischer DP: one cell at a time. */
+std::size_t
+dpEditDistance(const Bits &a, const Bits &b)
+{
+    std::vector<std::size_t> prev(b.size() + 1), curr(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j)
+        prev[j] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        curr[0] = i;
+        for (std::size_t j = 1; j <= b.size(); ++j)
+            curr[j] = std::min({prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1),
+                                prev[j] + 1, curr[j - 1] + 1});
+        std::swap(prev, curr);
+    }
+    return prev[b.size()];
+}
+
+/** @p n symbols below @p alphabet. */
+Bits
+randomSymbols(std::size_t n, std::uint64_t alphabet,
+              lruleak::sim::Xoshiro256 &rng)
+{
+    Bits out(n);
+    for (auto &c : out)
+        c = static_cast<std::uint8_t>(rng.below(alphabet));
+    return out;
+}
+
 } // namespace
+
+TEST(EditDistance, MatchesDpOracleOnRandomPairs)
+{
+    // Lengths 0-2000, unequal more often than not, over bits, bits with
+    // erasures and the whole byte alphabet.  Half the pairs are a
+    // string and a few-edit mutant of it, so small distances (the
+    // channel's usual case) are covered as well as random ones.
+    lruleak::sim::Xoshiro256 rng(0xed17);
+    const std::uint64_t alphabets[] = {2, kErasureSymbol + 1, 256};
+    for (int i = 0; i < 120; ++i) {
+        const std::uint64_t alphabet = alphabets[i % 3];
+        const Bits x = randomSymbols(rng.below(2001), alphabet, rng);
+        Bits y;
+        if (i % 2 == 0) {
+            y = randomSymbols(rng.below(2001), alphabet, rng);
+        } else {
+            y = x;
+            for (std::uint64_t e = rng.below(12); e > 0; --e) {
+                const std::size_t pos = rng.below(y.size() + 1);
+                const auto c = static_cast<std::uint8_t>(rng.below(alphabet));
+                switch (rng.below(3)) {
+                  case 0:
+                    y.insert(y.begin() + static_cast<std::ptrdiff_t>(pos), c);
+                    break;
+                  case 1:
+                    if (pos < y.size())
+                        y.erase(y.begin() + static_cast<std::ptrdiff_t>(pos));
+                    break;
+                  default:
+                    if (pos < y.size())
+                        y[pos] = c;
+                }
+            }
+        }
+        ASSERT_EQ(editDistance(x, y), dpEditDistance(x, y))
+            << "pair " << i << ": lengths " << x.size() << ", " << y.size();
+    }
+}
+
+TEST(EditDistance, MatchesDpOracleAtBlockEdges)
+{
+    // Pattern lengths on each side of a 64-bit block boundary.
+    lruleak::sim::Xoshiro256 rng(0xb10c);
+    for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u,
+                                191u, 192u, 193u}) {
+        for (const std::size_t m : {n - 1, n, n + 1, 3 * n}) {
+            const Bits x = randomSymbols(n, kErasureSymbol + 1, rng);
+            const Bits y = randomSymbols(m, kErasureSymbol + 1, rng);
+            ASSERT_EQ(editDistance(x, y), dpEditDistance(x, y))
+                << "lengths " << n << ", " << m;
+            ASSERT_EQ(editDistance(x, x), 0u) << "length " << n;
+        }
+    }
+}
 
 TEST(EditDistance, IdenticalStringsZero)
 {

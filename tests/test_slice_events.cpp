@@ -19,6 +19,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "channel/lru_channel.hpp"
@@ -654,6 +655,198 @@ TEST(SteadyFold, StoresMatchPerOpSteppingUnderEveryWritePolicy)
             }
             EXPECT_EQ(per_op.next_draw, folded.next_draw);
         }
+    }
+}
+
+/**
+ * A spin-bound steady loop (the fig6 sender's shape): its loads, then a
+ * spin to the next deadline, with the deadlines on the multiples of the
+ * period.  An iteration that starts at or past `limit` drops its first
+ * load, so folding one iteration past the offer's limit shows.  Counts
+ * the next() calls before the limit: the fold should leave none of
+ * those iterations to per-op stepping but the first.
+ */
+class SpinLoop : public ThreadProgram
+{
+  public:
+    SpinLoop(std::vector<sim::MemRef> refs, std::uint64_t gap,
+             std::uint64_t period, std::uint64_t limit)
+        : refs_(std::move(refs)), gap_(gap), period_(period), limit_(limit)
+    {
+        setOffersSteady(true);
+    }
+
+    Op
+    next(std::uint64_t now) override
+    {
+        if (now < limit_)
+            ++early_calls_;
+        if (!started_) {
+            started_ = true;
+            deadline_ = (now / period_ + 1) * period_;
+        }
+        while (now >= deadline_) {
+            deadline_ += period_;
+            step_ = 0;
+        }
+        if (step_ == 0) {
+            late_ = now >= limit_;
+            ++iterations_;
+        }
+        const std::span<const sim::MemRef> refs = refsOf(late_);
+        if (step_ < refs.size())
+            return Op::access(refs[step_++]);
+        step_ = 0;
+        return Op::spinUntil(std::min(now + gap_, deadline_));
+    }
+
+    std::optional<SteadyIteration>
+    steadyIteration(std::uint64_t now) const override
+    {
+        if (!started_ || step_ != 0)
+            return std::nullopt;
+        std::uint64_t d = deadline_;
+        if (now >= d)
+            d += ((now - d) / period_ + 1) * period_;
+        const bool late = now >= limit_;
+        return SteadyIteration{refsOf(late), gap_, d, period_,
+                               late ? ~std::uint64_t{0} : limit_};
+    }
+
+    void
+    foldSteady(std::uint64_t iterations, std::uint64_t deadline) override
+    {
+        deadline_ = deadline;
+        iterations_ += iterations;
+    }
+
+    std::uint64_t earlyCalls() const { return early_calls_; }
+
+    bool
+    operator==(const SpinLoop &o) const
+    {
+        return deadline_ == o.deadline_ && iterations_ == o.iterations_;
+    }
+
+  private:
+    std::span<const sim::MemRef>
+    refsOf(bool late) const
+    {
+        return std::span<const sim::MemRef>(refs_).subspan(
+            late && !refs_.empty() ? 1 : 0);
+    }
+
+    std::vector<sim::MemRef> refs_;
+    std::uint64_t gap_;
+    std::uint64_t period_;
+    std::uint64_t limit_;
+    bool started_ = false;
+    bool late_ = false;
+    std::size_t step_ = 0;
+    std::uint64_t deadline_ = 0;
+    std::uint64_t iterations_ = 0;
+    std::uint64_t early_calls_ = 0;
+};
+
+/** One SpinLoop against a short RandomProgram, on one core. */
+struct SpinRun
+{
+    std::unique_ptr<SpinLoop> loop;
+    std::unique_ptr<RandomProgram> other;
+    std::unique_ptr<sim::CacheHierarchy> h;
+    std::uint64_t end = 0;
+    ThreadStats s0, s1;
+    std::uint64_t clock = 0;
+    std::uint64_t spin_until = 0;
+    std::uint64_t next_draw = 0;
+};
+
+/**
+ * Fold against per-op stepping, the loop first: its whole first slice
+ * (quantum @p quantum, ticks every @p tick), then the other program's,
+ * which ends the run.  Compares everything the fold writes.  Returns
+ * the folded run.
+ */
+SpinRun
+expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
+                    std::uint64_t quantum, std::uint64_t tick,
+                    std::uint64_t limit)
+{
+    constexpr std::uint64_t kPeriod = 6'000;
+    std::vector<sim::MemRef> refs;
+    for (std::size_t i = 0; i < n_refs; ++i)
+        refs.push_back(sim::MemRef::load(0x20000 + (5 + i * 64) * 64));
+    auto run = [&](bool slice_events) {
+        SpinRun out;
+        out.loop = std::make_unique<SpinLoop>(refs, 20'000, kPeriod, limit);
+        out.other = std::make_unique<RandomProgram>(7, 40, 0x50000);
+        out.h = std::make_unique<sim::CacheHierarchy>();
+        sim::SingleCorePort port(*out.h);
+        TimeSlicePolicyConfig pc =
+            policyFor(GridCell{quantum, 0, tick, 0.0}, slice_events);
+        // One kernel line, in set 0: ticks cost a few L1 hits and never
+        // evict the loop's lines (set 5), so only the bounds and the
+        // limit can stop a fold.
+        pc.kernel_footprint_lines = 1;
+        TimeSlice policy(pc);
+        EngineConfig ec;
+        ec.seed = 5;
+        ec.jitter = jitter;
+        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+        out.end = engine.run(*out.loop, *out.other, 1);
+        out.s0 = engine.stats(0);
+        out.s1 = engine.stats(1);
+        out.clock = engine.thread(0).clock;
+        out.spin_until = engine.thread(0).spin_until;
+        out.next_draw = engine.rng()();
+        return out;
+    };
+    const SpinRun per_op = run(false);
+    SpinRun folded = run(true);
+    SCOPED_TRACE(testing::Message()
+                 << "refs " << n_refs << " jitter " << jitter << " quantum "
+                 << quantum << " tick " << tick << " limit " << limit);
+    EXPECT_EQ(per_op.end, folded.end);
+    EXPECT_TRUE(*per_op.loop == *folded.loop);
+    expectSameTrace(*per_op.other, *folded.other);
+    expectSameStats(per_op.s0, folded.s0);
+    expectSameStats(per_op.s1, folded.s1);
+    EXPECT_EQ(per_op.clock, folded.clock);
+    EXPECT_EQ(per_op.spin_until, folded.spin_until);
+    for (sim::ThreadId t : {sim::ThreadId{0}, sim::ThreadId{1},
+                            TimeSlicePolicyConfig{}.kernel_thread}) {
+        expectSameCounters(per_op.h->l1(), folded.h->l1(), t);
+        expectSameCounters(per_op.h->l2(), folded.h->l2(), t);
+    }
+    EXPECT_EQ(per_op.next_draw, folded.next_draw);
+    EXPECT_GT(per_op.loop->earlyCalls(), folded.loop->earlyCalls());
+    return folded;
+}
+
+TEST(SteadyFold, SpinBoundMatchesPerOpSteppingWithBoundsOnDeadlines)
+{
+    // Ticks every 10 periods and the slice end at 50 land exactly on
+    // deadlines: each fold runs up to its bound with no iteration left
+    // over.  After a tick's kernel burst the fold starts mid-period.
+    // The limit falls one cycle after the start of period 23.
+    for (std::uint32_t jitter : {0u, 1u, 4u}) {
+        for (std::size_t n = 0; n <= 3; ++n) {
+            const SpinRun folded = expectSpinFoldExact(
+                n, jitter, 300'000, 60'000, 23 * 6'000 + 1);
+            // Only the first iteration, and nothing past it, steps
+            // per-op: the limit and every bound cost no extra op.
+            EXPECT_EQ(folded.loop->earlyCalls(), n + 1)
+                << "refs " << n << " jitter " << jitter;
+        }
+    }
+}
+
+TEST(SteadyFold, SpinBoundMatchesPerOpSteppingWithBoundsMidPeriod)
+{
+    // Ticks, the slice end and the limit all fall inside a period.
+    for (std::uint32_t jitter : {0u, 1u, 4u}) {
+        for (std::size_t n = 0; n <= 3; ++n)
+            expectSpinFoldExact(n, jitter, 301'234, 58'333, 97'777);
     }
 }
 
