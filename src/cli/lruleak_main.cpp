@@ -85,7 +85,7 @@ usage(std::ostream &os, int code)
           "defaults.  `lruleak trace-gen` exports a\nsynthetic "
           "workload as a replayable access trace (see the "
           "trace_replay\nexperiment).  `lruleak bench` times the "
-          "per-access, batched and replay cache-set\npaths "
+          "per-access and replay cache-set paths\n"
           "(accesses/sec per replacement policy), runs the macro "
           "subsystem lanes,\n--repeats times each (default 5), and writes the "
           "median, min and max of\nevery lane to BENCH_sim.json; "
@@ -556,12 +556,6 @@ cmdBench(const std::vector<std::string> &args)
         if (name == "accesses") {
             if (!parseCount(name, value, cfg.accesses))
                 return 2;
-        } else if (name == "batch") {
-            std::uint64_t batch = 0;
-            if (!parseCount(name, value, batch))
-                return 2;
-            cfg.batch = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(batch, 1u << 20));
         } else if (name == "repeats") {
             std::uint64_t repeats = 0;
             if (!parseCount(name, value, repeats))
@@ -580,8 +574,8 @@ cmdBench(const std::vector<std::string> &args)
                 cfg.policies.push_back(sim::replPolicyFromName(token));
         } else {
             std::cerr << "unknown bench option '--" << name
-                      << "' (valid: --accesses --repeats --batch "
-                         "--seed --policies --out --smoke --check)\n";
+                      << "' (valid: --accesses --repeats --seed "
+                         "--policies --out --smoke --check)\n";
             return 2;
         }
     }
@@ -596,15 +590,13 @@ cmdBench(const std::vector<std::string> &args)
               << cfg.repeats << " runs)\n\n"
               << std::left << std::setw(11) << "workload" << std::setw(10)
               << "policy" << std::right << std::setw(14) << "value (a/s)"
-              << std::setw(14) << "batch (a/s)" << std::setw(14)
-              << "replay (a/s)" << "\n";
+              << std::setw(14) << "replay (a/s)" << "\n";
     for (const auto &row : rows) {
         std::cout << std::left << std::setw(11)
                   << core::benchWorkloadName(row.workload) << std::setw(10)
                   << sim::replPolicyName(row.policy) << std::right
                   << std::fixed << std::setprecision(0) << std::setw(14)
                   << row.value.median << std::setw(14)
-                  << row.batch.median << std::setw(14)
                   << row.replay.median << "\n";
     }
 
@@ -630,13 +622,13 @@ cmdBench(const std::vector<std::string> &args)
     std::cout << "\nwrote " << out_path << "\n";
 
     if (check) {
-        // The CI perf gate: the medians of the Session fast path and
-        // the trace replay lane must hold their post-overhaul floors.
+        // The CI perf gate: the medians of the Session fast path, the
+        // trace replay lane and the L1 hit lane must hold their floors.
         if (!core::checkSimBench(core::BenchCheckConfig{}, macro,
                                  std::cerr))
             return 1;
-        std::cout << "check passed: channel-bit and trace-replay lanes "
-                     "above floor\n";
+        std::cout << "check passed: channel-bit, trace-replay and "
+                     "cache-hit lanes above floor\n";
     }
     return 0;
 }

@@ -98,6 +98,9 @@ benchValue(const SimBenchConfig &config, sim::ReplPolicyKind kind,
     return accessesPerSecond(config.accesses, start, stop);
 }
 
+/** Accesses per replayBatch call in the replay lane. */
+constexpr std::uint64_t kReplayChunk = 4096;
+
 double
 benchReplay(const SimBenchConfig &config, sim::ReplPolicyKind kind,
             const std::vector<Addr> &trace)
@@ -110,44 +113,13 @@ benchReplay(const SimBenchConfig &config, sim::ReplPolicyKind kind,
     const auto start = Clock::now();
     while (done < config.accesses) {
         const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(config.batch,
-                                    config.accesses - done));
+            std::min<std::uint64_t>(kReplayChunk, config.accesses - done));
+        // The trace is replayed cyclically; feed contiguous runs so the
+        // batch sees one span (wrap mid-trace by splitting the chunk).
         const std::size_t run = std::min(n, trace.size() - pos);
         const auto stats = set.replayBatch(
             std::span<const Addr>(trace.data() + pos, run));
         sink += stats.hits + stats.fills;
-        pos = (pos + run) % trace.size();
-        done += run;
-    }
-    const auto stop = Clock::now();
-    g_bench_sink = g_bench_sink + sink;
-    return accessesPerSecond(config.accesses, start, stop);
-}
-
-double
-benchBatch(const SimBenchConfig &config, sim::ReplPolicyKind kind,
-           const std::vector<Addr> &trace)
-{
-    sim::CacheSet set(config.ways,
-                      sim::ReplState::make(kind, config.ways, config.seed));
-    std::vector<sim::SetAccessResult> results(config.batch);
-    std::uint64_t sink = 0;
-    std::uint64_t done = 0;
-    std::size_t pos = 0;
-    const auto start = Clock::now();
-    while (done < config.accesses) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(config.batch,
-                                    config.accesses - done));
-        // The trace is replayed cyclically; feed contiguous runs so the
-        // batch sees one span (wrap mid-trace by splitting the chunk).
-        const std::size_t run =
-            std::min(n, trace.size() - pos);
-        set.accessBatch(std::span<const Addr>(trace.data() + pos, run),
-                        std::span<sim::SetAccessResult>(results.data(),
-                                                        run));
-        for (std::size_t i = 0; i < run; ++i)
-            sink = fold(sink, results[i].way, results[i].hit);
         pos = (pos + run) % trace.size();
         done += run;
     }
@@ -503,17 +475,14 @@ runSimBench(const SimBenchConfig &config)
                 warm.accesses = std::min<std::uint64_t>(config.accesses,
                                                         100'000);
                 benchValue(warm, kind, trace);
-                benchBatch(warm, kind, trace);
                 benchReplay(warm, kind, trace);
             }
-            std::vector<double> value, batch, replay;
+            std::vector<double> value, replay;
             for (std::uint32_t r = 0; r < config.repeats; ++r) {
                 value.push_back(benchValue(config, kind, trace));
-                batch.push_back(benchBatch(config, kind, trace));
                 replay.push_back(benchReplay(config, kind, trace));
             }
             row.value = laneRate(std::move(value));
-            row.batch = laneRate(std::move(batch));
             row.replay = laneRate(std::move(replay));
             rows.push_back(row);
         }
@@ -544,6 +513,7 @@ checkSimBench(const BenchCheckConfig &check,
     macroFloor("covert_channel_bit", check.covert_bit_floor);
     macroFloor("xcore_channel_bit", check.xcore_bit_floor);
     macroFloor("trace_replay_access", check.trace_replay_floor);
+    macroFloor("cache_access_hit", check.cache_access_hit_floor);
     return ok;
 }
 
@@ -557,7 +527,6 @@ writeSimBenchJson(const SimBenchConfig &config,
        << "  \"unit\": \"accesses_per_second\",\n"
        << "  \"accesses\": " << config.accesses << ",\n"
        << "  \"ways\": " << config.ways << ",\n"
-       << "  \"batch\": " << config.batch << ",\n"
        << "  \"seed\": " << config.seed << ",\n"
        << "  \"repeats\": " << config.repeats << ",\n"
        << "  \"rows\": [\n";
@@ -567,8 +536,6 @@ writeSimBenchJson(const SimBenchConfig &config,
            << "\", \"policy\": \"" << sim::replPolicyName(row.policy)
            << "\",\n     \"value_access\": ";
         writeRate(os, row.value);
-        os << ",\n     \"value_batch\": ";
-        writeRate(os, row.batch);
         os << ",\n     \"value_replay\": ";
         writeRate(os, row.replay);
         os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";

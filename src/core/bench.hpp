@@ -2,17 +2,15 @@
  * @file
  * The `lruleak bench` harness: accesses/sec of the simulator hot path.
  *
- * Three lanes replay the same tag trace through one cache set per
+ * Two lanes replay the same tag trace through one cache set per
  * policy:
  *
  *   value   - CacheSet::access on the inline ReplState (per-access
  *             std::visit dispatch);
- *   batch   - CacheSet::accessBatch (dispatch hoisted out of the loop,
- *             inner loop specialised per concrete state, one
- *             SetAccessResult written per access);
- *   replay  - CacheSet::replayBatch (same loop, aggregate stats only —
- *             what Monte-Carlo experiments replaying a sequence for its
- *             state effect use).
+ *   replay  - CacheSet::replayBatch (dispatch hoisted out of the loop,
+ *             inner loop specialised per concrete state, aggregate
+ *             stats only — what Table I's Monte-Carlo loops replaying a
+ *             sequence for its state effect use).
  *
  * Two workloads: "seq1_walk", the paper's Sequence 1 (lines 0..N walked
  * in order — the access pattern of the channel protocols and Table I),
@@ -42,7 +40,6 @@ struct SimBenchConfig
     std::uint32_t hot_tags = 8;         //!< working set that mostly hits
     std::uint32_t cold_tags = 24;       //!< conflict tags that miss
     double hot_fraction = 0.75;         //!< P(access draws a hot tag)
-    std::uint32_t batch = 4096;         //!< accessBatch chunk size
     std::uint64_t seed = 1;
     std::uint32_t repeats = 5; //!< timed runs of every lane
     std::vector<sim::ReplPolicyKind> policies; //!< empty = all six
@@ -69,13 +66,12 @@ enum class BenchWorkload
 
 std::string_view benchWorkloadName(BenchWorkload w);
 
-/** Throughput of the three lanes for one (workload, policy) cell. */
+/** Throughput of the two lanes for one (workload, policy) cell. */
 struct SimBenchRow
 {
     BenchWorkload workload = BenchWorkload::Seq1Walk;
     sim::ReplPolicyKind policy = sim::ReplPolicyKind::TreePlru;
     LaneRate value;  //!< accesses/sec, per-access path
-    LaneRate batch;  //!< accesses/sec, accessBatch (results)
     LaneRate replay; //!< accesses/sec, replayBatch (stats only)
 };
 
@@ -110,13 +106,16 @@ std::vector<MacroBenchRow> runMacroBench(const SimBenchConfig &config);
  * single shared-runner core (covert ~75e3, xcore ~34e3 bits/s) but
  * above the pre-fast-path baselines (~18e3 / ~8e3), so the gate trips
  * on a genuine regression of the Session hot path rather than on
- * machine noise.
+ * machine noise.  The L1 hit floor sits well under the lowest recorded
+ * median of the flat-level hit path (38.7e6 accesses/s).
  */
 struct BenchCheckConfig
 {
     double covert_bit_floor = 30'000.0; //!< covert_channel_bit items/s
     double xcore_bit_floor = 15'000.0;  //!< xcore_channel_bit items/s
     double trace_replay_floor = 500'000.0; //!< trace_replay_access items/s
+    double cache_access_hit_floor = 15'000'000.0; //!< cache_access_hit
+                                                  //!< items/s
 };
 
 /**

@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared experiment runners behind the bench binaries.
+ * Shared experiment runners behind the registered experiments.
  *
  * Each function implements the measurement logic of one paper artifact
- * (the benches then only sweep parameters and print).  See DESIGN.md for
- * the experiment-to-module map.
+ * (the experiments then only sweep parameters and print).  See DESIGN.md
+ * for the experiment-to-module map.
  */
 
 #ifndef LRULEAK_CORE_EXPERIMENTS_HPP

@@ -66,7 +66,7 @@ class Fig14SkylakeTraces final : public Experiment
         cfg.seed = params.getUint("seed");
         const auto res = runSession(cfg);
 
-        sink.series("\n" +
+        sink.series(std::string("\n") +
                         std::string(alg == LruAlgorithm::Alg1Shared
                                         ? "Algorithm 1"
                                         : "Algorithm 2") +

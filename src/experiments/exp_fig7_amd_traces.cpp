@@ -82,7 +82,7 @@ class Fig7AmdTraces final : public Experiment
         const auto smooth = movingAverage(lat, window);
         const auto period = bestAlternatingPeriod(lat, 60, 140);
 
-        sink.note("\n" +
+        sink.note(std::string("\n") +
                   std::string(alg == LruAlgorithm::Alg1Shared
                                   ? "Algorithm 1 (threads, same address "
                                     "space)"

@@ -262,8 +262,8 @@ class LeakageMatrix final : public Experiment
             detail.addRow(
                 {channelDisplayName(channels[c]),
                  fmtDouble(a.pooled.corrected_bits_per_use, 4),
-                 "[" + fmtDouble(a.bits_per_use_ci.lo, 4) + ", " +
-                     fmtDouble(a.bits_per_use_ci.hi, 4) + "]",
+                 std::string("[") + fmtDouble(a.bits_per_use_ci.lo, 4) +
+                     ", " + fmtDouble(a.bits_per_use_ci.hi, 4) + "]",
                  fmtDouble(a.pooled.capacity_bits_per_use, 4),
                  fmtDouble(a.pooled.bits_per_second, 0),
                  std::to_string(a.pairs)});

@@ -318,7 +318,7 @@ class SharpDefense final : public Experiment
         // Every cell as machine-checkable scalars.
         for (std::uint32_t k = 0; k < n_spies; ++k) {
             for (std::uint32_t c = 0; c < n_cols; ++c) {
-                const std::string key = "s" +
+                const std::string key = std::string("s") +
                                         std::to_string(spy_counts[k]) +
                                         "_" + colToken(c);
                 const CellScore &s = cell(k, c);

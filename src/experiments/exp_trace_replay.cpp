@@ -235,8 +235,8 @@ class TraceReplay final : public Experiment
                 std::string(sim::replPolicyName(policies[p]));
             table.addRow(
                 {pol, fmtDouble(a.pooled.corrected_bits_per_use, 4),
-                 "[" + fmtDouble(a.bits_per_use_ci.lo, 4) + ", " +
-                     fmtDouble(a.bits_per_use_ci.hi, 4) + "]",
+                 std::string("[") + fmtDouble(a.bits_per_use_ci.lo, 4) +
+                     ", " + fmtDouble(a.bits_per_use_ci.hi, 4) + "]",
                  fmtDouble(a.pooled.bits_per_second, 0),
                  std::to_string(a.pairs)});
             sink.scalar("bpu_" + pol, a.pooled.corrected_bits_per_use);

@@ -119,17 +119,6 @@ class Cache
     std::uint64_t sharpForcedTotal() const;
     std::uint64_t sharpDeniedTotal() const;
 
-    /**
-     * Replay a whole access sequence (plain demand loads, no lock
-     * requests), writing one result per reference into @p results.
-     * Perf counters are tallied in bulk per thread run, so the per-
-     * access map lookup disappears from the hot loop.
-     *
-     * @pre results.size() >= refs.size()
-     */
-    void accessBatch(std::span<const MemRef> refs,
-                     std::span<CacheAccessResult> results);
-
     /** Prefetch fill: installs the line and updates LRU without a hit
      *  or miss count.  A dirty victim sets dirty_writeback and counts
      *  as a write-back; the caller lands it one level down. */

@@ -321,22 +321,18 @@ SetView::releaseOwner(Addr tag, std::uint32_t domain)
 namespace {
 
 /**
- * The specialised batch inner loop, shared by the results-collecting
- * accessBatch and the stats-only replayBatch (@p kCollect selects at
- * compile time).  @p kWays = 0 keeps the way count a runtime value; a
- * non-zero kWays makes it a compile-time constant so the probe loop
- * fully unrolls.  @p kWrites enables the store path (@p writes runs
- * parallel to @p tags); read-only instantiations still maintain the
- * dirty mask, because a read fill can evict a line dirtied earlier.
+ * The specialised replay loop.  @p kWays = 0 keeps the way count a
+ * runtime value; a non-zero kWays makes it a compile-time constant so
+ * the probe loop fully unrolls.  The loop still maintains the dirty
+ * mask: a load fill can evict a line a per-access store dirtied
+ * earlier.
  */
-template <std::uint32_t kWays, bool kCollect, bool kWrites, typename St>
+template <std::uint32_t kWays, typename St>
 inline SetBatchStats
 runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
              std::uint32_t &valid_ref,
              std::uint32_t &dirty_ref, std::uint32_t runtime_ways,
-             std::uint32_t full, std::span<const Addr> tags,
-             const std::uint8_t *const writes, bool wb_hits, bool allocate,
-             SetAccessResult *const results)
+             std::uint32_t full, std::span<const Addr> tags)
 {
     const std::uint32_t ways = kWays != 0 ? kWays : runtime_ways;
     // Work on register-resident copies: the POD state and the masks stay
@@ -350,11 +346,6 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
     const std::size_t n = tags.size();
     for (std::size_t i = 0; i < n; ++i) {
         const Addr tag = tags[i];
-        SetAccessResult res;
-        bool is_write = false;
-        if constexpr (kWrites)
-            is_write = writes[i] != 0;
-        const bool mark_dirty = is_write && wb_hits;
 
         std::uint32_t way = kNoWay;
         if (valid == full) {
@@ -376,20 +367,7 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
 
         if (way != kNoWay) {
             local.touch(way);
-            if constexpr (kWrites) {
-                if (mark_dirty)
-                    dirty |= 1u << way;
-            }
-            if constexpr (kCollect) {
-                res.hit = true;
-                res.way = way;
-            } else {
-                ++stats.hits;
-            }
-        } else if (kWrites && is_write && !allocate) {
-            // No-write-allocate: the store bypasses this level.
-            if constexpr (kCollect)
-                res.write_no_alloc = true;
+            ++stats.hits;
         } else {
             std::uint32_t victim;
             bool dirty_wb = false;
@@ -400,32 +378,16 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
             } else {
                 victim = local.selectVictim();
                 dirty_wb = ((dirty >> victim) & 1u) != 0;
-                if constexpr (kCollect) {
-                    res.evicted = true;
-                    res.evicted_tag = set_tags[victim];
-                    res.dirty_writeback = dirty_wb;
-                } else {
-                    ++stats.evictions;
-                }
+                ++stats.evictions;
             }
             stats.dirty_writebacks += dirty_wb ? 1 : 0;
-            if (mark_dirty)
-                dirty |= 1u << victim;
-            else
-                dirty &= ~(1u << victim);
+            dirty &= ~(1u << victim);
             set_tags[victim] = tag;
             if (utags)
                 utags[victim] = 0;
             local.onFill(victim);
-            if constexpr (kCollect) {
-                res.way = victim;
-                res.filled = true;
-            } else {
-                ++stats.fills;
-            }
+            ++stats.fills;
         }
-        if constexpr (kCollect)
-            results[i] = res;
     }
     st = local;
     valid_ref = valid;
@@ -433,50 +395,39 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
     return stats;
 }
 
-/** Dispatch the batch loop over (state alternative, common way count). */
-template <bool kCollect, bool kWrites>
+/** Dispatch the replay loop over (state alternative, common way count). */
 inline SetBatchStats
 dispatchBatch(ReplState &repl, Addr *set_tags, std::uint16_t *utags,
               std::uint32_t &valid_ref,
               std::uint32_t &dirty_ref, std::uint32_t ways,
-              std::uint32_t full, std::span<const Addr> tags,
-              const std::uint8_t *writes, bool wb_hits, bool allocate,
-              SetAccessResult *results)
+              std::uint32_t full, std::span<const Addr> tags)
 {
     return repl.visitState([&](auto &st) {
         switch (ways) {
           case 8:
-            return runBatchLoop<8, kCollect, kWrites>(
-                st, set_tags, utags, valid_ref, dirty_ref, ways, full,
-                tags, writes, wb_hits, allocate, results);
+            return runBatchLoop<8>(st, set_tags, utags, valid_ref,
+                                   dirty_ref, ways, full, tags);
           case 16:
-            return runBatchLoop<16, kCollect, kWrites>(
-                st, set_tags, utags, valid_ref, dirty_ref, ways, full,
-                tags, writes, wb_hits, allocate, results);
+            return runBatchLoop<16>(st, set_tags, utags, valid_ref,
+                                    dirty_ref, ways, full, tags);
           default:
-            return runBatchLoop<0, kCollect, kWrites>(
-                st, set_tags, utags, valid_ref, dirty_ref, ways, full,
-                tags, writes, wb_hits, allocate, results);
+            return runBatchLoop<0>(st, set_tags, utags, valid_ref,
+                                   dirty_ref, ways, full, tags);
         }
     });
 }
 
 } // namespace
 
-template <bool kCollect, bool kWrites>
 SetBatchStats
-SetView::runBatch(std::span<const Addr> tags, const std::uint8_t *writes,
-                  SetAccessResult *results)
+SetView::replayBatch(std::span<const Addr> tags)
 {
     if (shape_->pl_mode != PlMode::Disabled) {
         // Lock bits in play: take the general per-access path.
         SetBatchStats stats;
         stats.accesses = tags.size();
         for (std::size_t i = 0; i < tags.size(); ++i) {
-            const auto res = access(tags[i], 0, false, LockReq::None,
-                                    kWrites && writes[i] != 0);
-            if constexpr (kCollect)
-                results[i] = res;
+            const auto res = access(tags[i], 0, false, LockReq::None);
             stats.hits += res.hit ? 1 : 0;
             stats.fills += res.filled ? 1 : 0;
             stats.evictions += res.evicted ? 1 : 0;
@@ -490,45 +441,9 @@ SetView::runBatch(std::span<const Addr> tags, const std::uint8_t *writes,
     // touch/onFill/selectVictim are direct, inlinable calls on a
     // register-resident state machine.
     SetState &st = mutableState();
-    return dispatchBatch<kCollect, kWrites>(
-        st.repl, mutableTags(), mutableUtags(), st.valid_mask, st.dirty_mask,
-        shape_->ways, fullMask(), tags, writes,
-        shape_->write_hit == WriteHitPolicy::WriteBack,
-        shape_->write_miss == WriteMissPolicy::WriteAllocate, results);
-}
-
-void
-SetView::accessBatch(std::span<const Addr> tags,
-                     std::span<SetAccessResult> results)
-{
-    runBatch<true, false>(tags, nullptr, results.data());
-}
-
-void
-SetView::accessBatch(std::span<const Addr> tags,
-                     std::span<const std::uint8_t> writes,
-                     std::span<SetAccessResult> results)
-{
-    runBatch<true, true>(tags, writes.data(), results.data());
-}
-
-SetBatchStats
-SetView::replayBatch(std::span<const Addr> tags)
-{
-    return runBatch<false, false>(tags, nullptr, nullptr);
-}
-
-SetBatchStats
-SetView::replayBatch(std::span<const Addr> tags,
-                     std::span<const std::uint8_t> writes)
-{
-    return runBatch<false, true>(tags, writes.data(), nullptr);
-}
-
-bool
-SetView::invalidate(Addr tag)
-{
-    return flushLine(tag).present;
+    return dispatchBatch(st.repl, mutableTags(), mutableUtags(),
+                         st.valid_mask, st.dirty_mask, shape_->ways,
+                         fullMask(), tags);
 }
 
 SetFlushResult

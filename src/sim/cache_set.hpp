@@ -16,10 +16,10 @@
  * itself private, so a view of a CacheSet exists only as the explicit
  * `view()`.
  *
- * Besides the per-access entry point, `accessBatch` replays a whole tag
- * sequence with the policy dispatch hoisted out of the loop — the hot
- * path Monte-Carlo experiments and `lruleak bench` replay sequences
- * through.
+ * Besides the per-access entry point, `replayBatch` replays a whole
+ * load sequence with the policy dispatch hoisted out of the loop, for
+ * its state effect and aggregate tallies only — the hot path Table I's
+ * Monte-Carlo loops and `lruleak bench` replay sequences through.
  */
 
 #ifndef LRULEAK_SIM_CACHE_SET_HPP
@@ -68,8 +68,8 @@ struct LineState
 /**
  * Outcome of a set access.  A compact 16-byte POD: the flags share one
  * byte and the displaced tag is a plain field guarded by @c evicted —
- * batch loops write one of these per access, so the layout is part of
- * the hot path.
+ * every per-access call returns one, so the layout is part of the hot
+ * path.
  */
 struct SetAccessResult
 {
@@ -86,13 +86,6 @@ struct SetAccessResult
                                   //!< no-write-allocate: nothing installed
     Addr evicted_tag = 0;         //!< tag displaced by the fill (iff
                                   //!< @c evicted)
-
-    /** Convenience view of the displaced tag. */
-    std::optional<Addr>
-    evictedTag() const
-    {
-        return evicted ? std::optional<Addr>(evicted_tag) : std::nullopt;
-    }
 };
 
 /** Aggregate outcome of a stats-only batch replay. */
@@ -103,6 +96,8 @@ struct SetBatchStats
     std::uint64_t fills = 0;     //!< misses that installed a line
     std::uint64_t evictions = 0; //!< fills that displaced a valid line
     std::uint64_t dirty_writebacks = 0; //!< evictions of a dirty line
+
+    bool operator==(const SetBatchStats &) const = default;
 };
 
 /** Outcome of removing a line (clflush / back-invalidation). */
@@ -250,7 +245,7 @@ class ConstSetView
 
 /**
  * Mutable view of one set: the one implementation of the set
- * algorithms (the paper's Fig. 10 flow chart, SHARP, the batch kernels).
+ * algorithms (the paper's Fig. 10 flow chart, SHARP, the batch kernel).
  * `Cache` runs them on its flat arrays; `CacheSet` on its own storage.
  */
 class SetView : public ConstSetView
@@ -312,46 +307,18 @@ class SetView : public ConstSetView
     bool releaseOwner(Addr tag, std::uint32_t domain);
 
     /**
-     * Replay a whole tag sequence (plain loads: no utag checking, no
-     * lock requests), writing one result per tag into @p results.  The
-     * policy dispatch happens once for the whole batch, so the inner
-     * loop is specialised per concrete replacement state — the fast
-     * path Monte-Carlo experiments replay sequences through.
-     *
-     * @pre results.size() >= tags.size()
-     */
-    void accessBatch(std::span<const Addr> tags,
-                     std::span<SetAccessResult> results);
-
-    /**
-     * Read/write flavour: @p writes runs parallel to @p tags (non-zero
-     * = store).  Same specialised inner loop, instantiated with the
-     * write path enabled.
-     *
-     * @pre writes.size() >= tags.size()
-     */
-    void accessBatch(std::span<const Addr> tags,
-                     std::span<const std::uint8_t> writes,
-                     std::span<SetAccessResult> results);
-
-    /**
-     * Stats-only flavour of accessBatch for callers that replay a
-     * sequence purely for its state effect (Monte-Carlo warm-ups and
-     * measured loops, channel init/decode walks): no per-access results
-     * are materialised, only the aggregate tallies.
+     * Replay a whole load sequence (no utag checking, no lock requests,
+     * no stores) purely for its state effect: no per-access results are
+     * materialised, only the aggregate tallies.  The policy dispatch
+     * happens once for the whole batch, so the inner loop is
+     * specialised per concrete replacement state.  Sets with lock bits
+     * in play (a PL mode) take the per-access path instead.
      */
     SetBatchStats replayBatch(std::span<const Addr> tags);
 
-    /** Read/write flavour of the stats-only replay. */
-    SetBatchStats replayBatch(std::span<const Addr> tags,
-                              std::span<const std::uint8_t> writes);
-
-    /** Invalidate the line holding @p tag (clflush). @return true if hit */
-    bool invalidate(Addr tag);
-
     /**
-     * Invalidate the line holding @p tag and report whether its data
-     * was dirty (the caller owes a write-back in that case).
+     * Invalidate the line holding @p tag (clflush) and report whether it
+     * was present and dirty (the caller owes a write-back in that case).
      */
     SetFlushResult flushLine(Addr tag);
 
@@ -399,13 +366,6 @@ class SetView : public ConstSetView
 
     void fill(std::uint32_t way, Addr tag, bool lock,
               std::uint16_t utag, bool dirty);
-
-    /** The four batch entry points: @p kCollect writes @p results,
-     *  @p kWrites reads @p writes. */
-    template <bool kCollect, bool kWrites>
-    SetBatchStats runBatch(std::span<const Addr> tags,
-                           const std::uint8_t *writes,
-                           SetAccessResult *results);
 };
 
 /**
@@ -453,10 +413,8 @@ class CacheSet : private SetView
     using ConstSetView::writeHitPolicy;
     using ConstSetView::writeMissPolicy;
     using SetView::access;
-    using SetView::accessBatch;
     using SetView::accessSharp;
     using SetView::flushLine;
-    using SetView::invalidate;
     using SetView::markDirty;
     using SetView::prefetchFill;
     using SetView::releaseOwner;

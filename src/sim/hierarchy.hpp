@@ -89,9 +89,9 @@ class CacheHierarchy
 
     /**
      * Replay a whole access sequence (plain demand loads) whose
-     * individual outcomes the caller does not need — the prime/init
-     * loops of the channels and the Spectre harness.  Semantically one
-     * access() per reference.
+     * individual outcomes the caller does not need — the Spectre
+     * harness's chase, prime and decode walks, through AccessPort.
+     * Semantically one access() per reference.
      */
     void accessBatch(std::span<const MemRef> refs);
 

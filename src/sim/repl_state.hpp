@@ -18,7 +18,7 @@
  *
  * `ReplState` dispatches non-virtually via `std::visit`; batch code can
  * hoist the dispatch out of its loop entirely (one visit around the
- * whole loop, see SetView::accessBatch) so the compiler specialises the
+ * whole loop, see SetView::replayBatch) so the compiler specialises the
  * hot path per concrete policy.  Everything is value-semantic: a set's
  * `ReplState` sits inline in its `SetState` record, so a cache level's
  * records are one flat array and a `CacheSet` copies with a memcpy.

@@ -69,7 +69,8 @@ class PerfCounters
         slot(thread).record(hit);
     }
 
-    /** Bulk tally for batched accesses: one slot lookup per batch run. */
+    /** Bulk tally of one thread's accesses with one slot lookup (the
+     *  engine's steady fold credits its folded L1 hits through it). */
     void
     recordMany(ThreadId thread, std::uint64_t hits, std::uint64_t accesses)
     {

@@ -40,8 +40,11 @@ TEST(BenchSummary, LaneRateIsMedianMinAndMax)
 TEST(BenchSummary, CheckHoldsTheMediansToTheFloors)
 {
     const BenchCheckConfig check;
-    const auto run = [&](LaneRate covert) {
+    const double floor = check.covert_bit_floor;
+    const double hit_floor = check.cache_access_hit_floor;
+    const auto run = [&](LaneRate covert, LaneRate hit) {
         const std::vector<MacroBenchRow> macro = {
+            {"cache_access_hit", 1'000'000, hit},
             {"covert_channel_bit", 160, covert},
             {"xcore_channel_bit", 160, laneRate({check.xcore_bit_floor})},
             {"trace_replay_access", 500'000,
@@ -51,20 +54,31 @@ TEST(BenchSummary, CheckHoldsTheMediansToTheFloors)
         const bool ok = checkSimBench(check, macro, os);
         return std::make_pair(ok, os.str());
     };
-    const double floor = check.covert_bit_floor;
 
     // One slow repeat does not fail the gate: its median holds.
     const auto [slow_min_ok, slow_min_msg] =
-        run(laneRate({floor * 0.1, floor * 1.2, floor * 1.3}));
+        run(laneRate({floor * 0.1, floor * 1.2, floor * 1.3}),
+            laneRate({hit_floor}));
     EXPECT_TRUE(slow_min_ok) << slow_min_msg;
 
     // One fast repeat does not pass it: its median is below the floor.
     const auto [fast_max_ok, fast_max_msg] =
-        run(laneRate({floor * 0.8, floor * 0.9, floor * 5.0}));
+        run(laneRate({floor * 0.8, floor * 0.9, floor * 5.0}),
+            laneRate({hit_floor}));
     EXPECT_FALSE(fast_max_ok);
     EXPECT_NE(fast_max_msg.find("covert_channel_bit median"),
               std::string::npos)
         << fast_max_msg;
+
+    // The L1 hit lane is gated the same way.
+    const auto [hit_ok, hit_msg] =
+        run(laneRate({floor}),
+            laneRate({hit_floor * 0.1, hit_floor * 0.9, hit_floor * 5.0}));
+    EXPECT_FALSE(hit_ok);
+    EXPECT_NE(hit_msg.find("cache_access_hit median"), std::string::npos)
+        << hit_msg;
+    EXPECT_EQ(hit_msg.find("covert_channel_bit"), std::string::npos)
+        << hit_msg;
 
     const auto [missing_ok, missing_msg] = [&] {
         std::ostringstream os;

@@ -99,9 +99,9 @@ TEST(CacheSet, InvalidateRemovesLine)
 {
     auto set = makeSet();
     access(set, 7);
-    EXPECT_TRUE(set.invalidate(7));
+    EXPECT_TRUE(set.flushLine(7).present);
     EXPECT_FALSE(set.probe(7).has_value());
-    EXPECT_FALSE(set.invalidate(7));
+    EXPECT_FALSE(set.flushLine(7).present);
 }
 
 TEST(CacheSet, PrefetchFillInstallsAndPromotes)

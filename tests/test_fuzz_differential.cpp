@@ -1,24 +1,27 @@
 /**
  * @file
  * Randomized differential fuzz: the four ways to drive a cache set —
- * per-access `CacheSet::access`, `accessBatch`, `replayBatch`, and a
- * plain array-of-structs set over the reference replacement models —
- * must stay state-bit-identical on long random traces, for
- * every policy and for way counts the targeted unit tests never
- * exercise (including the non-power-of-two 6 and 12).  A cache level
- * (flat arrays, set views) must match the same level built from
- * standalone CacheSets step by step.
+ * per-access `CacheSet::access`, one `replayBatch` over a whole trace,
+ * `replayBatch` over the same trace in uneven chunks, and a plain
+ * array-of-structs set over the reference replacement models — must
+ * stay state-bit-identical on long random traces, for every policy and
+ * for way counts the targeted unit tests never exercise (including the
+ * non-power-of-two 6 and 12).  A cache level (flat arrays, set views)
+ * must match the same level built from standalone CacheSets step by
+ * step.
  *
- * Rationale: the batch paths specialise their inner loops per concrete
+ * Rationale: the replay kernel specialises its inner loop per concrete
  * policy and common way count, so an off-by-one in an uncommon
  * configuration would slip past the existing 8/16-way tests while
- * silently skewing every Monte-Carlo result built on batching.
+ * silently skewing every Monte-Carlo result built on it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,6 +135,17 @@ fuzzTrace(std::size_t n, std::uint32_t ways, std::uint64_t seed)
     return tags;
 }
 
+/** Tally one per-access outcome the way replayBatch counts it. */
+void
+countAccess(SetBatchStats &t, const SetAccessResult &r)
+{
+    ++t.accesses;
+    t.hits += r.hit ? 1 : 0;
+    t.fills += r.filled ? 1 : 0;
+    t.evictions += r.evicted ? 1 : 0;
+    t.dirty_writebacks += r.dirty_writeback ? 1 : 0;
+}
+
 } // namespace
 
 TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
@@ -141,16 +155,15 @@ TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
     constexpr std::size_t kAccesses = 10'000;
 
     CacheSet per_access(ways, ReplState::make(kind, ways, kSeed));
-    CacheSet batched(ways, ReplState::make(kind, ways, kSeed));
     CacheSet replayed(ways, ReplState::make(kind, ways, kSeed));
+    CacheSet chunked(ways, ReplState::make(kind, ways, kSeed));
     ReferenceSet model(ways, kind, kSeed);
 
     const auto trace = fuzzTrace(kAccesses, ways, kSeed ^ ways);
 
     // Per-access lane, checked against the reference set continuously
     // (a divergence is reported at the access that introduced it).
-    std::uint64_t hits = 0, fills = 0, evictions = 0;
-    std::vector<SetAccessResult> per_results(trace.size());
+    SetBatchStats want;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const auto res =
             per_access.access(trace[i], 0, false, LockReq::None);
@@ -164,41 +177,28 @@ TEST_P(DifferentialFuzz, FourPathsStayStateBitIdentical)
         }
         ASSERT_EQ(per_access.repl().stateBits(), model.stateBits())
             << "state diverged from the reference set at access " << i;
-        per_results[i] = res;
-        hits += res.hit ? 1 : 0;
-        fills += res.filled ? 1 : 0;
-        evictions += res.evicted ? 1 : 0;
-    }
-
-    // Batch lane: one accessBatch over the whole trace.
-    std::vector<SetAccessResult> batch_results(trace.size());
-    batched.accessBatch(trace, batch_results);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        ASSERT_EQ(batch_results[i].hit, per_results[i].hit) << i;
-        ASSERT_EQ(batch_results[i].way, per_results[i].way) << i;
-        ASSERT_EQ(batch_results[i].filled, per_results[i].filled) << i;
-        ASSERT_EQ(batch_results[i].evicted, per_results[i].evicted) << i;
-        if (per_results[i].evicted) {
-            ASSERT_EQ(batch_results[i].evicted_tag,
-                      per_results[i].evicted_tag) << i;
-        }
+        countAccess(want, res);
     }
 
     // Replay lane: aggregate stats only.
-    const auto stats = replayed.replayBatch(trace);
-    EXPECT_EQ(stats.accesses, trace.size());
-    EXPECT_EQ(stats.hits, hits);
-    EXPECT_EQ(stats.fills, fills);
-    EXPECT_EQ(stats.evictions, evictions);
+    EXPECT_EQ(replayed.replayBatch(trace), want);
+
+    // Chunked lane: the state carries across calls, so uneven chunks
+    // (some empty) must add up to the one-call replay.
+    std::uint64_t chunked_hits = 0;
+    Xoshiro256 rng(kSeed + ways);
+    for (std::size_t pos = 0, n = 0; pos < trace.size(); pos += n) {
+        n = std::min<std::size_t>(rng.below(3 * ways), trace.size() - pos);
+        chunked_hits +=
+            chunked.replayBatch(std::span(trace).subspan(pos, n)).hits;
+    }
+    EXPECT_EQ(chunked_hits, want.hits);
 
     // End state: all four lanes bit-identical.
-    EXPECT_EQ(per_access.repl(), batched.repl());
-    EXPECT_EQ(per_access.repl(), replayed.repl());
+    EXPECT_TRUE(per_access == replayed) << "replayBatch end state diverged";
+    EXPECT_TRUE(per_access == chunked) << "chunked end state diverged";
     EXPECT_EQ(per_access.repl().stateBits(), model.stateBits());
     for (std::uint32_t w = 0; w < ways; ++w) {
-        EXPECT_EQ(per_access.line(w).tag, batched.line(w).tag) << w;
-        EXPECT_EQ(per_access.line(w).valid, batched.line(w).valid) << w;
-        EXPECT_EQ(per_access.line(w).tag, replayed.line(w).tag) << w;
         EXPECT_EQ(per_access.line(w).valid, model.valid(w)) << w;
         if (model.valid(w)) {
             EXPECT_EQ(per_access.line(w).tag, model.tag(w)) << w;
@@ -273,12 +273,15 @@ writeFuzzMatrix()
 } // namespace
 
 /**
- * Randomized read/write traces: the per-access, accessBatch and
- * replayBatch paths must agree on every dirty bit and every write-back,
- * for all six policies under all four write-policy combinations.  The
- * batch inner loops specialise the write path away entirely for
- * read-only traces, so this is the test that keeps the specialised
- * write-enabled loops honest.
+ * Randomized read/write traces through three paths: per-access stores,
+ * per-access loads and the replay kernel.  Two lanes issue the stores
+ * per access; one issues the loads per access too, the other replays
+ * each run of loads between stores through one replayBatch.  After
+ * every run both must agree on the tallies and on the whole set (every
+ * dirty bit), for all six policies under all four write-policy
+ * combinations.  The kernel stores nothing itself, but its load fills
+ * evict lines the stores dirtied, so this is the test that keeps its
+ * dirty-mask upkeep honest.
  */
 TEST_P(WritePathFuzz, ThreePathsAgreeOnDirtyStateAndWritebacks)
 {
@@ -289,10 +292,8 @@ TEST_P(WritePathFuzz, ThreePathsAgreeOnDirtyStateAndWritebacks)
 
     CacheSet per_access(kWays, ReplState::make(kind, kWays, kSeed),
                         PlMode::Disabled, write_hit, write_miss);
-    CacheSet batched(kWays, ReplState::make(kind, kWays, kSeed),
-                     PlMode::Disabled, write_hit, write_miss);
-    CacheSet replayed(kWays, ReplState::make(kind, kWays, kSeed),
-                      PlMode::Disabled, write_hit, write_miss);
+    CacheSet mixed(kWays, ReplState::make(kind, kWays, kSeed),
+                   PlMode::Disabled, write_hit, write_miss);
 
     // ~1/3 stores over a tag space with steady eviction pressure.
     std::vector<Addr> tags(kAccesses);
@@ -303,62 +304,33 @@ TEST_P(WritePathFuzz, ThreePathsAgreeOnDirtyStateAndWritebacks)
         writes[i] = rng.chance(1.0 / 3.0) ? 1 : 0;
     }
 
-    // Per-access lane (the oracle for the batch lanes).
-    std::uint64_t hits = 0, fills = 0, evictions = 0, writebacks = 0;
-    std::vector<SetAccessResult> per_results(kAccesses);
-    for (std::size_t i = 0; i < kAccesses; ++i) {
-        per_results[i] = per_access.access(tags[i], 0, false,
-                                           LockReq::None, writes[i] != 0);
-        hits += per_results[i].hit ? 1 : 0;
-        fills += per_results[i].filled ? 1 : 0;
-        evictions += per_results[i].evicted ? 1 : 0;
-        writebacks += per_results[i].dirty_writeback ? 1 : 0;
-    }
-
-    // Batch lane: every per-access field, including the write-path ones.
-    std::vector<SetAccessResult> batch_results(kAccesses);
-    batched.accessBatch(tags, writes, batch_results);
-    for (std::size_t i = 0; i < kAccesses; ++i) {
-        ASSERT_EQ(batch_results[i].hit, per_results[i].hit) << i;
-        ASSERT_EQ(batch_results[i].way, per_results[i].way) << i;
-        ASSERT_EQ(batch_results[i].filled, per_results[i].filled) << i;
-        ASSERT_EQ(batch_results[i].evicted, per_results[i].evicted) << i;
-        ASSERT_EQ(batch_results[i].dirty_writeback,
-                  per_results[i].dirty_writeback)
-            << "write-back divergence at access " << i;
-        ASSERT_EQ(batch_results[i].write_no_alloc,
-                  per_results[i].write_no_alloc) << i;
-        if (per_results[i].evicted) {
-            ASSERT_EQ(batch_results[i].evicted_tag,
-                      per_results[i].evicted_tag) << i;
+    std::uint64_t load_writebacks = 0;
+    for (std::size_t i = 0; i < kAccesses;) {
+        if (writes[i] != 0) {
+            per_access.access(tags[i], 0, false, LockReq::None, true);
+            mixed.access(tags[i], 0, false, LockReq::None, true);
+            ++i;
+            continue;
         }
-    }
-
-    // Replay lane: aggregate write-back tally.
-    const auto stats = replayed.replayBatch(tags, writes);
-    EXPECT_EQ(stats.accesses, kAccesses);
-    EXPECT_EQ(stats.hits, hits);
-    EXPECT_EQ(stats.fills, fills);
-    EXPECT_EQ(stats.evictions, evictions);
-    EXPECT_EQ(stats.dirty_writebacks, writebacks);
-
-    // End state: dirty masks and replacement state bit-identical.
-    EXPECT_EQ(per_access.dirtyMask(), batched.dirtyMask());
-    EXPECT_EQ(per_access.dirtyMask(), replayed.dirtyMask());
-    EXPECT_EQ(per_access.validMask(), batched.validMask());
-    EXPECT_EQ(per_access.validMask(), replayed.validMask());
-    EXPECT_EQ(per_access.repl(), batched.repl());
-    EXPECT_EQ(per_access.repl(), replayed.repl());
-    for (std::uint32_t w = 0; w < kWays; ++w) {
-        EXPECT_EQ(per_access.line(w).tag, batched.line(w).tag) << w;
-        EXPECT_EQ(per_access.line(w).tag, replayed.line(w).tag) << w;
+        const std::size_t begin = i;
+        SetBatchStats want;
+        for (; i < kAccesses && writes[i] == 0; ++i)
+            countAccess(want,
+                        per_access.access(tags[i], 0, false, LockReq::None));
+        const auto got = mixed.replayBatch(
+            std::span<const Addr>(tags).subspan(begin, i - begin));
+        ASSERT_EQ(got, want) << "load run at access " << begin;
+        ASSERT_TRUE(per_access == mixed) << "load run at access " << begin;
+        load_writebacks += got.dirty_writebacks;
     }
 
     // Write-policy invariants the whole trace must respect.
     if (write_hit == WriteHitPolicy::WriteThrough) {
         EXPECT_EQ(per_access.dirtyMask(), 0u)
             << "a write-through set must never hold a dirty line";
-        EXPECT_EQ(writebacks, 0u);
+        EXPECT_EQ(load_writebacks, 0u);
+    } else {
+        EXPECT_GT(load_writebacks, 0u) << "no load evicted a dirty line";
     }
     EXPECT_EQ(per_access.dirtyMask() & ~per_access.validMask(), 0u)
         << "dirty bits must annotate valid lines only";
@@ -825,7 +797,7 @@ class FlatStorageFuzz : public ::testing::TestWithParam<LevelCase>
  * A Cache keeps every level in flat arrays (one tag array, one record
  * per set, utags and owners only when the level has them) and runs the
  * set algorithms on views of it.  Replaying one randomized stream of
- * demand accesses, batches, flushes, write-back landings, prefetches
+ * demand accesses, flushes, write-back landings, prefetches
  * and SHARP releases through a Cache and through standalone CacheSets
  * must give identical results, identical PerfCounters and SHARP
  * tallies, and identical set state after every step.
@@ -838,24 +810,17 @@ TEST_P(FlatStorageFuzz, CacheMatchesStandaloneSetsStepByStep)
     ASSERT_EQ(cache.storageSets(), model.sets.size());
 
     const AddressLayout &layout = cache.layout();
-    const bool plain = lc.config.secure == SecureMode::None;
     Xoshiro256 rng(lc.config.seed ^ std::hash<std::string>{}(lc.name));
-    const auto randomRef = [&] {
+    PathTally tally;
+    for (std::size_t step = 0; step < 3000; ++step) {
         const Addr line = layout.compose(
             rng.below(lc.config.ways * 3),
             static_cast<std::uint32_t>(rng.below(cache.numSets())));
         // A VA alias that keeps the set index but changes the utag.
         const Addr alias = rng.chance(0.2) ? 0x100000 : 0;
-        return MemRef{line + alias, line,
-                      static_cast<ThreadId>(rng.below(3)),
-                      rng.chance(1.0 / 3.0)};
-    };
-
-    std::vector<CacheAccessResult> batch_results(8);
-    PathTally tally;
-    for (std::size_t step = 0; step < 3000; ++step) {
-        const MemRef ref = randomRef();
-        const Addr line = layout.lineBase(ref.paddr);
+        const MemRef ref{line + alias, line,
+                         static_cast<ThreadId>(rng.below(3)),
+                         rng.chance(1.0 / 3.0)};
         const double op = rng.uniform();
         if (op < 0.6) {
             LockReq req = LockReq::None;
@@ -871,17 +836,6 @@ TEST_P(FlatStorageFuzz, CacheMatchesStandaloneSetsStepByStep)
                 req);
             expectSameResult(got, want, step);
             tally.add(got);
-        } else if (op < 0.7 && plain) {
-            std::vector<MemRef> refs(1 + rng.below(batch_results.size()));
-            for (MemRef &r : refs)
-                r = randomRef();
-            cache.accessBatch(refs, batch_results);
-            for (std::size_t i = 0; i < refs.size(); ++i) {
-                expectSameResult(batch_results[i],
-                                 model.access(0, refs[i], LockReq::None),
-                                 step);
-                tally.add(batch_results[i]);
-            }
         } else if (op < 0.8) {
             const CacheFlushResult got = cache.flush(ref);
             const CacheFlushResult want = model.flush(ref);

@@ -6,11 +6,13 @@
  * list- and vector-based implementations, so they serve as the oracle:
  * ReplState must match them state-bit-for-state-bit and victim-for-
  * victim on randomized operation traces, for all six policies.  The
- * CacheSet batch APIs are checked against the per-access path the same
- * way.
+ * CacheSet replay kernel is checked against the per-access path the
+ * same way.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "reference_policies.hpp"
 #include "sim/cache_set.hpp"
@@ -166,7 +168,7 @@ TEST(ReplState, WhiteBoxAccess)
     EXPECT_EQ(state.get<TrueLruState>(), nullptr);
 }
 
-// ---------------------------------------------------------- batch APIs
+// -------------------------------------------------------- replay kernel
 
 namespace {
 
@@ -181,61 +183,35 @@ randomTags(std::size_t n, std::uint64_t seed)
     return tags;
 }
 
+/** Tally one per-access outcome the way replayBatch counts it. */
+void
+countAccess(SetBatchStats &t, const SetAccessResult &r)
+{
+    ++t.accesses;
+    t.hits += r.hit ? 1 : 0;
+    t.fills += r.filled ? 1 : 0;
+    t.evictions += r.evicted ? 1 : 0;
+    t.dirty_writebacks += r.dirty_writeback ? 1 : 0;
+}
+
 class BatchEquivalence
     : public ::testing::TestWithParam<StateCase>
 {};
 
 } // namespace
 
-TEST_P(BatchEquivalence, AccessBatchMatchesPerAccessPath)
-{
-    const auto [kind, ways] = GetParam();
-    CacheSet a(ways, ReplState::make(kind, ways, 3));
-    CacheSet b(ways, ReplState::make(kind, ways, 3));
-
-    const auto tags = randomTags(2000, 99);
-    std::vector<SetAccessResult> batch_results(tags.size());
-    a.accessBatch(tags, batch_results);
-
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-        const auto res = b.access(tags[i], 0, false, LockReq::None);
-        ASSERT_EQ(batch_results[i].hit, res.hit) << "access " << i;
-        ASSERT_EQ(batch_results[i].way, res.way) << "access " << i;
-        ASSERT_EQ(batch_results[i].filled, res.filled) << "access " << i;
-        ASSERT_EQ(batch_results[i].evicted, res.evicted) << "access " << i;
-        if (res.evicted) {
-            ASSERT_EQ(batch_results[i].evicted_tag, res.evicted_tag);
-        }
-    }
-    EXPECT_EQ(a.repl(), b.repl()) << "replacement state diverged";
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        EXPECT_EQ(a.line(w).tag, b.line(w).tag);
-        EXPECT_EQ(a.line(w).valid, b.line(w).valid);
-    }
-}
-
-TEST_P(BatchEquivalence, ReplayBatchMatchesAccessBatch)
+TEST_P(BatchEquivalence, ReplayBatchMatchesPerAccessPath)
 {
     const auto [kind, ways] = GetParam();
     CacheSet a(ways, ReplState::make(kind, ways, 3));
     CacheSet b(ways, ReplState::make(kind, ways, 3));
 
     const auto tags = randomTags(2000, 100);
-    std::vector<SetAccessResult> results(tags.size());
-    a.accessBatch(tags, results);
-    const auto stats = b.replayBatch(tags);
-
-    std::uint64_t hits = 0, fills = 0, evictions = 0;
-    for (const auto &r : results) {
-        hits += r.hit ? 1 : 0;
-        fills += r.filled ? 1 : 0;
-        evictions += r.evicted ? 1 : 0;
-    }
-    EXPECT_EQ(stats.accesses, tags.size());
-    EXPECT_EQ(stats.hits, hits);
-    EXPECT_EQ(stats.fills, fills);
-    EXPECT_EQ(stats.evictions, evictions);
-    EXPECT_EQ(a.repl(), b.repl());
+    SetBatchStats want;
+    for (const Addr tag : tags)
+        countAccess(want, a.access(tag, 0, false, LockReq::None));
+    EXPECT_EQ(b.replayBatch(tags), want);
+    EXPECT_TRUE(a == b) << "set state diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -247,6 +223,47 @@ INSTANTIATE_TEST_SUITE_P(
                       StateCase{ReplPolicyKind::Fifo, 8},
                       StateCase{ReplPolicyKind::Random, 8},
                       StateCase{ReplPolicyKind::Srrip, 8}));
+
+/**
+ * With lock bits in play (a PL mode) replayBatch leaves the specialised
+ * loop for the per-access path.  On sets holding locked lines it must
+ * still tally and leave the set exactly as per-access loads do,
+ * including the misses it serves uncached.
+ */
+TEST(ReplayBatchPlFallback, MatchesPerAccessPathOnLockedSets)
+{
+    constexpr std::uint32_t kWays = 8;
+    for (const PlMode mode : {PlMode::Original, PlMode::FixedLruLock}) {
+        for (const ReplPolicyKind kind : allReplPolicyKinds()) {
+            for (const std::uint32_t locked : {3u, kWays}) {
+                SCOPED_TRACE(std::string(replPolicyName(kind)) + " mode " +
+                             std::to_string(static_cast<int>(mode)) +
+                             " locked " + std::to_string(locked));
+                CacheSet a(kWays, ReplState::make(kind, kWays, 5), mode);
+                for (Addr t = 0; t < locked; ++t)
+                    a.access(100 + t, 0, false, LockReq::Lock);
+                CacheSet b = a;
+
+                const auto tags = randomTags(2000, 101);
+                SetBatchStats want;
+                std::uint64_t bypasses = 0;
+                for (const Addr tag : tags) {
+                    const auto r = a.access(tag, 0, false, LockReq::None);
+                    countAccess(want, r);
+                    bypasses += r.bypassed ? 1 : 0;
+                }
+                EXPECT_EQ(b.replayBatch(tags), want);
+                EXPECT_TRUE(a == b) << "set state diverged";
+                // Only a locked victim (Original) or a set locked whole
+                // serves a miss uncached; locked lines never leave.
+                EXPECT_EQ(bypasses > 0,
+                          mode == PlMode::Original || locked == kWays);
+                for (Addr t = 0; t < locked; ++t)
+                    EXPECT_TRUE(b.probe(100 + t).has_value()) << t;
+            }
+        }
+    }
+}
 
 TEST(CacheSetValueSemantics, CopyAssignmentIsDeepAndIndependent)
 {
