@@ -144,8 +144,8 @@ deriveCalibration(const timing::Uarch &uarch, ChannelId id,
 
     if (id == ChannelId::PrimeProbe) {
         // Prime+Probe times the whole N-access probe walk: N fast-level
-        // hits plus half the slow-fast delta.  Integer arithmetic kept
-        // exactly as PpReceiver::probeThreshold has always computed it.
+        // hits plus half the slow-fast delta, in the integer arithmetic
+        // the historical probe formula has always used.
         const std::uint32_t fast = uarch.latency(cal.fast);
         const std::uint32_t slow = uarch.latency(cal.slow);
         cal.threshold =

@@ -18,7 +18,7 @@
  *    that pair;
  *  - Prime+Probe times the whole N-line probe walk, so its threshold is
  *    "all N served at the fast level, plus half the slow-fast delta"
- *    (the formula PpReceiver::probeThreshold has always used);
+ *    (the historical probe formula, kept to the integer);
  *  - the polarity (does a 1 bit read as a *fast* or a *slow* sample)
  *    is channel-intrinsic: Algorithm 1 and Flush+Reload signal 1 with
  *    a hit, Algorithm 2 and Prime+Probe signal 1 with an eviction.

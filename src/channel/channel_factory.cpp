@@ -1,15 +1,13 @@
 /**
  * @file
- * Channel name table and pair construction.
+ * Channel name table and capabilities.
  */
 
 #include "channel/channel_factory.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
-#include "channel/dirty_channel.hpp"
 #include "util/strings.hpp"
 
 namespace lruleak::channel {
@@ -147,95 +145,6 @@ defaultInitDepth(ChannelId id, std::uint32_t ways)
         break;
     }
     return 0;
-}
-
-ChannelPair::ChannelPair(ChannelId id, const ChannelLayout &layout,
-                         const ChannelPairConfig &config)
-    : id_(id)
-{
-    const LruAlgorithm alg = senderAlgorithmFor(id);
-
-    SenderConfig sc;
-    sc.alg = alg;
-    sc.message = config.message;
-    sc.repeats = config.repeats;
-    sc.ts = config.ts;
-    sc.encode_gap = config.encode_gap;
-    sc.infinite = config.infinite;
-    sc.lock_line = config.lock_line;
-    sc.write_polarity = channelCaps(id).dirty_state;
-    if (id == ChannelId::DirtyEvict) {
-        // A line the sender keeps re-touching is MRU/PLRU-protected and
-        // the receiver's eviction walk can never victimise it.  Pace the
-        // re-dirtying at the receiver's sampling period instead: one
-        // touch per sample, re-arming the line right after the previous
-        // walk drained it.  (Flush-dirty needs no pacing — clflush
-        // removes the line regardless of replacement state.)
-        sc.encode_gap = std::max(
-            sc.encode_gap, static_cast<std::uint32_t>(config.tr));
-    }
-    sender_ = std::make_unique<LruSender>(layout, sc);
-
-    switch (id) {
-      case ChannelId::FrMem:
-      case ChannelId::FrL1: {
-        FrReceiverConfig rc;
-        rc.kind = id == ChannelId::FrMem ? FlushKind::ToMemory
-                                         : FlushKind::FromL1;
-        rc.tr = config.tr;
-        rc.max_samples = config.max_samples;
-        rc.chain_len = config.chain_len;
-        auto receiver = std::make_unique<FrReceiver>(layout, rc);
-        samples_ = &receiver->samples();
-        receiver_ = std::move(receiver);
-        break;
-      }
-      case ChannelId::LruAlg1:
-      case ChannelId::LruAlg2:
-      case ChannelId::XCoreLruAlg2: {
-        // XCoreLruAlg2 is Algorithm 2 run over whatever geometry the
-        // layout describes — natively the shared LLC's (16 ways, so a
-        // deeper default init), but any carrier works: the programs
-        // only ever speak in layout lines.
-        ReceiverConfig rc;
-        rc.alg = alg;
-        rc.d = config.d ? config.d : defaultInitDepth(id, layout.ways());
-        rc.tr = config.tr;
-        rc.max_samples = config.max_samples;
-        rc.chain_len = config.chain_len;
-        auto receiver = std::make_unique<LruReceiver>(layout, rc);
-        samples_ = &receiver->samples();
-        receiver_ = std::move(receiver);
-        break;
-      }
-      case ChannelId::PrimeProbe: {
-        PpReceiverConfig rc;
-        rc.tr = config.tr;
-        rc.max_samples = config.max_samples;
-        auto receiver = std::make_unique<PpReceiver>(layout, rc);
-        samples_ = &receiver->samples();
-        receiver_ = std::move(receiver);
-        break;
-      }
-      case ChannelId::DirtyEvict: {
-        DirtyEvictReceiverConfig rc;
-        rc.tr = config.tr;
-        rc.max_samples = config.max_samples;
-        auto receiver = std::make_unique<DirtyEvictReceiver>(layout, rc);
-        samples_ = &receiver->samples();
-        receiver_ = std::move(receiver);
-        break;
-      }
-      case ChannelId::FlushDirty: {
-        FlushDirtyReceiverConfig rc;
-        rc.tr = config.tr;
-        rc.max_samples = config.max_samples;
-        auto receiver = std::make_unique<FlushDirtyReceiver>(layout, rc);
-        samples_ = &receiver->samples();
-        receiver_ = std::move(receiver);
-        break;
-      }
-    }
 }
 
 } // namespace lruleak::channel

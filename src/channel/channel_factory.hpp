@@ -6,21 +6,20 @@
  * the two LRU channels (Algorithms 1 and 2), the two Flush+Reload
  * baselines and Prime+Probe.  ChannelId enumerates them once for the
  * whole codebase; channelIdFromName() makes them selectable from CLI
- * parameters ("lru-alg1", "fr-mem", "prime-probe", ...); ChannelPair
- * instantiates the matching sender/receiver ThreadPrograms over one
- * ChannelLayout so experiment code never dispatches on the kind again.
+ * parameters ("lru-alg1", "fr-mem", "prime-probe", ...); channelCaps()
+ * records what differs per design.  channel::Session builds the
+ * matching sender and receiver programs.
  */
 
 #ifndef LRULEAK_CHANNEL_CHANNEL_FACTORY_HPP
 #define LRULEAK_CHANNEL_CHANNEL_FACTORY_HPP
 
-#include <memory>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "channel/flush_reload.hpp"
-#include "channel/lru_channel.hpp"
-#include "channel/prime_probe.hpp"
+#include "channel/layout.hpp"
 
 namespace lruleak::channel {
 
@@ -94,47 +93,6 @@ const ChannelCaps &channelCaps(ChannelId id);
  * init phase return 0.
  */
 std::uint32_t defaultInitDepth(ChannelId id, std::uint32_t ways);
-
-/** Common knobs for a factory-built sender/receiver pair. */
-struct ChannelPairConfig
-{
-    Bits message;                  //!< bits the sender transmits
-    std::uint32_t repeats = 1;
-    std::uint64_t ts = 6000;       //!< sender per-bit period (cycles)
-    std::uint64_t tr = 600;        //!< receiver sampling period (cycles)
-    std::uint32_t d = 0;           //!< LRU init depth; 0 = per-channel
-                                   //!< default (see defaultInitDepth)
-    std::uint64_t max_samples = 1000;
-    std::uint32_t chain_len = 7;
-    std::uint32_t encode_gap = 40;
-    bool infinite = false;         //!< sender loops the message forever
-    bool lock_line = false;        //!< PL cache: lock the sender's line
-};
-
-/**
- * One constructed sender/receiver pair, ready for any execution-engine
- * arbitration policy.  Owns both programs; samples() reaches through to
- * whichever receiver type was built.  The layout decides the carrier
- * geometry (L1 for the single-core channels, LLC for the cross-core
- * ones) — channel::Session picks it; see sessionLayoutFor.
- */
-class ChannelPair
-{
-  public:
-    ChannelPair(ChannelId id, const ChannelLayout &layout,
-                const ChannelPairConfig &config);
-
-    ChannelId id() const { return id_; }
-    LruSender &sender() { return *sender_; }
-    exec::ThreadProgram &receiver() { return *receiver_; }
-    const std::vector<Sample> &samples() const { return *samples_; }
-
-  private:
-    ChannelId id_;
-    std::unique_ptr<LruSender> sender_;
-    std::unique_ptr<exec::ThreadProgram> receiver_;
-    const std::vector<Sample> *samples_ = nullptr;
-};
 
 } // namespace lruleak::channel
 

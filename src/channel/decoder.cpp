@@ -25,38 +25,6 @@ thresholdSamples(const std::vector<Sample> &samples, std::uint32_t threshold,
 }
 
 Bits
-windowDecode(const std::vector<Sample> &samples, std::uint32_t threshold,
-             bool invert, std::uint64_t t0, std::uint64_t ts,
-             std::size_t nbits)
-{
-    if (ts == 0 || nbits == 0)
-        return {};
-
-    std::vector<std::uint32_t> ones(nbits, 0);
-    std::vector<std::uint32_t> count(nbits, 0);
-    for (const auto &s : samples) {
-        if (s.tsc < t0)
-            continue;
-        const std::uint64_t k = (s.tsc - t0) / ts;
-        if (k >= nbits)
-            continue;
-        const bool hit = s.latency <= threshold;
-        const bool one = invert ? !hit : hit;
-        ones[k] += one ? 1 : 0;
-        ++count[k];
-    }
-
-    Bits out;
-    out.reserve(nbits);
-    for (std::size_t k = 0; k < nbits; ++k) {
-        if (count[k] == 0)
-            continue; // lost bit
-        out.push_back(2 * ones[k] >= count[k] ? 1 : 0);
-    }
-    return out;
-}
-
-Bits
 windowSymbols(const std::vector<Sample> &samples, std::uint32_t threshold,
               bool invert, std::uint64_t t0, std::uint64_t ts,
               std::size_t nbits)
@@ -89,6 +57,16 @@ windowSymbols(const std::vector<Sample> &samples, std::uint32_t threshold,
     return out;
 }
 
+Bits
+windowDecode(const std::vector<Sample> &samples, std::uint32_t threshold,
+             bool invert, std::uint64_t t0, std::uint64_t ts,
+             std::size_t nbits)
+{
+    Bits out = windowSymbols(samples, threshold, invert, t0, ts, nbits);
+    std::erase(out, kErasureSymbol);
+    return out;
+}
+
 std::vector<double>
 movingAverage(const std::vector<double> &series, std::size_t window)
 {
@@ -96,12 +74,10 @@ movingAverage(const std::vector<double> &series, std::size_t window)
         return series;
     std::vector<double> out(series.size());
     const std::size_t half = window / 2;
-    double sum = 0.0;
     // Prefix sums keep this O(n).
     std::vector<double> prefix(series.size() + 1, 0.0);
     for (std::size_t i = 0; i < series.size(); ++i)
         prefix[i + 1] = prefix[i] + series[i];
-    (void)sum;
     for (std::size_t i = 0; i < series.size(); ++i) {
         const std::size_t lo = i >= half ? i - half : 0;
         const std::size_t hi = std::min(series.size(), i + window - half);

@@ -30,19 +30,6 @@ Bits thresholdSamples(const std::vector<Sample> &samples,
                       std::uint32_t threshold, bool invert);
 
 /**
- * Window the samples into sender bit periods and majority-vote each
- * window.  Windows that received no samples are dropped (bit loss, which
- * the edit-distance scoring then charges).
- *
- * @param t0 TSC at which the sender started bit 0
- * @param ts sender bit period in cycles
- * @param nbits number of bits the sender intended to send
- */
-Bits windowDecode(const std::vector<Sample> &samples,
-                  std::uint32_t threshold, bool invert, std::uint64_t t0,
-                  std::uint64_t ts, std::size_t nbits);
-
-/**
  * Output symbol of a bit window that received no samples.  The leakage
  * estimator scores a channel whose output alphabet is {0, 1, erasure}:
  * unlike windowDecode (which drops the window and lets edit distance
@@ -52,15 +39,29 @@ Bits windowDecode(const std::vector<Sample> &samples,
 inline constexpr std::uint8_t kErasureSymbol = 2;
 
 /**
- * Aligned flavour of windowDecode for leakage estimation: exactly one
- * output symbol per sent bit, in order — the majority vote of the
- * window, or kErasureSymbol when the window received no samples.  The
+ * Window the samples into sender bit periods and majority-vote each
+ * window: exactly one output symbol per sent bit, in order — the
+ * window's vote, or kErasureSymbol when it received no samples.  The
  * i-th entry pairs with the i-th sent bit, which is what an empirical
- * confusion matrix / mutual-information estimate needs.
+ * confusion matrix / mutual-information estimate needs.  Empty when
+ * @p ts or @p nbits is 0.
+ *
+ * @param t0 TSC at which the sender started bit 0
+ * @param ts sender bit period in cycles
+ * @param nbits number of bits the sender intended to send
  */
 Bits windowSymbols(const std::vector<Sample> &samples,
                    std::uint32_t threshold, bool invert, std::uint64_t t0,
                    std::uint64_t ts, std::size_t nbits);
+
+/**
+ * windowSymbols() with the erasures removed: windows that received no
+ * samples are dropped (bit loss, which the edit-distance scoring then
+ * charges).
+ */
+Bits windowDecode(const std::vector<Sample> &samples,
+                  std::uint32_t threshold, bool invert, std::uint64_t t0,
+                  std::uint64_t ts, std::size_t nbits);
 
 /** Simple moving average of a series (window w, centered). */
 std::vector<double> movingAverage(const std::vector<double> &series,

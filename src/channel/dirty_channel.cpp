@@ -13,7 +13,7 @@ namespace lruleak::channel {
 
 DirtyEvictReceiver::DirtyEvictReceiver(const ChannelLayout &layout,
                                        DirtyEvictReceiverConfig config)
-    : layout_(layout), config_(config),
+    : Receiver(config.max_samples), layout_(layout), config_(config),
       readout_(layout.chaseRefs(1).front())
 {
     // N+1 own lines for the N-way target set: the paper's Table I
@@ -23,7 +23,6 @@ DirtyEvictReceiver::DirtyEvictReceiver(const ChannelLayout &layout,
     // which stays resident and dirty forever.
     for (std::uint32_t i = 0; i <= layout_.ways(); ++i)
         lines_.push_back(layout_.receiverLine(LruAlgorithm::Alg2Disjoint, i));
-    samples_.reserve(config_.max_samples);
 }
 
 exec::Op
@@ -75,8 +74,7 @@ DirtyEvictReceiver::onResult(const exec::OpResult &result)
     if (result.kind != exec::OpKind::Measure)
         return;
     pending_writebacks_ = 0;
-    samples_.push_back(Sample{result.tsc, result.measured, result.level});
-    if (samples_.size() >= config_.max_samples)
+    if (record(result))
         phase_ = Phase::Finished;
 }
 
@@ -84,11 +82,9 @@ DirtyEvictReceiver::onResult(const exec::OpResult &result)
 
 FlushDirtyReceiver::FlushDirtyReceiver(const ChannelLayout &layout,
                                        FlushDirtyReceiverConfig config)
-    : layout_(layout), config_(config),
+    : Receiver(config.max_samples), layout_(layout), config_(config),
       line_(layout.sharedLine(kReceiverThread))
-{
-    samples_.reserve(config_.max_samples);
-}
+{}
 
 exec::Op
 FlushDirtyReceiver::next(std::uint64_t now)
@@ -116,10 +112,7 @@ FlushDirtyReceiver::next(std::uint64_t now)
 void
 FlushDirtyReceiver::onResult(const exec::OpResult &result)
 {
-    if (result.kind != exec::OpKind::MeasureFlush)
-        return;
-    samples_.push_back(Sample{result.tsc, result.measured, result.level});
-    if (samples_.size() >= config_.max_samples)
+    if (result.kind == exec::OpKind::MeasureFlush && record(result))
         phase_ = Phase::Finished;
 }
 

@@ -63,7 +63,7 @@ struct DirtyEvictReceiverConfig
  * floor for every carrier, dirty ones read one uarch write-back above
  * it.
  */
-class DirtyEvictReceiver : public exec::ThreadProgram
+class DirtyEvictReceiver : public Receiver
 {
   public:
     DirtyEvictReceiver(const ChannelLayout &layout,
@@ -71,8 +71,6 @@ class DirtyEvictReceiver : public exec::ThreadProgram
 
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
-
-    const std::vector<Sample> &samples() const { return samples_; }
 
   private:
     enum class Phase
@@ -88,7 +86,6 @@ class DirtyEvictReceiver : public exec::ThreadProgram
     DirtyEvictReceiverConfig config_;
     std::vector<sim::MemRef> lines_;
     sim::MemRef readout_;
-    std::vector<Sample> samples_;
     std::uint32_t pending_writebacks_ = 0; //!< since the last Measure
 
     Phase phase_ = Phase::Sleep;
@@ -109,7 +106,7 @@ struct FlushDirtyReceiverConfig
  * "did the sender store since my previous flush" — one bit per flush,
  * no priming, no eviction choreography.
  */
-class FlushDirtyReceiver : public exec::ThreadProgram
+class FlushDirtyReceiver : public Receiver
 {
   public:
     FlushDirtyReceiver(const ChannelLayout &layout,
@@ -117,8 +114,6 @@ class FlushDirtyReceiver : public exec::ThreadProgram
 
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
-
-    const std::vector<Sample> &samples() const { return samples_; }
 
   private:
     enum class Phase
@@ -131,7 +126,6 @@ class FlushDirtyReceiver : public exec::ThreadProgram
     ChannelLayout layout_;
     FlushDirtyReceiverConfig config_;
     sim::MemRef line_;
-    std::vector<Sample> samples_;
 
     Phase phase_ = Phase::Sleep;
     std::uint64_t mark_ = 0;

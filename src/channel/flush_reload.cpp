@@ -10,7 +10,7 @@
 namespace lruleak::channel {
 
 FrReceiver::FrReceiver(const ChannelLayout &layout, FrReceiverConfig config)
-    : layout_(layout), config_(config),
+    : Receiver(config.max_samples), layout_(layout), config_(config),
       target_(layout.sharedLine(kReceiverThread)),
       chase_(layout.chaseRefs(config.chain_len)),
       chain_hint_(chase_.size(), sim::HitLevel::L1)
@@ -19,7 +19,6 @@ FrReceiver::FrReceiver(const ChannelLayout &layout, FrReceiverConfig config)
     // the target set (as many as the cache has ways).
     for (std::uint32_t i = 1; i <= layout_.ways(); ++i)
         evict_.push_back(layout_.receiverLine(LruAlgorithm::Alg1Shared, i));
-    samples_.reserve(config_.max_samples);
 }
 
 exec::Op
@@ -86,10 +85,7 @@ FrReceiver::next(std::uint64_t now)
 void
 FrReceiver::onResult(const exec::OpResult &result)
 {
-    if (result.kind != exec::OpKind::Measure)
-        return;
-    samples_.push_back(Sample{result.tsc, result.measured, result.level});
-    if (samples_.size() >= config_.max_samples)
+    if (result.kind == exec::OpKind::Measure && record(result))
         phase_ = Phase::Finished;
 }
 

@@ -44,15 +44,13 @@ struct FrReceiverConfig
 /**
  * The Flush+Reload receiver: sleep -> reload (timed) -> flush -> repeat.
  */
-class FrReceiver : public exec::ThreadProgram
+class FrReceiver : public Receiver
 {
   public:
     FrReceiver(const ChannelLayout &layout, FrReceiverConfig config);
 
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
-
-    const std::vector<Sample> &samples() const { return samples_; }
 
   private:
     enum class Phase
@@ -73,7 +71,6 @@ class FrReceiver : public exec::ThreadProgram
     /** All-L1 chain expectation reused by every measure op. */
     std::vector<sim::HitLevel> chain_hint_;
     std::vector<sim::MemRef> evict_; //!< FromL1 eviction lines
-    std::vector<Sample> samples_;
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t index_ = 0;

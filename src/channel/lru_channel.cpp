@@ -12,7 +12,7 @@ namespace lruleak::channel {
 // -------------------------------------------------------------- receiver
 
 LruReceiver::LruReceiver(const ChannelLayout &layout, ReceiverConfig config)
-    : layout_(layout), config_(config),
+    : Receiver(config.max_samples), layout_(layout), config_(config),
       chase_(layout.chaseRefs(config.chain_len)),
       chain_hint_(chase_.size(), sim::HitLevel::L1)
 {
@@ -21,7 +21,6 @@ LruReceiver::LruReceiver(const ChannelLayout &layout, ReceiverConfig config)
     last_line_ = config_.alg == LruAlgorithm::Alg1Shared
                      ? layout_.ways()
                      : layout_.ways() - 1;
-    samples_.reserve(config_.max_samples);
 }
 
 exec::Op
@@ -85,10 +84,7 @@ LruReceiver::next(std::uint64_t now)
 void
 LruReceiver::onResult(const exec::OpResult &result)
 {
-    if (result.kind != exec::OpKind::Measure)
-        return;
-    samples_.push_back(Sample{result.tsc, result.measured, result.level});
-    if (samples_.size() >= config_.max_samples)
+    if (result.kind == exec::OpKind::Measure && record(result))
         phase_ = Phase::Finished;
 }
 

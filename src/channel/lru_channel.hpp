@@ -50,18 +50,45 @@ struct ReceiverConfig
 };
 
 /**
+ * Base of every receiver program (the LRU, Flush+Reload, Prime+Probe,
+ * dirty-state and multi-spy designs): it owns the Sample trace the
+ * decoder reads.  Each timed readout goes through record().
+ */
+class Receiver : public exec::ThreadProgram
+{
+  public:
+    const std::vector<Sample> &samples() const { return samples_; }
+
+  protected:
+    explicit Receiver(std::uint64_t max_samples)
+        : max_samples_(max_samples)
+    {
+        samples_.reserve(max_samples);
+    }
+
+    /** Append @p result's readout; true once the budget is spent. */
+    bool
+    record(const exec::OpResult &result)
+    {
+        samples_.push_back(Sample{result.tsc, result.measured, result.level});
+        return samples_.size() >= max_samples_;
+    }
+
+  private:
+    std::vector<Sample> samples_;
+    std::uint64_t max_samples_;
+};
+
+/**
  * The receiver program.  Collects one Sample per protocol iteration.
  */
-class LruReceiver : public exec::ThreadProgram
+class LruReceiver : public Receiver
 {
   public:
     LruReceiver(const ChannelLayout &layout, ReceiverConfig config);
 
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
-
-    const std::vector<Sample> &samples() const { return samples_; }
-    const ReceiverConfig &config() const { return config_; }
 
   private:
     enum class Phase
@@ -80,7 +107,6 @@ class LruReceiver : public exec::ThreadProgram
     std::vector<sim::MemRef> chase_;
     /** All-L1 chain expectation reused by every measure op. */
     std::vector<sim::HitLevel> chain_hint_;
-    std::vector<Sample> samples_;
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t index_ = 0;      //!< loop index within the phase
@@ -161,8 +187,6 @@ class LruSender : public exec::ThreadProgram
     {
         return encode_levels_;
     }
-
-    const SenderConfig &config() const { return config_; }
 
   private:
     enum class Phase

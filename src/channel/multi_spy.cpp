@@ -23,15 +23,19 @@ constexpr sim::Addr kSpyStride = 0x0010'0000'0000ULL;
 
 SpyReceiver::SpyReceiver(const ChannelLayout &layout,
                          const MultiSpyConfig &config, std::uint32_t index)
-    : layout_(layout), config_(config), index_in_team_(index)
+    : Receiver(config.max_samples), layout_(layout), config_(config),
+      index_in_team_(index)
 {
     const std::uint32_t ways = layout_.ways();
-    const std::uint32_t team = std::max<std::uint32_t>(config_.spies, 1);
+    const std::uint32_t team = config_.spies;
+    if (team < 2)
+        throw std::invalid_argument(
+            "SpyReceiver: a team needs at least two spies");
     const std::uint32_t sets = layout_.layout().numSets();
     const sim::Addr spy_base = kKickBase + index * kSpyStride;
     const sim::ThreadId thread = kReceiverThread + index;
 
-    trigger_ = team >= 2 && index == team - 1;
+    trigger_ = index == team - 1;
     if (trigger_) {
         // The trigger holds no probe slice; it plants one canary
         // conflict line in the target set (file comment).
@@ -39,11 +43,6 @@ SpyReceiver::SpyReceiver(const ChannelLayout &layout,
         const sim::Addr a = sim::lineInSet(layout_.layout(),
                                            layout_.targetSet(), 0, spy_base);
         canary_ = sim::MemRef{a, a, thread, false};
-    } else if (team == 1) {
-        // Single spy: the whole probe set, classic init depth.
-        lo_ = 0;
-        hi_ = ways;
-        d_ = std::clamp<std::uint32_t>(config_.d, 1, ways);
     } else {
         // Holder h of K-1: an equal share of the first ways - 1 probe
         // lines (the one-way slack is what the sender's line and the
@@ -59,21 +58,6 @@ SpyReceiver::SpyReceiver(const ChannelLayout &layout,
         hi_ = std::min(hi_, lo_ + 8);
     }
 
-    // Private chase chain in a per-spy set (never the target set), so
-    // the K chains do not fight each other for ways.  Only the classic
-    // single spy walks it; holders and the trigger synthesize the
-    // chase-latency expectation in the measure op instead.
-    std::uint32_t chase = (layout_.chaseSet() + index) % sets;
-    if (chase == layout_.targetSet())
-        chase = (chase + 1) % sets;
-    chase_.reserve(config_.chain_len);
-    for (std::uint32_t i = 0; i < config_.chain_len; ++i) {
-        const sim::Addr a = sim::lineInSet(
-            layout_.layout(), chase, i,
-            ChannelLayout::kChaseBase + index * kSpyStride);
-        chase_.push_back(sim::MemRef{a, a, thread, false});
-    }
-
     // Kick lines: same private-cache set as the probe set (the stride
     // keeps the low set bits, which are the L1/L2 index bits, equal)
     // but different LLC sets — they expel the spy's private copies
@@ -82,17 +66,14 @@ SpyReceiver::SpyReceiver(const ChannelLayout &layout,
     // Only three LLC sets alias the probe set's private index, so the
     // whole team shares one kick pool (kKickBase, no per-spy stride —
     // shared lines just hit) and holders kick only the 8 ways of the
-    // one private set their slice occupies; the full 16-line cycle is
-    // the classic spy's, whose probe walk spans two private sets'
-    // worth of ways.
+    // one private set their slice occupies.
     // In pin-slices mode only the trigger kicks, and it needs the full
     // cycle: a half-expelled canary (still in L2) would stay owned and
     // SHARP would never let the sender's fill take it.
     const std::uint32_t stride = std::max<std::uint32_t>(sets / 4, 1);
     const std::uint32_t kicks =
-        team == 1 || config_.pin_slices
-            ? config_.kick_len
-            : std::min<std::uint32_t>(config_.kick_len, 8);
+        config_.pin_slices ? config_.kick_len
+                           : std::min<std::uint32_t>(config_.kick_len, 8);
     kick_.reserve(kicks);
     for (std::uint32_t i = 0; i < kicks; ++i) {
         const std::uint32_t kick_set =
@@ -102,8 +83,9 @@ SpyReceiver::SpyReceiver(const ChannelLayout &layout,
         kick_.push_back(sim::MemRef{a, a, thread, false});
     }
 
+    // No chase chain to walk: the measure op synthesizes the
+    // chase-latency expectation from this all-L1 hint.
     chain_hint_.assign(config_.chain_len, sim::HitLevel::L1);
-    samples_.reserve(config_.max_samples);
 }
 
 sim::MemRef
@@ -117,40 +99,25 @@ SpyReceiver::probeLine(std::uint32_t i) const
 exec::Op
 SpyReceiver::next(std::uint64_t now)
 {
-    const bool classic = config_.spies <= 1;
     switch (phase_) {
       case Phase::Prewarm:
-        if (classic && step_ < chase_.size())
-            return exec::Op::access(chase_[step_++]);
         if (trigger_ && step_ < 1) {
             // Plant the canary; it goes stale at the LLC on purpose.
             ++step_;
             return exec::Op::access(canary_);
         }
         step_ = 0;
-        phase_ = classic ? Phase::Init : Phase::Sleep;
-        mark_ = now;
-        if (!classic) {
-            // Stagger the team's phases across the period so one
-            // holder's kick burst (its slice momentarily unowned)
-            // never overlaps another spy's refill.
-            mark_ += config_.tr * index_in_team_ / config_.spies;
-            return next(now);
-        }
-        [[fallthrough]];
-
-      case Phase::Init:
-        if (step_ < d_)
-            return exec::Op::access(probeLine(lo_ + step_++));
-        step_ = 0;
         phase_ = Phase::Sleep;
-        [[fallthrough]];
+        // Stagger the team's phases across the period so one holder's
+        // kick burst (its slice momentarily unowned) never overlaps
+        // another spy's refill.
+        mark_ = now + config_.tr * index_in_team_ / config_.spies;
+        return next(now);
 
       case Phase::Sleep: {
-        phase_ = classic ? Phase::Walk
-                         : (trigger_ ? Phase::Measure
-                                     : (config_.pin_slices ? Phase::Walk
-                                                           : Phase::Kick));
+        phase_ = trigger_ ? Phase::Measure
+                          : (config_.pin_slices ? Phase::Walk
+                                                : Phase::Kick);
         const std::uint64_t deadline = mark_ + config_.tr;
         mark_ = std::max(deadline, now);
         if (deadline > now)
@@ -167,9 +134,7 @@ SpyReceiver::next(std::uint64_t now)
         if (step_ < kick_.size())
             return exec::Op::access(kick_[step_++]);
         step_ = 0;
-        if (classic)
-            phase_ = Phase::Chain;
-        else if (trigger_)
+        if (trigger_)
             // Pin-slices trigger: kick ran after the measure; the
             // iteration is complete.
             phase_ = ++iter_ >= config_.max_samples ? Phase::Finished
@@ -179,14 +144,6 @@ SpyReceiver::next(std::uint64_t now)
         return next(now);
 
       case Phase::Walk:
-        if (classic) {
-            // Classic decode walk over the lines past the init depth.
-            if (lo_ + d_ + step_ < hi_)
-                return exec::Op::access(probeLine(lo_ + d_ + step_++));
-            step_ = 0;
-            phase_ = Phase::Kick;
-            return next(now);
-        }
         // Holder: timed re-walk of the whole slice right after the
         // kick.  Reaching the LLC re-stamps ownership and RRIP age, so
         // through the sleep the slice is young and owned — never the
@@ -200,18 +157,7 @@ SpyReceiver::next(std::uint64_t now)
                                                 : Phase::Sleep;
         return next(now);
 
-      case Phase::Chain:
-        if (step_ < chase_.size())
-            return exec::Op::access(chase_[step_++]);
-        step_ = 0;
-        phase_ = Phase::Measure;
-        [[fallthrough]];
-
       case Phase::Measure:
-        if (classic) {
-            phase_ = Phase::Init;
-            return exec::Op::measure(probeLine(lo_), chain_hint_);
-        }
         // Trigger: one timed canary access per iteration.  A fast
         // access means the canary still sits in the LLC (sender idle);
         // a memory-latency miss means the sender's fill took it — and
@@ -235,44 +181,10 @@ SpyReceiver::next(std::uint64_t now)
 void
 SpyReceiver::onResult(const exec::OpResult &result)
 {
-    if (result.kind != exec::OpKind::Measure)
-        return;
-    samples_.push_back(Sample{result.tsc, result.measured, result.level});
-    // The classic single spy takes one sample per iteration and stops
-    // at the sample budget; team spies stop on the iteration budget in
-    // next() instead (holders emit a whole slice of samples per
-    // iteration).
-    if (config_.spies <= 1 && samples_.size() >= config_.max_samples)
-        phase_ = Phase::Finished;
-}
-
-MultiSpyReceiver::MultiSpyReceiver(const ChannelLayout &layout,
-                                   MultiSpyConfig config)
-{
-    const std::uint32_t team = std::max<std::uint32_t>(config.spies, 1);
-    spies_.reserve(team);
-    for (std::uint32_t j = 0; j < team; ++j)
-        spies_.push_back(std::make_unique<SpyReceiver>(layout, config, j));
-}
-
-std::vector<Sample>
-MultiSpyReceiver::mergedSamples() const
-{
-    std::vector<Sample> merged;
-    std::size_t total = 0;
-    for (std::uint32_t j = 0; j < spies(); ++j)
-        total += spies_[j]->samples().size();
-    merged.reserve(total);
-    for (std::uint32_t j = 0; j < spies(); ++j)
-        merged.insert(merged.end(), spies_[j]->samples().begin(),
-                      spies_[j]->samples().end());
-    // Stable: equal timestamps keep team order, so the merge is
-    // deterministic for any spy count.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Sample &a, const Sample &b) {
-                         return a.tsc < b.tsc;
-                     });
-    return merged;
+    // Spies stop on the iteration budget in next(), not on the sample
+    // budget: holders emit a whole slice of samples per iteration.
+    if (result.kind == exec::OpKind::Measure)
+        record(result);
 }
 
 Bits

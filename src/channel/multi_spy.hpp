@@ -63,15 +63,15 @@
  * and only contribute the occasional back-invalidation they absorb.
  * Against an unprotected LLC the team instead keeps slices young with
  * kick+walk bursts (pin_slices off) so replacement age steers fills
- * into the canary, and a team of one is the plain sliced receiver
- * with a kick walk — same phase machine, no roles.
+ * into the canary.  A team has at least two spies (one holder and the
+ * trigger); a session with one receiver runs the channel's own
+ * receiver instead.
  */
 
 #ifndef LRULEAK_CHANNEL_MULTI_SPY_HPP
 #define LRULEAK_CHANNEL_MULTI_SPY_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "channel/bitstring.hpp"
@@ -84,17 +84,19 @@ namespace lruleak::channel {
 /** Knobs of the whole K-spy team (each spy derives its own share). */
 struct MultiSpyConfig
 {
-    std::uint32_t spies = 2;      //!< K cooperating receiver threads
-    std::uint32_t d = 12;         //!< single-spy init depth (K = 1 only)
+    std::uint32_t spies = 2;      //!< K >= 2 cooperating receiver threads
     std::uint64_t tr = 3000;      //!< per-spy sampling period (cycles)
     std::uint64_t max_samples = 1000; //!< per-spy iteration budget
-    std::uint32_t chain_len = 7;  //!< chase-chain length per spy
+    std::uint32_t chain_len = 7;  //!< chase-chain length each measure
+                                  //!< op's latency expectation models
     /**
      * Kick-walk length: accesses per iteration to lines sharing the
      * probe set's private L1/L2 index but mapping to other LLC sets.
      * 16 cycles both 8-way private levels completely, expelling the
      * spy's private probe copies so its next probes reach the LLC.
-     * The trigger never kicks — its pinned canary copy is the attack.
+     * In kick-walk mode holders kick (at most 8 lines: their slice
+     * sits in one private set) and the trigger does not; in
+     * pin-slices mode only the trigger kicks.
      */
     std::uint32_t kick_len = 16;
 
@@ -114,9 +116,10 @@ struct MultiSpyConfig
 /**
  * Spy @p index of the team (see file comment for the role split).
  * Thread id is kReceiverThread + index so per-thread cache counters
- * stay separable; channel::Session pins spy j to core 1 + j.
+ * stay separable; channel::Session pins spy j to core 1 + j.  Throws
+ * std::invalid_argument for a team of fewer than two spies.
  */
-class SpyReceiver : public exec::ThreadProgram
+class SpyReceiver : public Receiver
 {
   public:
     SpyReceiver(const ChannelLayout &layout, const MultiSpyConfig &config,
@@ -125,22 +128,14 @@ class SpyReceiver : public exec::ThreadProgram
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
 
-    const std::vector<Sample> &samples() const { return samples_; }
-    bool isTrigger() const { return trigger_; }
-    std::uint32_t sliceBegin() const { return lo_; }
-    std::uint32_t sliceEnd() const { return hi_; }
-    std::uint32_t initDepth() const { return d_; }
-
   private:
     enum class Phase
     {
-        Prewarm, //!< classic: chase fetch; trigger: canary install
-        Init,    //!< K = 1 only: classic d-deep init of the slice
+        Prewarm, //!< trigger: canary install
         Kick,    //!< expel own private probe copies
         Sleep,   //!< spin until mark + Tr
-        Walk,    //!< classic: decode walk; holder: slice measures
-        Chain,   //!< K = 1 only: re-warm the chase chain
-        Measure, //!< classic: rotor line; trigger: the canary
+        Walk,    //!< holder: timed re-walk of the slice
+        Measure, //!< trigger: timed canary access
         Finished,
     };
 
@@ -150,13 +145,10 @@ class SpyReceiver : public exec::ThreadProgram
     bool trigger_ = false;
     std::uint32_t lo_ = 0;         //!< first probe line of the slice
     std::uint32_t hi_ = 0;         //!< one past the last probe line
-    std::uint32_t d_ = 0;          //!< K = 1: init depth of the walk
-    std::vector<sim::MemRef> chase_;
     /** All-L1 chain expectation reused by every measure op. */
     std::vector<sim::HitLevel> chain_hint_;
     std::vector<sim::MemRef> kick_;
     sim::MemRef canary_{};         //!< trigger only: the planted line
-    std::vector<Sample> samples_;
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t step_ = 0;       //!< loop index within the phase
@@ -164,32 +156,6 @@ class SpyReceiver : public exec::ThreadProgram
     std::uint64_t iter_ = 0;       //!< completed iterations
 
     sim::MemRef probeLine(std::uint32_t i) const;
-};
-
-/** The whole K-spy team, constructed over one shared layout. */
-class MultiSpyReceiver
-{
-  public:
-    MultiSpyReceiver(const ChannelLayout &layout, MultiSpyConfig config);
-
-    std::uint32_t spies() const
-    {
-        return static_cast<std::uint32_t>(spies_.size());
-    }
-    SpyReceiver &spy(std::uint32_t j) { return *spies_[j]; }
-    const SpyReceiver &spy(std::uint32_t j) const { return *spies_[j]; }
-
-    const std::vector<Sample> &
-    spySamples(std::uint32_t j) const
-    {
-        return spies_[j]->samples();
-    }
-
-    /** All spies' samples in one trace, ordered by time. */
-    std::vector<Sample> mergedSamples() const;
-
-  private:
-    std::vector<std::unique_ptr<SpyReceiver>> spies_;
 };
 
 /**

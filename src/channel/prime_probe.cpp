@@ -7,27 +7,14 @@
 
 #include <algorithm>
 
-#include "channel/calibration.hpp"
-
 namespace lruleak::channel {
 
 PpReceiver::PpReceiver(const ChannelLayout &layout, PpReceiverConfig config)
-    : layout_(layout), config_(config)
+    : Receiver(config.max_samples), layout_(layout), config_(config)
 {
     // The receiver's own N lines filling the target set.
     for (std::uint32_t i = 0; i < layout_.ways(); ++i)
         lines_.push_back(layout_.receiverLine(LruAlgorithm::Alg2Disjoint, i));
-    samples_.reserve(config_.max_samples);
-}
-
-std::uint32_t
-PpReceiver::probeThreshold(const timing::Uarch &uarch, std::uint32_t ways)
-{
-    // Derivation now lives with every other decode threshold in
-    // channel::Calibration; this wrapper keeps the historical entry
-    // point (and its exact values) alive.
-    return calibrationFor(uarch, ChannelId::PrimeProbe, Carrier::L1, ways)
-        .threshold;
 }
 
 exec::Op
@@ -80,10 +67,7 @@ PpReceiver::onResult(const exec::OpResult &result)
         probe_levels_.push_back(result.level);
         return;
     }
-    if (result.kind != exec::OpKind::Measure)
-        return;
-    samples_.push_back(Sample{result.tsc, result.measured, result.level});
-    if (samples_.size() >= config_.max_samples)
+    if (result.kind == exec::OpKind::Measure && record(result))
         phase_ = Phase::Finished;
 }
 

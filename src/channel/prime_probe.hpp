@@ -18,7 +18,6 @@
 #include "channel/layout.hpp"
 #include "channel/lru_channel.hpp"
 #include "exec/op.hpp"
-#include "timing/uarch.hpp"
 
 namespace lruleak::channel {
 
@@ -32,21 +31,15 @@ struct PpReceiverConfig
 /**
  * The Prime+Probe receiver.  Each Sample's latency is the timed N-access
  * probe chain; the hit/miss threshold is N L1 hits plus half an L2 delta
- * (see probeThreshold).
+ * (calibrationFor(uarch, ChannelId::PrimeProbe, Carrier::L1, N)).
  */
-class PpReceiver : public exec::ThreadProgram
+class PpReceiver : public Receiver
 {
   public:
     PpReceiver(const ChannelLayout &layout, PpReceiverConfig config);
 
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
-
-    const std::vector<Sample> &samples() const { return samples_; }
-
-    /** Probe-latency threshold separating "all hits" from ">=1 miss". */
-    static std::uint32_t probeThreshold(const timing::Uarch &uarch,
-                                        std::uint32_t ways);
 
   private:
     enum class Phase
@@ -61,7 +54,6 @@ class PpReceiver : public exec::ThreadProgram
     ChannelLayout layout_;
     PpReceiverConfig config_;
     std::vector<sim::MemRef> lines_;
-    std::vector<Sample> samples_;
     std::vector<sim::HitLevel> probe_levels_;
 
     Phase phase_ = Phase::Prime;

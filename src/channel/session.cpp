@@ -13,7 +13,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "channel/dirty_channel.hpp"
+#include "channel/flush_reload.hpp"
 #include "channel/multi_spy.hpp"
+#include "channel/prime_probe.hpp"
 #include "exec/trace_program.hpp"
 #include "sim/access_port.hpp"
 #include "util/strings.hpp"
@@ -193,6 +196,109 @@ pooledMultiCore(const sim::MultiCoreConfig &config)
     return *pool;
 }
 
+/**
+ * The receiving side of a session: the channel's own receiver, or the
+ * K spies of a multi-spy team (spies > 1).
+ */
+std::vector<std::unique_ptr<Receiver>>
+makeReceivers(const SessionConfig &config, const ChannelLayout &layout,
+              std::uint64_t max_samples)
+{
+    std::vector<std::unique_ptr<Receiver>> receivers;
+    if (config.spies > 1) {
+        MultiSpyConfig msc;
+        msc.spies = config.spies;
+        msc.tr = config.tr;
+        msc.max_samples = max_samples;
+        msc.chain_len = config.chain_len;
+        msc.pin_slices = config.llc_secure == sim::SecureMode::Sharp;
+        for (std::uint32_t j = 0; j < config.spies; ++j)
+            receivers.push_back(
+                std::make_unique<SpyReceiver>(layout, msc, j));
+        return receivers;
+    }
+
+    switch (config.channel) {
+      case ChannelId::FrMem:
+      case ChannelId::FrL1: {
+        FrReceiverConfig rc;
+        rc.kind = config.channel == ChannelId::FrMem ? FlushKind::ToMemory
+                                                     : FlushKind::FromL1;
+        rc.tr = config.tr;
+        rc.max_samples = max_samples;
+        rc.chain_len = config.chain_len;
+        receivers.push_back(std::make_unique<FrReceiver>(layout, rc));
+        break;
+      }
+      case ChannelId::LruAlg1:
+      case ChannelId::LruAlg2:
+      case ChannelId::XCoreLruAlg2: {
+        // XCoreLruAlg2 is Algorithm 2 run over whatever geometry the
+        // layout describes — natively the shared LLC's (16 ways, so a
+        // deeper default init), but any carrier works: the programs
+        // only ever speak in layout lines.
+        ReceiverConfig rc;
+        rc.alg = senderAlgorithmFor(config.channel);
+        rc.d = config.d ? config.d
+                        : defaultInitDepth(config.channel, layout.ways());
+        rc.tr = config.tr;
+        rc.max_samples = max_samples;
+        rc.chain_len = config.chain_len;
+        receivers.push_back(std::make_unique<LruReceiver>(layout, rc));
+        break;
+      }
+      case ChannelId::PrimeProbe: {
+        PpReceiverConfig rc;
+        rc.tr = config.tr;
+        rc.max_samples = max_samples;
+        receivers.push_back(std::make_unique<PpReceiver>(layout, rc));
+        break;
+      }
+      case ChannelId::DirtyEvict: {
+        DirtyEvictReceiverConfig rc;
+        rc.tr = config.tr;
+        rc.max_samples = max_samples;
+        receivers.push_back(
+            std::make_unique<DirtyEvictReceiver>(layout, rc));
+        break;
+      }
+      case ChannelId::FlushDirty: {
+        FlushDirtyReceiverConfig rc;
+        rc.tr = config.tr;
+        rc.max_samples = max_samples;
+        receivers.push_back(
+            std::make_unique<FlushDirtyReceiver>(layout, rc));
+        break;
+      }
+    }
+    return receivers;
+}
+
+/**
+ * The session's raw trace: the one receiver's samples as recorded, or
+ * all spies' samples in time order (stable, so equal timestamps keep
+ * team order and the merge is deterministic for any spy count).
+ */
+std::vector<Sample>
+sessionSamples(const std::vector<std::unique_ptr<Receiver>> &receivers)
+{
+    if (receivers.size() == 1)
+        return receivers.front()->samples();
+    std::vector<Sample> merged;
+    std::size_t total = 0;
+    for (const auto &receiver : receivers)
+        total += receiver->samples().size();
+    merged.reserve(total);
+    for (const auto &receiver : receivers)
+        merged.insert(merged.end(), receiver->samples().begin(),
+                      receiver->samples().end());
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const Sample &a, const Sample &b) {
+                         return a.tsc < b.tsc;
+                     });
+    return merged;
+}
+
 /** End-of-run values that must outlive the engine. */
 struct RunOutcome
 {
@@ -213,12 +319,11 @@ finish(exec::Engine &engine, std::span<const exec::ThreadSpec> specs)
 
 /** Single-core stage: CacheHierarchy under RoundRobinSmt or TimeSlice. */
 RunOutcome
-runSingleCore(const SessionConfig &config, ChannelPair &pair,
-              sim::CacheHierarchy &hierarchy)
+runSingleCore(const SessionConfig &config, LruSender &sender,
+              Receiver &receiver, sim::CacheHierarchy &hierarchy)
 {
     sim::SingleCorePort port(hierarchy);
-    const std::vector<exec::ThreadSpec> specs{{&pair.sender(), 0},
-                                              {&pair.receiver(), 0}};
+    const std::vector<exec::ThreadSpec> specs{{&sender, 0}, {&receiver, 0}};
     exec::EngineConfig ec = config.sched;
     ec.seed = config.seed;
     if (config.mode == SharingMode::HyperThreaded) {
@@ -235,14 +340,12 @@ runSingleCore(const SessionConfig &config, ChannelPair &pair,
 /**
  * Multi-core stage: MultiCoreHierarchy under LowestClock, with the
  * sharing mode's intra-core policy nested on the party core(s) and
- * noise programs pinned to the remaining cores.  @p receivers holds
- * one program per receiving thread (the factory receiver, or the K
- * spies of a multi-spy session); cross-core receiver j runs on core
- * 1 + j.
+ * noise programs pinned to the remaining cores.  Cross-core receiver
+ * j runs on core 1 + j.
  */
 RunOutcome
 runMultiCore(const SessionConfig &config, LruSender &sender,
-             std::span<exec::ThreadProgram *const> receivers,
+             const std::vector<std::unique_ptr<Receiver>> &receivers,
              sim::MultiCoreHierarchy &hierarchy)
 {
     const bool xcore = config.mode == SharingMode::CrossCore;
@@ -253,7 +356,8 @@ runMultiCore(const SessionConfig &config, LruSender &sender,
     const auto noise = makeNoisePrograms(config);
     std::vector<exec::ThreadSpec> specs{{&sender, 0}};
     for (std::uint32_t j = 0; j < nrecv; ++j)
-        specs.push_back(exec::ThreadSpec{receivers[j], xcore ? 1 + j : 0});
+        specs.push_back(
+            exec::ThreadSpec{receivers[j].get(), xcore ? 1 + j : 0});
     for (std::uint32_t i = 0; i < config.noise_cores; ++i)
         specs.push_back(exec::ThreadSpec{noise[i].get(),
                                          first_noise_core + i});
@@ -303,69 +407,48 @@ runSession(const SessionConfig &config)
             "multi-spy sessions (spies > 1) require the crosscore "
             "sharing mode and the xcore-lru-alg2 channel");
 
-    // ----- stage 1: sender/receiver over the carrier-geometry layout.
-    ChannelPairConfig pc;
-    pc.message = config.message;
-    pc.repeats = config.repeats;
-    pc.ts = config.ts;
-    pc.tr = config.tr;
-    pc.d = config.d;
-    pc.chain_len = config.chain_len;
-    pc.encode_gap = config.encode_gap;
-    pc.infinite = config.infinite;
-    pc.lock_line = config.sender_locks_line;
+    // ----- stage 1: sender and receiver(s) over the carrier-geometry
+    // layout.
+    const ChannelLayout layout = sessionLayoutFor(config);
+
+    SenderConfig sc;
+    sc.alg = senderAlgorithmFor(config.channel);
+    sc.message = config.message;
+    sc.repeats = config.repeats;
+    sc.ts = config.ts;
+    sc.encode_gap = config.encode_gap;
+    sc.infinite = config.infinite;
+    sc.lock_line = config.sender_locks_line;
+    sc.write_polarity = channelCaps(config.channel).dirty_state;
+    if (config.channel == ChannelId::DirtyEvict) {
+        // A line the sender keeps re-touching is MRU/PLRU-protected and
+        // the receiver's eviction walk can never victimise it.  Pace the
+        // re-dirtying at the receiver's sampling period instead: one
+        // touch per sample, re-arming the line right after the previous
+        // walk drained it.  (Flush-dirty needs no pacing — clflush
+        // removes the line regardless of replacement state.)
+        sc.encode_gap = std::max(sc.encode_gap,
+                                 static_cast<std::uint32_t>(config.tr));
+    }
+    // Against SHARP a spy team runs the pin-slices protocol and the
+    // cooperating sender waives its own line's ownership (see
+    // channel/multi_spy.hpp).
+    sc.kick_private =
+        spy_count > 1 && config.llc_secure == sim::SecureMode::Sharp;
+    // On the heap, like the receivers: a sender in this stack frame
+    // measured slower on the time-sliced sessions of fig6_timesliced.
+    const auto sender = std::make_unique<LruSender>(layout, sc);
+
     // Sample slightly past the end of the message so the last bit gets
     // its full window even with scheduling skew.
-    pc.max_samples = config.max_samples
+    const std::uint64_t max_samples = config.max_samples
         ? config.max_samples
         : (config.infinite
                ? 300
                : (nbits * config.ts) /
                          std::max<std::uint64_t>(config.tr, 1) +
                      8);
-
-    const ChannelLayout layout = sessionLayoutFor(config);
-
-    // One factory pair for the ordinary case; for a multi-spy session
-    // the sender is built directly (same knobs the factory would use)
-    // and the receiving side is the K-spy team.
-    std::unique_ptr<ChannelPair> pair;
-    std::unique_ptr<LruSender> team_sender;
-    std::unique_ptr<MultiSpyReceiver> team;
-    LruSender *sender = nullptr;
-    std::vector<exec::ThreadProgram *> receivers;
-    if (spy_count > 1) {
-        SenderConfig sc;
-        sc.alg = senderAlgorithmFor(config.channel);
-        sc.message = pc.message;
-        sc.repeats = pc.repeats;
-        sc.ts = pc.ts;
-        sc.encode_gap = pc.encode_gap;
-        sc.infinite = pc.infinite;
-        sc.lock_line = pc.lock_line;
-        // Against SHARP the team runs the pin-slices protocol and the
-        // cooperating sender waives its own line's ownership (see
-        // channel/multi_spy.hpp).
-        sc.kick_private = config.llc_secure == sim::SecureMode::Sharp;
-        team_sender = std::make_unique<LruSender>(layout, sc);
-        sender = team_sender.get();
-
-        MultiSpyConfig msc;
-        msc.spies = spy_count;
-        msc.d = pc.d ? pc.d
-                     : defaultInitDepth(config.channel, layout.ways());
-        msc.tr = pc.tr;
-        msc.max_samples = pc.max_samples;
-        msc.chain_len = pc.chain_len;
-        msc.pin_slices = config.llc_secure == sim::SecureMode::Sharp;
-        team = std::make_unique<MultiSpyReceiver>(layout, msc);
-        for (std::uint32_t j = 0; j < spy_count; ++j)
-            receivers.push_back(&team->spy(j));
-    } else {
-        pair = std::make_unique<ChannelPair>(config.channel, layout, pc);
-        sender = &pair->sender();
-        receivers.push_back(&pair->receiver());
-    }
+    const auto receivers = makeReceivers(config, layout, max_samples);
 
     // ----- stage 2: topology + arbitration policy, then the run.
     SessionResult res;
@@ -427,7 +510,9 @@ runSession(const SessionConfig &config)
         applyWritePolicy(h.llc);
         sim::CacheHierarchy &hierarchy = pooledHierarchy(h);
 
-        run = runSingleCore(config, *pair, hierarchy);
+        // A team needs the cross-core topology, so here there is
+        // exactly one receiver.
+        run = runSingleCore(config, *sender, *receivers.front(), hierarchy);
 
         res.sender_l1 = hierarchy.l1().counters().forThread(kSenderThread);
         res.sender_l2 = hierarchy.l2().counters().forThread(kSenderThread);
@@ -449,40 +534,26 @@ runSession(const SessionConfig &config)
     res.invert = cal.invert;
 
     res.spies = spy_count;
-    res.samples = team ? team->mergedSamples() : pair->samples();
+    res.samples = sessionSamples(receivers);
     res.sent = sender->sentBits();
     res.sender_start = sender->startTsc();
     if (!config.infinite) {
-        if (team) {
-            // Per-spy alignment first, then the any-spy-wins merge: each
-            // spy's trace is windowed against the same sender bit clock,
-            // so the merged row keeps the K=1 sent-bit alignment.
-            std::vector<Bits> rows;
-            rows.reserve(spy_count);
-            for (std::uint32_t j = 0; j < spy_count; ++j) {
-                rows.push_back(windowSymbols(
-                    team->spySamples(j), res.threshold, res.invert,
-                    res.sender_start, config.ts, nbits));
-            }
-            const Bits merged = mergeSpySymbols(rows);
-            res.received.clear();
-            for (const std::uint8_t s : merged) {
-                if (s != kErasureSymbol)
-                    res.received.push_back(s);
-            }
-            res.error_rate = editErrorRate(res.sent, res.received);
-            if (config.collect_symbols)
-                res.decoded_symbols = merged;
-        } else {
-            res.received =
-                windowDecode(res.samples, res.threshold, res.invert,
-                             res.sender_start, config.ts, nbits);
-            res.error_rate = editErrorRate(res.sent, res.received);
-            if (config.collect_symbols)
-                res.decoded_symbols =
-                    windowSymbols(res.samples, res.threshold, res.invert,
-                                  res.sender_start, config.ts, nbits);
-        }
+        // Each receiver's trace is windowed against the same sender bit
+        // clock; a team's rows then merge any-spy-wins, so the symbol
+        // row stays aligned 1:1 with the sent bits.
+        std::vector<Bits> rows;
+        rows.reserve(receivers.size());
+        for (const auto &receiver : receivers)
+            rows.push_back(windowSymbols(receiver->samples(), res.threshold,
+                                         res.invert, res.sender_start,
+                                         config.ts, nbits));
+        Bits symbols = rows.size() == 1 ? std::move(rows.front())
+                                        : mergeSpySymbols(rows);
+        res.received = symbols;
+        std::erase(res.received, kErasureSymbol);
+        res.error_rate = editErrorRate(res.sent, res.received);
+        if (config.collect_symbols)
+            res.decoded_symbols = std::move(symbols);
     }
 
     res.elapsed_cycles =

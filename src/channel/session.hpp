@@ -6,8 +6,8 @@
  *
  * Before this module the repo carried three parallel end-to-end
  * harnesses — a single-core covert runner (LRU algorithms only), a
- * cross-core runner (Algorithm 2 only) and the ad-hoc ChannelPair
- * loops in core/experiments.cpp — each re-implementing hierarchy
+ * cross-core runner (Algorithm 2 only) and the ad-hoc sender/receiver
+ * pair loops in core/experiments.cpp — each re-implementing hierarchy
  * construction, engine wiring, calibration, decode and error scoring.
  * Session factors the pipeline once:
  *
@@ -15,12 +15,14 @@
  *     -> build the topology (CacheHierarchy or MultiCoreHierarchy
  *        behind a sim::AccessPort)
  *     -> build the carrier-geometry ChannelLayout (L1 or shared LLC)
- *     -> instantiate sender/receiver via the channel factory
- *        (any of the six ChannelIds)
+ *     -> build one sender and the receivers: the channel's own
+ *        receiver (any of the eight ChannelIds) or the K spies of a
+ *        multi-spy team, each a channel::Receiver
  *     -> run under the sharing mode's ArbitrationPolicy (RoundRobinSmt,
  *        TimeSlice or LowestClock with nested per-core children)
  *     -> calibrate the decode threshold (channel::Calibration)
- *     -> window-decode and score
+ *     -> window each receiver's trace (a team's rows merged
+ *        any-spy-wins), strip erasures, score
  *   -> SessionResult
  *
  * The legacy entry points are gone; every experiment, bench lane and
@@ -106,7 +108,7 @@ struct SessionConfig
 
     /**
      * Number of cooperating receiver threads (the multi-spy adversary;
-     * see channel/multi_spy.hpp).  1 = the ordinary factory receiver.
+     * see channel/multi_spy.hpp).  1 = the channel's own receiver.
      * Values > 1 require CrossCore + ChannelId::XCoreLruAlg2: spy j
      * runs on core 1 + j over probe-slice j, and the per-spy symbol
      * rows are merged (any-spy-wins) before scoring.
@@ -179,7 +181,8 @@ struct SessionConfig
 /** Everything a figure/table needs from one session. */
 struct SessionResult
 {
-    std::vector<Sample> samples;   //!< receiver's raw trace
+    std::vector<Sample> samples;   //!< receiver's raw trace (a
+                                   //!< team's, merged in time order)
     Bits sent;                     //!< ground-truth transmitted bits
     Bits received;                 //!< decoded bits (empty if infinite)
 

@@ -351,7 +351,9 @@ macroPass(const SimBenchConfig &config)
         // End-to-end covert-channel bits through the execution engine
         // (RoundRobinSmt over the single-core hierarchy), on the
         // Session fast path: pooled topology, memoized calibration,
-        // sender paced at the receiver's sampling period.
+        // sender paced at the receiver's sampling period.  What the
+        // session decodes is pinned by BenchChannelLanes.* in
+        // tests/test_bench.cpp, which copies this config.
         channel::SessionConfig cfg;
         cfg.channel = channel::ChannelId::LruAlg1;
         cfg.message = channel::Bits{1, 0, 1, 1};
@@ -378,8 +380,9 @@ macroPass(const SimBenchConfig &config)
     {
         // Cross-core bits: LowestClock over the multi-core hierarchy,
         // same fast-path methodology as the covert lane.  The lane
-        // times throughput, not fidelity: paced per-op, the channel
-        // decodes 5 of the 160 bits wrong at seed 1 (3.1%).
+        // times throughput, not fidelity; BenchChannelLanes.* in
+        // tests/test_bench.cpp copies this config and bounds the error
+        // of the 160-bit run.
         channel::SessionConfig cfg;
         cfg.channel = channel::ChannelId::XCoreLruAlg2;
         cfg.mode = channel::SharingMode::CrossCore;

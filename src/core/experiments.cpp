@@ -251,9 +251,9 @@ senderMissRates(const timing::Uarch &uarch,
                                    run.sender_llc});
     }
 
-    // ----- sender & gcc: the sender shares the core with a benign
-    // gcc-like workload instead of a receiver.
-    {
+    // The Algorithm 1 sender beside @p co_runner instead of a receiver.
+    const auto senderBeside = [&](const char *label,
+                                  exec::ThreadProgram &co_runner) {
         sim::HierarchyConfig h;
         h.l1_way_predictor = uarch.way_predictor;
         sim::CacheHierarchy hierarchy(h);
@@ -266,50 +266,29 @@ senderMissRates(const timing::Uarch &uarch,
         sc.ts = 6000;
         channel::LruSender sender(layout, sc);
 
-        workload::WorkloadProgram gcc(workload::makeWorkload("gccmix"),
-                                      seed + 1, 1);
         sim::SingleCorePort port(hierarchy);
         exec::RoundRobinSmt policy;
         exec::EngineConfig ec;
         ec.seed = seed;
         exec::Engine engine(port, uarch, policy, ec);
-        engine.run(sender, gcc, /*primary=*/0);
+        engine.run(sender, co_runner, /*primary=*/0);
 
         rows.push_back(MissRateRow{
-            "sender & gcc",
+            label,
             hierarchy.l1().counters().forThread(channel::kSenderThread),
             hierarchy.l2().counters().forThread(channel::kSenderThread),
             hierarchy.llc().counters().forThread(channel::kSenderThread)});
-    }
+    };
+
+    // ----- sender & gcc: the sender shares the core with a benign
+    // gcc-like workload.
+    workload::WorkloadProgram gcc(workload::makeWorkload("gccmix"),
+                                  seed + 1, 1);
+    senderBeside("sender & gcc", gcc);
 
     // ----- sender only.
-    {
-        sim::HierarchyConfig h;
-        h.l1_way_predictor = uarch.way_predictor;
-        sim::CacheHierarchy hierarchy(h);
-        channel::ChannelLayout layout(sim::CacheConfig::intelL1d(), 7, 63);
-
-        channel::SenderConfig sc;
-        sc.alg = channel::LruAlgorithm::Alg1Shared;
-        sc.message = channel::randomBits(64, seed);
-        sc.repeats = 4;
-        sc.ts = 6000;
-        channel::LruSender sender(layout, sc);
-
-        workload::IdleProgram idle;
-        sim::SingleCorePort port(hierarchy);
-        exec::RoundRobinSmt policy;
-        exec::EngineConfig ec;
-        ec.seed = seed;
-        exec::Engine engine(port, uarch, policy, ec);
-        engine.run(sender, idle, /*primary=*/0);
-
-        rows.push_back(MissRateRow{
-            "sender only",
-            hierarchy.l1().counters().forThread(channel::kSenderThread),
-            hierarchy.l2().counters().forThread(channel::kSenderThread),
-            hierarchy.llc().counters().forThread(channel::kSenderThread)});
-    }
+    workload::IdleProgram idle;
+    senderBeside("sender only", idle);
 
     return rows;
 }

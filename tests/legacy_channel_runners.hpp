@@ -5,7 +5,8 @@
  * SessionConfig translations.
  *
  * channel::Session replaced runCovertChannel / runXCoreChannel /
- * runSmtMulticore (and the ad-hoc ChannelPair loops) with one pipeline.
+ * runSmtMulticore (and the ad-hoc sender/receiver-pair loops) with one
+ * pipeline.
  * The deprecated production shims are gone; what lives on here is the
  * complete pre-refactor world, frozen for the differential suite:
  *

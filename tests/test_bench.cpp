@@ -1,7 +1,8 @@
 /**
  * @file
  * The `lruleak bench` summary: per-lane median, min and max over the
- * repeats, and the --check floors applied to the medians.
+ * repeats, the --check floors applied to the medians, and what the
+ * channel-bit lanes' sessions decode.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "channel/session.hpp"
 #include "core/bench.hpp"
 
 using namespace lruleak::core;
@@ -87,4 +89,43 @@ TEST(BenchSummary, CheckHoldsTheMediansToTheFloors)
     }();
     EXPECT_FALSE(missing_ok);
     EXPECT_NE(missing_msg.find("missing"), std::string::npos);
+}
+
+// The covert_channel_bit and xcore_channel_bit lanes of
+// core::runMacroBench time throughput only; these cases pin what the
+// same sessions decode.  The configs copy the lanes' (keep them in
+// step with src/core/bench.cpp) at the scale of CI's full bench
+// (--accesses=4000000: 160 bits, run seed 1, so session seeds 4 and 5).
+// The bounds are the errors measured when the cases were added.
+TEST(BenchChannelLanes, CovertLaneDecodesEveryBit)
+{
+    lruleak::channel::SessionConfig cfg;
+    cfg.channel = lruleak::channel::ChannelId::LruAlg1;
+    cfg.message = lruleak::channel::Bits{1, 0, 1, 1};
+    cfg.repeats = 40;
+    cfg.encode_gap = static_cast<std::uint32_t>(cfg.tr);
+    cfg.seed = 4;
+    const auto res = lruleak::channel::runSession(cfg);
+    EXPECT_EQ(res.received.size(), 160u); // no window lost
+    EXPECT_EQ(res.error_rate, 0.0);
+}
+
+TEST(BenchChannelLanes, XCoreLaneDecodesEveryWindow)
+{
+    lruleak::channel::SessionConfig cfg;
+    cfg.channel = lruleak::channel::ChannelId::XCoreLruAlg2;
+    cfg.mode = lruleak::channel::SharingMode::CrossCore;
+    cfg.d = 12;
+    cfg.tr = 3000;
+    cfg.ts = 30000;
+    cfg.llc_policy = lruleak::sim::ReplPolicyKind::TreePlru;
+    cfg.message = lruleak::channel::Bits{1, 0, 1, 1};
+    cfg.repeats = 40;
+    cfg.encode_gap = static_cast<std::uint32_t>(cfg.tr);
+    cfg.seed = 5;
+    const auto res = lruleak::channel::runSession(cfg);
+    EXPECT_EQ(res.received.size(), 160u); // no window lost
+    // Paced per op the cross-core channel decodes 5 of the 160 bits
+    // wrong.
+    EXPECT_LE(res.error_rate, 5.0 / 160.0);
 }

@@ -5,8 +5,8 @@
  * between the noise-free readouts of the latency pair it separates;
  * the cross-core thresholds must match the
  * MeasurementModel::chaseThresholdBetween values the legacy runner
- * used, and the Prime+Probe thresholds the historical
- * PpReceiver::probeThreshold formula.
+ * used, and the Prime+Probe thresholds the historical probe formula
+ * (all-ways L1 hits plus half the L2 delta).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <algorithm>
 
 #include "channel/calibration.hpp"
-#include "channel/prime_probe.hpp"
 #include "timing/pointer_chase.hpp"
 
 using namespace lruleak;
@@ -154,8 +153,6 @@ TEST(Calibration, PrimeProbeMatchesHistoricalProbeThreshold)
                                      ways)
                           .threshold,
                       expected)
-                << u.name << " ways=" << ways;
-            EXPECT_EQ(PpReceiver::probeThreshold(u, ways), expected)
                 << u.name << " ways=" << ways;
         }
     }

@@ -369,6 +369,20 @@ TEST(MultiSpy, RequiresCrossCoreAlg2)
     EXPECT_THROW(runSession(smt), std::invalid_argument);
 }
 
+TEST(MultiSpy, SpyReceiverRejectsATeamOfOne)
+{
+    // One receiver is the channel's own receiver, never a team of one.
+    const ChannelLayout layout(sim::CacheConfig::intelLlc());
+    MultiSpyConfig msc;
+    msc.spies = 1;
+    EXPECT_THROW(SpyReceiver(layout, msc, 0), std::invalid_argument);
+    msc.spies = 0;
+    EXPECT_THROW(SpyReceiver(layout, msc, 0), std::invalid_argument);
+    msc.spies = 2;
+    EXPECT_NO_THROW(SpyReceiver(layout, msc, 0));
+    EXPECT_NO_THROW(SpyReceiver(layout, msc, 1));
+}
+
 TEST(MultiSpy, PinSlicesTeamRestoresChannelSharpKills)
 {
     // SHARP vs the adversary sizes (the sharp_defense headline): the

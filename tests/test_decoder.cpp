@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "channel/decoder.hpp"
 
 using namespace lruleak::channel;
@@ -76,6 +79,46 @@ TEST(WindowDecode, EmptyInputs)
     EXPECT_TRUE(windowDecode({}, 40, false, 0, 1000, 5).empty());
     EXPECT_TRUE(windowDecode(samplesFrom({30}), 40, false, 0, 0, 5).empty());
     EXPECT_TRUE(windowDecode(samplesFrom({30}), 40, false, 0, 100, 0).empty());
+}
+
+TEST(Decoder, WindowDecodeIsWindowSymbolsWithoutErasures)
+{
+    // Seeded random traces over every edge of the windowing: samples
+    // before t0 and past the last window, empty windows, ts = 0 and
+    // nbits = 0.
+    std::mt19937_64 rng(20241018);
+    std::size_t with_erasures = 0, before_t0 = 0, past_end = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::uint64_t t0 = rng() % 4000;
+        const std::uint64_t ts = trial % 25 == 0 ? 0 : 1 + rng() % 1500;
+        const std::size_t nbits = trial % 20 == 1 ? 0 : rng() % 24;
+        const std::uint64_t gap = 2 * std::max<std::uint64_t>(ts, 50);
+        std::vector<Sample> samples;
+        std::uint64_t tsc = rng() % (t0 + 1);
+        for (std::size_t i = rng() % 64; i > 0; --i) {
+            samples.push_back(
+                Sample{tsc, static_cast<std::uint32_t>(20 + rng() % 40),
+                       lruleak::sim::HitLevel::L1});
+            before_t0 += tsc < t0 ? 1 : 0;
+            past_end += ts && tsc >= t0 + ts * nbits ? 1 : 0;
+            tsc += rng() % gap; // gaps past ts leave windows empty
+        }
+        const bool invert = (rng() & 1) != 0;
+
+        const Bits symbols =
+            windowSymbols(samples, 40, invert, t0, ts, nbits);
+        with_erasures += std::count(symbols.begin(), symbols.end(),
+                                    kErasureSymbol) > 0 ? 1 : 0;
+        Bits expected = symbols;
+        std::erase(expected, kErasureSymbol);
+        EXPECT_EQ(windowDecode(samples, 40, invert, t0, ts, nbits),
+                  expected)
+            << "trial " << trial;
+    }
+    // The traces really reach the edges.
+    EXPECT_GT(with_erasures, 0u);
+    EXPECT_GT(before_t0, 0u);
+    EXPECT_GT(past_end, 0u);
 }
 
 TEST(MovingAverage, SmoothsSeries)

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "channel/calibration.hpp"
 #include "channel/decoder.hpp"
 #include "channel/edit_distance.hpp"
 #include "channel/prime_probe.hpp"
@@ -59,7 +60,8 @@ runPp(const Bits &message, std::uint64_t ts = 6000, std::uint64_t tr = 600,
 TEST(PrimeProbe, ThresholdSeparatesFullHitProbe)
 {
     const auto u = timing::Uarch::intelXeonE52690();
-    const auto threshold = PpReceiver::probeThreshold(u, 8);
+    const auto threshold =
+        calibrationFor(u, ChannelId::PrimeProbe, Carrier::L1, 8).threshold;
     // All-hit probe: overhead + 8 * L1.
     EXPECT_GT(threshold, u.chase_overhead + 8 * u.l1_latency);
     // One L2 reload pushes past it.
@@ -72,10 +74,10 @@ TEST(PrimeProbe, DecodesMessageUnderTrueLru)
     const Bits msg = randomBits(48, 9);
     const auto run = runPp(msg, 6000, 600, sim::ReplPolicyKind::TrueLru);
     const auto u = timing::Uarch::intelXeonE52690();
-    const auto bits = windowDecode(run.samples,
-                                   PpReceiver::probeThreshold(u, 8),
-                                   /*invert=*/true, run.sender_start, 6000,
-                                   msg.size());
+    const auto bits = windowDecode(
+        run.samples,
+        calibrationFor(u, ChannelId::PrimeProbe, Carrier::L1, 8).threshold,
+        /*invert=*/true, run.sender_start, 6000, msg.size());
     EXPECT_LT(editErrorRate(msg, bits), 0.05);
 }
 
@@ -91,10 +93,10 @@ TEST(PrimeProbe, TreePlruThrashDefeatsNaiveProbe)
     const Bits msg = randomBits(48, 9);
     const auto run = runPp(msg, 6000, 600, sim::ReplPolicyKind::TreePlru);
     const auto u = timing::Uarch::intelXeonE52690();
-    const auto bits = windowDecode(run.samples,
-                                   PpReceiver::probeThreshold(u, 8),
-                                   /*invert=*/true, run.sender_start, 6000,
-                                   msg.size());
+    const auto bits = windowDecode(
+        run.samples,
+        calibrationFor(u, ChannelId::PrimeProbe, Carrier::L1, 8).threshold,
+        /*invert=*/true, run.sender_start, 6000, msg.size());
     EXPECT_GT(editErrorRate(msg, bits), 0.2);
 }
 
@@ -102,9 +104,10 @@ TEST(PrimeProbe, SilentSenderKeepsProbesFast)
 {
     const auto run = runPp(Bits(24, 0));
     const auto u = timing::Uarch::intelXeonE52690();
-    const auto bits = thresholdSamples(run.samples,
-                                       PpReceiver::probeThreshold(u, 8),
-                                       true);
+    const auto bits = thresholdSamples(
+        run.samples,
+        calibrationFor(u, ChannelId::PrimeProbe, Carrier::L1, 8).threshold,
+        true);
     EXPECT_LT(fractionOnes(bits), 0.10);
 }
 
@@ -112,9 +115,10 @@ TEST(PrimeProbe, ActiveSenderSlowsProbes)
 {
     const auto run = runPp(Bits(24, 1));
     const auto u = timing::Uarch::intelXeonE52690();
-    const auto bits = thresholdSamples(run.samples,
-                                       PpReceiver::probeThreshold(u, 8),
-                                       true);
+    const auto bits = thresholdSamples(
+        run.samples,
+        calibrationFor(u, ChannelId::PrimeProbe, Carrier::L1, 8).threshold,
+        true);
     EXPECT_GT(fractionOnes(bits), 0.5);
 }
 
@@ -123,6 +127,7 @@ TEST(PrimeProbe, ProbeLatencyScalesWithWays)
     // The paper's point in Section VII: P+P times N accesses, the LRU
     // channel only one.  The all-hit probe cost grows with N.
     const auto u = timing::Uarch::intelXeonE52690();
-    EXPECT_GT(PpReceiver::probeThreshold(u, 16),
-              PpReceiver::probeThreshold(u, 8));
+    EXPECT_GT(
+        calibrationFor(u, ChannelId::PrimeProbe, Carrier::L1, 16).threshold,
+        calibrationFor(u, ChannelId::PrimeProbe, Carrier::L1, 8).threshold);
 }

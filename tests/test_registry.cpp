@@ -14,6 +14,7 @@
 #include "sim/repl_state.hpp"
 
 #include "channel/channel_factory.hpp"
+#include "channel/session.hpp"
 #include "core/experiment.hpp"
 #include "timing/uarch.hpp"
 
@@ -263,19 +264,23 @@ TEST(ChannelFactory, SenderAlgorithmPairing)
               LruAlgorithm::Alg2Disjoint);
 }
 
-TEST(ChannelFactory, PairBuildsEveryReceiverOverAnyLayout)
+TEST(ChannelFactory, SessionRunsEveryReceiverOnBothCarriers)
 {
-    // Since the Session refactor every ChannelId constructs against any
-    // carrier geometry — the L1 layout here, the LLC layout below.
-    for (const channel::ChannelLayout &layout :
-         {channel::ChannelLayout(),
-          channel::ChannelLayout(sim::CacheConfig::intelLlc())}) {
+    // Every ChannelId's receiver runs over either carrier geometry: the
+    // L1 set (hyper-threaded) and the shared LLC set (cross-core).
+    for (const channel::SharingMode mode :
+         {channel::SharingMode::HyperThreaded,
+          channel::SharingMode::CrossCore}) {
         for (auto id : channel::allChannelIds()) {
-            channel::ChannelPairConfig cfg;
+            channel::SessionConfig cfg;
+            cfg.channel = id;
+            cfg.mode = mode;
             cfg.message = channel::Bits{1, 0, 1};
-            channel::ChannelPair pair(id, layout, cfg);
-            EXPECT_EQ(pair.id(), id);
-            EXPECT_TRUE(pair.samples().empty()); // nothing run yet
+            const channel::SessionResult res = channel::runSession(cfg);
+            EXPECT_FALSE(res.samples.empty())
+                << channel::channelIdToken(id) << " "
+                << channel::sharingModeToken(mode);
+            EXPECT_EQ(res.sent, cfg.message);
         }
     }
 }
