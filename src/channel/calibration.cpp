@@ -22,7 +22,6 @@ struct CalKey
     ChannelId id;
     Carrier carrier;
     std::uint32_t ways;
-    std::uint32_t chain_len;
     std::uint32_t l1_latency;
     std::uint32_t l2_latency;
     std::uint32_t llc_latency;
@@ -39,8 +38,7 @@ struct CalKey
 /** Derivation without the memo (the pre-cache body of calibrationFor). */
 Calibration
 deriveCalibration(const timing::Uarch &uarch, ChannelId id,
-                  Carrier carrier, std::uint32_t ways,
-                  std::uint32_t chain_len);
+                  Carrier carrier, std::uint32_t ways);
 
 } // namespace
 
@@ -97,7 +95,7 @@ carrierLevels(ChannelId id, Carrier carrier)
 
 Calibration
 calibrationFor(const timing::Uarch &uarch, ChannelId id, Carrier carrier,
-               std::uint32_t ways, std::uint32_t chain_len)
+               std::uint32_t ways)
 {
     // Memoise per distinct numeric-input tuple.  Sessions re-calibrate
     // every run (per bit, in the per-bit experiment loops), always with
@@ -106,7 +104,6 @@ calibrationFor(const timing::Uarch &uarch, ChannelId id, Carrier carrier,
     const CalKey key{id,
                      carrier,
                      ways,
-                     chain_len,
                      uarch.l1_latency,
                      uarch.l2_latency,
                      uarch.llc_latency,
@@ -127,7 +124,7 @@ calibrationFor(const timing::Uarch &uarch, ChannelId id, Carrier carrier,
             return e.cal;
     }
     const Calibration cal =
-        deriveCalibration(uarch, id, carrier, ways, chain_len);
+        deriveCalibration(uarch, id, carrier, ways);
     memo.push_back(MemoEntry{key, cal});
     return cal;
 }
@@ -136,8 +133,7 @@ namespace {
 
 Calibration
 deriveCalibration(const timing::Uarch &uarch, ChannelId id,
-                  Carrier carrier, std::uint32_t ways,
-                  std::uint32_t chain_len)
+                  Carrier carrier, std::uint32_t ways)
 {
     Calibration cal = carrierLevels(id, carrier);
     const timing::MeasurementModel model(uarch);
@@ -180,8 +176,7 @@ deriveCalibration(const timing::Uarch &uarch, ChannelId id,
         return cal;
     }
 
-    cal.threshold = model.chaseThresholdBetween(cal.fast, cal.slow,
-                                                chain_len);
+    cal.threshold = model.chaseThresholdBetween(cal.fast, cal.slow);
     return cal;
 }
 

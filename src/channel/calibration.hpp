@@ -60,14 +60,14 @@ Calibration carrierLevels(ChannelId id, Carrier carrier);
 /**
  * Full calibration of channel @p id on @p carrier for one CPU model.
  *
- * @param ways      associativity of the carrier set (the ChannelLayout's
- *                  ways(); only Prime+Probe's walk length depends on it)
- * @param chain_len receiver chase-chain length (paper footnote 3)
+ * @param ways associativity of the carrier set (the ChannelLayout's
+ *             ways(); only Prime+Probe's walk length depends on it)
+ *
+ * The chase readouts assume the paper's 7-element chain
+ * (MeasurementModel::kChainLength, footnote 3).
  */
 Calibration calibrationFor(const timing::Uarch &uarch, ChannelId id,
-                           Carrier carrier, std::uint32_t ways,
-                           std::uint32_t chain_len =
-                               timing::MeasurementModel::kChainLength);
+                           Carrier carrier, std::uint32_t ways);
 
 } // namespace lruleak::channel
 

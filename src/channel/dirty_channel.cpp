@@ -5,38 +5,34 @@
 
 #include "channel/dirty_channel.hpp"
 
-#include <algorithm>
-
 namespace lruleak::channel {
 
 // --------------------------------------------------------- dirty-evict
 
 DirtyEvictReceiver::DirtyEvictReceiver(const ChannelLayout &layout,
-                                       DirtyEvictReceiverConfig config)
-    : Receiver(config.max_samples), layout_(layout), config_(config),
-      readout_(layout.chaseRefs(1).front())
+                                       const SamplingConfig &config)
+    : Receiver(config), readout_(layout.chaseRefs().front())
 {
     // N+1 own lines for the N-way target set: the paper's Table I
     // eviction sequence.  A plain N-line prime (Prime+Probe's walk)
     // cannot carry this channel — under any recency policy the refill
     // victim is one of our own stale lines, never the sender's line,
     // which stays resident and dirty forever.
-    for (std::uint32_t i = 0; i <= layout_.ways(); ++i)
-        lines_.push_back(layout_.receiverLine(LruAlgorithm::Alg2Disjoint, i));
+    for (std::uint32_t i = 0; i <= layout.ways(); ++i)
+        lines_.push_back(layout.receiverLine(LruAlgorithm::Alg2Disjoint, i));
 }
 
 exec::Op
 DirtyEvictReceiver::next(std::uint64_t now)
 {
+    if (finished())
+        return exec::Op::done();
     switch (phase_) {
-      case Phase::Sleep: {
+      case Phase::Sleep:
         phase_ = Phase::Walk;
-        const std::uint64_t deadline = mark_ + config_.tr;
-        mark_ = std::max(deadline, now);
-        if (deadline > now)
-            return exec::Op::spinUntil(deadline);
+        if (const auto spin = sleep(now))
+            return *spin;
         [[fallthrough]];
-      }
 
       case Phase::Walk:
         // Fixed sequential order 0..N: Table I shows this is what makes
@@ -52,68 +48,45 @@ DirtyEvictReceiver::next(std::uint64_t now)
         return exec::Op::access(readout_);
 
       case Phase::Measure:
-        phase_ = Phase::Sleep;
-        // Every write-back since the previous sample stalled this
-        // iteration's walk; fold them all into the timed L1 hit (the
-        // engine adds the timed access's own write-backs on top).
-        return exec::Op::measure(readout_, {}, pending_writebacks_);
-
-      case Phase::Finished:
         break;
     }
-    return exec::Op::done();
+    phase_ = Phase::Sleep;
+    // Every write-back since the previous sample stalled this
+    // iteration's walk; fold them all into the timed L1 hit (the
+    // engine adds the timed access's own write-backs on top).
+    return exec::Op::measure(readout_, {}, pending_writebacks_);
 }
 
 void
 DirtyEvictReceiver::onResult(const exec::OpResult &result)
 {
-    if (result.kind == exec::OpKind::Access) {
+    if (result.kind == exec::OpKind::Access)
         pending_writebacks_ += result.writebacks;
-        return;
-    }
-    if (result.kind != exec::OpKind::Measure)
-        return;
-    pending_writebacks_ = 0;
-    if (record(result))
-        phase_ = Phase::Finished;
+    else if (result.kind == exec::OpKind::Measure)
+        pending_writebacks_ = 0;
+    Receiver::onResult(result);
 }
 
 // --------------------------------------------------------- flush-dirty
 
 FlushDirtyReceiver::FlushDirtyReceiver(const ChannelLayout &layout,
-                                       FlushDirtyReceiverConfig config)
-    : Receiver(config.max_samples), layout_(layout), config_(config),
-      line_(layout.sharedLine(kReceiverThread))
+                                       const SamplingConfig &config)
+    : Receiver(config), line_(layout.sharedLine(kReceiverThread))
 {}
 
 exec::Op
 FlushDirtyReceiver::next(std::uint64_t now)
 {
-    switch (phase_) {
-      case Phase::Sleep: {
-        phase_ = Phase::Measure;
-        const std::uint64_t deadline = mark_ + config_.tr;
-        mark_ = std::max(deadline, now);
-        if (deadline > now)
-            return exec::Op::spinUntil(deadline);
-        [[fallthrough]];
-      }
-
-      case Phase::Measure:
-        phase_ = Phase::Sleep;
-        return exec::Op::measureFlush(line_);
-
-      case Phase::Finished:
-        break;
+    if (finished())
+        return exec::Op::done();
+    if (!slept_) {
+        if (const auto spin = sleep(now)) {
+            slept_ = true;
+            return *spin;
+        }
     }
-    return exec::Op::done();
-}
-
-void
-FlushDirtyReceiver::onResult(const exec::OpResult &result)
-{
-    if (result.kind == exec::OpKind::MeasureFlush && record(result))
-        phase_ = Phase::Finished;
+    slept_ = false;
+    return exec::Op::measureFlush(line_);
 }
 
 } // namespace lruleak::channel

@@ -35,13 +35,6 @@
 
 namespace lruleak::channel {
 
-/** Dirty-evict receiver knobs. */
-struct DirtyEvictReceiverConfig
-{
-    std::uint64_t tr = 600;         //!< sampling period in cycles
-    std::uint64_t max_samples = 1000;
-};
-
 /**
  * The dirty-evict receiver.  Each iteration sleeps, then walks N+1 own
  * lines through the N-way target set *in a fixed sequential order* —
@@ -67,7 +60,7 @@ class DirtyEvictReceiver : public Receiver
 {
   public:
     DirtyEvictReceiver(const ChannelLayout &layout,
-                       DirtyEvictReceiverConfig config);
+                       const SamplingConfig &config);
 
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
@@ -79,25 +72,14 @@ class DirtyEvictReceiver : public Receiver
         Walk,    //!< N+1 ordered accesses, write-backs collected
         Refetch, //!< pull the readout line into L1
         Measure, //!< timed L1 hit + the iteration's write-back stalls
-        Finished,
     };
 
-    ChannelLayout layout_;
-    DirtyEvictReceiverConfig config_;
     std::vector<sim::MemRef> lines_;
     sim::MemRef readout_;
     std::uint32_t pending_writebacks_ = 0; //!< since the last Measure
 
     Phase phase_ = Phase::Sleep;
     std::uint32_t index_ = 0;
-    std::uint64_t mark_ = 0;
-};
-
-/** Flush-dirty receiver knobs. */
-struct FlushDirtyReceiverConfig
-{
-    std::uint64_t tr = 600;         //!< sampling period in cycles
-    std::uint64_t max_samples = 1000;
 };
 
 /**
@@ -110,25 +92,13 @@ class FlushDirtyReceiver : public Receiver
 {
   public:
     FlushDirtyReceiver(const ChannelLayout &layout,
-                       FlushDirtyReceiverConfig config);
+                       const SamplingConfig &config);
 
     exec::Op next(std::uint64_t now) override;
-    void onResult(const exec::OpResult &result) override;
 
   private:
-    enum class Phase
-    {
-        Sleep,
-        Measure, //!< timed clflush of the shared line
-        Finished,
-    };
-
-    ChannelLayout layout_;
-    FlushDirtyReceiverConfig config_;
     sim::MemRef line_;
-
-    Phase phase_ = Phase::Sleep;
-    std::uint64_t mark_ = 0;
+    bool slept_ = false; //!< the wait spun: time the flush next
 };
 
 } // namespace lruleak::channel

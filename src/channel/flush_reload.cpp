@@ -5,25 +5,24 @@
 
 #include "channel/flush_reload.hpp"
 
-#include <algorithm>
-
 namespace lruleak::channel {
 
 FrReceiver::FrReceiver(const ChannelLayout &layout, FrReceiverConfig config)
-    : Receiver(config.max_samples), layout_(layout), config_(config),
+    : Receiver(config), kind_(config.kind),
       target_(layout.sharedLine(kReceiverThread)),
-      chase_(layout.chaseRefs(config.chain_len)),
-      chain_hint_(chase_.size(), sim::HitLevel::L1)
+      chase_(layout.chaseRefs())
 {
     // Eviction set for the FromL1 variant: the receiver's own lines of
     // the target set (as many as the cache has ways).
-    for (std::uint32_t i = 1; i <= layout_.ways(); ++i)
-        evict_.push_back(layout_.receiverLine(LruAlgorithm::Alg1Shared, i));
+    for (std::uint32_t i = 1; i <= layout.ways(); ++i)
+        evict_.push_back(layout.receiverLine(LruAlgorithm::Alg1Shared, i));
 }
 
 exec::Op
 FrReceiver::next(std::uint64_t now)
 {
+    if (finished())
+        return exec::Op::done();
     switch (phase_) {
       case Phase::Prewarm:
         if (index_ < chase_.size())
@@ -33,26 +32,23 @@ FrReceiver::next(std::uint64_t now)
         [[fallthrough]];
 
       case Phase::FlushInit:
-        if (config_.kind == FlushKind::ToMemory) {
+        if (kind_ == FlushKind::ToMemory) {
             phase_ = Phase::Sleep;
-            mark_ = now;
+            setMark(now);
             return exec::Op::flush(target_);
         }
         if (index_ < evict_.size())
             return exec::Op::access(evict_[index_++]);
         index_ = 0;
         phase_ = Phase::Sleep;
-        mark_ = now;
+        setMark(now);
         [[fallthrough]];
 
-      case Phase::Sleep: {
+      case Phase::Sleep:
         phase_ = Phase::Chain;
-        const std::uint64_t deadline = mark_ + config_.tr;
-        mark_ = std::max(deadline, now);
-        if (deadline > now)
-            return exec::Op::spinUntil(deadline);
+        if (const auto spin = sleep(now))
+            return *spin;
         [[fallthrough]];
-      }
 
       case Phase::Chain:
         if (index_ < chase_.size())
@@ -63,30 +59,20 @@ FrReceiver::next(std::uint64_t now)
 
       case Phase::Measure:
         phase_ = Phase::Flush;
-        return exec::Op::measure(target_, chain_hint_);
+        return exec::Op::measure(target_, kChainHint);
 
       case Phase::Flush:
-        if (config_.kind == FlushKind::ToMemory) {
-            phase_ = Phase::Sleep;
-            return exec::Op::flush(target_);
-        }
-        if (index_ < evict_.size())
-            return exec::Op::access(evict_[index_++]);
-        index_ = 0;
-        phase_ = Phase::Sleep;
-        return next(now);
-
-      case Phase::Finished:
         break;
     }
-    return exec::Op::done();
-}
-
-void
-FrReceiver::onResult(const exec::OpResult &result)
-{
-    if (result.kind == exec::OpKind::Measure && record(result))
-        phase_ = Phase::Finished;
+    if (kind_ == FlushKind::ToMemory) {
+        phase_ = Phase::Sleep;
+        return exec::Op::flush(target_);
+    }
+    if (index_ < evict_.size())
+        return exec::Op::access(evict_[index_++]);
+    index_ = 0;
+    phase_ = Phase::Sleep;
+    return next(now);
 }
 
 } // namespace lruleak::channel

@@ -33,12 +33,9 @@ enum class FlushKind
 };
 
 /** Flush+Reload receiver knobs. */
-struct FrReceiverConfig
+struct FrReceiverConfig : SamplingConfig
 {
     FlushKind kind = FlushKind::ToMemory;
-    std::uint64_t tr = 600;
-    std::uint64_t max_samples = 1000;
-    std::uint32_t chain_len = 7;
 };
 
 /**
@@ -50,7 +47,6 @@ class FrReceiver : public Receiver
     FrReceiver(const ChannelLayout &layout, FrReceiverConfig config);
 
     exec::Op next(std::uint64_t now) override;
-    void onResult(const exec::OpResult &result) override;
 
   private:
     enum class Phase
@@ -61,20 +57,15 @@ class FrReceiver : public Receiver
         Chain,
         Measure,
         Flush,
-        Finished,
     };
 
-    ChannelLayout layout_;
-    FrReceiverConfig config_;
+    FlushKind kind_;
     sim::MemRef target_;
     std::vector<sim::MemRef> chase_;
-    /** All-L1 chain expectation reused by every measure op. */
-    std::vector<sim::HitLevel> chain_hint_;
     std::vector<sim::MemRef> evict_; //!< FromL1 eviction lines
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t index_ = 0;
-    std::uint64_t mark_ = 0;
 };
 
 } // namespace lruleak::channel

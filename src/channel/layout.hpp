@@ -25,6 +25,7 @@
 
 #include "sim/address.hpp"
 #include "sim/cache_config.hpp"
+#include "timing/pointer_chase.hpp"
 
 namespace lruleak::channel {
 
@@ -103,13 +104,17 @@ class ChannelLayout
         return sim::MemRef{a, a, kSenderThread, false};
     }
 
-    /** The 7 receiver-local chain elements (in the chase set). */
+    /**
+     * The receiver-local chain elements (in the chase set), as many as
+     * the paper's pointer chase has (MeasurementModel::kChainLength).
+     */
     std::vector<sim::MemRef>
-    chaseRefs(std::uint32_t chain_len = 7) const
+    chaseRefs() const
     {
         std::vector<sim::MemRef> refs;
-        refs.reserve(chain_len);
-        for (std::uint32_t i = 0; i < chain_len; ++i) {
+        refs.reserve(timing::MeasurementModel::kChainLength);
+        for (std::uint32_t i = 0; i < timing::MeasurementModel::kChainLength;
+             ++i) {
             const sim::Addr a =
                 sim::lineInSet(layout_, chase_set_, i, kChaseBase);
             refs.push_back(sim::MemRef{a, a, kReceiverThread, false});

@@ -12,52 +12,45 @@ namespace lruleak::channel {
 // -------------------------------------------------------------- receiver
 
 LruReceiver::LruReceiver(const ChannelLayout &layout, ReceiverConfig config)
-    : Receiver(config.max_samples), layout_(layout), config_(config),
-      chase_(layout.chaseRefs(config.chain_len)),
-      chain_hint_(chase_.size(), sim::HitLevel::L1)
+    : Receiver(config), layout_(layout), alg_(config.alg), d_(config.d),
+      chase_(layout.chaseRefs())
 {
     // Algorithm 1 walks lines 0..N (N+1 lines), Algorithm 2 walks
     // lines 0..N-1 (N lines).
-    last_line_ = config_.alg == LruAlgorithm::Alg1Shared
-                     ? layout_.ways()
-                     : layout_.ways() - 1;
+    last_line_ = alg_ == LruAlgorithm::Alg1Shared ? layout_.ways()
+                                                 : layout_.ways() - 1;
 }
 
 exec::Op
 LruReceiver::next(std::uint64_t now)
 {
+    if (finished())
+        return exec::Op::done();
     switch (phase_) {
       case Phase::Prewarm:
         if (index_ < chase_.size())
             return exec::Op::access(chase_[index_++]);
         index_ = 0;
         phase_ = Phase::Init;
-        mark_ = now;
+        setMark(now);
         [[fallthrough]];
 
       case Phase::Init:
-        if (index_ < config_.d)
-            return exec::Op::access(
-                layout_.receiverLine(config_.alg, index_++));
+        if (index_ < d_)
+            return exec::Op::access(layout_.receiverLine(alg_, index_++));
         index_ = 0;
         phase_ = Phase::Sleep;
         [[fallthrough]];
 
-      case Phase::Sleep: {
+      case Phase::Sleep:
         phase_ = Phase::Decode;
-        const std::uint64_t deadline = mark_ + config_.tr;
-        // Tlast = TSC when the wait loop exits (Algorithm 3): if we are
-        // already past the deadline, the mark snaps to now.
-        mark_ = std::max(deadline, now);
-        if (deadline > now)
-            return exec::Op::spinUntil(deadline);
+        if (const auto spin = sleep(now))
+            return *spin;
         [[fallthrough]];
-      }
 
       case Phase::Decode:
-        if (config_.d + index_ <= last_line_)
-            return exec::Op::access(
-                layout_.receiverLine(config_.alg, config_.d + index_++));
+        if (d_ + index_ <= last_line_)
+            return exec::Op::access(layout_.receiverLine(alg_, d_ + index_++));
         index_ = 0;
         phase_ = Phase::Chain;
         [[fallthrough]];
@@ -71,21 +64,10 @@ LruReceiver::next(std::uint64_t now)
         [[fallthrough]];
 
       case Phase::Measure:
-        phase_ = Phase::Init;
-        return exec::Op::measure(layout_.receiverLine(config_.alg, 0),
-                                 chain_hint_);
-
-      case Phase::Finished:
         break;
     }
-    return exec::Op::done();
-}
-
-void
-LruReceiver::onResult(const exec::OpResult &result)
-{
-    if (result.kind == exec::OpKind::Measure && record(result))
-        phase_ = Phase::Finished;
+    phase_ = Phase::Init;
+    return exec::Op::measure(layout_.receiverLine(alg_, 0), kChainHint);
 }
 
 // ---------------------------------------------------------------- sender

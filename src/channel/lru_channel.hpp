@@ -22,12 +22,16 @@
 #ifndef LRULEAK_CHANNEL_LRU_CHANNEL_HPP
 #define LRULEAK_CHANNEL_LRU_CHANNEL_HPP
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "channel/bitstring.hpp"
 #include "channel/layout.hpp"
 #include "exec/op.hpp"
+#include "timing/pointer_chase.hpp"
 
 namespace lruleak::channel {
 
@@ -39,32 +43,84 @@ struct Sample
     sim::HitLevel level = sim::HitLevel::L1; //!< ground truth (sim only)
 };
 
-/** Receiver knobs. */
-struct ReceiverConfig
+/**
+ * The knobs of Algorithm 3's sampling clock, shared by every receiver.
+ * Receivers that need more add it in their own config.
+ */
+struct SamplingConfig
+{
+    std::uint64_t tr = 600;           //!< sampling period Tr in cycles
+    std::uint64_t max_samples = 1000; //!< sample budget (spies: iterations)
+};
+
+/** Receiver knobs of Algorithms 1/2. */
+struct ReceiverConfig : SamplingConfig
 {
     LruAlgorithm alg = LruAlgorithm::Alg1Shared;
     std::uint32_t d = 8;            //!< init-phase length (paper's d)
-    std::uint64_t tr = 600;         //!< sampling period in cycles
-    std::uint64_t max_samples = 1000;
-    std::uint32_t chain_len = 7;    //!< chase-chain length
 };
 
 /**
  * Base of every receiver program (the LRU, Flush+Reload, Prime+Probe,
- * dirty-state and multi-spy designs): it owns the Sample trace the
- * decoder reads.  Each timed readout goes through record().
+ * dirty-state and multi-spy designs).  It owns what Algorithm 3 makes
+ * common to all of them: the sampling clock (Tr and the Tlast mark),
+ * the budget stop and the Sample trace the decoder reads.  A receiver
+ * keeps only its own phases; its Sleep phase calls sleep().
  */
 class Receiver : public exec::ThreadProgram
 {
   public:
     const std::vector<Sample> &samples() const { return samples_; }
 
-  protected:
-    explicit Receiver(std::uint64_t max_samples)
-        : max_samples_(max_samples)
+    /** Records each Measure/MeasureFlush readout; stops on the budget. */
+    void
+    onResult(const exec::OpResult &result) override
     {
-        samples_.reserve(max_samples);
+        if ((result.kind == exec::OpKind::Measure ||
+             result.kind == exec::OpKind::MeasureFlush) &&
+            record(result))
+            finish();
     }
+
+  protected:
+    explicit Receiver(const SamplingConfig &sampling)
+        : tr_(sampling.tr), max_samples_(sampling.max_samples)
+    {
+        samples_.reserve(max_samples_);
+    }
+
+    using ChainHint =
+        std::array<sim::HitLevel, timing::MeasurementModel::kChainLength>;
+    /**
+     * The expected chain levels of a timed readout: the paper's
+     * 7-element pointer chase (footnote 3), all L1 hits.
+     */
+    static constexpr ChainHint kChainHint = [] {
+        ChainHint hint{};
+        hint.fill(sim::HitLevel::L1);
+        return hint;
+    }();
+
+    /**
+     * Algorithm 3's wait: the spin until Tlast + Tr, with Tlast moved to
+     * that deadline; nullopt when @p now is already past it, with Tlast
+     * snapped to @p now (Tlast is the TSC when the wait loop exits).
+     */
+    std::optional<exec::Op>
+    sleep(std::uint64_t now)
+    {
+        const std::uint64_t deadline = mark_ + tr_;
+        mark_ = std::max(deadline, now);
+        if (deadline > now)
+            return exec::Op::spinUntil(deadline);
+        return std::nullopt;
+    }
+
+    /** Set Tlast (the first mark; 0 until a receiver sets it). */
+    void setMark(std::uint64_t tlast) { mark_ = tlast; }
+
+    std::uint64_t tr() const { return tr_; }
+    std::uint64_t budget() const { return max_samples_; }
 
     /** Append @p result's readout; true once the budget is spent. */
     bool
@@ -74,9 +130,16 @@ class Receiver : public exec::ThreadProgram
         return samples_.size() >= max_samples_;
     }
 
+    /** Stop: every later next() should yield Op::done(). */
+    void finish() { finished_ = true; }
+    bool finished() const { return finished_; }
+
   private:
     std::vector<Sample> samples_;
+    std::uint64_t tr_;
     std::uint64_t max_samples_;
+    std::uint64_t mark_ = 0; //!< Tlast of Algorithm 3
+    bool finished_ = false;
 };
 
 /**
@@ -88,29 +151,25 @@ class LruReceiver : public Receiver
     LruReceiver(const ChannelLayout &layout, ReceiverConfig config);
 
     exec::Op next(std::uint64_t now) override;
-    void onResult(const exec::OpResult &result) override;
 
   private:
     enum class Phase
     {
         Prewarm, //!< initial fetch of the chase chain
         Init,    //!< lines 0..d-1
-        Sleep,   //!< spin until mark + Tr
+        Sleep,   //!< spin until Tlast + Tr
         Decode,  //!< lines d..last
         Chain,   //!< warm the chase chain
         Measure, //!< timed access to line 0
-        Finished,
     };
 
     ChannelLayout layout_;
-    ReceiverConfig config_;
+    LruAlgorithm alg_;
+    std::uint32_t d_;
     std::vector<sim::MemRef> chase_;
-    /** All-L1 chain expectation reused by every measure op. */
-    std::vector<sim::HitLevel> chain_hint_;
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t index_ = 0;      //!< loop index within the phase
-    std::uint64_t mark_ = 0;       //!< Tlast of Algorithm 3
     std::uint32_t last_line_;      //!< N for Alg 1, N-1 for Alg 2
 };
 

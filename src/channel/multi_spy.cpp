@@ -19,11 +19,21 @@ namespace {
 constexpr sim::Addr kKickBase = 0x5000'0000'0000ULL;
 constexpr sim::Addr kSpyStride = 0x0010'0000'0000ULL;
 
+/**
+ * Kick-walk length: accesses per iteration to lines sharing the probe
+ * set's private L1/L2 index but mapping to other LLC sets.  16 cycles
+ * both 8-way private levels completely, expelling the spy's private
+ * probe copies so its next probes reach the LLC.  In kick-walk mode
+ * holders kick (at most 8 lines: their slice sits in one private set)
+ * and the trigger does not; in pin-slices mode only the trigger kicks.
+ */
+constexpr std::uint32_t kKickLines = 16;
+
 } // namespace
 
 SpyReceiver::SpyReceiver(const ChannelLayout &layout,
                          const MultiSpyConfig &config, std::uint32_t index)
-    : Receiver(config.max_samples), layout_(layout), config_(config),
+    : Receiver(config), layout_(layout), config_(config),
       index_in_team_(index)
 {
     const std::uint32_t ways = layout_.ways();
@@ -71,9 +81,7 @@ SpyReceiver::SpyReceiver(const ChannelLayout &layout,
     // cycle: a half-expelled canary (still in L2) would stay owned and
     // SHARP would never let the sender's fill take it.
     const std::uint32_t stride = std::max<std::uint32_t>(sets / 4, 1);
-    const std::uint32_t kicks =
-        config_.pin_slices ? config_.kick_len
-                           : std::min<std::uint32_t>(config_.kick_len, 8);
+    const std::uint32_t kicks = config_.pin_slices ? kKickLines : 8;
     kick_.reserve(kicks);
     for (std::uint32_t i = 0; i < kicks; ++i) {
         const std::uint32_t kick_set =
@@ -82,10 +90,6 @@ SpyReceiver::SpyReceiver(const ChannelLayout &layout,
                                            i / 3, kKickBase);
         kick_.push_back(sim::MemRef{a, a, thread, false});
     }
-
-    // No chase chain to walk: the measure op synthesizes the
-    // chase-latency expectation from this all-L1 hint.
-    chain_hint_.assign(config_.chain_len, sim::HitLevel::L1);
 }
 
 sim::MemRef
@@ -96,9 +100,19 @@ SpyReceiver::probeLine(std::uint32_t i) const
     return ref;
 }
 
+void
+SpyReceiver::endIteration()
+{
+    if (++iter_ >= budget())
+        finish();
+    phase_ = Phase::Sleep;
+}
+
 exec::Op
 SpyReceiver::next(std::uint64_t now)
 {
+    if (finished())
+        return exec::Op::done();
     switch (phase_) {
       case Phase::Prewarm:
         if (trigger_ && step_ < 1) {
@@ -111,19 +125,16 @@ SpyReceiver::next(std::uint64_t now)
         // Stagger the team's phases across the period so one holder's
         // kick burst (its slice momentarily unowned) never overlaps
         // another spy's refill.
-        mark_ = now + config_.tr * index_in_team_ / config_.spies;
-        return next(now);
+        setMark(now + tr() * index_in_team_ / config_.spies);
+        [[fallthrough]];
 
-      case Phase::Sleep: {
+      case Phase::Sleep:
         phase_ = trigger_ ? Phase::Measure
                           : (config_.pin_slices ? Phase::Walk
                                                 : Phase::Kick);
-        const std::uint64_t deadline = mark_ + config_.tr;
-        mark_ = std::max(deadline, now);
-        if (deadline > now)
-            return exec::Op::spinUntil(deadline);
+        if (const auto spin = sleep(now))
+            return *spin;
         return next(now);
-      }
 
       case Phase::Kick:
         // Expel the private probe copies so the next walk reaches the
@@ -137,8 +148,7 @@ SpyReceiver::next(std::uint64_t now)
         if (trigger_)
             // Pin-slices trigger: kick ran after the measure; the
             // iteration is complete.
-            phase_ = ++iter_ >= config_.max_samples ? Phase::Finished
-                                                    : Phase::Sleep;
+            endIteration();
         else
             phase_ = Phase::Walk;
         return next(now);
@@ -151,31 +161,26 @@ SpyReceiver::next(std::uint64_t now)
         // memory (slow): the holder both observes the eviction and
         // re-pins the line.
         if (step_ < hi_ - lo_)
-            return exec::Op::measure(probeLine(lo_ + step_++), chain_hint_);
+            return exec::Op::measure(probeLine(lo_ + step_++), kChainHint);
         step_ = 0;
-        phase_ = ++iter_ >= config_.max_samples ? Phase::Finished
-                                                : Phase::Sleep;
+        endIteration();
         return next(now);
 
       case Phase::Measure:
-        // Trigger: one timed canary access per iteration.  A fast
-        // access means the canary still sits in the LLC (sender idle);
-        // a memory-latency miss means the sender's fill took it — and
-        // this very measure refills it, taking the sender's (unowned)
-        // line back out in turn (file comment).  In pin-slices mode
-        // the measure is followed by a kick burst that re-releases the
-        // canary's ownership for the next round.
-        if (config_.pin_slices)
-            phase_ = Phase::Kick;
-        else
-            phase_ = ++iter_ >= config_.max_samples ? Phase::Finished
-                                                    : Phase::Sleep;
-        return exec::Op::measure(canary_, chain_hint_);
-
-      case Phase::Finished:
         break;
     }
-    return exec::Op::done();
+    // Trigger: one timed canary access per iteration.  A fast access
+    // means the canary still sits in the LLC (sender idle); a
+    // memory-latency miss means the sender's fill took it — and this
+    // very measure refills it, taking the sender's (unowned) line back
+    // out in turn (file comment).  In pin-slices mode the measure is
+    // followed by a kick burst that re-releases the canary's ownership
+    // for the next round.
+    if (config_.pin_slices)
+        phase_ = Phase::Kick;
+    else
+        endIteration();
+    return exec::Op::measure(canary_, kChainHint);
 }
 
 void

@@ -81,24 +81,13 @@
 
 namespace lruleak::channel {
 
-/** Knobs of the whole K-spy team (each spy derives its own share). */
-struct MultiSpyConfig
+/**
+ * Knobs of the whole K-spy team (each spy derives its own share): the
+ * per-spy sampling clock, whose budget counts iterations, not samples.
+ */
+struct MultiSpyConfig : SamplingConfig
 {
     std::uint32_t spies = 2;      //!< K >= 2 cooperating receiver threads
-    std::uint64_t tr = 3000;      //!< per-spy sampling period (cycles)
-    std::uint64_t max_samples = 1000; //!< per-spy iteration budget
-    std::uint32_t chain_len = 7;  //!< chase-chain length each measure
-                                  //!< op's latency expectation models
-    /**
-     * Kick-walk length: accesses per iteration to lines sharing the
-     * probe set's private L1/L2 index but mapping to other LLC sets.
-     * 16 cycles both 8-way private levels completely, expelling the
-     * spy's private probe copies so its next probes reach the LLC.
-     * In kick-walk mode holders kick (at most 8 lines: their slice
-     * sits in one private set) and the trigger does not; in
-     * pin-slices mode only the trigger kicks.
-     */
-    std::uint32_t kick_len = 16;
 
     /**
      * Anti-SHARP team protocol (file comment).  Holders *pin* their
@@ -133,10 +122,9 @@ class SpyReceiver : public Receiver
     {
         Prewarm, //!< trigger: canary install
         Kick,    //!< expel own private probe copies
-        Sleep,   //!< spin until mark + Tr
+        Sleep,   //!< spin until Tlast + Tr
         Walk,    //!< holder: timed re-walk of the slice
         Measure, //!< trigger: timed canary access
-        Finished,
     };
 
     ChannelLayout layout_;
@@ -145,17 +133,16 @@ class SpyReceiver : public Receiver
     bool trigger_ = false;
     std::uint32_t lo_ = 0;         //!< first probe line of the slice
     std::uint32_t hi_ = 0;         //!< one past the last probe line
-    /** All-L1 chain expectation reused by every measure op. */
-    std::vector<sim::HitLevel> chain_hint_;
     std::vector<sim::MemRef> kick_;
     sim::MemRef canary_{};         //!< trigger only: the planted line
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t step_ = 0;       //!< loop index within the phase
-    std::uint64_t mark_ = 0;       //!< Tlast of Algorithm 3
     std::uint64_t iter_ = 0;       //!< completed iterations
 
     sim::MemRef probeLine(std::uint32_t i) const;
+    /** Count a completed iteration: sleep next, or stop on the budget. */
+    void endIteration();
 };
 
 /**

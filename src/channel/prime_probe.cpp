@@ -5,21 +5,22 @@
 
 #include "channel/prime_probe.hpp"
 
-#include <algorithm>
-
 namespace lruleak::channel {
 
-PpReceiver::PpReceiver(const ChannelLayout &layout, PpReceiverConfig config)
-    : Receiver(config.max_samples), layout_(layout), config_(config)
+PpReceiver::PpReceiver(const ChannelLayout &layout,
+                       const SamplingConfig &config)
+    : Receiver(config)
 {
     // The receiver's own N lines filling the target set.
-    for (std::uint32_t i = 0; i < layout_.ways(); ++i)
-        lines_.push_back(layout_.receiverLine(LruAlgorithm::Alg2Disjoint, i));
+    for (std::uint32_t i = 0; i < layout.ways(); ++i)
+        lines_.push_back(layout.receiverLine(LruAlgorithm::Alg2Disjoint, i));
 }
 
 exec::Op
 PpReceiver::next(std::uint64_t now)
 {
+    if (finished())
+        return exec::Op::done();
     switch (phase_) {
       case Phase::Prime:
         if (index_ < lines_.size())
@@ -28,15 +29,12 @@ PpReceiver::next(std::uint64_t now)
         phase_ = Phase::Sleep;
         [[fallthrough]];
 
-      case Phase::Sleep: {
+      case Phase::Sleep:
         phase_ = Phase::Probe;
         probe_levels_.clear();
-        const std::uint64_t deadline = mark_ + config_.tr;
-        mark_ = std::max(deadline, now);
-        if (deadline > now)
-            return exec::Op::spinUntil(deadline);
+        if (const auto spin = sleep(now))
+            return *spin;
         [[fallthrough]];
-      }
 
       case Phase::Probe:
         // Probe lines N-1 .. 1 (reverse order reduces self-eviction with
@@ -51,24 +49,19 @@ PpReceiver::next(std::uint64_t now)
         [[fallthrough]];
 
       case Phase::Measure:
-        phase_ = Phase::Prime;
-        return exec::Op::measure(lines_[0], probe_levels_);
-
-      case Phase::Finished:
         break;
     }
-    return exec::Op::done();
+    phase_ = Phase::Prime;
+    return exec::Op::measure(lines_[0], probe_levels_);
 }
 
 void
 PpReceiver::onResult(const exec::OpResult &result)
 {
-    if (result.kind == exec::OpKind::Access && phase_ == Phase::Probe) {
+    if (result.kind == exec::OpKind::Access && phase_ == Phase::Probe)
         probe_levels_.push_back(result.level);
-        return;
-    }
-    if (result.kind == exec::OpKind::Measure && record(result))
-        phase_ = Phase::Finished;
+    else
+        Receiver::onResult(result);
 }
 
 } // namespace lruleak::channel

@@ -21,13 +21,6 @@
 
 namespace lruleak::channel {
 
-/** Prime+Probe receiver knobs. */
-struct PpReceiverConfig
-{
-    std::uint64_t tr = 600;
-    std::uint64_t max_samples = 1000;
-};
-
 /**
  * The Prime+Probe receiver.  Each Sample's latency is the timed N-access
  * probe chain; the hit/miss threshold is N L1 hits plus half an L2 delta
@@ -36,7 +29,7 @@ struct PpReceiverConfig
 class PpReceiver : public Receiver
 {
   public:
-    PpReceiver(const ChannelLayout &layout, PpReceiverConfig config);
+    PpReceiver(const ChannelLayout &layout, const SamplingConfig &config);
 
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
@@ -48,17 +41,13 @@ class PpReceiver : public Receiver
         Sleep,
         Probe,   //!< N-1 chained accesses, levels collected
         Measure, //!< final chained access, timed
-        Finished,
     };
 
-    ChannelLayout layout_;
-    PpReceiverConfig config_;
     std::vector<sim::MemRef> lines_;
     std::vector<sim::HitLevel> probe_levels_;
 
     Phase phase_ = Phase::Prime;
     std::uint32_t index_ = 0;
-    std::uint64_t mark_ = 0;
 };
 
 } // namespace lruleak::channel

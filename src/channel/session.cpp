@@ -11,6 +11,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "channel/dirty_channel.hpp"
@@ -198,78 +199,57 @@ pooledMultiCore(const sim::MultiCoreConfig &config)
 
 /**
  * The receiving side of a session: the channel's own receiver, or the
- * K spies of a multi-spy team (spies > 1).
+ * K spies of a multi-spy team (spies > 1), all on one sampling clock.
  */
 std::vector<std::unique_ptr<Receiver>>
 makeReceivers(const SessionConfig &config, const ChannelLayout &layout,
               std::uint64_t max_samples)
 {
+    const SamplingConfig clock{config.tr, max_samples};
     std::vector<std::unique_ptr<Receiver>> receivers;
     if (config.spies > 1) {
-        MultiSpyConfig msc;
-        msc.spies = config.spies;
-        msc.tr = config.tr;
-        msc.max_samples = max_samples;
-        msc.chain_len = config.chain_len;
-        msc.pin_slices = config.llc_secure == sim::SecureMode::Sharp;
+        const MultiSpyConfig team{
+            clock, config.spies,
+            /*pin_slices=*/config.llc_secure == sim::SecureMode::Sharp};
         for (std::uint32_t j = 0; j < config.spies; ++j)
             receivers.push_back(
-                std::make_unique<SpyReceiver>(layout, msc, j));
+                std::make_unique<SpyReceiver>(layout, team, j));
         return receivers;
     }
 
     switch (config.channel) {
       case ChannelId::FrMem:
-      case ChannelId::FrL1: {
-        FrReceiverConfig rc;
-        rc.kind = config.channel == ChannelId::FrMem ? FlushKind::ToMemory
-                                                     : FlushKind::FromL1;
-        rc.tr = config.tr;
-        rc.max_samples = max_samples;
-        rc.chain_len = config.chain_len;
-        receivers.push_back(std::make_unique<FrReceiver>(layout, rc));
+      case ChannelId::FrL1:
+        receivers.push_back(std::make_unique<FrReceiver>(
+            layout, FrReceiverConfig{clock, config.channel == ChannelId::FrMem
+                                                ? FlushKind::ToMemory
+                                                : FlushKind::FromL1}));
         break;
-      }
       case ChannelId::LruAlg1:
       case ChannelId::LruAlg2:
-      case ChannelId::XCoreLruAlg2: {
+      case ChannelId::XCoreLruAlg2:
         // XCoreLruAlg2 is Algorithm 2 run over whatever geometry the
         // layout describes — natively the shared LLC's (16 ways, so a
         // deeper default init), but any carrier works: the programs
         // only ever speak in layout lines.
-        ReceiverConfig rc;
-        rc.alg = senderAlgorithmFor(config.channel);
-        rc.d = config.d ? config.d
-                        : defaultInitDepth(config.channel, layout.ways());
-        rc.tr = config.tr;
-        rc.max_samples = max_samples;
-        rc.chain_len = config.chain_len;
-        receivers.push_back(std::make_unique<LruReceiver>(layout, rc));
+        receivers.push_back(std::make_unique<LruReceiver>(
+            layout,
+            ReceiverConfig{clock, senderAlgorithmFor(config.channel),
+                           config.d ? config.d
+                                    : defaultInitDepth(config.channel,
+                                                       layout.ways())}));
         break;
-      }
-      case ChannelId::PrimeProbe: {
-        PpReceiverConfig rc;
-        rc.tr = config.tr;
-        rc.max_samples = max_samples;
-        receivers.push_back(std::make_unique<PpReceiver>(layout, rc));
+      case ChannelId::PrimeProbe:
+        receivers.push_back(std::make_unique<PpReceiver>(layout, clock));
         break;
-      }
-      case ChannelId::DirtyEvict: {
-        DirtyEvictReceiverConfig rc;
-        rc.tr = config.tr;
-        rc.max_samples = max_samples;
+      case ChannelId::DirtyEvict:
         receivers.push_back(
-            std::make_unique<DirtyEvictReceiver>(layout, rc));
+            std::make_unique<DirtyEvictReceiver>(layout, clock));
         break;
-      }
-      case ChannelId::FlushDirty: {
-        FlushDirtyReceiverConfig rc;
-        rc.tr = config.tr;
-        rc.max_samples = max_samples;
+      case ChannelId::FlushDirty:
         receivers.push_back(
-            std::make_unique<FlushDirtyReceiver>(layout, rc));
+            std::make_unique<FlushDirtyReceiver>(layout, clock));
         break;
-      }
     }
     return receivers;
 }
@@ -394,18 +374,35 @@ runMultiCore(const SessionConfig &config, LruSender &sender,
 
 } // namespace
 
+void
+SessionConfig::validate() const
+{
+    if (tr == 0)
+        throw std::invalid_argument(
+            "SessionConfig::tr: the sampling period must be at least "
+            "one cycle");
+    const std::uint32_t ways = sessionLayoutFor(*this).ways();
+    if (d > ways)
+        throw std::invalid_argument(
+            "SessionConfig::d: init depth " + std::to_string(d) +
+            " exceeds the " + std::to_string(ways) +
+            " ways of the carrier set");
+    if (spies > 1 && (mode != SharingMode::CrossCore ||
+                      channel != ChannelId::XCoreLruAlg2))
+        throw std::invalid_argument(
+            "SessionConfig::spies: multi-spy sessions (spies > 1) "
+            "require the crosscore sharing mode and the xcore-lru-alg2 "
+            "channel");
+}
+
 SessionResult
 runSession(const SessionConfig &config)
 {
+    config.validate();
     const std::size_t nbits = config.message.size() * config.repeats;
     const bool multi = sessionMultiCore(config);
     const std::uint32_t spy_count =
         std::max<std::uint32_t>(config.spies, 1);
-    if (spy_count > 1 && (config.mode != SharingMode::CrossCore ||
-                          config.channel != ChannelId::XCoreLruAlg2))
-        throw std::invalid_argument(
-            "multi-spy sessions (spies > 1) require the crosscore "
-            "sharing mode and the xcore-lru-alg2 channel");
 
     // ----- stage 1: sender and receiver(s) over the carrier-geometry
     // layout.
@@ -445,9 +442,7 @@ runSession(const SessionConfig &config)
         ? config.max_samples
         : (config.infinite
                ? 300
-               : (nbits * config.ts) /
-                         std::max<std::uint64_t>(config.tr, 1) +
-                     8);
+               : (nbits * config.ts) / config.tr + 8);
     const auto receivers = makeReceivers(config, layout, max_samples);
 
     // ----- stage 2: topology + arbitration policy, then the run.
@@ -528,8 +523,7 @@ runSession(const SessionConfig &config)
     // ----- stage 3: calibrate, decode, score.
     const Calibration cal =
         calibrationFor(config.uarch, config.channel,
-                       sessionCarrier(config), layout.ways(),
-                       config.chain_len);
+                       sessionCarrier(config), layout.ways());
     res.threshold = cal.threshold;
     res.invert = cal.invert;
 
@@ -547,13 +541,11 @@ runSession(const SessionConfig &config)
             rows.push_back(windowSymbols(receiver->samples(), res.threshold,
                                          res.invert, res.sender_start,
                                          config.ts, nbits));
-        Bits symbols = rows.size() == 1 ? std::move(rows.front())
-                                        : mergeSpySymbols(rows);
-        res.received = symbols;
+        res.decoded_symbols = rows.size() == 1 ? std::move(rows.front())
+                                               : mergeSpySymbols(rows);
+        res.received = res.decoded_symbols;
         std::erase(res.received, kErasureSymbol);
         res.error_rate = editErrorRate(res.sent, res.received);
-        if (config.collect_symbols)
-            res.decoded_symbols = std::move(symbols);
     }
 
     res.elapsed_cycles =

@@ -12,12 +12,14 @@
  * Session factors the pipeline once:
  *
  *   SessionConfig
+ *     -> validate() it (each error names the field)
  *     -> build the topology (CacheHierarchy or MultiCoreHierarchy
  *        behind a sim::AccessPort)
  *     -> build the carrier-geometry ChannelLayout (L1 or shared LLC)
  *     -> build one sender and the receivers: the channel's own
  *        receiver (any of the eight ChannelIds) or the K spies of a
- *        multi-spy team, each a channel::Receiver
+ *        multi-spy team, each a channel::Receiver running Algorithm
+ *        3's sampling clock at the session's Tr
  *     -> run under the sharing mode's ArbitrationPolicy (RoundRobinSmt,
  *        TimeSlice or LowestClock with nested per-core children)
  *     -> calibrate the decode threshold (channel::Calibration)
@@ -132,13 +134,6 @@ struct SessionConfig
     std::uint32_t repeats = 1;
     bool infinite = false;        //!< sender loops forever; no decode
 
-    /**
-     * Also emit the aligned decode view the leakage estimator consumes
-     * (SessionResult::decoded_symbols).  Off by default so the byte
-     * layout of existing scoring paths is untouched.
-     */
-    bool collect_symbols = false;
-
     std::uint32_t target_set = 7;   //!< carrier set of the channel
     std::uint32_t chase_set = 63;   //!< set of the receiver's chain
     bool shared_same_vaddr = true;  //!< false: separate address spaces
@@ -147,7 +142,6 @@ struct SessionConfig
     std::uint32_t encode_gap = 40;
     std::uint64_t max_samples = 0;  //!< 0: derived from bits, Ts and Tr
                                     //!< (or 300 when infinite)
-    std::uint32_t chain_len = 7;
 
     // ----- topology beyond the minimal one the mode implies.
     /** Run on the multi-core topology even without noise cores or
@@ -176,6 +170,14 @@ struct SessionConfig
 
     exec::EngineConfig sched{};     //!< engine knobs (seed overridden)
     std::uint64_t seed = 1;
+
+    /**
+     * Throw std::invalid_argument, naming the field, for a config no
+     * session can run meaningfully: tr = 0, an init depth d beyond the
+     * carrier set's ways, or spies > 1 outside the crosscore mode and
+     * the xcore-lru-alg2 channel.  runSession calls it first.
+     */
+    void validate() const;
 };
 
 /** Everything a figure/table needs from one session. */
@@ -187,11 +189,10 @@ struct SessionResult
     Bits received;                 //!< decoded bits (empty if infinite)
 
     /**
-     * Aligned decode view for leakage estimation, only filled when
-     * SessionConfig::collect_symbols is set: exactly one symbol from
-     * {0, 1, kErasureSymbol} per entry of `sent`, so (sent[i],
-     * decoded_symbols[i]) are the channel's empirical (input, output)
-     * pairs.
+     * Aligned decode view for leakage estimation (empty if infinite):
+     * exactly one symbol from {0, 1, kErasureSymbol} per entry of
+     * `sent`, so (sent[i], decoded_symbols[i]) are the channel's
+     * empirical (input, output) pairs.
      */
     Bits decoded_symbols;
     double error_rate = 0.0;       //!< edit distance / sent length

@@ -173,7 +173,6 @@ class LeakageMatrix final : public Experiment
                 cfg.ts = kModes[mode_idx].ts;
                 cfg.message = message;
                 cfg.repeats = repeats;
-                cfg.collect_symbols = true;
                 cfg.seed = seed + idx;
                 if (sessionCarrier(cfg) == Carrier::Llc)
                     cfg.llc_policy = policies[pol];
@@ -299,7 +298,6 @@ class LeakageMatrix final : public Experiment
                 cfg.ts = kModes[0].ts;
                 cfg.message = message;
                 cfg.repeats = repeats;
-                cfg.collect_symbols = true;
                 cfg.seed = sec_base + idx;
                 cfg.l1_policy = policies[0];
                 cfg.l1_secure = sp.l1_secure;
@@ -358,7 +356,6 @@ class LeakageMatrix final : public Experiment
                 cfg.ts = kModes[xc_mode].ts;
                 cfg.message = message;
                 cfg.repeats = repeats;
-                cfg.collect_symbols = true;
                 cfg.seed = sharp_base + idx;
                 if (sessionCarrier(cfg) == Carrier::Llc)
                     cfg.llc_policy = policies[0];

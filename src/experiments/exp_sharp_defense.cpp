@@ -189,7 +189,6 @@ class SharpDefense final : public Experiment
                 cfg.message = benign_cell ? Bits(message.size(), 0)
                                           : message;
                 cfg.repeats = repeats;
-                cfg.collect_symbols = true;
                 cfg.spies = spies;
                 cfg.noise_cores =
                     benign_cell ? std::max<std::uint32_t>(noise, 1) : 0;

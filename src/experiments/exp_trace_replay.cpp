@@ -209,7 +209,6 @@ class TraceReplay final : public Experiment
                 cfg.ts = kTs;
                 cfg.message = message;
                 cfg.repeats = params.getUint32("repeats");
-                cfg.collect_symbols = true;
                 cfg.seed = seed + idx;
                 cfg.llc_policy = policies[pol];
                 cfg.noise_cores = noise_cores;

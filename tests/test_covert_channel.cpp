@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "channel/multi_spy.hpp"
 #include "channel/session.hpp"
 
@@ -289,19 +292,85 @@ TEST(CovertChannel, SessionLayoutHonoursConfig)
     EXPECT_TRUE(sessionMultiCore(cfg));
 }
 
-TEST(CovertChannel, CollectSymbolsAlignsWithSentBits)
+TEST(CovertChannel, DecodedSymbolsAlignWithSentBits)
 {
     // The leakage plumbing: one decoded symbol per sent bit, erasures
     // included, and on the clean hyper-threaded channel the symbols
     // match the sent bits almost everywhere.
-    auto cfg = baseConfig();
-    cfg.collect_symbols = true;
-    const auto res = runSession(cfg);
+    const auto res = runSession(baseConfig());
     ASSERT_EQ(res.decoded_symbols.size(), res.sent.size());
     std::size_t agree = 0;
     for (std::size_t i = 0; i < res.sent.size(); ++i)
         agree += res.decoded_symbols[i] == res.sent[i] ? 1 : 0;
     EXPECT_GT(agree, res.sent.size() * 9 / 10);
+}
+
+// ------------------------------------------------------ config checks
+
+namespace {
+
+/** @p cfg is refused, before anything runs, with @p field named. */
+void
+expectRejected(const SessionConfig &cfg, const std::string &field)
+{
+    try {
+        cfg.validate();
+        ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(runSession(cfg), std::invalid_argument);
+}
+
+} // namespace
+
+TEST(SessionValidate, RejectsZeroTr)
+{
+    auto cfg = baseConfig();
+    cfg.tr = 0;
+    expectRejected(cfg, "SessionConfig::tr");
+    cfg.tr = 1;
+    EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(SessionValidate, RejectsInitDepthBeyondCarrierWays)
+{
+    // The 8-way L1 carrier takes d <= 8 ...
+    auto cfg = baseConfig();
+    cfg.d = 8;
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.d = 9;
+    expectRejected(cfg, "SessionConfig::d");
+
+    // ... and the 16-way LLC carrier d <= 16, in any sharing mode.
+    for (const SharingMode mode :
+         {SharingMode::HyperThreaded, SharingMode::CrossCore}) {
+        auto llc = baseConfig();
+        llc.channel = ChannelId::XCoreLruAlg2;
+        llc.mode = mode;
+        llc.d = 16;
+        EXPECT_NO_THROW(llc.validate()) << sharingModeToken(mode);
+        llc.d = 17;
+        expectRejected(llc, "SessionConfig::d");
+    }
+}
+
+TEST(SessionValidate, RejectsMultiSpyOutsideCrossCoreAlg2)
+{
+    auto cfg = baseConfig();
+    cfg.channel = ChannelId::XCoreLruAlg2;
+    cfg.mode = SharingMode::CrossCore;
+    cfg.spies = 3;
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.mode = SharingMode::HyperThreaded;
+    expectRejected(cfg, "SessionConfig::spies");
+    cfg.mode = SharingMode::CrossCore;
+    cfg.channel = ChannelId::LruAlg2;
+    expectRejected(cfg, "SessionConfig::spies");
+    // One receiver (spies 0 or 1) is legal with any channel and mode.
+    cfg.spies = 1;
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 // ------------------------------------------------------------ multi-spy
@@ -339,7 +408,6 @@ teamConfig(std::uint32_t spies)
     cfg.tr = 3000;
     cfg.ts = 30000;
     cfg.seed = 47;
-    cfg.collect_symbols = true;
     return cfg;
 }
 
@@ -348,7 +416,7 @@ teamConfig(std::uint32_t spies)
 TEST(MultiSpy, KSpySymbolsAlignOneToOneWithSentBits)
 {
     // The satellite guarantee: the K-spy merged trace keeps the exact
-    // one-symbol-per-sent-bit alignment collect_symbols gives for K = 1.
+    // one-symbol-per-sent-bit alignment decoded_symbols has for K = 1.
     const auto res = runSession(teamConfig(3));
     EXPECT_EQ(res.spies, 3u);
     EXPECT_GE(res.cores, 4u); // sender + three spies

@@ -2,12 +2,24 @@
  * @file
  * Tests for the sender/receiver protocol state machines, driven
  * manually (no scheduler) so the exact op sequences of Algorithms 1-3
- * can be asserted.
+ * can be asserted.  The sampling-clock check runs over every receiver
+ * design, not only the LRU one.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "channel/dirty_channel.hpp"
+#include "channel/flush_reload.hpp"
 #include "channel/lru_channel.hpp"
+#include "channel/multi_spy.hpp"
+#include "channel/prime_probe.hpp"
 
 using namespace lruleak;
 using namespace lruleak::channel;
@@ -145,6 +157,176 @@ TEST(Receiver, StopsAfterMaxSamples)
     EXPECT_EQ(recv.samples().size(), 1u);
     EXPECT_EQ(recv.next(now).kind, OpKind::Done);
 }
+
+// ------------------------------------------------ the sampling clock
+
+namespace {
+
+/** One receiver design under the Algorithm 3 clock test. */
+struct ClockCase
+{
+    const char *name;
+    std::function<std::unique_ptr<Receiver>(const SamplingConfig &)> make;
+    /**
+     * Tlast before the first wait, when every op costs one cycle from
+     * TSC 0: LRU marks at the end of prewarm, F+R at the flush-init
+     * step, spy j at Tr * j / K past its prewarm, the others at 0.
+     */
+    std::uint64_t first_mark;
+    /** Samples one iteration records (a holder spy: its slice). */
+    std::uint64_t samples_per_iteration;
+};
+
+void
+PrintTo(const ClockCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+constexpr std::uint64_t kTr = 1000;
+
+/**
+ * Step @p recv, every access or readout costing one cycle, until it
+ * yields a spin or Done; @p nows collects the TSC of every call.
+ */
+Op
+stepToSpin(Receiver &recv, std::uint64_t &now,
+           std::vector<std::uint64_t> &nows)
+{
+    for (int guard = 0; guard < 1000; ++guard) {
+        nows.push_back(now);
+        const Op op = recv.next(now);
+        if (op.kind == OpKind::SpinUntil || op.kind == OpKind::Done)
+            return op;
+        ack(recv, op, now);
+        ++now;
+    }
+    ADD_FAILURE() << "receiver never waited";
+    return Op::done();
+}
+
+std::unique_ptr<Receiver>
+makeSpy(const SamplingConfig &clock, std::uint32_t index, bool pinned)
+{
+    static const ChannelLayout layout;
+    return std::make_unique<SpyReceiver>(
+        layout, MultiSpyConfig{clock, 3, pinned}, index);
+}
+
+const ClockCase kClockCases[] = {
+    {"LruAlg1",
+     [](const SamplingConfig &c) -> std::unique_ptr<Receiver> {
+         return std::make_unique<LruReceiver>(
+             ChannelLayout{}, ReceiverConfig{c, LruAlgorithm::Alg1Shared, 8});
+     },
+     7, 1},
+    {"LruAlg2",
+     [](const SamplingConfig &c) -> std::unique_ptr<Receiver> {
+         return std::make_unique<LruReceiver>(
+             ChannelLayout{},
+             ReceiverConfig{c, LruAlgorithm::Alg2Disjoint, 5});
+     },
+     7, 1},
+    {"FlushReloadMem",
+     [](const SamplingConfig &c) -> std::unique_ptr<Receiver> {
+         return std::make_unique<FrReceiver>(
+             ChannelLayout{}, FrReceiverConfig{c, FlushKind::ToMemory});
+     },
+     7, 1},
+    {"FlushReloadL1", // 7 chase + 8 eviction accesses before the mark
+     [](const SamplingConfig &c) -> std::unique_ptr<Receiver> {
+         return std::make_unique<FrReceiver>(
+             ChannelLayout{}, FrReceiverConfig{c, FlushKind::FromL1});
+     },
+     15, 1},
+    {"PrimeProbe",
+     [](const SamplingConfig &c) -> std::unique_ptr<Receiver> {
+         return std::make_unique<PpReceiver>(ChannelLayout{}, c);
+     },
+     0, 1},
+    {"DirtyEvict",
+     [](const SamplingConfig &c) -> std::unique_ptr<Receiver> {
+         return std::make_unique<DirtyEvictReceiver>(ChannelLayout{}, c);
+     },
+     0, 1},
+    {"FlushDirty",
+     [](const SamplingConfig &c) -> std::unique_ptr<Receiver> {
+         return std::make_unique<FlushDirtyReceiver>(ChannelLayout{}, c);
+     },
+     0, 1},
+    // A team of three on the 8-way L1: holders 0 and 1 split the first
+    // seven probe lines 3 + 4, spy 2 is the trigger (one canary access
+    // of prewarm before its mark).
+    {"SpyHolder0",
+     [](const SamplingConfig &c) { return makeSpy(c, 0, false); }, 0, 3},
+    {"SpyHolder1Pinned",
+     [](const SamplingConfig &c) { return makeSpy(c, 1, true); },
+     kTr * 1 / 3, 4},
+    {"SpyTrigger",
+     [](const SamplingConfig &c) { return makeSpy(c, 2, false); },
+     1 + kTr * 2 / 3, 1},
+    {"SpyTriggerPinned",
+     [](const SamplingConfig &c) { return makeSpy(c, 2, true); },
+     1 + kTr * 2 / 3, 1},
+};
+
+class ReceiverClock : public ::testing::TestWithParam<ClockCase>
+{};
+
+} // namespace
+
+TEST_P(ReceiverClock, WaitsForTlastPlusTrSnapsWhenLateStopsOnBudget)
+{
+    // Algorithm 3 for every receiver: spin until Tlast + Tr; a receiver
+    // already past the deadline does not spin and takes now as Tlast;
+    // stop once the budget is spent (for spies: iterations).
+    const ClockCase &c = GetParam();
+    constexpr std::uint64_t kBudget = 8;
+    const auto recv = c.make(SamplingConfig{kTr, kBudget});
+    std::uint64_t now = 0;
+    std::vector<std::uint64_t> nows;
+
+    // On time: each deadline is the previous one (Tlast) plus Tr.
+    std::uint64_t tlast = c.first_mark;
+    for (int k = 0; k < 3; ++k) {
+        const Op spin = stepToSpin(*recv, now, nows);
+        ASSERT_EQ(spin.kind, OpKind::SpinUntil) << "wait " << k;
+        EXPECT_EQ(spin.until, tlast + kTr) << "wait " << k;
+        tlast = spin.until;
+        now = spin.until;
+    }
+
+    // Wake five periods late: the next wait finds its deadline passed,
+    // so Tlast snaps to the TSC of that call instead of catching up on
+    // the old grid, and the following wait ends one Tr after it.
+    const std::uint64_t wake = now + 5 * kTr + 3;
+    now = wake;
+    nows.clear();
+    const Op spin = stepToSpin(*recv, now, nows);
+    ASSERT_EQ(spin.kind, OpKind::SpinUntil);
+    const std::uint64_t snapped = spin.until - kTr;
+    EXPECT_GT(snapped, wake);
+    EXPECT_NE(std::find(nows.begin(), nows.end(), snapped), nows.end())
+        << "Tlast " << snapped << " is not a TSC the receiver ran at";
+    now = spin.until;
+
+    // Run out the budget.
+    for (int guard = 0; guard < 100; ++guard) {
+        const Op op = stepToSpin(*recv, now, nows);
+        if (op.kind == OpKind::Done)
+            break;
+        now = op.until;
+    }
+    EXPECT_EQ(recv->samples().size(), kBudget * c.samples_per_iteration);
+    EXPECT_EQ(recv->next(now).kind, OpKind::Done);
+    EXPECT_EQ(recv->next(now + kTr).kind, OpKind::Done);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllReceivers, ReceiverClock, ::testing::ValuesIn(kClockCases),
+    [](const ::testing::TestParamInfo<ClockCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(Sender, SendsOneWhenBitIsOne)
 {

@@ -40,7 +40,7 @@ runPp(const Bits &message, std::uint64_t ts = 6000, std::uint64_t tr = 600,
     sc.message = message;
     sc.ts = ts;
 
-    PpReceiverConfig rc;
+    SamplingConfig rc;
     rc.tr = tr;
     rc.max_samples = message.size() * ts / tr + 8;
 

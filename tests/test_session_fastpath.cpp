@@ -38,11 +38,11 @@ sameCalibration(const Calibration &a, const Calibration &b)
  *  the first call is a guaranteed fresh derivation. */
 Calibration
 deriveFresh(const timing::Uarch &uarch, ChannelId id, Carrier carrier,
-            std::uint32_t ways, std::uint32_t chain_len)
+            std::uint32_t ways)
 {
     Calibration out;
     std::thread worker([&] {
-        out = calibrationFor(uarch, id, carrier, ways, chain_len);
+        out = calibrationFor(uarch, id, carrier, ways);
     });
     worker.join();
     return out;
@@ -60,11 +60,11 @@ TEST(CalibrationMemo, CachedMatchesFreshForEveryUarchChannelCarrier)
                     // First call derives and memoizes; the repeat is a
                     // memo hit.
                     const Calibration first =
-                        calibrationFor(uarch, id, carrier, ways, 7);
+                        calibrationFor(uarch, id, carrier, ways);
                     const Calibration cached =
-                        calibrationFor(uarch, id, carrier, ways, 7);
+                        calibrationFor(uarch, id, carrier, ways);
                     const Calibration fresh =
-                        deriveFresh(uarch, id, carrier, ways, 7);
+                        deriveFresh(uarch, id, carrier, ways);
                     EXPECT_TRUE(sameCalibration(first, cached))
                         << uarch.name << " " << channelIdToken(id);
                     EXPECT_TRUE(sameCalibration(cached, fresh))
@@ -84,14 +84,14 @@ TEST(CalibrationMemo, KeysOnTimingNotOnName)
     slow_llc.llc_latency += 60;
 
     const Calibration a = calibrationFor(base, ChannelId::XCoreLruAlg2,
-                                         Carrier::Llc, 16, 7);
+                                         Carrier::Llc, 16);
     const Calibration b = calibrationFor(slow_llc, ChannelId::XCoreLruAlg2,
-                                         Carrier::Llc, 16, 7);
+                                         Carrier::Llc, 16);
     EXPECT_NE(a.threshold, b.threshold);
 
     // And the original's entry must have survived unchanged.
     const Calibration a2 = calibrationFor(base, ChannelId::XCoreLruAlg2,
-                                          Carrier::Llc, 16, 7);
+                                          Carrier::Llc, 16);
     EXPECT_TRUE(sameCalibration(a, a2));
 }
 
