@@ -122,7 +122,7 @@ makeNoisePrograms(const SessionConfig &config)
     std::vector<std::unique_ptr<exec::ThreadProgram>> noise;
     noise.reserve(config.noise_cores);
     for (std::uint32_t i = 0; i < config.noise_cores; ++i) {
-        if (config.noise_trace && !config.noise_trace->empty()) {
+        if (config.noise_trace) {
             const std::size_t stagger =
                 i * (config.noise_trace->size() / config.noise_cores);
             noise.push_back(std::make_unique<exec::TraceProgram>(
@@ -393,6 +393,10 @@ SessionConfig::validate() const
             "SessionConfig::spies: multi-spy sessions (spies > 1) "
             "require the crosscore sharing mode and the xcore-lru-alg2 "
             "channel");
+    if (noise_trace && noise_trace->empty())
+        throw std::invalid_argument(
+            "SessionConfig::noise_trace: the trace the noise cores "
+            "replay has no records");
 }
 
 SessionResult
@@ -563,11 +567,21 @@ topologyBuilds()
 double
 sessionPercentOnes(SessionConfig config, std::uint8_t constant_bit)
 {
+    sendConstantly(config, constant_bit);
+    return percentOnes(runSession(config));
+}
+
+void
+sendConstantly(SessionConfig &config, std::uint8_t constant_bit)
+{
     config.message = Bits{constant_bit};
     config.repeats = 1;
     config.infinite = true;
-    const SessionResult r = runSession(config);
+}
 
+double
+percentOnes(const SessionResult &r)
+{
     const Bits bits = thresholdSamples(r.samples, r.threshold, r.invert);
     // Skip the first few warm-up observations.
     const std::size_t skip = std::min<std::size_t>(bits.size(), 4);

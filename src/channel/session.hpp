@@ -174,8 +174,9 @@ struct SessionConfig
     /**
      * Throw std::invalid_argument, naming the field, for a config no
      * session can run meaningfully: tr = 0, an init depth d beyond the
-     * carrier set's ways, or spies > 1 outside the crosscore mode and
-     * the xcore-lru-alg2 channel.  runSession calls it first.
+     * carrier set's ways, spies > 1 outside the crosscore mode and the
+     * xcore-lru-alg2 channel, or a noise_trace with no records.
+     * runSession calls it first.
      */
     void validate() const;
 };
@@ -248,9 +249,16 @@ std::uint64_t topologyBuilds();
  * Observation experiment (Figures 6, 8 and 15): the sender constantly
  * sends @p constant_bit (config.message/repeats are ignored); the
  * receiver takes max_samples measurements with period Tr; returns the
- * fraction of post-warm-up samples the receiver reads as 1.
+ * fraction of post-warm-up samples the receiver reads as 1.  It is
+ * runSession on sendConstantly's config, scored by percentOnes.
  */
 double sessionPercentOnes(SessionConfig config, std::uint8_t constant_bit);
+
+/** Make @p config's sender send @p constant_bit forever. */
+void sendConstantly(SessionConfig &config, std::uint8_t constant_bit);
+
+/** Fraction of the post-warm-up samples of @p result read as 1. */
+double percentOnes(const SessionResult &result);
 
 } // namespace lruleak::channel
 

@@ -6,7 +6,6 @@
  * performance cost from Fig. 9.
  */
 
-#include "channel/session.hpp"
 #include "core/experiments.hpp"
 #include "experiments/common.hpp"
 
@@ -72,36 +71,32 @@ class AblationDefenseEfficacy final : public Experiment
         Table table({"Defense", "Alg.1 error", "Alg.2 error",
                      "Mean CPI vs PLRU"});
 
-        // Baseline: no defense.
-        {
-            SessionConfig cfg;
-            cfg.channel = ChannelId::LruAlg1;
-            cfg.d = 8;
-            cfg.message = randomBits(bits, msg_seed);
-            const auto a1 = runSession(cfg);
-            cfg.channel = ChannelId::LruAlg2;
-            cfg.d = 5;
-            const auto a2 = runSession(cfg);
-            table.addRow({"none (Tree-PLRU)", fmtPercent(a1.error_rate),
-                          fmtPercent(a2.error_rate), "1.000"});
-        }
-
-        for (auto policy : {sim::ReplPolicyKind::Random,
-                            sim::ReplPolicyKind::Fifo}) {
-            SessionConfig cfg;
-            cfg.channel = ChannelId::LruAlg1;
-            cfg.d = 8;
-            cfg.l1_policy = policy;
-            cfg.message = randomBits(bits, msg_seed);
-            const auto a1 = runSession(cfg);
-            cfg.channel = ChannelId::LruAlg2;
-            cfg.d = 5;
-            const auto a2 = runSession(cfg);
-            table.addRow({std::string(sim::replPolicyName(policy)) +
+        // No defense (Tree-PLRU), then each replacement-policy defense,
+        // against Alg. 1 (d = 8) and Alg. 2 (d = 5); every session keeps
+        // the default seed.
+        SessionConfig base;
+        base.message = randomBits(bits, msg_seed);
+        const std::vector<sim::ReplPolicyKind> policies{
+            sim::ReplPolicyKind::TreePlru, sim::ReplPolicyKind::Random,
+            sim::ReplPolicyKind::Fifo};
+        const std::pair<ChannelId, std::uint32_t> algs[] = {
+            {ChannelId::LruAlg1, 8}, {ChannelId::LruAlg2, 5}};
+        SessionGrid grid(base, SeedRule::constant(base.seed));
+        grid.policies(policies).over(
+            "alg", algs, [](SessionConfig &cfg, const auto &alg) {
+                cfg.channel = alg.first;
+                cfg.d = alg.second;
+            });
+        const auto errors = grid.run(errorAndRate);
+        for (std::uint32_t p = 0; p < policies.size(); ++p) {
+            table.addRow(
+                {p == 0 ? std::string("none (Tree-PLRU)")
+                        : std::string(sim::replPolicyName(policies[p])) +
                               " replacement",
-                          fmtPercent(a1.error_rate),
-                          fmtPercent(a2.error_rate),
-                          fmtDouble(meanCpiRatio(policy, instructions),
+                 fmtPercent(errors.at({p, 0}).first),
+                 fmtPercent(errors.at({p, 1}).first),
+                 p == 0 ? std::string("1.000")
+                        : fmtDouble(meanCpiRatio(policies[p], instructions),
                                     3)});
         }
 

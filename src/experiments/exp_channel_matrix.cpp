@@ -28,10 +28,6 @@
  * together, exactly as `xcore_timesliced` does.
  */
 
-#include <sstream>
-
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -40,21 +36,6 @@ namespace {
 
 using namespace lruleak::core;
 using namespace lruleak::channel;
-
-/** Per-mode protocol periods: the paper's single-core operating point
- *  and the cross-core one (the LLC round trip needs the longer Ts). */
-struct ModePoint
-{
-    SharingMode mode;
-    std::uint64_t tr;
-    std::uint64_t ts;
-};
-
-constexpr ModePoint kModes[] = {
-    {SharingMode::HyperThreaded, 600, 6000},
-    {SharingMode::TimeSliced, 600, 6000},
-    {SharingMode::CrossCore, 3000, 30000},
-};
 
 class ChannelMatrix final : public Experiment
 {
@@ -83,10 +64,7 @@ class ChannelMatrix final : public Experiment
             ParamSpec::integer("noise_cores", 2,
                                "background cores in the time-sliced + "
                                "noise section"),
-            ParamSpec::str("policies",
-                           "lru,treeplru,bitplru,fifo,random,srrip",
-                           "comma-separated carrier replacement-policy "
-                           "list"),
+            policiesParam("lru,treeplru,bitplru,fifo,random,srrip"),
             uarchParam("e5-2690"),
             seedParam(29),
         };
@@ -101,7 +79,7 @@ class ChannelMatrix final : public Experiment
         const Bits message = randomBits(
             static_cast<std::size_t>(params.getUint("bits")), 20200415);
         const auto uarch = uarchFromParams(params);
-        const auto policies = parsePolicies(params.getStr("policies"));
+        const auto policies = parsePolicies(params);
 
         // Regime switch: paper-faithful CFS quanta (default) or the
         // legacy scaled OS model.  Time-sliced protocol periods stretch
@@ -114,21 +92,26 @@ class ChannelMatrix final : public Experiment
                                             const ModePoint &point) {
             cfg.tr = point.tr * period_scale;
             cfg.ts = point.ts * period_scale;
-            if (!scaled)
+            scaledTimeSlice(cfg, quantum);
+            if (!scaled) {
                 cfg.encode_gap = 20'000;
-            cfg.tslice.quantum = quantum;
-            cfg.tslice.quantum_jitter = quantum / 2;
-            cfg.tslice.tick_period = scaled ? 100'000 : 4'000'000;
+                cfg.tslice.tick_period = 4'000'000;
+            }
         };
 
         const auto &channels = allChannelIds();
-        const auto &modes = kModes;
+        const auto &modes = kModePoints;
         const std::uint32_t n_modes =
             static_cast<std::uint32_t>(std::size(modes));
         const std::uint32_t n_channels =
             static_cast<std::uint32_t>(channels.size());
-        const std::uint32_t cells = static_cast<std::uint32_t>(
-            policies.size() * n_channels * n_modes);
+        const auto errorRate = [](const SessionResult &res) {
+            return res.error_rate;
+        };
+        SessionConfig base;
+        base.uarch = uarch;
+        base.message = message;
+        base.repeats = repeats;
 
         sink.note("=== channel-session matrix: channel x sharing mode x "
                   "carrier policy, " + uarch.name + " ===\n(" +
@@ -145,48 +128,25 @@ class ChannelMatrix final : public Experiment
         // One flat trial-parallel sweep over (policy, channel, mode);
         // the per-cell seed depends only on the cell index, so any
         // LRULEAK_THREADS produces the same table.
-        const auto results = core::runTrials(
-            cells, seed, [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                const std::uint32_t mode_idx = idx % n_modes;
-                const std::uint32_t chan_idx =
-                    (idx / n_modes) % n_channels;
-                const std::size_t pol = idx / (n_modes * n_channels);
-
-                SessionConfig cfg;
-                cfg.channel = channels[chan_idx];
-                cfg.mode = modes[mode_idx].mode;
-                cfg.uarch = uarch;
-                cfg.tr = modes[mode_idx].tr;
-                cfg.ts = modes[mode_idx].ts;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = seed + idx;
-                // The swept policy governs the carrier cache: the L1
-                // for single-core cells, the shared LLC for LLC-carried
-                // ones.
-                if (sessionCarrier(cfg) == Carrier::Llc)
-                    cfg.llc_policy = policies[pol];
-                else
-                    cfg.l1_policy = policies[pol];
-                if (cfg.mode == SharingMode::TimeSliced)
-                    configureTimeSlice(cfg, modes[mode_idx]);
-                const auto res = runSession(cfg);
-                return std::pair<double, double>(res.error_rate,
-                                                 res.kbps);
+        SessionGrid matrix(base, SeedRule::flat(seed));
+        matrix.policies(policies)
+            .over("channel", channels, &SessionConfig::channel)
+            .over("mode", modes, [&](SessionConfig &cfg,
+                                     const ModePoint &point) {
+                point.apply(cfg);
+                if (point.mode == SharingMode::TimeSliced)
+                    configureTimeSlice(cfg, point);
             });
-
-        const auto cell = [&](std::size_t pol, std::uint32_t chan,
-                              std::uint32_t mode) {
-            return results[(pol * n_channels + chan) * n_modes + mode];
-        };
+        const std::uint32_t cells = matrix.cells();
+        const auto results = matrix.run(errorAndRate);
 
         for (std::uint32_t m = 0; m < n_modes; ++m) {
-            Table table(headerFor(policies));
+            Table table(policyHeader(policies));
             for (std::uint32_t c = 0; c < n_channels; ++c) {
                 std::vector<std::string> row{
                     channelDisplayName(channels[c])};
-                for (std::size_t p = 0; p < policies.size(); ++p) {
-                    const auto &[err, kbps] = cell(p, c, m);
+                for (std::uint32_t p = 0; p < policies.size(); ++p) {
+                    const auto &[err, kbps] = results.at({p, c, m});
                     row.push_back(fmtPercent(err) + " @ " +
                                   fmtKbps(kbps));
                 }
@@ -212,9 +172,13 @@ class ChannelMatrix final : public Experiment
                     "error_" +
                         std::string(channelIdToken(channels[c])) + "_" +
                         std::string(sharingModeToken(modes[m].mode)),
-                    cell(0, c, m).first);
+                    results.at({0, c, m}).first);
             }
         }
+
+        // The sections below run the first listed policy on the L1
+        // whatever the carrier, each seeded past the previous one.
+        base.l1_policy = policies[0];
 
         // ----- PL-cache secure-mode ablation (Fig. 11's defense axis):
         // hyper-threaded cells, first listed policy, the sender locking
@@ -222,41 +186,31 @@ class ChannelMatrix final : public Experiment
         // still updates replacement state on locked hits, so the
         // LRU-state channels survive it; the fixed design freezes the
         // state and the dirty channels lose their evictable line.
+        SessionConfig pl_base = base;
+        modes[0].apply(pl_base);
+        pl_base.sender_locks_line = true;
         const sim::PlMode pl_modes[] = {sim::PlMode::Original,
                                         sim::PlMode::FixedLruLock};
-        const auto pl_results = core::runTrials(
-            n_channels * 2, seed + cells,
-            [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                SessionConfig cfg;
-                cfg.channel = channels[idx / 2];
-                cfg.mode = SharingMode::HyperThreaded;
-                cfg.uarch = uarch;
-                cfg.tr = modes[0].tr;
-                cfg.ts = modes[0].ts;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = seed + cells + idx;
-                cfg.l1_policy = policies[0];
-                cfg.pl_mode = pl_modes[idx % 2];
-                cfg.sender_locks_line = true;
-                return runSession(cfg).error_rate;
-            });
+        SessionGrid pl_grid(pl_base, SeedRule::flat(seed + cells));
+        pl_grid.over("channel", channels, &SessionConfig::channel)
+            .over("pl", pl_modes, &SessionConfig::pl_mode);
+        const auto pl_results = pl_grid.run(errorRate);
 
         Table pl_table({"Channel", "no PL-cache", "PL original",
                         "PL fixed (LRU-lock)"});
         for (std::uint32_t c = 0; c < n_channels; ++c) {
             pl_table.addRow({channelDisplayName(channels[c]),
-                             fmtPercent(cell(0, c, 0).first),
-                             fmtPercent(pl_results[c * 2]),
-                             fmtPercent(pl_results[c * 2 + 1])});
+                             fmtPercent(results.at({0, c, 0}).first),
+                             fmtPercent(pl_results.at({c, 0})),
+                             fmtPercent(pl_results.at({c, 1}))});
             sink.scalar("error_" +
                             std::string(channelIdToken(channels[c])) +
                             "_pl_original",
-                        pl_results[c * 2]);
+                        pl_results.at({c, 0}));
             sink.scalar("error_" +
                             std::string(channelIdToken(channels[c])) +
                             "_pl_fixed",
-                        pl_results[c * 2 + 1]);
+                        pl_results.at({c, 1}));
         }
         sink.table("--- PL-cache ablation (hyperthreaded, " +
                        std::string(sim::replPolicyName(policies[0])) +
@@ -269,37 +223,29 @@ class ChannelMatrix final : public Experiment
         // virtual addresses fight the predictor on every probe.  Both
         // columns run the AMD model so the comparison isolates the
         // address-space split.
-        const auto amd = timing::Uarch::amdEpyc7571();
-        const std::uint64_t amd_base = seed + cells + n_channels * 2;
-        const auto amd_results = core::runTrials(
-            n_channels * 2, amd_base,
-            [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                SessionConfig cfg;
-                cfg.channel = channels[idx / 2];
-                cfg.mode = SharingMode::HyperThreaded;
-                cfg.uarch = amd;
-                cfg.tr = modes[0].tr;
-                cfg.ts = modes[0].ts;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = amd_base + idx;
-                cfg.l1_policy = policies[0];
-                cfg.shared_same_vaddr = idx % 2 == 0;
-                return runSession(cfg).error_rate;
-            });
+        SessionConfig amd_base = base;
+        modes[0].apply(amd_base);
+        amd_base.uarch = timing::Uarch::amdEpyc7571();
+        const bool same_vaddr[] = {true, false};
+        const std::uint64_t amd_seed = seed + cells + n_channels * 2;
+        SessionGrid amd_grid(amd_base, SeedRule::flat(amd_seed));
+        amd_grid.over("channel", channels, &SessionConfig::channel)
+            .over("same_vaddr", same_vaddr,
+                  &SessionConfig::shared_same_vaddr);
+        const auto amd_results = amd_grid.run(errorRate);
 
         Table amd_table({"Channel", "same vaddr", "separate spaces"});
         for (std::uint32_t c = 0; c < n_channels; ++c) {
             amd_table.addRow({channelDisplayName(channels[c]),
-                              fmtPercent(amd_results[c * 2]),
-                              fmtPercent(amd_results[c * 2 + 1])});
+                              fmtPercent(amd_results.at({c, 0})),
+                              fmtPercent(amd_results.at({c, 1}))});
             sink.scalar("error_" +
                             std::string(channelIdToken(channels[c])) +
                             "_amd_xspace",
-                        amd_results[c * 2 + 1]);
+                        amd_results.at({c, 1}));
         }
-        sink.table("--- AMD way predictor (hyperthreaded, " + amd.name +
-                       ", " +
+        sink.table("--- AMD way predictor (hyperthreaded, " +
+                       amd_base.uarch.name + ", " +
                        std::string(sim::replPolicyName(policies[0])) +
                        "): shared vaddr vs separate address spaces ---",
                    amd_table);
@@ -314,25 +260,19 @@ class ChannelMatrix final : public Experiment
         // quanta here would mean minutes of per-op stepping per cell.
         const auto noise_cores = params.getUint32("noise_cores");
         const std::uint64_t noise_quantum = scaled ? quantum : 30'000;
-        const std::uint64_t tsn_base = amd_base + n_channels * 2;
-        const auto tsn_results = core::runTrials(
-            n_channels, tsn_base, [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                SessionConfig cfg;
-                cfg.channel = channels[idx];
-                cfg.mode = SharingMode::TimeSliced;
-                cfg.uarch = uarch;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = tsn_base + idx;
-                cfg.tr = modes[1].tr;
-                cfg.ts = modes[1].ts;
-                cfg.l1_policy = policies[0];
-                cfg.noise_cores = noise_cores;
-                cfg.tslice.quantum = noise_quantum;
-                cfg.tslice.quantum_jitter = noise_quantum / 2;
-                cfg.tslice.tick_period = 100'000;
-                return runSession(cfg).error_rate;
-            });
+        const std::uint64_t tsn_seed = amd_seed + n_channels * 2;
+        SessionConfig tsn_base = base;
+        modes[1].apply(tsn_base);
+        scaledTimeSlice(tsn_base, noise_quantum);
+        const auto scaledColumn = [&](std::uint32_t noise,
+                                      std::uint64_t column_seed) {
+            SessionConfig cfg = tsn_base;
+            cfg.noise_cores = noise;
+            SessionGrid grid(cfg, SeedRule::flat(column_seed));
+            grid.over("channel", channels, &SessionConfig::channel);
+            return grid.run(errorRate).values;
+        };
+        const auto tsn_results = scaledColumn(noise_cores, tsn_seed);
 
         // Baseline column at the *same* (scaled) OS scale, so the
         // comparison isolates the noise cores.  Under the scaled regime
@@ -340,29 +280,9 @@ class ChannelMatrix final : public Experiment
         std::vector<double> tsn_baseline(n_channels);
         if (scaled) {
             for (std::uint32_t c = 0; c < n_channels; ++c)
-                tsn_baseline[c] = cell(0, c, 1).first;
+                tsn_baseline[c] = results.at({0, c, 1}).first;
         } else {
-            const std::uint64_t base_seed = tsn_base + n_channels;
-            const auto fresh = core::runTrials(
-                n_channels, base_seed,
-                [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                    SessionConfig cfg;
-                    cfg.channel = channels[idx];
-                    cfg.mode = SharingMode::TimeSliced;
-                    cfg.uarch = uarch;
-                    cfg.message = message;
-                    cfg.repeats = repeats;
-                    cfg.seed = base_seed + idx;
-                    cfg.tr = modes[1].tr;
-                    cfg.ts = modes[1].ts;
-                    cfg.l1_policy = policies[0];
-                    cfg.tslice.quantum = noise_quantum;
-                    cfg.tslice.quantum_jitter = noise_quantum / 2;
-                    cfg.tslice.tick_period = 100'000;
-                    return runSession(cfg).error_rate;
-                });
-            for (std::uint32_t c = 0; c < n_channels; ++c)
-                tsn_baseline[c] = fresh[c];
+            tsn_baseline = scaledColumn(0, tsn_seed + n_channels);
         }
 
         Table tsn_table({"Channel", "no noise cores",
@@ -392,30 +312,6 @@ class ChannelMatrix final : public Experiment
                   "design goes dark.  The\ncross-core Flush+Reload and "
                   "time-sliced Prime+Probe cells were unreachable\n"
                   "before the Session refactor.");
-    }
-
-  private:
-    static std::vector<sim::ReplPolicyKind>
-    parsePolicies(const std::string &list)
-    {
-        std::vector<sim::ReplPolicyKind> policies;
-        std::string token;
-        std::stringstream ss(list);
-        while (std::getline(ss, token, ','))
-            policies.push_back(sim::replPolicyFromName(token));
-        if (policies.empty())
-            throw ParamError("parameter 'policies': at least one "
-                             "replacement policy is required");
-        return policies;
-    }
-
-    static std::vector<std::string>
-    headerFor(const std::vector<sim::ReplPolicyKind> &policies)
-    {
-        std::vector<std::string> header{"Channel"};
-        for (auto p : policies)
-            header.push_back(std::string(sim::replPolicyName(p)));
-        return header;
     }
 };
 

@@ -15,8 +15,6 @@
  *    removes dirty lines, and both channels go dark.
  */
 
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -29,20 +27,6 @@ using namespace lruleak::channel;
 /** The family, sweep order fixed for tables and scalars. */
 constexpr ChannelId kDirtyChannels[] = {ChannelId::DirtyEvict,
                                         ChannelId::FlushDirty};
-
-/** Per-mode protocol periods (the channel_matrix operating points). */
-struct ModePoint
-{
-    SharingMode mode;
-    std::uint64_t tr;
-    std::uint64_t ts;
-};
-
-constexpr ModePoint kModes[] = {
-    {SharingMode::HyperThreaded, 600, 6000},
-    {SharingMode::TimeSliced, 600, 6000},
-    {SharingMode::CrossCore, 3000, 30000},
-};
 
 class DirtyChannelTraces final : public Experiment
 {
@@ -78,47 +62,42 @@ class DirtyChannelTraces final : public Experiment
                   "— so presence and miss counts are symbol-blind\nand "
                   "only the write-back stall separates the levels)");
 
-        trace(ChannelId::DirtyEvict, SharingMode::HyperThreaded, u,
-              params, sink);
-        trace(ChannelId::FlushDirty, SharingMode::HyperThreaded, u,
-              params, sink);
-        trace(ChannelId::FlushDirty, SharingMode::CrossCore, u, params,
-              sink);
+        // The three traces share the seed and run side by side.
+        const std::pair<ChannelId, ModePoint> points[] = {
+            {ChannelId::DirtyEvict, kModePoints[0]},
+            {ChannelId::FlushDirty, kModePoints[0]},
+            {ChannelId::FlushDirty, kModePoints[2]},
+        };
+        SessionConfig base;
+        base.uarch = u;
+        base.message = alternatingBits(
+            static_cast<std::size_t>(params.getUint("bits")));
+        SessionGrid grid(base, SeedRule::constant(params.getUint("seed")));
+        grid.over("trace", points, [](SessionConfig &cfg,
+                                      const auto &point) {
+            cfg.channel = point.first;
+            point.second.apply(cfg);
+        });
+        const auto traces = grid.run(sessionTrace);
+        for (std::uint32_t i = 0; i < std::size(points); ++i) {
+            const auto &[id, mode] = points[i];
+            const SessionTrace &res = traces.at({i});
+            emitTrace(sink,
+                      channelDisplayName(id) + ", " +
+                          std::string(sharingModeToken(mode.mode)) +
+                          ", Tr=" + std::to_string(mode.tr) +
+                          ", Ts=" + std::to_string(mode.ts) +
+                          "  (threshold " + std::to_string(res.threshold) +
+                          " cycles, rate " + fmtKbps(res.kbps) +
+                          ", error " + fmtPercent(res.error_rate) + ")",
+                      res);
+        }
 
         sink.note("\nReading the traces: 1-bit windows sit one uarch "
                   "write-back latency above the\n0-bit floor.  "
                   "Flush-dirty's readout is the timed clflush itself, "
                   "so the cross-core\ntrace is the same signal over the "
                   "shared LLC — the carrier never enters the\nreadout.");
-    }
-
-  private:
-    static void
-    trace(ChannelId id, SharingMode mode, const timing::Uarch &uarch,
-          const ParamMap &params, ResultSink &sink)
-    {
-        const bool xcore = mode == SharingMode::CrossCore;
-        SessionConfig cfg;
-        cfg.channel = id;
-        cfg.mode = mode;
-        cfg.uarch = uarch;
-        cfg.tr = xcore ? 3000 : 600;
-        cfg.ts = xcore ? 30000 : 6000;
-        cfg.message = alternatingBits(
-            static_cast<std::size_t>(params.getUint("bits")));
-        cfg.seed = params.getUint("seed");
-        const auto res = runSession(cfg);
-
-        const std::string title =
-            channelDisplayName(id) + ", " +
-            std::string(sharingModeToken(mode)) +
-            ", Tr=" + std::to_string(cfg.tr) +
-            ", Ts=" + std::to_string(cfg.ts) + "  (threshold " +
-            std::to_string(res.threshold) + " cycles, rate " +
-            fmtKbps(res.kbps) + ", error " + fmtPercent(res.error_rate) +
-            ")";
-        sink.series("\n" + title, sampleLatencies(res.samples, 200), 8);
-        sink.text("", "decoded: " + bitsToString(res.received));
     }
 };
 
@@ -171,58 +150,45 @@ class DirtyErrorRate final : public Experiment
                   "bit)");
 
         // Flat trial-parallel sweep over (channel, mode, write policy);
-        // per-cell seeds depend only on the cell index, so the table is
-        // identical for any worker count.
-        constexpr std::uint32_t n_modes =
-            static_cast<std::uint32_t>(std::size(kModes));
-        constexpr std::uint32_t n_channels =
-            static_cast<std::uint32_t>(std::size(kDirtyChannels));
-        const std::uint32_t cells = n_channels * n_modes * 2;
-        const auto results = core::runTrials(
-            cells, seed, [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                const bool write_through = idx % 2 == 1;
-                const std::uint32_t mode_idx = (idx / 2) % n_modes;
-                const std::uint32_t chan_idx = idx / (2 * n_modes);
-
-                SessionConfig cfg;
-                cfg.channel = kDirtyChannels[chan_idx];
-                cfg.mode = kModes[mode_idx].mode;
-                cfg.uarch = uarch;
-                cfg.tr = kModes[mode_idx].tr;
-                cfg.ts = kModes[mode_idx].ts;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = seed + idx / 2; // WB/WT pairs share a seed
-                if (write_through)
-                    cfg.write_hit = sim::WriteHitPolicy::WriteThrough;
-                if (cfg.mode == SharingMode::TimeSliced) {
-                    cfg.tslice.quantum = quantum;
-                    cfg.tslice.quantum_jitter = quantum / 2;
-                    cfg.tslice.tick_period = 100'000;
-                }
-                const auto res = runSession(cfg);
-                return std::pair<double, double>(res.error_rate,
-                                                 res.kbps);
-            });
+        // per-cell seeds depend only on the cell index, and a cell's
+        // write-back and write-through sessions share one, so the table
+        // is identical for any worker count.
+        SessionConfig base;
+        base.uarch = uarch;
+        base.message = message;
+        base.repeats = repeats;
+        const sim::WriteHitPolicy writes[] = {
+            sim::WriteHitPolicy::WriteBack,
+            sim::WriteHitPolicy::WriteThrough};
+        SessionGrid grid(base, SeedRule::flat(seed, 2));
+        grid.over("channel", kDirtyChannels, &SessionConfig::channel)
+            .over("mode", kModePoints, [&](SessionConfig &cfg,
+                                           const ModePoint &point) {
+                point.apply(cfg);
+                if (point.mode == SharingMode::TimeSliced)
+                    scaledTimeSlice(cfg, quantum);
+            })
+            .over("write", writes, &SessionConfig::write_hit);
+        const auto results = grid.run(errorAndRate);
 
         Table table({"Channel", "Mode", "write-back", "write-through"});
-        for (std::uint32_t c = 0; c < n_channels; ++c) {
-            for (std::uint32_t m = 0; m < n_modes; ++m) {
-                const auto &[wb_err, wb_kbps] =
-                    results[(c * n_modes + m) * 2];
-                const auto &[wt_err, _] = results[(c * n_modes + m) * 2 + 1];
+        for (std::uint32_t c = 0; c < std::size(kDirtyChannels); ++c) {
+            for (std::uint32_t m = 0; m < std::size(kModePoints); ++m) {
+                const auto &[wb_err, wb_kbps] = results.at({c, m, 0});
+                const double wt_err = results.at({c, m, 1}).first;
+                const SharingMode mode = kModePoints[m].mode;
                 table.addRow({channelDisplayName(kDirtyChannels[c]),
-                              std::string(sharingModeToken(kModes[m].mode)),
+                              std::string(sharingModeToken(mode)),
                               fmtPercent(wb_err) + " @ " +
                                   fmtKbps(wb_kbps),
                               fmtPercent(wt_err)});
 
-                const std::string base =
+                const std::string key =
                     "error_" +
                     std::string(channelIdToken(kDirtyChannels[c])) + "_" +
-                    std::string(sharingModeToken(kModes[m].mode));
-                sink.scalar(base + "_wb", wb_err);
-                sink.scalar(base + "_wt", wt_err);
+                    std::string(sharingModeToken(mode));
+                sink.scalar(key + "_wb", wb_err);
+                sink.scalar(key + "_wt", wt_err);
             }
         }
         sink.table("", table);

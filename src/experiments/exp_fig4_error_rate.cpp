@@ -6,8 +6,6 @@
  * d in 1..8, Ts in {4500, 6000, 12000, 30000}.
  */
 
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -50,65 +48,50 @@ class Fig4ErrorRate final : public Experiment
                       "repeats")) +
                   "; error = Wagner-Fischer edit distance / bits sent)");
 
-        sweep(LruAlgorithm::Alg1Shared, "Algorithm 1 (shared memory)",
-              params, sink);
-        sweep(LruAlgorithm::Alg2Disjoint, "Algorithm 2 (no shared "
-                                          "memory)",
-              params, sink);
+        // Both algorithms' (Tr, Ts, d) cells are independent channel
+        // runs: one trial-parallel sweep.  Seeds stay the sequential
+        // ones (seed + d), so the tables are identical for any worker
+        // count.
+        const ChannelId algs[] = {ChannelId::LruAlg1, ChannelId::LruAlg2};
+        const char *titles[] = {"Algorithm 1 (shared memory)",
+                                "Algorithm 2 (no shared memory)"};
+        const std::uint64_t trs[] = {600, 1000, 3000};
+        const std::uint64_t tss[] = {4500, 6000, 12000, 30000};
+        const std::uint32_t ds[] = {1, 2, 3, 4, 5, 6, 7, 8};
+        SessionConfig base;
+        base.message = randomBits(
+            static_cast<std::size_t>(params.getUint("bits")), 20200128);
+        base.repeats = params.getUint32("repeats");
+        SessionGrid grid(base, SeedRule::depth(params.getUint("seed")));
+        grid.over("alg", algs, &SessionConfig::channel)
+            .over("tr", trs, &SessionConfig::tr)
+            .over("ts", tss, &SessionConfig::ts)
+            .over("d", ds, &SessionConfig::d);
+        const auto cells = grid.run(errorAndRate);
+
+        for (std::uint32_t a = 0; a < std::size(algs); ++a) {
+            sink.note("\n--- " + std::string(titles[a]) + " ---");
+            for (std::uint32_t r = 0; r < std::size(trs); ++r) {
+                Table table({"Ts (cyc)", "Rate", "d=1", "d=2", "d=3",
+                             "d=4", "d=5", "d=6", "d=7", "d=8"});
+                for (std::uint32_t t = 0; t < std::size(tss); ++t) {
+                    std::vector<std::string> full{
+                        std::to_string(tss[t]),
+                        fmtKbps(cells.at({a, r, t, 7}).second)};
+                    for (std::uint32_t d = 0; d < 8; ++d)
+                        full.push_back(
+                            fmtPercent(cells.at({a, r, t, d}).first));
+                    table.addRow(full);
+                }
+                sink.table("Tr = " + std::to_string(trs[r]) + " cycles",
+                           table);
+            }
+        }
 
         sink.note("\nPaper reference: error grows with rate; Algorithm "
                   "2 is noisier with the even-d\nTree-PLRU pathology "
                   "(d = 2,4,6 bad); Tr = 3000 is the worst sampling "
                   "period.");
-    }
-
-  private:
-    static void
-    sweep(LruAlgorithm alg, const char *title, const ParamMap &params,
-          ResultSink &sink)
-    {
-        sink.note("\n--- " + std::string(title) + " ---");
-        const Bits message = randomBits(
-            static_cast<std::size_t>(params.getUint("bits")), 20200128);
-        const auto repeats = params.getUint32("repeats");
-        const auto seed = params.getUint("seed");
-
-        for (std::uint64_t tr : {600ULL, 1000ULL, 3000ULL}) {
-            Table table({"Ts (cyc)", "Rate", "d=1", "d=2", "d=3", "d=4",
-                         "d=5", "d=6", "d=7", "d=8"});
-            for (std::uint64_t ts :
-                 {4500ULL, 6000ULL, 12000ULL, 30000ULL}) {
-                // The eight d-cells of a row are independent channel
-                // runs: fan them out trial-parallel.  Seeds stay the
-                // sequential ones (seed + d), so the table is identical
-                // for any worker count.
-                const auto cells = core::runTrials(
-                    8, seed,
-                    [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                        const std::uint32_t d = idx + 1;
-                        SessionConfig cfg;
-                        cfg.channel = alg == LruAlgorithm::Alg1Shared
-                                          ? ChannelId::LruAlg1
-                                          : ChannelId::LruAlg2;
-                        cfg.d = d;
-                        cfg.tr = tr;
-                        cfg.ts = ts;
-                        cfg.message = message;
-                        cfg.repeats = repeats;
-                        cfg.seed = seed + d;
-                        const auto res = runSession(cfg);
-                        return std::pair<double, double>(res.error_rate,
-                                                         res.kbps);
-                    });
-
-                std::vector<std::string> full{std::to_string(ts),
-                                              fmtKbps(cells.back().second)};
-                for (const auto &[error_rate, _] : cells)
-                    full.push_back(fmtPercent(error_rate));
-                table.addRow(full);
-            }
-            sink.table("Tr = " + std::to_string(tr) + " cycles", table);
-        }
     }
 };
 

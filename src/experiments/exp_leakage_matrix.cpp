@@ -26,18 +26,13 @@
  * sender-owned line — the x-core LRU channel's bits/use collapses to
  * ~0 (the multi-spy counter-attack is scored by `sharp_defense`).
  *
- * Determinism: one flat core::runTrials sweep per section with
+ * Determinism: one SessionGrid sweep per section with
  * per-session seeds derived only from the flat index, then strictly
  * sequential aggregation — any LRULEAK_THREADS yields byte-identical
  * output, which the golden snapshot pins.
  */
 
-#include <sstream>
-
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
-#include "leakage/report.hpp"
 
 namespace lruleak::experiments {
 
@@ -45,20 +40,6 @@ namespace {
 
 using namespace lruleak::core;
 using namespace lruleak::channel;
-
-/** Per-mode protocol periods (same operating points as channel_matrix). */
-struct ModePoint
-{
-    SharingMode mode;
-    std::uint64_t tr;
-    std::uint64_t ts;
-};
-
-constexpr ModePoint kModes[] = {
-    {SharingMode::HyperThreaded, 600, 6000},
-    {SharingMode::TimeSliced, 600, 6000},
-    {SharingMode::CrossCore, 3000, 30000},
-};
 
 /** Secure-mode column of the hyper-threaded section. */
 struct SecurePoint
@@ -75,14 +56,6 @@ constexpr SecurePoint kSecure[] = {
      false},
     {"pl_original", sim::SecureMode::None, sim::PlMode::Original, true},
     {"pl_fixed", sim::SecureMode::None, sim::PlMode::FixedLruLock, true},
-};
-
-/** What one session contributes to its cell's Report. */
-struct TrialTrace
-{
-    Bits sent;
-    Bits decoded;
-    double kbps = 0.0;
 };
 
 class LeakageMatrix final : public Experiment
@@ -112,9 +85,7 @@ class LeakageMatrix final : public Experiment
             ParamSpec::integer("quantum", 30'000,
                                "time-sliced cells: scheduling quantum in "
                                "cycles (scaled OS model)"),
-            ParamSpec::str("policies", "treeplru,lru,srrip",
-                           "comma-separated carrier replacement-policy "
-                           "list"),
+            policiesParam("treeplru,lru,srrip"),
             uarchParam("e5-2690"),
             seedParam(31),
         };
@@ -132,16 +103,27 @@ class LeakageMatrix final : public Experiment
         const Bits message = randomBits(
             static_cast<std::size_t>(params.getUint("bits")), 20200415);
         const auto uarch = uarchFromParams(params);
-        const auto policies = parsePolicies(params.getStr("policies"));
+        const auto policies = parsePolicies(params);
 
         const auto &channels = allChannelIds();
         const std::uint32_t n_modes =
-            static_cast<std::uint32_t>(std::size(kModes));
+            static_cast<std::uint32_t>(std::size(kModePoints));
         const std::uint32_t n_channels =
             static_cast<std::uint32_t>(channels.size());
         const std::uint32_t n_policies =
             static_cast<std::uint32_t>(policies.size());
-        const std::uint32_t cells = n_policies * n_channels * n_modes;
+        // One Report per cell, bootstrap seed a function of the cell
+        // index only.
+        const auto pooled = [&](std::uint64_t boot_base) {
+            return [&, boot_base](std::span<const TrialTrace> cell,
+                                  std::uint32_t idx) {
+                return pooledLeakage(cell, resamples, boot_base + idx);
+            };
+        };
+        SessionConfig base;
+        base.uarch = uarch;
+        base.message = message;
+        base.repeats = repeats;
 
         sink.note("=== leakage matrix: empirical bits/use and bits/s "
                   "per channel x sharing mode x policy, " + uarch.name +
@@ -157,68 +139,26 @@ class LeakageMatrix final : public Experiment
         // One flat sweep; session (cell, t) sits at idx = cell*trials+t
         // and is seeded by idx alone, so the table is independent of
         // LRULEAK_THREADS.
-        const auto traces = core::runTrials(
-            cells * trials, seed, [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                const std::uint32_t cell_idx = idx / trials;
-                const std::uint32_t mode_idx = cell_idx % n_modes;
-                const std::uint32_t chan_idx =
-                    (cell_idx / n_modes) % n_channels;
-                const std::size_t pol = cell_idx / (n_modes * n_channels);
-
-                SessionConfig cfg;
-                cfg.channel = channels[chan_idx];
-                cfg.mode = kModes[mode_idx].mode;
-                cfg.uarch = uarch;
-                cfg.tr = kModes[mode_idx].tr;
-                cfg.ts = kModes[mode_idx].ts;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = seed + idx;
-                if (sessionCarrier(cfg) == Carrier::Llc)
-                    cfg.llc_policy = policies[pol];
-                else
-                    cfg.l1_policy = policies[pol];
-                if (cfg.mode == SharingMode::TimeSliced) {
-                    cfg.tslice.quantum = quantum;
-                    cfg.tslice.quantum_jitter = quantum / 2;
-                    cfg.tslice.tick_period = 100'000;
-                }
-                const auto res = runSession(cfg);
-                return TrialTrace{res.sent, res.decoded_symbols, res.kbps};
-            });
-
-        // Sequential aggregation, one Report per cell, bootstrap seed a
-        // function of the cell index only.
-        const auto aggregateCell = [&](const auto &all,
-                                       std::uint32_t cell_idx,
-                                       std::uint64_t boot_seed) {
-            leakage::Report::Config rc;
-            rc.resamples = resamples;
-            rc.seed = boot_seed;
-            leakage::Report report(rc);
-            for (std::uint32_t t = 0; t < trials; ++t) {
-                const TrialTrace &tr = all[cell_idx * trials + t];
-                report.addTrial(tr.sent, tr.decoded, tr.kbps * 1000.0);
-            }
-            return report.aggregate();
-        };
-
-        std::vector<leakage::Aggregate> agg(cells);
-        for (std::uint32_t cell_idx = 0; cell_idx < cells; ++cell_idx)
-            agg[cell_idx] = aggregateCell(traces, cell_idx, 97 + cell_idx);
-
-        const auto cellAgg = [&](std::size_t pol, std::uint32_t chan,
-                                 std::uint32_t mode) -> const auto & {
-            return agg[(pol * n_channels + chan) * n_modes + mode];
-        };
+        SessionGrid matrix(base, SeedRule::flat(seed));
+        matrix.policies(policies)
+            .over("channel", channels, &SessionConfig::channel)
+            .over("mode", kModePoints, [&](SessionConfig &cfg,
+                                           const ModePoint &point) {
+                point.apply(cfg);
+                if (point.mode == SharingMode::TimeSliced)
+                    scaledTimeSlice(cfg, quantum);
+            })
+            .trials(trials);
+        const std::uint32_t cells = matrix.cells();
+        const auto agg = matrix.run(trialTrace).perCell(pooled(97));
 
         for (std::uint32_t m = 0; m < n_modes; ++m) {
-            Table table(headerFor(policies));
+            Table table(policyHeader(policies));
             for (std::uint32_t c = 0; c < n_channels; ++c) {
                 std::vector<std::string> row{
                     channelDisplayName(channels[c])};
                 for (std::uint32_t p = 0; p < n_policies; ++p) {
-                    const auto &a = cellAgg(p, c, m);
+                    const auto &a = agg.at({p, c, m});
                     row.push_back(
                         fmtDouble(a.pooled.corrected_bits_per_use, 3) +
                         " b/u @ " +
@@ -226,12 +166,12 @@ class LeakageMatrix final : public Experiment
                 }
                 table.addRow(row);
             }
-            sink.table("--- sharing mode: " +
-                           std::string(sharingModeToken(kModes[m].mode)) +
-                           " (Tr=" + std::to_string(kModes[m].tr) +
-                           ", Ts=" + std::to_string(kModes[m].ts) +
-                           ") ---",
-                       table);
+            sink.table(
+                "--- sharing mode: " +
+                    std::string(sharingModeToken(kModePoints[m].mode)) +
+                    " (Tr=" + std::to_string(kModePoints[m].tr) +
+                    ", Ts=" + std::to_string(kModePoints[m].ts) + ") ---",
+                table);
         }
 
         // Every cell as machine-checkable scalars (bits/use, bits/s).
@@ -240,10 +180,10 @@ class LeakageMatrix final : public Experiment
                 std::string(sim::replPolicyName(policies[p]));
             for (std::uint32_t c = 0; c < n_channels; ++c) {
                 for (std::uint32_t m = 0; m < n_modes; ++m) {
-                    const auto &a = cellAgg(p, c, m);
+                    const auto &a = agg.at({p, c, m});
                     const std::string key =
                         std::string(channelIdToken(channels[c])) + "_" +
-                        std::string(sharingModeToken(kModes[m].mode)) +
+                        std::string(sharingModeToken(kModePoints[m].mode)) +
                         "_" + pol;
                     sink.scalar("bpu_" + key,
                                 a.pooled.corrected_bits_per_use);
@@ -257,7 +197,7 @@ class LeakageMatrix final : public Experiment
         Table detail({"Channel", "bits/use", "95% CI", "capacity b/u",
                       "bits/s", "pairs"});
         for (std::uint32_t c = 0; c < n_channels; ++c) {
-            const auto &a = cellAgg(0, c, 0);
+            const auto &a = agg.at({0, c, 0});
             detail.addRow(
                 {channelDisplayName(channels[c]),
                  fmtDouble(a.pooled.corrected_bits_per_use, 4),
@@ -280,43 +220,29 @@ class LeakageMatrix final : public Experiment
         // column (first listed policy).  DAWG / RandomFill act on the
         // L1 (CacheConfig::secure); the PL modes lock the sender's
         // line.  The "none" baseline is section A's cell.
-        const std::uint32_t n_secure =
-            static_cast<std::uint32_t>(std::size(kSecure));
         const std::uint64_t sec_base = seed + cells * trials;
-        const auto sec_traces = core::runTrials(
-            n_secure * n_channels * trials, sec_base,
-            [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                const std::uint32_t cell_idx = idx / trials;
-                const SecurePoint &sp = kSecure[cell_idx % n_secure];
-                const std::uint32_t chan_idx = cell_idx / n_secure;
-
-                SessionConfig cfg;
-                cfg.channel = channels[chan_idx];
-                cfg.mode = SharingMode::HyperThreaded;
-                cfg.uarch = uarch;
-                cfg.tr = kModes[0].tr;
-                cfg.ts = kModes[0].ts;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = sec_base + idx;
-                cfg.l1_policy = policies[0];
+        SessionConfig sec_cfg = base;
+        kModePoints[0].apply(sec_cfg);
+        sec_cfg.l1_policy = policies[0];
+        SessionGrid secure(sec_cfg, SeedRule::flat(sec_base));
+        secure.over("channel", channels, &SessionConfig::channel)
+            .over("secure", kSecure, [](SessionConfig &cfg,
+                                        const SecurePoint &sp) {
                 cfg.l1_secure = sp.l1_secure;
                 cfg.pl_mode = sp.pl_mode;
                 cfg.sender_locks_line = sp.lock_line;
-                const auto res = runSession(cfg);
-                return TrialTrace{res.sent, res.decoded_symbols, res.kbps};
-            });
+            })
+            .trials(trials);
+        const auto sec_agg = secure.run(trialTrace).perCell(pooled(0x5ec0));
 
         Table sec_table({"Channel", "none", "dawg", "randomfill",
                          "pl_original", "pl_fixed"});
         for (std::uint32_t c = 0; c < n_channels; ++c) {
             std::vector<std::string> row{channelDisplayName(channels[c])};
             row.push_back(fmtDouble(
-                cellAgg(0, c, 0).pooled.corrected_bits_per_use, 3));
-            for (std::uint32_t s = 0; s < n_secure; ++s) {
-                const std::uint32_t cell_idx = c * n_secure + s;
-                const auto a = aggregateCell(sec_traces, cell_idx,
-                                             0x5ec0 + cell_idx);
+                agg.at({0, c, 0}).pooled.corrected_bits_per_use, 3));
+            for (std::uint32_t s = 0; s < std::size(kSecure); ++s) {
+                const auto &a = sec_agg.at({c, s});
                 row.push_back(fmtDouble(
                     a.pooled.corrected_bits_per_use, 3));
                 const std::string key =
@@ -341,39 +267,23 @@ class LeakageMatrix final : public Experiment
         // counter-attack and the alarm economics live in the dedicated
         // `sharp_defense` experiment.
         const std::uint32_t xc_mode = n_modes - 1; // CrossCore
-        const std::uint64_t sharp_base =
-            sec_base + n_secure * n_channels * trials;
-        const auto sharp_traces = core::runTrials(
-            n_channels * trials, sharp_base,
-            [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                const std::uint32_t chan_idx = idx / trials;
-
-                SessionConfig cfg;
-                cfg.channel = channels[chan_idx];
-                cfg.mode = SharingMode::CrossCore;
-                cfg.uarch = uarch;
-                cfg.tr = kModes[xc_mode].tr;
-                cfg.ts = kModes[xc_mode].ts;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = sharp_base + idx;
-                if (sessionCarrier(cfg) == Carrier::Llc)
-                    cfg.llc_policy = policies[0];
-                else
-                    cfg.l1_policy = policies[0];
-                cfg.llc_secure = sim::SecureMode::Sharp;
-                const auto res = runSession(cfg);
-                return TrialTrace{res.sent, res.decoded_symbols, res.kbps};
-            });
+        SessionConfig sharp_cfg = base;
+        kModePoints[xc_mode].apply(sharp_cfg);
+        sharp_cfg.llc_secure = sim::SecureMode::Sharp;
+        SessionGrid sharp(sharp_cfg,
+                          SeedRule::flat(sec_base + secure.sessions()));
+        sharp.policies({policies[0]})
+            .over("channel", channels, &SessionConfig::channel)
+            .trials(trials);
+        const auto sharp_agg = sharp.run(trialTrace).perCell(pooled(0x5a9f));
 
         Table sharp_table({"Channel", "none", "sharp"});
         for (std::uint32_t c = 0; c < n_channels; ++c) {
-            const auto a =
-                aggregateCell(sharp_traces, c, 0x5a9f + c);
+            const auto &a = sharp_agg.at({0, c});
             sharp_table.addRow(
                 {channelDisplayName(channels[c]),
                  fmtDouble(
-                     cellAgg(0, c, xc_mode).pooled.corrected_bits_per_use,
+                     agg.at({0, c, xc_mode}).pooled.corrected_bits_per_use,
                      3),
                  fmtDouble(a.pooled.corrected_bits_per_use, 3)});
             const std::string key =
@@ -400,30 +310,6 @@ class LeakageMatrix final : public Experiment
                   "folds the\nsession's real pace in: a clean but slow "
                   "channel can leak less per second than a\nnoisy fast "
                   "one.");
-    }
-
-  private:
-    static std::vector<sim::ReplPolicyKind>
-    parsePolicies(const std::string &list)
-    {
-        std::vector<sim::ReplPolicyKind> policies;
-        std::string token;
-        std::stringstream ss(list);
-        while (std::getline(ss, token, ','))
-            policies.push_back(sim::replPolicyFromName(token));
-        if (policies.empty())
-            throw ParamError("parameter 'policies': at least one "
-                             "replacement policy is required");
-        return policies;
-    }
-
-    static std::vector<std::string>
-    headerFor(const std::vector<sim::ReplPolicyKind> &policies)
-    {
-        std::vector<std::string> header{"Channel"};
-        for (auto p : policies)
-            header.push_back(std::string(sim::replPolicyName(p)));
-        return header;
     }
 };
 

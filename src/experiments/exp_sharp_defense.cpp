@@ -31,17 +31,13 @@
  * benign baseline.  That recovery-vs-detectability gradient is the
  * tradeoff this table quantifies.
  *
- * Determinism: one flat core::runTrials sweep, session (cell, t) seeded
- * by its flat index alone, strictly sequential aggregation — the output
+ * Determinism: the attack grid and the false-alarm grid after it seed
+ * session (cell, t) by its flat index across both, strictly sequential
+ * aggregation — the output
  * is byte-identical for any LRULEAK_THREADS (golden-snapshotted).
  */
 
-#include <sstream>
-
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
-#include "leakage/report.hpp"
 
 namespace lruleak::experiments {
 
@@ -51,11 +47,8 @@ using namespace lruleak::core;
 using namespace lruleak::channel;
 
 /** What one session contributes to its cell. */
-struct TrialTrace
+struct SharpTrace : TrialTrace
 {
-    Bits sent;
-    Bits decoded;
-    double kbps = 0.0;
     double error_rate = 0.0;
     std::uint64_t party_alarms = 0;  //!< sender + spy cores
     std::uint64_t benign_alarms = 0; //!< noise cores
@@ -134,24 +127,16 @@ class SharpDefense final : public Experiment
         const Bits message = randomBits(
             static_cast<std::size_t>(params.getUint("bits")), 20200416);
         const auto uarch = uarchFromParams(params);
-        const auto spy_counts = parseUints(params.getStr("spies"),
-                                           "spies");
-        const auto thresholds = parseUints(params.getStr("thresholds"),
-                                           "thresholds");
-        const auto policy = sim::replPolicyFromName(
-            params.getStr("policy"));
+        const auto spy_counts = parseUints(params, "spies");
+        const auto thresholds = parseUints(params, "thresholds");
+        const auto policy = parsePolicy(params);
 
         const std::uint32_t n_spies =
             static_cast<std::uint32_t>(spy_counts.size());
-        // Column 0 is SHARP off; column 1 + i is threshold i.
-        const std::uint32_t n_cols =
-            1 + static_cast<std::uint32_t>(thresholds.size());
-        const std::uint32_t cells = n_spies * n_cols;
-        // Past the attack grid: one idle-channel false-alarm cell per
-        // threshold, with benign noise cores as the only other load.
         const std::uint32_t n_thresh =
             static_cast<std::uint32_t>(thresholds.size());
-        const std::uint32_t all_cells = cells + n_thresh;
+        // Column 0 is SHARP off; column 1 + i is threshold i.
+        const std::uint32_t n_cols = 1 + n_thresh;
 
         sink.note("=== sharp_defense: SHARP-protected LLC vs K-spy "
                   "cross-core LRU attack, " + uarch.name + " ===\n(" +
@@ -164,93 +149,93 @@ class SharpDefense final : public Experiment
                   std::to_string(noise) + " benign noise core(s) and "
                   "counts\nthe alarms innocents trip per bit window)");
 
-        // One flat sweep; session (cell, t) at idx = cell*trials + t.
-        const auto traces = core::runTrials(
-            all_cells * trials, seed,
-            [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                const std::uint32_t cell_idx = idx / trials;
-                const bool benign_cell = cell_idx >= cells;
-                const std::uint32_t col =
-                    benign_cell ? 1 + (cell_idx - cells)
-                                : cell_idx % n_cols;
-                const std::uint32_t spies =
-                    benign_cell ? 1 : spy_counts[cell_idx / n_cols];
-
-                SessionConfig cfg;
-                cfg.channel = ChannelId::XCoreLruAlg2;
-                cfg.mode = SharingMode::CrossCore;
-                cfg.uarch = uarch;
-                cfg.llc_policy = policy;
-                cfg.tr = tr;
-                cfg.ts = ts;
-                // The false-alarm baseline transmits nothing: an
-                // all-zero message leaves the channel idle, so every
-                // refusal alarm in those sessions is a false positive.
-                cfg.message = benign_cell ? Bits(message.size(), 0)
-                                          : message;
-                cfg.repeats = repeats;
-                cfg.spies = spies;
-                cfg.noise_cores =
-                    benign_cell ? std::max<std::uint32_t>(noise, 1) : 0;
-                cfg.seed = seed + idx;
-                if (col > 0) {
-                    cfg.llc_secure = sim::SecureMode::Sharp;
-                    cfg.llc_alarm_threshold = thresholds[col - 1];
-                }
-                const auto res = runSession(cfg);
-
-                TrialTrace t{res.sent, res.decoded_symbols, res.kbps,
-                             res.error_rate};
-                // Cores 0..spies are the colluding parties (sender on
-                // core 0, spy j on core 1 + j); everything past them is
-                // benign noise.
-                for (std::size_t c = 0;
-                     c < res.sharp_core_alarms.size(); ++c) {
-                    if (c <= spies)
-                        t.party_alarms += res.sharp_core_alarms[c];
-                    else
-                        t.benign_alarms += res.sharp_core_alarms[c];
-                }
-                t.forced = res.sharp_forced;
-                t.denied = res.sharp_denied;
-                return t;
-            });
-
-        // Sequential aggregation, one Report per cell.
-        std::vector<CellScore> score(all_cells);
-        for (std::uint32_t cell_idx = 0; cell_idx < all_cells;
-             ++cell_idx) {
-            leakage::Report::Config rc;
-            rc.resamples = resamples;
-            rc.seed = 0x5a9 + cell_idx;
-            leakage::Report report(rc);
-            CellScore &s = score[cell_idx];
-            std::uint64_t party = 0, benign = 0, forced = 0, denied = 0,
-                          bits_sent = 0;
-            for (std::uint32_t t = 0; t < trials; ++t) {
-                const TrialTrace &tt = traces[cell_idx * trials + t];
-                report.addTrial(tt.sent, tt.decoded, tt.kbps * 1000.0);
-                s.error_rate += tt.error_rate;
-                party += tt.party_alarms;
-                benign += tt.benign_alarms;
-                forced += tt.forced;
-                denied += tt.denied;
-                bits_sent += tt.sent.size();
+        SessionConfig base;
+        base.channel = ChannelId::XCoreLruAlg2;
+        base.mode = SharingMode::CrossCore;
+        base.uarch = uarch;
+        base.llc_policy = policy;
+        base.tr = tr;
+        base.ts = ts;
+        base.message = message;
+        base.repeats = repeats;
+        const auto setSharp = [&](SessionConfig &cfg, std::uint32_t col) {
+            if (col > 0) {
+                cfg.llc_secure = sim::SecureMode::Sharp;
+                cfg.llc_alarm_threshold = thresholds[col - 1];
             }
-            const auto agg = report.aggregate();
-            s.error_rate /= trials;
-            s.bits_per_use = agg.pooled.corrected_bits_per_use;
-            s.bpu_ci = agg.bits_per_use_ci;
-            const double denom = bits_sent ? double(bits_sent) : 1.0;
-            s.party_alarms_per_bit = double(party) / denom;
-            s.benign_alarms_per_bit = double(benign) / denom;
-            s.forced_per_bit = double(forced) / denom;
-            s.denied_per_bit = double(denied) / denom;
-        }
+        };
+        const auto project = [](const SessionResult &res) {
+            SharpTrace t{trialTrace(res), res.error_rate};
+            // Cores 0..spies are the colluding parties (sender on core
+            // 0, spy j on core 1 + j); everything past them is benign
+            // noise.
+            for (std::size_t c = 0; c < res.sharp_core_alarms.size(); ++c) {
+                if (c <= res.spies)
+                    t.party_alarms += res.sharp_core_alarms[c];
+                else
+                    t.benign_alarms += res.sharp_core_alarms[c];
+            }
+            t.forced = res.sharp_forced;
+            t.denied = res.sharp_denied;
+            return t;
+        };
+        // Sequential aggregation, one Report per cell.
+        const auto scoreCells = [&](std::uint64_t boot_base) {
+            return [&, boot_base](std::span<const SharpTrace> cell,
+                                  std::uint32_t idx) {
+                CellScore s;
+                std::uint64_t party = 0, benign = 0, forced = 0,
+                              denied = 0, bits_sent = 0;
+                for (const SharpTrace &tt : cell) {
+                    s.error_rate += tt.error_rate;
+                    party += tt.party_alarms;
+                    benign += tt.benign_alarms;
+                    forced += tt.forced;
+                    denied += tt.denied;
+                    bits_sent += tt.sent.size();
+                }
+                const auto agg =
+                    pooledLeakage(cell, resamples, boot_base + idx);
+                s.error_rate /= trials;
+                s.bits_per_use = agg.pooled.corrected_bits_per_use;
+                s.bpu_ci = agg.bits_per_use_ci;
+                const double denom = bits_sent ? double(bits_sent) : 1.0;
+                s.party_alarms_per_bit = double(party) / denom;
+                s.benign_alarms_per_bit = double(benign) / denom;
+                s.forced_per_bit = double(forced) / denom;
+                s.denied_per_bit = double(denied) / denom;
+                return s;
+            };
+        };
+
+        // The attack grid, session (cell, t) seeded by its flat index.
+        SessionGrid attack(base, SeedRule::flat(seed));
+        attack
+            .over("spies", spy_counts, &SessionConfig::spies)
+            .axis("sharp", n_cols, setSharp)
+            .trials(trials);
+        const auto score = attack.run(project).perCell(scoreCells(0x5a9));
+
+        // Past it, seeded on: one idle-channel false-alarm cell per
+        // threshold, with benign noise cores as the only other load.
+        // An all-zero message leaves the channel idle, so every refusal
+        // alarm in those sessions is a false positive.
+        SessionConfig idle = base;
+        idle.message = Bits(message.size(), 0);
+        idle.noise_cores = std::max<std::uint32_t>(noise, 1);
+        SessionGrid baseline(idle, SeedRule::flat(seed + attack.sessions()));
+        baseline
+            .axis("threshold", n_thresh,
+                  [&](SessionConfig &cfg, std::uint32_t i) {
+                      setSharp(cfg, 1 + i);
+                  })
+            .trials(trials);
+        const auto idle_score = baseline.run(project).perCell(
+            scoreCells(0x5a9 + attack.cells()));
 
         const auto cell = [&](std::uint32_t k,
                               std::uint32_t col) -> const CellScore & {
-            return score[k * n_cols + col];
+            return score.at({k, col});
         };
         const auto colToken = [&](std::uint32_t col) {
             return col == 0 ? std::string("off")
@@ -304,7 +289,7 @@ class SharpDefense final : public Experiment
         Table fa_table({"Threshold", "benign alarms/bit",
                         "idle-party alarms/bit", "denied/bit"});
         for (std::uint32_t i = 0; i < n_thresh; ++i) {
-            const CellScore &s = score[cells + i];
+            const CellScore &s = idle_score.at({i});
             fa_table.addRow({std::to_string(thresholds[i]),
                              fmtDouble(s.benign_alarms_per_bit, 4),
                              fmtDouble(s.party_alarms_per_bit, 4),
@@ -334,7 +319,7 @@ class SharpDefense final : public Experiment
         }
         for (std::uint32_t i = 0; i < n_thresh; ++i)
             sink.scalar("falarm_th" + std::to_string(thresholds[i]),
-                        score[cells + i].benign_alarms_per_bit);
+                        idle_score.at({i}).benign_alarms_per_bit);
 
         sink.note("\nReading the scorecard: under SHARP a single spy "
                   "sits at chance error and ~0\nbits/use — its evictions "
@@ -348,22 +333,6 @@ class SharpDefense final : public Experiment
                   "persistent offenders'\nalarms into fill denials "
                   "(denied/bit) at zero benign cost while the benign "
                   "rate\nstays under the budget.");
-    }
-
-  private:
-    static std::vector<std::uint32_t>
-    parseUints(const std::string &list, const std::string &param)
-    {
-        std::vector<std::uint32_t> values;
-        std::string token;
-        std::stringstream ss(list);
-        while (std::getline(ss, token, ','))
-            values.push_back(static_cast<std::uint32_t>(
-                std::stoul(token)));
-        if (values.empty())
-            throw ParamError("parameter '" + param +
-                             "': at least one value is required");
-        return values;
     }
 };
 

@@ -15,8 +15,6 @@
  * load, and the trace rows make the injected misses visible.
  */
 
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -85,45 +83,45 @@ class SmtMulticoreTraces final : public Experiment
         // One run per noise-core count 0..cores-1, fanned out with
         // per-cell seeds (identical output for any LRULEAK_THREADS).
         const std::uint32_t noise_levels = cores;
-        const auto results = core::runTrials(
-            noise_levels, seed, [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                SessionConfig cfg;
-                cfg.channel = alg == LruAlgorithm::Alg1Shared
-                                  ? ChannelId::LruAlg1
-                                  : ChannelId::LruAlg2;
-                cfg.mode = SharingMode::HyperThreaded;
-                cfg.multicore = true;
-                cfg.uarch = uarch;
-                cfg.noise_cores = idx;
-                cfg.d = d;
-                cfg.message = message;
-                cfg.seed = seed + idx;
-                // The channel's L1-set-7 lines scatter to LLC sets
-                // 64k+7 (L1 tag bits feed the LLC index), so an
-                // oblivious LLC-wide footprint almost never pressures
-                // them inside the receiver's 600-cycle sleep window.
-                // Model the worst realistic co-resident instead: a
-                // streaming process whose hot set collides with the
-                // timed line's LLC set (71), deeper than the LLC's
-                // associativity.  Its fills evict line 0 from the LLC
-                // mid-protocol and the back-invalidation clears the
-                // pair's private copies — the cross-core noise path.
-                cfg.noise.base = 0x6000'0000'0000ULL + (71u << 6);
-                cfg.noise.footprint_sets = 1;
-                cfg.noise.lines_per_set = 24;
-                cfg.noise.burst = 256;
-                cfg.noise.gap = 10;
-                return runSession(cfg);
-            });
+        SessionConfig base;
+        base.channel = alg == LruAlgorithm::Alg1Shared ? ChannelId::LruAlg1
+                                                       : ChannelId::LruAlg2;
+        base.mode = SharingMode::HyperThreaded;
+        base.multicore = true;
+        base.uarch = uarch;
+        base.d = d;
+        base.message = message;
+        // The channel's L1-set-7 lines scatter to LLC sets 64k+7 (L1
+        // tag bits feed the LLC index), so an oblivious LLC-wide
+        // footprint almost never pressures them inside the receiver's
+        // 600-cycle sleep window.  Model the worst realistic
+        // co-resident instead: a streaming process whose hot set
+        // collides with the timed line's LLC set (71), deeper than the
+        // LLC's associativity.  Its fills evict line 0 from the LLC
+        // mid-protocol and the back-invalidation clears the pair's
+        // private copies — the cross-core noise path.
+        base.noise.base = 0x6000'0000'0000ULL + (71u << 6);
+        base.noise.footprint_sets = 1;
+        base.noise.lines_per_set = 24;
+        base.noise.burst = 256;
+        base.noise.gap = 10;
+        SessionGrid grid(base, SeedRule::flat(seed));
+        grid.axis("noise", noise_levels,
+                  [](SessionConfig &cfg, std::uint32_t noise) {
+                      cfg.noise_cores = noise;
+                  });
+        const auto results = grid.run(sessionTrace);
+        const SessionTrace &quiet = results.at({0});
+        const SessionTrace &full = results.at({noise_levels - 1});
 
         Table table({"noise cores", "error", "rate", "back-inval",
                      "rx L1 miss%"});
         for (std::uint32_t k = 0; k < noise_levels; ++k) {
-            const auto &res = results[k];
+            const SessionTrace &res = results.at({k});
             table.addRow({std::to_string(k), fmtPercent(res.error_rate),
                           fmtKbps(res.kbps),
                           std::to_string(res.back_invalidations),
-                          fmtPercent(res.receiver_l1.missRate())});
+                          fmtPercent(res.receiver_l1_miss_rate)});
         }
         sink.table("SMT " + std::string(alg == LruAlgorithm::Alg1Shared
                                             ? "Alg.1"
@@ -133,13 +131,12 @@ class SmtMulticoreTraces final : public Experiment
                    table);
 
         // Traces: quiet system vs full noise, Fig. 5 style.
-        trace(results[0], 0, sink);
+        trace(quiet, 0, sink);
         if (noise_levels > 1)
-            trace(results[noise_levels - 1], noise_levels - 1, sink);
+            trace(full, noise_levels - 1, sink);
 
-        sink.scalar("error_quiet", results[0].error_rate);
-        sink.scalar("error_full_noise",
-                    results[noise_levels - 1].error_rate);
+        sink.scalar("error_quiet", quiet.error_rate);
+        sink.scalar("error_full_noise", full.error_rate);
 
         sink.note("\nThe quiet row reproduces the single-core Fig. 5 "
                   "behaviour.  Noise cores never\ntouch core 0's L1 "
@@ -157,18 +154,16 @@ class SmtMulticoreTraces final : public Experiment
 
   private:
     static void
-    trace(const SessionResult &res, std::uint32_t noise,
-          ResultSink &sink)
+    trace(const SessionTrace &res, std::uint32_t noise, ResultSink &sink)
     {
-        const std::string title =
-            "receiver trace, " + std::to_string(noise) + " noise core" +
-            (noise == 1 ? "" : "s") + "  (threshold " +
-            std::to_string(res.threshold) + " cycles, error " +
-            fmtPercent(res.error_rate) + ", " +
-            std::to_string(res.back_invalidations) +
-            " back-invalidations)";
-        sink.series("\n" + title, sampleLatencies(res.samples, 200), 8);
-        sink.text("", "decoded: " + bitsToString(res.received));
+        emitTrace(sink,
+                  "receiver trace, " + std::to_string(noise) +
+                      " noise core" + (noise == 1 ? "" : "s") +
+                      "  (threshold " + std::to_string(res.threshold) +
+                      " cycles, error " + fmtPercent(res.error_rate) +
+                      ", " + std::to_string(res.back_invalidations) +
+                      " back-invalidations)",
+                  res);
     }
 };
 

@@ -5,7 +5,6 @@
  * Algorithm 1 vs 2).
  */
 
-#include "channel/session.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -14,44 +13,6 @@ namespace {
 
 using namespace lruleak::core;
 using namespace lruleak::channel;
-
-double
-hyperThreadedKbps(const timing::Uarch &uarch, LruAlgorithm alg,
-                  std::size_t bits, std::uint64_t seed)
-{
-    SessionConfig cfg;
-    cfg.channel = alg == LruAlgorithm::Alg1Shared ? ChannelId::LruAlg1
-                                                  : ChannelId::LruAlg2;
-    cfg.uarch = uarch;
-    cfg.d = alg == LruAlgorithm::Alg1Shared ? 8 : 5;
-    const bool amd = uarch.way_predictor;
-    cfg.ts = amd ? 100'000 : 6000;
-    cfg.tr = amd ? 1000 : 600;
-    cfg.message = randomBits(bits, 17);
-    cfg.seed = seed;
-    return runSession(cfg).kbps;
-}
-
-double
-timeSlicedBps(const timing::Uarch &uarch, std::uint64_t seed)
-{
-    // Paper methodology: with Tr = 1e8 and ~10 measurements needed to
-    // tell ~30% of 1s from < 5%, the rate is measurements/10 per second.
-    SessionConfig cfg;
-    cfg.uarch = uarch;
-    cfg.mode = SharingMode::TimeSliced;
-    cfg.d = 8;
-    cfg.tr = 100'000'000;
-    cfg.encode_gap = 20'000;
-    cfg.max_samples = 60;
-    cfg.seed = seed;
-    const double p1 = sessionPercentOnes(cfg, 1);
-    const double p0 = sessionPercentOnes(cfg, 0);
-    if (p1 < p0 + 0.05)
-        return 0.0; // indistinguishable
-    const double meas_per_sec = uarch.ghz * 1e9 / double(cfg.tr);
-    return meas_per_sec / 10.0;
-}
 
 class Tab4TransmissionRates final : public Experiment
 {
@@ -81,25 +42,65 @@ class Tab4TransmissionRates final : public Experiment
     {
         const auto bits = static_cast<std::size_t>(params.getUint("bits"));
         const auto seed = params.getUint("seed");
-        const auto intel = timing::Uarch::intelXeonE52690();
-        const auto amd = timing::Uarch::amdEpyc7571();
+        const timing::Uarch machines[] = {timing::Uarch::intelXeonE52690(),
+                                          timing::Uarch::amdEpyc7571()};
+
+        // Hyper-threaded: Algorithms 1 (d = 8) and 2 (d = 5) on each
+        // machine at its protocol periods (the way-predictor AMD model
+        // at Tr = 1000, Ts = 1e5), every session at the one seed.
+        SessionConfig ht;
+        ht.message = randomBits(bits, 17);
+        const std::pair<ChannelId, std::uint32_t> algs[] = {
+            {ChannelId::LruAlg1, 8}, {ChannelId::LruAlg2, 5}};
+        SessionGrid ht_grid(ht, SeedRule::constant(seed));
+        ht_grid
+            .over("alg", algs,
+                  [](SessionConfig &cfg, const auto &alg) {
+                      cfg.channel = alg.first;
+                      cfg.d = alg.second;
+                  })
+            .over("uarch", machines,
+                  [](SessionConfig &cfg, const timing::Uarch &u) {
+                      cfg.uarch = u;
+                      cfg.ts = u.way_predictor ? 100'000 : 6000;
+                      cfg.tr = u.way_predictor ? 1000 : 600;
+                  });
+        const auto kbps = ht_grid.run(errorAndRate);
+
+        // Time-sliced, Algorithm 1, paper methodology: with Tr = 1e8 and
+        // ~10 measurements needed to tell ~30% of 1s from < 5%, the rate
+        // is measurements/10 per second (0 when the two blur).
+        SessionConfig ts;
+        ts.mode = SharingMode::TimeSliced;
+        ts.d = 8;
+        ts.tr = 100'000'000;
+        ts.encode_gap = 20'000;
+        ts.max_samples = 60;
+        const std::uint8_t sent[] = {1, 0};
+        SessionGrid ts_grid(ts, SeedRule::constant(seed));
+        ts_grid.over("uarch", machines, &SessionConfig::uarch)
+            .over("bit", sent, sendConstantly);
+        const auto ones = ts_grid.run(percentOnes);
+        const auto bps = [&](std::uint32_t m) {
+            if (ones.at({m, 0}) < ones.at({m, 1}) + 0.05)
+                return 0.0; // indistinguishable
+            const double meas_per_sec =
+                machines[m].ghz * 1e9 / double(ts.tr);
+            return meas_per_sec / 10.0;
+        };
 
         sink.note("=== Table IV: transmission rate of the evaluated LRU "
                   "channels ===\n");
         Table table({"Sharing", "Algorithm", "Intel", "AMD"});
         table.addRow({"Hyper-Threaded", "Algorithm 1",
-                      fmtKbps(hyperThreadedKbps(
-                          intel, LruAlgorithm::Alg1Shared, bits, seed)),
-                      fmtKbps(hyperThreadedKbps(
-                          amd, LruAlgorithm::Alg1Shared, bits, seed))});
+                      fmtKbps(kbps.at({0, 0}).second),
+                      fmtKbps(kbps.at({0, 1}).second)});
         table.addRow({"Hyper-Threaded", "Algorithm 2",
-                      fmtKbps(hyperThreadedKbps(
-                          intel, LruAlgorithm::Alg2Disjoint, bits, seed)),
-                      fmtKbps(hyperThreadedKbps(
-                          amd, LruAlgorithm::Alg2Disjoint, bits, seed))});
+                      fmtKbps(kbps.at({1, 0}).second),
+                      fmtKbps(kbps.at({1, 1}).second)});
         table.addRow({"Time-Sliced", "Algorithm 1",
-                      fmtDouble(timeSlicedBps(intel, seed), 1) + " bps",
-                      fmtDouble(timeSlicedBps(amd, seed), 2) + " bps"});
+                      fmtDouble(bps(0), 1) + " bps",
+                      fmtDouble(bps(1), 2) + " bps"});
         table.addRow({"Time-Sliced", "Algorithm 2", "- (no signal)",
                       "- (no signal)"});
         sink.table("", table);

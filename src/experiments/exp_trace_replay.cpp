@@ -19,19 +19,15 @@
  * the trace actually generates.
  *
  * Determinism: the trace is a pure function of (workload, accesses,
- * writes, seed); sessions sit in one flat core::runTrials sweep with
+ * writes, seed); sessions sit in one SessionGrid sweep with
  * per-cell seeds derived only from the flat index.  Golden-snapshotted
  * at smoke scale like every registered experiment.
  */
 
 #include <memory>
-#include <sstream>
 
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "exec/trace_program.hpp"
 #include "experiments/common.hpp"
-#include "leakage/report.hpp"
 #include "sim/access_port.hpp"
 #include "workload/trace_file.hpp"
 #include "workload/trace_gen.hpp"
@@ -43,23 +39,8 @@ namespace {
 using namespace lruleak::core;
 using namespace lruleak::channel;
 
-/** Cross-core operating point (same as the channel/leakage matrices). */
-constexpr std::uint64_t kTr = 3000;
-constexpr std::uint64_t kTs = 30'000;
-
-std::vector<sim::ReplPolicyKind>
-parsePolicies(const std::string &list)
-{
-    std::vector<sim::ReplPolicyKind> policies;
-    std::string token;
-    std::stringstream ss(list);
-    while (std::getline(ss, token, ','))
-        policies.push_back(sim::replPolicyFromName(token));
-    if (policies.empty())
-        throw ParamError("parameter 'policies': at least one "
-                         "replacement policy is required");
-    return policies;
-}
+/** The cross-core operating point of the channel/leakage matrices. */
+constexpr ModePoint kCrossCore = kModePoints[2];
 
 class TraceReplay final : public Experiment
 {
@@ -106,9 +87,9 @@ class TraceReplay final : public Experiment
                                "independent sessions pooled per policy"),
             ParamSpec::integer("resamples", 200,
                                "bootstrap resamples behind the 95% CIs"),
-            ParamSpec::str("policies", "treeplru,lru,srrip",
-                           "comma-separated carrier replacement-policy "
-                           "list (shared LLC)"),
+            policiesParam("treeplru,lru,srrip",
+                          "comma-separated carrier replacement-policy "
+                          "list (shared LLC)"),
             uarchParam("e5-2690"),
             seedParam(42),
         };
@@ -133,7 +114,7 @@ class TraceReplay final : public Experiment
         const Bits message = randomBits(
             static_cast<std::size_t>(params.getUint("bits")), 20200415);
         const auto uarch = uarchFromParams(params);
-        const auto policies = parsePolicies(params.getStr("policies"));
+        const auto policies = parsePolicies(params);
 
         // ----- the trace: load it, or materialize the named workload.
         const std::string trace_path = params.getStr("trace");
@@ -173,7 +154,8 @@ class TraceReplay final : public Experiment
                   std::to_string(noise_cores) + " noise core(s) replay "
                   "it at staggered offsets while the covert parties "
                   "transmit\nover the shared LLC; Tr=" +
-                  std::to_string(kTr) + ", Ts=" + std::to_string(kTs) +
+                  std::to_string(kCrossCore.tr) +
+                  ", Ts=" + std::to_string(kCrossCore.ts) +
                   ")");
 
         Table shape({"Trace", "accesses", "stores", "cache hit rate"});
@@ -188,48 +170,25 @@ class TraceReplay final : public Experiment
         sink.scalar("replay_hit_rate", hit_rate);
 
         // ----- the leakage sweep: one flat trial grid, policy-major.
-        const std::uint32_t n_policies =
-            static_cast<std::uint32_t>(policies.size());
-        struct TrialTrace
-        {
-            Bits sent;
-            Bits decoded;
-            double kbps = 0.0;
-        };
-        const auto traces = core::runTrials(
-            n_policies * trials, seed,
-            [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                const std::uint32_t pol = idx / trials;
-
-                SessionConfig cfg;
-                cfg.channel = ChannelId::XCoreLruAlg2;
-                cfg.mode = SharingMode::CrossCore;
-                cfg.uarch = uarch;
-                cfg.tr = kTr;
-                cfg.ts = kTs;
-                cfg.message = message;
-                cfg.repeats = params.getUint32("repeats");
-                cfg.seed = seed + idx;
-                cfg.llc_policy = policies[pol];
-                cfg.noise_cores = noise_cores;
-                cfg.noise_trace = trace;
-                const auto res = runSession(cfg);
-                return TrialTrace{res.sent, res.decoded_symbols,
-                                  res.kbps};
+        SessionConfig base;
+        base.channel = ChannelId::XCoreLruAlg2;
+        kCrossCore.apply(base);
+        base.uarch = uarch;
+        base.message = message;
+        base.repeats = params.getUint32("repeats");
+        base.noise_cores = noise_cores;
+        base.noise_trace = trace;
+        SessionGrid grid(base, SeedRule::flat(seed));
+        grid.policies(policies).trials(trials);
+        const auto agg = grid.run(trialTrace).perCell(
+            [&](std::span<const TrialTrace> cell, std::uint32_t p) {
+                return pooledLeakage(cell, resamples, 0x7ace + p);
             });
 
         Table table({"Carrier policy", "bits/use", "95% CI", "bits/s",
                      "pairs"});
-        for (std::uint32_t p = 0; p < n_policies; ++p) {
-            leakage::Report::Config rc;
-            rc.resamples = resamples;
-            rc.seed = 0x7ace + p;
-            leakage::Report report(rc);
-            for (std::uint32_t t = 0; t < trials; ++t) {
-                const TrialTrace &tr = traces[p * trials + t];
-                report.addTrial(tr.sent, tr.decoded, tr.kbps * 1000.0);
-            }
-            const auto a = report.aggregate();
+        for (std::uint32_t p = 0; p < policies.size(); ++p) {
+            const auto &a = agg.at({p});
             const std::string pol =
                 std::string(sim::replPolicyName(policies[p]));
             table.addRow(

@@ -10,12 +10,10 @@
  * sending = higher error), and adding noise cores degrades the channel
  * monotonically on average — the per-noise-count means are emitted as
  * scalars so the trend is machine-checkable.  Cells fan out through
- * core::runTrials with per-cell seeds, so the output is bit-identical
+ * one SessionGrid with per-cell seeds, so the output is bit-identical
  * for any LRULEAK_THREADS.
  */
 
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -75,53 +73,43 @@ class XCoreErrorRate final : public Experiment
                   "edit distance / bits sent)");
 
         const auto &policies = sim::allReplPolicyKinds();
-        const std::size_t n_ts = std::size(kTsValues);
+        const std::uint32_t n_ts = std::size(kTsValues);
         const std::uint32_t noise_levels = max_noise + 1;
-        const std::uint32_t cells = static_cast<std::uint32_t>(
-            policies.size() * n_ts * noise_levels);
 
         // One flat trial-parallel sweep over (policy, Ts, noise); the
         // per-cell seed depends only on the cell index, so any worker
         // count produces the same table.
-        const auto results = core::runTrials(
-            cells, seed,
-            [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                const std::uint32_t noise = idx % noise_levels;
-                const std::size_t ts_idx = (idx / noise_levels) % n_ts;
-                const std::size_t pol = idx / (noise_levels * n_ts);
-
-                SessionConfig cfg;
-                cfg.channel = ChannelId::XCoreLruAlg2;
-                cfg.mode = SharingMode::CrossCore;
-                cfg.tr = 3000;
-                cfg.uarch = uarch;
-                cfg.llc_policy = policies[pol];
-                cfg.noise_cores = noise;
-                cfg.d = d;
-                cfg.ts = kTsValues[ts_idx];
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.seed = seed + idx;
-                const auto res = runSession(cfg);
-                return std::pair<double, double>(res.error_rate,
-                                                 res.kbps);
-            });
+        SessionConfig base;
+        base.channel = ChannelId::XCoreLruAlg2;
+        base.mode = SharingMode::CrossCore;
+        base.tr = 3000;
+        base.uarch = uarch;
+        base.d = d;
+        base.message = message;
+        base.repeats = repeats;
+        SessionGrid grid(base, SeedRule::flat(seed));
+        grid.policies(policies)
+            .over("ts", kTsValues, &SessionConfig::ts)
+            .axis("noise", noise_levels,
+                  [](SessionConfig &cfg, std::uint32_t noise) {
+                      cfg.noise_cores = noise;
+                  });
+        const auto results = grid.run(errorAndRate);
 
         std::vector<double> noise_error_sum(noise_levels, 0.0);
-        for (std::size_t pol = 0; pol < policies.size(); ++pol) {
+        for (std::uint32_t pol = 0; pol < policies.size(); ++pol) {
             std::vector<std::string> header{"Ts (cyc)", "Rate"};
             for (std::uint32_t k = 0; k < noise_levels; ++k)
                 header.push_back("noise=" + std::to_string(k));
             Table table(header);
-            for (std::size_t t = 0; t < n_ts; ++t) {
-                const std::size_t base =
-                    (pol * n_ts + t) * noise_levels;
+            for (std::uint32_t t = 0; t < n_ts; ++t) {
                 std::vector<std::string> row{
                     std::to_string(kTsValues[t]),
-                    fmtKbps(results[base].second)};
+                    fmtKbps(results.at({pol, t, 0}).second)};
                 for (std::uint32_t k = 0; k < noise_levels; ++k) {
-                    row.push_back(fmtPercent(results[base + k].first));
-                    noise_error_sum[k] += results[base + k].first;
+                    const double error = results.at({pol, t, k}).first;
+                    row.push_back(fmtPercent(error));
+                    noise_error_sum[k] += error;
                 }
                 table.addRow(row);
             }

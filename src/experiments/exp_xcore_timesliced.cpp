@@ -17,8 +17,6 @@
  * The quantum=0 row is the dedicated-core baseline of `xcore_traces`.
  */
 
-#include "channel/session.hpp"
-#include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -75,8 +73,7 @@ class XCoreTimesliced final : public Experiment
         const Bits message = randomBits(
             static_cast<std::size_t>(params.getUint("bits")), 20200414);
         const auto uarch = uarchFromParams(params);
-        const auto policy =
-            sim::replPolicyFromName(params.getStr("policy"));
+        const auto policy = parsePolicy(params);
 
         sink.note("=== cross-core LLC channel, party cores OS-time-"
                   "sliced: error vs quantum, " + uarch.name + " ===\n(" +
@@ -87,38 +84,36 @@ class XCoreTimesliced final : public Experiment
                   "slices, every switch sprays kernel lines through "
                   "the shared LLC)");
 
-        const std::uint32_t cells =
-            static_cast<std::uint32_t>(std::size(kQuanta));
-
         // One engine run per quantum, fanned out with per-cell seeds so
         // the table is identical for any LRULEAK_THREADS.
-        const auto results = core::runTrials(
-            cells, seed, [&](std::uint32_t idx, sim::Xoshiro256 &) {
-                SessionConfig cfg;
-                cfg.channel = ChannelId::XCoreLruAlg2;
-                cfg.mode = SharingMode::CrossCore;
-                cfg.tr = 3000;
-                cfg.ts = 30000;
-                cfg.uarch = uarch;
-                cfg.llc_policy = policy;
-                cfg.noise_cores = noise_cores;
-                cfg.d = d;
-                cfg.message = message;
-                cfg.repeats = repeats;
-                cfg.quantum = kQuanta[idx];
-                // The OS knobs scale with the channel's cycle budget
-                // (the Fig. 6 defaults are tuned to quanta 1000x
-                // larger): jitter half a quantum, a ~25 us timer tick.
-                cfg.tslice.quantum_jitter = kQuanta[idx] / 2;
-                cfg.tslice.tick_period = 100'000;
-                cfg.seed = seed + idx;
-                return runSession(cfg);
-            });
+        SessionConfig base;
+        base.channel = ChannelId::XCoreLruAlg2;
+        base.mode = SharingMode::CrossCore;
+        base.tr = 3000;
+        base.ts = 30000;
+        base.uarch = uarch;
+        base.llc_policy = policy;
+        base.noise_cores = noise_cores;
+        base.d = d;
+        base.message = message;
+        base.repeats = repeats;
+        // The OS knobs scale with the channel's cycle budget (the Fig. 6
+        // defaults are tuned to quanta 1000x larger): jitter half a
+        // quantum, a ~25 us timer tick.
+        base.tslice.tick_period = 100'000;
+        SessionGrid grid(base, SeedRule::flat(seed));
+        grid.over("quantum", kQuanta,
+                  [](SessionConfig &cfg, std::uint64_t quantum) {
+                      cfg.quantum = quantum;
+                      cfg.tslice.quantum_jitter = quantum / 2;
+                  });
+        const std::uint32_t cells = grid.cells();
+        const auto results = grid.run(sessionTrace);
 
         Table table({"quantum (cyc)", "error", "rate", "bits rx",
                      "back-inval"});
         for (std::uint32_t i = 0; i < cells; ++i) {
-            const auto &res = results[i];
+            const auto &res = results.at({i});
             table.addRow({i == 0 ? "dedicated"
                                  : std::to_string(kQuanta[i]),
                           fmtPercent(res.error_rate), fmtKbps(res.kbps),
@@ -132,12 +127,12 @@ class XCoreTimesliced final : public Experiment
 
         double sliced_sum = 0.0;
         for (std::uint32_t i = 1; i < cells; ++i)
-            sliced_sum += results[i].error_rate;
-        sink.scalar("error_dedicated", results[0].error_rate);
+            sliced_sum += results.at({i}).error_rate;
+        sink.scalar("error_dedicated", results.at({0}).error_rate);
         sink.scalar("mean_error_timesliced",
                     sliced_sum / static_cast<double>(cells - 1));
         sink.scalar("error_largest_quantum",
-                    results[cells - 1].error_rate);
+                    results.at({cells - 1}).error_rate);
 
         sink.note("\nMechanism: every context switch bursts kernel lines "
                   "through the shared LLC\n(polluting the target set's "

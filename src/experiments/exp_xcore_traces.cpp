@@ -11,7 +11,6 @@
  * L1-vs-L2 traces of Fig. 5.
  */
 
-#include "channel/session.hpp"
 #include "experiments/common.hpp"
 
 namespace lruleak::experiments {
@@ -66,7 +65,7 @@ class XCoreTraces final : public Experiment
         cfg.tr = 3000;
         cfg.ts = 30000;
         cfg.uarch = uarchFromParams(params);
-        cfg.llc_policy = sim::replPolicyFromName(params.getStr("policy"));
+        cfg.llc_policy = parsePolicy(params);
         cfg.noise_cores = cores - 2;
         cfg.d = params.getUint32("d");
         cfg.message = alternatingBits(
@@ -81,31 +80,29 @@ class XCoreTraces final : public Experiment
                   std::string(sim::replPolicyName(*cfg.llc_policy)) +
                   "; y: pointer-chase latency in cycles)");
 
-        trace(cfg, cfg.d, sink);
-        trace(cfg, 16, sink); // full prime: init walks the whole set
+        // The param's depth, then a full prime (init walks the whole
+        // set), one seed for both.
+        const std::uint32_t ds[] = {cfg.d, 16};
+        SessionGrid grid(cfg, SeedRule::constant(cfg.seed));
+        grid.over("d", ds, &SessionConfig::d);
+        const auto traces = grid.run(sessionTrace);
+        for (std::uint32_t i = 0; i < std::size(ds); ++i) {
+            const SessionTrace &res = traces.at({i});
+            emitTrace(sink,
+                      "x-core Alg.2, Tr=" + std::to_string(cfg.tr) +
+                          ", Ts=" + std::to_string(cfg.ts) +
+                          ", d=" + std::to_string(ds[i]) +
+                          "  (threshold " + std::to_string(res.threshold) +
+                          " cycles, rate " + fmtKbps(res.kbps) +
+                          ", error " + fmtPercent(res.error_rate) + ", " +
+                          std::to_string(res.back_invalidations) +
+                          " back-invalidations)",
+                      res);
+        }
 
         sink.note("\nAlgorithm 2 polarity at LLC scale: a 1 bit evicts "
                   "line 0 from the LLC, whose\nback-invalidation also "
                   "clears the private copies — high latency = 1.");
-    }
-
-  private:
-    static void
-    trace(SessionConfig cfg, std::uint32_t d, ResultSink &sink)
-    {
-        cfg.d = d;
-        const auto res = runSession(cfg);
-
-        const std::string title =
-            "x-core Alg.2, Tr=" + std::to_string(cfg.tr) +
-            ", Ts=" + std::to_string(cfg.ts) + ", d=" + std::to_string(d) +
-            "  (threshold " + std::to_string(res.threshold) +
-            " cycles, rate " + fmtKbps(res.kbps) + ", error " +
-            fmtPercent(res.error_rate) + ", " +
-            std::to_string(res.back_invalidations) +
-            " back-invalidations)";
-        sink.series("\n" + title, sampleLatencies(res.samples, 200), 8);
-        sink.text("", "decoded: " + bitsToString(res.received));
     }
 };
 

@@ -373,6 +373,22 @@ TEST(SessionValidate, RejectsMultiSpyOutsideCrossCoreAlg2)
     EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(SessionValidate, RejectsEmptyNoiseTrace)
+{
+    // An empty trace used to fall back to the synthetic noise program
+    // without a word; now the config names the field.
+    auto cfg = baseConfig();
+    cfg.channel = ChannelId::XCoreLruAlg2;
+    cfg.mode = SharingMode::CrossCore;
+    cfg.noise_cores = 2;
+    cfg.noise_trace = std::make_shared<const workload::TraceFile>();
+    expectRejected(cfg, "SessionConfig::noise_trace");
+    auto trace = std::make_shared<workload::TraceFile>();
+    trace->records.push_back(workload::TraceRecord{0x1000, false});
+    cfg.noise_trace = trace;
+    EXPECT_NO_THROW(cfg.validate());
+}
+
 // ------------------------------------------------------------ multi-spy
 
 TEST(MultiSpy, MergeFollowsAnySpyWinsContract)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the experiment runners: Table I shapes, Fig. 3/13
  * separability, Table V ordering, Table VI contrasts, Fig. 9 deltas,
- * and the worker-count invariance of the time-sliced grids.
+ * the worker-count invariance of the time-sliced grids, and the session
+ * grid's flat order, seed rules, addressing and carrier rule.
  */
 
 #include <gtest/gtest.h>
@@ -221,13 +222,13 @@ TEST(TimeslicedGrid, CellsIdenticalAtOneAndFourWorkersOneBuildPerWorker)
         {timing::Uarch::intelXeonE31245v5(), trs, ds, 61},
     };
     for (const Grid &g : grids) {
+        const auto grid = experiments::timeslicedGrid(g.uarch, g.trs, g.ds,
+                                                      40, g.seed);
         const std::uint64_t before = channel::topologyBuilds();
-        const auto one = experiments::timeslicedGrid(g.uarch, g.trs, g.ds,
-                                                     40, g.seed, 1);
+        const auto one = grid.run(channel::percentOnes, 1).values;
         const std::uint64_t inline_builds =
             channel::topologyBuilds() - before;
-        const auto four = experiments::timeslicedGrid(g.uarch, g.trs, g.ds,
-                                                      40, g.seed, 4);
+        const auto four = grid.run(channel::percentOnes, 4).values;
         const std::uint64_t pooled_builds =
             channel::topologyBuilds() - before - inline_builds;
 
@@ -239,4 +240,116 @@ TEST(TimeslicedGrid, CellsIdenticalAtOneAndFourWorkersOneBuildPerWorker)
         EXPECT_GE(pooled_builds, 1u) << g.uarch.name;
         EXPECT_LE(pooled_builds, 4u) << g.uarch.name;
     }
+}
+
+// ------------------------------------------------------------ session grid
+
+namespace {
+
+/** A 2 x 3 (channel, d) grid of 2 trials per cell over cheap sessions. */
+experiments::SessionGrid
+smallGrid(experiments::SeedRule seeds)
+{
+    channel::SessionConfig base;
+    base.message = channel::randomBits(8, 3);
+    const channel::ChannelId channels[] = {channel::ChannelId::LruAlg1, channel::ChannelId::LruAlg2};
+    const std::uint32_t ds[] = {3, 5, 8};
+    experiments::SessionGrid grid(base, seeds);
+    grid.over("channel", channels, &channel::SessionConfig::channel)
+        .over("d", ds, &channel::SessionConfig::d)
+        .trials(2);
+    return grid;
+}
+
+} // namespace
+
+TEST(SessionGrid, FlatOrderAndSeedRulesMatchHandDecodedIndex)
+{
+    using experiments::SeedRule;
+    const std::uint32_t ds[] = {3, 5, 8};
+    const auto flat = smallGrid(SeedRule::flat(100));
+    const auto pairs = smallGrid(SeedRule::flat(100, 2));
+    const auto depth = smallGrid(SeedRule::depth(100));
+    const auto constant = smallGrid(SeedRule::constant(100));
+    ASSERT_EQ(flat.cells(), 6u);
+    ASSERT_EQ(flat.sessions(), 12u);
+    for (std::uint32_t s = 0; s < flat.sessions(); ++s) {
+        // Trials innermost, then d, then channel (outermost).
+        const std::uint32_t cell = s / 2;
+        const auto cfg = flat.config(s);
+        EXPECT_EQ(cfg.channel, cell / 3 == 0 ? channel::ChannelId::LruAlg1
+                                             : channel::ChannelId::LruAlg2)
+            << s;
+        EXPECT_EQ(cfg.d, ds[cell % 3]) << s;
+        EXPECT_EQ(cfg.seed, 100u + s) << s;
+        EXPECT_EQ(pairs.config(s).seed, 100u + s / 2) << s;
+        EXPECT_EQ(depth.config(s).seed, 100u + ds[cell % 3]) << s;
+        EXPECT_EQ(constant.config(s).seed, 100u) << s;
+    }
+}
+
+TEST(SessionGrid, ResultsAddressedByAxisIndex)
+{
+    // Axes (2, 3), 2 trials: value = flat session index.
+    const experiments::GridResults<int> r{
+        {"a", "b"}, {2, 3}, 2, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}};
+    for (std::uint32_t a = 0; a < 2; ++a)
+        for (std::uint32_t b = 0; b < 3; ++b)
+            for (std::uint32_t t = 0; t < 2; ++t)
+                EXPECT_EQ(r.at({a, b}, t), int((a * 3 + b) * 2 + t));
+    EXPECT_THROW(r.at({2, 0}), std::out_of_range);
+    EXPECT_THROW(r.at({0, 3}), std::out_of_range);
+    EXPECT_THROW(r.at({0}), std::out_of_range);
+
+    // perCell reduces each cell's trials, keeping the axes.
+    const auto sums = r.perCell([](std::span<const int> trials,
+                                   std::uint32_t cell) {
+        return trials[0] + trials[1] + 1000 * int(cell);
+    });
+    EXPECT_EQ(sums.at({1, 2}), 10 + 11 + 5000);
+    EXPECT_EQ(sums.values.size(), 6u);
+}
+
+TEST(SessionGrid, PolicyAxisGoesToTheCarrierCache)
+{
+    // Built, not run: the swept policy lands on the L1 for the
+    // L1-carried Algorithm 1 cell and on the shared LLC for the
+    // LLC-carried cross-core cell, whatever the axis order.
+    channel::SessionConfig base;
+    base.mode = channel::SharingMode::CrossCore;
+    const channel::ChannelId channels[] = {channel::ChannelId::LruAlg1,
+                                  channel::ChannelId::XCoreLruAlg2};
+    const channel::SharingMode modes[] = {
+        channel::SharingMode::HyperThreaded, channel::SharingMode::CrossCore};
+    experiments::SessionGrid grid(base, experiments::SeedRule::flat(1));
+    grid.policies({sim::ReplPolicyKind::Fifo})
+        .over("channel", channels, &channel::SessionConfig::channel)
+        .over("mode", modes, &channel::SessionConfig::mode);
+
+    const auto l1 = grid.config(0); // Alg. 1, hyper-threaded
+    ASSERT_EQ(channel::sessionCarrier(l1), channel::Carrier::L1);
+    EXPECT_EQ(l1.l1_policy, sim::ReplPolicyKind::Fifo);
+    EXPECT_FALSE(l1.llc_policy.has_value());
+
+    const auto llc = grid.config(3); // x-core Alg. 2, cross-core
+    ASSERT_EQ(channel::sessionCarrier(llc), channel::Carrier::Llc);
+    EXPECT_EQ(llc.llc_policy, sim::ReplPolicyKind::Fifo);
+    EXPECT_EQ(llc.l1_policy, channel::SessionConfig{}.l1_policy);
+}
+
+TEST(SessionGrid, ProjectedResultsIdenticalAtOneAndFourWorkers)
+{
+    const auto grid = smallGrid(experiments::SeedRule::flat(9));
+    const auto one = grid.run(experiments::trialTrace, 1);
+    const auto four = grid.run(experiments::trialTrace, 4);
+    ASSERT_EQ(one.values.size(), grid.sessions());
+    for (std::uint32_t s = 0; s < grid.sessions(); ++s) {
+        EXPECT_EQ(one.values[s].sent, four.values[s].sent) << s;
+        EXPECT_EQ(one.values[s].decoded, four.values[s].decoded) << s;
+        EXPECT_EQ(one.values[s].kbps, four.values[s].kbps) << s;
+    }
+    // The grid runs exactly the configs it builds.
+    const auto direct = channel::runSession(grid.config(7));
+    EXPECT_EQ(one.at({1, 0}, 1).decoded, direct.decoded_symbols);
+    EXPECT_EQ(one.at({1, 0}, 1).kbps, direct.kbps);
 }

@@ -16,6 +16,7 @@
 #include "channel/channel_factory.hpp"
 #include "channel/session.hpp"
 #include "core/experiment.hpp"
+#include "experiments/common.hpp"
 #include "timing/uarch.hpp"
 
 using namespace lruleak;
@@ -217,6 +218,51 @@ TEST(Registry, UarchParamAcceptsAliasesAndRejectsUnknown)
                             }));
     RecordingSink sink;
     EXPECT_THROW(runExperiment(*e, {{"uarch", "vax"}}, sink),
+                 ParamError);
+}
+
+TEST(Registry, PolicyParamsNameTheParameterAndSkipEmptyTokens)
+{
+    // A bad name in any policy list or single policy param is a
+    // ParamError naming the parameter, thrown before any session runs.
+    const std::pair<const char *, const char *> bad[] = {
+        {"channel_matrix", "policies"},
+        {"leakage_matrix", "policies"},
+        {"trace_replay", "policies"},
+        {"sharp_defense", "policy"},
+    };
+    for (const auto &[name, param] : bad) {
+        const Experiment *e = Registry::instance().find(name);
+        ASSERT_NE(e, nullptr) << name;
+        RecordingSink sink;
+        try {
+            runExperiment(*e, {{param, "lru,bogus"}}, sink);
+            ADD_FAILURE() << name << " accepted a bogus policy";
+        } catch (const ParamError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          std::string("parameter '") + param + "'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+
+    // The list shares parseChannels' token rules: spaces and empty
+    // tokens are skipped, and at least one policy is required.
+    const std::vector<ParamSpec> specs{
+        experiments::policiesParam("lru"),
+        ParamSpec::str("policy", "LRU", "single policy")};
+    const auto parsed = experiments::parsePolicies(
+        resolveParams(specs, {{"policies", "lru,, fifo,"}}));
+    EXPECT_EQ(parsed, (std::vector<sim::ReplPolicyKind>{
+                          sim::ReplPolicyKind::TrueLru,
+                          sim::ReplPolicyKind::Fifo}));
+    EXPECT_THROW(experiments::parsePolicies(
+                     resolveParams(specs, {{"policies", " , "}})),
+                 ParamError);
+    EXPECT_EQ(experiments::parsePolicy(resolveParams(specs, {})),
+              sim::ReplPolicyKind::TrueLru);
+    EXPECT_THROW(experiments::parsePolicy(
+                     resolveParams(specs, {{"policy", "lru,fifo"}})),
                  ParamError);
 }
 
