@@ -178,10 +178,11 @@ LruSender::foldSteady(std::uint64_t iterations, std::uint64_t deadline)
     const std::uint64_t advanced = (deadline - bit_deadline_) / config_.ts;
     bit_index_ += advanced;
     bit_deadline_ = deadline;
+    bit_ = currentBit(bit_index_);
     // What the folded iterations' next()/onResult() calls would have
     // done: a 1 bit records one L1 encode level per iteration and
     // clears fresh_bit_; a 0 bit leaves it set once a bit began.
-    if (currentBit(bit_index_) == 1) {
+    if (bit_ == 1) {
         fresh_bit_ = false;
         encode_levels_.insert(encode_levels_.end(), iterations,
                               sim::HitLevel::L1);
@@ -215,17 +216,22 @@ LruSender::next(std::uint64_t now)
         started_ = true;
         start_tsc_ = now;
         bit_deadline_ = now + config_.ts;
+        bit_ = currentBit(bit_index_);
     }
 
-    // Advance to the bit that owns the current instant.
-    while (now >= bit_deadline_) {
-        ++bit_index_;
-        bit_deadline_ += config_.ts;
+    // Advance to the bit that owns the current instant; the bit's value
+    // is looked up (a division) only when the index moves.
+    if (now >= bit_deadline_) {
+        do {
+            ++bit_index_;
+            bit_deadline_ += config_.ts;
+        } while (now >= bit_deadline_);
         sub_step_ = 0;
         fresh_bit_ = true;
+        bit_ = currentBit(bit_index_);
     }
 
-    const int bit = currentBit(bit_index_);
+    const int bit = bit_;
     if (bit < 0) {
         phase_ = Phase::Finished;
         return exec::Op::done();

@@ -271,6 +271,7 @@ class LruSender : public exec::ThreadProgram
     Phase phase_ = Phase::Prewarm;
     std::uint32_t pre_step_ = 0;   //!< prewarm sub-step
     std::size_t bit_index_ = 0;
+    int bit_ = -1; //!< currentBit(bit_index_), once started_
     std::uint64_t bit_deadline_ = 0;
     std::uint64_t start_tsc_ = 0;
     bool started_ = false;

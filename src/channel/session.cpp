@@ -9,7 +9,6 @@
 #include <atomic>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "channel/prime_probe.hpp"
 #include "exec/trace_program.hpp"
 #include "sim/access_port.hpp"
-#include "util/strings.hpp"
 
 namespace lruleak::channel {
 
@@ -42,28 +40,6 @@ allSharingModes()
         SharingMode::HyperThreaded, SharingMode::TimeSliced,
         SharingMode::CrossCore};
     return modes;
-}
-
-SharingMode
-sharingModeFromName(std::string_view name)
-{
-    const std::string n = util::normalizeToken(name);
-    for (SharingMode mode : allSharingModes()) {
-        if (n == sharingModeToken(mode))
-            return mode;
-    }
-    if (n == "ht" || n == "smt" || n == "hyper-threaded")
-        return SharingMode::HyperThreaded;
-    if (n == "ts" || n == "time-sliced")
-        return SharingMode::TimeSliced;
-    if (n == "xcore" || n == "cross-core")
-        return SharingMode::CrossCore;
-
-    std::ostringstream os;
-    os << "unknown sharing mode '" << name << "'; valid modes:";
-    for (SharingMode mode : allSharingModes())
-        os << " " << sharingModeToken(mode);
-    throw std::invalid_argument(os.str());
 }
 
 Carrier

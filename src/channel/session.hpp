@@ -64,9 +64,6 @@ enum class SharingMode
 /** Stable CLI token: "hyperthreaded", "timesliced", "crosscore". */
 std::string_view sharingModeToken(SharingMode mode);
 
-/** Parse a sharing-mode name (token, aliases like "smt"/"ht"/"xcore"). */
-SharingMode sharingModeFromName(std::string_view name);
-
 /** All modes, in declaration order. */
 const std::vector<SharingMode> &allSharingModes();
 

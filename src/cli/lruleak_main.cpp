@@ -31,6 +31,7 @@
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
 #include "core/result_cache.hpp"
+#include "experiments/common.hpp"
 #include "util/hash.hpp"
 #include "workload/trace_file.hpp"
 #include "workload/trace_gen.hpp"
@@ -568,10 +569,8 @@ cmdBench(const std::vector<std::string> &args)
         } else if (name == "out") {
             out_path = value;
         } else if (name == "policies") {
-            std::stringstream ss(value);
-            std::string token;
-            while (std::getline(ss, token, ','))
-                cfg.policies.push_back(sim::replPolicyFromName(token));
+            // A bad name throws ParamError naming the option: exit 2.
+            cfg.policies = experiments::parsePolicyList(value, "policies");
         } else {
             std::cerr << "unknown bench option '--" << name
                       << "' (valid: --accesses --repeats --seed "

@@ -94,7 +94,7 @@ evictionProbabilities(sim::ReplPolicyKind policy, InitCondition init,
                 appendSeq2(tags, rng, config);
             }
             set.replayBatch(tags);
-            evicted[iter] = set.probe(0).has_value() ? 0 : 1;
+            evicted[iter] = set.probe(0) != sim::kNoWay ? 0 : 1;
         }
         return evicted;
     };

@@ -22,21 +22,39 @@ namespace lruleak::exec {
 
 Engine::Engine(sim::AccessPort &port, const timing::Uarch &uarch,
                ArbitrationPolicy &policy, EngineConfig config)
-    : port_(port), uarch_(uarch), model_(uarch), policy_(policy),
-      config_(config), rng_(config.seed)
+    : port_(port), multi_port_(dynamic_cast<sim::MultiCorePort *>(&port)),
+      single_port_(dynamic_cast<sim::SingleCorePort *>(&port)),
+      uarch_(uarch), model_(uarch), policy_(policy), config_(config),
+      rng_(config.seed)
 {
 }
 
-void
-Engine::maybeAudit()
+inline sim::PortAccess
+Engine::portAccess(std::uint32_t core, const Op &op)
 {
-    if (config_.audit_every == 0)
-        return;
-    if (++ops_since_audit_ < config_.audit_every)
-        return;
+    // Both concrete ports are final: these calls bind statically and
+    // inline down to the hierarchy's out-of-line access().
+    if (multi_port_ != nullptr)
+        return multi_port_->access(core, op.ref, op.lock_req);
+    if (single_port_ != nullptr)
+        return single_port_->access(core, op.ref, op.lock_req);
+    return port_.access(core, op.ref, op.lock_req);
+}
+
+void
+Engine::audit()
+{
     ops_since_audit_ = 0;
     if (auto violation = port_.auditInclusion())
         throw std::logic_error(*violation);
+}
+
+inline void
+Engine::maybeAudit()
+{
+    if (config_.audit_every != 0 &&
+        ++ops_since_audit_ >= config_.audit_every)
+        audit();
 }
 
 std::uint64_t
@@ -47,7 +65,7 @@ Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
                                                 : 0;
     switch (op.kind) {
       case OpKind::Access: {
-        const auto pa = port_.access(t.core, op.ref, op.lock_req);
+        const auto pa = portAccess(t.core, op);
         OpResult out;
         out.kind = OpKind::Access;
         out.level = pa.level;
@@ -66,7 +84,7 @@ Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
         return cost;
       }
       case OpKind::Measure: {
-        const auto pa = port_.access(t.core, op.ref, op.lock_req);
+        const auto pa = portAccess(t.core, op);
         OpResult out;
         out.kind = OpKind::Measure;
         out.level = pa.level;
@@ -639,24 +657,27 @@ LowestClock::pick(const Engine &engine) const
     // Step the core whose next event is earliest (ties toward the
     // lowest core id; within a core, toward spec order).  A bare thread
     // is runnable while live and below max_cycles, like a RoundRobinSmt
-    // child.
+    // child.  One scan keeps the earliest child and the runner-up; an
+    // idle child reads as kIdle, later than any clock, and the strict
+    // compares keep every tie on the lower index.
     const bool bare_runnable = engine.now() < engine.config().max_cycles;
-    Pick best{children_.size(), 0};
+    Pick best{children_.size(), kIdle, children_.size(), kIdle};
     for (std::size_t i = 0; i < children_.size(); ++i) {
         const Child &child = children_[i];
-        std::uint64_t time = 0;
+        std::uint64_t time = kIdle;
         if (child.policy == nullptr) {
             const Engine::Thread &ctx = engine.thread(child.thread);
-            if (!bare_runnable || ctx.done)
-                continue;
-            time = ctx.clock;
+            time = bare_runnable && !ctx.done ? ctx.clock : kIdle;
         } else if (const auto next = child.policy->nextEventTime(engine)) {
             time = *next;
-        } else {
-            continue;
         }
-        if (best.index == children_.size() || time < best.time)
-            best = Pick{i, time};
+        const bool first = time < best.time;
+        const bool second = !first && time < best.runner_time;
+        best.runner_time = first ? best.time
+                                 : (second ? time : best.runner_time);
+        best.runner = first ? best.index : (second ? i : best.runner);
+        best.time = first ? time : best.time;
+        best.index = first ? i : best.index;
     }
     return best;
 }
@@ -679,7 +700,21 @@ LowestClock::step(Engine &engine)
     const Child &child = children_[best.index];
     if (child.policy != nullptr)
         return child.policy->step(engine);
-    engine.stepClockThread(child.thread);
+    // Run-ahead: stepping a bare thread moves only its own clock (and
+    // the engine's high-water clock), so every other child's next event
+    // stays where the scan found it, or drops out at max_cycles.  Per-op
+    // stepping would therefore pick this thread again for as long as
+    // (clock, index) stays below the runner-up's — the same ops, the
+    // same RNG draws, without a scan per op.  The thread finishing (the
+    // primary among them) or max_cycles ends the run, as a re-scan
+    // would.
+    const Engine::Thread &t = engine.thread(child.thread);
+    const std::uint64_t max_cycles = engine.config().max_cycles;
+    do {
+        engine.stepClockThread(child.thread);
+    } while (!t.done && engine.now() < max_cycles &&
+             (t.clock < best.runner_time ||
+              (t.clock == best.runner_time && best.index < best.runner)));
     return true;
 }
 

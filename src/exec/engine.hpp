@@ -234,9 +234,19 @@ class Engine
                               std::uint64_t mean_lines);
 
   private:
+    /** Count one op; run the inclusion audit every audit_every ops. */
     void maybeAudit();
+    void audit();
+
+    /** The demand access of @p op, through the concrete port when it is
+     *  one of the two the engine knows. */
+    sim::PortAccess portAccess(std::uint32_t core, const Op &op);
 
     sim::AccessPort &port_;
+    // The port's concrete type, resolved once at construction (at most
+    // one is set): per-op accesses then skip the virtual call.
+    sim::MultiCorePort *multi_port_;
+    sim::SingleCorePort *single_port_;
     timing::Uarch uarch_;
     timing::MeasurementModel model_;
     ArbitrationPolicy &policy_;
@@ -439,12 +449,19 @@ class LowestClock final : public ArbitrationPolicy
         unsigned thread = 0; //!< engine thread index of a bare thread
     };
 
+    /** No next event: a child with nothing to run. */
+    static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
+
     /** Child with the earliest next event (and that time), or
-     *  index == children_.size() when nothing is runnable. */
+     *  index == children_.size() when nothing is runnable; and the
+     *  runner-up, the earliest of the others (children_.size() and
+     *  kIdle when there is none). */
     struct Pick
     {
         std::size_t index = 0;
         std::uint64_t time = 0;
+        std::size_t runner = 0;
+        std::uint64_t runner_time = 0;
     };
     Pick pick(const Engine &engine) const;
 

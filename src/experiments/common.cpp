@@ -69,12 +69,18 @@ parseChannels(const std::string &list)
 }
 
 std::vector<sim::ReplPolicyKind>
-parsePolicies(const core::ParamMap &params, const std::string &param)
+parsePolicyList(const std::string &list, const std::string &param)
 {
-    return parseList(params.getStr(param), param, "replacement policy",
+    return parseList(list, param, "replacement policy",
                      [](const std::string &t) {
                          return sim::replPolicyFromName(t);
                      });
+}
+
+std::vector<sim::ReplPolicyKind>
+parsePolicies(const core::ParamMap &params, const std::string &param)
+{
+    return parsePolicyList(params.getStr(param), param);
 }
 
 sim::ReplPolicyKind

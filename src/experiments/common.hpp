@@ -89,10 +89,14 @@ policiesParam(const std::string &def,
 }
 
 /**
- * Parse the policy list of parameter @p param with parseChannels' token
- * rules (spaces and empty tokens skipped, at least one required); a bad
- * name throws ParamError naming @p param.
+ * Parse the comma-separated policy list @p list with parseChannels'
+ * token rules (spaces and empty tokens skipped, at least one required);
+ * a bad name throws ParamError naming @p param.
  */
+std::vector<sim::ReplPolicyKind>
+parsePolicyList(const std::string &list, const std::string &param);
+
+/** The policy list of parameter @p param, likewise. */
 std::vector<sim::ReplPolicyKind>
 parsePolicies(const core::ParamMap &params,
               const std::string &param = "policies");

@@ -96,6 +96,16 @@ Cache::setResult(const SetAccessResult &sr, std::uint32_t set,
 }
 
 inline void
+Cache::demandResult(const SetAccessResult &sr, std::uint32_t set,
+                    const MemRef &ref, CacheAccessResult &res)
+{
+    setResult(sr, set, res);
+    counters_.record(ref.thread, sr.hit);
+    if (sr.dirty_writeback)
+        counters_.recordWriteback(ref.thread);
+}
+
+inline void
 Cache::demandAccess(std::uint32_t storage, std::uint32_t set,
                     const MemRef &ref, LockReq lock_req,
                     CacheAccessResult &res)
@@ -105,19 +115,35 @@ Cache::demandAccess(std::uint32_t storage, std::uint32_t set,
     const SetAccessResult sr = cacheSet(storage).access(
         layout_.tag(ref.paddr), utag, way_predictor_, lock_req,
         ref.is_write);
-    setResult(sr, set, res);
-    counters_.record(ref.thread, sr.hit);
-    if (sr.dirty_writeback)
-        counters_.recordWriteback(ref.thread);
+    demandResult(sr, set, ref, res);
+}
+
+void
+Cache::missPlain(const MemRef &ref, CacheAccessResult &res)
+{
+    const std::uint32_t set = layout_.setIndex(ref.vaddr);
+    const SetAccessResult sr = cacheSet(set).miss(
+        layout_.tag(ref.paddr), 0, LockReq::None, ref.is_write);
+    demandResult(sr, set, ref, res);
 }
 
 CacheAccessResult
 Cache::access(const MemRef &ref, LockReq lock_req)
 {
-    // One named result and one return: the result is built in place in
-    // the caller's slot on the plain path.
+    // One named result: it is built in place in the caller's slot.
     CacheAccessResult res;
-    if (config_.secure == SecureMode::None) [[likely]] {
+    if (plain() && lock_req == LockReq::None) [[likely]] {
+        // One probe: a hit is served by hitPlain(), a miss filled by
+        // accessMiss().
+        const std::uint32_t way = hitPlain(ref);
+        if (way != kNoWay) {
+            res.hit = true;
+            res.set = layout_.setIndex(ref.vaddr);
+            res.way = way;
+        } else {
+            missPlain(ref, res);
+        }
+    } else if (config_.secure == SecureMode::None) {
         const std::uint32_t set = layout_.setIndex(ref.vaddr);
         demandAccess(set, set, ref, lock_req, res);
     } else {
@@ -184,12 +210,9 @@ Cache::accessSecure(std::uint32_t domain, const MemRef &ref,
         sharp_forced_[domain] += ev.forced ? 1 : 0;
         sharp_denied_[domain] += ev.denied ? 1 : 0;
 
-        setResult(sr, set, res);
-        counters_.record(ref.thread, sr.hit);
-        if (sr.dirty_writeback)
-            counters_.recordWriteback(ref.thread);
+        demandResult(sr, set, ref, res);
     } else if (config_.secure == SecureMode::RandomFill &&
-               !cacheSet(set).probe(tag)) {
+               cacheSet(set).probe(tag) == kNoWay) {
         // Demand miss: serve it uncached and install a random
         // neighbourhood line instead, decoupling the fill address from
         // the access address.
@@ -281,8 +304,7 @@ Cache::contains(const MemRef &ref) const
 {
     const std::uint32_t set = layout_.setIndex(ref.vaddr);
     return cacheSet(storageIndex(set, ref.thread))
-        .probe(layout_.tag(ref.paddr))
-        .has_value();
+               .probe(layout_.tag(ref.paddr)) != kNoWay;
 }
 
 bool

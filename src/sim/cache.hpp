@@ -82,6 +82,50 @@ class Cache
                              LockReq lock_req = LockReq::None);
 
     /**
+     * Is this a plain level — SecureMode::None, no PL lock bits, no way
+     * predictor — whose demand access is one probe, then a hit update
+     * or a fill?  Only such a level serves hitPlain() and accessMiss().
+     */
+    bool
+    plain() const
+    {
+        return config_.secure == SecureMode::None &&
+               shape_.pl_mode == PlMode::Disabled && !way_predictor_;
+    }
+
+    /**
+     * The hit half of access() on a plain() level, inline for the
+     * hierarchy's L1 exit: probe once; on a hit do what access() does
+     * (the replacement-state hit update, the dirty bit of a write-back
+     * store, the counter) and return the way; on a miss change nothing
+     * and return kNoWay, for accessMiss() to finish.
+     */
+    std::uint32_t
+    hitPlain(const MemRef &ref)
+    {
+        SetView set = cacheSet(layout_.setIndex(ref.vaddr));
+        const std::uint32_t way = set.probe(layout_.tag(ref.paddr));
+        if (way != kNoWay) {
+            set.touchHit(way, ref.is_write);
+            counters_.record(ref.thread, true);
+        }
+        return way;
+    }
+
+    /**
+     * The miss half of access() on a plain() level, for a @p ref that
+     * hitPlain() has just found absent: the fill (or no-write-allocate
+     * bypass) and its counters, without probing the set again.
+     */
+    CacheAccessResult
+    accessMiss(const MemRef &ref)
+    {
+        CacheAccessResult res;
+        missPlain(ref, res);
+        return res;
+    }
+
+    /**
      * Demand access on behalf of protection domain @p domain (the
      * issuing core, for a SHARP-protected shared LLC — ref.thread is a
      * software thread id and does *not* name the core).  Identical to
@@ -256,6 +300,13 @@ class Cache
     /** Translate a set-level outcome on address set @p set. */
     void setResult(const SetAccessResult &sr, std::uint32_t set,
                    CacheAccessResult &res) const;
+
+    /** accessMiss() into @p res. */
+    void missPlain(const MemRef &ref, CacheAccessResult &res);
+
+    /** setResult() plus the demand access's counter updates. */
+    void demandResult(const SetAccessResult &sr, std::uint32_t set,
+                      const MemRef &ref, CacheAccessResult &res);
 
     CacheConfig config_;
     AddressLayout layout_;

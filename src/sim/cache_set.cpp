@@ -67,22 +67,6 @@ operator==(const ConstSetView &a, const ConstSetView &b)
     return true;
 }
 
-std::optional<std::uint32_t>
-ConstSetView::probe(Addr tag) const
-{
-    // Compare every way without branching, then keep the valid matches:
-    // an invalid way still holds a tag (0 after flushLine or reset).
-    const Addr *const tags = tags_;
-    const std::uint32_t ways = shape_->ways;
-    std::uint32_t match = 0;
-    for (std::uint32_t w = 0; w < ways; ++w)
-        match |= std::uint32_t{tags[w] == tag} << w;
-    match &= state_->valid_mask;
-    if (match == 0)
-        return std::nullopt;
-    return static_cast<std::uint32_t>(std::countr_zero(match));
-}
-
 std::uint32_t
 ConstSetView::occupancy() const
 {
@@ -115,46 +99,54 @@ SetAccessResult
 SetView::access(Addr tag, std::uint16_t utag, bool check_utag,
                 LockReq lock_req, bool is_write)
 {
+    const std::uint32_t w = probe(tag);
+    if (w == kNoWay)
+        return miss(tag, utag, lock_req, is_write);
+
+    // ----- Cache hit path of Fig. 10.
     SetState &st = mutableState();
     const SetShape &shape = *shape_;
     SetAccessResult res;
+    res.hit = true;
+    res.way = w;
+
+    if (check_utag && utags_[w] != utag) {
+        // AMD way predictor: the load matched the physical tag but the
+        // stored linear-address utag disagrees, so the hardware first
+        // misses in the predicted way and retrains the utag.  The
+        // caller charges miss-like latency for this access.
+        res.utag_mismatch = true;
+        mutableUtags()[w] = utag;
+    }
+
+    const bool locked_hit = ((st.locked_mask >> w) & 1u) != 0;
+    if (shape.pl_mode == PlMode::FixedLruLock && locked_hit) {
+        // Blue box: "Normal hit; Do not update replacement state".
+    } else {
+        st.repl.touch(w);
+    }
+
     // A store leaves the line dirty only under write-back; under
     // write-through the data goes downstream immediately and the cached
     // copy stays clean.
+    if (is_write && shape.write_hit == WriteHitPolicy::WriteBack)
+        st.dirty_mask |= 1u << w;
+
+    if (lock_req == LockReq::Lock && shape.pl_mode != PlMode::Disabled)
+        st.locked_mask |= 1u << w;
+    else if (lock_req == LockReq::Unlock)
+        st.locked_mask &= ~(1u << w);
+    return res;
+}
+
+SetAccessResult
+SetView::miss(Addr tag, std::uint16_t utag, LockReq lock_req, bool is_write)
+{
+    SetState &st = mutableState();
+    const SetShape &shape = *shape_;
+    SetAccessResult res;
     const bool mark_dirty =
         is_write && shape.write_hit == WriteHitPolicy::WriteBack;
-
-    if (auto way = probe(tag)) {
-        // ----- Cache hit path of Fig. 10.
-        const std::uint32_t w = *way;
-        res.hit = true;
-        res.way = w;
-
-        if (check_utag && utags_[w] != utag) {
-            // AMD way predictor: the load matched the physical tag but the
-            // stored linear-address utag disagrees, so the hardware first
-            // misses in the predicted way and retrains the utag.  The
-            // caller charges miss-like latency for this access.
-            res.utag_mismatch = true;
-            mutableUtags()[w] = utag;
-        }
-
-        const bool locked_hit = ((st.locked_mask >> w) & 1u) != 0;
-        if (shape.pl_mode == PlMode::FixedLruLock && locked_hit) {
-            // Blue box: "Normal hit; Do not update replacement state".
-        } else {
-            st.repl.touch(w);
-        }
-
-        if (mark_dirty)
-            st.dirty_mask |= 1u << w;
-
-        if (lock_req == LockReq::Lock && shape.pl_mode != PlMode::Disabled)
-            st.locked_mask |= 1u << w;
-        else if (lock_req == LockReq::Unlock)
-            st.locked_mask &= ~(1u << w);
-        return res;
-    }
 
     if (is_write && shape.write_miss == WriteMissPolicy::NoWriteAllocate) {
         // No-write-allocate: the store bypasses this level entirely —
@@ -220,10 +212,9 @@ SetView::accessSharp(Addr tag, bool is_write, std::uint32_t domain,
     const bool mark_dirty =
         is_write && shape.write_hit == WriteHitPolicy::WriteBack;
 
-    if (auto way = probe(tag)) {
+    if (const std::uint32_t w = probe(tag); w != kNoWay) {
         // Hit: identical to the plain path, plus an ownership transfer —
         // the accessor's private caches now hold the freshest copy.
-        const std::uint32_t w = *way;
         res.hit = true;
         res.way = w;
         st.repl.touch(w);
@@ -309,11 +300,10 @@ SetView::releaseOwner(Addr tag, std::uint32_t domain)
 {
     if (!owners_)
         return false;
-    if (auto way = probe(tag)) {
-        if (owners_[*way] == domain) {
-            mutableOwners()[*way] = kNoOwner;
-            return true;
-        }
+    const std::uint32_t way = probe(tag);
+    if (way != kNoWay && owners_[way] == domain) {
+        mutableOwners()[way] = kNoOwner;
+        return true;
     }
     return false;
 }
@@ -450,19 +440,19 @@ SetFlushResult
 SetView::flushLine(Addr tag)
 {
     SetFlushResult res;
-    if (auto way = probe(tag)) {
-        const std::uint32_t bit = 1u << *way;
+    if (const std::uint32_t way = probe(tag); way != kNoWay) {
+        const std::uint32_t bit = 1u << way;
         SetState &st = mutableState();
         res.present = true;
         res.dirty = (st.dirty_mask & bit) != 0;
         st.valid_mask &= ~bit;
         st.locked_mask &= ~bit;
         st.dirty_mask &= ~bit;
-        mutableTags()[*way] = 0;
+        mutableTags()[way] = 0;
         if (utags_)
-            mutableUtags()[*way] = 0;
+            mutableUtags()[way] = 0;
         if (owners_)
-            mutableOwners()[*way] = kNoOwner;
+            mutableOwners()[way] = kNoOwner;
     }
     return res;
 }
@@ -470,22 +460,21 @@ SetView::flushLine(Addr tag)
 bool
 SetView::markDirty(Addr tag)
 {
-    if (auto way = probe(tag)) {
-        mutableState().dirty_mask |= 1u << *way;
-        return true;
-    }
-    return false;
+    const std::uint32_t way = probe(tag);
+    if (way != kNoWay)
+        mutableState().dirty_mask |= 1u << way;
+    return way != kNoWay;
 }
 
 SetAccessResult
 SetView::prefetchFill(Addr tag, std::uint16_t utag)
 {
     SetAccessResult res;
-    if (auto way = probe(tag)) {
+    if (const std::uint32_t way = probe(tag); way != kNoWay) {
         // Already present: hardware prefetchers still promote the line.
         res.hit = true;
-        res.way = *way;
-        mutableState().repl.touch(*way);
+        res.way = way;
+        mutableState().repl.touch(way);
         return res;
     }
     return access(tag, utag, false, LockReq::None);

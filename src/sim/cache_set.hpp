@@ -26,8 +26,8 @@
 #define LRULEAK_SIM_CACHE_SET_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -173,8 +173,32 @@ class ConstSetView
     {
     }
 
-    /** Find the way holding @p tag without touching any state. */
-    std::optional<std::uint32_t> probe(Addr tag) const;
+    /**
+     * The way holding @p tag, or kNoWay, without touching any state.
+     * Branch-free: every way is compared, then the valid matches kept
+     * (an invalid way still holds a tag, 0 after flushLine or reset);
+     * the common 8- and 16-way shapes compare with a constant count.
+     */
+    std::uint32_t
+    probe(Addr tag) const
+    {
+        std::uint32_t match;
+        switch (shape_->ways) {
+          case 8:
+            match = matchMask<8>(tag);
+            break;
+          case 16:
+            match = matchMask<16>(tag);
+            break;
+          default:
+            match = matchMask<0>(tag);
+            break;
+        }
+        match &= state_->valid_mask;
+        return match != 0
+                   ? static_cast<std::uint32_t>(std::countr_zero(match))
+                   : kNoWay;
+    }
 
     /** Owning domain of @p way (kNoOwner when unowned or invalid). */
     std::uint32_t
@@ -226,6 +250,19 @@ class ConstSetView
   protected:
     ConstSetView() = default;
 
+    /** Bit w set iff way w's tag equals @p tag (valid or not); @p kWays
+     *  = 0 reads the way count at run time. */
+    template <std::uint32_t kWays>
+    std::uint32_t
+    matchMask(Addr tag) const
+    {
+        const std::uint32_t ways = kWays != 0 ? kWays : shape_->ways;
+        std::uint32_t match = 0;
+        for (std::uint32_t w = 0; w < ways; ++w)
+            match |= std::uint32_t{tags_[w] == tag} << w;
+        return match;
+    }
+
     /** Bitmask with one bit per way. */
     std::uint32_t
     fullMask() const
@@ -273,6 +310,29 @@ class SetView : public ConstSetView
      */
     SetAccessResult access(Addr tag, std::uint16_t utag, bool check_utag,
                            LockReq lock_req, bool is_write = false);
+
+    /**
+     * The hit update of access() on a plain set (no PL mode, no utag
+     * check, no lock request) whose probe() found the line in @p way:
+     * the replacement-state touch, and the dirty bit for a store under
+     * write-back.
+     */
+    void
+    touchHit(std::uint32_t way, bool is_write)
+    {
+        SetState &st = mutableState();
+        st.repl.touch(way);
+        if (is_write && shape_->write_hit == WriteHitPolicy::WriteBack)
+            st.dirty_mask |= 1u << way;
+    }
+
+    /**
+     * The miss half of access(), for a set whose probe() has just come
+     * back kNoWay: the no-write-allocate bypass, or the victim choice
+     * and the fill.  Same arguments as access().
+     */
+    SetAccessResult miss(Addr tag, std::uint16_t utag, LockReq lock_req,
+                         bool is_write);
 
     /**
      * SHARP-protected access (SecureMode::Sharp); needs an owner array.

@@ -58,6 +58,7 @@ MultiCoreHierarchy::MultiCoreHierarchy(const MultiCoreConfig &config)
         llc.secure_domains = config.cores;
     }
     llc_ = std::make_unique<Cache>(llc);
+    plain_l1_ = l1_[0]->plain();
 }
 
 void
@@ -77,36 +78,54 @@ MultiCoreHierarchy::landPrivateWriteback(std::uint32_t core, int level,
     ++dirty_writebacks_;
 }
 
+inline MultiCoreAccessResult
+MultiCoreHierarchy::l1Hit(std::uint32_t core, const MemRef &ref)
+{
+    // Inclusion invariant: a private hit implies LLC presence, so the
+    // shared level is not referenced at all (no LRU update — the
+    // paper's cross-core receiver depends on private hits being
+    // invisible to the LLC state).
+    std::uint32_t writebacks = 0;
+    if (ref.is_write &&
+        config_.l1.write_hit == WriteHitPolicy::WriteThrough) {
+        // Write-through L1: the store is forwarded downstream.
+        landPrivateWriteback(core, 0,
+                             l1_[core]->layout().lineBase(ref.paddr));
+        writebacks = 1;
+    }
+    return MultiCoreAccessResult{HitLevel::L1, false, 0, writebacks};
+}
+
 MultiCoreAccessResult
 MultiCoreHierarchy::access(std::uint32_t core, const MemRef &ref)
 {
-    MultiCoreAccessResult res;
+    // L1 exit: on a plain L1 one probe serves a hit.
+    if (plain_l1_ && l1_[core]->hitPlain(ref) != kNoWay)
+        return l1Hit(core, ref);
+    return walk(core, ref);
+}
 
-    const auto l1_res = l1_[core]->access(ref);
+MultiCoreAccessResult
+MultiCoreHierarchy::walk(std::uint32_t core, const MemRef &ref)
+{
+    // A plain L1 has just missed in access(): fill it without probing
+    // the set again.
+    Cache &l1 = *l1_[core];
+    const CacheAccessResult l1_res =
+        plain_l1_ ? l1.accessMiss(ref) : l1.access(ref);
+    if (l1_res.hit)
+        return l1Hit(core, ref);
+
+    std::uint32_t writebacks = 0;
     if (l1_res.dirty_writeback && l1_res.evicted_line) {
         landPrivateWriteback(core, 0, *l1_res.evicted_line);
-        ++res.writebacks;
+        ++writebacks;
     }
     if (l1_res.evicted_line && sharpLlc() &&
         !l2_[core]->contains(MemRef::load(*l1_res.evicted_line))) {
         // The core's last private copy of the victim is gone: its SHARP
         // ownership of the LLC line lapses.
         llc_->releaseOwner(core, *l1_res.evicted_line);
-    }
-    if (l1_res.hit) {
-        // Inclusion invariant: a private hit implies LLC presence, so
-        // the shared level is not referenced at all (no LRU update —
-        // the paper's cross-core receiver depends on private hits being
-        // invisible to the LLC state).
-        res.level = HitLevel::L1;
-        if (ref.is_write &&
-            config_.l1.write_hit == WriteHitPolicy::WriteThrough) {
-            // Write-through L1: the store is forwarded downstream.
-            landPrivateWriteback(core, 0,
-                                 l1_[core]->layout().lineBase(ref.paddr));
-            ++res.writebacks;
-        }
-        return res;
     }
 
     // A store is absorbed by the innermost write-back level that keeps
@@ -119,25 +138,21 @@ MultiCoreHierarchy::access(std::uint32_t core, const MemRef &ref)
     const auto l2_res = l2_[core]->access(down);
     if (l2_res.dirty_writeback && l2_res.evicted_line) {
         landPrivateWriteback(core, 1, *l2_res.evicted_line);
-        ++res.writebacks;
+        ++writebacks;
     }
     if (l2_res.evicted_line && sharpLlc() &&
-        !l1_[core]->contains(MemRef::load(*l2_res.evicted_line)))
+        !l1.contains(MemRef::load(*l2_res.evicted_line)))
         llc_->releaseOwner(core, *l2_res.evicted_line);
     if (down.is_write && (l2_res.hit || l2_res.filled)) {
-        if (config_.l2.write_hit == WriteHitPolicy::WriteBack) {
-            down.is_write = false;
-        } else {
+        if (config_.l2.write_hit == WriteHitPolicy::WriteThrough) {
             landPrivateWriteback(core, 1,
                                  l2_[core]->layout().lineBase(ref.paddr));
-            ++res.writebacks;
-            down.is_write = false;
+            ++writebacks;
         }
+        down.is_write = false;
     }
-    if (l2_res.hit) {
-        res.level = HitLevel::L2;
-        return res;
-    }
+    if (l2_res.hit)
+        return MultiCoreAccessResult{HitLevel::L2, false, 0, writebacks};
 
     // Private miss: the shared LLC is referenced (hit updates its
     // replacement state; miss installs the line).  The private fills
@@ -146,39 +161,40 @@ MultiCoreHierarchy::access(std::uint32_t core, const MemRef &ref)
     // every core before the access completes — writing its dirty data
     // back first if any copy (LLC or private) was modified.
     const auto llc_res = llc_->accessFrom(core, down);
-    res.level = llc_res.hit ? HitLevel::LLC : HitLevel::Memory;
-    res.llc_filled = llc_res.filled;
+    const HitLevel level = llc_res.hit ? HitLevel::LLC : HitLevel::Memory;
     if (llc_res.bypassed && sharpLlc()) {
         // SHARP denied the fill: the access is served uncached, so the
         // private copies installed above must go too (inclusion).  A
         // store absorbed into one of them drains to memory first.
         const Addr line = llc_->layout().lineBase(down.paddr);
-        const auto f1 = l1_[core]->invalidateLine(line);
+        const auto f1 = l1.invalidateLine(line);
         const auto f2 = l2_[core]->invalidateLine(line);
         if (f1.dirty || f2.dirty) {
             ++dirty_writebacks_;
-            ++res.writebacks;
+            ++writebacks;
         }
-        return res;
+        return MultiCoreAccessResult{level, llc_res.filled, 0, writebacks};
     }
     if (down.is_write && (llc_res.hit || llc_res.filled) &&
         config_.llc.write_hit == WriteHitPolicy::WriteThrough) {
         ++dirty_writebacks_; // passes through the LLC to memory
-        ++res.writebacks;
+        ++writebacks;
     }
+    std::uint32_t back_invalidated = 0;
     if (llc_res.evicted_line) {
         const std::uint64_t before = back_invalidations_;
         const bool private_dirty = backInvalidate(*llc_res.evicted_line);
-        res.back_invalidated =
+        back_invalidated =
             static_cast<std::uint32_t>(back_invalidations_ - before);
         if (llc_res.dirty_writeback || private_dirty) {
             // Exactly one memory write-back per evicted line, no matter
             // how many dirty copies existed.
             ++dirty_writebacks_;
-            ++res.writebacks;
+            ++writebacks;
         }
     }
-    return res;
+    return MultiCoreAccessResult{level, llc_res.filled, back_invalidated,
+                                 writebacks};
 }
 
 void

@@ -56,8 +56,13 @@ struct MultiCoreConfig
  */
 bool sameTopology(MultiCoreConfig a, const MultiCoreConfig &b);
 
-/** Outcome of one multi-core access. */
-struct MultiCoreAccessResult
+/**
+ * Outcome of one multi-core access.  Aligned to 16 bytes in all, so it
+ * comes back as two whole eightbytes: as 12, GCC builds the return
+ * value on the stack from narrow stores and reloads it wide, which
+ * stalls store forwarding on every access.
+ */
+struct alignas(8) MultiCoreAccessResult
 {
     HitLevel level = HitLevel::Memory; //!< level that served the data
     bool llc_filled = false;           //!< the access installed an LLC line
@@ -187,6 +192,14 @@ class MultiCoreHierarchy
     void landPrivateWriteback(std::uint32_t core, int level,
                               Addr line_base);
 
+    /** An L1 hit's outcome: a store into a write-through L1 is
+     *  forwarded downstream. */
+    MultiCoreAccessResult l1Hit(std::uint32_t core, const MemRef &ref);
+
+    /** access() past the L1 exit: the walk from @p core's L1 down to
+     *  the shared LLC (a plain L1 is known to miss). */
+    MultiCoreAccessResult walk(std::uint32_t core, const MemRef &ref);
+
     /** Is the shared level a SHARP-protected cache? */
     bool
     sharpLlc() const
@@ -198,6 +211,8 @@ class MultiCoreHierarchy
     std::vector<std::unique_ptr<Cache>> l1_;
     std::vector<std::unique_ptr<Cache>> l2_;
     std::unique_ptr<Cache> llc_;
+    bool plain_l1_ = false; //!< every L1 is Cache::plain(): hits exit
+                            //!< after one probe (see access())
     std::uint64_t back_invalidations_ = 0;
     std::uint64_t dirty_writebacks_ = 0;
 };

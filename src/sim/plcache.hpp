@@ -64,8 +64,8 @@ class PlCache
         const auto set = l1.layout().setIndex(ref.vaddr);
         const auto tag = l1.layout().tag(ref.paddr);
         const ConstSetView view = l1.cacheSet(set);
-        const auto way = view.probe(tag);
-        return way && view.line(*way).locked;
+        const std::uint32_t way = view.probe(tag);
+        return way != kNoWay && view.line(way).locked;
     }
 
     PlMode mode() const { return hierarchy_.l1().plMode(); }

@@ -60,7 +60,7 @@ TEST(CacheSet, EvictionReportsVictimTag)
     ASSERT_TRUE(res.evicted);
     // Sequential fill + TreePLRU: victim is way 0 holding tag 0.
     EXPECT_EQ(res.evicted_tag, 0u);
-    EXPECT_FALSE(set.probe(0).has_value());
+    EXPECT_EQ(set.probe(0), kNoWay);
 }
 
 TEST(CacheSet, ProbeDoesNotTouchState)
@@ -84,12 +84,12 @@ TEST(CacheSet, ProbeSkipsAFlushedWayThatHoldsTheTag)
     ASSERT_TRUE(set.flushLine(8).present); // way 7
     EXPECT_EQ(set.line(7).tag, 0u);
     EXPECT_FALSE(set.line(7).valid);
-    EXPECT_FALSE(set.probe(0).has_value());
+    EXPECT_EQ(set.probe(0), kNoWay);
     EXPECT_EQ(access(set, 0).way, 7u);
     // Now way 1 holds tag 0 invalid, below the valid copy in way 7.
     ASSERT_TRUE(set.flushLine(2).present);
     EXPECT_EQ(set.line(1).tag, 0u);
-    EXPECT_EQ(set.probe(0), std::optional<std::uint32_t>(7));
+    EXPECT_EQ(set.probe(0), 7u);
     const auto hit = access(set, 0);
     EXPECT_TRUE(hit.hit);
     EXPECT_EQ(hit.way, 7u);
@@ -100,7 +100,7 @@ TEST(CacheSet, InvalidateRemovesLine)
     auto set = makeSet();
     access(set, 7);
     EXPECT_TRUE(set.flushLine(7).present);
-    EXPECT_FALSE(set.probe(7).has_value());
+    EXPECT_EQ(set.probe(7), kNoWay);
     EXPECT_FALSE(set.flushLine(7).present);
 }
 
@@ -121,7 +121,7 @@ TEST(CacheSet, ResetClearsEverything)
     set.reset();
     EXPECT_EQ(set.occupancy(), 0u);
     for (Addr t = 0; t < 8; ++t)
-        EXPECT_FALSE(set.probe(t).has_value());
+        EXPECT_EQ(set.probe(t), kNoWay);
 }
 
 TEST(CacheSet, CopyIsDeep)
@@ -130,8 +130,8 @@ TEST(CacheSet, CopyIsDeep)
     access(set, 1);
     CacheSet copy(set);
     access(copy, 2);
-    EXPECT_TRUE(copy.probe(2).has_value());
-    EXPECT_FALSE(set.probe(2).has_value());
+    EXPECT_NE(copy.probe(2), kNoWay);
+    EXPECT_EQ(set.probe(2), kNoWay);
 }
 
 // --------------------------------------------------------- lock bits
@@ -140,20 +140,20 @@ TEST(PlCacheSet, LockBitSetAndCleared)
 {
     auto set = makeSet(8, ReplPolicyKind::TreePlru, PlMode::Original);
     access(set, 1, LockReq::Lock);
-    const auto way = set.probe(1);
-    ASSERT_TRUE(way.has_value());
-    EXPECT_TRUE(set.line(*way).locked);
+    const std::uint32_t way = set.probe(1);
+    ASSERT_NE(way, kNoWay);
+    EXPECT_TRUE(set.line(way).locked);
     access(set, 1, LockReq::Unlock);
-    EXPECT_FALSE(set.line(*way).locked);
+    EXPECT_FALSE(set.line(way).locked);
 }
 
 TEST(PlCacheSet, LockIgnoredWhenDisabled)
 {
     auto set = makeSet(8, ReplPolicyKind::TreePlru, PlMode::Disabled);
     access(set, 1, LockReq::Lock);
-    const auto way = set.probe(1);
-    ASSERT_TRUE(way.has_value());
-    EXPECT_FALSE(set.line(*way).locked);
+    const std::uint32_t way = set.probe(1);
+    ASSERT_NE(way, kNoWay);
+    EXPECT_FALSE(set.line(way).locked);
 }
 
 TEST(PlCacheSet, LockedLineSurvivesPressure)
@@ -162,7 +162,7 @@ TEST(PlCacheSet, LockedLineSurvivesPressure)
     access(set, 42, LockReq::Lock);
     for (Addr t = 100; t < 140; ++t)
         access(set, t);
-    EXPECT_TRUE(set.probe(42).has_value());
+    EXPECT_NE(set.probe(42), kNoWay);
 }
 
 TEST(PlCacheSet, OriginalBypassesWhenVictimLocked)
@@ -174,7 +174,7 @@ TEST(PlCacheSet, OriginalBypassesWhenVictimLocked)
     const auto res = access(set, 3);
     EXPECT_TRUE(res.bypassed);
     EXPECT_FALSE(res.filled);
-    EXPECT_FALSE(set.probe(3).has_value());
+    EXPECT_EQ(set.probe(3), kNoWay);
 }
 
 TEST(PlCacheSet, OriginalUpdatesLruOnLockedHit)
@@ -218,7 +218,7 @@ TEST(PlCacheSet, FixedExcludesLockedWaysFromVictimSelection)
     for (Addr t = 10; t < 20; ++t) {
         const auto res = access(set, t);
         EXPECT_TRUE(res.filled);
-        EXPECT_TRUE(set.probe(1).has_value());
+        EXPECT_NE(set.probe(1), kNoWay);
     }
 }
 

@@ -628,7 +628,7 @@ class LevelModel
             forced[domain] += ev.forced ? 1 : 0;
             denied[domain] += ev.denied ? 1 : 0;
         } else if (c_.secure == SecureMode::RandomFill &&
-                   !sets[set].probe(tag)) {
+                   sets[set].probe(tag) == kNoWay) {
             const std::int64_t offset = fill_rng_.range(1, c_.fill_window) *
                                         (fill_rng_.chance(0.5) ? 1 : -1);
             const Addr delta = static_cast<Addr>(offset * 64);
@@ -731,8 +731,7 @@ class LevelModel
     {
         const std::uint32_t set = layout_.setIndex(ref.vaddr);
         return sets[set * parts_ + ref.thread % parts_]
-            .probe(layout_.tag(ref.paddr))
-            .has_value();
+                   .probe(layout_.tag(ref.paddr)) != kNoWay;
     }
 
     static std::uint64_t

@@ -259,7 +259,7 @@ TEST(ReplayBatchPlFallback, MatchesPerAccessPathOnLockedSets)
                 EXPECT_EQ(bypasses > 0,
                           mode == PlMode::Original || locked == kWays);
                 for (Addr t = 0; t < locked; ++t)
-                    EXPECT_TRUE(b.probe(100 + t).has_value()) << t;
+                    EXPECT_NE(b.probe(100 + t), kNoWay) << t;
             }
         }
     }
@@ -278,7 +278,7 @@ TEST(CacheSetValueSemantics, CopyAssignmentIsDeepAndIndependent)
 
     // Mutating the copy must not leak back into the original.
     b.access(99, 0, false, LockReq::None);
-    EXPECT_TRUE(b.probe(99).has_value());
-    EXPECT_FALSE(a.probe(99).has_value());
+    EXPECT_NE(b.probe(99), kNoWay);
+    EXPECT_EQ(a.probe(99), kNoWay);
     EXPECT_NE(b.repl(), a.repl());
 }
