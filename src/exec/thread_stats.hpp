@@ -26,6 +26,8 @@ struct ThreadStats
     std::uint64_t busy_cycles = 0; //!< cycles charged for executed ops
                                    //!< (spin time not included)
 
+    bool operator==(const ThreadStats &) const = default;
+
     /** Ops that reached the memory system. */
     std::uint64_t
     memoryOps() const

@@ -119,7 +119,7 @@ Cache::demandAccess(std::uint32_t storage, std::uint32_t set,
 }
 
 void
-Cache::missPlain(const MemRef &ref, CacheAccessResult &res)
+Cache::accessMiss(const MemRef &ref, CacheAccessResult &res)
 {
     const std::uint32_t set = layout_.setIndex(ref.vaddr);
     const SetAccessResult sr = cacheSet(set).miss(
@@ -141,7 +141,7 @@ Cache::access(const MemRef &ref, LockReq lock_req)
             res.set = layout_.setIndex(ref.vaddr);
             res.way = way;
         } else {
-            missPlain(ref, res);
+            accessMiss(ref, res);
         }
     } else if (config_.secure == SecureMode::None) {
         const std::uint32_t set = layout_.setIndex(ref.vaddr);

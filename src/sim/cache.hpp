@@ -115,15 +115,10 @@ class Cache
     /**
      * The miss half of access() on a plain() level, for a @p ref that
      * hitPlain() has just found absent: the fill (or no-write-allocate
-     * bypass) and its counters, without probing the set again.
+     * bypass) and its counters into @p res, without probing the set
+     * again.
      */
-    CacheAccessResult
-    accessMiss(const MemRef &ref)
-    {
-        CacheAccessResult res;
-        missPlain(ref, res);
-        return res;
-    }
+    void accessMiss(const MemRef &ref, CacheAccessResult &res);
 
     /**
      * Demand access on behalf of protection domain @p domain (the
@@ -300,9 +295,6 @@ class Cache
     /** Translate a set-level outcome on address set @p set. */
     void setResult(const SetAccessResult &sr, std::uint32_t set,
                    CacheAccessResult &res) const;
-
-    /** accessMiss() into @p res. */
-    void missPlain(const MemRef &ref, CacheAccessResult &res);
 
     /** setResult() plus the demand access's counter updates. */
     void demandResult(const SetAccessResult &sr, std::uint32_t set,

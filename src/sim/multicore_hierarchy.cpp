@@ -111,8 +111,11 @@ MultiCoreHierarchy::walk(std::uint32_t core, const MemRef &ref)
     // A plain L1 has just missed in access(): fill it without probing
     // the set again.
     Cache &l1 = *l1_[core];
-    const CacheAccessResult l1_res =
-        plain_l1_ ? l1.accessMiss(ref) : l1.access(ref);
+    CacheAccessResult l1_res;
+    if (plain_l1_)
+        l1.accessMiss(ref, l1_res);
+    else
+        l1_res = l1.access(ref);
     if (l1_res.hit)
         return l1Hit(core, ref);
 
