@@ -133,15 +133,17 @@ Cache::access(const MemRef &ref, LockReq lock_req)
     // One named result: it is built in place in the caller's slot.
     CacheAccessResult res;
     if (plain() && lock_req == LockReq::None) [[likely]] {
-        // One probe: a hit is served by hitPlain(), a miss filled by
-        // accessMiss().
+        const std::uint32_t set = layout_.setIndex(ref.vaddr);
         const std::uint32_t way = hitPlain(ref);
         if (way != kNoWay) {
             res.hit = true;
-            res.set = layout_.setIndex(ref.vaddr);
+            res.set = set;
             res.way = way;
         } else {
-            accessMiss(ref, res);
+            // accessMiss(), spelled out so the miss costs one call.
+            demandResult(cacheSet(set).miss(layout_.tag(ref.paddr), 0,
+                                            LockReq::None, ref.is_write),
+                         set, ref, res);
         }
     } else if (config_.secure == SecureMode::None) {
         const std::uint32_t set = layout_.setIndex(ref.vaddr);

@@ -57,10 +57,10 @@ struct MultiCoreConfig
 bool sameTopology(MultiCoreConfig a, const MultiCoreConfig &b);
 
 /**
- * Outcome of one multi-core access.  Aligned to 16 bytes in all, so it
- * comes back as two whole eightbytes: as 12, GCC builds the return
- * value on the stack from narrow stores and reloads it wide, which
- * stalls store forwarding on every access.
+ * Outcome of one multi-core access.  Aligned to 8, which pads it to 16
+ * bytes, so it comes back in two whole registers: at 12 bytes GCC
+ * builds the return value on the stack from narrow stores and reloads
+ * it wide, which stalls store forwarding on every access.
  */
 struct alignas(8) MultiCoreAccessResult
 {

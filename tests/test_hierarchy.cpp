@@ -14,8 +14,11 @@
 
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
+#include "same_topology.hpp"
 
 using namespace lruleak::sim;
+using lruleak::compare::expectSameCache;
+using lruleak::compare::expectSameMultiCore;
 
 TEST(Hierarchy, ColdAccessGoesToMemoryAndFillsAllLevels)
 {
@@ -446,21 +449,6 @@ expectRunMatchesAccess(const AddressLayout &l1, std::uint64_t seed, Run &&run,
 }
 
 void
-expectSameCache(const Cache &a, const Cache &b, const std::string &what)
-{
-    ASSERT_EQ(a.storageSets(), b.storageSets()) << what;
-    for (std::uint32_t s = 0; s < a.storageSets(); ++s)
-        ASSERT_TRUE(a.cacheSet(s) == b.cacheSet(s)) << what << " set " << s;
-    const LevelStats &x = a.counters().total();
-    const LevelStats &y = b.counters().total();
-    EXPECT_EQ(x.accesses, y.accesses) << what;
-    EXPECT_EQ(x.hits, y.hits) << what;
-    EXPECT_EQ(x.writebacks, y.writebacks) << what;
-    EXPECT_EQ(a.sharpAlarmsTotal(), b.sharpAlarmsTotal()) << what;
-    EXPECT_EQ(a.sharpForcedTotal(), b.sharpForcedTotal()) << what;
-}
-
-void
 expectSameHierarchy(const CacheHierarchy &a, const CacheHierarchy &b,
                     const std::string &what)
 {
@@ -468,20 +456,6 @@ expectSameHierarchy(const CacheHierarchy &a, const CacheHierarchy &b,
     expectSameCache(a.l1(), b.l1(), what + " L1");
     expectSameCache(a.l2(), b.l2(), what + " L2");
     expectSameCache(a.llc(), b.llc(), what + " LLC");
-}
-
-void
-expectSameMultiCore(const MultiCoreHierarchy &a, const MultiCoreHierarchy &b,
-                    const std::string &what)
-{
-    EXPECT_TRUE(a.config() == b.config()) << what;
-    for (std::uint32_t c = 0; c < a.cores(); ++c) {
-        expectSameCache(a.l1(c), b.l1(c), what + " L1." + std::to_string(c));
-        expectSameCache(a.l2(c), b.l2(c), what + " L2." + std::to_string(c));
-    }
-    expectSameCache(a.llc(), b.llc(), what + " LLC");
-    EXPECT_EQ(a.backInvalidations(), b.backInvalidations()) << what;
-    EXPECT_EQ(a.dirtyWritebacks(), b.dirtyWritebacks()) << what;
 }
 
 } // namespace
@@ -535,6 +509,7 @@ TEST(HierarchyReset, MultiCoreNewSeedEqualsFreshConstruction)
         ASSERT_TRUE(sameTopology(used.config(), config));
         used.reset(config.seed);
         MultiCoreHierarchy fresh(config);
+        EXPECT_TRUE(used.config() == fresh.config()) << caseName(c);
         expectSameMultiCore(used, fresh, caseName(c));
 
         // One twin takes the traffic as accessRun calls, one per run

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "exec/engine.hpp"
+#include "same_topology.hpp"
 #include "sim/access_port.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "sim/random.hpp"
@@ -34,50 +35,9 @@ using namespace lruleak;
 using namespace lruleak::exec;
 using sim::MultiCoreConfig;
 using sim::MultiCoreHierarchy;
+using compare::expectSameMultiCore;
 
 namespace {
-
-/** Every set, the counters of @p threads and the SHARP events equal. */
-void
-expectSameLevel(const sim::Cache &a, const sim::Cache &b,
-                std::uint32_t threads, const std::string &what)
-{
-    ASSERT_EQ(a.storageSets(), b.storageSets()) << what;
-    for (std::uint32_t s = 0; s < a.storageSets(); ++s)
-        ASSERT_TRUE(a.cacheSet(s) == b.cacheSet(s)) << what << " set " << s;
-    const auto same = [&](const sim::LevelStats &x, const sim::LevelStats &y,
-                          const std::string &who) {
-        EXPECT_EQ(x.accesses, y.accesses) << what << who;
-        EXPECT_EQ(x.hits, y.hits) << what << who;
-        EXPECT_EQ(x.misses, y.misses) << what << who;
-        EXPECT_EQ(x.writebacks, y.writebacks) << what << who;
-    };
-    same(a.counters().total(), b.counters().total(), " total");
-    for (sim::ThreadId t = 0; t < threads; ++t)
-        same(a.counters().forThread(t), b.counters().forThread(t),
-             " thread " + std::to_string(t));
-    EXPECT_EQ(a.sharpAlarmsTotal(), b.sharpAlarmsTotal()) << what;
-    EXPECT_EQ(a.sharpForcedTotal(), b.sharpForcedTotal()) << what;
-    EXPECT_EQ(a.sharpDeniedTotal(), b.sharpDeniedTotal()) << what;
-}
-
-/** Whole-topology equality: every level of every core, and the
- *  hierarchy's back-invalidation and write-back counts. */
-void
-expectSameTopology(const MultiCoreHierarchy &a, const MultiCoreHierarchy &b,
-                   std::uint32_t threads, const std::string &what)
-{
-    ASSERT_EQ(a.cores(), b.cores()) << what;
-    for (std::uint32_t c = 0; c < a.cores(); ++c) {
-        expectSameLevel(a.l1(c), b.l1(c), threads,
-                        what + " L1." + std::to_string(c));
-        expectSameLevel(a.l2(c), b.l2(c), threads,
-                        what + " L2." + std::to_string(c));
-    }
-    expectSameLevel(a.llc(), b.llc(), threads, what + " LLC");
-    EXPECT_EQ(a.backInvalidations(), b.backInvalidations()) << what;
-    EXPECT_EQ(a.dirtyWritebacks(), b.dirtyWritebacks()) << what;
-}
 
 /** Small levels, so a short stream hits, misses, evicts dirty lines and
  *  back-invalidates. */
@@ -196,9 +156,8 @@ expectSameRun(const RunState &ahead, const RunState &per_op,
         EXPECT_TRUE(ahead.stats[i] == per_op.stats[i])
             << what << " thread " << i;
     EXPECT_TRUE(ahead.rng == per_op.rng) << what;
-    expectSameTopology(*ahead.topology, *per_op.topology,
-                       static_cast<std::uint32_t>(ahead.clocks.size()),
-                       what);
+    expectSameMultiCore(*ahead.topology, *per_op.topology, what,
+                        static_cast<std::uint32_t>(ahead.clocks.size()));
 }
 
 } // namespace
@@ -220,7 +179,8 @@ TEST(LowestClockRunAhead, TiedClocksAcrossChildren)
 
 TEST(LowestClockRunAhead, PrimaryFinishesInsideRun)
 {
-    // The primary stops mid-run; nobody may run past that point.
+    // The primary stops, mostly in the middle of a run-ahead; no thread
+    // may step past that point.
     for (unsigned primary : {0u, 2u}) {
         std::vector<std::size_t> limits{50'000, 50'000, 50'000};
         limits[primary] = 777;
@@ -336,7 +296,7 @@ TEST(MultiCoreL1HitExit, MatchesGeneralPathLevel)
                         << what;
                     ASSERT_EQ(a.writebacks, b.writebacks) << what;
                 }
-                expectSameTopology(fast, ref, 3, what);
+                expectSameMultiCore(fast, ref, what, 3);
                 // The stream exercised what it is meant to.
                 EXPECT_GT(fast.l1(0).counters().total().hits, 1000u)
                     << what;
