@@ -273,7 +273,8 @@ finish(exec::Engine &engine, std::span<const exec::ThreadSpec> specs)
     return out;
 }
 
-/** Single-core stage: CacheHierarchy under RoundRobinSmt or TimeSlice. */
+/** Single-core stage: CacheHierarchy under LowestClock (the hyperthread
+ *  pair as two bare threads of core 0) or TimeSlice. */
 RunOutcome
 runSingleCore(const SessionConfig &config, LruSender &sender,
               Receiver &receiver, sim::CacheHierarchy &hierarchy)
@@ -283,7 +284,7 @@ runSingleCore(const SessionConfig &config, LruSender &sender,
     exec::EngineConfig ec = config.sched;
     ec.seed = config.seed;
     if (config.mode == SharingMode::HyperThreaded) {
-        exec::RoundRobinSmt policy;
+        exec::LowestClock policy;
         exec::Engine engine(port, config.uarch, policy, ec);
         return finish(engine, specs);
     }
@@ -294,10 +295,11 @@ runSingleCore(const SessionConfig &config, LruSender &sender,
 }
 
 /**
- * Multi-core stage: MultiCoreHierarchy under LowestClock, with the
- * sharing mode's intra-core policy nested on the party core(s) and
- * noise programs pinned to the remaining cores.  Cross-core receiver
- * j runs on core 1 + j.
+ * Multi-core stage: MultiCoreHierarchy under LowestClock, with
+ * TimeSlice nested on the party core(s) when the mode time-slices
+ * them, and noise programs pinned to the remaining cores.  The
+ * hyperthread pair needs no nest: it is two bare threads of core 0.
+ * Cross-core receiver j runs on core 1 + j.
  */
 RunOutcome
 runMultiCore(const SessionConfig &config, LruSender &sender,
@@ -334,9 +336,7 @@ runMultiCore(const SessionConfig &config, LruSender &sender,
         }
         break;
       case SharingMode::HyperThreaded:
-        // The hyperthread pair on core 0; noise cores get the default
-        // leaf.
-        policy.nest(0, std::make_unique<exec::RoundRobinSmt>());
+        // The hyperthread pair: two bare threads of core 0.
         break;
       case SharingMode::TimeSliced:
         policy.nest(0, std::make_unique<exec::TimeSlice>(config.tslice));

@@ -20,8 +20,9 @@
  *        receiver (any of the eight ChannelIds) or the K spies of a
  *        multi-spy team, each a channel::Receiver running Algorithm
  *        3's sampling clock at the session's Tr
- *     -> run under the sharing mode's ArbitrationPolicy (RoundRobinSmt,
- *        TimeSlice or LowestClock with nested per-core children)
+ *     -> run under the sharing mode's ArbitrationPolicy (LowestClock,
+ *        with TimeSlice nested on the time-sliced cores, or a root
+ *        TimeSlice on the single-core topology)
  *     -> calibrate the decode threshold (channel::Calibration)
  *     -> window each receiver's trace (a team's rows merged
  *        any-spy-wins), strip erasures, score

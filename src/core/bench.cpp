@@ -349,7 +349,7 @@ macroPass(const SimBenchConfig &config)
     }
     {
         // End-to-end covert-channel bits through the execution engine
-        // (RoundRobinSmt over the single-core hierarchy), on the
+        // (LowestClock over the single-core hierarchy), on the
         // Session fast path: pooled topology, memoized calibration,
         // sender paced at the receiver's sampling period.  What the
         // session decodes is pinned by BenchChannelLanes.* in

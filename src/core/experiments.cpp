@@ -267,7 +267,7 @@ senderMissRates(const timing::Uarch &uarch,
         channel::LruSender sender(layout, sc);
 
         sim::SingleCorePort port(hierarchy);
-        exec::RoundRobinSmt policy;
+        exec::LowestClock policy;
         exec::EngineConfig ec;
         ec.seed = seed;
         exec::Engine engine(port, uarch, policy, ec);

@@ -27,18 +27,9 @@ Engine::Engine(sim::AccessPort &port, const timing::Uarch &uarch,
       uarch_(uarch), model_(uarch), policy_(policy), config_(config),
       rng_(config.seed)
 {
-}
-
-inline sim::PortAccess
-Engine::portAccess(std::uint32_t core, const Op &op)
-{
-    // Both concrete ports are final: these calls bind statically and
-    // inline down to the hierarchy's out-of-line access().
-    if (multi_port_ != nullptr)
-        return multi_port_->access(core, op.ref, op.lock_req);
-    if (single_port_ != nullptr)
-        return single_port_->access(core, op.ref, op.lock_req);
-    return port_.access(core, op.ref, op.lock_req);
+    if (multi_port_ == nullptr && single_port_ == nullptr)
+        throw std::invalid_argument(
+            "Engine: the port must be a SingleCorePort or a MultiCorePort");
 }
 
 void
@@ -65,7 +56,7 @@ Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
                                                 : 0;
     switch (op.kind) {
       case OpKind::Access: {
-        const auto pa = portAccess(t.core, op);
+        const auto pa = access(t.core, op.ref, op.lock_req);
         OpResult out;
         out.kind = OpKind::Access;
         out.level = pa.level;
@@ -84,7 +75,7 @@ Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
         return cost;
       }
       case OpKind::Measure: {
-        const auto pa = portAccess(t.core, op);
+        const auto pa = access(t.core, op.ref, op.lock_req);
         OpResult out;
         out.kind = OpKind::Measure;
         out.level = pa.level;
@@ -231,54 +222,6 @@ Engine::run(ThreadProgram &thread0, ThreadProgram &thread1, unsigned primary)
     return run(specs, primary);
 }
 
-// -------------------------------------------------------- RoundRobinSmt
-
-void
-RoundRobinSmt::begin(Engine &, std::span<const unsigned> threads)
-{
-    threads_.assign(threads.begin(), threads.end());
-}
-
-unsigned
-RoundRobinSmt::pick(const Engine &engine) const
-{
-    // Step whichever live thread is furthest behind in time (ties break
-    // toward the lowest index).
-    unsigned best = static_cast<unsigned>(engine.threadCount());
-    for (unsigned t : threads_) {
-        const auto &ctx = engine.thread(t);
-        if (ctx.done)
-            continue;
-        if (best == engine.threadCount() ||
-            ctx.clock < engine.thread(best).clock)
-            best = t;
-    }
-    return best;
-}
-
-std::optional<std::uint64_t>
-RoundRobinSmt::nextEventTime(const Engine &engine) const
-{
-    if (engine.now() >= engine.config().max_cycles)
-        return std::nullopt;
-    const unsigned t = pick(engine);
-    if (t == engine.threadCount())
-        return std::nullopt;
-    return engine.thread(t).clock;
-}
-
-bool
-RoundRobinSmt::step(Engine &engine)
-{
-    if (engine.now() >= engine.config().max_cycles)
-        return false;
-    const unsigned t = pick(engine);
-    if (t == engine.threadCount())
-        return false;
-    engine.stepClockThread(t);
-    return true;
-}
-
 // ------------------------------------------------------------ TimeSlice
 
 void
@@ -357,7 +300,7 @@ TimeSlice::backgroundSlice(Engine &engine, std::uint64_t slice_end)
         const sim::Addr line = config_.background_base +
             engine.rng().below(config_.background_lines * 4) * 64;
         const sim::MemRef ref{line, line, config_.background_thread, false};
-        const auto pa = engine.port().access(core_, ref);
+        const auto pa = engine.access(core_, ref);
         now_ += engine.uarch().latency(pa.level) +
                 engine.config().op_overhead +
                 std::uint64_t{pa.writebacks} * engine.uarch().wb_latency;
@@ -654,12 +597,12 @@ LowestClock::begin(Engine &engine, std::span<const unsigned> threads)
 LowestClock::Pick
 LowestClock::pick(const Engine &engine) const
 {
-    // Step the core whose next event is earliest (ties toward the
+    // Step the child whose next event is earliest (ties toward the
     // lowest core id; within a core, toward spec order).  A bare thread
-    // is runnable while live and below max_cycles, like a RoundRobinSmt
-    // child.  One scan keeps the earliest child and the runner-up; an
-    // idle child reads as kIdle, later than any clock, and the strict
-    // compares keep every tie on the lower index.
+    // is runnable while live and below max_cycles.  One scan keeps the
+    // earliest child and the runner-up; an idle child reads as kIdle,
+    // later than any clock, and the strict compares keep every tie on
+    // the lower index.
     const bool bare_runnable = engine.now() < engine.config().max_cycles;
     Pick best{children_.size(), kIdle, children_.size(), kIdle};
     for (std::size_t i = 0; i < children_.size(); ++i) {

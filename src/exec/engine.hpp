@@ -11,24 +11,25 @@
  * batched kernel bursts, the inclusion audit) out of the interleaving
  * itself, which becomes a pluggable ArbitrationPolicy:
  *
- *   RoundRobinSmt — per-op interleave of one core's hardware contexts
- *                   by lowest private clock (replaces SmtScheduler);
+ *   LowestClock   — always steps the thread (or nested core policy)
+ *                   whose next event is earliest.  Over one core it is
+ *                   the per-op SMT interleave of that core's hardware
+ *                   contexts (replaces SmtScheduler); across cores it
+ *                   serializes all shared-level traffic on one
+ *                   deterministic global timeline (replaces
+ *                   MultiCoreScheduler);
  *   TimeSlice     — quantum rotation on one core with OS context-switch
  *                   effects: kernel noise bursts, timer ticks and
  *                   background-process slices (replaces
- *                   TimeSliceScheduler);
- *   LowestClock   — cross-core arbitration: steps the core whose local
- *                   clock is furthest behind, serializing all shared-
- *                   level traffic on one deterministic global timeline
- *                   (replaces MultiCoreScheduler).
+ *                   TimeSliceScheduler).
  *
- * Policies nest: LowestClock arbitrates *cores* and delegates each
- * core's intra-core schedule to a child policy — a RoundRobinSmt child
- * models a hyperthread pair on one core of a multi-core system, a
- * TimeSlice child models an OS time-slicing that core.  The threads of
- * a core without an explicit child step on their own private clocks.
- * That composability is what opens the combined-scenario matrix
- * (`xcore_timesliced`, `smt_multicore_traces`) without a fourth
+ * Policies nest: LowestClock can delegate one core's intra-core
+ * schedule to a child policy — a TimeSlice child models an OS
+ * time-slicing that core.  The threads of a core without a child step
+ * on their own private clocks, so a hyperthread pair on one core of a
+ * multi-core system is just two bare threads bound to that core.  That
+ * composability is what opens the combined-scenario matrix
+ * (`xcore_timesliced`, `smt_multicore_traces`) without a third
  * hand-rolled scheduler.
  *
  * Determinism: one engine-owned Xoshiro256 stream drives op jitter,
@@ -44,7 +45,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "exec/op.hpp"
@@ -102,8 +102,6 @@ class ArbitrationPolicy
   public:
     virtual ~ArbitrationPolicy() = default;
 
-    virtual std::string_view name() const = 0;
-
     /** Bind to a run.  @p threads are engine thread indices. */
     virtual void begin(Engine &engine,
                        std::span<const unsigned> threads) = 0;
@@ -144,6 +142,8 @@ class ArbitrationPolicy
 class Engine
 {
   public:
+    /** @p port must be a sim::SingleCorePort or a sim::MultiCorePort
+     *  (std::invalid_argument otherwise): the engine calls it directly. */
     Engine(sim::AccessPort &port, const timing::Uarch &uarch,
            ArbitrationPolicy &policy, EngineConfig config = {});
 
@@ -214,11 +214,22 @@ class Engine
     std::uint64_t executeOp(unsigned idx, const Op &op,
                             std::uint64_t start);
 
+    /** Demand access of @p core through the port, bound statically to
+     *  its concrete type (both are final, so no virtual call is made). */
+    sim::PortAccess
+    access(std::uint32_t core, const sim::MemRef &ref,
+           sim::LockReq lock_req = sim::LockReq::None)
+    {
+        if (multi_port_ != nullptr)
+            return multi_port_->access(core, ref, lock_req);
+        return single_port_->access(core, ref, lock_req);
+    }
+
     /**
      * One clock-arbitrated step of thread @p idx: yield the next op at
      * the thread's private clock, then either finish it (Done), busy-
      * wait (clock = max(clock + 1, until)) or execute and charge the
-     * cost.  The shared stepping body of RoundRobinSmt and LowestClock.
+     * cost.  LowestClock's step for a bare thread.
      */
     void stepClockThread(unsigned idx);
 
@@ -238,12 +249,8 @@ class Engine
     void maybeAudit();
     void audit();
 
-    /** The demand access of @p op, through the concrete port when it is
-     *  one of the two the engine knows. */
-    sim::PortAccess portAccess(std::uint32_t core, const Op &op);
-
     sim::AccessPort &port_;
-    // The port's concrete type, resolved once at construction (at most
+    // The port's concrete type, resolved once at construction (exactly
     // one is set): per-op accesses then skip the virtual call.
     sim::MultiCorePort *multi_port_;
     sim::SingleCorePort *single_port_;
@@ -261,30 +268,6 @@ class Engine
 };
 
 // ------------------------------------------------- arbitration policies
-
-/**
- * Per-op interleave of one core's hardware contexts: always step the
- * live thread whose private clock is furthest behind (ties toward the
- * lowest index).  With two threads this is the fine-grained, phase-
- * drifting interleaving real SMT co-residency gives the paper's
- * Section V-A experiments.
- */
-class RoundRobinSmt final : public ArbitrationPolicy
-{
-  public:
-    std::string_view name() const override { return "rr-smt"; }
-    void begin(Engine &engine,
-               std::span<const unsigned> threads) override;
-    std::optional<std::uint64_t>
-    nextEventTime(const Engine &engine) const override;
-    bool step(Engine &engine) override;
-
-  private:
-    /** Live thread with the lowest clock, or threadCount() if none. */
-    unsigned pick(const Engine &engine) const;
-
-    std::vector<unsigned> threads_;
-};
 
 /** Knobs of the time-sliced (OS scheduling) model. */
 struct TimeSlicePolicyConfig
@@ -360,7 +343,6 @@ class TimeSlice final : public ArbitrationPolicy
         : config_(config)
     {}
 
-    std::string_view name() const override { return "timeslice"; }
     void begin(Engine &engine,
                std::span<const unsigned> threads) override;
     void onNested() override { nested_ = true; }
@@ -411,13 +393,15 @@ class TimeSlice final : public ArbitrationPolicy
 };
 
 /**
- * Cross-core arbitration: each core runs its threads under an
- * explicitly nested child policy, or by default on their private
- * clocks as RoundRobinSmt would, and the engine always steps the core
- * whose next event is earliest (ties toward the lowest core id, then
- * spec order).  Every core makes progress at hardware speed, the
- * interleaving at the shared level is fine-grained and phase-drifting,
- * and the whole run is deterministic for a given seed.
+ * Clock-ordered arbitration: each core runs its threads under an
+ * explicitly nested child policy, or by default as bare threads on
+ * their private clocks, and the engine always steps the child whose
+ * next event is earliest (ties toward the lowest core id, then spec
+ * order).  Over one core's threads this is the per-op SMT interleave
+ * of the paper's Section V-A; across cores, every core makes progress
+ * at hardware speed, the interleaving at the shared level is
+ * fine-grained and phase-drifting, and the whole run is deterministic
+ * for a given seed.
  */
 class LowestClock final : public ArbitrationPolicy
 {
@@ -427,13 +411,11 @@ class LowestClock final : public ArbitrationPolicy
     /**
      * Nest a child policy for one core's thread group.  The threads of
      * a core without one are arbitrated directly: the live thread with
-     * the lowest private clock steps, until max_cycles — what a
-     * RoundRobinSmt child would do, without a child per core.
+     * the lowest private clock steps, until max_cycles.
      */
     void nest(std::uint32_t core,
               std::unique_ptr<ArbitrationPolicy> child);
 
-    std::string_view name() const override { return "lowest-clock"; }
     void begin(Engine &engine,
                std::span<const unsigned> threads) override;
     std::optional<std::uint64_t>

@@ -5,8 +5,8 @@
  * core 0 of an N-core system while background-noise cores contend for
  * the shared inclusive LLC.
  *
- * A RoundRobinSmt policy nests under the cross-core LowestClock
- * arbitration: sender and receiver interleave per-op on core 0 exactly
+ * Sender and receiver are two bare threads of core 0 under the
+ * cross-core LowestClock arbitration: they interleave per-op exactly
  * as in the single-core Section V-A setting, but the other cores'
  * traffic now evicts LLC lines whose back-invalidation reaches *into
  * core 0's private L1* and knocks out channel lines mid-protocol — a
@@ -73,6 +73,7 @@ class SmtMulticoreTraces final : public Experiment
             static_cast<std::size_t>(params.getUint("bits")));
         const auto uarch = uarchFromParams(params);
 
+        // Old policy name kept: the golden and full-scale digest pin it.
         sink.note("=== SMT pair on core 0 of a " + std::to_string(cores) +
                   "-core system: hyper-threaded L1 channel vs shared-LLC "
                   "noise, " + uarch.name + " ===\n(RoundRobinSmt nested "

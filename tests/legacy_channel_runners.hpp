@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "channel/session.hpp"
+#include "per_op_policy.hpp"
 #include "sim/access_port.hpp"
 #include "timing/pointer_chase.hpp"
 
@@ -302,7 +303,9 @@ runScheduler(const CovertConfig &config, RunContext &ctx)
     exec::EngineConfig ec;
     ec.seed = config.seed;
     if (config.mode == SharingMode::HyperThreaded) {
-        exec::RoundRobinSmt policy;
+        // One op per step (the retired RoundRobinSmt's schedule), so
+        // the session differential does not lean on the run-ahead.
+        reference::PerOpLowestClock policy;
         exec::Engine engine(port, config.uarch, policy, ec);
         return engine.run(ctx.sender, ctx.receiver, /*primary=*/1);
     }
@@ -545,7 +548,7 @@ legacyRunSmtMulticore(const SmtMultiCoreConfig &config)
 
     sim::MultiCorePort port(hierarchy);
     exec::LowestClock policy;
-    policy.nest(0, std::make_unique<exec::RoundRobinSmt>());
+    policy.nest(0, std::make_unique<reference::PerOpLowestClock>());
 
     exec::EngineConfig ec = config.sched;
     ec.seed = config.seed;

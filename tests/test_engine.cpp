@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests of the execution engine proper: thread/core binding
- * validation, policy nesting, the generalisations the seed schedulers
- * did not have (TimeSlice over N threads, TimeSlice per core under
- * LowestClock, RoundRobinSmt groups on one core of a multi-core
- * system), and the consolidated exec::ThreadStats telemetry.
+ * Unit tests of the execution engine proper: port and thread/core
+ * binding validation, policy nesting, the generalisations the seed
+ * schedulers did not have (TimeSlice over N threads, TimeSlice per core
+ * under LowestClock, an SMT pair of bare threads on one core of a
+ * multi-core system), and the consolidated exec::ThreadStats telemetry.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "exec/engine.hpp"
+#include "per_op_policy.hpp"
 #include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
@@ -63,7 +64,7 @@ TEST(Engine, RejectsBadBindings)
 {
     sim::CacheHierarchy h;
     sim::SingleCorePort port(h);
-    RoundRobinSmt policy;
+    LowestClock policy;
     Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
 
     StampingProgram a(0x40, 1);
@@ -82,11 +83,50 @@ TEST(Engine, RejectsBadBindings)
     }
 }
 
+TEST(Engine, RejectsPortItCannotCallDirectly)
+{
+    // The engine binds its accesses to the two concrete ports at
+    // construction; any other AccessPort is refused there, not served
+    // through a slower virtual path.
+    class OtherPort final : public sim::AccessPort
+    {
+      public:
+        std::uint32_t cores() const override { return 1; }
+        sim::PortAccess
+        access(std::uint32_t, const sim::MemRef &, sim::LockReq) override
+        {
+            return {};
+        }
+        void
+        accessBatch(std::uint32_t, std::span<const sim::MemRef>,
+                    std::span<sim::HitLevel>) override
+        {}
+        void
+        accessBatch(std::uint32_t, std::span<const sim::MemRef>) override
+        {}
+        sim::CacheFlushResult
+        flush(const sim::MemRef &) override
+        {
+            return {};
+        }
+    } other;
+    LowestClock policy;
+    EXPECT_THROW(Engine(other, timing::Uarch::intelXeonE52690(), policy),
+                 std::invalid_argument);
+
+    sim::CacheHierarchy h;
+    sim::SingleCorePort single(h);
+    EXPECT_NO_THROW(Engine(single, timing::Uarch::intelXeonE52690(), policy));
+    sim::MultiCoreHierarchy mh(sim::MultiCoreConfig{.cores = 2});
+    sim::MultiCorePort multi(mh);
+    EXPECT_NO_THROW(Engine(multi, timing::Uarch::intelXeonE52690(), policy));
+}
+
 TEST(Engine, ThreadStatsCountOpsAndCycles)
 {
     sim::CacheHierarchy h;
     sim::SingleCorePort port(h);
-    RoundRobinSmt policy;
+    LowestClock policy;
     Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
 
     class Mixed : public ThreadProgram
@@ -158,19 +198,18 @@ TEST(TimeSlicePolicy, RejectsThreadsOnDifferentCores)
 TEST(LowestClock, RejectsDuplicateNest)
 {
     LowestClock policy;
-    policy.nest(0, std::make_unique<RoundRobinSmt>());
-    EXPECT_THROW(policy.nest(0, std::make_unique<RoundRobinSmt>()),
+    policy.nest(0, std::make_unique<TimeSlice>());
+    EXPECT_THROW(policy.nest(0, std::make_unique<TimeSlice>()),
                  std::logic_error);
 }
 
 TEST(LowestClock, SmtGroupSharesOneCoreOfMultiCore)
 {
-    // Two threads on core 0 (nested RoundRobinSmt) plus one on core 1:
-    // the pair shares core 0's private L1, the third does not see it.
+    // Two bare threads on core 0 plus one on core 1: the pair shares
+    // core 0's private L1, the third does not see it.
     sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 2});
     sim::MultiCorePort port(h);
     LowestClock policy;
-    policy.nest(0, std::make_unique<RoundRobinSmt>());
     Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
 
     StampingProgram warm(0x40, 200);
@@ -242,9 +281,9 @@ TEST(LowestClock, DefaultLeavesMatchCoreOrder)
 
 TEST(LowestClock, BareThreadsStepLikeExplicitRoundRobinChildren)
 {
-    // Cores without a nested policy step their threads inline; that
-    // must replay exactly what an explicit RoundRobinSmt child per core
-    // does: same op order (ties toward the lower core, then spec
+    // Cores without a nested policy step their threads inline, running
+    // ahead; that must replay exactly what an explicit per-op child per
+    // core does: same op order (ties toward the lower core, then spec
     // order), same stop at max_cycles, beside a nested TimeSlice core.
     struct Run
     {
@@ -257,7 +296,8 @@ TEST(LowestClock, BareThreadsStepLikeExplicitRoundRobinChildren)
         LowestClock policy;
         if (explicit_children) {
             for (std::uint32_t core : {0u, 1u, 3u})
-                policy.nest(core, std::make_unique<RoundRobinSmt>());
+                policy.nest(core,
+                            std::make_unique<reference::PerOpLowestClock>());
         }
         policy.nest(2, std::make_unique<TimeSlice>(quietSlices(3'000)));
         EngineConfig ec;
@@ -291,7 +331,7 @@ TEST(Engine, DeterministicForSeed)
     auto run = [](std::uint64_t seed) {
         sim::CacheHierarchy h;
         sim::SingleCorePort port(h);
-        RoundRobinSmt policy;
+        LowestClock policy;
         EngineConfig ec;
         ec.seed = seed;
         Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);

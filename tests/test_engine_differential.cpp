@@ -131,7 +131,7 @@ expectSameCounters(const sim::Cache &a, const sim::Cache &b,
 
 // ----------------------------------------------------------------- SMT
 
-TEST(EngineDifferential, RoundRobinSmtMatchesLegacySmtScheduler)
+TEST(EngineDifferential, LowestClockMatchesLegacySmtScheduler)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         RandomProgram a0(seed * 11, 2500, 0x10000);
@@ -147,7 +147,7 @@ TEST(EngineDifferential, RoundRobinSmtMatchesLegacySmtScheduler)
         RandomProgram b1(seed * 13, 2000, 0x50000);
         sim::CacheHierarchy engine_h;
         sim::SingleCorePort port(engine_h);
-        RoundRobinSmt policy;
+        LowestClock policy;
         EngineConfig ec;
         ec.seed = seed;
         Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);

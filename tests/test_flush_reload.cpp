@@ -44,7 +44,7 @@ runFr(FlushKind kind, const Bits &message, std::uint64_t ts = 6000,
     LruSender sender(layout, sc);
     FrReceiver receiver(layout, rc);
     sim::SingleCorePort port(hierarchy);
-    exec::RoundRobinSmt policy;
+    exec::LowestClock policy;
     exec::Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
     engine.run(sender, receiver, 1);
 
@@ -115,7 +115,7 @@ TEST(FlushReload, L1VariantSenderHitsL2)
     LruSender sender(layout, sc);
     FrReceiver receiver(layout, rc);
     sim::SingleCorePort port(hierarchy);
-    exec::RoundRobinSmt policy;
+    exec::LowestClock policy;
     exec::Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
     engine.run(sender, receiver, 1);
     // Encode accesses that missed L1 must all be L2 hits, not memory.

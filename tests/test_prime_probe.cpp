@@ -47,7 +47,7 @@ runPp(const Bits &message, std::uint64_t ts = 6000, std::uint64_t tr = 600,
     LruSender sender(layout, sc);
     PpReceiver receiver(layout, rc);
     sim::SingleCorePort port(hierarchy);
-    exec::RoundRobinSmt smt;
+    exec::LowestClock smt;
     exec::Engine engine(port, timing::Uarch::intelXeonE52690(), smt);
     engine.run(sender, receiver, 1);
 

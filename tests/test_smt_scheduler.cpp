@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the SMT (hyper-threaded) execution model: exec::Engine
- * driving two programs on one core under the RoundRobinSmt policy.
+ * driving two programs on one core under LowestClock, whose bare
+ * threads are the production hyper-threaded schedule.
  */
 
 #include <gtest/gtest.h>
@@ -87,7 +88,7 @@ class SmtRig
 
   private:
     sim::SingleCorePort port_;
-    RoundRobinSmt policy_;
+    LowestClock policy_;
     Engine engine_;
 };
 

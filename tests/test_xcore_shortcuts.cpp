@@ -4,9 +4,11 @@
  * it short-cuts:
  *
  *  - LowestClockRunAhead: a bare thread under LowestClock keeps stepping
- *    while its clock stays below the runner-up's.  The reference runs
- *    the same threads each under a one-thread nested RoundRobinSmt,
- *    which LowestClock steps one op at a time.
+ *    while its clock stays below the runner-up's.  Across cores, the
+ *    reference runs the same threads each under a one-thread nested
+ *    reference::PerOpLowestClock, which LowestClock steps one op at a
+ *    time.  On one core (the production hyper-threaded schedule), the
+ *    reference is a root PerOpLowestClock over the same threads.
  *  - MultiCoreL1HitExit: a plain L1 serves a hit in
  *    MultiCoreHierarchy::access with one probe (and a plain level does
  *    the same inside Cache::access).  The reference runs the same stream
@@ -15,18 +17,22 @@
  *
  * Both compare everything the shortcut could disturb: every set of
  * every level, the perf counters, the write-back counts, and for the
- * engine the thread clocks, ThreadStats and the RNG state.
+ * engine the thread clocks, ThreadStats, the RNG state and its next
+ * draw.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/engine.hpp"
+#include "per_op_policy.hpp"
 #include "same_topology.hpp"
 #include "sim/access_port.hpp"
+#include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "sim/random.hpp"
 #include "timing/uarch.hpp"
@@ -35,6 +41,7 @@ using namespace lruleak;
 using namespace lruleak::exec;
 using sim::MultiCoreConfig;
 using sim::MultiCoreHierarchy;
+using compare::expectSameCache;
 using compare::expectSameMultiCore;
 
 namespace {
@@ -56,16 +63,16 @@ smallTopology(std::uint32_t cores)
 
 /**
  * A seeded mix of loads, stores and spins to the next multiple of
- * `period`: the aligned spins land threads of different cores on the
- * same clock, so ties between children are common.  Finishes after
- * `limit` ops.
+ * `period`: the aligned spins land threads on the same clock, so ties
+ * between children are common.  With `locks`, some accesses carry a PL
+ * lock or unlock request.  Finishes after `limit` ops.
  */
 class TickProgram : public ThreadProgram
 {
   public:
     TickProgram(std::uint64_t seed, std::size_t limit,
-                std::uint64_t period = 200)
-        : rng_(seed), limit_(limit), period_(period)
+                std::uint64_t period = 200, bool locks = false)
+        : rng_(seed), limit_(limit), period_(period), locks_(locks)
     {}
 
     Op
@@ -81,17 +88,23 @@ class TickProgram : public ThreadProgram
         // hits, LLC hits and LLC evictions.
         const sim::Addr line =
             rng_.below(4) * 64 + rng_.below(20) * 16 * 1024;
-        return Op::access(sim::MemRef{line, line, threadId(), r == 1});
+        const sim::MemRef ref{line, line, threadId(), r == 1};
+        if (locks_ && (r == 2 || r == 3))
+            return Op::accessLock(ref, r == 2 ? sim::LockReq::Lock
+                                              : sim::LockReq::Unlock);
+        return Op::access(ref);
     }
 
   private:
     sim::Xoshiro256 rng_;
     std::size_t limit_;
     std::uint64_t period_;
+    bool locks_;
     std::size_t ops_ = 0;
 };
 
-/** What a run leaves behind. */
+/** What a run leaves behind: the engine's state and the topology it
+ *  drove (`topology` across cores, `hierarchy` on one core). */
 struct RunState
 {
     std::vector<std::uint64_t> clocks;
@@ -100,12 +113,27 @@ struct RunState
     sim::Xoshiro256 rng{0};
     std::uint64_t now = 0;
     std::unique_ptr<MultiCoreHierarchy> topology;
+    std::unique_ptr<sim::CacheHierarchy> hierarchy;
 };
+
+/** Copy the engine's thread clocks, ThreadStats, done flags and RNG
+ *  after a run that returned @p now. */
+void
+capture(Engine &engine, std::uint64_t now, RunState &out)
+{
+    out.now = now;
+    for (unsigned i = 0; i < engine.threadCount(); ++i) {
+        out.clocks.push_back(engine.thread(i).clock);
+        out.stats.push_back(engine.thread(i).stats);
+        out.done.push_back(engine.thread(i).done);
+    }
+    out.rng = engine.rng();
+}
 
 /**
  * Run one thread per (core, limit) under LowestClock, bare
  * (@p per_op false: run-ahead) or each core under a one-thread nested
- * RoundRobinSmt (@p per_op true: one op per step).
+ * reference::PerOpLowestClock (@p per_op true: one op per step).
  */
 RunState
 runCores(bool per_op, const std::vector<std::size_t> &limits,
@@ -120,7 +148,8 @@ runCores(bool per_op, const std::vector<std::size_t> &limits,
     LowestClock policy;
     if (per_op) {
         for (std::uint32_t c = 0; c < cores; ++c)
-            policy.nest(c, std::make_unique<RoundRobinSmt>());
+            policy.nest(c,
+                        std::make_unique<reference::PerOpLowestClock>());
     }
     EngineConfig ec;
     ec.max_cycles = max_cycles;
@@ -134,13 +163,7 @@ runCores(bool per_op, const std::vector<std::size_t> &limits,
             std::make_unique<TickProgram>(100 + c, limits[c], period));
         specs.push_back(ThreadSpec{programs.back().get(), c});
     }
-    out.now = engine.run(specs, primary);
-    for (unsigned i = 0; i < cores; ++i) {
-        out.clocks.push_back(engine.thread(i).clock);
-        out.stats.push_back(engine.thread(i).stats);
-        out.done.push_back(engine.thread(i).done);
-    }
-    out.rng = engine.rng();
+    capture(engine, engine.run(specs, primary), out);
     return out;
 }
 
@@ -156,8 +179,20 @@ expectSameRun(const RunState &ahead, const RunState &per_op,
         EXPECT_TRUE(ahead.stats[i] == per_op.stats[i])
             << what << " thread " << i;
     EXPECT_TRUE(ahead.rng == per_op.rng) << what;
-    expectSameMultiCore(*ahead.topology, *per_op.topology, what,
-                        static_cast<std::uint32_t>(ahead.clocks.size()));
+    sim::Xoshiro256 a = ahead.rng, b = per_op.rng;
+    EXPECT_EQ(a(), b()) << what << " next draw";
+    const auto threads = static_cast<std::uint32_t>(ahead.clocks.size());
+    if (ahead.topology) {
+        expectSameMultiCore(*ahead.topology, *per_op.topology, what,
+                            threads);
+        return;
+    }
+    expectSameCache(ahead.hierarchy->l1(), per_op.hierarchy->l1(),
+                    what + " L1", threads);
+    expectSameCache(ahead.hierarchy->l2(), per_op.hierarchy->l2(),
+                    what + " L2", threads);
+    expectSameCache(ahead.hierarchy->llc(), per_op.hierarchy->llc(),
+                    what + " LLC", threads);
 }
 
 } // namespace
@@ -224,6 +259,236 @@ TEST(LowestClockRunAhead, ChildAlreadyDone)
     expectSameRun(ahead, per_op, "done children");
     EXPECT_TRUE(ahead.done[0]);
     EXPECT_TRUE(ahead.done[2]);
+}
+
+// ------------------------------------ LowestClock run-ahead on one core
+
+namespace {
+
+/** The L1 chain a timed load walks (Op::measure views it). */
+const std::vector<sim::HitLevel> kChain(7, sim::HitLevel::L1);
+
+/**
+ * A receiver-shaped thread: every `period` cycles it times `burst`
+ * loads that share the TickPrograms' L1 sets, then parks in SpinUntil
+ * until the next multiple of `period`, while its siblings run ahead
+ * beneath it.  Finishes after `samples` bursts.
+ */
+class ParkedProgram : public ThreadProgram
+{
+  public:
+    ParkedProgram(std::size_t samples, std::uint64_t period,
+                  std::uint32_t burst = 3)
+        : samples_(samples), period_(period), burst_(burst)
+    {}
+
+    Op
+    next(std::uint64_t now) override
+    {
+        if (in_burst_ == burst_) {
+            in_burst_ = 0;
+            ++bursts_;
+            return Op::spinUntil((now / period_ + 1) * period_);
+        }
+        if (bursts_ >= samples_)
+            return Op::done();
+        const sim::Addr line = 0x40000 + in_burst_++ * 16 * 1024;
+        return Op::measure(sim::MemRef::load(line, threadId()), kChain);
+    }
+
+  private:
+    std::size_t samples_;
+    std::uint64_t period_;
+    std::uint32_t burst_;
+    std::uint32_t in_burst_ = 0;
+    std::size_t bursts_ = 0;
+};
+
+using Programs = std::vector<std::unique_ptr<ThreadProgram>>;
+
+/**
+ * Run the threads @p make builds, all on the one core of a small
+ * CacheHierarchy: under LowestClock (@p per_op false: the production
+ * hyper-threaded schedule, with run-ahead) or under a root
+ * reference::PerOpLowestClock (@p per_op true).  @p pl sets the L1's
+ * PL-cache mode.
+ */
+RunState
+runOneCore(bool per_op, const std::function<Programs()> &make,
+           unsigned primary, std::uint64_t max_cycles = ~0ULL,
+           sim::PlMode pl = sim::PlMode::Disabled)
+{
+    const MultiCoreConfig small = smallTopology(1);
+    sim::HierarchyConfig hc;
+    hc.l1 = small.l1;
+    hc.l2 = small.l2;
+    hc.llc = small.llc;
+    hc.l1_pl_mode = pl;
+    RunState out;
+    out.hierarchy = std::make_unique<sim::CacheHierarchy>(hc);
+    sim::SingleCorePort port(*out.hierarchy);
+    LowestClock ahead;
+    reference::PerOpLowestClock reference;
+    ArbitrationPolicy &policy =
+        per_op ? static_cast<ArbitrationPolicy &>(reference) : ahead;
+    EngineConfig ec;
+    ec.max_cycles = max_cycles;
+    ec.seed = 7;
+    Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+
+    const Programs programs = make();
+    std::vector<ThreadSpec> specs;
+    for (const auto &p : programs)
+        specs.push_back(ThreadSpec{p.get(), 0});
+    capture(engine, engine.run(specs, primary), out);
+    return out;
+}
+
+/** runOneCore() both ways, compared. */
+RunState
+expectSameOneCore(const std::function<Programs()> &make, unsigned primary,
+                  const std::string &what, std::uint64_t max_cycles = ~0ULL,
+                  sim::PlMode pl = sim::PlMode::Disabled)
+{
+    RunState ahead = runOneCore(false, make, primary, max_cycles, pl);
+    const RunState per_op = runOneCore(true, make, primary, max_cycles, pl);
+    expectSameRun(ahead, per_op, what);
+    return ahead;
+}
+
+/** TickPrograms with the given limits (seeds 100 + i). */
+Programs
+ticks(const std::vector<std::size_t> &limits, std::uint64_t period = 200,
+      bool locks = false)
+{
+    Programs out;
+    for (std::size_t i = 0; i < limits.size(); ++i)
+        out.push_back(std::make_unique<TickProgram>(100 + i, limits[i],
+                                                    period, locks));
+    return out;
+}
+
+/** Locked lines left in @p cache. */
+std::uint32_t
+lockedLines(const sim::Cache &cache)
+{
+    std::uint32_t n = 0;
+    for (std::uint32_t s = 0; s < cache.storageSets(); ++s) {
+        const auto set = cache.cacheSet(s);
+        for (std::uint32_t w = 0; w < set.ways(); ++w)
+            n += set.line(w).locked ? 1 : 0;
+    }
+    return n;
+}
+
+} // namespace
+
+TEST(LowestClockRunAhead, OneCoreReceiverParkedInSpin)
+{
+    // The sender (and a second sibling) run ahead while the receiver
+    // sleeps to its next sample; the receiver is the primary.
+    for (std::size_t siblings : {1u, 2u}) {
+        for (std::uint64_t period : {600u, 5'000u}) {
+            const std::string what = std::to_string(siblings + 1) +
+                                     " threads, period " +
+                                     std::to_string(period);
+            const auto make = [&] {
+                Programs p = ticks(std::vector<std::size_t>(siblings,
+                                                            1'000'000),
+                                   997);
+                p.insert(p.begin() + 1,
+                         std::make_unique<ParkedProgram>(300, period));
+                return p;
+            };
+            const RunState ahead = expectSameOneCore(make, 1, what);
+            EXPECT_TRUE(ahead.done[1]) << what;
+            EXPECT_EQ(ahead.stats[1].measures, 900u) << what;
+            EXPECT_GT(ahead.stats[1].spins, 0u) << what;
+        }
+    }
+}
+
+TEST(LowestClockRunAhead, OneCoreTiedClocks)
+{
+    // Every thread spins to the same period boundaries, so a running
+    // thread often lands on the clock of a parked lower-index sibling:
+    // the run must hand the tie over, as a re-scan would.
+    for (std::size_t threads : {2u, 3u}) {
+        for (std::uint64_t period : {50u, 200u, 1000u}) {
+            const std::string what = std::to_string(threads) +
+                                     " threads, period " +
+                                     std::to_string(period);
+            const auto make = [&] {
+                return ticks(std::vector<std::size_t>(threads, 20'000),
+                             period);
+            };
+            const RunState ahead =
+                expectSameOneCore(make, threads - 1, what);
+            EXPECT_TRUE(ahead.done[threads - 1]) << what;
+        }
+    }
+}
+
+TEST(LowestClockRunAhead, OneCorePrimaryFinishesInsideRun)
+{
+    for (std::size_t threads : {2u, 3u}) {
+        for (unsigned primary = 0; primary < threads; ++primary) {
+            std::vector<std::size_t> limits(threads, 50'000);
+            limits[primary] = 777;
+            const std::string what = std::to_string(threads) +
+                                     " threads, primary " +
+                                     std::to_string(primary);
+            const RunState ahead = expectSameOneCore(
+                [&] { return ticks(limits); }, primary, what);
+            EXPECT_TRUE(ahead.done[primary]) << what;
+        }
+    }
+}
+
+TEST(LowestClockRunAhead, OneCoreMaxCyclesCrossedInsideRun)
+{
+    // With siblings live, the runner-up bounds a run below the
+    // high-water clock; a thread left alone (its siblings done) has
+    // only max_cycles to stop it.
+    const std::vector<std::vector<std::size_t>> cases{
+        {1'000'000, 1'000'000},
+        {20, 1'000'000},
+        {1'000'000, 1'000'000, 1'000'000},
+        {5, 1'000'000, 20}};
+    for (const auto &limits : cases) {
+        for (std::uint64_t max_cycles : {10'000u, 123'457u}) {
+            const std::string what =
+                std::to_string(limits.size()) + " threads, max_cycles " +
+                std::to_string(max_cycles) + " limit0 " +
+                std::to_string(limits[0]);
+            const RunState ahead = expectSameOneCore(
+                [&] { return ticks(limits); }, 1, what, max_cycles);
+            EXPECT_GE(ahead.now, max_cycles) << what;
+            EXPECT_FALSE(ahead.done[1]) << what;
+        }
+    }
+}
+
+TEST(LowestClockRunAhead, OneCoreLockRequests)
+{
+    // PL lock and unlock requests ride on the ops the run-ahead issues
+    // (Engine::access passes them to the single-core port), under both
+    // PL-cache modes.
+    for (sim::PlMode pl : {sim::PlMode::Original, sim::PlMode::FixedLruLock}) {
+        for (std::size_t threads : {2u, 3u}) {
+            const std::string what =
+                std::to_string(threads) + " threads, PL mode " +
+                std::to_string(static_cast<int>(pl));
+            const RunState ahead = expectSameOneCore(
+                [&] {
+                    return ticks(std::vector<std::size_t>(threads, 20'000),
+                                 200, /*locks=*/true);
+                },
+                0, what, ~0ULL, pl);
+            EXPECT_TRUE(ahead.done[0]) << what;
+            EXPECT_GT(lockedLines(ahead.hierarchy->l1()), 0u) << what;
+        }
+    }
 }
 
 // -------------------------------------------------- multi-core L1 exit
