@@ -18,7 +18,6 @@
 #include "channel/multi_spy.hpp"
 #include "channel/prime_probe.hpp"
 #include "exec/trace_program.hpp"
-#include "sim/access_port.hpp"
 
 namespace lruleak::channel {
 
@@ -279,18 +278,17 @@ RunOutcome
 runSingleCore(const SessionConfig &config, LruSender &sender,
               Receiver &receiver, sim::CacheHierarchy &hierarchy)
 {
-    sim::SingleCorePort port(hierarchy);
     const std::vector<exec::ThreadSpec> specs{{&sender, 0}, {&receiver, 0}};
     exec::EngineConfig ec = config.sched;
     ec.seed = config.seed;
     if (config.mode == SharingMode::HyperThreaded) {
         exec::LowestClock policy;
-        exec::Engine engine(port, config.uarch, policy, ec);
+        exec::Engine engine(hierarchy, config.uarch, policy, ec);
         return finish(engine, specs);
     }
     ec.max_cycles = kTimeSlicedMaxCycles;
     exec::TimeSlice policy(config.tslice);
-    exec::Engine engine(port, config.uarch, policy, ec);
+    exec::Engine engine(hierarchy, config.uarch, policy, ec);
     return finish(engine, specs);
 }
 
@@ -320,7 +318,6 @@ runMultiCore(const SessionConfig &config, LruSender &sender,
         specs.push_back(exec::ThreadSpec{noise[i].get(),
                                          first_noise_core + i});
 
-    sim::MultiCorePort port(hierarchy);
     exec::LowestClock policy;
     exec::EngineConfig ec = config.sched;
     ec.seed = config.seed;
@@ -344,7 +341,7 @@ runMultiCore(const SessionConfig &config, LruSender &sender,
         break;
     }
 
-    exec::Engine engine(port, config.uarch, policy, ec);
+    exec::Engine engine(hierarchy, config.uarch, policy, ec);
     return finish(engine, specs);
 }
 

@@ -13,8 +13,8 @@
  *
  *   SessionConfig
  *     -> validate() it (each error names the field)
- *     -> build the topology (CacheHierarchy or MultiCoreHierarchy
- *        behind a sim::AccessPort)
+ *     -> build the topology (CacheHierarchy or MultiCoreHierarchy),
+ *        which the engine drives directly
  *     -> build the carrier-geometry ChannelLayout (L1 or shared LLC)
  *     -> build one sender and the receivers: the channel's own
  *        receiver (any of the eight ChannelIds) or the K spies of a

@@ -12,7 +12,6 @@
 
 #include "channel/session.hpp"
 #include "exec/trace_program.hpp"
-#include "sim/access_port.hpp"
 #include "sim/cache_set.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
@@ -322,13 +321,12 @@ macroPass(const SimBenchConfig &config)
     }
     {
         // Trace-fed hierarchy replay: the fleet front end's fast path
-        // (workload::TraceFile pumped through AccessPort::accessBatch),
+        // (workload::TraceFile pumped through CacheHierarchy::accessBatch),
         // on a mixed load/store trace so the write path is in the lane.
         const auto trace = workload::generateTrace(
             "gccmix", static_cast<std::size_t>(walk_ops),
             config.seed + 5, 0.2);
         sim::CacheHierarchy h;
-        sim::SingleCorePort port(h);
         {
             // Warm-up: first-touch page faults of the ref/level buffers
             // and the trace pages stay out of the measured window.
@@ -337,11 +335,11 @@ macroPass(const SimBenchConfig &config)
                 trace.records.begin(),
                 trace.records.begin() +
                     std::min<std::size_t>(trace.size(), 10'000));
-            exec::replayTrace(port, 0, warm);
+            exec::replayTrace(h, warm);
             h.reset();
         }
         const auto start = Clock::now();
-        const auto stats = exec::replayTrace(port, 0, trace);
+        const auto stats = exec::replayTrace(h, trace);
         const auto stop = Clock::now();
         g_bench_sink = g_bench_sink + stats.hits;
         rows.push_back({"trace_replay_access", stats.accesses,

@@ -10,7 +10,6 @@
 #include "channel/flush_reload.hpp"
 #include "core/trial_runner.hpp"
 #include "exec/engine.hpp"
-#include "sim/access_port.hpp"
 #include "sim/cache_set.hpp"
 #include "timing/pointer_chase.hpp"
 
@@ -266,11 +265,10 @@ senderMissRates(const timing::Uarch &uarch,
         sc.ts = 6000;
         channel::LruSender sender(layout, sc);
 
-        sim::SingleCorePort port(hierarchy);
         exec::LowestClock policy;
         exec::EngineConfig ec;
         ec.seed = seed;
-        exec::Engine engine(port, uarch, policy, ec);
+        exec::Engine engine(hierarchy, uarch, policy, ec);
         engine.run(sender, co_runner, /*primary=*/0);
 
         rows.push_back(MissRateRow{

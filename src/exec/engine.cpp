@@ -20,23 +20,32 @@ namespace lruleak::exec {
 
 // --------------------------------------------------------------- engine
 
-Engine::Engine(sim::AccessPort &port, const timing::Uarch &uarch,
+Engine::Engine(sim::CacheHierarchy &hierarchy, const timing::Uarch &uarch,
                ArbitrationPolicy &policy, EngineConfig config)
-    : port_(port), multi_port_(dynamic_cast<sim::MultiCorePort *>(&port)),
-      single_port_(dynamic_cast<sim::SingleCorePort *>(&port)),
-      uarch_(uarch), model_(uarch), policy_(policy), config_(config),
-      rng_(config.seed)
+    : single_(&hierarchy), uarch_(uarch), model_(uarch), policy_(policy),
+      config_(config), rng_(config.seed)
+{}
+
+Engine::Engine(sim::MultiCoreHierarchy &hierarchy,
+               const timing::Uarch &uarch, ArbitrationPolicy &policy,
+               EngineConfig config)
+    : multi_(&hierarchy), uarch_(uarch), model_(uarch), policy_(policy),
+      config_(config), rng_(config.seed)
+{}
+
+sim::CacheFlushResult
+Engine::flush(const sim::MemRef &ref)
 {
-    if (multi_port_ == nullptr && single_port_ == nullptr)
-        throw std::invalid_argument(
-            "Engine: the port must be a SingleCorePort or a MultiCorePort");
+    return multi_ != nullptr ? multi_->flush(ref) : single_->flush(ref);
 }
 
 void
 Engine::audit()
 {
     ops_since_audit_ = 0;
-    if (auto violation = port_.auditInclusion())
+    if (multi_ == nullptr)
+        return;
+    if (auto violation = multi_->auditInclusion())
         throw std::logic_error(*violation);
 }
 
@@ -96,7 +105,7 @@ Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
         return cost;
       }
       case OpKind::Flush: {
-        const auto fr = port_.flush(op.ref);
+        const auto fr = flush(op.ref);
         OpResult out;
         out.kind = OpKind::Flush;
         out.tsc = start;
@@ -112,7 +121,7 @@ Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
         return cost;
       }
       case OpKind::MeasureFlush: {
-        const auto fr = port_.flush(op.ref);
+        const auto fr = flush(op.ref);
         OpResult out;
         out.kind = OpKind::MeasureFlush;
         out.level = fr.dirty ? sim::HitLevel::Memory : sim::HitLevel::L1;
@@ -172,7 +181,10 @@ Engine::kernelBurst(std::uint32_t core, sim::ThreadId tid, sim::Addr base,
         const sim::Addr line = base + rng_.below(footprint_lines) * 64;
         burst_refs_[i] = sim::MemRef{line, line, tid, false};
     }
-    port_.accessBatch(core, burst_refs_, burst_levels_);
+    if (multi_ != nullptr)
+        multi_->accessBatch(core, burst_refs_, burst_levels_);
+    else
+        single_->accessBatch(burst_refs_, burst_levels_);
     std::uint64_t cycles = 0;
     for (std::uint64_t i = 0; i < count; ++i)
         cycles += uarch_.latency(burst_levels_[i]);
@@ -194,9 +206,9 @@ Engine::run(std::span<const ThreadSpec> specs, unsigned primary)
         const ThreadSpec &spec = specs[i];
         if (spec.program == nullptr)
             throw std::invalid_argument("Engine: null thread program");
-        if (spec.core >= port_.cores())
+        if (spec.core >= (multi_ != nullptr ? multi_->cores() : 1))
             throw std::invalid_argument(
-                "Engine: thread bound to a core the port does not have");
+                "Engine: thread bound to a core the hierarchy does not have");
         Thread t;
         t.program = spec.program;
         t.core = spec.core;
@@ -362,7 +374,7 @@ TimeSlice::foldSteady(Engine &engine, unsigned idx)
     if (now_ >= bound || now_ >= it->limit)
         return false;
     sim::PerfCounters *const l1 =
-        engine.port().steadyHitCounters(core_, it->refs);
+        engine.steadyHitCounters(it->refs);
     if (l1 == nullptr)
         return false;
 

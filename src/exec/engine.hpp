@@ -32,10 +32,16 @@
  * (`xcore_timesliced`, `smt_multicore_traces`) without a third
  * hand-rolled scheduler.
  *
+ * The memory system is one of the paper's two sharing topologies: the
+ * single-core CacheHierarchy (hyperthreaded or time-sliced sharing) or
+ * the MultiCoreHierarchy (cross-core sharing behind an inclusive LLC).
+ * The engine has one constructor for each and calls the hierarchy
+ * directly.
+ *
  * Determinism: one engine-owned Xoshiro256 stream drives op jitter,
  * measurement noise and kernel bursts; the stepping order is a pure
- * function of thread clocks.  A given (programs, port, policy, seed)
- * tuple replays bit-identically.
+ * function of thread clocks.  A given (programs, hierarchy, policy,
+ * seed) tuple replays bit-identically.
  */
 
 #ifndef LRULEAK_EXEC_ENGINE_HPP
@@ -49,7 +55,8 @@
 
 #include "exec/op.hpp"
 #include "exec/thread_stats.hpp"
-#include "sim/access_port.hpp"
+#include "sim/hierarchy.hpp"
+#include "sim/multicore_hierarchy.hpp"
 #include "sim/random.hpp"
 #include "timing/pointer_chase.hpp"
 #include "timing/uarch.hpp"
@@ -58,7 +65,7 @@ namespace lruleak::exec {
 
 /** Default inclusion-audit sampling period: debug builds sample, release
  *  builds skip (the walk costs a private-cache capacity scan).  Only
- *  ports with an inclusion invariant (multi-core) audit anything. */
+ *  the multi-core hierarchy has an inclusion invariant to audit. */
 #ifdef NDEBUG
 inline constexpr std::uint32_t kDefaultAuditEvery = 0;
 #else
@@ -75,8 +82,9 @@ struct EngineConfig
                                     //!< models pipeline/port contention
     std::uint64_t seed = 42;
     /**
-     * Run the port's inclusion audit every N executed operations; 0
-     * disables it.  A violation throws std::logic_error naming the line.
+     * Run the multi-core hierarchy's inclusion audit every N executed
+     * operations; 0 disables it (and a single-core engine has nothing to
+     * audit).  A violation throws std::logic_error naming the line.
      */
     std::uint32_t audit_every = kDefaultAuditEvery;
 };
@@ -142,9 +150,14 @@ class ArbitrationPolicy
 class Engine
 {
   public:
-    /** @p port must be a sim::SingleCorePort or a sim::MultiCorePort
-     *  (std::invalid_argument otherwise): the engine calls it directly. */
-    Engine(sim::AccessPort &port, const timing::Uarch &uarch,
+    /** One core: every thread must be bound to core 0.  Lock requests
+     *  reach the PL-cache model. */
+    Engine(sim::CacheHierarchy &hierarchy, const timing::Uarch &uarch,
+           ArbitrationPolicy &policy, EngineConfig config = {});
+
+    /** hierarchy.cores() cores behind the shared inclusive LLC.  Lock
+     *  requests are ignored (PL locking is single-core only). */
+    Engine(sim::MultiCoreHierarchy &hierarchy, const timing::Uarch &uarch,
            ArbitrationPolicy &policy, EngineConfig config = {});
 
     /**
@@ -194,7 +207,6 @@ class Engine
     unsigned primary() const { return primary_; }
     const EngineConfig &config() const { return config_; }
     const timing::Uarch &uarch() const { return uarch_; }
-    sim::AccessPort &port() { return port_; }
     sim::Xoshiro256 &rng() { return rng_; }
 
     /** Raise the global high-water clock to @p tsc (never lowers it). */
@@ -207,22 +219,54 @@ class Engine
 
     /**
      * Execute one Access/Measure/Flush op of thread @p idx starting at
-     * @p start: jitter draw, port access, result delivery, telemetry,
+     * @p start: jitter draw, hierarchy access, result delivery, telemetry,
      * sampled inclusion audit.  Returns the op's cycle cost (latency +
      * op_overhead + jitter).  SpinUntil/Done are the policy's business.
      */
     std::uint64_t executeOp(unsigned idx, const Op &op,
                             std::uint64_t start);
 
-    /** Demand access of @p core through the port, bound statically to
-     *  its concrete type (both are final, so no virtual call is made). */
-    sim::PortAccess
+    /**
+     * Outcome of a demand access: where the data came from, and how many
+     * write-back transactions it triggered along the way (dirty victim
+     * evictions, write-through forwards, dirty back-invalidations).  The
+     * engine charges each transaction the uarch's write-back latency.
+     */
+    struct AccessResult
+    {
+        sim::HitLevel level = sim::HitLevel::Memory;
+        std::uint32_t writebacks = 0;
+    };
+
+    /** Demand access of @p core (ignored single-core) to whichever
+     *  hierarchy the engine was built over. */
+    AccessResult
     access(std::uint32_t core, const sim::MemRef &ref,
            sim::LockReq lock_req = sim::LockReq::None)
     {
-        if (multi_port_ != nullptr)
-            return multi_port_->access(core, ref, lock_req);
-        return single_port_->access(core, ref, lock_req);
+        if (multi_ != nullptr) {
+            const auto res = multi_->access(core, ref);
+            return AccessResult{res.level, res.writebacks};
+        }
+        const auto res = single_->access(ref, lock_req);
+        return AccessResult{res.level, res.writebacks};
+    }
+
+    /**
+     * Fold probe for TimeSlice's steady-iteration fast path: when
+     * replaying @p refs would be all L1 hits that leave the memory
+     * system unchanged (CacheHierarchy::steadyL1Hits), the L1 counters
+     * those hits tally into, so a caller that skips the replays can
+     * credit them; nullptr otherwise.  Changes nothing.  Multi-core
+     * never folds: another core's traffic can land between any two ops,
+     * and folded accesses would skip the inclusion audit.
+     */
+    sim::PerfCounters *
+    steadyHitCounters(std::span<const sim::MemRef> refs)
+    {
+        if (single_ == nullptr || !single_->steadyL1Hits(refs))
+            return nullptr;
+        return &single_->l1().counters();
     }
 
     /**
@@ -237,7 +281,7 @@ class Engine
      * Batched kernel-noise burst issued from @p core under thread id
      * @p tid: touches mean_lines on average (uniform in
      * [mean/2, 3*mean/2]) out of a footprint_lines working set starting
-     * at @p base, through the port's batch interface.  Returns the
+     * at @p base, through the hierarchy's batch interface.  Returns the
      * summed access latency; the caller charges it to its timeline.
      */
     std::uint64_t kernelBurst(std::uint32_t core, sim::ThreadId tid,
@@ -245,15 +289,15 @@ class Engine
                               std::uint64_t mean_lines);
 
   private:
+    /** clflush of @p ref from every cache of every core. */
+    sim::CacheFlushResult flush(const sim::MemRef &ref);
     /** Count one op; run the inclusion audit every audit_every ops. */
     void maybeAudit();
     void audit();
 
-    sim::AccessPort &port_;
-    // The port's concrete type, resolved once at construction (exactly
-    // one is set): per-op accesses then skip the virtual call.
-    sim::MultiCorePort *multi_port_;
-    sim::SingleCorePort *single_port_;
+    /** The hierarchy the engine runs over: exactly one is set. */
+    sim::CacheHierarchy *single_ = nullptr;
+    sim::MultiCoreHierarchy *multi_ = nullptr;
     timing::Uarch uarch_;
     timing::MeasurementModel model_;
     ArbitrationPolicy &policy_;
@@ -312,7 +356,7 @@ struct TimeSlicePolicyConfig
      *
      * The same switch enables the steady-iteration fold: when the
      * resident program offers a steady iteration (ThreadProgram::
-     * steadyIteration) whose accesses the port confirms are L1 hits
+     * steadyIteration) whose accesses the hierarchy confirms are L1 hits
      * that leave the memory system unchanged, the iterations up to the
      * next tick, the slice end or the offer's limit run as one
      * arithmetic loop with the same jitter draws (see foldSteady).

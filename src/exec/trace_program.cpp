@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine-free trace replay through an AccessPort.
+ * Engine-free trace replay through a CacheHierarchy.
  */
 
 #include "exec/trace_program.hpp"
@@ -11,8 +11,8 @@
 namespace lruleak::exec {
 
 TraceReplayStats
-replayTrace(sim::AccessPort &port, std::uint32_t core,
-            const workload::TraceFile &trace, std::size_t chunk)
+replayTrace(sim::CacheHierarchy &hierarchy, const workload::TraceFile &trace,
+            std::size_t chunk)
 {
     chunk = std::max<std::size_t>(chunk, 1);
     std::vector<sim::MemRef> refs(std::min(chunk, trace.size()));
@@ -23,9 +23,9 @@ replayTrace(sim::AccessPort &port, std::uint32_t core,
     while (at < trace.size()) {
         const std::size_t n = std::min(chunk, trace.size() - at);
         for (std::size_t i = 0; i < n; ++i)
-            refs[i] = trace.records[at + i].ref(core);
-        port.accessBatch(core, std::span(refs.data(), n),
-                         std::span(levels.data(), n));
+            refs[i] = trace.records[at + i].ref();
+        hierarchy.accessBatch(std::span(refs.data(), n),
+                              std::span(levels.data(), n));
         for (std::size_t i = 0; i < n; ++i) {
             ++stats.accesses;
             if (levels[i] == sim::HitLevel::Memory)

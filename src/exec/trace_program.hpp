@@ -12,8 +12,8 @@
  * victim.
  *
  * replayTrace() is the engine-free fast path: it pumps the records
- * through AccessPort::accessBatch in chunks, for benchmarks and tests
- * that want the cache-state effect of a trace without scheduling
+ * through CacheHierarchy::accessBatch in chunks, for benchmarks and
+ * tests that want the cache-state effect of a trace without scheduling
  * overhead.
  */
 
@@ -24,7 +24,7 @@
 #include <memory>
 
 #include "exec/op.hpp"
-#include "sim/access_port.hpp"
+#include "sim/hierarchy.hpp"
 #include "workload/trace_file.hpp"
 
 namespace lruleak::exec {
@@ -83,10 +83,10 @@ struct TraceReplayStats
 };
 
 /**
- * Replay a whole trace from @p core through @p port using chunked
+ * Replay a whole trace through @p hierarchy (as thread 0) using chunked
  * accessBatch calls (no engine, no clocks).  Returns hit/miss totals.
  */
-TraceReplayStats replayTrace(sim::AccessPort &port, std::uint32_t core,
+TraceReplayStats replayTrace(sim::CacheHierarchy &hierarchy,
                              const workload::TraceFile &trace,
                              std::size_t chunk = 4096);
 

@@ -73,12 +73,11 @@ class SmtMulticoreTraces final : public Experiment
             static_cast<std::size_t>(params.getUint("bits")));
         const auto uarch = uarchFromParams(params);
 
-        // Old policy name kept: the golden and full-scale digest pin it.
         sink.note("=== SMT pair on core 0 of a " + std::to_string(cores) +
                   "-core system: hyper-threaded L1 channel vs shared-LLC "
-                  "noise, " + uarch.name + " ===\n(RoundRobinSmt nested "
-                  "on core 0 under LowestClock; noise cores reach the "
-                  "pair's L1\nonly through inclusive-LLC "
+                  "noise, " + uarch.name + " ===\n(the pair runs as two "
+                  "bare threads of core 0 under LowestClock; noise cores "
+                  "reach the pair's L1\nonly through inclusive-LLC "
                   "back-invalidation)");
 
         // One run per noise-core count 0..cores-1, fanned out with

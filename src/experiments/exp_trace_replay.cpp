@@ -28,7 +28,6 @@
 
 #include "exec/trace_program.hpp"
 #include "experiments/common.hpp"
-#include "sim/access_port.hpp"
 #include "workload/trace_file.hpp"
 #include "workload/trace_gen.hpp"
 
@@ -138,8 +137,7 @@ class TraceReplay final : public Experiment
         // engine-free replay fast path), gone before the sweep below.
         const double hit_rate = [&] {
             sim::CacheHierarchy hierarchy;
-            sim::SingleCorePort port(hierarchy);
-            const auto replay = exec::replayTrace(port, 0, *trace);
+            const auto replay = exec::replayTrace(hierarchy, *trace);
             return replay.accesses == 0
                        ? 0.0
                        : static_cast<double>(replay.hits) /

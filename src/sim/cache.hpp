@@ -38,17 +38,11 @@ struct CacheAccessResult
     std::optional<Addr> evicted_line; //!< line base address of the victim
 };
 
-/**
- * Outcome of removing a line from a level (clflush / back-invalidation).
- * Contextually convertible to bool ("was the line present?") so legacy
- * `if (flush(...))` call sites keep working.
- */
+/** Outcome of removing a line from a level (clflush / back-invalidation). */
 struct CacheFlushResult
 {
     bool present = false;
     bool dirty = false; //!< the removed copy was dirty: write-back due
-
-    explicit operator bool() const { return present; }
 };
 
 /**

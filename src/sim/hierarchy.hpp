@@ -90,7 +90,7 @@ class CacheHierarchy
     /**
      * Replay a whole access sequence (plain demand loads) whose
      * individual outcomes the caller does not need — the Spectre
-     * harness's chase, prime and decode walks, through AccessPort.
+     * harness's chase, prime and decode walks.
      * Semantically one access() per reference.
      */
     void accessBatch(std::span<const MemRef> refs);

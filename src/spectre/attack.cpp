@@ -9,7 +9,6 @@
 #include <array>
 
 #include "channel/layout.hpp"
-#include "sim/access_port.hpp"
 #include "sim/cache_config.hpp"
 
 namespace lruleak::spectre {
@@ -47,7 +46,7 @@ class AttackContext
   public:
     explicit AttackContext(const SpectreAttackConfig &config)
         : config_(config), rng_(config.seed),
-          hierarchy_(makeHierarchy(config)), port_(hierarchy_),
+          hierarchy_(makeHierarchy(config)),
           core_(hierarchy_, config.uarch, config.spec),
           model_(config.uarch),
           layout_(sim::CacheConfig::intelL1d().line_size,
@@ -70,15 +69,12 @@ class AttackContext
         return h;
     }
 
-    /** Timed load of @p ref through the pointer-chase primitive.  The
-     *  attacker's own traffic goes through the hierarchy-agnostic
-     *  AccessPort (core 0), so the disclosure walks are ready to run
-     *  over other topologies. */
+    /** Timed load of @p ref through the pointer-chase primitive. */
     std::uint32_t
     measure(const sim::MemRef &ref)
     {
-        port_.accessBatch(0, chase_);
-        const auto level = port_.access(0, ref).level;
+        hierarchy_.accessBatch(chase_);
+        const auto level = hierarchy_.access(ref).level;
         return model_.chase(
             std::vector<sim::HitLevel>(chase_.size(), sim::HitLevel::L1),
             level, rng_);
@@ -128,7 +124,7 @@ class AttackContext
         // dereferences it — as in the Spectre v1 sample code.
         const sim::Addr s = SpectreVictim::kArray1 +
             SpectreVictim::kSecretOffset + byte_index;
-        port_.access(0, sim::MemRef{s, s, kVictimThread, false});
+        hierarchy_.access(sim::MemRef{s, s, kVictimThread, false});
 
         // ---- Initialization phase over every probed set.
         for (std::uint8_t v : order)
@@ -160,7 +156,7 @@ class AttackContext
         batch_.clear();
         switch (config_.disclosure) {
           case Disclosure::FlushReloadMem:
-            port_.flush(symbolLine(v));
+            hierarchy_.flush(symbolLine(v));
             return;
           case Disclosure::FlushReloadL1:
             // Evict the symbol line from L1 with 8 attacker lines.
@@ -187,7 +183,7 @@ class AttackContext
                 batch_.push_back(attackerLine(layout_, set, i + 1));
             break;
         }
-        port_.accessBatch(0, batch_);
+        hierarchy_.accessBatch(batch_);
     }
 
     /** @return true when the set shows "the victim touched this set". */
@@ -209,7 +205,7 @@ class AttackContext
             batch_.clear();
             for (std::uint32_t i = config_.d; i <= layout_ways(); ++i)
                 batch_.push_back(attackerLine(layout_, set, i));
-            port_.accessBatch(0, batch_);
+            hierarchy_.accessBatch(batch_);
             const std::uint32_t lat = measure(symbolLine(v));
             return lat <= model_.chaseThreshold(); // hit => touched
           }
@@ -217,7 +213,7 @@ class AttackContext
             batch_.clear();
             for (std::uint32_t i = config_.d; i < layout_ways(); ++i)
                 batch_.push_back(attackerLine(layout_, set, i + 1));
-            port_.accessBatch(0, batch_);
+            hierarchy_.accessBatch(batch_);
             const std::uint32_t lat =
                 measure(attackerLine(layout_, set, 1));
             return lat > model_.chaseThreshold(); // miss => touched
@@ -244,7 +240,6 @@ class AttackContext
     SpectreAttackConfig config_;
     sim::Xoshiro256 rng_;
     sim::CacheHierarchy hierarchy_;
-    sim::SingleCorePort port_; //!< hierarchy-agnostic view of hierarchy_
     TransientCore core_;
     timing::MeasurementModel model_;
     sim::AddressLayout layout_;

@@ -5,8 +5,8 @@
  * A trace is the fleet-mode answer to "what does the victim's traffic
  * look like?": instead of wiring a synthetic generator into every
  * scenario, a workload is captured ONCE into a file and replayed
- * anywhere an AccessPort exists — noise cores beside a covert Session,
- * the bench harness, or a bare hierarchy in a test.  Two formats share
+ * against either hierarchy — noise cores beside a covert Session, the
+ * bench harness, or a bare hierarchy in a test.  Two formats share
  * one in-memory representation:
  *
  *   text    one access per line, `R <addr>` / `W <addr>`, fields split

@@ -34,7 +34,8 @@
 
 #include "channel/session.hpp"
 #include "per_op_policy.hpp"
-#include "sim/access_port.hpp"
+#include "sim/hierarchy.hpp"
+#include "sim/multicore_hierarchy.hpp"
 #include "timing/pointer_chase.hpp"
 
 namespace lruleak::legacy {
@@ -299,19 +300,18 @@ constexpr std::uint64_t kTimeSlicedMaxCycles = 4'000'000'000'000ULL;
 inline std::uint64_t
 runScheduler(const CovertConfig &config, RunContext &ctx)
 {
-    sim::SingleCorePort port(ctx.hierarchy);
     exec::EngineConfig ec;
     ec.seed = config.seed;
     if (config.mode == SharingMode::HyperThreaded) {
         // One op per step (the retired RoundRobinSmt's schedule), so
         // the session differential does not lean on the run-ahead.
         reference::PerOpLowestClock policy;
-        exec::Engine engine(port, config.uarch, policy, ec);
+        exec::Engine engine(ctx.hierarchy, config.uarch, policy, ec);
         return engine.run(ctx.sender, ctx.receiver, /*primary=*/1);
     }
     ec.max_cycles = kTimeSlicedMaxCycles;
     exec::TimeSlice policy(config.tslice);
-    exec::Engine engine(port, config.uarch, policy, ec);
+    exec::Engine engine(ctx.hierarchy, config.uarch, policy, ec);
     return engine.run(ctx.sender, ctx.receiver, /*primary=*/1);
 }
 
@@ -465,7 +465,6 @@ legacyRunXCoreChannel(const XCoreConfig &config)
     for (std::uint32_t i = 0; i < config.noise_cores; ++i)
         specs.push_back(exec::ThreadSpec{noise[i].get(), 2 + i});
 
-    sim::MultiCorePort port(hierarchy);
     exec::LowestClock policy;
     if (config.quantum > 0) {
         policy.nest(0, std::make_unique<exec::TimeSlice>(
@@ -476,7 +475,7 @@ legacyRunXCoreChannel(const XCoreConfig &config)
 
     exec::EngineConfig ec = config.sched;
     ec.seed = config.seed;
-    exec::Engine engine(port, config.uarch, policy, ec);
+    exec::Engine engine(hierarchy, config.uarch, policy, ec);
     const std::uint64_t end = engine.run(specs, /*primary=*/1);
 
     const timing::MeasurementModel model(config.uarch);
@@ -546,13 +545,12 @@ legacyRunSmtMulticore(const SmtMultiCoreConfig &config)
     for (std::uint32_t i = 0; i < config.noise_cores; ++i)
         specs.push_back(exec::ThreadSpec{noise[i].get(), 1 + i});
 
-    sim::MultiCorePort port(hierarchy);
     exec::LowestClock policy;
     policy.nest(0, std::make_unique<reference::PerOpLowestClock>());
 
     exec::EngineConfig ec = config.sched;
     ec.seed = config.seed;
-    exec::Engine engine(port, config.uarch, policy, ec);
+    exec::Engine engine(hierarchy, config.uarch, policy, ec);
     const std::uint64_t end = engine.run(specs, /*primary=*/1);
 
     const timing::MeasurementModel model(config.uarch);

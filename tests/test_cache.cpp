@@ -80,9 +80,9 @@ TEST(CacheTest, FlushRemovesLine)
     auto cache = makeL1();
     const auto ref = MemRef::load(0x7c0);
     cache.access(ref);
-    EXPECT_TRUE(cache.flush(ref));
+    EXPECT_TRUE(cache.flush(ref).present);
     EXPECT_FALSE(cache.contains(ref));
-    EXPECT_FALSE(cache.flush(ref));
+    EXPECT_FALSE(cache.flush(ref).present);
 }
 
 TEST(CacheTest, EvictedLineAddressIsReconstructed)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests of the execution engine proper: port and thread/core
- * binding validation, policy nesting, the generalisations the seed
+ * Unit tests of the execution engine proper: thread/core binding
+ * validation, the inclusion audit, policy nesting, the generalisations the seed
  * schedulers did not have (TimeSlice over N threads, TimeSlice per core
  * under LowestClock, an SMT pair of bare threads on one core of a
  * multi-core system), and the consolidated exec::ThreadStats telemetry.
@@ -14,7 +14,6 @@
 
 #include "exec/engine.hpp"
 #include "per_op_policy.hpp"
-#include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "timing/uarch.hpp"
@@ -63,9 +62,8 @@ quietSlices(std::uint64_t quantum)
 TEST(Engine, RejectsBadBindings)
 {
     sim::CacheHierarchy h;
-    sim::SingleCorePort port(h);
     LowestClock policy;
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
 
     StampingProgram a(0x40, 1);
     EXPECT_THROW(engine.run({}, 0), std::invalid_argument);
@@ -74,7 +72,7 @@ TEST(Engine, RejectsBadBindings)
         EXPECT_THROW(engine.run(specs, 5), std::invalid_argument);
     }
     {
-        const ThreadSpec specs[] = {{&a, 3}}; // single-core port
+        const ThreadSpec specs[] = {{&a, 3}}; // single-core hierarchy
         EXPECT_THROW(engine.run(specs, 0), std::invalid_argument);
     }
     {
@@ -83,51 +81,35 @@ TEST(Engine, RejectsBadBindings)
     }
 }
 
-TEST(Engine, RejectsPortItCannotCallDirectly)
+TEST(Engine, InclusionAuditThrowsOnViolation)
 {
-    // The engine binds its accesses to the two concrete ports at
-    // construction; any other AccessPort is refused there, not served
-    // through a slower virtual path.
-    class OtherPort final : public sim::AccessPort
-    {
-      public:
-        std::uint32_t cores() const override { return 1; }
-        sim::PortAccess
-        access(std::uint32_t, const sim::MemRef &, sim::LockReq) override
-        {
-            return {};
-        }
-        void
-        accessBatch(std::uint32_t, std::span<const sim::MemRef>,
-                    std::span<sim::HitLevel>) override
-        {}
-        void
-        accessBatch(std::uint32_t, std::span<const sim::MemRef>) override
-        {}
-        sim::CacheFlushResult
-        flush(const sim::MemRef &) override
-        {
-            return {};
-        }
-    } other;
-    LowestClock policy;
-    EXPECT_THROW(Engine(other, timing::Uarch::intelXeonE52690(), policy),
-                 std::invalid_argument);
+    // Core 0's L1 holds a line whose LLC copy is gone; the engine's
+    // sampled audit must report it after one op of an unrelated thread.
+    const auto runOneOp = [](std::uint32_t audit_every) {
+        sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 2});
+        const sim::Addr line = 0x40;
+        h.access(0, sim::MemRef::load(line, 0));
+        h.llc().invalidateLine(line);
+        EXPECT_TRUE(h.auditInclusion().has_value());
 
-    sim::CacheHierarchy h;
-    sim::SingleCorePort single(h);
-    EXPECT_NO_THROW(Engine(single, timing::Uarch::intelXeonE52690(), policy));
-    sim::MultiCoreHierarchy mh(sim::MultiCoreConfig{.cores = 2});
-    sim::MultiCorePort multi(mh);
-    EXPECT_NO_THROW(Engine(multi, timing::Uarch::intelXeonE52690(), policy));
+        LowestClock policy;
+        EngineConfig ec;
+        ec.audit_every = audit_every;
+        Engine engine(h, timing::Uarch::intelXeonE52690(), policy, ec);
+        StampingProgram other(0x10000, 1);
+        const ThreadSpec specs[] = {{&other, 1}};
+        engine.run(specs, 0);
+        EXPECT_EQ(engine.stats(0).accesses, 1u);
+    };
+    EXPECT_THROW(runOneOp(1), std::logic_error);
+    EXPECT_NO_THROW(runOneOp(0));
 }
 
 TEST(Engine, ThreadStatsCountOpsAndCycles)
 {
     sim::CacheHierarchy h;
-    sim::SingleCorePort port(h);
     LowestClock policy;
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
 
     class Mixed : public ThreadProgram
     {
@@ -167,9 +149,8 @@ TEST(TimeSlicePolicy, RotatesThreeThreads)
     // The seed scheduler was hard-wired to two threads; the policy
     // rotates any number round-robin.
     sim::CacheHierarchy h;
-    sim::SingleCorePort port(h);
     TimeSlice policy(quietSlices(10'000));
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
 
     StampingProgram a(0x1000, 100'000);
     StampingProgram b(0x2000, 100'000);
@@ -186,9 +167,8 @@ TEST(TimeSlicePolicy, RotatesThreeThreads)
 TEST(TimeSlicePolicy, RejectsThreadsOnDifferentCores)
 {
     sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 2});
-    sim::MultiCorePort port(h);
     TimeSlice policy(quietSlices(10'000));
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
 
     StampingProgram a(0x1000, 10), b(0x2000, 10);
     const ThreadSpec specs[] = {{&a, 0}, {&b, 1}};
@@ -208,9 +188,8 @@ TEST(LowestClock, SmtGroupSharesOneCoreOfMultiCore)
     // Two bare threads on core 0 plus one on core 1: the pair shares
     // core 0's private L1, the third does not see it.
     sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 2});
-    sim::MultiCorePort port(h);
     LowestClock policy;
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
 
     StampingProgram warm(0x40, 200);
     StampingProgram sibling(0x40, 100);
@@ -233,7 +212,6 @@ TEST(LowestClock, TimeSlicedCoresInterleaveOnSharedLlc)
     // TimeSlice nests per core: both cores make progress and their
     // kernel bursts land in per-core thread ids.
     sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 2});
-    sim::MultiCorePort port(h);
 
     TimeSlicePolicyConfig t0 = quietSlices(5'000);
     t0.kernel_noise_lines = 8;
@@ -245,7 +223,7 @@ TEST(LowestClock, TimeSlicedCoresInterleaveOnSharedLlc)
     LowestClock policy;
     policy.nest(0, std::make_unique<TimeSlice>(t0));
     policy.nest(1, std::make_unique<TimeSlice>(t1));
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
 
     StampingProgram a(0x1000, 100'000);
     StampingProgram b(0x2000, 2'000);
@@ -267,9 +245,8 @@ TEST(LowestClock, DefaultLeavesMatchCoreOrder)
     // globally lowest-clock: with identical programs the cores finish
     // within one op of each other.
     sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 3});
-    sim::MultiCorePort port(h);
     LowestClock policy;
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
 
     StampingProgram a(0x1000, 500), b(0x1000, 500), c(0x1000, 500);
     const ThreadSpec specs[] = {{&a, 0}, {&b, 1}, {&c, 2}};
@@ -292,7 +269,6 @@ TEST(LowestClock, BareThreadsStepLikeExplicitRoundRobinChildren)
     };
     const auto run = [](bool explicit_children) {
         sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 4});
-        sim::MultiCorePort port(h);
         LowestClock policy;
         if (explicit_children) {
             for (std::uint32_t core : {0u, 1u, 3u})
@@ -302,7 +278,7 @@ TEST(LowestClock, BareThreadsStepLikeExplicitRoundRobinChildren)
         policy.nest(2, std::make_unique<TimeSlice>(quietSlices(3'000)));
         EngineConfig ec;
         ec.max_cycles = 60'000;
-        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(h, timing::Uarch::intelXeonE52690(), policy, ec);
 
         std::vector<StampingProgram> programs;
         for (sim::Addr a : {0x1000, 0x1000, 0x2040, 0x3080, 0x4000, 0x50c0})
@@ -330,11 +306,10 @@ TEST(Engine, DeterministicForSeed)
 {
     auto run = [](std::uint64_t seed) {
         sim::CacheHierarchy h;
-        sim::SingleCorePort port(h);
         LowestClock policy;
         EngineConfig ec;
         ec.seed = seed;
-        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(h, timing::Uarch::intelXeonE52690(), policy, ec);
         StampingProgram a(0x1000, 5'000);
         StampingProgram b(0x2000, 1'000);
         return engine.run(a, b, 1);

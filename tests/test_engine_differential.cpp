@@ -17,7 +17,6 @@
 
 #include "exec/engine.hpp"
 #include "legacy_schedulers.hpp"
-#include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "timing/uarch.hpp"
@@ -146,11 +145,10 @@ TEST(EngineDifferential, LowestClockMatchesLegacySmtScheduler)
         RandomProgram b0(seed * 11, 2500, 0x10000);
         RandomProgram b1(seed * 13, 2000, 0x50000);
         sim::CacheHierarchy engine_h;
-        sim::SingleCorePort port(engine_h);
         LowestClock policy;
         EngineConfig ec;
         ec.seed = seed;
-        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(engine_h, timing::Uarch::intelXeonE52690(), policy, ec);
         const auto engine_end = engine.run(b0, b1, 1);
 
         EXPECT_EQ(legacy_end, engine_end) << "seed " << seed;
@@ -202,12 +200,11 @@ TEST(EngineDifferential, TimeSliceMatchesLegacyTimeSliceScheduler)
         RandomProgram b0(seed * 17, 1500, 0x10000);
         RandomProgram b1(seed * 19, 1200, 0x50000);
         sim::CacheHierarchy engine_h;
-        sim::SingleCorePort port(engine_h);
         TimeSlice policy(pc);
         EngineConfig ec;
         ec.seed = seed;
         ec.max_cycles = lc.max_cycles;
-        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(engine_h, timing::Uarch::intelXeonE52690(), policy, ec);
         const auto engine_end = engine.run(b0, b1, 1);
 
         EXPECT_EQ(legacy_end, engine_end) << "seed " << seed;
@@ -258,12 +255,11 @@ TEST(EngineDifferential, LowestClockMatchesLegacyMultiCoreScheduler)
         const auto legacy_end = legacy.run(a_ptrs, /*primary=*/1);
 
         sim::MultiCoreHierarchy engine_h(mc);
-        sim::MultiCorePort port(engine_h);
         LowestClock policy;
         EngineConfig ec;
         ec.seed = seed;
         ec.audit_every = 64;
-        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(engine_h, timing::Uarch::intelXeonE52690(), policy, ec);
         const auto engine_end = engine.run(b_specs, /*primary=*/1);
 
         EXPECT_EQ(legacy_end, engine_end) << "seed " << seed;

@@ -9,7 +9,7 @@
 #include "channel/edit_distance.hpp"
 #include "channel/flush_reload.hpp"
 #include "exec/engine.hpp"
-#include "sim/access_port.hpp"
+#include "sim/hierarchy.hpp"
 
 using namespace lruleak;
 using namespace lruleak::channel;
@@ -43,9 +43,8 @@ runFr(FlushKind kind, const Bits &message, std::uint64_t ts = 6000,
 
     LruSender sender(layout, sc);
     FrReceiver receiver(layout, rc);
-    sim::SingleCorePort port(hierarchy);
     exec::LowestClock policy;
-    exec::Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    exec::Engine engine(hierarchy, timing::Uarch::intelXeonE52690(), policy);
     engine.run(sender, receiver, 1);
 
     FrRun out;
@@ -114,9 +113,8 @@ TEST(FlushReload, L1VariantSenderHitsL2)
     rc.max_samples = 300;
     LruSender sender(layout, sc);
     FrReceiver receiver(layout, rc);
-    sim::SingleCorePort port(hierarchy);
     exec::LowestClock policy;
-    exec::Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    exec::Engine engine(hierarchy, timing::Uarch::intelXeonE52690(), policy);
     engine.run(sender, receiver, 1);
     // Encode accesses that missed L1 must all be L2 hits, not memory.
     bool saw_l2 = false;

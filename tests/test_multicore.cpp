@@ -10,7 +10,6 @@
 
 #include "channel/session.hpp"
 #include "exec/engine.hpp"
-#include "sim/access_port.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "timing/uarch.hpp"
 
@@ -276,9 +275,8 @@ TEST(MultiCoreScheduler, RejectsThreadBoundToMissingCore)
 {
     MultiCoreHierarchy h(tinyConfig(3));
     WalkProgram a({}), b({});
-    sim::MultiCorePort port(h);
     exec::LowestClock policy;
-    exec::Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+    exec::Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
     const exec::ThreadSpec specs[] = {{&a, 0}, {&b, 3}}; // core 3 of 0..2
     EXPECT_THROW(engine.run(specs, 0), std::invalid_argument);
 }

@@ -12,7 +12,7 @@
 #include "channel/edit_distance.hpp"
 #include "channel/prime_probe.hpp"
 #include "exec/engine.hpp"
-#include "sim/access_port.hpp"
+#include "sim/hierarchy.hpp"
 
 using namespace lruleak;
 using namespace lruleak::channel;
@@ -46,9 +46,8 @@ runPp(const Bits &message, std::uint64_t ts = 6000, std::uint64_t tr = 600,
 
     LruSender sender(layout, sc);
     PpReceiver receiver(layout, rc);
-    sim::SingleCorePort port(hierarchy);
     exec::LowestClock smt;
-    exec::Engine engine(port, timing::Uarch::intelXeonE52690(), smt);
+    exec::Engine engine(hierarchy, timing::Uarch::intelXeonE52690(), smt);
     engine.run(sender, receiver, 1);
 
     return PpRun{receiver.samples(), sender.sentBits(),

@@ -24,7 +24,6 @@
 
 #include "channel/lru_channel.hpp"
 #include "exec/engine.hpp"
-#include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "timing/uarch.hpp"
@@ -176,11 +175,10 @@ runCell(const GridCell &cell, std::uint64_t seed)
         out.p0 = std::make_unique<RandomProgram>(seed * 17, 1500, 0x10000);
         out.p1 = std::make_unique<RandomProgram>(seed * 19, 1200, 0x50000);
         out.h = std::make_unique<sim::CacheHierarchy>();
-        sim::SingleCorePort port(*out.h);
         TimeSlice policy(policyFor(cell, slice_events));
         EngineConfig ec;
         ec.seed = seed;
-        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(*out.h, timing::Uarch::intelXeonE52690(), policy, ec);
         out.end = engine.run(*out.p0, *out.p1, 1);
         out.s0 = engine.stats(0);
         out.s1 = engine.stats(1);
@@ -264,7 +262,6 @@ TEST(SliceEvents, NestedUnderLowestClockIgnoresSliceEvents)
             out.p2 = std::make_unique<RandomProgram>(seed * 9, 700,
                                                      0x90000);
             out.h = std::make_unique<sim::MultiCoreHierarchy>(mc);
-            sim::MultiCorePort port(*out.h);
 
             TimeSlicePolicyConfig pc;
             pc.quantum = 5'000;
@@ -281,7 +278,7 @@ TEST(SliceEvents, NestedUnderLowestClockIgnoresSliceEvents)
             policy.nest(0, std::make_unique<TimeSlice>(pc));
             EngineConfig ec;
             ec.seed = seed;
-            Engine engine(port, timing::Uarch::intelXeonE52690(), policy,
+            Engine engine(*out.h, timing::Uarch::intelXeonE52690(), policy,
                           ec);
             const ThreadSpec specs[3] = {
                 {out.p0.get(), 0}, {out.p1.get(), 0}, {out.p2.get(), 1}};
@@ -400,11 +397,10 @@ runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
     out.sender = std::make_unique<CountingSender>(layout, c.sender);
     out.receiver = std::make_unique<channel::LruReceiver>(layout, c.receiver);
     out.h = std::make_unique<sim::CacheHierarchy>(hc);
-    sim::SingleCorePort port(*out.h);
     TimeSlice policy(policyFor(cell, slice_events));
     EngineConfig ec;
     ec.seed = seed;
-    Engine engine(port,
+    Engine engine(*out.h,
                   c.way_predictor ? timing::Uarch::amdEpyc7571()
                                   : timing::Uarch::intelXeonE52690(),
                   policy, ec);
@@ -627,11 +623,10 @@ TEST(SteadyFold, StoresMatchPerOpSteppingUnderEveryWritePolicy)
                 out.other =
                     std::make_unique<RandomProgram>(seed * 23, 600, 0x50000);
                 out.h = std::make_unique<sim::CacheHierarchy>(hc);
-                sim::SingleCorePort port(*out.h);
                 TimeSlice policy(policyFor(cell, slice_events));
                 EngineConfig ec;
                 ec.seed = seed;
-                Engine engine(port, timing::Uarch::intelXeonE52690(),
+                Engine engine(*out.h, timing::Uarch::intelXeonE52690(),
                               policy, ec);
                 out.end = engine.run(*out.loop, *out.other, 1);
                 out.s0 = engine.stats(0);
@@ -781,7 +776,6 @@ expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
         out.loop = std::make_unique<SpinLoop>(refs, 20'000, kPeriod, limit);
         out.other = std::make_unique<RandomProgram>(7, 40, 0x50000);
         out.h = std::make_unique<sim::CacheHierarchy>();
-        sim::SingleCorePort port(*out.h);
         TimeSlicePolicyConfig pc =
             policyFor(GridCell{quantum, 0, tick, 0.0}, slice_events);
         // One kernel line, in set 0: ticks cost a few L1 hits and never
@@ -792,7 +786,7 @@ expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
         EngineConfig ec;
         ec.seed = 5;
         ec.jitter = jitter;
-        Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(*out.h, timing::Uarch::intelXeonE52690(), policy, ec);
         out.end = engine.run(*out.loop, *out.other, 1);
         out.s0 = engine.stats(0);
         out.s1 = engine.stats(1);
@@ -852,13 +846,12 @@ TEST(SteadyFold, SpinBoundMatchesPerOpSteppingWithBoundsMidPeriod)
 
 TEST(SteadyFold, NestedUnderLowestClockNeverFolds)
 {
-    // A MultiCorePort never confirms a steady iteration and a nested
+    // A multi-core engine never confirms a steady iteration and a nested
     // TimeSlice never asks: the sender steps op by op either way.
     for (bool slice_events : {false, true}) {
         sim::MultiCoreConfig mc;
         mc.cores = 1;
         sim::MultiCoreHierarchy h(mc);
-        sim::MultiCorePort port(h);
         const channel::ChannelLayout layout;
         channel::SenderConfig sc;
         sc.message = {1};
@@ -873,7 +866,7 @@ TEST(SteadyFold, NestedUnderLowestClockNeverFolds)
         LowestClock policy;
         policy.nest(0, std::make_unique<TimeSlice>(
                            policyFor(kGrid[0], slice_events)));
-        Engine engine(port, timing::Uarch::intelXeonE52690(), policy);
+        Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
         engine.run(sender, receiver, 1);
         // One next() per executed op: nothing was folded.
         EXPECT_EQ(sender.calls(), engine.stats(0).totalOps());

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "exec/engine.hpp"
-#include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
 #include "timing/uarch.hpp"
 
@@ -71,13 +70,12 @@ class SpinAccessProgram : public ThreadProgram
     sim::Addr addr_;
 };
 
-/** Engine + port + policy bundle for the two-program SMT shape. */
+/** Engine + policy bundle for the two-program SMT shape. */
 class SmtRig
 {
   public:
     explicit SmtRig(sim::CacheHierarchy &hierarchy, EngineConfig config = {})
-        : port_(hierarchy),
-          engine_(port_, timing::Uarch::intelXeonE52690(), policy_, config)
+        : engine_(hierarchy, timing::Uarch::intelXeonE52690(), policy_, config)
     {}
 
     std::uint64_t
@@ -87,7 +85,6 @@ class SmtRig
     }
 
   private:
-    sim::SingleCorePort port_;
     LowestClock policy_;
     Engine engine_;
 };

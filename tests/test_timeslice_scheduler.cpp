@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "exec/engine.hpp"
-#include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
 #include "timing/uarch.hpp"
 
@@ -53,15 +52,15 @@ quietConfig()
     return cfg;
 }
 
-/** Engine + port + policy bundle for the two-program sliced shape. */
+/** Engine + policy bundle for the two-program sliced shape. */
 class TimeSliceRig
 {
   public:
     TimeSliceRig(sim::CacheHierarchy &hierarchy,
                  TimeSlicePolicyConfig policy_config,
                  EngineConfig engine_config = {})
-        : port_(hierarchy), policy_(policy_config),
-          engine_(port_, timing::Uarch::intelXeonE52690(), policy_,
+        : policy_(policy_config),
+          engine_(hierarchy, timing::Uarch::intelXeonE52690(), policy_,
                   engine_config)
     {}
 
@@ -72,7 +71,6 @@ class TimeSliceRig
     }
 
   private:
-    sim::SingleCorePort port_;
     TimeSlice policy_;
     Engine engine_;
 };

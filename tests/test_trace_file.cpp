@@ -25,7 +25,6 @@
 #include <unistd.h>
 
 #include "exec/trace_program.hpp"
-#include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "sim/random.hpp"
@@ -776,24 +775,26 @@ struct DirectStats
     std::uint64_t writebacks = 0;
 };
 
+/** @p access issues one MemRef to the hierarchy under test. */
+template <typename AccessFn>
 DirectStats
-accessDirect(sim::AccessPort &port, std::uint32_t core,
-             const TraceFile &trace)
+accessDirect(AccessFn access, std::uint32_t core, const TraceFile &trace)
 {
     DirectStats stats;
     stats.levels.reserve(trace.size());
     for (const TraceRecord &r : trace.records) {
-        const auto res = port.access(core, r.ref(core));
+        const auto res = access(r.ref(core));
         stats.levels.push_back(res.level);
         stats.writebacks += res.writebacks;
     }
     return stats;
 }
 
-/** Run the generator live against the port, exactly as generateTrace
+/** Run the generator live through @p access, exactly as generateTrace
  *  would have recorded it. */
+template <typename AccessFn>
 DirectStats
-runGeneratorLive(sim::AccessPort &port, std::uint32_t core,
+runGeneratorLive(AccessFn access, std::uint32_t core,
                  const std::string &workload, std::size_t count,
                  std::uint64_t seed, double write_fraction)
 {
@@ -807,7 +808,7 @@ runGeneratorLive(sim::AccessPort &port, std::uint32_t core,
         const bool is_write = write_fraction > 0.0 &&
                               write_rng.uniform() < write_fraction;
         const sim::MemRef ref{addr, addr, core, is_write};
-        const auto res = port.access(core, ref);
+        const auto res = access(ref);
         stats.levels.push_back(res.level);
         stats.writebacks += res.writebacks;
     }
@@ -826,7 +827,10 @@ TEST(TraceReplay, ExportThenReplayEqualsLiveGeneratorSingleCore)
         workload::generateTrace(workload, count, seed, writes);
 
     sim::CacheHierarchy live_h, replay_h, batch_h;
-    sim::SingleCorePort live(live_h), replay(replay_h), batch(batch_h);
+    const auto live = [&](const sim::MemRef &r) { return live_h.access(r); };
+    const auto replay = [&](const sim::MemRef &r) {
+        return replay_h.access(r);
+    };
 
     const auto direct =
         runGeneratorLive(live, 0, workload, count, seed, writes);
@@ -836,7 +840,7 @@ TEST(TraceReplay, ExportThenReplayEqualsLiveGeneratorSingleCore)
     ASSERT_GT(direct.writebacks, 0u); // the write path actually ran
 
     // The chunked accessBatch fast path sees the same hit/miss totals.
-    const auto stats = exec::replayTrace(batch, 0, trace, 512);
+    const auto stats = exec::replayTrace(batch_h, trace, 512);
     std::uint64_t live_misses = 0;
     for (const auto level : direct.levels)
         live_misses += level == sim::HitLevel::Memory ? 1 : 0;
@@ -855,15 +859,20 @@ TEST(TraceReplay, ExportThenReplayEqualsLiveGeneratorMultiCore)
         workload::generateTrace(workload, count, seed, writes);
 
     sim::MultiCoreHierarchy live_h, replay_h;
-    sim::MultiCorePort live(live_h), replay(replay_h);
-    const std::uint32_t core = live.cores() - 1;
+    const std::uint32_t core = live_h.cores() - 1;
+    const auto live = [&](const sim::MemRef &r) {
+        return live_h.access(core, r);
+    };
+    const auto replay = [&](const sim::MemRef &r) {
+        return replay_h.access(core, r);
+    };
 
     const auto direct =
         runGeneratorLive(live, core, workload, count, seed, writes);
     const auto replayed = accessDirect(replay, core, trace);
     EXPECT_EQ(replayed.levels, direct.levels);
     EXPECT_EQ(replayed.writebacks, direct.writebacks);
-    EXPECT_EQ(replay.auditInclusion(), std::nullopt);
+    EXPECT_EQ(replay_h.auditInclusion(), std::nullopt);
 }
 
 // ------------------------------------------------------- TraceProgram

@@ -31,7 +31,6 @@
 #include "exec/engine.hpp"
 #include "per_op_policy.hpp"
 #include "same_topology.hpp"
-#include "sim/access_port.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "sim/random.hpp"
@@ -144,7 +143,6 @@ runCores(bool per_op, const std::vector<std::size_t> &limits,
     RunState out;
     out.topology =
         std::make_unique<MultiCoreHierarchy>(smallTopology(cores));
-    sim::MultiCorePort port(*out.topology);
     LowestClock policy;
     if (per_op) {
         for (std::uint32_t c = 0; c < cores; ++c)
@@ -154,7 +152,7 @@ runCores(bool per_op, const std::vector<std::size_t> &limits,
     EngineConfig ec;
     ec.max_cycles = max_cycles;
     ec.seed = 7;
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+    Engine engine(*out.topology, timing::Uarch::intelXeonE52690(), policy, ec);
 
     std::vector<std::unique_ptr<TickProgram>> programs;
     std::vector<ThreadSpec> specs;
@@ -326,7 +324,6 @@ runOneCore(bool per_op, const std::function<Programs()> &make,
     hc.l1_pl_mode = pl;
     RunState out;
     out.hierarchy = std::make_unique<sim::CacheHierarchy>(hc);
-    sim::SingleCorePort port(*out.hierarchy);
     LowestClock ahead;
     reference::PerOpLowestClock reference;
     ArbitrationPolicy &policy =
@@ -334,7 +331,8 @@ runOneCore(bool per_op, const std::function<Programs()> &make,
     EngineConfig ec;
     ec.max_cycles = max_cycles;
     ec.seed = 7;
-    Engine engine(port, timing::Uarch::intelXeonE52690(), policy, ec);
+    Engine engine(*out.hierarchy, timing::Uarch::intelXeonE52690(), policy,
+                  ec);
 
     const Programs programs = make();
     std::vector<ThreadSpec> specs;
@@ -472,7 +470,7 @@ TEST(LowestClockRunAhead, OneCoreMaxCyclesCrossedInsideRun)
 TEST(LowestClockRunAhead, OneCoreLockRequests)
 {
     // PL lock and unlock requests ride on the ops the run-ahead issues
-    // (Engine::access passes them to the single-core port), under both
+    // (Engine::access passes them to the CacheHierarchy), under both
     // PL-cache modes.
     for (sim::PlMode pl : {sim::PlMode::Original, sim::PlMode::FixedLruLock}) {
         for (std::size_t threads : {2u, 3u}) {
