@@ -279,7 +279,7 @@ runSingleCore(const SessionConfig &config, LruSender &sender,
               Receiver &receiver, sim::CacheHierarchy &hierarchy)
 {
     const std::vector<exec::ThreadSpec> specs{{&sender, 0}, {&receiver, 0}};
-    exec::EngineConfig ec = config.sched;
+    exec::EngineConfig ec;
     ec.seed = config.seed;
     if (config.mode == SharingMode::HyperThreaded) {
         exec::LowestClock policy;
@@ -319,7 +319,7 @@ runMultiCore(const SessionConfig &config, LruSender &sender,
                                          first_noise_core + i});
 
     exec::LowestClock policy;
-    exec::EngineConfig ec = config.sched;
+    exec::EngineConfig ec;
     ec.seed = config.seed;
     switch (config.mode) {
       case SharingMode::CrossCore:

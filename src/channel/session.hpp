@@ -29,9 +29,11 @@
  *   -> SessionResult
  *
  * The legacy entry points are gone; every experiment, bench lane and
- * example calls Session directly.  The pre-Session harness bodies and
- * their config translations live on in tests/legacy_channel_runners.hpp
- * as the oracle for tests/test_session_differential.cpp.
+ * example calls Session directly.  The engine runs with its default
+ * knobs and the session's seed (the time-sliced schedules with a longer
+ * max_cycles).  What pins the pipeline's wiring is its output: every
+ * experiment's golden snapshot and full-scale digest, and the
+ * transmission tests of tests/test_covert_channel.cpp.
  */
 
 #ifndef LRULEAK_CHANNEL_SESSION_HPP
@@ -166,7 +168,6 @@ struct SessionConfig
     std::uint64_t quantum = 0;
     exec::TimeSlicePolicyConfig tslice{};
 
-    exec::EngineConfig sched{};     //!< engine knobs (seed overridden)
     std::uint64_t seed = 1;
 
     /**

@@ -175,8 +175,7 @@ runChannelKind(const timing::Uarch &uarch, ChannelId kind,
 } // namespace
 
 double
-meanEncodeLatency(const timing::Uarch &uarch, ChannelId kind,
-                  std::uint64_t seed)
+meanEncodeLatency(const timing::Uarch &uarch, ChannelId kind)
 {
     // Micro-protocol matching the paper's Table V methodology: put the
     // sender's line into the state the channel leaves it in (flushed to
@@ -190,7 +189,6 @@ meanEncodeLatency(const timing::Uarch &uarch, ChannelId kind,
     const sim::MemRef line = layout.senderLine(alg);
 
     constexpr std::uint32_t kTrials = 256;
-    (void)seed;
     double sum = 0.0;
     hierarchy.access(line); // establish residency
     for (std::uint32_t t = 0; t < kTrials; ++t) {

@@ -86,7 +86,7 @@ LatencyHistograms singleAccessHistograms(const timing::Uarch &uarch,
  * channel leaves its line.
  */
 double meanEncodeLatency(const timing::Uarch &uarch,
-                         channel::ChannelId kind, std::uint64_t seed = 5);
+                         channel::ChannelId kind);
 
 // ------------------------------------------------------------ Table VI
 

@@ -2,13 +2,14 @@
  * @file
  * Execution engine implementation.
  *
- * Behaviour contract: with the matching arbitration policy, the engine
- * replays the exact operation order and RNG draw sequence of the
- * scheduler it replaced (SmtScheduler / TimeSliceScheduler /
- * MultiCoreScheduler), so every pre-existing golden snapshot stays
- * byte-identical.  Anything that would change a draw order — jitter
- * before the access, measurement noise after it, kernel-burst sizing
- * before its lines — is deliberately kept in the legacy sequence.
+ * Behaviour contract: the engine keeps the operation order and RNG draw
+ * sequence of the seed schedulers it replaced (SmtScheduler /
+ * TimeSliceScheduler / MultiCoreScheduler), so the golden snapshots
+ * stay byte-identical.  Anything that would change a draw order —
+ * jitter before the access, measurement noise after it, kernel-burst
+ * sizing before its lines — stays in that sequence.  The tests hold
+ * LowestClock to a per-op reference schedule and TimeSlice to the seed
+ * time-slice scheduler (tests/test_engine_differential.cpp).
  */
 
 #include "exec/engine.hpp"
@@ -512,7 +513,7 @@ TimeSlice::step(Engine &engine)
         if (now_ >= engine.config().max_cycles)
             return false;
         openSlice(engine);
-        if (state_ == State::InSlice && config_.slice_events && !nested_) {
+        if (state_ == State::InSlice && !nested_) {
             // Slice-event fast path (root policy only): within a slice
             // no other actor has events — only the resident thread runs
             // and ticks/background work are serviced inside runInSlice —

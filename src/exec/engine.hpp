@@ -342,27 +342,6 @@ struct TimeSlicePolicyConfig
     std::uint64_t tick_period = 4'000'000; //!< ~1 ms at ~4 GHz
     std::uint32_t tick_lines = 24;         //!< mean lines per tick
 
-    /**
-     * Slice-event fast path: when TimeSlice is the ROOT policy (not
-     * nested under LowestClock), one step() call advances the whole
-     * slice — open, run the resident thread to the slice end, close —
-     * instead of one op per step.  Within a slice only the resident
-     * thread ever runs, so the op order, every RNG draw and every
-     * latency are identical to per-op stepping (the differential suite
-     * in tests/test_slice_events.cpp proves it); only the step()/
-     * nextEventTime() call cadence changes.  Nested instances ignore
-     * this and stay per-op: the parent must be able to interleave
-     * other cores' shared-LLC traffic between ops.
-     *
-     * The same switch enables the steady-iteration fold: when the
-     * resident program offers a steady iteration (ThreadProgram::
-     * steadyIteration) whose accesses the hierarchy confirms are L1 hits
-     * that leave the memory system unchanged, the iterations up to the
-     * next tick, the slice end or the offer's limit run as one
-     * arithmetic loop with the same jitter draws (see foldSteady).
-     */
-    bool slice_events = true;
-
     /** Kernel working set in lines (spread uniformly over all sets). */
     std::uint64_t kernel_footprint_lines = 4096;
     sim::Addr kernel_base = 0x7f00'0000'0000ULL;
@@ -379,6 +358,21 @@ struct TimeSlicePolicyConfig
  * random sets — the pollution that limits the time-sliced channel in
  * the paper.  Works for any thread count (the seed scheduler was
  * hard-wired to two) and, nested under LowestClock, for any core.
+ *
+ * Two stepping shapes.  As the ROOT policy, one step() call advances a
+ * whole slice (open, run the resident thread to the slice end, close):
+ * within a slice only the resident thread runs, so the op order, every
+ * RNG draw and every latency equal per-op stepping; only the step()/
+ * nextEventTime() cadence changes.  The same loop applies the
+ * steady-iteration fold: when the resident program offers a steady
+ * iteration (ThreadProgram::steadyIteration) whose accesses the
+ * hierarchy confirms are L1 hits that leave the memory system
+ * unchanged, the iterations up to the next tick, the slice end or the
+ * offer's limit run as one arithmetic loop with the same jitter draws
+ * (see foldSteady).  NESTED under LowestClock, step() runs one op, so
+ * the parent can interleave other cores' shared-LLC traffic between
+ * ops.  That per-op shape is the reference the SliceEvents and
+ * SteadyFold tests hold the slice-event loop and the fold to.
  */
 class TimeSlice final : public ArbitrationPolicy
 {
@@ -428,7 +422,7 @@ class TimeSlice final : public ArbitrationPolicy
     TimeSlicePolicyConfig config_;
     std::vector<unsigned> threads_;
     std::uint32_t core_ = 0;
-    bool nested_ = false; //!< under LowestClock: slice events disabled
+    bool nested_ = false; //!< under LowestClock: one op per step()
     State state_ = State::NeedSlice;
     std::size_t active_ = 0;        //!< index into threads_
     std::uint64_t now_ = 0;         //!< core-local clock

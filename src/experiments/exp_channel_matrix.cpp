@@ -20,8 +20,8 @@
  * Scale note: the time-sliced cells default to the paper-faithful CFS
  * geometry — 1.5e8-cycle quanta with the ~1 ms timer tick — which the
  * TimeSlice slice-event fast path makes affordable (idle spans advance
- * as single slice events; see tests/test_slice_events.cpp for the
- * equivalence proof).  The protocol periods of those cells stretch
+ * as single slice events; the SliceEvents tests are the equivalence
+ * proof).  The protocol periods of those cells stretch
  * with the quantum so a bit spans the same number of slices at any
  * scale.  Passing a quantum below 1e6 (e.g. --quantum=30000) selects
  * the legacy scaled OS model — quantum, jitter and timer tick shrink

@@ -26,17 +26,9 @@ class Tab5EncodingLatency final : public Experiment
                "encode is the LRU channel's edge)";
     }
 
-    std::vector<ParamSpec>
-    params() const override
-    {
-        return {seedParam(5)};
-    }
-
     void
-    run(const ParamMap &params, ResultSink &sink) const override
+    run(const ParamMap &, ResultSink &sink) const override
     {
-        const auto seed = params.getUint("seed");
-
         sink.note("=== Table V: latency of encoding (cycles) ===\n");
         Table table({"Model", "F+R (mem)", "F+R (L1)",
                      "L1 LRU (Alg.1&2)"});
@@ -44,12 +36,12 @@ class Tab5EncodingLatency final : public Experiment
                               timing::Uarch::intelXeonE31245v5(),
                               timing::Uarch::amdEpyc7571()}) {
             const double fr_mem =
-                meanEncodeLatency(u, channel::ChannelId::FrMem, seed);
+                meanEncodeLatency(u, channel::ChannelId::FrMem);
             const double fr_l1 =
-                meanEncodeLatency(u, channel::ChannelId::FrL1, seed);
+                meanEncodeLatency(u, channel::ChannelId::FrL1);
             const double lru =
-                (meanEncodeLatency(u, channel::ChannelId::LruAlg1, seed) +
-                 meanEncodeLatency(u, channel::ChannelId::LruAlg2, seed)) /
+                (meanEncodeLatency(u, channel::ChannelId::LruAlg1) +
+                 meanEncodeLatency(u, channel::ChannelId::LruAlg2)) /
                 2.0;
             table.addRow({u.name, fmtDouble(fr_mem, 0),
                           fmtDouble(fr_l1, 0), fmtDouble(lru, 0)});

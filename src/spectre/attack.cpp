@@ -113,10 +113,6 @@ class AttackContext
     {
         const auto order = symbolOrder(
             part == GadgetPart::LowSixBits ? 64 : 4);
-        const std::uint32_t n = layout_.numSets() > 0 ? layout_.numSets()
-                                                      : 64;
-        (void)n;
-
         train(victim, part);
 
         // The victim uses its secret in its normal (architectural)

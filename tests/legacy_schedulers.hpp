@@ -1,16 +1,17 @@
 /**
  * @file
- * Test-only reference copies of the three retired ad-hoc schedulers.
+ * Test-only reference copy of the one retired ad-hoc scheduler still
+ * kept: the seed TimeSliceScheduler.
  *
- * exec::Engine replaced SmtScheduler / TimeSliceScheduler /
+ * exec::Engine replaced the seed SmtScheduler / TimeSliceScheduler /
  * MultiCoreScheduler with one shared stepping core and pluggable
- * arbitration policies; the production classes are now thin shims over
- * the engine.  To keep the equivalence claim *testable* (the shims
- * cannot differ from the engine by construction), the seed
- * implementations live on here verbatim — independent stepping loops,
- * independent RNG consumption — as the oracle the randomized
- * differential suite compares the engine against, the same pattern the
- * repo uses for the reference replacement models vs sim::ReplState.
+ * arbitration policies.  The clock-ordered schedules (SMT, multi-core)
+ * are checked against reference::PerOpLowestClock (per_op_policy.hpp);
+ * the time-slice schedule has no other independent model, so the seed
+ * implementation lives on here verbatim — its own stepping loop, its
+ * own RNG consumption — as the oracle the randomized differential suite
+ * compares exec::TimeSlice against, the same pattern the repo uses for
+ * the reference replacement models vs sim::ReplState.
  *
  * Do not "fix" or modernise this code: its value is being the seed
  * behaviour, byte for byte.
@@ -21,138 +22,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "exec/op.hpp"
 #include "sim/hierarchy.hpp"
-#include "sim/multicore_hierarchy.hpp"
 #include "sim/random.hpp"
 #include "timing/pointer_chase.hpp"
 #include "timing/uarch.hpp"
 
 namespace lruleak::legacy {
-
-struct LegacySmtConfig
-{
-    std::uint64_t max_cycles = 2'000'000'000ULL;
-    std::uint32_t op_overhead = 10;
-    std::uint32_t jitter = 4;
-    std::uint64_t seed = 42;
-};
-
-/** Seed SmtScheduler, verbatim. */
-class LegacySmtScheduler
-{
-  public:
-    using Config = LegacySmtConfig;
-
-    LegacySmtScheduler(sim::CacheHierarchy &hierarchy,
-                       const timing::Uarch &uarch,
-                       LegacySmtConfig config = {})
-        : hierarchy_(hierarchy), uarch_(uarch), model_(uarch),
-          config_(config), rng_(config.seed)
-    {
-    }
-
-    std::uint64_t
-    run(exec::ThreadProgram &thread0, exec::ThreadProgram &thread1,
-        unsigned primary = 1)
-    {
-        exec::ThreadProgram *threads[2] = {&thread0, &thread1};
-        threads[0]->setThreadId(0);
-        threads[1]->setThreadId(1);
-
-        std::uint64_t clock[2] = {now_, now_};
-        bool done[2] = {false, false};
-
-        while (now_ < config_.max_cycles) {
-            unsigned idx;
-            if (done[0] && done[1])
-                break;
-            if (done[0])
-                idx = 1;
-            else if (done[1])
-                idx = 0;
-            else
-                idx = clock[0] <= clock[1] ? 0 : 1;
-
-            exec::ThreadProgram &prog = *threads[idx];
-            const exec::Op op = prog.next(clock[idx]);
-
-            if (op.kind == exec::OpKind::Done) {
-                done[idx] = true;
-                if (idx == primary)
-                    break;
-                continue;
-            }
-            if (op.kind == exec::OpKind::SpinUntil) {
-                clock[idx] = std::max(clock[idx] + 1, op.until);
-            } else {
-                clock[idx] += executeOp(prog, op, clock[idx]);
-            }
-            now_ = std::max(now_, clock[idx]);
-
-            if (done[primary])
-                break;
-        }
-        return now_;
-    }
-
-    std::uint64_t now() const { return now_; }
-
-  private:
-    std::uint64_t
-    executeOp(exec::ThreadProgram &prog, const exec::Op &op,
-              std::uint64_t start)
-    {
-        const std::uint64_t jitter =
-            config_.jitter ? rng_.below(config_.jitter) : 0;
-        switch (op.kind) {
-          case exec::OpKind::Access: {
-            const auto res = hierarchy_.access(op.ref, op.lock_req);
-            exec::OpResult out;
-            out.kind = exec::OpKind::Access;
-            out.level = res.level;
-            out.tsc = start;
-            prog.onResult(out);
-            return uarch_.latency(res.level) + config_.op_overhead + jitter;
-          }
-          case exec::OpKind::Measure: {
-            const auto res = hierarchy_.access(op.ref, op.lock_req);
-            exec::OpResult out;
-            out.kind = exec::OpKind::Measure;
-            out.level = res.level;
-            out.measured = model_.chase(op.chain_levels, res.level, rng_);
-            out.tsc = start;
-            prog.onResult(out);
-            return uarch_.latency(res.level) + config_.op_overhead + jitter;
-          }
-          case exec::OpKind::Flush: {
-            hierarchy_.flush(op.ref);
-            exec::OpResult out;
-            out.kind = exec::OpKind::Flush;
-            out.tsc = start;
-            prog.onResult(out);
-            return uarch_.mem_latency + config_.op_overhead + jitter;
-          }
-          case exec::OpKind::MeasureFlush: // newer than these schedulers:
-                                           // their programs never yield it
-          case exec::OpKind::SpinUntil:
-          case exec::OpKind::Done:
-            return 0;
-        }
-        return 0;
-    }
-
-    sim::CacheHierarchy &hierarchy_;
-    timing::Uarch uarch_;
-    timing::MeasurementModel model_;
-    Config config_;
-    sim::Xoshiro256 rng_;
-    std::uint64_t now_ = 0;
-};
 
 struct LegacyTimeSliceConfig
 {
@@ -356,144 +234,6 @@ class LegacyTimeSliceScheduler
     std::uint64_t next_tick_ = 0;
     std::vector<sim::MemRef> burst_refs_;
     std::vector<sim::HitLevel> burst_levels_;
-};
-
-struct LegacyMultiCoreConfig
-{
-    std::uint64_t max_cycles = 2'000'000'000ULL;
-    std::uint32_t op_overhead = 10;
-    std::uint32_t jitter = 4;
-    std::uint64_t seed = 42;
-    std::uint32_t audit_every = 0;
-};
-
-/** Seed MultiCoreScheduler, verbatim. */
-class LegacyMultiCoreScheduler
-{
-  public:
-    using Config = LegacyMultiCoreConfig;
-
-    LegacyMultiCoreScheduler(sim::MultiCoreHierarchy &hierarchy,
-                             const timing::Uarch &uarch,
-                       LegacyMultiCoreConfig config = {})
-        : hierarchy_(hierarchy), uarch_(uarch), model_(uarch),
-          config_(config), rng_(config.seed)
-    {
-    }
-
-    std::uint64_t
-    run(std::span<exec::ThreadProgram *const> programs, unsigned primary)
-    {
-        const unsigned n = static_cast<unsigned>(programs.size());
-        if (n != hierarchy_.cores())
-            throw std::invalid_argument(
-                "LegacyMultiCoreScheduler: one program per core required");
-        if (primary >= n)
-            throw std::invalid_argument(
-                "LegacyMultiCoreScheduler: bad primary core");
-
-        for (unsigned c = 0; c < n; ++c)
-            programs[c]->setThreadId(c);
-
-        std::vector<std::uint64_t> clock(n, now_);
-        std::vector<bool> done(n, false);
-
-        while (now_ < config_.max_cycles) {
-            unsigned idx = n;
-            for (unsigned c = 0; c < n; ++c) {
-                if (!done[c] && (idx == n || clock[c] < clock[idx]))
-                    idx = c;
-            }
-            if (idx == n)
-                break;
-
-            exec::ThreadProgram &prog = *programs[idx];
-            const exec::Op op = prog.next(clock[idx]);
-
-            if (op.kind == exec::OpKind::Done) {
-                done[idx] = true;
-                if (idx == primary)
-                    break;
-                continue;
-            }
-            if (op.kind == exec::OpKind::SpinUntil) {
-                clock[idx] = std::max(clock[idx] + 1, op.until);
-            } else {
-                clock[idx] += executeOp(idx, prog, op, clock[idx]);
-            }
-            now_ = std::max(now_, clock[idx]);
-        }
-        return now_;
-    }
-
-    std::uint64_t now() const { return now_; }
-
-  private:
-    void
-    maybeAudit()
-    {
-        if (config_.audit_every == 0)
-            return;
-        if (++ops_since_audit_ < config_.audit_every)
-            return;
-        ops_since_audit_ = 0;
-        if (auto violation = hierarchy_.auditInclusion())
-            throw std::logic_error(*violation);
-    }
-
-    std::uint64_t
-    executeOp(unsigned core, exec::ThreadProgram &prog, const exec::Op &op,
-              std::uint64_t start)
-    {
-        const std::uint64_t jitter =
-            config_.jitter ? rng_.below(config_.jitter) : 0;
-        switch (op.kind) {
-          case exec::OpKind::Access: {
-            const auto res = hierarchy_.access(core, op.ref);
-            exec::OpResult out;
-            out.kind = exec::OpKind::Access;
-            out.level = res.level;
-            out.tsc = start;
-            prog.onResult(out);
-            maybeAudit();
-            return uarch_.latency(res.level) + config_.op_overhead + jitter;
-          }
-          case exec::OpKind::Measure: {
-            const auto res = hierarchy_.access(core, op.ref);
-            exec::OpResult out;
-            out.kind = exec::OpKind::Measure;
-            out.level = res.level;
-            out.measured = model_.chase(op.chain_levels, res.level, rng_);
-            out.tsc = start;
-            prog.onResult(out);
-            maybeAudit();
-            return uarch_.latency(res.level) + config_.op_overhead + jitter;
-          }
-          case exec::OpKind::Flush: {
-            hierarchy_.flush(op.ref);
-            exec::OpResult out;
-            out.kind = exec::OpKind::Flush;
-            out.tsc = start;
-            prog.onResult(out);
-            maybeAudit();
-            return uarch_.mem_latency + config_.op_overhead + jitter;
-          }
-          case exec::OpKind::MeasureFlush: // newer than these schedulers:
-                                           // their programs never yield it
-          case exec::OpKind::SpinUntil:
-          case exec::OpKind::Done:
-            return 0;
-        }
-        return 0;
-    }
-
-    sim::MultiCoreHierarchy &hierarchy_;
-    timing::Uarch uarch_;
-    timing::MeasurementModel model_;
-    Config config_;
-    sim::Xoshiro256 rng_;
-    std::uint64_t now_ = 0;
-    std::uint64_t ops_since_audit_ = 0;
 };
 
 } // namespace lruleak::legacy

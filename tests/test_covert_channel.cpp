@@ -2,8 +2,7 @@
  * @file
  * End-to-end covert-channel tests: the paper's headline behaviours as
  * executable assertions, driven through the unified channel::Session
- * pipeline (the deprecated runCovertChannel shim keeps its own
- * differential coverage in test_session_differential.cpp).
+ * pipeline.
  */
 
 #include <gtest/gtest.h>

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "channel/lru_channel.hpp"
 #include "channel/session.hpp"
 #include "exec/engine.hpp"
 #include "sim/multicore_hierarchy.hpp"
@@ -262,13 +263,39 @@ TEST(MultiCoreScheduler, EveryStepAuditPassesOnChannelTraffic)
     // Run a real (tiny) cross-core transmission with the audit walk on
     // after EVERY executed operation: the inclusion property must hold
     // at each step of scheduler interleaving, not just at the end.
-    auto cfg = xcoreConfig();
-    cfg.noise_cores = 1;
-    cfg.message = channel::alternatingBits(4);
-    cfg.sched.audit_every = 1;
-    const auto res = channel::runSession(cfg); // throws on violation
-    EXPECT_FALSE(res.samples.empty());
-    EXPECT_GT(res.back_invalidations, 0u);
+    // Algorithm 2 over the shared LLC (the canonical xcoreConfig
+    // operating point), the sender on core 0, the receiver on core 1
+    // and one noise program on core 2.
+    MultiCoreConfig mc;
+    mc.cores = 3;
+    mc.llc.policy = ReplPolicyKind::TreePlru;
+    MultiCoreHierarchy h(mc);
+    CacheConfig llc = CacheConfig::intelLlc();
+    llc.policy = ReplPolicyKind::TreePlru;
+    const channel::ChannelLayout layout(llc, 7, 63);
+
+    channel::SenderConfig sc;
+    sc.alg = channel::LruAlgorithm::Alg2Disjoint;
+    sc.message = channel::alternatingBits(4);
+    sc.ts = 30000;
+    channel::ReceiverConfig rc;
+    rc.alg = channel::LruAlgorithm::Alg2Disjoint;
+    rc.d = 12;
+    rc.tr = 3000;
+    rc.max_samples = 4 * 30000 / 3000 + 8;
+    channel::LruSender sender(layout, sc);
+    channel::LruReceiver receiver(layout, rc);
+    exec::NoiseProgram noise(exec::NoiseConfig{});
+
+    exec::LowestClock policy;
+    exec::EngineConfig ec;
+    ec.audit_every = 1;
+    exec::Engine engine(h, timing::Uarch::intelXeonE52690(), policy, ec);
+    const exec::ThreadSpec specs[] = {
+        {&sender, 0}, {&receiver, 1}, {&noise, 2}};
+    engine.run(specs, 1); // throws on violation
+    EXPECT_FALSE(receiver.samples().empty());
+    EXPECT_GT(h.backInvalidations(), 0u);
 }
 
 TEST(MultiCoreScheduler, RejectsThreadBoundToMissingCore)

@@ -1,12 +1,13 @@
 /**
  * @file
  * Randomized differential suite for the TimeSlice slice-event fast
- * path: with `slice_events` on, one step() advances a whole quantum,
- * but the op order, every RNG draw, every measured latency, the final
- * clocks and the per-thread telemetry must be identical to per-op
- * stepping.  The suite sweeps quantum/jitter/tick grids, random program
- * mixes and both engine shapes (root TimeSlice; TimeSlice nested under
- * LowestClock, where the fast path must disable itself).
+ * path: as a root policy, one TimeSlice step() advances a whole
+ * quantum, but the op order, every RNG draw, every measured latency,
+ * the final clocks and the per-thread telemetry must be identical to
+ * per-op stepping.  The per-op reference is the same TimeSlice nested
+ * under LowestClock on the same single-core CacheHierarchy, where it
+ * steps one op per parent step.  The suite sweeps quantum/jitter/tick
+ * grids and random program mixes.
  *
  * The same pair is the oracle for the steady-iteration fold, which only
  * the slice-event loop applies: randomized LruSender configurations
@@ -17,13 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "channel/lru_channel.hpp"
 #include "exec/engine.hpp"
+#include "random_program.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "timing/uarch.hpp"
@@ -33,81 +34,15 @@ using namespace lruleak::exec;
 
 namespace {
 
-/** Replays a pre-generated random op script; records every result. */
-class RandomProgram : public ThreadProgram
+using differential::expectSameCounters;
+using differential::expectSameTrace;
+
+/** A random script with this suite's op mix and spin range. */
+std::unique_ptr<differential::RandomProgram>
+randomProgram(std::uint64_t seed, std::size_t ops, sim::Addr base)
 {
-  public:
-    RandomProgram(std::uint64_t seed, std::size_t ops, sim::Addr base)
-    {
-        sim::Xoshiro256 rng(seed);
-        script_.reserve(ops);
-        for (std::size_t i = 0; i < ops; ++i) {
-            const std::uint64_t kind = rng.below(100);
-            const sim::Addr line = base + rng.below(96) * 64;
-            if (kind < 55) {
-                script_.push_back(Op::access(sim::MemRef::load(line)));
-            } else if (kind < 70) {
-                script_.push_back(
-                    Op::measure(sim::MemRef::load(line), chain_));
-            } else if (kind < 80) {
-                script_.push_back(Op::flush(sim::MemRef::load(line)));
-            } else {
-                spin_gaps_[script_.size()] = 50 + rng.below(700);
-                script_.push_back(Op::spinUntil(0));
-            }
-        }
-    }
-
-    Op
-    next(std::uint64_t now) override
-    {
-        if (index_ >= script_.size())
-            return Op::done();
-        Op op = script_[index_];
-        const auto gap = spin_gaps_.find(index_);
-        if (gap != spin_gaps_.end())
-            op.until = now + gap->second;
-        ++index_;
-        op.ref.thread = threadId();
-        yield_times_.push_back(now);
-        return op;
-    }
-
-    void
-    onResult(const OpResult &result) override
-    {
-        results_.push_back(result);
-    }
-
-    const std::vector<OpResult> &results() const { return results_; }
-    const std::vector<std::uint64_t> &yieldTimes() const
-    {
-        return yield_times_;
-    }
-
-  private:
-    std::vector<sim::HitLevel> chain_ =
-        std::vector<sim::HitLevel>(7, sim::HitLevel::L1);
-    std::vector<Op> script_;
-    std::map<std::size_t, std::uint64_t> spin_gaps_;
-    std::size_t index_ = 0;
-    std::vector<OpResult> results_;
-    std::vector<std::uint64_t> yield_times_;
-};
-
-void
-expectSameTrace(const RandomProgram &a, const RandomProgram &b)
-{
-    ASSERT_EQ(a.results().size(), b.results().size());
-    for (std::size_t i = 0; i < a.results().size(); ++i) {
-        EXPECT_EQ(a.results()[i].kind, b.results()[i].kind) << i;
-        EXPECT_EQ(a.results()[i].level, b.results()[i].level) << i;
-        EXPECT_EQ(a.results()[i].measured, b.results()[i].measured) << i;
-        EXPECT_EQ(a.results()[i].tsc, b.results()[i].tsc) << i;
-    }
-    ASSERT_EQ(a.yieldTimes().size(), b.yieldTimes().size());
-    for (std::size_t i = 0; i < a.yieldTimes().size(); ++i)
-        EXPECT_EQ(a.yieldTimes()[i], b.yieldTimes()[i]) << i;
+    return std::make_unique<differential::RandomProgram>(
+        seed, ops, base, differential::OpMix{55, 70, 80}, 700);
 }
 
 void
@@ -118,17 +53,6 @@ expectSameStats(const ThreadStats &a, const ThreadStats &b)
     EXPECT_EQ(a.flushes, b.flushes);
     EXPECT_EQ(a.spins, b.spins);
     EXPECT_EQ(a.busy_cycles, b.busy_cycles);
-}
-
-void
-expectSameCounters(const sim::Cache &a, const sim::Cache &b,
-                   sim::ThreadId thread)
-{
-    const auto sa = a.counters().forThread(thread);
-    const auto sb = b.counters().forThread(thread);
-    EXPECT_EQ(sa.accesses, sb.accesses);
-    EXPECT_EQ(sa.misses, sb.misses);
-    EXPECT_EQ(sa.writebacks, sb.writebacks);
 }
 
 /** One (quantum, jitter, tick) cell of the differential grid. */
@@ -142,7 +66,7 @@ struct GridCell
 
 /** The OS model of one grid cell (small kernel/background footprints). */
 TimeSlicePolicyConfig
-policyFor(const GridCell &cell, bool slice_events)
+policyFor(const GridCell &cell)
 {
     TimeSlicePolicyConfig pc;
     pc.quantum = cell.quantum;
@@ -153,40 +77,54 @@ policyFor(const GridCell &cell, bool slice_events)
     pc.background_lines = 32;
     pc.tick_period = cell.tick_period;
     pc.tick_lines = 4;
-    pc.slice_events = slice_events;
     return pc;
+}
+
+/**
+ * The engine shape of one run: a root TimeSlice, which steps slice
+ * events and folds steady iterations, or (@p per_op) the same
+ * TimeSlice nested under LowestClock, which steps one op per call.
+ */
+std::unique_ptr<ArbitrationPolicy>
+timeSlicePolicy(const TimeSlicePolicyConfig &pc, bool per_op)
+{
+    if (!per_op)
+        return std::make_unique<TimeSlice>(pc);
+    auto parent = std::make_unique<LowestClock>();
+    parent->nest(0, std::make_unique<TimeSlice>(pc));
+    return parent;
 }
 
 /** Run both stepping modes for one config+seed; compare everything. */
 void
 runCell(const GridCell &cell, std::uint64_t seed)
 {
-    const TimeSlicePolicyConfig base = policyFor(cell, false);
+    const TimeSlicePolicyConfig base = policyFor(cell);
 
     struct RunOut
     {
-        std::unique_ptr<RandomProgram> p0, p1;
+        std::unique_ptr<differential::RandomProgram> p0, p1;
         std::unique_ptr<sim::CacheHierarchy> h;
         std::uint64_t end = 0;
         ThreadStats s0, s1;
     };
-    auto run = [&](bool slice_events) {
+    auto run = [&](bool per_op) {
         RunOut out;
-        out.p0 = std::make_unique<RandomProgram>(seed * 17, 1500, 0x10000);
-        out.p1 = std::make_unique<RandomProgram>(seed * 19, 1200, 0x50000);
+        out.p0 = randomProgram(seed * 17, 1500, 0x10000);
+        out.p1 = randomProgram(seed * 19, 1200, 0x50000);
         out.h = std::make_unique<sim::CacheHierarchy>();
-        TimeSlice policy(policyFor(cell, slice_events));
+        const auto policy = timeSlicePolicy(base, per_op);
         EngineConfig ec;
         ec.seed = seed;
-        Engine engine(*out.h, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(*out.h, timing::Uarch::intelXeonE52690(), *policy, ec);
         out.end = engine.run(*out.p0, *out.p1, 1);
         out.s0 = engine.stats(0);
         out.s1 = engine.stats(1);
         return out;
     };
 
-    const RunOut per_op = run(false);
-    const RunOut sliced = run(true);
+    const RunOut per_op = run(true);
+    const RunOut sliced = run(false);
 
     EXPECT_EQ(per_op.end, sliced.end)
         << "quantum " << cell.quantum << " seed " << seed;
@@ -235,64 +173,6 @@ TEST(SliceEvents, TrueQuantumScaleMatchesPerOpStepping)
     // for the fig6/fig15/channel_matrix experiments.
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
         runCell(kTrueQuantum, seed);
-}
-
-TEST(SliceEvents, NestedUnderLowestClockIgnoresSliceEvents)
-{
-    // Nested TimeSlice must stay per-op no matter what the flag says:
-    // the parent has to interleave the other core's LLC traffic between
-    // ops.  Equality of the two flag settings proves the flag is inert
-    // when nested.
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        auto run = [&](bool slice_events) {
-            struct Out
-            {
-                std::unique_ptr<RandomProgram> p0, p1, p2;
-                std::unique_ptr<sim::MultiCoreHierarchy> h;
-                std::uint64_t end = 0;
-            };
-            Out out;
-            sim::MultiCoreConfig mc;
-            mc.cores = 2;
-            mc.seed = seed;
-            out.p0 = std::make_unique<RandomProgram>(seed * 5, 900,
-                                                     0x10000);
-            out.p1 = std::make_unique<RandomProgram>(seed * 7, 800,
-                                                     0x50000);
-            out.p2 = std::make_unique<RandomProgram>(seed * 9, 700,
-                                                     0x90000);
-            out.h = std::make_unique<sim::MultiCoreHierarchy>(mc);
-
-            TimeSlicePolicyConfig pc;
-            pc.quantum = 5'000;
-            pc.quantum_jitter = 2'000;
-            pc.switch_cost = 300;
-            pc.kernel_noise_lines = 8;
-            pc.background_prob = 0.3;
-            pc.background_lines = 32;
-            pc.tick_period = 2'500;
-            pc.tick_lines = 4;
-            pc.slice_events = slice_events;
-
-            LowestClock policy;
-            policy.nest(0, std::make_unique<TimeSlice>(pc));
-            EngineConfig ec;
-            ec.seed = seed;
-            Engine engine(*out.h, timing::Uarch::intelXeonE52690(), policy,
-                          ec);
-            const ThreadSpec specs[3] = {
-                {out.p0.get(), 0}, {out.p1.get(), 0}, {out.p2.get(), 1}};
-            out.end = engine.run(specs, 1);
-            return out;
-        };
-        const auto off = run(false);
-        const auto on = run(true);
-        EXPECT_EQ(off.end, on.end) << "seed " << seed;
-        expectSameTrace(*off.p0, *on.p0);
-        expectSameTrace(*off.p1, *on.p1);
-        expectSameTrace(*off.p2, *on.p2);
-        EXPECT_EQ(off.h->backInvalidations(), on.h->backInvalidations());
-    }
 }
 
 // ------------------------------------------------ steady-iteration fold
@@ -385,7 +265,7 @@ struct FoldRun
 
 FoldRun
 runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
-            bool slice_events)
+            bool per_op)
 {
     sim::HierarchyConfig hc;
     hc.l1 = sim::CacheConfig::intelL1d(c.policy);
@@ -397,13 +277,13 @@ runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
     out.sender = std::make_unique<CountingSender>(layout, c.sender);
     out.receiver = std::make_unique<channel::LruReceiver>(layout, c.receiver);
     out.h = std::make_unique<sim::CacheHierarchy>(hc);
-    TimeSlice policy(policyFor(cell, slice_events));
+    const auto policy = timeSlicePolicy(policyFor(cell), per_op);
     EngineConfig ec;
     ec.seed = seed;
     Engine engine(*out.h,
                   c.way_predictor ? timing::Uarch::amdEpyc7571()
                                   : timing::Uarch::intelXeonE52690(),
-                  policy, ec);
+                  *policy, ec);
     out.end = engine.run(*out.sender, *out.receiver, 1);
     out.s0 = engine.stats(0);
     out.s1 = engine.stats(1);
@@ -422,8 +302,8 @@ struct SenderCalls
 SenderCalls
 expectFoldExact(const FoldCase &c, const GridCell &cell, std::uint64_t seed)
 {
-    const FoldRun per_op = runFoldCase(c, cell, seed, false);
-    const FoldRun folded = runFoldCase(c, cell, seed, true);
+    const FoldRun per_op = runFoldCase(c, cell, seed, true);
+    const FoldRun folded = runFoldCase(c, cell, seed, false);
     SCOPED_TRACE(testing::Message()
                  << sim::replPolicyName(c.policy) << " quantum "
                  << cell.quantum << " seed " << seed << " ts "
@@ -442,7 +322,7 @@ expectFoldExact(const FoldCase &c, const GridCell &cell, std::uint64_t seed)
     }
     expectSameStats(per_op.s0, folded.s0);
     expectSameStats(per_op.s1, folded.s1);
-    const TimeSlicePolicyConfig pc = policyFor(cell, true);
+    const TimeSlicePolicyConfig pc = policyFor(cell);
     for (sim::ThreadId t : {channel::kSenderThread, channel::kReceiverThread,
                             pc.kernel_thread, pc.background_thread}) {
         expectSameCounters(per_op.h->l1(), folded.h->l1(), t);
@@ -611,31 +491,30 @@ TEST(SteadyFold, StoresMatchPerOpSteppingUnderEveryWritePolicy)
             struct Out
             {
                 std::unique_ptr<StoreLoop> loop;
-                std::unique_ptr<RandomProgram> other;
+                std::unique_ptr<differential::RandomProgram> other;
                 std::unique_ptr<sim::CacheHierarchy> h;
                 std::uint64_t end = 0;
                 ThreadStats s0, s1;
                 std::uint64_t next_draw = 0;
             };
-            auto run = [&](bool slice_events) {
+            auto run = [&](bool per_op) {
                 Out out;
                 out.loop = std::make_unique<StoreLoop>(refs, gap, period);
-                out.other =
-                    std::make_unique<RandomProgram>(seed * 23, 600, 0x50000);
+                out.other = randomProgram(seed * 23, 600, 0x50000);
                 out.h = std::make_unique<sim::CacheHierarchy>(hc);
-                TimeSlice policy(policyFor(cell, slice_events));
+                const auto policy = timeSlicePolicy(policyFor(cell), per_op);
                 EngineConfig ec;
                 ec.seed = seed;
                 Engine engine(*out.h, timing::Uarch::intelXeonE52690(),
-                              policy, ec);
+                              *policy, ec);
                 out.end = engine.run(*out.loop, *out.other, 1);
                 out.s0 = engine.stats(0);
                 out.s1 = engine.stats(1);
                 out.next_draw = engine.rng()();
                 return out;
             };
-            const Out per_op = run(false);
-            const Out folded = run(true);
+            const Out per_op = run(true);
+            const Out folded = run(false);
             SCOPED_TRACE(testing::Message() << "quantum " << cell.quantum
                                             << " case " << case_seed);
             EXPECT_EQ(per_op.end, folded.end);
@@ -747,7 +626,7 @@ class SpinLoop : public ThreadProgram
 struct SpinRun
 {
     std::unique_ptr<SpinLoop> loop;
-    std::unique_ptr<RandomProgram> other;
+    std::unique_ptr<differential::RandomProgram> other;
     std::unique_ptr<sim::CacheHierarchy> h;
     std::uint64_t end = 0;
     ThreadStats s0, s1;
@@ -771,22 +650,21 @@ expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
     std::vector<sim::MemRef> refs;
     for (std::size_t i = 0; i < n_refs; ++i)
         refs.push_back(sim::MemRef::load(0x20000 + (5 + i * 64) * 64));
-    auto run = [&](bool slice_events) {
+    auto run = [&](bool per_op) {
         SpinRun out;
         out.loop = std::make_unique<SpinLoop>(refs, 20'000, kPeriod, limit);
-        out.other = std::make_unique<RandomProgram>(7, 40, 0x50000);
+        out.other = randomProgram(7, 40, 0x50000);
         out.h = std::make_unique<sim::CacheHierarchy>();
-        TimeSlicePolicyConfig pc =
-            policyFor(GridCell{quantum, 0, tick, 0.0}, slice_events);
+        TimeSlicePolicyConfig pc = policyFor(GridCell{quantum, 0, tick, 0.0});
         // One kernel line, in set 0: ticks cost a few L1 hits and never
         // evict the loop's lines (set 5), so only the bounds and the
         // limit can stop a fold.
         pc.kernel_footprint_lines = 1;
-        TimeSlice policy(pc);
+        const auto policy = timeSlicePolicy(pc, per_op);
         EngineConfig ec;
         ec.seed = 5;
         ec.jitter = jitter;
-        Engine engine(*out.h, timing::Uarch::intelXeonE52690(), policy, ec);
+        Engine engine(*out.h, timing::Uarch::intelXeonE52690(), *policy, ec);
         out.end = engine.run(*out.loop, *out.other, 1);
         out.s0 = engine.stats(0);
         out.s1 = engine.stats(1);
@@ -795,8 +673,8 @@ expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
         out.next_draw = engine.rng()();
         return out;
     };
-    const SpinRun per_op = run(false);
-    SpinRun folded = run(true);
+    const SpinRun per_op = run(true);
+    SpinRun folded = run(false);
     SCOPED_TRACE(testing::Message()
                  << "refs " << n_refs << " jitter " << jitter << " quantum "
                  << quantum << " tick " << tick << " limit " << limit);
@@ -844,33 +722,64 @@ TEST(SteadyFold, SpinBoundMatchesPerOpSteppingWithBoundsMidPeriod)
     }
 }
 
+/** The sender's next() calls and executed ops in one run. */
+struct SenderOps
+{
+    std::uint64_t calls = 0;
+    std::uint64_t ops = 0;
+};
+
+/**
+ * fig6's steady sender beside a receiver, both on core 0 of @p h under
+ * the OS model of @p cell: a root TimeSlice, or (@p per_op) a TimeSlice
+ * nested under LowestClock.
+ */
+template <class Hierarchy>
+SenderOps
+steadySenderOps(Hierarchy &h, const GridCell &cell, bool per_op)
+{
+    const channel::ChannelLayout layout;
+    channel::SenderConfig sc;
+    sc.message = {1};
+    sc.infinite = true;
+    sc.ts = 6'000;
+    sc.encode_gap = 20'000;
+    channel::ReceiverConfig rc;
+    rc.tr = 25'000;
+    rc.max_samples = 8;
+    CountingSender sender(layout, sc);
+    channel::LruReceiver receiver(layout, rc);
+    const auto policy = timeSlicePolicy(policyFor(cell), per_op);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), *policy);
+    engine.run(sender, receiver, 1);
+    return {sender.calls(), engine.stats(0).totalOps()};
+}
+
 TEST(SteadyFold, NestedUnderLowestClockNeverFolds)
 {
     // A multi-core engine never confirms a steady iteration and a nested
     // TimeSlice never asks: the sender steps op by op either way.
-    for (bool slice_events : {false, true}) {
-        sim::MultiCoreConfig mc;
-        mc.cores = 1;
-        sim::MultiCoreHierarchy h(mc);
-        const channel::ChannelLayout layout;
-        channel::SenderConfig sc;
-        sc.message = {1};
-        sc.infinite = true;
-        sc.ts = 6'000;
-        sc.encode_gap = 20'000;
-        channel::ReceiverConfig rc;
-        rc.tr = 25'000;
-        rc.max_samples = 8;
-        CountingSender sender(layout, sc);
-        channel::LruReceiver receiver(layout, rc);
-        LowestClock policy;
-        policy.nest(0, std::make_unique<TimeSlice>(
-                           policyFor(kGrid[0], slice_events)));
-        Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
-        engine.run(sender, receiver, 1);
-        // One next() per executed op: nothing was folded.
-        EXPECT_EQ(sender.calls(), engine.stats(0).totalOps());
-    }
+    sim::MultiCoreConfig mc;
+    mc.cores = 1;
+    sim::MultiCoreHierarchy h(mc);
+    const SenderOps nested = steadySenderOps(h, kGrid[0], true);
+    // One next() per executed op: nothing was folded.
+    EXPECT_EQ(nested.calls, nested.ops);
+}
+
+TEST(SteadyFold, NestedOnSingleCoreHierarchyNeverFolds)
+{
+    // A single-core hierarchy confirms this sender's steady iterations,
+    // so a root TimeSlice folds them; nested, the same TimeSlice steps
+    // op by op and folds nothing.
+    sim::CacheHierarchy root_h;
+    const SenderOps root = steadySenderOps(root_h, kTrueQuantum, false);
+    EXPECT_LT(root.calls, root.ops) << "the root TimeSlice never folded";
+
+    sim::CacheHierarchy nested_h;
+    const SenderOps nested = steadySenderOps(nested_h, kTrueQuantum, true);
+    EXPECT_EQ(nested.calls, nested.ops);
+    EXPECT_EQ(nested.ops, root.ops);
 }
 
 } // namespace
