@@ -354,6 +354,10 @@ SessionConfig::validate() const
         throw std::invalid_argument(
             "SessionConfig::tr: the sampling period must be at least "
             "one cycle");
+    if (ts == 0)
+        throw std::invalid_argument(
+            "SessionConfig::ts: the bit period must be at least one "
+            "cycle");
     const std::uint32_t ways = sessionLayoutFor(*this).ways();
     if (d > ways)
         throw std::invalid_argument(

@@ -172,9 +172,10 @@ struct SessionConfig
 
     /**
      * Throw std::invalid_argument, naming the field, for a config no
-     * session can run meaningfully: tr = 0, an init depth d beyond the
-     * carrier set's ways, spies > 1 outside the crosscore mode and the
-     * xcore-lru-alg2 channel, or a noise_trace with no records.
+     * session can run meaningfully: tr = 0, ts = 0, an init depth d
+     * beyond the carrier set's ways, spies > 1 outside the crosscore
+     * mode and the xcore-lru-alg2 channel, or a noise_trace with no
+     * records.
      * runSession calls it first.
      */
     void validate() const;

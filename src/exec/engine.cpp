@@ -2,13 +2,12 @@
  * @file
  * Execution engine implementation.
  *
- * Behaviour contract: the engine keeps the operation order and RNG draw
- * sequence of the seed schedulers it replaced (SmtScheduler /
- * TimeSliceScheduler / MultiCoreScheduler), so the golden snapshots
- * stay byte-identical.  Anything that would change a draw order —
- * jitter before the access, measurement noise after it, kernel-burst
- * sizing before its lines — stays in that sequence.  The tests hold
- * LowestClock to a per-op reference schedule and TimeSlice to the seed
+ * Behaviour contract: the operation order and RNG draw sequence are
+ * those of the seed schedulers, so the golden snapshots stay
+ * byte-identical.  Anything that would change a draw order — jitter
+ * before the access, measurement noise after it, kernel-burst sizing
+ * before its lines — stays in that sequence.  The tests hold both
+ * policies to one-event-per-call references, and TimeSlice to the seed
  * time-slice scheduler (tests/test_engine_differential.cpp).
  */
 
@@ -222,7 +221,7 @@ Engine::run(std::span<const ThreadSpec> specs, unsigned primary)
     policy_.begin(*this, indices);
 
     while (!threads_[primary_].done) {
-        if (!policy_.step(*this))
+        if (!policy_.step(*this, Horizon{}))
             break;
     }
     return now_;
@@ -258,27 +257,18 @@ TimeSlice::begin(Engine &engine, std::span<const unsigned> threads)
     next_tick_ = 0;
 }
 
-bool
-TimeSlice::anyLive(const Engine &engine) const
-{
-    for (unsigned t : threads_) {
-        if (!engine.thread(t).done)
-            return true;
-    }
-    return false;
-}
-
 std::optional<std::uint64_t>
 TimeSlice::nextEventTime(const Engine &engine) const
 {
-    if (!anyLive(engine))
-        return std::nullopt;
     // max_cycles is checked at slice boundaries only, exactly like the
     // seed scheduler: a slice that has started runs to its end.
-    if (state_ == State::NeedSlice &&
-        now_ >= engine.config().max_cycles)
+    if (state_ == State::NeedSlice && now_ >= engine.config().max_cycles)
         return std::nullopt;
-    return now_;
+    for (unsigned t : threads_) {
+        if (!engine.thread(t).done)
+            return now_;
+    }
+    return std::nullopt;
 }
 
 void
@@ -360,19 +350,17 @@ TimeSlice::closeSlice(Engine &engine)
 }
 
 bool
-TimeSlice::foldSteady(Engine &engine, unsigned idx)
+TimeSlice::foldSteady(Engine &engine, unsigned idx, std::uint64_t bound)
 {
+    // Per-event stepping services a tick before, ends the slice at, or
+    // hands the parent, the first event that starts at or past `bound`.
+    if (now_ >= bound)
+        return false;
     auto &t = engine.thread(idx);
     const std::optional<SteadyIteration> it =
         t.program->steadyIteration(now_);
-    if (!it || it->period == 0 || (it->refs.empty() && it->gap == 0))
-        return false;
-    // Per-op stepping services a tick before, and ends the slice at, the
-    // first op that starts at or past `bound`.
-    const std::uint64_t bound = config_.tick_period != 0
-                                    ? std::min(slice_end_, next_tick_)
-                                    : slice_end_;
-    if (now_ >= bound || now_ >= it->limit)
+    if (!it || it->period == 0 || (it->refs.empty() && it->gap == 0) ||
+        now_ >= it->limit)
         return false;
     sim::PerfCounters *const l1 =
         engine.steadyHitCounters(it->refs);
@@ -472,23 +460,23 @@ TimeSlice::foldSteady(Engine &engine, unsigned idx)
 }
 
 void
-TimeSlice::runInSlice(Engine &engine, bool fold)
+TimeSlice::runInSlice(Engine &engine, bool fold, std::uint64_t horizon_end)
 {
     const unsigned idx = threads_[active_];
     auto &t = engine.thread(idx);
 
     serviceTicks(engine);
+    const std::uint64_t cut = config_.tick_period != 0
+                                  ? std::min(slice_end_, next_tick_)
+                                  : slice_end_;
     if (t.spin_until > now_) {
         // Busy-waiting burns the slice without cache traffic;
         // fast-forward no further than the next timer tick.
-        std::uint64_t stop = std::min(t.spin_until, slice_end_);
-        if (config_.tick_period != 0)
-            stop = std::min(stop, next_tick_);
-        now_ = std::max(now_ + 1, stop);
+        now_ = std::max(now_ + 1, std::min(t.spin_until, cut));
         engine.noteTime(now_);
         return;
     }
-    if (fold && foldSteady(engine, idx))
+    if (fold && foldSteady(engine, idx, std::min(cut, horizon_end)))
         return;
 
     const Op op = t.program->next(now_);
@@ -505,40 +493,38 @@ TimeSlice::runInSlice(Engine &engine, bool fold)
 }
 
 bool
-TimeSlice::step(Engine &engine)
+TimeSlice::step(Engine &engine, Horizon horizon)
 {
-    if (!anyLive(engine))
+    std::optional<std::uint64_t> next = nextEventTime(engine);
+    if (!next)
         return false;
-    if (state_ == State::NeedSlice) {
-        if (now_ >= engine.config().max_cycles)
-            return false;
-        openSlice(engine);
-        if (state_ == State::InSlice && !nested_) {
-            // Slice-event fast path (root policy only): within a slice
-            // no other actor has events — only the resident thread runs
-            // and ticks/background work are serviced inside runInSlice —
-            // so looping here executes the exact per-op sequence without
-            // a step()/nextEventTime() round trip per op.  When the
-            // primary finishes, stop before closeSlice: per-op stepping
-            // never reaches the switch either (the run loop exits
-            // first), and the switch's RNG draws must not happen.
-            // The resident program may also fold its steady iterations
-            // (see foldSteady); others pay one predictable branch per op.
-            const auto &t = engine.thread(threads_[active_]);
-            const bool fold = t.program->offersSteady();
-            while (now_ < slice_end_ && !t.done)
-                runInSlice(engine, fold);
-            if (!engine.thread(engine.primary()).done)
-                closeSlice(engine);
+    // Once the primary is done no event may run: per-event stepping
+    // never reaches it (the run loop exits first), and a slice switch's
+    // RNG draws must not happen.
+    const Engine::Thread &primary = engine.thread(engine.primary());
+    const std::uint64_t end = horizon.end();
+    do {
+        if (state_ == State::NeedSlice) {
+            openSlice(engine);
+            continue;
         }
-        return true;
-    }
-    if (now_ >= slice_end_ ||
-        engine.thread(threads_[active_]).done) {
-        closeSlice(engine);
-        return true;
-    }
-    runInSlice(engine);
+        const Engine::Thread &t = engine.thread(threads_[active_]);
+        if (now_ >= slice_end_ || t.done) {
+            closeSlice(engine);
+            continue;
+        }
+        // Within a slice no other actor on this core has events: only
+        // the resident thread runs, and ticks and background work are
+        // serviced inside runInSlice.  So this loop runs its events
+        // without a nextEventTime() round trip per op.  The resident
+        // program may fold its steady iterations (see foldSteady);
+        // others pay one predictable branch per op.
+        const bool fold = t.program->offersSteady();
+        do {
+            runInSlice(engine, fold, end);
+        } while (now_ < slice_end_ && !t.done && now_ < end);
+    } while (!primary.done && (next = nextEventTime(engine)) &&
+             *next < end);
     return true;
 }
 
@@ -548,12 +534,12 @@ void
 LowestClock::nest(std::uint32_t core,
                   std::unique_ptr<ArbitrationPolicy> child)
 {
-    for (const auto &[c, policy] : nested_) {
+    for (const auto &[c, policy] : policies_) {
         if (c == core)
             throw std::logic_error(
                 "LowestClock: core already has a nested policy");
     }
-    nested_.emplace_back(core, std::move(child));
+    policies_.emplace_back(core, std::move(child));
 }
 
 void
@@ -574,7 +560,7 @@ LowestClock::begin(Engine &engine, std::span<const unsigned> threads)
     // A nested policy for a core no thread is bound to would silently
     // never run; that is a wiring bug, fail like the other binding
     // errors do.
-    for (const auto &[core, policy] : nested_) {
+    for (const auto &[core, policy] : policies_) {
         if (std::find(core_ids.begin(), core_ids.end(), core) ==
             core_ids.end())
             throw std::invalid_argument(
@@ -590,7 +576,7 @@ LowestClock::begin(Engine &engine, std::span<const unsigned> threads)
         }
 
         ArbitrationPolicy *child = nullptr;
-        for (const auto &[c, policy] : nested_) {
+        for (const auto &[c, policy] : policies_) {
             if (c == core) {
                 child = policy.get();
                 break;
@@ -601,7 +587,6 @@ LowestClock::begin(Engine &engine, std::span<const unsigned> threads)
                 children_.push_back(Child{nullptr, t});
             continue;
         }
-        child->onNested();
         child->begin(engine, group);
         children_.push_back(Child{child, 0});
     }
@@ -648,29 +633,32 @@ LowestClock::nextEventTime(const Engine &engine) const
 }
 
 bool
-LowestClock::step(Engine &engine)
+LowestClock::step(Engine &engine, Horizon horizon)
 {
     const Pick best = pick(engine);
     if (best.index == children_.size())
         return false;
+    // Stepping a child moves only its own next event (and the engine's
+    // high-water clock), so every other child's next event stays where
+    // the scan found it, or drops out at max_cycles.  A re-scan would
+    // therefore pick the same child for as long as its next (time,
+    // index) stays below the runner-up's: that is the child's horizon,
+    // unless this policy's own is earlier.
+    const Horizon runner{best.runner_time, best.index < best.runner};
+    const Horizon bound = runner.end() < horizon.end() ? runner : horizon;
     const Child &child = children_[best.index];
     if (child.policy != nullptr)
-        return child.policy->step(engine);
-    // Run-ahead: stepping a bare thread moves only its own clock (and
-    // the engine's high-water clock), so every other child's next event
-    // stays where the scan found it, or drops out at max_cycles.  Per-op
-    // stepping would therefore pick this thread again for as long as
-    // (clock, index) stays below the runner-up's — the same ops, the
-    // same RNG draws, without a scan per op.  The thread finishing (the
-    // primary among them) or max_cycles ends the run, as a re-scan
-    // would.
+        return child.policy->step(engine, bound);
+    // Run-ahead: a bare thread steps inline up to its horizon — the same
+    // ops, the same RNG draws, without a scan per op.  The thread
+    // finishing (the primary among them) or max_cycles ends the run, as
+    // a re-scan would.
     const Engine::Thread &t = engine.thread(child.thread);
     const std::uint64_t max_cycles = engine.config().max_cycles;
+    const std::uint64_t end = bound.end();
     do {
         engine.stepClockThread(child.thread);
-    } while (!t.done && engine.now() < max_cycles &&
-             (t.clock < best.runner_time ||
-              (t.clock == best.runner_time && best.index < best.runner)));
+    } while (!t.done && engine.now() < max_cycles && t.clock < end);
     return true;
 }
 

@@ -12,16 +12,12 @@
  * itself, which becomes a pluggable ArbitrationPolicy:
  *
  *   LowestClock   — always steps the thread (or nested core policy)
- *                   whose next event is earliest.  Over one core it is
- *                   the per-op SMT interleave of that core's hardware
- *                   contexts (replaces SmtScheduler); across cores it
- *                   serializes all shared-level traffic on one
- *                   deterministic global timeline (replaces
- *                   MultiCoreScheduler);
+ *                   whose next event is earliest: the per-op SMT
+ *                   interleave of one core's hardware contexts, and one
+ *                   deterministic global timeline across cores;
  *   TimeSlice     — quantum rotation on one core with OS context-switch
  *                   effects: kernel noise bursts, timer ticks and
- *                   background-process slices (replaces
- *                   TimeSliceScheduler).
+ *                   background-process slices.
  *
  * Policies nest: LowestClock can delegate one core's intra-core
  * schedule to a child policy — a TimeSlice child models an OS
@@ -99,6 +95,26 @@ struct ThreadSpec
 class Engine;
 
 /**
+ * How far a policy may run before its parent picks again: the first
+ * event the parent does not yet give it.  An event that starts before
+ * `time`, or at `time` with `tie` set, is inside.  The parent works it
+ * out (LowestClock: the runner-up's next event, the tie going to the
+ * lower child index); Engine::run passes the default, open horizon.
+ */
+struct Horizon
+{
+    std::uint64_t time = ~std::uint64_t{0};
+    bool tie = false;
+
+    /** The first time the horizon does not admit. */
+    std::uint64_t
+    end() const
+    {
+        return time + (tie && time != ~std::uint64_t{0});
+    }
+};
+
+/**
  * Decides which thread runs next and what the passage of time costs.
  * A policy is handed the subset of engine threads it schedules (the
  * whole set for a top-level policy, one core's group when nested under
@@ -115,15 +131,6 @@ class ArbitrationPolicy
                        std::span<const unsigned> threads) = 0;
 
     /**
-     * Called by a nesting parent (LowestClock) before begin().  A
-     * nested policy must keep step() one bounded event so the parent
-     * can re-arbitrate between its children after every shared-level
-     * access; a root policy is free to batch (TimeSlice's slice-event
-     * fast path).  Default: nothing to adjust.
-     */
-    virtual void onNested() {}
-
-    /**
      * Earliest time this policy could execute its next event, or
      * nullopt when it has nothing left to run (all threads done, or the
      * policy's stop condition — e.g. max_cycles at a slice boundary —
@@ -134,11 +141,14 @@ class ArbitrationPolicy
     nextEventTime(const Engine &engine) const = 0;
 
     /**
-     * Execute one bounded scheduling step.  Returns false — with no
-     * side effects — when nextEventTime() would be nullopt, so the
-     * run loop needs no separate probe per step.
+     * Execute the next event (the caller picked this policy for it),
+     * then every following event that @p horizon admits, stopping once
+     * the engine's primary thread is done.  Stopping early is always
+     * exact: the caller picks again.  Returns false — with no side
+     * effects — when nextEventTime() would be nullopt, so the run loop
+     * needs no separate probe per step.
      */
-    virtual bool step(Engine &engine) = 0;
+    virtual bool step(Engine &engine, Horizon horizon) = 0;
 };
 
 /**
@@ -359,20 +369,14 @@ struct TimeSlicePolicyConfig
  * the paper.  Works for any thread count (the seed scheduler was
  * hard-wired to two) and, nested under LowestClock, for any core.
  *
- * Two stepping shapes.  As the ROOT policy, one step() call advances a
- * whole slice (open, run the resident thread to the slice end, close):
- * within a slice only the resident thread runs, so the op order, every
- * RNG draw and every latency equal per-op stepping; only the step()/
- * nextEventTime() cadence changes.  The same loop applies the
- * steady-iteration fold: when the resident program offers a steady
- * iteration (ThreadProgram::steadyIteration) whose accesses the
- * hierarchy confirms are L1 hits that leave the memory system
- * unchanged, the iterations up to the next tick, the slice end or the
- * offer's limit run as one arithmetic loop with the same jitter draws
- * (see foldSteady).  NESTED under LowestClock, step() runs one op, so
- * the parent can interleave other cores' shared-LLC traffic between
- * ops.  That per-op shape is the reference the SliceEvents and
- * SteadyFold tests hold the slice-event loop and the fold to.
+ * step() runs events (open a slice, run the resident thread, close the
+ * slice) while the primary is live and the next event is inside the
+ * horizon: the whole run as the root policy, up to the runner-up's next
+ * event nested under LowestClock, so other cores' shared-LLC traffic
+ * still lands between the right ops.  Within a slice only the resident
+ * thread runs, so a tight loop runs its ops and folds its steady
+ * iterations (see foldSteady).  The op order, every RNG draw and every
+ * latency equal one-event-per-call stepping for any horizon.
  */
 class TimeSlice final : public ArbitrationPolicy
 {
@@ -383,46 +387,39 @@ class TimeSlice final : public ArbitrationPolicy
 
     void begin(Engine &engine,
                std::span<const unsigned> threads) override;
-    void onNested() override { nested_ = true; }
     std::optional<std::uint64_t>
     nextEventTime(const Engine &engine) const override;
-    bool step(Engine &engine) override;
-
-    /** This core's local timeline. */
-    std::uint64_t coreNow() const { return now_; }
-
-    const TimeSlicePolicyConfig &config() const { return config_; }
+    bool step(Engine &engine, Horizon horizon) override;
 
   private:
-    bool anyLive(const Engine &engine) const;
     void serviceTicks(Engine &engine);
     void contextSwitchNoise(Engine &engine);
     void backgroundSlice(Engine &engine, std::uint64_t slice_end);
     void openSlice(Engine &engine);
     void closeSlice(Engine &engine);
     /** One op (or spin) of the resident thread; @p fold allows the
-     *  steady-iteration fold in its place. */
-    void runInSlice(Engine &engine, bool fold = false);
+     *  steady-iteration fold in its place, up to @p horizon_end. */
+    void runInSlice(Engine &engine, bool fold, std::uint64_t horizon_end);
     /**
      * Run every whole steady iteration the resident thread @p idx offers
-     * at now_ that per-op stepping would run before the next tick or the
-     * slice end, as arithmetic: one jitter draw per access, the clock,
+     * at now_ whose events all start before @p bound (the next tick,
+     * the slice end or the horizon, whichever is first) and whose spin
+     * ends by it, as arithmetic: one jitter draw per access, the clock,
      * ThreadStats, the thread's clock/spin_until, the L1 counters and the
      * program state advanced exactly as per-op stepping would.  Returns
      * false, changing nothing, when it folds no iteration.
      */
-    bool foldSteady(Engine &engine, unsigned idx);
+    bool foldSteady(Engine &engine, unsigned idx, std::uint64_t bound);
 
     enum class State
     {
-        NeedSlice, //!< next step opens a slice (or a background one)
-        InSlice,   //!< next step runs one iteration of the active thread
+        NeedSlice, //!< next event opens a slice (or a background one)
+        InSlice,   //!< next event runs the active thread or closes
     };
 
     TimeSlicePolicyConfig config_;
     std::vector<unsigned> threads_;
     std::uint32_t core_ = 0;
-    bool nested_ = false; //!< under LowestClock: one op per step()
     State state_ = State::NeedSlice;
     std::size_t active_ = 0;        //!< index into threads_
     std::uint64_t now_ = 0;         //!< core-local clock
@@ -458,7 +455,7 @@ class LowestClock final : public ArbitrationPolicy
                std::span<const unsigned> threads) override;
     std::optional<std::uint64_t>
     nextEventTime(const Engine &engine) const override;
-    bool step(Engine &engine) override;
+    bool step(Engine &engine, Horizon horizon) override;
 
   private:
     /** A nested core policy, or (policy == nullptr) one thread of a
@@ -487,7 +484,7 @@ class LowestClock final : public ArbitrationPolicy
 
     /** Explicitly nested per-core policies, in nest() order. */
     std::vector<std::pair<std::uint32_t,
-                          std::unique_ptr<ArbitrationPolicy>>> nested_;
+                          std::unique_ptr<ArbitrationPolicy>>> policies_;
     std::vector<Child> children_; //!< ascending core id, then spec order
 };
 

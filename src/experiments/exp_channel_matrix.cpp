@@ -253,11 +253,11 @@ class ChannelMatrix final : public Experiment
         // ----- time-sliced + noise cores: OS scheduling on the party
         // core while background cores hammer the shared LLC — the two
         // noise sources the paper studies separately, combined.  Runs
-        // on the multi-core topology with TimeSlice nested on core 0,
-        // where the slice-event fast path must stay per-op (the parent
-        // LowestClock interleaves the noise cores' LLC traffic between
-        // ops) — so this section always uses the scaled OS model; true
-        // quanta here would mean minutes of per-op stepping per cell.
+        // on the multi-core topology with TimeSlice nested on core 0.
+        // The busy noise cores keep its horizon a few ops away (the
+        // parent LowestClock interleaves their LLC traffic between
+        // ops), so this section always uses the scaled OS model; true
+        // quanta here would mean minutes of op-by-op stepping per cell.
         const auto noise_cores = params.getUint32("noise_cores");
         const std::uint64_t noise_quantum = scaled ? quantum : 30'000;
         const std::uint64_t tsn_seed = amd_seed + n_channels * 2;

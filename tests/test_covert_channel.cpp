@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "channel/decoder.hpp"
 #include "channel/multi_spy.hpp"
 #include "channel/session.hpp"
 
@@ -304,6 +305,51 @@ TEST(CovertChannel, DecodedSymbolsAlignWithSentBits)
     EXPECT_GT(agree, res.sent.size() * 9 / 10);
 }
 
+TEST(CovertChannel, DecodeWindowAndBudgetHoldInEveryMode)
+{
+    // Two properties of every finite session, at smoke size: the decoded
+    // symbols are the receiver's samples windowed on the sender's bit
+    // clock from its first deadline, and with no explicit budget the
+    // receiver takes nbits * ts / tr samples plus 8 of slack.
+    auto ht = baseConfig();
+    ht.message = randomBits(32, 11);
+
+    auto sliced = baseConfig();
+    sliced.mode = SharingMode::TimeSliced;
+    sliced.message = randomBits(16, 12);
+    sliced.tr = 2'000;
+    sliced.ts = 60'000;
+    sliced.tslice.quantum = 30'000; // the scaled OS model
+    sliced.tslice.quantum_jitter = 15'000;
+    sliced.tslice.tick_period = 100'000;
+
+    auto xcore = baseConfig();
+    xcore.channel = ChannelId::XCoreLruAlg2;
+    xcore.mode = SharingMode::CrossCore;
+    xcore.message = randomBits(16, 13);
+    xcore.tr = 3'000;
+    xcore.ts = 30'000;
+    xcore.noise_cores = 1;
+
+    auto xcore_sliced = xcore;
+    xcore_sliced.quantum = 60'000;
+    xcore_sliced.tslice.quantum_jitter = 30'000;
+    xcore_sliced.tslice.tick_period = 100'000;
+
+    for (const SessionConfig &cfg : {ht, sliced, xcore, xcore_sliced}) {
+        SCOPED_TRACE(testing::Message()
+                     << sharingModeToken(cfg.mode) << " quantum "
+                     << cfg.quantum);
+        const auto res = runSession(cfg);
+        const std::size_t nbits = cfg.message.size() * cfg.repeats;
+        EXPECT_EQ(res.decoded_symbols,
+                  windowSymbols(res.samples, res.threshold, res.invert,
+                                res.sender_start, cfg.ts, nbits));
+        ASSERT_EQ(cfg.max_samples, 0u);
+        EXPECT_EQ(res.samples.size(), nbits * cfg.ts / cfg.tr + 8);
+    }
+}
+
 // ------------------------------------------------------ config checks
 
 namespace {
@@ -330,6 +376,16 @@ TEST(SessionValidate, RejectsZeroTr)
     cfg.tr = 0;
     expectRejected(cfg, "SessionConfig::tr");
     cfg.tr = 1;
+    EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(SessionValidate, RejectsZeroTs)
+{
+    // A zero bit period would never move the sender past its deadline.
+    auto cfg = baseConfig();
+    cfg.ts = 0;
+    expectRejected(cfg, "SessionConfig::ts");
+    cfg.ts = 1;
     EXPECT_NO_THROW(cfg.validate());
 }
 

@@ -12,6 +12,10 @@
  *  - TimeSlice against the seed time-slice scheduler preserved verbatim
  *    in legacy_schedulers.hpp (its own stepping loop and RNG
  *    consumption).
+ *  - LowestClock over time-sliced party cores and bare noise cores,
+ *    where each TimeSlice runs up to its horizon, against the same
+ *    setup stepped one event per call (reference::PerEvent around each
+ *    TimeSlice, a PerOpLowestClock on each noise core).
  */
 
 #include <gtest/gtest.h>
@@ -141,6 +145,9 @@ TEST(EngineDifferential, LowestClockMatchesPerOpMultiCore)
         sim::MultiCoreConfig mc;
         mc.cores = kCores;
         mc.seed = seed;
+        // 256 LLC lines against the cores' 4 x 96: the inclusive LLC
+        // evicts lines the private caches still hold.
+        mc.llc = sim::CacheConfig{"LLC", 16 * 1024, 16, 64};
 
         std::vector<std::unique_ptr<RandomProgram>> as, bs;
         std::vector<ThreadSpec> a_specs, b_specs;
@@ -184,6 +191,148 @@ TEST(EngineDifferential, LowestClockMatchesPerOpMultiCore)
         }
         EXPECT_EQ(reference_h.backInvalidations(),
                   engine_h.backInvalidations());
+        EXPECT_GT(reference_h.backInvalidations(), 0u) << "seed " << seed;
+        EXPECT_GT(engine_h.backInvalidations(), 0u) << "seed " << seed;
+    }
+}
+
+// ------------------------------------------- time-sliced multi-core
+
+/** One (quantum, jitter, tick) cell of the time-sliced multi-core grid. */
+struct SliceCell
+{
+    std::uint64_t quantum;
+    std::uint64_t quantum_jitter;
+    std::uint64_t tick_period;
+    double background_prob;
+};
+
+/** What a time-sliced multi-core run leaves behind. */
+struct SlicedRun
+{
+    std::vector<std::unique_ptr<RandomProgram>> party;
+    std::vector<std::unique_ptr<NoiseProgram>> noise;
+    std::unique_ptr<sim::MultiCoreHierarchy> h;
+    std::uint64_t end = 0;
+    std::vector<ThreadStats> stats;
+    std::uint64_t next_draw = 0;
+};
+
+/**
+ * Two party cores, each a TimeSlice over two random scripts, and
+ * @p noise_cores bare NoiseProgram cores, all under LowestClock on a
+ * small LLC; thread 3 (core 1's second script) is the primary.  With
+ * @p per_event every TimeSlice is wrapped in reference::PerEvent and
+ * every noise core nests a PerOpLowestClock, so each parent step runs
+ * one event.
+ */
+SlicedRun
+runSlicedMultiCore(const SliceCell &cell, std::uint64_t seed,
+                   std::uint32_t noise_cores, bool per_event)
+{
+    sim::MultiCoreConfig mc;
+    mc.cores = 2 + noise_cores;
+    mc.seed = seed;
+    mc.llc = sim::CacheConfig{"LLC", 32 * 1024, 16, 64};
+
+    SlicedRun out;
+    std::vector<ThreadSpec> specs;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        out.party.push_back(std::make_unique<RandomProgram>(
+            seed * 29 + i, 900 - 100 * i, 0x10000 + i * 0x40000, kMix,
+            kSpinRange));
+        specs.push_back(ThreadSpec{out.party.back().get(), i / 2});
+    }
+    for (std::uint32_t c = 0; c < noise_cores; ++c) {
+        NoiseConfig nc;
+        nc.footprint_sets = 32;
+        nc.set_stride = 32 * 64;
+        nc.burst = 16;
+        nc.gap = 300;
+        nc.seed = seed * 31 + c;
+        nc.base = 0x6000'0000'0000ULL + c * 0x0100'0000'0000ULL;
+        out.noise.push_back(std::make_unique<NoiseProgram>(nc));
+        specs.push_back(ThreadSpec{out.noise.back().get(), 2 + c});
+    }
+
+    LowestClock policy;
+    for (std::uint32_t core = 0; core < 2; ++core) {
+        TimeSlicePolicyConfig pc;
+        pc.quantum = cell.quantum;
+        pc.quantum_jitter = cell.quantum_jitter;
+        pc.switch_cost = 300;
+        pc.kernel_noise_lines = 8;
+        pc.background_prob = cell.background_prob;
+        pc.background_lines = 32;
+        pc.tick_period = cell.tick_period;
+        pc.tick_lines = 4;
+        pc.kernel_thread = 1000 + 2 * core;
+        pc.background_thread = 1001 + 2 * core;
+        pc.background_base += core * 0x0100'0000'0000ULL;
+        auto slice = std::make_unique<TimeSlice>(pc);
+        if (per_event)
+            policy.nest(core, std::make_unique<reference::PerEvent>(
+                                  std::move(slice)));
+        else
+            policy.nest(core, std::move(slice));
+    }
+    if (per_event) {
+        for (std::uint32_t c = 0; c < noise_cores; ++c)
+            policy.nest(2 + c, std::make_unique<reference::PerOpLowestClock>());
+    }
+
+    EngineConfig ec;
+    ec.seed = seed;
+    ec.audit_every = 64;
+    out.h = std::make_unique<sim::MultiCoreHierarchy>(mc);
+    Engine engine(*out.h, timing::Uarch::intelXeonE52690(), policy, ec);
+    out.end = engine.run(specs, /*primary=*/3);
+    for (unsigned t = 0; t < specs.size(); ++t)
+        out.stats.push_back(engine.stats(t));
+    out.next_draw = engine.rng()();
+    return out;
+}
+
+TEST(EngineDifferential, NestedTimeSliceMatchesPerEventMultiCore)
+{
+    constexpr SliceCell kCells[] = {
+        {5'000, 2'000, 2'500, 0.3},
+        {20'000, 5'000, 3'000, 0.2},
+        {60'000, 10'000, 7'000, 0.25},
+    };
+    for (const SliceCell &cell : kCells) {
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+            const std::uint32_t noise_cores = 1 + seed % 2;
+            const SlicedRun ref =
+                runSlicedMultiCore(cell, seed, noise_cores, true);
+            const SlicedRun run =
+                runSlicedMultiCore(cell, seed, noise_cores, false);
+            SCOPED_TRACE(testing::Message() << "quantum " << cell.quantum
+                                            << " seed " << seed);
+            EXPECT_EQ(ref.end, run.end);
+            EXPECT_EQ(ref.next_draw, run.next_draw);
+            for (std::size_t i = 0; i < ref.party.size(); ++i)
+                expectSameTrace(*ref.party[i], *run.party[i]);
+            ASSERT_EQ(ref.stats.size(), run.stats.size());
+            for (std::size_t t = 0; t < ref.stats.size(); ++t)
+                EXPECT_TRUE(ref.stats[t] == run.stats[t]) << "thread " << t;
+            for (std::uint32_t c = 0; c < ref.h->cores(); ++c) {
+                for (sim::ThreadId t = 0; t < ref.stats.size(); ++t) {
+                    expectSameCounters(ref.h->l1(c), run.h->l1(c), t);
+                    expectSameCounters(ref.h->l2(c), run.h->l2(c), t);
+                }
+                for (sim::ThreadId t = 1000; t < 1004; ++t) {
+                    expectSameCounters(ref.h->l1(c), run.h->l1(c), t);
+                    expectSameCounters(ref.h->l2(c), run.h->l2(c), t);
+                }
+            }
+            for (sim::ThreadId t = 0; t < ref.stats.size(); ++t)
+                expectSameCounters(ref.h->llc(), run.h->llc(), t);
+            for (sim::ThreadId t = 1000; t < 1004; ++t)
+                expectSameCounters(ref.h->llc(), run.h->llc(), t);
+            EXPECT_EQ(ref.h->backInvalidations(), run.h->backInvalidations());
+            EXPECT_GT(run.h->backInvalidations(), 0u);
+        }
     }
 }
 

@@ -1,18 +1,21 @@
 /**
  * @file
  * Randomized differential suite for the TimeSlice slice-event fast
- * path: as a root policy, one TimeSlice step() advances a whole
- * quantum, but the op order, every RNG draw, every measured latency,
- * the final clocks and the per-thread telemetry must be identical to
- * per-op stepping.  The per-op reference is the same TimeSlice nested
- * under LowestClock on the same single-core CacheHierarchy, where it
- * steps one op per parent step.  The suite sweeps quantum/jitter/tick
- * grids and random program mixes.
+ * path: one TimeSlice step() runs every event its horizon admits (as a
+ * root policy, the whole run), but the op order, every RNG draw, every
+ * measured latency, the final clocks and the per-thread telemetry must
+ * be identical to per-event stepping.  The per-event reference is the
+ * same TimeSlice wrapped in reference::PerEvent, which hands it a closed
+ * horizon on every call (per_op_policy.hpp); each run checks that the
+ * wrapper really ran one event per call.  The suite sweeps
+ * quantum/jitter/tick grids and random program mixes.
  *
- * The same pair is the oracle for the steady-iteration fold, which only
- * the slice-event loop applies: randomized LruSender configurations
- * (and a store loop) must leave identical samples, clocks, telemetry,
- * perf counters, sender state and RNG stream with and without it.
+ * The same pair is the oracle for the steady-iteration fold, which runs
+ * inside the slice loop up to the horizon: randomized LruSender
+ * configurations (and a store loop) must leave identical samples,
+ * clocks, telemetry, perf counters, sender state and RNG stream with
+ * and without it, and so must random horizons handed down by a test
+ * parent that interleaves its own RNG draws.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 
 #include "channel/lru_channel.hpp"
 #include "exec/engine.hpp"
+#include "per_op_policy.hpp"
 #include "random_program.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
@@ -81,18 +85,115 @@ policyFor(const GridCell &cell)
 }
 
 /**
- * The engine shape of one run: a root TimeSlice, which steps slice
- * events and folds steady iterations, or (@p per_op) the same
- * TimeSlice nested under LowestClock, which steps one op per call.
+ * A parent that hands its one child seeded random horizons and, after
+ * each child step, makes a sibling's event: one draw from the engine
+ * RNG, as another core's op would.  From the child's next event time t
+ * the horizon is t (a quarter of the draws), t plus under 100 cycles (a
+ * quarter) or t plus under 200k cycles, half of them with the tie.
+ * With @p per_event it steps the child one event at a time (a closed
+ * horizon) while its next event is inside the drawn horizon: the
+ * reference for handing the horizon down.
  */
-std::unique_ptr<ArbitrationPolicy>
-timeSlicePolicy(const TimeSlicePolicyConfig &pc, bool per_op)
+class HorizonParent final : public ArbitrationPolicy
 {
-    if (!per_op)
-        return std::make_unique<TimeSlice>(pc);
-    auto parent = std::make_unique<LowestClock>();
-    parent->nest(0, std::make_unique<TimeSlice>(pc));
-    return parent;
+  public:
+    HorizonParent(std::unique_ptr<ArbitrationPolicy> child,
+                  std::uint64_t seed, bool per_event)
+        : child_(std::move(child)), rng_(seed), per_event_(per_event)
+    {}
+
+    void
+    begin(Engine &engine, std::span<const unsigned> threads) override
+    {
+        child_->begin(engine, threads);
+    }
+
+    std::optional<std::uint64_t>
+    nextEventTime(const Engine &engine) const override
+    {
+        return child_->nextEventTime(engine);
+    }
+
+    bool
+    step(Engine &engine, Horizon) override
+    {
+        std::optional<std::uint64_t> next = child_->nextEventTime(engine);
+        if (!next)
+            return false;
+        const std::uint64_t draw = rng_.below(4);
+        const std::uint64_t offset =
+            draw == 0 ? 0 : rng_.below(draw == 1 ? 100 : 200'000);
+        const Horizon horizon{*next + offset, rng_.chance(0.5)};
+        if (per_event_) {
+            const Engine::Thread &primary = engine.thread(engine.primary());
+            do {
+                child_->step(engine, Horizon{0, false});
+            } while (!primary.done &&
+                     (next = child_->nextEventTime(engine)) &&
+                     *next < horizon.end());
+        } else {
+            child_->step(engine, horizon);
+        }
+        engine.rng()();
+        return true;
+    }
+
+  private:
+    std::unique_ptr<ArbitrationPolicy> child_;
+    sim::Xoshiro256 rng_;
+    bool per_event_;
+};
+
+/** How one run steps its TimeSlice. */
+enum class Stepping
+{
+    Root,      //!< root policy: the open horizon, slice loop and fold
+    PerEvent,  //!< wrapped in reference::PerEvent: one event per call
+    SoleChild, //!< the only child of a LowestClock: the open horizon
+    Horizons,  //!< under a HorizonParent
+    HorizonsPerEvent, //!< under a per-event HorizonParent
+};
+
+/** The engine shape of one run (see Stepping); @p seed seeds a
+ *  HorizonParent's draws. */
+std::unique_ptr<ArbitrationPolicy>
+timeSlicePolicy(const TimeSlicePolicyConfig &pc, Stepping stepping,
+                std::uint64_t seed = 0)
+{
+    auto slice = std::make_unique<TimeSlice>(pc);
+    switch (stepping) {
+      case Stepping::Root:
+        break;
+      case Stepping::PerEvent:
+        return std::make_unique<reference::PerEvent>(std::move(slice));
+      case Stepping::SoleChild: {
+        auto parent = std::make_unique<LowestClock>();
+        parent->nest(0, std::move(slice));
+        return parent;
+      }
+      case Stepping::Horizons:
+      case Stepping::HorizonsPerEvent:
+        return std::make_unique<HorizonParent>(
+            std::move(slice), seed, stepping == Stepping::HorizonsPerEvent);
+    }
+    return slice;
+}
+
+/** The per-event side of a run really ran one event per call: never
+ *  more than one program op per call (these programs yield no
+ *  MeasureFlush, which ThreadStats counts twice), and more calls than
+ *  ops (slice opens are events too). */
+void
+expectOneEventPerCall(const ArbitrationPolicy &policy, const Engine &engine)
+{
+    const auto *per_event = dynamic_cast<const reference::PerEvent *>(&policy);
+    if (per_event == nullptr)
+        return;
+    std::uint64_t ops = 0;
+    for (unsigned t = 0; t < engine.threadCount(); ++t)
+        ops += engine.stats(t).totalOps();
+    EXPECT_EQ(per_event->maxOpsPerStep(), 1u);
+    EXPECT_GT(per_event->steps(), ops);
 }
 
 /** Run both stepping modes for one config+seed; compare everything. */
@@ -108,23 +209,24 @@ runCell(const GridCell &cell, std::uint64_t seed)
         std::uint64_t end = 0;
         ThreadStats s0, s1;
     };
-    auto run = [&](bool per_op) {
+    auto run = [&](Stepping stepping) {
         RunOut out;
         out.p0 = randomProgram(seed * 17, 1500, 0x10000);
         out.p1 = randomProgram(seed * 19, 1200, 0x50000);
         out.h = std::make_unique<sim::CacheHierarchy>();
-        const auto policy = timeSlicePolicy(base, per_op);
+        const auto policy = timeSlicePolicy(base, stepping);
         EngineConfig ec;
         ec.seed = seed;
         Engine engine(*out.h, timing::Uarch::intelXeonE52690(), *policy, ec);
         out.end = engine.run(*out.p0, *out.p1, 1);
         out.s0 = engine.stats(0);
         out.s1 = engine.stats(1);
+        expectOneEventPerCall(*policy, engine);
         return out;
     };
 
-    const RunOut per_op = run(true);
-    const RunOut sliced = run(false);
+    const RunOut per_op = run(Stepping::PerEvent);
+    const RunOut sliced = run(Stepping::Root);
 
     EXPECT_EQ(per_op.end, sliced.end)
         << "quantum " << cell.quantum << " seed " << seed;
@@ -168,7 +270,7 @@ TEST(SliceEvents, EquivalentToPerOpSteppingAcrossQuantumGrid)
 TEST(SliceEvents, TrueQuantumScaleMatchesPerOpStepping)
 {
     // The production scale: paper-faithful 1.5e8-cycle quanta with the
-    // default jitter/tick knobs.  Per-op stepping can still afford this
+    // default jitter/tick knobs.  Per-event stepping can still afford this
     // at test sizes; the equality here is what licenses the fast path
     // for the fig6/fig15/channel_matrix experiments.
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
@@ -265,7 +367,7 @@ struct FoldRun
 
 FoldRun
 runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
-            bool per_op)
+            Stepping stepping)
 {
     sim::HierarchyConfig hc;
     hc.l1 = sim::CacheConfig::intelL1d(c.policy);
@@ -277,7 +379,7 @@ runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
     out.sender = std::make_unique<CountingSender>(layout, c.sender);
     out.receiver = std::make_unique<channel::LruReceiver>(layout, c.receiver);
     out.h = std::make_unique<sim::CacheHierarchy>(hc);
-    const auto policy = timeSlicePolicy(policyFor(cell), per_op);
+    const auto policy = timeSlicePolicy(policyFor(cell), stepping, seed);
     EngineConfig ec;
     ec.seed = seed;
     Engine engine(*out.h,
@@ -288,22 +390,26 @@ runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
     out.s0 = engine.stats(0);
     out.s1 = engine.stats(1);
     out.next_draw = engine.rng()();
+    expectOneEventPerCall(*policy, engine);
     return out;
 }
 
-/** next() calls the sender saw per-op and folded. */
+/** next() calls the sender saw per-event and folded. */
 struct SenderCalls
 {
     std::uint64_t per_op = 0;
     std::uint64_t folded = 0;
 };
 
-/** Compare one case folded vs per-op. */
+/** Compare one case stepped as @p stepping (folding) against it stepped
+ *  as @p reference (one event per call). */
 SenderCalls
-expectFoldExact(const FoldCase &c, const GridCell &cell, std::uint64_t seed)
+expectFoldExact(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
+                Stepping stepping = Stepping::Root,
+                Stepping reference = Stepping::PerEvent)
 {
-    const FoldRun per_op = runFoldCase(c, cell, seed, true);
-    const FoldRun folded = runFoldCase(c, cell, seed, false);
+    const FoldRun per_op = runFoldCase(c, cell, seed, reference);
+    const FoldRun folded = runFoldCase(c, cell, seed, stepping);
     SCOPED_TRACE(testing::Message()
                  << sim::replPolicyName(c.policy) << " quantum "
                  << cell.quantum << " seed " << seed << " ts "
@@ -497,12 +603,13 @@ TEST(SteadyFold, StoresMatchPerOpSteppingUnderEveryWritePolicy)
                 ThreadStats s0, s1;
                 std::uint64_t next_draw = 0;
             };
-            auto run = [&](bool per_op) {
+            auto run = [&](Stepping stepping) {
                 Out out;
                 out.loop = std::make_unique<StoreLoop>(refs, gap, period);
                 out.other = randomProgram(seed * 23, 600, 0x50000);
                 out.h = std::make_unique<sim::CacheHierarchy>(hc);
-                const auto policy = timeSlicePolicy(policyFor(cell), per_op);
+                const auto policy =
+                    timeSlicePolicy(policyFor(cell), stepping);
                 EngineConfig ec;
                 ec.seed = seed;
                 Engine engine(*out.h, timing::Uarch::intelXeonE52690(),
@@ -511,10 +618,11 @@ TEST(SteadyFold, StoresMatchPerOpSteppingUnderEveryWritePolicy)
                 out.s0 = engine.stats(0);
                 out.s1 = engine.stats(1);
                 out.next_draw = engine.rng()();
+                expectOneEventPerCall(*policy, engine);
                 return out;
             };
-            const Out per_op = run(true);
-            const Out folded = run(false);
+            const Out per_op = run(Stepping::PerEvent);
+            const Out folded = run(Stepping::Root);
             SCOPED_TRACE(testing::Message() << "quantum " << cell.quantum
                                             << " case " << case_seed);
             EXPECT_EQ(per_op.end, folded.end);
@@ -650,7 +758,7 @@ expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
     std::vector<sim::MemRef> refs;
     for (std::size_t i = 0; i < n_refs; ++i)
         refs.push_back(sim::MemRef::load(0x20000 + (5 + i * 64) * 64));
-    auto run = [&](bool per_op) {
+    auto run = [&](Stepping stepping) {
         SpinRun out;
         out.loop = std::make_unique<SpinLoop>(refs, 20'000, kPeriod, limit);
         out.other = randomProgram(7, 40, 0x50000);
@@ -660,7 +768,7 @@ expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
         // evict the loop's lines (set 5), so only the bounds and the
         // limit can stop a fold.
         pc.kernel_footprint_lines = 1;
-        const auto policy = timeSlicePolicy(pc, per_op);
+        const auto policy = timeSlicePolicy(pc, stepping);
         EngineConfig ec;
         ec.seed = 5;
         ec.jitter = jitter;
@@ -671,10 +779,11 @@ expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
         out.clock = engine.thread(0).clock;
         out.spin_until = engine.thread(0).spin_until;
         out.next_draw = engine.rng()();
+        expectOneEventPerCall(*policy, engine);
         return out;
     };
-    const SpinRun per_op = run(true);
-    SpinRun folded = run(false);
+    const SpinRun per_op = run(Stepping::PerEvent);
+    SpinRun folded = run(Stepping::Root);
     SCOPED_TRACE(testing::Message()
                  << "refs " << n_refs << " jitter " << jitter << " quantum "
                  << quantum << " tick " << tick << " limit " << limit);
@@ -722,22 +831,65 @@ TEST(SteadyFold, SpinBoundMatchesPerOpSteppingWithBoundsMidPeriod)
     }
 }
 
-/** The sender's next() calls and executed ops in one run. */
-struct SenderOps
+TEST(SteadyFold, SoleNestedChildFoldsLikeRoot)
 {
-    std::uint64_t calls = 0;
-    std::uint64_t ops = 0;
-};
+    // A TimeSlice nested alone under LowestClock on a single-core
+    // hierarchy has no runner-up, so it gets the open horizon: it folds
+    // exactly the iterations the root TimeSlice folds, and both match
+    // per-event stepping.
+    std::uint64_t case_seed = 700;
+    for (const GridCell &cell : {kGrid[2], kTrueQuantum}) {
+        for (sim::ReplPolicyKind kind : sim::allReplPolicyKinds()) {
+            const FoldCase c = randomFoldCase(kind, ++case_seed);
+            const SenderCalls nested =
+                expectFoldExact(c, cell, 1, Stepping::SoleChild);
+            const FoldRun root = runFoldCase(c, cell, 1, Stepping::Root);
+            EXPECT_EQ(nested.folded, root.sender->calls())
+                << sim::replPolicyName(kind) << " quantum " << cell.quantum;
+        }
+    }
+    FoldCase fig6;
+    fig6.sender.message = {1};
+    fig6.sender.infinite = true;
+    fig6.sender.ts = 6'000;
+    fig6.sender.encode_gap = 20'000;
+    fig6.receiver.d = 8;
+    fig6.receiver.tr = 25'000;
+    fig6.receiver.max_samples = 24;
+    const SenderCalls calls =
+        expectFoldExact(fig6, kTrueQuantum, 3, Stepping::SoleChild);
+    EXPECT_LT(calls.folded * 100, calls.per_op) << "the sole child never folded";
+}
 
-/**
- * fig6's steady sender beside a receiver, both on core 0 of @p h under
- * the OS model of @p cell: a root TimeSlice, or (@p per_op) a TimeSlice
- * nested under LowestClock.
- */
-template <class Hierarchy>
-SenderOps
-steadySenderOps(Hierarchy &h, const GridCell &cell, bool per_op)
+TEST(SteadyFold, RandomHorizonsMatchPerEvent)
 {
+    // A test parent hands the TimeSlice random horizons (a quarter of
+    // them at its next event time, half with the tie) and draws from the
+    // engine RNG after each step, as a sibling core's op would.  Stepped
+    // one event at a time up to the same horizons, with the same sibling
+    // draws, the run must be identical: a fold past a horizon would put
+    // its jitter draws on the wrong side of a sibling's.
+    std::uint64_t saved = 0;
+    std::uint64_t case_seed = 800;
+    for (const GridCell &cell : {kGrid[0], kGrid[2], kGrid[4], kTrueQuantum}) {
+        for (sim::ReplPolicyKind kind : sim::allReplPolicyKinds()) {
+            ++case_seed;
+            const SenderCalls calls = expectFoldExact(
+                randomFoldCase(kind, case_seed), cell, case_seed,
+                Stepping::Horizons, Stepping::HorizonsPerEvent);
+            saved += calls.per_op - calls.folded;
+        }
+    }
+    EXPECT_GT(saved, 0u) << "the fold never fired under a horizon";
+}
+
+TEST(SteadyFold, NestedUnderLowestClockNeverFolds)
+{
+    // A multi-core engine never confirms a steady iteration: the sender
+    // steps op by op, even as a sole child with the open horizon.
+    sim::MultiCoreConfig mc;
+    mc.cores = 1;
+    sim::MultiCoreHierarchy h(mc);
     const channel::ChannelLayout layout;
     channel::SenderConfig sc;
     sc.message = {1};
@@ -749,37 +901,12 @@ steadySenderOps(Hierarchy &h, const GridCell &cell, bool per_op)
     rc.max_samples = 8;
     CountingSender sender(layout, sc);
     channel::LruReceiver receiver(layout, rc);
-    const auto policy = timeSlicePolicy(policyFor(cell), per_op);
+    const auto policy =
+        timeSlicePolicy(policyFor(kGrid[0]), Stepping::SoleChild);
     Engine engine(h, timing::Uarch::intelXeonE52690(), *policy);
     engine.run(sender, receiver, 1);
-    return {sender.calls(), engine.stats(0).totalOps()};
-}
-
-TEST(SteadyFold, NestedUnderLowestClockNeverFolds)
-{
-    // A multi-core engine never confirms a steady iteration and a nested
-    // TimeSlice never asks: the sender steps op by op either way.
-    sim::MultiCoreConfig mc;
-    mc.cores = 1;
-    sim::MultiCoreHierarchy h(mc);
-    const SenderOps nested = steadySenderOps(h, kGrid[0], true);
     // One next() per executed op: nothing was folded.
-    EXPECT_EQ(nested.calls, nested.ops);
-}
-
-TEST(SteadyFold, NestedOnSingleCoreHierarchyNeverFolds)
-{
-    // A single-core hierarchy confirms this sender's steady iterations,
-    // so a root TimeSlice folds them; nested, the same TimeSlice steps
-    // op by op and folds nothing.
-    sim::CacheHierarchy root_h;
-    const SenderOps root = steadySenderOps(root_h, kTrueQuantum, false);
-    EXPECT_LT(root.calls, root.ops) << "the root TimeSlice never folded";
-
-    sim::CacheHierarchy nested_h;
-    const SenderOps nested = steadySenderOps(nested_h, kTrueQuantum, true);
-    EXPECT_EQ(nested.calls, nested.ops);
-    EXPECT_EQ(nested.ops, root.ops);
+    EXPECT_EQ(sender.calls(), engine.stats(0).totalOps());
 }
 
 } // namespace
