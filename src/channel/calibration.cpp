@@ -5,42 +5,7 @@
 
 #include "channel/calibration.hpp"
 
-#include <vector>
-
 namespace lruleak::channel {
-
-namespace {
-
-/**
- * Memo key for calibrationFor: exactly the numeric inputs the threshold
- * formulas consume, never the uarch's *name* — tests routinely build
- * modified CPU models that keep the stock label, and two uarchs that
- * agree on these numbers provably produce the same Calibration.
- */
-struct CalKey
-{
-    ChannelId id;
-    Carrier carrier;
-    std::uint32_t ways;
-    std::uint32_t l1_latency;
-    std::uint32_t l2_latency;
-    std::uint32_t llc_latency;
-    std::uint32_t mem_latency;
-    std::uint32_t tsc_granularity;
-    std::uint32_t chase_overhead;
-    std::uint32_t single_overhead;
-    std::uint32_t serialize_floor;
-    std::uint32_t wb_latency;
-
-    bool operator==(const CalKey &) const = default;
-};
-
-/** Derivation without the memo (the pre-cache body of calibrationFor). */
-Calibration
-deriveCalibration(const timing::Uarch &uarch, ChannelId id,
-                  Carrier carrier, std::uint32_t ways);
-
-} // namespace
 
 Calibration
 carrierLevels(ChannelId id, Carrier carrier)
@@ -97,44 +62,6 @@ Calibration
 calibrationFor(const timing::Uarch &uarch, ChannelId id, Carrier carrier,
                std::uint32_t ways)
 {
-    // Memoise per distinct numeric-input tuple.  Sessions re-calibrate
-    // every run (per bit, in the per-bit experiment loops), always with
-    // a handful of distinct tuples, so a small linear-scan cache wins
-    // over any hashing.  thread_local keeps it data-race-free.
-    const CalKey key{id,
-                     carrier,
-                     ways,
-                     uarch.l1_latency,
-                     uarch.l2_latency,
-                     uarch.llc_latency,
-                     uarch.mem_latency,
-                     uarch.tsc_granularity,
-                     uarch.chase_overhead,
-                     uarch.single_overhead,
-                     uarch.serialize_floor,
-                     uarch.wb_latency};
-    struct MemoEntry
-    {
-        CalKey key;
-        Calibration cal;
-    };
-    static thread_local std::vector<MemoEntry> memo;
-    for (const MemoEntry &e : memo) {
-        if (e.key == key)
-            return e.cal;
-    }
-    const Calibration cal =
-        deriveCalibration(uarch, id, carrier, ways);
-    memo.push_back(MemoEntry{key, cal});
-    return cal;
-}
-
-namespace {
-
-Calibration
-deriveCalibration(const timing::Uarch &uarch, ChannelId id,
-                  Carrier carrier, std::uint32_t ways)
-{
     Calibration cal = carrierLevels(id, carrier);
     const timing::MeasurementModel model(uarch);
 
@@ -179,7 +106,5 @@ deriveCalibration(const timing::Uarch &uarch, ChannelId id,
     cal.threshold = model.chaseThresholdBetween(cal.fast, cal.slow);
     return cal;
 }
-
-} // namespace
 
 } // namespace lruleak::channel

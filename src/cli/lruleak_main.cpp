@@ -30,6 +30,7 @@
 #include "core/bench.hpp"
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
+#include "core/param.hpp"
 #include "core/result_cache.hpp"
 #include "experiments/common.hpp"
 #include "util/hash.hpp"
@@ -440,6 +441,23 @@ cmdMerge(const std::vector<std::string> &args)
     return 0;
 }
 
+/**
+ * Integer value of subcommand option --@p name: core::parseInt's syntax
+ * with nothing trailing, and at least @p min.  A bad value throws
+ * ParamError naming the option, which exits 2.
+ */
+std::uint64_t
+parseCountOption(const std::string &name, const std::string &value,
+                 std::int64_t min)
+{
+    const std::int64_t parsed = core::parseInt("--" + name, value);
+    if (parsed < min)
+        throw core::ParamError("--" + name + " needs a " +
+                               (min > 0 ? "positive" : "non-negative") +
+                               " integer, got '" + value + "'");
+    return static_cast<std::uint64_t>(parsed);
+}
+
 int
 cmdTraceGen(const std::vector<std::string> &args)
 {
@@ -466,22 +484,19 @@ cmdTraceGen(const std::vector<std::string> &args)
     std::uint64_t seed = 1;
     double writes = 0.0;
     for (const auto &[key, value] : overrides) {
-        try {
-            if (key == "accesses")
-                accesses = std::stoull(value);
-            else if (key == "seed")
-                seed = std::stoull(value);
-            else if (key == "writes")
-                writes = std::stod(value);
-            else {
-                std::cerr << "unknown trace-gen option '--" << key
-                          << "' (valid: --accesses --writes --seed "
-                             "--format)\n";
-                return 2;
-            }
-        } catch (const std::exception &) {
-            std::cerr << "--" << key << " got unparsable value '"
-                      << value << "'\n";
+        if (key == "accesses") {
+            accesses = parseCountOption(key, value, 1);
+        } else if (key == "seed") {
+            seed = parseCountOption(key, value, 0);
+        } else if (key == "writes") {
+            writes = core::parseReal("--" + key, value);
+            if (!(writes >= 0.0 && writes <= 1.0))
+                throw core::ParamError("--writes needs a fraction in "
+                                       "[0, 1], got '" + value + "'");
+        } else {
+            std::cerr << "unknown trace-gen option '--" << key
+                      << "' (valid: --accesses --writes --seed "
+                         "--format)\n";
             return 2;
         }
     }
@@ -529,43 +544,14 @@ cmdBench(const std::vector<std::string> &args)
         return 2;
     }
 
-    // Positive integer option parser: stoull accepts "-1" (wrapping to
-    // 2^64-1, i.e. a run that never ends) and garbage input throws an
-    // opaque std::invalid_argument, so validate here with the option
-    // name in the message.
-    auto parseCount = [](const std::string &name, const std::string &value,
-                         std::uint64_t &out, bool min_one = true) {
-        std::size_t used = 0;
-        std::uint64_t parsed = 0;
-        try {
-            parsed = std::stoull(value, &used);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        if (used != value.size() || value.empty() || value[0] == '-' ||
-            (min_one && parsed == 0)) {
-            std::cerr << "--" << name << " needs a "
-                      << (min_one ? "positive" : "non-negative")
-                      << " integer, got '" << value << "'\n";
-            return false;
-        }
-        out = parsed;
-        return true;
-    };
-
     for (const auto &[name, value] : overrides) {
         if (name == "accesses") {
-            if (!parseCount(name, value, cfg.accesses))
-                return 2;
+            cfg.accesses = parseCountOption(name, value, 1);
         } else if (name == "repeats") {
-            std::uint64_t repeats = 0;
-            if (!parseCount(name, value, repeats))
-                return 2;
-            cfg.repeats = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(repeats, 1000));
+            cfg.repeats = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                parseCountOption(name, value, 1), 1000));
         } else if (name == "seed") {
-            if (!parseCount(name, value, cfg.seed, /*min_one=*/false))
-                return 2;
+            cfg.seed = parseCountOption(name, value, 0);
         } else if (name == "out") {
             out_path = value;
         } else if (name == "policies") {

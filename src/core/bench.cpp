@@ -348,10 +348,10 @@ macroPass(const SimBenchConfig &config)
     {
         // End-to-end covert-channel bits through the execution engine
         // (LowestClock over the single-core hierarchy), on the
-        // Session fast path: pooled topology, memoized calibration,
-        // sender paced at the receiver's sampling period.  What the
-        // session decodes is pinned by BenchChannelLanes.* in
-        // tests/test_bench.cpp, which copies this config.
+        // Session fast path: pooled topology, sender paced at the
+        // receiver's sampling period.  What the session decodes is
+        // pinned by BenchChannelLanes.* in tests/test_bench.cpp, which
+        // copies this config.
         channel::SessionConfig cfg;
         cfg.channel = channel::ChannelId::LruAlg1;
         cfg.message = channel::Bits{1, 0, 1, 1};
@@ -361,9 +361,9 @@ macroPass(const SimBenchConfig &config)
         cfg.seed = config.seed + 3;
         const std::uint64_t bits = cfg.message.size() * cfg.repeats;
         {
-            // Warm-up session: fills the thread-local topology pool
-            // and the calibration memo so the measured window covers
-            // the steady-state per-bit cost, not one-time setup.
+            // Warm-up session: fills the thread-local topology pool so
+            // the measured window covers the steady-state per-bit cost,
+            // not one-time setup.
             channel::SessionConfig warm = cfg;
             warm.repeats = 1;
             channel::runSession(warm);

@@ -61,87 +61,149 @@ std::uint64_t
 Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
 {
     Thread &t = threads_[idx];
-    const std::uint64_t jitter = config_.jitter ? rng_.below(config_.jitter)
-                                                : 0;
-    switch (op.kind) {
-      case OpKind::Access: {
+    // Jitter is drawn before the access and any readout noise after it.
+    const std::uint64_t jitter = rng_.below(config_.jitter);
+    const bool flushes =
+        op.kind == OpKind::Flush || op.kind == OpKind::MeasureFlush;
+    const bool measures =
+        op.kind == OpKind::Measure || op.kind == OpKind::MeasureFlush;
+    OpResult out;
+    out.kind = op.kind;
+    out.tsc = start;
+    // What the op is charged for: clflush drains to memory, so a flush
+    // costs a memory round trip plus the write-back of a dirty copy.
+    sim::HitLevel level = sim::HitLevel::Memory;
+    std::uint32_t writebacks = 0;
+    if (flushes) {
+        const bool dirty = flush(op.ref).dirty;
+        writebacks = dirty;
+        if (measures) {
+            out.level = dirty ? sim::HitLevel::Memory : sim::HitLevel::L1;
+            out.measured = model_.flushMeasure(dirty, rng_);
+        }
+    } else {
         const auto pa = access(t.core, op.ref, op.lock_req);
-        OpResult out;
-        out.kind = OpKind::Access;
-        out.level = pa.level;
-        out.writebacks = pa.writebacks;
-        out.tsc = start;
-        t.program->onResult(out);
-        ++t.stats.accesses;
-        maybeAudit();
-        // Write-back stalls are deterministic and added after the
-        // existing jitter draw, so read-only traces keep the exact RNG
-        // sequence (and costs) of the pre-write-path engine.
-        const std::uint64_t cost =
-            uarch_.latency(pa.level) + config_.op_overhead + jitter +
-            std::uint64_t{pa.writebacks} * uarch_.wb_latency;
-        t.stats.busy_cycles += cost;
-        return cost;
-      }
-      case OpKind::Measure: {
-        const auto pa = access(t.core, op.ref, op.lock_req);
-        OpResult out;
-        out.kind = OpKind::Measure;
-        out.level = pa.level;
-        out.writebacks = pa.writebacks;
-        out.tsc = start;
-        const std::uint32_t wb_stall =
-            (op.chain_writebacks + pa.writebacks) * uarch_.wb_latency;
-        out.measured =
-            model_.chase(op.chain_levels, pa.level, rng_) + wb_stall;
-        t.program->onResult(out);
-        ++t.stats.measures;
-        maybeAudit();
-        const std::uint64_t cost = uarch_.latency(pa.level) +
-                                   config_.op_overhead + jitter +
-                                   std::uint64_t{pa.writebacks} *
-                                       uarch_.wb_latency;
-        t.stats.busy_cycles += cost;
-        return cost;
-      }
-      case OpKind::Flush: {
-        const auto fr = flush(op.ref);
-        OpResult out;
-        out.kind = OpKind::Flush;
-        out.tsc = start;
-        t.program->onResult(out);
-        ++t.stats.flushes;
-        maybeAudit();
-        // clflush drains to memory: charge a memory round trip, plus
-        // the write-back when the dropped copy was dirty.
-        const std::uint64_t cost =
-            uarch_.mem_latency + config_.op_overhead + jitter +
-            (fr.dirty ? uarch_.wb_latency : 0);
-        t.stats.busy_cycles += cost;
-        return cost;
-      }
-      case OpKind::MeasureFlush: {
-        const auto fr = flush(op.ref);
-        OpResult out;
-        out.kind = OpKind::MeasureFlush;
-        out.level = fr.dirty ? sim::HitLevel::Memory : sim::HitLevel::L1;
-        out.measured = model_.flushMeasure(fr.dirty, rng_);
-        out.tsc = start;
-        t.program->onResult(out);
-        ++t.stats.measures;
-        ++t.stats.flushes;
-        maybeAudit();
-        const std::uint64_t cost =
-            uarch_.mem_latency + config_.op_overhead + jitter +
-            (fr.dirty ? uarch_.wb_latency : 0);
-        t.stats.busy_cycles += cost;
-        return cost;
-      }
-      case OpKind::SpinUntil:
-      case OpKind::Done:
-        return 0; // handled by the arbitration policy
+        level = out.level = pa.level;
+        writebacks = out.writebacks = pa.writebacks;
+        if (measures) {
+            const std::uint32_t wb_stall =
+                (op.chain_writebacks + pa.writebacks) * uarch_.wb_latency;
+            out.measured =
+                model_.chase(op.chain_levels, pa.level, rng_) + wb_stall;
+        }
     }
-    return 0;
+    t.program->onResult(out);
+    t.stats.accesses += op.kind == OpKind::Access;
+    t.stats.measures += measures;
+    t.stats.flushes += flushes;
+    maybeAudit();
+    const std::uint64_t cost = opCost(level, writebacks) + jitter;
+    t.stats.busy_cycles += cost;
+    return cost;
+}
+
+std::optional<std::uint64_t>
+Engine::foldSteady(unsigned idx, std::uint64_t start, std::uint64_t bound)
+{
+    // The first event that starts at or past `bound` is the caller's
+    // (TimeSlice: a timer tick, the slice end or its parent's horizon).
+    if (start >= bound || single_ == nullptr)
+        return std::nullopt;
+    Thread &t = threads_[idx];
+    const std::optional<SteadyIteration> it =
+        t.program->steadyIteration(start);
+    if (!it || it->period == 0 || (it->refs.empty() && it->gap == 0) ||
+        start >= it->limit || !single_->steadyL1Hits(it->refs))
+        return std::nullopt;
+
+    // Every access is an L1 hit: latency + overhead + one jitter draw,
+    // drawn on a copy so a partial iteration can be dropped.
+    const std::uint64_t hit_cost = opCost(sim::HitLevel::L1, 0);
+    const std::uint64_t period = it->period;
+    const std::uint32_t jitter = config_.jitter;
+    // Spin-bound: the accesses end before the next deadline even at the
+    // highest jitter, and the spin reaches it, so an iteration that
+    // starts on a deadline ends on the next one.
+    const bool spin_bound =
+        it->gap >= period &&
+        it->refs.size() * (hit_cost + (jitter ? jitter - 1 : 0)) < period;
+    sim::Xoshiro256 rng = rng_;
+    std::uint64_t time = start;
+    std::uint64_t deadline = it->deadline;
+    std::uint64_t clock = 0;
+    std::uint64_t wake = 0;
+    std::uint64_t busy = 0;
+    std::uint64_t iterations = 0;
+    while (time < bound && time < it->limit) {
+        if (spin_bound && (deadline == time || deadline - time == period) &&
+            bound - time >= period) {
+            // Iteration j then runs from time + j * period to the next
+            // deadline; it runs iff it starts before the limit and its
+            // spin ends by the bound.  Only its draws are left to make.
+            const std::uint64_t k =
+                std::min(it->limit - time - 1, bound - time - period) /
+                    period +
+                1;
+            const std::uint64_t fixed = it->refs.size() * hit_cost;
+            std::uint64_t drawn = 0; // the last iteration's jitter
+            for (std::uint64_t j = 0; j < k; ++j) {
+                drawn = 0;
+                for (std::size_t i = 0; i < it->refs.size(); ++i)
+                    drawn += rng.below(jitter);
+                busy += fixed + drawn;
+            }
+            clock = time + (k - 1) * period + fixed + drawn;
+            time += k * period;
+            deadline = time;
+            wake = time;
+            iterations += k;
+            // What is left cannot end its spin by the bound, or starts
+            // at or past the limit.
+            break;
+        }
+        // Move the deadline past `time`; usually one period, so try that
+        // before paying for a division.
+        std::uint64_t d = deadline;
+        if (time >= d) {
+            d += period;
+            if (time >= d)
+                d += ((time - d) / period + 1) * period;
+        }
+        sim::Xoshiro256 draws = rng;
+        std::uint64_t end = time;
+        for (std::size_t i = 0; i < it->refs.size(); ++i)
+            end += hit_cost + draws.below(jitter);
+        // Each op after the first, and the spin, starts by `end` at the
+        // latest: all must start before the bound and the deadline (a
+        // program restarts its iteration at the deadline).  A spin must
+        // also finish by the bound rather than be cut at a tick.
+        const std::uint64_t w = std::min(end + it->gap, d);
+        if (end >= bound || end >= d || w > bound)
+            break;
+        rng = draws;
+        busy += end - time;
+        deadline = d;
+        clock = end;
+        wake = w;
+        time = std::max(end, w);
+        ++iterations;
+    }
+    if (iterations == 0)
+        return std::nullopt;
+
+    const std::uint64_t accesses = iterations * it->refs.size();
+    rng_ = rng;
+    sim::PerfCounters &l1 = single_->l1().counters();
+    for (const sim::MemRef &ref : it->refs)
+        l1.recordMany(ref.thread, iterations, iterations);
+    t.stats.accesses += accesses;
+    t.stats.spins += iterations;
+    t.stats.busy_cycles += busy;
+    t.clock = clock;
+    t.spin_until = wake;
+    t.program->foldSteady(iterations, deadline);
+    noteTime(time);
+    return time;
 }
 
 void
@@ -271,20 +333,28 @@ TimeSlice::nextEventTime(const Engine &engine) const
     return std::nullopt;
 }
 
-void
+bool
 TimeSlice::serviceTicks(Engine &engine)
 {
     if (config_.tick_period == 0)
-        return;
+        return true;
     if (next_tick_ == 0)
         next_tick_ = now_ + config_.tick_period;
     while (now_ >= next_tick_) {
+        // A tick whose kernel burst lasts a whole period is due again at
+        // once; only max_cycles ends that loop.
+        if (now_ >= engine.config().max_cycles) {
+            slice_end_ = now_;
+            engine.noteTime(now_);
+            return false;
+        }
         now_ += engine.kernelBurst(core_, config_.kernel_thread,
                                    config_.kernel_base,
                                    config_.kernel_footprint_lines,
                                    config_.tick_lines);
         next_tick_ += config_.tick_period;
     }
+    return true;
 }
 
 void
@@ -304,9 +374,7 @@ TimeSlice::backgroundSlice(Engine &engine, std::uint64_t slice_end)
             engine.rng().below(config_.background_lines * 4) * 64;
         const sim::MemRef ref{line, line, config_.background_thread, false};
         const auto pa = engine.access(core_, ref);
-        now_ += engine.uarch().latency(pa.level) +
-                engine.config().op_overhead +
-                std::uint64_t{pa.writebacks} * engine.uarch().wb_latency;
+        now_ += engine.opCost(pa.level, pa.writebacks);
         if (now_ >= slice_end)
             break;
     }
@@ -349,123 +417,14 @@ TimeSlice::closeSlice(Engine &engine)
     state_ = State::NeedSlice;
 }
 
-bool
-TimeSlice::foldSteady(Engine &engine, unsigned idx, std::uint64_t bound)
-{
-    // Per-event stepping services a tick before, ends the slice at, or
-    // hands the parent, the first event that starts at or past `bound`.
-    if (now_ >= bound)
-        return false;
-    auto &t = engine.thread(idx);
-    const std::optional<SteadyIteration> it =
-        t.program->steadyIteration(now_);
-    if (!it || it->period == 0 || (it->refs.empty() && it->gap == 0) ||
-        now_ >= it->limit)
-        return false;
-    sim::PerfCounters *const l1 =
-        engine.steadyHitCounters(it->refs);
-    if (l1 == nullptr)
-        return false;
-
-    // Every access is an L1 hit: latency + overhead + one jitter draw,
-    // drawn on a copy so a partial iteration can be dropped.
-    const EngineConfig &ec = engine.config();
-    const std::uint64_t hit_cost =
-        engine.uarch().latency(sim::HitLevel::L1) + ec.op_overhead;
-    const std::uint64_t period = it->period;
-    // Spin-bound: the accesses end before the next deadline even at the
-    // highest jitter, and the spin reaches it, so an iteration that
-    // starts on a deadline ends on the next one.
-    const bool spin_bound =
-        it->gap >= period &&
-        it->refs.size() * (hit_cost + (ec.jitter ? ec.jitter - 1 : 0)) <
-            period;
-    sim::Xoshiro256 rng = engine.rng();
-    std::uint64_t time = now_;
-    std::uint64_t deadline = it->deadline;
-    std::uint64_t clock = 0;
-    std::uint64_t wake = 0;
-    std::uint64_t busy = 0;
-    std::uint64_t iterations = 0;
-    while (time < bound && time < it->limit) {
-        if (spin_bound && (deadline == time || deadline - time == period) &&
-            bound - time >= period) {
-            // Iteration j then runs from time + j * period to the next
-            // deadline; it runs iff it starts before the limit and its
-            // spin ends by the bound.  Only its draws are left to make.
-            const std::uint64_t k =
-                std::min(it->limit - time - 1, bound - time - period) /
-                    period +
-                1;
-            const std::uint64_t fixed = it->refs.size() * hit_cost;
-            std::uint64_t drawn = 0; // the last iteration's jitter
-            for (std::uint64_t j = 0; j < k; ++j) {
-                drawn = 0;
-                for (std::size_t i = 0; i < it->refs.size(); ++i)
-                    drawn += rng.below(ec.jitter);
-                busy += fixed + drawn;
-            }
-            clock = time + (k - 1) * period + fixed + drawn;
-            time += k * period;
-            deadline = time;
-            wake = time;
-            iterations += k;
-            // What is left cannot end its spin by the bound, or starts
-            // at or past the limit.
-            break;
-        }
-        // Move the deadline past `time`; usually one period, so try that
-        // before paying for a division.
-        std::uint64_t d = deadline;
-        if (time >= d) {
-            d += period;
-            if (time >= d)
-                d += ((time - d) / period + 1) * period;
-        }
-        sim::Xoshiro256 draws = rng;
-        std::uint64_t end = time;
-        for (std::size_t i = 0; i < it->refs.size(); ++i)
-            end += hit_cost + (ec.jitter ? draws.below(ec.jitter) : 0);
-        // Each op after the first, and the spin, starts by `end` at the
-        // latest: all must start before the bound and the deadline (a
-        // program restarts its iteration at the deadline).  A spin must
-        // also finish by the bound rather than be cut at a tick.
-        const std::uint64_t w = std::min(end + it->gap, d);
-        if (end >= bound || end >= d || w > bound)
-            break;
-        rng = draws;
-        busy += end - time;
-        deadline = d;
-        clock = end;
-        wake = w;
-        time = std::max(end, w);
-        ++iterations;
-    }
-    if (iterations == 0)
-        return false;
-
-    const std::uint64_t accesses = iterations * it->refs.size();
-    engine.rng() = rng;
-    for (const sim::MemRef &ref : it->refs)
-        l1->recordMany(ref.thread, iterations, iterations);
-    t.stats.accesses += accesses;
-    t.stats.spins += iterations;
-    t.stats.busy_cycles += busy;
-    t.clock = clock;
-    t.spin_until = wake;
-    t.program->foldSteady(iterations, deadline);
-    now_ = time;
-    engine.noteTime(now_);
-    return true;
-}
-
 void
 TimeSlice::runInSlice(Engine &engine, bool fold, std::uint64_t horizon_end)
 {
     const unsigned idx = threads_[active_];
     auto &t = engine.thread(idx);
 
-    serviceTicks(engine);
+    if (!serviceTicks(engine))
+        return;
     const std::uint64_t cut = config_.tick_period != 0
                                   ? std::min(slice_end_, next_tick_)
                                   : slice_end_;
@@ -476,8 +435,13 @@ TimeSlice::runInSlice(Engine &engine, bool fold, std::uint64_t horizon_end)
         engine.noteTime(now_);
         return;
     }
-    if (fold && foldSteady(engine, idx, std::min(cut, horizon_end)))
-        return;
+    if (fold) {
+        if (const auto end =
+                engine.foldSteady(idx, now_, std::min(cut, horizon_end))) {
+            now_ = *end;
+            return;
+        }
+    }
 
     const Op op = t.program->next(now_);
     if (op.kind == OpKind::Done) {
@@ -517,7 +481,7 @@ TimeSlice::step(Engine &engine, Horizon horizon)
         // the resident thread runs, and ticks and background work are
         // serviced inside runInSlice.  So this loop runs its events
         // without a nextEventTime() round trip per op.  The resident
-        // program may fold its steady iterations (see foldSteady);
+        // program may fold its steady iterations (Engine::foldSteady);
         // others pay one predictable branch per op.
         const bool fold = t.program->offersSteady();
         do {

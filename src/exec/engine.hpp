@@ -7,9 +7,11 @@
  * interleave* — SMT hyperthreads sharing an L1, time-sliced sharing of
  * one context, and cross-core sharing of an inclusive LLC.  The engine
  * factors the part those settings share (program stepping, per-thread
- * clocks and telemetry, latency charging, deterministic seeding,
- * batched kernel bursts, the inclusion audit) out of the interleaving
- * itself, which becomes a pluggable ArbitrationPolicy:
+ * clocks and telemetry, op costs and the steady-iteration fold,
+ * deterministic seeding, batched kernel bursts, the inclusion audit)
+ * out of the interleaving itself, which becomes a pluggable
+ * ArbitrationPolicy that decides only when, and up to which bound,
+ * ops run:
  *
  *   LowestClock   — always steps the thread (or nested core policy)
  *                   whose next event is earliest: the per-op SMT
@@ -228,13 +230,45 @@ class Engine
     }
 
     /**
-     * Execute one Access/Measure/Flush op of thread @p idx starting at
-     * @p start: jitter draw, hierarchy access, result delivery, telemetry,
-     * sampled inclusion audit.  Returns the op's cycle cost (latency +
-     * op_overhead + jitter).  SpinUntil/Done are the policy's business.
+     * Execute one Access/Measure/Flush/MeasureFlush op of thread @p idx
+     * starting at @p start: jitter draw, hierarchy access or flush,
+     * measurement readout (Measure kinds), result delivery, telemetry,
+     * sampled inclusion audit.  Returns the op's cycle cost, opCost()
+     * plus the jitter.  SpinUntil/Done are the policy's business.
      */
     std::uint64_t executeOp(unsigned idx, const Op &op,
                             std::uint64_t start);
+
+    /**
+     * Run every whole steady iteration thread @p idx offers at @p start
+     * whose events all start before @p bound and whose spin ends by it,
+     * as arithmetic: one jitter draw per access, the hit costs, the
+     * ThreadStats, the thread's clock and spin_until, the L1 counters
+     * and the program state advanced exactly as executing the ops one
+     * by one would (the resident thread of a TimeSlice slice, which
+     * waits out each spin through spin_until).  Returns where the
+     * core's clock ends, or nullopt, changing nothing, when no
+     * iteration folds.  Only a single-core engine folds: another core's
+     * traffic can land between any two ops, and folded accesses would
+     * skip the inclusion audit.
+     */
+    std::optional<std::uint64_t> foldSteady(unsigned idx,
+                                            std::uint64_t start,
+                                            std::uint64_t bound);
+
+    /**
+     * Cycles an op is charged besides its jitter: the latency of the
+     * @p level that served it, the op overhead, and the write-back
+     * latency per write-back transaction it triggered.  A flush is
+     * charged as a memory access with one write-back when the dropped
+     * copy was dirty.
+     */
+    std::uint64_t
+    opCost(sim::HitLevel level, std::uint32_t writebacks) const
+    {
+        return uarch_.latency(level) + config_.op_overhead +
+               std::uint64_t{writebacks} * uarch_.wb_latency;
+    }
 
     /**
      * Outcome of a demand access: where the data came from, and how many
@@ -260,23 +294,6 @@ class Engine
         }
         const auto res = single_->access(ref, lock_req);
         return AccessResult{res.level, res.writebacks};
-    }
-
-    /**
-     * Fold probe for TimeSlice's steady-iteration fast path: when
-     * replaying @p refs would be all L1 hits that leave the memory
-     * system unchanged (CacheHierarchy::steadyL1Hits), the L1 counters
-     * those hits tally into, so a caller that skips the replays can
-     * credit them; nullptr otherwise.  Changes nothing.  Multi-core
-     * never folds: another core's traffic can land between any two ops,
-     * and folded accesses would skip the inclusion audit.
-     */
-    sim::PerfCounters *
-    steadyHitCounters(std::span<const sim::MemRef> refs)
-    {
-        if (single_ == nullptr || !single_->steadyL1Hits(refs))
-            return nullptr;
-        return &single_->l1().counters();
     }
 
     /**
@@ -374,9 +391,11 @@ struct TimeSlicePolicyConfig
  * horizon: the whole run as the root policy, up to the runner-up's next
  * event nested under LowestClock, so other cores' shared-LLC traffic
  * still lands between the right ops.  Within a slice only the resident
- * thread runs, so a tight loop runs its ops and folds its steady
- * iterations (see foldSteady).  The op order, every RNG draw and every
- * latency equal one-event-per-call stepping for any horizon.
+ * thread runs, so a tight loop runs its ops and lets the engine fold
+ * its steady iterations (Engine::foldSteady) up to the next tick, the
+ * slice end or the horizon.  TimeSlice decides when ops run; what an op
+ * costs is the engine's (Engine::opCost).  The op order, every RNG draw
+ * and every latency equal one-event-per-call stepping for any horizon.
  */
 class TimeSlice final : public ArbitrationPolicy
 {
@@ -392,24 +411,17 @@ class TimeSlice final : public ArbitrationPolicy
     bool step(Engine &engine, Horizon horizon) override;
 
   private:
-    void serviceTicks(Engine &engine);
+    /** Service every timer tick due at now_; false when max_cycles
+     *  stopped it, ending the slice at now_. */
+    bool serviceTicks(Engine &engine);
     void contextSwitchNoise(Engine &engine);
     void backgroundSlice(Engine &engine, std::uint64_t slice_end);
     void openSlice(Engine &engine);
     void closeSlice(Engine &engine);
     /** One op (or spin) of the resident thread; @p fold allows the
-     *  steady-iteration fold in its place, up to @p horizon_end. */
+     *  engine's steady-iteration fold in its place, up to
+     *  @p horizon_end. */
     void runInSlice(Engine &engine, bool fold, std::uint64_t horizon_end);
-    /**
-     * Run every whole steady iteration the resident thread @p idx offers
-     * at now_ whose events all start before @p bound (the next tick,
-     * the slice end or the horizon, whichever is first) and whose spin
-     * ends by it, as arithmetic: one jitter draw per access, the clock,
-     * ThreadStats, the thread's clock/spin_until, the L1 counters and the
-     * program state advanced exactly as per-op stepping would.  Returns
-     * false, changing nothing, when it folds no iteration.
-     */
-    bool foldSteady(Engine &engine, unsigned idx, std::uint64_t bound);
 
     enum class State
     {

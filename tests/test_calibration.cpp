@@ -6,7 +6,8 @@
  * the cross-core thresholds must match the
  * MeasurementModel::chaseThresholdBetween values the legacy runner
  * used, and the Prime+Probe thresholds the historical probe formula
- * (all-ways L1 hits plus half the L2 delta).
+ * (all-ways L1 hits plus half the L2 delta). A modified model that
+ * keeps a stock name calibrates from its latencies, not its name.
  */
 
 #include <gtest/gtest.h>
@@ -198,4 +199,27 @@ TEST(Calibration, FlushReloadMemSeparatesL1FromMemory)
         EXPECT_EQ(cal.slow, sim::HitLevel::Memory) << u.name;
         EXPECT_FALSE(cal.invert) << u.name;
     }
+}
+
+TEST(CalibrationMemo, KeysOnTimingNotOnName)
+{
+    // Two models sharing a name but differing in a formula input must
+    // calibrate apart (tests build modified uarchs all the time).
+    const timing::Uarch base = timing::Uarch::intelXeonE52690();
+    timing::Uarch slow_llc = base;
+    slow_llc.llc_latency += 60;
+
+    const Calibration a = calibrationFor(base, ChannelId::XCoreLruAlg2,
+                                         Carrier::Llc, 16);
+    const Calibration b = calibrationFor(slow_llc, ChannelId::XCoreLruAlg2,
+                                         Carrier::Llc, 16);
+    EXPECT_NE(a.threshold, b.threshold);
+
+    // And deriving the modified model must not disturb the original's.
+    const Calibration a2 = calibrationFor(base, ChannelId::XCoreLruAlg2,
+                                          Carrier::Llc, 16);
+    EXPECT_EQ(a.threshold, a2.threshold);
+    EXPECT_EQ(a.invert, a2.invert);
+    EXPECT_EQ(a.fast, a2.fast);
+    EXPECT_EQ(a.slow, a2.slow);
 }

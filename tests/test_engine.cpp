@@ -4,7 +4,9 @@
  * validation, the inclusion audit, policy nesting, the generalisations the seed
  * schedulers did not have (TimeSlice over N threads, TimeSlice per core
  * under LowestClock, an SMT pair of bare threads on one core of a
- * multi-core system), and the consolidated exec::ThreadStats telemetry.
+ * multi-core system), the consolidated exec::ThreadStats telemetry,
+ * and Engine::executeOp's contract for every op kind: its cost, the
+ * OpResult, the ThreadStats delta and its RNG draws in order.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "per_op_policy.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
+#include "timing/pointer_chase.hpp"
 #include "timing/uarch.hpp"
 
 using namespace lruleak;
@@ -315,6 +318,229 @@ TEST(Engine, DeterministicForSeed)
         return engine.run(a, b, 1);
     };
     EXPECT_EQ(run(3), run(3));
+}
+
+// ------------------------------------------------------ executeOp contract
+
+/** Finishes at once and records every OpResult delivered to it. */
+class ResultRecorder : public ThreadProgram
+{
+  public:
+    Op next(std::uint64_t) override { return Op::done(); }
+    void
+    onResult(const OpResult &result) override
+    {
+        results.push_back(result);
+    }
+
+    std::vector<OpResult> results;
+};
+
+/**
+ * One engine thread (index 0) on the default single-core hierarchy,
+ * ready for direct executeOp calls, and @c expect, the engine's RNG
+ * stream advanced by exactly the draws the ops so far should make.
+ * Setup traffic goes straight to the hierarchy and draws nothing.
+ */
+struct OpRig
+{
+    static constexpr std::uint64_t kSeed = 77;
+    static constexpr std::uint32_t kOverhead = 10;
+
+    explicit OpRig(std::uint32_t jitter)
+        : engine(h, uarch, policy,
+                 EngineConfig{.op_overhead = kOverhead, .jitter = jitter,
+                              .seed = kSeed}),
+          expect(kSeed), jitter(jitter)
+    {
+        const ThreadSpec specs[] = {{&program, 0}};
+        engine.run(specs, 0); // done at once: no op, no draw
+    }
+
+    /** Fill L1 set @p set with dirty lines (tags 1..8). */
+    void
+    dirtySet(std::uint32_t set)
+    {
+        for (sim::Addr tag = 1; tag <= 8; ++tag)
+            h.access(sim::MemRef::store(line(set, tag)));
+    }
+
+    /** The line of tag @p tag in L1 set @p set (64 sets of 64 B). */
+    static sim::Addr
+    line(std::uint32_t set, sim::Addr tag)
+    {
+        return tag * 64 * 64 + set * 64;
+    }
+
+    /** Run @p op at @p start; check the ThreadStats delta and that the
+     *  engine drew exactly what @c expect did.  Returns the cost. */
+    std::uint64_t
+    execute(const Op &op, std::uint64_t start, const ThreadStats &delta)
+    {
+        const ThreadStats before = engine.stats(0);
+        const std::uint64_t cost = engine.executeOp(0, op, start);
+        ThreadStats want = before;
+        want.accesses += delta.accesses;
+        want.measures += delta.measures;
+        want.flushes += delta.flushes;
+        want.busy_cycles += cost;
+        EXPECT_EQ(engine.stats(0), want);
+        EXPECT_EQ(engine.rng(), expect);
+        return cost;
+    }
+
+    /** The result of the last op, which must have been delivered once
+     *  per op and stamped with @p start. */
+    const OpResult &
+    result(std::size_t ops, std::uint64_t start) const
+    {
+        EXPECT_EQ(program.results.size(), ops);
+        EXPECT_EQ(program.results.back().tsc, start);
+        return program.results.back();
+    }
+
+    sim::CacheHierarchy h;
+    const timing::Uarch uarch = timing::Uarch::intelXeonE52690();
+    const timing::MeasurementModel model{uarch};
+    LowestClock policy;
+    ResultRecorder program;
+    Engine engine;
+    sim::Xoshiro256 expect;
+    std::uint32_t jitter;
+};
+
+/** No jitter (no draw at all) and a jitter that draws. */
+constexpr std::uint32_t kJitters[] = {0, 13};
+
+TEST(ExecuteOp, LoadAndWritingBackStore)
+{
+    for (const std::uint32_t jitter : kJitters) {
+        SCOPED_TRACE(jitter);
+        OpRig rig(jitter);
+        // A cold load: served from memory, nothing written back.
+        std::uint64_t j = rig.expect.below(jitter);
+        std::uint64_t cost = rig.execute(
+            Op::access(sim::MemRef::load(OpRig::line(3, 1))), 100,
+            ThreadStats{.accesses = 1});
+        EXPECT_EQ(cost, rig.uarch.mem_latency + OpRig::kOverhead + j);
+        OpResult out = rig.result(1, 100);
+        EXPECT_EQ(out.kind, OpKind::Access);
+        EXPECT_EQ(out.level, sim::HitLevel::Memory);
+        EXPECT_EQ(out.writebacks, 0u);
+        EXPECT_EQ(out.measured, 0u);
+
+        // Reloaded: an L1 hit.
+        j = rig.expect.below(jitter);
+        cost = rig.execute(Op::access(sim::MemRef::load(OpRig::line(3, 1))),
+                           200, ThreadStats{.accesses = 1});
+        EXPECT_EQ(cost, rig.uarch.l1_latency + OpRig::kOverhead + j);
+        EXPECT_EQ(rig.result(2, 200).level, sim::HitLevel::L1);
+
+        // A store into a set full of dirty lines writes one back.
+        rig.dirtySet(5);
+        j = rig.expect.below(jitter);
+        cost = rig.execute(Op::access(sim::MemRef::store(OpRig::line(5, 9))),
+                           300, ThreadStats{.accesses = 1});
+        EXPECT_EQ(cost, rig.uarch.mem_latency + OpRig::kOverhead + j +
+                            rig.uarch.wb_latency);
+        out = rig.result(3, 300);
+        EXPECT_EQ(out.kind, OpKind::Access);
+        EXPECT_EQ(out.level, sim::HitLevel::Memory);
+        EXPECT_EQ(out.writebacks, 1u);
+        EXPECT_EQ(out.measured, 0u);
+    }
+}
+
+TEST(ExecuteOp, MeasureAddsChainAndOwnWritebacksToTheReadout)
+{
+    const sim::HitLevel chain[] = {sim::HitLevel::L1, sim::HitLevel::L2,
+                                   sim::HitLevel::L1};
+    for (const std::uint32_t jitter : kJitters) {
+        SCOPED_TRACE(jitter);
+        OpRig rig(jitter);
+        // The timed load evicts a dirty line: its own write-back and the
+        // chain's two each stall the readout; the cost carries its own.
+        rig.dirtySet(7);
+        std::uint64_t j = rig.expect.below(jitter);
+        std::uint32_t readout =
+            rig.model.chase(chain, sim::HitLevel::Memory, rig.expect) +
+            3 * rig.uarch.wb_latency;
+        std::uint64_t cost = rig.execute(
+            Op::measure(sim::MemRef::load(OpRig::line(7, 9)), chain, 2), 100,
+            ThreadStats{.measures = 1});
+        EXPECT_EQ(cost, rig.uarch.mem_latency + OpRig::kOverhead + j +
+                            rig.uarch.wb_latency);
+        OpResult out = rig.result(1, 100);
+        EXPECT_EQ(out.kind, OpKind::Measure);
+        EXPECT_EQ(out.level, sim::HitLevel::Memory);
+        EXPECT_EQ(out.writebacks, 1u);
+        EXPECT_EQ(out.measured, readout);
+
+        // Measured again: an L1 hit with no write-back anywhere.
+        j = rig.expect.below(jitter);
+        readout = rig.model.chase(chain, sim::HitLevel::L1, rig.expect);
+        cost = rig.execute(
+            Op::measure(sim::MemRef::load(OpRig::line(7, 9)), chain), 200,
+            ThreadStats{.measures = 1});
+        EXPECT_EQ(cost, rig.uarch.l1_latency + OpRig::kOverhead + j);
+        out = rig.result(2, 200);
+        EXPECT_EQ(out.level, sim::HitLevel::L1);
+        EXPECT_EQ(out.writebacks, 0u);
+        EXPECT_EQ(out.measured, readout);
+    }
+}
+
+TEST(ExecuteOp, FlushChargesAMemoryTripAndADirtyWriteback)
+{
+    for (const std::uint32_t jitter : kJitters) {
+        SCOPED_TRACE(jitter);
+        OpRig rig(jitter);
+        rig.h.access(sim::MemRef::load(OpRig::line(2, 1)));
+        rig.h.access(sim::MemRef::store(OpRig::line(2, 2)));
+        for (const sim::Addr tag : {1, 2}) {
+            const bool dirty = tag == 2;
+            const std::uint64_t start = 100 * tag;
+            const std::uint64_t j = rig.expect.below(jitter);
+            const std::uint64_t cost = rig.execute(
+                Op::flush(sim::MemRef::load(OpRig::line(2, tag))), start,
+                ThreadStats{.flushes = 1});
+            EXPECT_EQ(cost, rig.uarch.mem_latency + OpRig::kOverhead + j +
+                                (dirty ? rig.uarch.wb_latency : 0));
+            const OpResult out = rig.result(tag, start);
+            EXPECT_EQ(out.kind, OpKind::Flush);
+            EXPECT_EQ(out.level, sim::HitLevel::Memory);
+            EXPECT_EQ(out.writebacks, 0u);
+            EXPECT_EQ(out.measured, 0u);
+        }
+    }
+}
+
+TEST(ExecuteOp, MeasureFlushReadsTheDirtyStall)
+{
+    for (const std::uint32_t jitter : kJitters) {
+        SCOPED_TRACE(jitter);
+        OpRig rig(jitter);
+        rig.h.access(sim::MemRef::load(OpRig::line(4, 1)));
+        rig.h.access(sim::MemRef::store(OpRig::line(4, 2)));
+        for (const sim::Addr tag : {1, 2}) {
+            const bool dirty = tag == 2;
+            const std::uint64_t start = 100 * tag;
+            const std::uint64_t j = rig.expect.below(jitter);
+            const std::uint32_t readout =
+                rig.model.flushMeasure(dirty, rig.expect);
+            const std::uint64_t cost = rig.execute(
+                Op::measureFlush(sim::MemRef::load(OpRig::line(4, tag))),
+                start, ThreadStats{.measures = 1, .flushes = 1});
+            EXPECT_EQ(cost, rig.uarch.mem_latency + OpRig::kOverhead + j +
+                                (dirty ? rig.uarch.wb_latency : 0));
+            const OpResult out = rig.result(tag, start);
+            EXPECT_EQ(out.kind, OpKind::MeasureFlush);
+            EXPECT_EQ(out.level,
+                      dirty ? sim::HitLevel::Memory : sim::HitLevel::L1);
+            EXPECT_EQ(out.writebacks, 0u);
+            EXPECT_EQ(out.measured, readout);
+        }
+    }
 }
 
 } // namespace

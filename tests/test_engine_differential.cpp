@@ -228,7 +228,8 @@ struct SlicedRun
  */
 SlicedRun
 runSlicedMultiCore(const SliceCell &cell, std::uint64_t seed,
-                   std::uint32_t noise_cores, bool per_event)
+                   std::uint32_t noise_cores, bool per_event,
+                   std::uint64_t max_cycles = EngineConfig{}.max_cycles)
 {
     sim::MultiCoreConfig mc;
     mc.cores = 2 + noise_cores;
@@ -282,6 +283,7 @@ runSlicedMultiCore(const SliceCell &cell, std::uint64_t seed,
     }
 
     EngineConfig ec;
+    ec.max_cycles = max_cycles;
     ec.seed = seed;
     ec.audit_every = 64;
     out.h = std::make_unique<sim::MultiCoreHierarchy>(mc);
@@ -291,6 +293,35 @@ runSlicedMultiCore(const SliceCell &cell, std::uint64_t seed,
         out.stats.push_back(engine.stats(t));
     out.next_draw = engine.rng()();
     return out;
+}
+
+/** Both runs left the same traces, clocks, draws, telemetry and
+ *  per-level counters (party, kernel and background thread ids). */
+void
+expectSameSlicedRun(const SlicedRun &ref, const SlicedRun &run)
+{
+    EXPECT_EQ(ref.end, run.end);
+    EXPECT_EQ(ref.next_draw, run.next_draw);
+    for (std::size_t i = 0; i < ref.party.size(); ++i)
+        expectSameTrace(*ref.party[i], *run.party[i]);
+    ASSERT_EQ(ref.stats.size(), run.stats.size());
+    for (std::size_t t = 0; t < ref.stats.size(); ++t)
+        EXPECT_TRUE(ref.stats[t] == run.stats[t]) << "thread " << t;
+    for (std::uint32_t c = 0; c < ref.h->cores(); ++c) {
+        for (sim::ThreadId t = 0; t < ref.stats.size(); ++t) {
+            expectSameCounters(ref.h->l1(c), run.h->l1(c), t);
+            expectSameCounters(ref.h->l2(c), run.h->l2(c), t);
+        }
+        for (sim::ThreadId t = 1000; t < 1004; ++t) {
+            expectSameCounters(ref.h->l1(c), run.h->l1(c), t);
+            expectSameCounters(ref.h->l2(c), run.h->l2(c), t);
+        }
+    }
+    for (sim::ThreadId t = 0; t < ref.stats.size(); ++t)
+        expectSameCounters(ref.h->llc(), run.h->llc(), t);
+    for (sim::ThreadId t = 1000; t < 1004; ++t)
+        expectSameCounters(ref.h->llc(), run.h->llc(), t);
+    EXPECT_EQ(ref.h->backInvalidations(), run.h->backInvalidations());
 }
 
 TEST(EngineDifferential, NestedTimeSliceMatchesPerEventMultiCore)
@@ -309,30 +340,32 @@ TEST(EngineDifferential, NestedTimeSliceMatchesPerEventMultiCore)
                 runSlicedMultiCore(cell, seed, noise_cores, false);
             SCOPED_TRACE(testing::Message() << "quantum " << cell.quantum
                                             << " seed " << seed);
-            EXPECT_EQ(ref.end, run.end);
-            EXPECT_EQ(ref.next_draw, run.next_draw);
-            for (std::size_t i = 0; i < ref.party.size(); ++i)
-                expectSameTrace(*ref.party[i], *run.party[i]);
-            ASSERT_EQ(ref.stats.size(), run.stats.size());
-            for (std::size_t t = 0; t < ref.stats.size(); ++t)
-                EXPECT_TRUE(ref.stats[t] == run.stats[t]) << "thread " << t;
-            for (std::uint32_t c = 0; c < ref.h->cores(); ++c) {
-                for (sim::ThreadId t = 0; t < ref.stats.size(); ++t) {
-                    expectSameCounters(ref.h->l1(c), run.h->l1(c), t);
-                    expectSameCounters(ref.h->l2(c), run.h->l2(c), t);
-                }
-                for (sim::ThreadId t = 1000; t < 1004; ++t) {
-                    expectSameCounters(ref.h->l1(c), run.h->l1(c), t);
-                    expectSameCounters(ref.h->l2(c), run.h->l2(c), t);
-                }
-            }
-            for (sim::ThreadId t = 0; t < ref.stats.size(); ++t)
-                expectSameCounters(ref.h->llc(), run.h->llc(), t);
-            for (sim::ThreadId t = 1000; t < 1004; ++t)
-                expectSameCounters(ref.h->llc(), run.h->llc(), t);
-            EXPECT_EQ(ref.h->backInvalidations(), run.h->backInvalidations());
+            expectSameSlicedRun(ref, run);
             EXPECT_GT(run.h->backInvalidations(), 0u);
         }
+    }
+}
+
+TEST(EngineDifferential, TickBoundSliceStopsAtMaxCycles)
+{
+    // Each 1,000-cycle tick's kernel burst misses this small LLC and
+    // lasts at least a tick period, so the next tick is due as soon as
+    // it ends: only max_cycles stops the tick loop, and it must end the
+    // slice and so the run, on the horizon side and the per-event side
+    // alike.
+    constexpr SliceCell kCell{20'000, 5'000, 1'000, 0.2};
+    constexpr std::uint64_t kMaxCycles = 100'000;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::uint32_t noise_cores = 1 + seed % 2;
+        const SlicedRun ref =
+            runSlicedMultiCore(kCell, seed, noise_cores, true, kMaxCycles);
+        const SlicedRun run =
+            runSlicedMultiCore(kCell, seed, noise_cores, false, kMaxCycles);
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        expectSameSlicedRun(ref, run);
+        EXPECT_GE(run.end, kMaxCycles);
+        // The primary (600 ops) never finished: the stop ended the run.
+        EXPECT_LT(run.party[3]->yieldTimes().size(), 600u);
     }
 }
 

@@ -2,11 +2,6 @@
  * @file
  * The Session per-bit fast path must never change results:
  *
- *  - the calibration memo returns byte-identical Calibrations to a
- *    fresh derivation for every uarch x channel x carrier (a fresh
- *    derivation is obtained on a new thread — the memo is
- *    thread_local), and keys on the numeric formula inputs, not the
- *    uarch's name;
  *  - the thread-local topology pool makes a reused (reset) hierarchy
  *    indistinguishable from a freshly constructed one, for both the
  *    single-core and the multi-core topology, also when the next
@@ -19,83 +14,12 @@
 
 #include <thread>
 
-#include "channel/calibration.hpp"
 #include "channel/session.hpp"
 
 using namespace lruleak;
 using namespace lruleak::channel;
 
 namespace {
-
-bool
-sameCalibration(const Calibration &a, const Calibration &b)
-{
-    return a.threshold == b.threshold && a.invert == b.invert &&
-           a.fast == b.fast && a.slow == b.slow;
-}
-
-/** Derive on a brand-new thread: its thread_local memo starts empty, so
- *  the first call is a guaranteed fresh derivation. */
-Calibration
-deriveFresh(const timing::Uarch &uarch, ChannelId id, Carrier carrier,
-            std::uint32_t ways)
-{
-    Calibration out;
-    std::thread worker([&] {
-        out = calibrationFor(uarch, id, carrier, ways);
-    });
-    worker.join();
-    return out;
-}
-
-TEST(CalibrationMemo, CachedMatchesFreshForEveryUarchChannelCarrier)
-{
-    const timing::Uarch uarchs[] = {timing::Uarch::intelXeonE52690(),
-                                    timing::Uarch::intelXeonE31245v5(),
-                                    timing::Uarch::amdEpyc7571()};
-    for (const timing::Uarch &uarch : uarchs) {
-        for (ChannelId id : allChannelIds()) {
-            for (Carrier carrier : {Carrier::L1, Carrier::Llc}) {
-                for (std::uint32_t ways : {8u, 16u}) {
-                    // First call derives and memoizes; the repeat is a
-                    // memo hit.
-                    const Calibration first =
-                        calibrationFor(uarch, id, carrier, ways);
-                    const Calibration cached =
-                        calibrationFor(uarch, id, carrier, ways);
-                    const Calibration fresh =
-                        deriveFresh(uarch, id, carrier, ways);
-                    EXPECT_TRUE(sameCalibration(first, cached))
-                        << uarch.name << " " << channelIdToken(id);
-                    EXPECT_TRUE(sameCalibration(cached, fresh))
-                        << uarch.name << " " << channelIdToken(id);
-                }
-            }
-        }
-    }
-}
-
-TEST(CalibrationMemo, KeysOnTimingNotOnName)
-{
-    // Two models sharing a name but differing in a formula input must
-    // not alias in the memo (tests build modified uarchs all the time).
-    const timing::Uarch base = timing::Uarch::intelXeonE52690();
-    timing::Uarch slow_llc = base;
-    slow_llc.llc_latency += 60;
-
-    const Calibration a = calibrationFor(base, ChannelId::XCoreLruAlg2,
-                                         Carrier::Llc, 16);
-    const Calibration b = calibrationFor(slow_llc, ChannelId::XCoreLruAlg2,
-                                         Carrier::Llc, 16);
-    EXPECT_NE(a.threshold, b.threshold);
-
-    // And the original's entry must have survived unchanged.
-    const Calibration a2 = calibrationFor(base, ChannelId::XCoreLruAlg2,
-                                          Carrier::Llc, 16);
-    EXPECT_TRUE(sameCalibration(a, a2));
-}
-
-// --------------------------------------------------------- topology pool
 
 void
 expectSameSession(const SessionResult &a, const SessionResult &b)
