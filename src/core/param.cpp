@@ -87,8 +87,14 @@ std::int64_t
 parseInt(const std::string &name, const std::string &text)
 {
     try {
+        // Decimal, or hexadecimal after 0x/0X: a leading zero is not
+        // octal.
+        const std::size_t digits = text.find_first_not_of(" \t\n\v\f\r+-");
+        const bool hex = digits != std::string::npos &&
+                         (text.compare(digits, 2, "0x") == 0 ||
+                          text.compare(digits, 2, "0X") == 0);
         std::size_t pos = 0;
-        const std::int64_t v = std::stoll(text, &pos, 0);
+        const std::int64_t v = std::stoll(text, &pos, hex ? 16 : 10);
         if (pos != text.size())
             throw std::invalid_argument("trailing characters");
         return v;

@@ -106,7 +106,8 @@ class ParamMap
 ParamMap resolveParams(const std::vector<ParamSpec> &specs,
                        const std::map<std::string, std::string> &overrides);
 
-/** Shared parsing primitives (also used by the CLI). */
+/** Shared parsing primitives (also used by the CLI).  parseInt reads
+ *  an optionally signed decimal, or hexadecimal after 0x/0X. */
 std::int64_t parseInt(const std::string &name, const std::string &text);
 double parseReal(const std::string &name, const std::string &text);
 bool parseFlag(const std::string &name, const std::string &text);

@@ -136,18 +136,6 @@ class Cache
     {
         return domain < sharp_alarms_.size() ? sharp_alarms_[domain] : 0;
     }
-    /** SHARP per-domain forced evictions (all ways foreign-owned). */
-    std::uint64_t
-    sharpForced(std::uint32_t domain) const
-    {
-        return domain < sharp_forced_.size() ? sharp_forced_[domain] : 0;
-    }
-    /** SHARP per-domain denied fills (forced eviction refused). */
-    std::uint64_t
-    sharpDenied(std::uint32_t domain) const
-    {
-        return domain < sharp_denied_.size() ? sharp_denied_[domain] : 0;
-    }
     std::uint64_t sharpAlarmsTotal() const;
     std::uint64_t sharpForcedTotal() const;
     std::uint64_t sharpDeniedTotal() const;
@@ -256,8 +244,6 @@ class Cache
                    : storage_index;
     }
 
-    SecureMode secureMode() const { return config_.secure; }
-    bool wayPredictorEnabled() const { return way_predictor_; }
     PlMode plMode() const { return shape_.pl_mode; }
 
   private:

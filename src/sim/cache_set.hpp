@@ -234,8 +234,6 @@ class ConstSetView
     std::uint32_t dirtyMask() const { return state_->dirty_mask; }
 
     PlMode plMode() const { return shape_->pl_mode; }
-    WriteHitPolicy writeHitPolicy() const { return shape_->write_hit; }
-    WriteMissPolicy writeMissPolicy() const { return shape_->write_miss; }
 
     /** Number of valid lines currently in the set. */
     std::uint32_t occupancy() const;
@@ -470,8 +468,6 @@ class CacheSet : private SetView
     using ConstSetView::probe;
     using ConstSetView::validMask;
     using ConstSetView::ways;
-    using ConstSetView::writeHitPolicy;
-    using ConstSetView::writeMissPolicy;
     using SetView::access;
     using SetView::accessSharp;
     using SetView::flushLine;

@@ -10,10 +10,6 @@
 #ifndef LRULEAK_SIM_WRITE_POLICY_HPP
 #define LRULEAK_SIM_WRITE_POLICY_HPP
 
-#include <stdexcept>
-#include <string>
-#include <string_view>
-
 namespace lruleak::sim {
 
 /** What a store hit does with the cached copy. */
@@ -47,30 +43,6 @@ writeMissPolicyName(WriteMissPolicy policy)
 {
     return policy == WriteMissPolicy::WriteAllocate ? "allocate"
                                                     : "noallocate";
-}
-
-inline WriteHitPolicy
-writeHitPolicyFromName(std::string_view name)
-{
-    if (name == "writeback" || name == "wb")
-        return WriteHitPolicy::WriteBack;
-    if (name == "writethrough" || name == "wt")
-        return WriteHitPolicy::WriteThrough;
-    throw std::invalid_argument("unknown write-hit policy '" +
-                                std::string(name) +
-                                "' (expected writeback|writethrough)");
-}
-
-inline WriteMissPolicy
-writeMissPolicyFromName(std::string_view name)
-{
-    if (name == "allocate" || name == "wa")
-        return WriteMissPolicy::WriteAllocate;
-    if (name == "noallocate" || name == "nwa")
-        return WriteMissPolicy::NoWriteAllocate;
-    throw std::invalid_argument("unknown write-miss policy '" +
-                                std::string(name) +
-                                "' (expected allocate|noallocate)");
 }
 
 } // namespace lruleak::sim

@@ -2,7 +2,8 @@
 # The numeric options of `lruleak trace-gen` and `lruleak bench` parse
 # whole values only: trailing characters, a negative seed, a zero count
 # or a write fraction outside [0, 1] exit 2 with an error that names
-# the option, and trace-gen writes no trace.
+# the option, and trace-gen writes no trace.  A count with a leading
+# zero is decimal.
 #
 # Usage: tests/cli_trace_gen_options.sh path/to/lruleak
 set -eu
@@ -55,5 +56,13 @@ done
 lines=$(wc -l < "$dir/t.txt")
 if [ "$lines" -ne 12 ]; then
     echo "trace-gen --accesses=12 wrote $lines records" >&2
+    exit 1
+fi
+
+# A leading zero is decimal, not octal.
+"$lruleak" trace-gen gccmix "$dir/t.txt" --accesses=010 2> /dev/null
+lines=$(wc -l < "$dir/t.txt")
+if [ "$lines" -ne 10 ]; then
+    echo "trace-gen --accesses=010 wrote $lines records" >&2
     exit 1
 fi

@@ -2,8 +2,9 @@
  * @file
  * The random op script of the scheduler differentials: a thread program
  * that replays a pre-generated mix of accesses, measures, flushes and
- * relative spins and records every result and yield time, plus the
- * trace and per-thread counter comparisons the differentials share.
+ * relative spins and records every result and yield time, the trace
+ * comparison the differentials share, and the OS model of their
+ * time-slice grids.
  */
 
 #ifndef LRULEAK_TESTS_RANDOM_PROGRAM_HPP
@@ -15,8 +16,9 @@
 #include <map>
 #include <vector>
 
+#include "exec/engine.hpp"
 #include "exec/op.hpp"
-#include "sim/cache.hpp"
+#include "same_topology.hpp"
 #include "sim/random.hpp"
 
 namespace lruleak::differential {
@@ -122,16 +124,46 @@ expectSameTrace(const RandomProgram &a, const RandomProgram &b)
         EXPECT_EQ(a.yieldTimes()[i], b.yieldTimes()[i]) << i;
 }
 
-/** Same accesses, misses and write-backs of @p thread in one level. */
+/** Every RandomProgram two runs own, in own() order, left the same
+ *  trace. */
 inline void
-expectSameCounters(const sim::Cache &a, const sim::Cache &b,
-                   sim::ThreadId thread)
+expectSameTraces(const compare::RunEnd &a, const compare::RunEnd &b)
 {
-    const auto sa = a.counters().forThread(thread);
-    const auto sb = b.counters().forThread(thread);
-    EXPECT_EQ(sa.accesses, sb.accesses);
-    EXPECT_EQ(sa.misses, sb.misses);
-    EXPECT_EQ(sa.writebacks, sb.writebacks);
+    ASSERT_EQ(a.programCount(), b.programCount());
+    for (std::size_t i = 0; i < a.programCount(); ++i) {
+        const RandomProgram *x = a.program<RandomProgram>(i);
+        const RandomProgram *y = b.program<RandomProgram>(i);
+        ASSERT_EQ(x == nullptr, y == nullptr) << "program " << i;
+        if (x != nullptr) {
+            SCOPED_TRACE(testing::Message() << "program " << i);
+            expectSameTrace(*x, *y);
+        }
+    }
+}
+
+/** One (quantum, jitter, tick) cell of a time-slice grid. */
+struct GridCell
+{
+    std::uint64_t quantum;
+    std::uint64_t quantum_jitter;
+    std::uint64_t tick_period;
+    double background_prob;
+};
+
+/** The OS model of one grid cell (small kernel/background footprints). */
+inline exec::TimeSlicePolicyConfig
+policyFor(const GridCell &cell)
+{
+    exec::TimeSlicePolicyConfig pc;
+    pc.quantum = cell.quantum;
+    pc.quantum_jitter = cell.quantum_jitter;
+    pc.switch_cost = 300;
+    pc.kernel_noise_lines = 8;
+    pc.background_prob = cell.background_prob;
+    pc.background_lines = 32;
+    pc.tick_period = cell.tick_period;
+    pc.tick_lines = 4;
+    return pc;
 }
 
 } // namespace lruleak::differential

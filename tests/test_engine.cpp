@@ -5,17 +5,22 @@
  * schedulers did not have (TimeSlice over N threads, TimeSlice per core
  * under LowestClock, an SMT pair of bare threads on one core of a
  * multi-core system), the consolidated exec::ThreadStats telemetry,
- * and Engine::executeOp's contract for every op kind: its cost, the
+ * the two-program shapes on one core (the hyper-threaded pair under
+ * LowestClock, suite SmtScheduler; quantum rotation, kernel noise,
+ * timer ticks and spins across slices under TimeSlice), and
+ * Engine::executeOp's contract for every op kind: its cost, the
  * OpResult, the ThreadStats delta and its RNG draws in order.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "exec/engine.hpp"
 #include "per_op_policy.hpp"
+#include "same_topology.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "timing/pointer_chase.hpp"
@@ -50,12 +55,52 @@ class StampingProgram : public ThreadProgram
     std::size_t limit_;
 };
 
+/** Issues a fixed list of ops, then Done; records results. */
+class ScriptProgram : public ThreadProgram
+{
+  public:
+    explicit ScriptProgram(std::vector<Op> ops = {}) : ops_(std::move(ops)) {}
+
+    Op
+    next(std::uint64_t) override
+    {
+        if (index_ >= ops_.size())
+            return Op::done();
+        return ops_[index_++];
+    }
+
+    void
+    onResult(const OpResult &result) override
+    {
+        results_.push_back(result);
+    }
+
+    std::vector<OpResult> results_;
+
+  private:
+    std::vector<Op> ops_;
+    std::size_t index_ = 0;
+};
+
+/** A StampingProgram limit no run reaches. */
+constexpr std::size_t kEndless = ~std::size_t{0};
+
+/** Static chain storage: Op::chain_levels views it (spans don't own). */
+const std::vector<sim::HitLevel> kChain7(7, sim::HitLevel::L1);
+const std::vector<sim::HitLevel> kChain1(1, sim::HitLevel::L1);
+
+/** The default slice length and jitter. */
+constexpr std::uint64_t kQuantum = TimeSlicePolicyConfig{}.quantum;
+constexpr std::uint64_t kJitter = TimeSlicePolicyConfig{}.quantum_jitter;
+
+/** No kernel noise, ticks or background process; slices of @p quantum
+ *  cycles plus up to @p jitter. */
 TimeSlicePolicyConfig
-quietSlices(std::uint64_t quantum)
+quietSlices(std::uint64_t quantum, std::uint64_t jitter = 0)
 {
     TimeSlicePolicyConfig pc;
     pc.quantum = quantum;
-    pc.quantum_jitter = 0;
+    pc.quantum_jitter = jitter;
     pc.background_prob = 0.0;
     pc.kernel_noise_lines = 0;
     pc.tick_lines = 0;
@@ -114,26 +159,10 @@ TEST(Engine, ThreadStatsCountOpsAndCycles)
     LowestClock policy;
     Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
 
-    class Mixed : public ThreadProgram
-    {
-      public:
-        Op
-        next(std::uint64_t now) override
-        {
-            switch (step_++) {
-              case 0: return Op::access(sim::MemRef::load(0x40));
-              case 1: return Op::flush(sim::MemRef::load(0x40));
-              case 2: return Op::spinUntil(now + 100);
-              case 3:
-                return Op::measure(sim::MemRef::load(0x40), chain_);
-              default: return Op::done();
-            }
-        }
-
-      private:
-        int step_ = 0;
-        std::vector<sim::HitLevel> chain_{sim::HitLevel::L1};
-    } mixed;
+    ScriptProgram mixed({Op::access(sim::MemRef::load(0x40)),
+                         Op::flush(sim::MemRef::load(0x40)),
+                         Op::spinUntil(10'000),
+                         Op::measure(sim::MemRef::load(0x40), kChain1)});
     StampingProgram other(0x80, 1);
     engine.run(mixed, other, /*primary=*/0);
 
@@ -265,43 +294,41 @@ TEST(LowestClock, BareThreadsStepLikeExplicitRoundRobinChildren)
     // ahead; that must replay exactly what an explicit per-op child per
     // core does: same op order (ties toward the lower core, then spec
     // order), same stop at max_cycles, beside a nested TimeSlice core.
-    struct Run
-    {
-        std::vector<std::vector<std::uint64_t>> stamps;
-        std::uint64_t now = 0;
-    };
     const auto run = [](bool explicit_children) {
-        sim::MultiCoreHierarchy h(sim::MultiCoreConfig{.cores = 4});
+        compare::RunEnd out(sim::MultiCoreConfig{.cores = 4});
         LowestClock policy;
         if (explicit_children) {
             for (std::uint32_t core : {0u, 1u, 3u})
                 policy.nest(core,
                             std::make_unique<reference::PerOpLowestClock>());
         }
-        policy.nest(2, std::make_unique<TimeSlice>(quietSlices(3'000)));
-        EngineConfig ec;
-        ec.max_cycles = 60'000;
-        Engine engine(h, timing::Uarch::intelXeonE52690(), policy, ec);
+        const TimeSlicePolicyConfig slices = quietSlices(3'000);
+        policy.nest(2, std::make_unique<TimeSlice>(slices));
+        Engine engine(out.multiCore(), timing::Uarch::intelXeonE52690(),
+                      policy, EngineConfig{.max_cycles = 60'000});
 
-        std::vector<StampingProgram> programs;
-        for (sim::Addr a : {0x1000, 0x1000, 0x2040, 0x3080, 0x4000, 0x50c0})
-            programs.emplace_back(a, 1'000'000);
-        const ThreadSpec specs[] = {{&programs[0], 3}, {&programs[1], 0},
-                                    {&programs[2], 0}, {&programs[3], 1},
-                                    {&programs[4], 2}, {&programs[5], 0}};
-        Run out;
-        out.now = engine.run(specs, /*primary=*/2);
-        for (const auto &p : programs)
-            out.stamps.push_back(p.stamps_);
+        std::vector<ThreadSpec> specs;
+        const std::uint32_t cores[] = {3, 0, 0, 1, 2, 0};
+        const sim::Addr addrs[] = {0x1000, 0x1000, 0x2040,
+                                   0x3080, 0x4000, 0x50c0};
+        for (std::size_t i = 0; i < 6; ++i)
+            specs.push_back(ThreadSpec{
+                &out.own(std::make_unique<StampingProgram>(addrs[i],
+                                                           1'000'000)),
+                cores[i]});
+        engine.run(specs, /*primary=*/2);
+        out.record(engine, {slices.kernel_thread, slices.background_thread});
         return out;
     };
-    const Run bare = run(false);
-    const Run nested = run(true);
-    EXPECT_EQ(bare.now, nested.now);
-    EXPECT_GE(bare.now, 60'000u); // stopped by max_cycles
-    for (std::size_t i = 0; i < bare.stamps.size(); ++i) {
-        EXPECT_GT(bare.stamps[i].size(), 0u) << "thread " << i;
-        EXPECT_EQ(bare.stamps[i], nested.stamps[i]) << "thread " << i;
+    const compare::RunEnd bare = run(false);
+    const compare::RunEnd nested = run(true);
+    compare::expectSameRun(bare, nested);
+    EXPECT_GE(bare.tsc, 60'000u); // stopped by max_cycles
+    for (std::size_t i = 0; i < bare.programCount(); ++i) {
+        const auto &stamps = bare.program<StampingProgram>(i)->stamps_;
+        EXPECT_GT(stamps.size(), 0u) << "thread " << i;
+        EXPECT_EQ(stamps, nested.program<StampingProgram>(i)->stamps_)
+            << "thread " << i;
     }
 }
 
@@ -320,21 +347,298 @@ TEST(Engine, DeterministicForSeed)
     EXPECT_EQ(run(3), run(3));
 }
 
-// ------------------------------------------------------ executeOp contract
+// ------------------------------------------- two programs, one core
 
-/** Finishes at once and records every OpResult delivered to it. */
-class ResultRecorder : public ThreadProgram
+TEST(SmtScheduler, RunsUntilPrimaryDone)
 {
-  public:
-    Op next(std::uint64_t) override { return Op::done(); }
-    void
-    onResult(const OpResult &result) override
-    {
-        results.push_back(result);
-    }
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    ScriptProgram receiver({Op::access(sim::MemRef::load(0x40)),
+                            Op::access(sim::MemRef::load(0x80))});
+    StampingProgram sender(0x4000, kEndless);
+    engine.run(sender, receiver, 1);
+    EXPECT_EQ(receiver.results_.size(), 2u);
+    // The sender ran too but did not block completion.
+    EXPECT_GT(sender.stamps_.size(), 0u);
+}
 
-    std::vector<OpResult> results;
-};
+TEST(SmtScheduler, DeliversHitLevels)
+{
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    ScriptProgram a({Op::access(sim::MemRef::load(0x40)),
+                     Op::access(sim::MemRef::load(0x40))});
+    ScriptProgram b;
+    engine.run(b, a, 1);
+    ASSERT_EQ(a.results_.size(), 2u);
+    EXPECT_EQ(a.results_[0].level, sim::HitLevel::Memory);
+    EXPECT_EQ(a.results_[1].level, sim::HitLevel::L1);
+}
+
+TEST(SmtScheduler, SpinAdvancesClock)
+{
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    ScriptProgram a({Op::spinUntil(100'000),
+                     Op::access(sim::MemRef::load(0x40))});
+    ScriptProgram b;
+    engine.run(b, a, 1);
+    ASSERT_EQ(a.results_.size(), 1u);
+    EXPECT_GE(a.results_[0].tsc, 100'000u);
+}
+
+TEST(SmtScheduler, StaleSpinDeadlineStillProgresses)
+{
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    // Deadline 0 is already past; the engine must not livelock.
+    ScriptProgram a({Op::spinUntil(0), Op::spinUntil(0),
+                     Op::access(sim::MemRef::load(0x40))});
+    ScriptProgram b;
+    const auto end = engine.run(b, a, 1);
+    EXPECT_EQ(a.results_.size(), 1u);
+    EXPECT_LT(end, 10'000u);
+}
+
+TEST(SmtScheduler, BothThreadsShareTheCache)
+{
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    // Thread 0 fetches a line; thread 1 then hits on the same line.
+    ScriptProgram warm({Op::access(sim::MemRef::load(0x40, 0))});
+    ScriptProgram probe({Op::spinUntil(10'000),
+                         Op::access(sim::MemRef::load(0x40, 1))});
+    engine.run(warm, probe, 1);
+    ASSERT_EQ(probe.results_.size(), 1u);
+    EXPECT_EQ(probe.results_[0].level, sim::HitLevel::L1);
+}
+
+TEST(SmtScheduler, MeasureUsesChainLevels)
+{
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    h.access(sim::MemRef::load(0x40)); // target warm in L1
+    ScriptProgram a({Op::measure(sim::MemRef::load(0x40), kChain7)});
+    ScriptProgram b;
+    engine.run(b, a, 1);
+    ASSERT_EQ(a.results_.size(), 1u);
+    EXPECT_EQ(a.results_[0].kind, OpKind::Measure);
+    // ~ chase_overhead + 8 * L1 = 35 cycles on the E5-2690 model.
+    EXPECT_NEAR(a.results_[0].measured, 35.0, 6.0);
+}
+
+TEST(SmtScheduler, FlushOpFlushesAllLevels)
+{
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    const auto ref = sim::MemRef::load(0x40);
+    h.access(ref);
+    ScriptProgram a({Op::flush(ref)});
+    ScriptProgram b;
+    engine.run(b, a, 1);
+    EXPECT_FALSE(h.inAnyLevel(ref));
+}
+
+TEST(SmtScheduler, DeterministicForSeed)
+{
+    auto run = [](std::uint64_t seed) {
+        sim::CacheHierarchy h;
+        LowestClock policy;
+        EngineConfig cfg;
+        cfg.seed = seed;
+        Engine engine(h, timing::Uarch::intelXeonE52690(), policy, cfg);
+        ScriptProgram a({Op::access(sim::MemRef::load(0x40)),
+                         Op::access(sim::MemRef::load(0x80)),
+                         Op::measure(sim::MemRef::load(0x40), kChain1)});
+        ScriptProgram b;
+        engine.run(b, a, 1);
+        return a.results_.back().measured;
+    };
+    EXPECT_EQ(run(5), run(5));
+}
+
+TEST(SmtScheduler, InterleavingIsFineGrained)
+{
+    // Both threads must make progress in overlapping time, not strictly
+    // one after the other.
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    StampingProgram sender(0x8000, kEndless);
+    ScriptProgram receiver({Op::spinUntil(5'000),
+                            Op::access(sim::MemRef::load(0x40))});
+    engine.run(sender, receiver, 1);
+    // In 5000 cycles at ~15 cycles/op the sender gets many ops in.
+    EXPECT_GT(sender.stamps_.size(), 100u);
+}
+
+TEST(SmtScheduler, MaxCyclesStopsRunawayRuns)
+{
+    sim::CacheHierarchy h;
+    LowestClock policy;
+    EngineConfig cfg;
+    cfg.max_cycles = 50'000;
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy, cfg);
+    StampingProgram forever_a(0x1000, kEndless);
+    StampingProgram forever_b(0x2000, kEndless);
+    const auto end = engine.run(forever_a, forever_b, 1);
+    EXPECT_LE(end, 60'000u);
+}
+
+TEST(TimeSlice, ThreadsAlternateByQuantum)
+{
+    sim::CacheHierarchy h;
+    const TimeSlicePolicyConfig cfg = quietSlices(100'000);
+    TimeSlice policy(cfg);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+
+    StampingProgram a(0x1000, 1'000'000);
+    StampingProgram b(0x2000, 20'000); // spans several slices
+    engine.run(a, b, 1);
+
+    // While B runs its slice, A must not issue: check that A's stamps
+    // have a gap of at least one quantum somewhere.
+    std::uint64_t max_gap = 0;
+    for (std::size_t i = 1; i < a.stamps_.size(); ++i)
+        max_gap = std::max(max_gap, a.stamps_[i] - a.stamps_[i - 1]);
+    EXPECT_GE(max_gap, cfg.quantum);
+}
+
+TEST(TimeSlice, PrimaryDoneStopsRun)
+{
+    sim::CacheHierarchy h;
+    TimeSlice policy(quietSlices(kQuantum, kJitter));
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    StampingProgram a(0x1000, 1'000'000); // effectively endless
+    StampingProgram b(0x2000, 10);
+    engine.run(a, b, 1);
+    EXPECT_EQ(b.stamps_.size(), 10u);
+}
+
+TEST(TimeSlice, KernelNoisePollutesCaches)
+{
+    sim::CacheHierarchy h;
+    TimeSlicePolicyConfig cfg = quietSlices(50'000, kJitter);
+    cfg.kernel_noise_lines = 64;
+    TimeSlice policy(cfg);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+    StampingProgram a(0x1000, 20'000);
+    StampingProgram b(0x2000, 100);
+    engine.run(a, b, 1);
+    const auto kstats = h.l1().counters().forThread(cfg.kernel_thread);
+    EXPECT_GT(kstats.accesses, 0u);
+}
+
+TEST(TimeSlice, TicksFireWhileSpinning)
+{
+    sim::CacheHierarchy h;
+    TimeSlicePolicyConfig cfg = quietSlices(kQuantum, kJitter);
+    cfg.tick_period = 10'000;
+    cfg.tick_lines = 8;
+    TimeSlice policy(cfg);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+
+    // One program spins for a long time; ticks must still pollute.
+    class Sleeper : public ThreadProgram
+    {
+      public:
+        Op
+        next(std::uint64_t now) override
+        {
+            if (done_)
+                return Op::done();
+            done_ = true;
+            return Op::spinUntil(now + 400'000);
+        }
+
+      private:
+        bool done_ = false;
+    } sleeper;
+    StampingProgram other(0x2000, 1);
+    engine.run(other, sleeper, 1);
+
+    const auto kstats = h.l1().counters().forThread(cfg.kernel_thread);
+    EXPECT_GT(kstats.accesses, 8u);
+}
+
+TEST(TimeSlice, BackgroundProcessStealsSlices)
+{
+    sim::CacheHierarchy h;
+    TimeSlicePolicyConfig cfg = quietSlices(20'000, kJitter);
+    cfg.background_prob = 1.0; // every contested slice goes to background
+    cfg.background_lines = 64;
+    StampingProgram a(0x1000, 10);
+    StampingProgram b(0x2000, 10);
+    // With background_prob = 1 neither a nor b ever runs; cap the run.
+    EngineConfig ec;
+    ec.max_cycles = 1'000'000;
+    TimeSlice policy(cfg);
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy, ec);
+    engine.run(a, b, 1);
+    EXPECT_EQ(b.stamps_.size(), 0u);
+    const auto bg = h.l1().counters().forThread(cfg.background_thread);
+    EXPECT_GT(bg.accesses, 0u);
+}
+
+TEST(TimeSlice, SpinCompletesAcrossSlices)
+{
+    sim::CacheHierarchy h;
+    TimeSlice policy(quietSlices(10'000));
+    Engine engine(h, timing::Uarch::intelXeonE52690(), policy);
+
+    class SleepThenAccess : public ThreadProgram
+    {
+      public:
+        Op
+        next(std::uint64_t now) override
+        {
+            if (state_ == 0) {
+                state_ = 1;
+                return Op::spinUntil(now + 100'000); // spans ~10 slices
+            }
+            if (state_ == 1) {
+                state_ = 2;
+                wake_ = now;
+                return Op::access(sim::MemRef::load(0x40, threadId()));
+            }
+            return Op::done();
+        }
+
+        int state_ = 0;
+        std::uint64_t wake_ = 0;
+    } sleeper;
+
+    StampingProgram other(0x2000, 1'000'000);
+    engine.run(other, sleeper, 1);
+    EXPECT_GE(sleeper.wake_, 100'000u);
+}
+
+TEST(TimeSlice, DeterministicForSeed)
+{
+    auto run = [](std::uint64_t seed) {
+        sim::CacheHierarchy h;
+        TimeSlicePolicyConfig cfg;
+        cfg.quantum = 30'000;
+        TimeSlice policy(cfg);
+        EngineConfig ec;
+        ec.seed = seed;
+        Engine engine(h, timing::Uarch::intelXeonE52690(), policy, ec);
+        StampingProgram a(0x1000, 100'000);
+        StampingProgram b(0x2000, 50);
+        return engine.run(a, b, 1);
+    };
+    EXPECT_EQ(run(7), run(7));
+    EXPECT_NE(run(7), run(8));
+}
+
+// ------------------------------------------------------ executeOp contract
 
 /**
  * One engine thread (index 0) on the default single-core hierarchy,
@@ -394,16 +698,16 @@ struct OpRig
     const OpResult &
     result(std::size_t ops, std::uint64_t start) const
     {
-        EXPECT_EQ(program.results.size(), ops);
-        EXPECT_EQ(program.results.back().tsc, start);
-        return program.results.back();
+        EXPECT_EQ(program.results_.size(), ops);
+        EXPECT_EQ(program.results_.back().tsc, start);
+        return program.results_.back();
     }
 
     sim::CacheHierarchy h;
     const timing::Uarch uarch = timing::Uarch::intelXeonE52690();
     const timing::MeasurementModel model{uarch};
     LowestClock policy;
-    ResultRecorder program;
+    ScriptProgram program; //!< done at once; records every OpResult
     Engine engine;
     sim::Xoshiro256 expect;
     std::uint32_t jitter;

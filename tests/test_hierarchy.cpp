@@ -17,7 +17,7 @@
 #include "same_topology.hpp"
 
 using namespace lruleak::sim;
-using lruleak::compare::expectSameCache;
+using lruleak::compare::expectSameHierarchy;
 using lruleak::compare::expectSameMultiCore;
 
 TEST(Hierarchy, ColdAccessGoesToMemoryAndFillsAllLevels)
@@ -448,16 +448,6 @@ expectRunMatchesAccess(const AddressLayout &l1, std::uint64_t seed, Run &&run,
     EXPECT_EQ(run_writebacks, writebacks) << what;
 }
 
-void
-expectSameHierarchy(const CacheHierarchy &a, const CacheHierarchy &b,
-                    const std::string &what)
-{
-    EXPECT_TRUE(a.config() == b.config()) << what;
-    expectSameCache(a.l1(), b.l1(), what + " L1");
-    expectSameCache(a.l2(), b.l2(), what + " L2");
-    expectSameCache(a.llc(), b.llc(), what + " LLC");
-}
-
 } // namespace
 
 TEST(HierarchyReset, NewSeedEqualsFreshConstruction)
@@ -479,6 +469,7 @@ TEST(HierarchyReset, NewSeedEqualsFreshConstruction)
         ASSERT_TRUE(sameTopology(used.config(), config));
         used.reset(config);
         CacheHierarchy fresh(config);
+        EXPECT_TRUE(used.config() == fresh.config()) << caseName(c);
         expectSameHierarchy(used, fresh, caseName(c));
 
         // Equal state must keep evolving identically: this also covers
@@ -490,6 +481,7 @@ TEST(HierarchyReset, NewSeedEqualsFreshConstruction)
                 return used.accessRun(refs, levels);
             },
             [&](const MemRef &r) { return fresh.access(r); }, caseName(c));
+        EXPECT_TRUE(used.config() == fresh.config()) << caseName(c);
         expectSameHierarchy(used, fresh, caseName(c) + " after traffic");
     }
 }

@@ -144,3 +144,14 @@ TEST(ParamMap, HexIntegersAccepted)
     const auto map = resolveParams(demoSpecs(), {{"trials", "0x10"}});
     EXPECT_EQ(map.getInt("trials"), 16);
 }
+
+TEST(ParamMap, LeadingZeroIsDecimal)
+{
+    EXPECT_EQ(resolveParams(demoSpecs(), {{"trials", "010"}}).getInt("trials"),
+              10);
+    EXPECT_EQ(resolveParams(demoSpecs(), {{"trials", "-010"}}).getInt("trials"),
+              -10);
+    EXPECT_EQ(resolveParams(demoSpecs(), {{"trials", "0X1f"}}).getInt("trials"),
+              31);
+    EXPECT_THROW(resolveParams(demoSpecs(), {{"trials", "08x"}}), ParamError);
+}

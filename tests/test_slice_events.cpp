@@ -3,8 +3,8 @@
  * Randomized differential suite for the TimeSlice slice-event fast
  * path: one TimeSlice step() runs every event its horizon admits (as a
  * root policy, the whole run), but the op order, every RNG draw, every
- * measured latency, the final clocks and the per-thread telemetry must
- * be identical to per-event stepping.  The per-event reference is the
+ * measured latency and the whole run end (compare::expectSameRun, in
+ * same_topology.hpp) must be identical to per-event stepping.  The per-event reference is the
  * same TimeSlice wrapped in reference::PerEvent, which hands it a closed
  * horizon on every call (per_op_policy.hpp); each run checks that the
  * wrapper really ran one event per call.  The suite sweeps
@@ -29,17 +29,17 @@
 #include "exec/engine.hpp"
 #include "per_op_policy.hpp"
 #include "random_program.hpp"
-#include "sim/hierarchy.hpp"
+#include "same_topology.hpp"
 #include "sim/multicore_hierarchy.hpp"
 #include "timing/uarch.hpp"
 
 using namespace lruleak;
 using namespace lruleak::exec;
+using compare::RunEnd;
+using differential::GridCell;
+using differential::policyFor;
 
 namespace {
-
-using differential::expectSameCounters;
-using differential::expectSameTrace;
 
 /** A random script with this suite's op mix and spin range. */
 std::unique_ptr<differential::RandomProgram>
@@ -47,41 +47,6 @@ randomProgram(std::uint64_t seed, std::size_t ops, sim::Addr base)
 {
     return std::make_unique<differential::RandomProgram>(
         seed, ops, base, differential::OpMix{55, 70, 80}, 700);
-}
-
-void
-expectSameStats(const ThreadStats &a, const ThreadStats &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.measures, b.measures);
-    EXPECT_EQ(a.flushes, b.flushes);
-    EXPECT_EQ(a.spins, b.spins);
-    EXPECT_EQ(a.busy_cycles, b.busy_cycles);
-}
-
-/** One (quantum, jitter, tick) cell of the differential grid. */
-struct GridCell
-{
-    std::uint64_t quantum;
-    std::uint64_t quantum_jitter;
-    std::uint64_t tick_period;
-    double background_prob;
-};
-
-/** The OS model of one grid cell (small kernel/background footprints). */
-TimeSlicePolicyConfig
-policyFor(const GridCell &cell)
-{
-    TimeSlicePolicyConfig pc;
-    pc.quantum = cell.quantum;
-    pc.quantum_jitter = cell.quantum_jitter;
-    pc.switch_cost = 300;
-    pc.kernel_noise_lines = 8;
-    pc.background_prob = cell.background_prob;
-    pc.background_lines = 32;
-    pc.tick_period = cell.tick_period;
-    pc.tick_lines = 4;
-    return pc;
 }
 
 /**
@@ -196,50 +161,45 @@ expectOneEventPerCall(const ArbitrationPolicy &policy, const Engine &engine)
     EXPECT_GT(per_event->steps(), ops);
 }
 
+/**
+ * Run @p p0 and @p p1 (the primary) on a CacheHierarchy built from
+ * @p hc under a TimeSlice of @p pc stepped as @p stepping (a
+ * HorizonParent draws from ec.seed).  The record owns both programs and
+ * names the slice's kernel and background ids.
+ */
+RunEnd
+runSliced(std::unique_ptr<ThreadProgram> p0,
+          std::unique_ptr<ThreadProgram> p1, const TimeSlicePolicyConfig &pc,
+          Stepping stepping, const EngineConfig &ec,
+          const sim::HierarchyConfig &hc = {},
+          const timing::Uarch &uarch = timing::Uarch::intelXeonE52690())
+{
+    RunEnd out(hc);
+    ThreadProgram &t0 = out.own(std::move(p0));
+    ThreadProgram &t1 = out.own(std::move(p1));
+    const auto policy = timeSlicePolicy(pc, stepping, ec.seed);
+    Engine engine(out.hierarchy(), uarch, *policy, ec);
+    engine.run(t0, t1, 1);
+    expectOneEventPerCall(*policy, engine);
+    out.record(engine, {pc.kernel_thread, pc.background_thread});
+    return out;
+}
+
 /** Run both stepping modes for one config+seed; compare everything. */
 void
 runCell(const GridCell &cell, std::uint64_t seed)
 {
-    const TimeSlicePolicyConfig base = policyFor(cell);
-
-    struct RunOut
-    {
-        std::unique_ptr<differential::RandomProgram> p0, p1;
-        std::unique_ptr<sim::CacheHierarchy> h;
-        std::uint64_t end = 0;
-        ThreadStats s0, s1;
-    };
     auto run = [&](Stepping stepping) {
-        RunOut out;
-        out.p0 = randomProgram(seed * 17, 1500, 0x10000);
-        out.p1 = randomProgram(seed * 19, 1200, 0x50000);
-        out.h = std::make_unique<sim::CacheHierarchy>();
-        const auto policy = timeSlicePolicy(base, stepping);
-        EngineConfig ec;
-        ec.seed = seed;
-        Engine engine(*out.h, timing::Uarch::intelXeonE52690(), *policy, ec);
-        out.end = engine.run(*out.p0, *out.p1, 1);
-        out.s0 = engine.stats(0);
-        out.s1 = engine.stats(1);
-        expectOneEventPerCall(*policy, engine);
-        return out;
+        return runSliced(randomProgram(seed * 17, 1500, 0x10000),
+                         randomProgram(seed * 19, 1200, 0x50000),
+                         policyFor(cell), stepping, {.seed = seed});
     };
-
-    const RunOut per_op = run(Stepping::PerEvent);
-    const RunOut sliced = run(Stepping::Root);
-
-    EXPECT_EQ(per_op.end, sliced.end)
-        << "quantum " << cell.quantum << " seed " << seed;
-    expectSameTrace(*per_op.p0, *sliced.p0);
-    expectSameTrace(*per_op.p1, *sliced.p1);
-    expectSameStats(per_op.s0, sliced.s0);
-    expectSameStats(per_op.s1, sliced.s1);
-    for (sim::ThreadId t : {sim::ThreadId{0}, sim::ThreadId{1},
-                            base.kernel_thread, base.background_thread}) {
-        expectSameCounters(per_op.h->l1(), sliced.h->l1(), t);
-        expectSameCounters(per_op.h->l2(), sliced.h->l2(), t);
-        expectSameCounters(per_op.h->llc(), sliced.h->llc(), t);
-    }
+    const RunEnd per_op = run(Stepping::PerEvent);
+    const RunEnd sliced = run(Stepping::Root);
+    SCOPED_TRACE(testing::Message() << "quantum " << cell.quantum << " seed "
+                                    << seed);
+    compare::expectSameRun(per_op, sliced);
+    differential::expectSameTraces(per_op, sliced);
 }
 
 /** The differential grid: quantum, jitter, tick and background mixes. */
@@ -354,18 +314,8 @@ randomFoldCase(sim::ReplPolicyKind policy, std::uint64_t seed)
     return c;
 }
 
-/** Everything a fold could perturb, after one run. */
-struct FoldRun
-{
-    std::unique_ptr<CountingSender> sender;
-    std::unique_ptr<channel::LruReceiver> receiver;
-    std::unique_ptr<sim::CacheHierarchy> h;
-    std::uint64_t end = 0;
-    ThreadStats s0, s1;
-    std::uint64_t next_draw = 0;
-};
-
-FoldRun
+/** One FoldCase run: the sender is program 0, the receiver program 1. */
+RunEnd
 runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
             Stepping stepping)
 {
@@ -375,23 +325,18 @@ runFoldCase(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
     hc.l1_way_predictor = c.way_predictor;
     const channel::ChannelLayout layout(hc.l1, 7, 63, c.shared_same_vaddr);
 
-    FoldRun out;
-    out.sender = std::make_unique<CountingSender>(layout, c.sender);
-    out.receiver = std::make_unique<channel::LruReceiver>(layout, c.receiver);
-    out.h = std::make_unique<sim::CacheHierarchy>(hc);
-    const auto policy = timeSlicePolicy(policyFor(cell), stepping, seed);
-    EngineConfig ec;
-    ec.seed = seed;
-    Engine engine(*out.h,
-                  c.way_predictor ? timing::Uarch::amdEpyc7571()
-                                  : timing::Uarch::intelXeonE52690(),
-                  *policy, ec);
-    out.end = engine.run(*out.sender, *out.receiver, 1);
-    out.s0 = engine.stats(0);
-    out.s1 = engine.stats(1);
-    out.next_draw = engine.rng()();
-    expectOneEventPerCall(*policy, engine);
-    return out;
+    return runSliced(
+        std::make_unique<CountingSender>(layout, c.sender),
+        std::make_unique<channel::LruReceiver>(layout, c.receiver),
+        policyFor(cell), stepping, {.seed = seed}, hc,
+        c.way_predictor ? timing::Uarch::amdEpyc7571()
+                        : timing::Uarch::intelXeonE52690());
+}
+
+const CountingSender &
+senderOf(const RunEnd &run)
+{
+    return *run.program<CountingSender>(0);
 }
 
 /** next() calls the sender saw per-event and folded. */
@@ -408,8 +353,8 @@ expectFoldExact(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
                 Stepping stepping = Stepping::Root,
                 Stepping reference = Stepping::PerEvent)
 {
-    const FoldRun per_op = runFoldCase(c, cell, seed, reference);
-    const FoldRun folded = runFoldCase(c, cell, seed, stepping);
+    const RunEnd per_op = runFoldCase(c, cell, seed, reference);
+    const RunEnd folded = runFoldCase(c, cell, seed, stepping);
     SCOPED_TRACE(testing::Message()
                  << sim::replPolicyName(c.policy) << " quantum "
                  << cell.quantum << " seed " << seed << " ts "
@@ -417,28 +362,19 @@ expectFoldExact(const FoldCase &c, const GridCell &cell, std::uint64_t seed,
                  << " stack " << c.sender.stack_lines << " bits "
                  << c.sender.message.size() << " wp " << c.way_predictor);
 
-    EXPECT_EQ(per_op.end, folded.end);
-    const auto &a = per_op.receiver->samples();
-    const auto &b = folded.receiver->samples();
+    compare::expectSameRun(per_op, folded);
+    const auto &a = per_op.program<channel::LruReceiver>(1)->samples();
+    const auto &b = folded.program<channel::LruReceiver>(1)->samples();
     EXPECT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
         EXPECT_EQ(a[i].tsc, b[i].tsc) << i;
         EXPECT_EQ(a[i].latency, b[i].latency) << i;
         EXPECT_EQ(a[i].level, b[i].level) << i;
     }
-    expectSameStats(per_op.s0, folded.s0);
-    expectSameStats(per_op.s1, folded.s1);
-    const TimeSlicePolicyConfig pc = policyFor(cell);
-    for (sim::ThreadId t : {channel::kSenderThread, channel::kReceiverThread,
-                            pc.kernel_thread, pc.background_thread}) {
-        expectSameCounters(per_op.h->l1(), folded.h->l1(), t);
-        expectSameCounters(per_op.h->l2(), folded.h->l2(), t);
-        expectSameCounters(per_op.h->llc(), folded.h->llc(), t);
-    }
-    EXPECT_EQ(per_op.sender->encodeLevels(), folded.sender->encodeLevels());
-    EXPECT_EQ(per_op.next_draw, folded.next_draw);
-    EXPECT_LE(folded.sender->calls(), per_op.sender->calls());
-    return {per_op.sender->calls(), folded.sender->calls()};
+    EXPECT_EQ(senderOf(per_op).encodeLevels(),
+              senderOf(folded).encodeLevels());
+    EXPECT_LE(senderOf(folded).calls(), senderOf(per_op).calls());
+    return {senderOf(per_op).calls(), senderOf(folded).calls()};
 }
 
 TEST(SteadyFold, SenderMatchesPerOpSteppingAcrossQuantumGrid)
@@ -594,48 +530,20 @@ TEST(SteadyFold, StoresMatchPerOpSteppingUnderEveryWritePolicy)
             const std::uint64_t gap = 500 + rng.below(5'000);
             const std::uint64_t period = 300 + rng.below(10'000);
 
-            struct Out
-            {
-                std::unique_ptr<StoreLoop> loop;
-                std::unique_ptr<differential::RandomProgram> other;
-                std::unique_ptr<sim::CacheHierarchy> h;
-                std::uint64_t end = 0;
-                ThreadStats s0, s1;
-                std::uint64_t next_draw = 0;
-            };
             auto run = [&](Stepping stepping) {
-                Out out;
-                out.loop = std::make_unique<StoreLoop>(refs, gap, period);
-                out.other = randomProgram(seed * 23, 600, 0x50000);
-                out.h = std::make_unique<sim::CacheHierarchy>(hc);
-                const auto policy =
-                    timeSlicePolicy(policyFor(cell), stepping);
-                EngineConfig ec;
-                ec.seed = seed;
-                Engine engine(*out.h, timing::Uarch::intelXeonE52690(),
-                              *policy, ec);
-                out.end = engine.run(*out.loop, *out.other, 1);
-                out.s0 = engine.stats(0);
-                out.s1 = engine.stats(1);
-                out.next_draw = engine.rng()();
-                expectOneEventPerCall(*policy, engine);
-                return out;
+                return runSliced(
+                    std::make_unique<StoreLoop>(refs, gap, period),
+                    randomProgram(seed * 23, 600, 0x50000), policyFor(cell),
+                    stepping, {.seed = seed}, hc);
             };
-            const Out per_op = run(Stepping::PerEvent);
-            const Out folded = run(Stepping::Root);
+            const RunEnd per_op = run(Stepping::PerEvent);
+            const RunEnd folded = run(Stepping::Root);
             SCOPED_TRACE(testing::Message() << "quantum " << cell.quantum
                                             << " case " << case_seed);
-            EXPECT_EQ(per_op.end, folded.end);
-            EXPECT_TRUE(*per_op.loop == *folded.loop);
-            expectSameTrace(*per_op.other, *folded.other);
-            expectSameStats(per_op.s0, folded.s0);
-            expectSameStats(per_op.s1, folded.s1);
-            for (sim::ThreadId t : {sim::ThreadId{0}, sim::ThreadId{1}}) {
-                expectSameCounters(per_op.h->l1(), folded.h->l1(), t);
-                expectSameCounters(per_op.h->l2(), folded.h->l2(), t);
-                expectSameCounters(per_op.h->llc(), folded.h->llc(), t);
-            }
-            EXPECT_EQ(per_op.next_draw, folded.next_draw);
+            compare::expectSameRun(per_op, folded);
+            differential::expectSameTraces(per_op, folded);
+            EXPECT_TRUE(*per_op.program<StoreLoop>(0) ==
+                        *folded.program<StoreLoop>(0));
         }
     }
 }
@@ -730,26 +638,13 @@ class SpinLoop : public ThreadProgram
     std::uint64_t early_calls_ = 0;
 };
 
-/** One SpinLoop against a short RandomProgram, on one core. */
-struct SpinRun
-{
-    std::unique_ptr<SpinLoop> loop;
-    std::unique_ptr<differential::RandomProgram> other;
-    std::unique_ptr<sim::CacheHierarchy> h;
-    std::uint64_t end = 0;
-    ThreadStats s0, s1;
-    std::uint64_t clock = 0;
-    std::uint64_t spin_until = 0;
-    std::uint64_t next_draw = 0;
-};
-
 /**
  * Fold against per-op stepping, the loop first: its whole first slice
  * (quantum @p quantum, ticks every @p tick), then the other program's,
  * which ends the run.  Compares everything the fold writes.  Returns
  * the folded run.
  */
-SpinRun
+RunEnd
 expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
                     std::uint64_t quantum, std::uint64_t tick,
                     std::uint64_t limit)
@@ -758,49 +653,28 @@ expectSpinFoldExact(std::size_t n_refs, std::uint32_t jitter,
     std::vector<sim::MemRef> refs;
     for (std::size_t i = 0; i < n_refs; ++i)
         refs.push_back(sim::MemRef::load(0x20000 + (5 + i * 64) * 64));
+    TimeSlicePolicyConfig pc = policyFor(GridCell{quantum, 0, tick, 0.0});
+    // One kernel line, in set 0: ticks cost a few L1 hits and never
+    // evict the loop's lines (set 5), so only the bounds and the limit
+    // can stop a fold.
+    pc.kernel_footprint_lines = 1;
     auto run = [&](Stepping stepping) {
-        SpinRun out;
-        out.loop = std::make_unique<SpinLoop>(refs, 20'000, kPeriod, limit);
-        out.other = randomProgram(7, 40, 0x50000);
-        out.h = std::make_unique<sim::CacheHierarchy>();
-        TimeSlicePolicyConfig pc = policyFor(GridCell{quantum, 0, tick, 0.0});
-        // One kernel line, in set 0: ticks cost a few L1 hits and never
-        // evict the loop's lines (set 5), so only the bounds and the
-        // limit can stop a fold.
-        pc.kernel_footprint_lines = 1;
-        const auto policy = timeSlicePolicy(pc, stepping);
-        EngineConfig ec;
-        ec.seed = 5;
-        ec.jitter = jitter;
-        Engine engine(*out.h, timing::Uarch::intelXeonE52690(), *policy, ec);
-        out.end = engine.run(*out.loop, *out.other, 1);
-        out.s0 = engine.stats(0);
-        out.s1 = engine.stats(1);
-        out.clock = engine.thread(0).clock;
-        out.spin_until = engine.thread(0).spin_until;
-        out.next_draw = engine.rng()();
-        expectOneEventPerCall(*policy, engine);
-        return out;
+        return runSliced(
+            std::make_unique<SpinLoop>(refs, 20'000, kPeriod, limit),
+            randomProgram(7, 40, 0x50000), pc, stepping,
+            {.jitter = jitter, .seed = 5});
     };
-    const SpinRun per_op = run(Stepping::PerEvent);
-    SpinRun folded = run(Stepping::Root);
+    const RunEnd per_op = run(Stepping::PerEvent);
+    RunEnd folded = run(Stepping::Root);
     SCOPED_TRACE(testing::Message()
                  << "refs " << n_refs << " jitter " << jitter << " quantum "
                  << quantum << " tick " << tick << " limit " << limit);
-    EXPECT_EQ(per_op.end, folded.end);
-    EXPECT_TRUE(*per_op.loop == *folded.loop);
-    expectSameTrace(*per_op.other, *folded.other);
-    expectSameStats(per_op.s0, folded.s0);
-    expectSameStats(per_op.s1, folded.s1);
-    EXPECT_EQ(per_op.clock, folded.clock);
-    EXPECT_EQ(per_op.spin_until, folded.spin_until);
-    for (sim::ThreadId t : {sim::ThreadId{0}, sim::ThreadId{1},
-                            TimeSlicePolicyConfig{}.kernel_thread}) {
-        expectSameCounters(per_op.h->l1(), folded.h->l1(), t);
-        expectSameCounters(per_op.h->l2(), folded.h->l2(), t);
-    }
-    EXPECT_EQ(per_op.next_draw, folded.next_draw);
-    EXPECT_GT(per_op.loop->earlyCalls(), folded.loop->earlyCalls());
+    compare::expectSameRun(per_op, folded);
+    differential::expectSameTraces(per_op, folded);
+    const SpinLoop &per_op_loop = *per_op.program<SpinLoop>(0);
+    const SpinLoop &folded_loop = *folded.program<SpinLoop>(0);
+    EXPECT_TRUE(per_op_loop == folded_loop);
+    EXPECT_GT(per_op_loop.earlyCalls(), folded_loop.earlyCalls());
     return folded;
 }
 
@@ -812,11 +686,11 @@ TEST(SteadyFold, SpinBoundMatchesPerOpSteppingWithBoundsOnDeadlines)
     // The limit falls one cycle after the start of period 23.
     for (std::uint32_t jitter : {0u, 1u, 4u}) {
         for (std::size_t n = 0; n <= 3; ++n) {
-            const SpinRun folded = expectSpinFoldExact(
+            const RunEnd folded = expectSpinFoldExact(
                 n, jitter, 300'000, 60'000, 23 * 6'000 + 1);
             // Only the first iteration, and nothing past it, steps
             // per-op: the limit and every bound cost no extra op.
-            EXPECT_EQ(folded.loop->earlyCalls(), n + 1)
+            EXPECT_EQ(folded.program<SpinLoop>(0)->earlyCalls(), n + 1)
                 << "refs " << n << " jitter " << jitter;
         }
     }
@@ -843,8 +717,8 @@ TEST(SteadyFold, SoleNestedChildFoldsLikeRoot)
             const FoldCase c = randomFoldCase(kind, ++case_seed);
             const SenderCalls nested =
                 expectFoldExact(c, cell, 1, Stepping::SoleChild);
-            const FoldRun root = runFoldCase(c, cell, 1, Stepping::Root);
-            EXPECT_EQ(nested.folded, root.sender->calls())
+            const RunEnd root = runFoldCase(c, cell, 1, Stepping::Root);
+            EXPECT_EQ(nested.folded, senderOf(root).calls())
                 << sim::replPolicyName(kind) << " quantum " << cell.quantum;
         }
     }

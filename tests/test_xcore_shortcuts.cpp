@@ -15,10 +15,11 @@
  *    through a DAWG level with one domain, which partitions nothing and
  *    takes the general set path.
  *
- * Both compare everything the shortcut could disturb: every set of
- * every level, the perf counters, the write-back counts, and for the
- * engine the thread clocks, ThreadStats, the RNG state and its next
- * draw.
+ * Both compare everything the shortcut could disturb through the one
+ * run comparison (same_topology.hpp): every set of every level, the
+ * perf counters, the write-back counts, and for the engine
+ * (compare::expectSameRun) the thread clocks, spin deadlines, done
+ * flags, ThreadStats, the RNG state and its next draw.
  */
 
 #include <gtest/gtest.h>
@@ -31,8 +32,6 @@
 #include "exec/engine.hpp"
 #include "per_op_policy.hpp"
 #include "same_topology.hpp"
-#include "sim/hierarchy.hpp"
-#include "sim/multicore_hierarchy.hpp"
 #include "sim/random.hpp"
 #include "timing/uarch.hpp"
 
@@ -40,8 +39,7 @@ using namespace lruleak;
 using namespace lruleak::exec;
 using sim::MultiCoreConfig;
 using sim::MultiCoreHierarchy;
-using compare::expectSameCache;
-using compare::expectSameMultiCore;
+using compare::RunEnd;
 
 namespace {
 
@@ -102,95 +100,37 @@ class TickProgram : public ThreadProgram
     std::size_t ops_ = 0;
 };
 
-/** What a run leaves behind: the engine's state and the topology it
- *  drove (`topology` across cores, `hierarchy` on one core). */
-struct RunState
-{
-    std::vector<std::uint64_t> clocks;
-    std::vector<ThreadStats> stats;
-    std::vector<bool> done;
-    sim::Xoshiro256 rng{0};
-    std::uint64_t now = 0;
-    std::unique_ptr<MultiCoreHierarchy> topology;
-    std::unique_ptr<sim::CacheHierarchy> hierarchy;
-};
-
-/** Copy the engine's thread clocks, ThreadStats, done flags and RNG
- *  after a run that returned @p now. */
-void
-capture(Engine &engine, std::uint64_t now, RunState &out)
-{
-    out.now = now;
-    for (unsigned i = 0; i < engine.threadCount(); ++i) {
-        out.clocks.push_back(engine.thread(i).clock);
-        out.stats.push_back(engine.thread(i).stats);
-        out.done.push_back(engine.thread(i).done);
-    }
-    out.rng = engine.rng();
-}
-
 /**
  * Run one thread per (core, limit) under LowestClock, bare
  * (@p per_op false: run-ahead) or each core under a one-thread nested
  * reference::PerOpLowestClock (@p per_op true: one op per step).
  */
-RunState
+RunEnd
 runCores(bool per_op, const std::vector<std::size_t> &limits,
          unsigned primary, std::uint64_t max_cycles,
          std::uint64_t period = 200)
 {
     const auto cores = static_cast<std::uint32_t>(limits.size());
-    RunState out;
-    out.topology =
-        std::make_unique<MultiCoreHierarchy>(smallTopology(cores));
+    RunEnd out(smallTopology(cores));
     LowestClock policy;
     if (per_op) {
         for (std::uint32_t c = 0; c < cores; ++c)
             policy.nest(c,
                         std::make_unique<reference::PerOpLowestClock>());
     }
-    EngineConfig ec;
-    ec.max_cycles = max_cycles;
-    ec.seed = 7;
-    Engine engine(*out.topology, timing::Uarch::intelXeonE52690(), policy, ec);
+    const EngineConfig ec{.max_cycles = max_cycles, .seed = 7};
+    Engine engine(out.multiCore(), timing::Uarch::intelXeonE52690(), policy,
+                  ec);
 
-    std::vector<std::unique_ptr<TickProgram>> programs;
     std::vector<ThreadSpec> specs;
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        programs.push_back(
-            std::make_unique<TickProgram>(100 + c, limits[c], period));
-        specs.push_back(ThreadSpec{programs.back().get(), c});
-    }
-    capture(engine, engine.run(specs, primary), out);
+    for (std::uint32_t c = 0; c < cores; ++c)
+        specs.push_back(ThreadSpec{
+            &out.own(std::make_unique<TickProgram>(100 + c, limits[c],
+                                                   period)),
+            c});
+    engine.run(specs, primary);
+    out.record(engine);
     return out;
-}
-
-void
-expectSameRun(const RunState &ahead, const RunState &per_op,
-              const std::string &what)
-{
-    EXPECT_EQ(ahead.now, per_op.now) << what;
-    EXPECT_EQ(ahead.clocks, per_op.clocks) << what;
-    EXPECT_EQ(ahead.done, per_op.done) << what;
-    ASSERT_EQ(ahead.stats.size(), per_op.stats.size()) << what;
-    for (std::size_t i = 0; i < ahead.stats.size(); ++i)
-        EXPECT_TRUE(ahead.stats[i] == per_op.stats[i])
-            << what << " thread " << i;
-    EXPECT_TRUE(ahead.rng == per_op.rng) << what;
-    sim::Xoshiro256 a = ahead.rng, b = per_op.rng;
-    EXPECT_EQ(a(), b()) << what << " next draw";
-    const auto threads = static_cast<std::uint32_t>(ahead.clocks.size());
-    if (ahead.topology) {
-        expectSameMultiCore(*ahead.topology, *per_op.topology, what,
-                            threads);
-        return;
-    }
-    expectSameCache(ahead.hierarchy->l1(), per_op.hierarchy->l1(),
-                    what + " L1", threads);
-    expectSameCache(ahead.hierarchy->l2(), per_op.hierarchy->l2(),
-                    what + " L2", threads);
-    expectSameCache(ahead.hierarchy->llc(), per_op.hierarchy->llc(),
-                    what + " LLC", threads);
 }
 
 } // namespace
@@ -203,10 +143,10 @@ TEST(LowestClockRunAhead, TiedClocksAcrossChildren)
         const std::vector<std::size_t> limits{20'000, 20'000, 20'000,
                                               20'000};
         const std::string what = "period " + std::to_string(period);
-        const RunState ahead = runCores(false, limits, 3, ~0ULL, period);
-        const RunState per_op = runCores(true, limits, 3, ~0ULL, period);
-        expectSameRun(ahead, per_op, what);
-        EXPECT_TRUE(ahead.done[3]) << what;
+        const RunEnd ahead = runCores(false, limits, 3, ~0ULL, period);
+        const RunEnd per_op = runCores(true, limits, 3, ~0ULL, period);
+        compare::expectSameRun(ahead, per_op, what);
+        EXPECT_TRUE(ahead.threads[3].done) << what;
     }
 }
 
@@ -218,10 +158,10 @@ TEST(LowestClockRunAhead, PrimaryFinishesInsideRun)
         std::vector<std::size_t> limits{50'000, 50'000, 50'000};
         limits[primary] = 777;
         const std::string what = "primary " + std::to_string(primary);
-        const RunState ahead = runCores(false, limits, primary, ~0ULL);
-        const RunState per_op = runCores(true, limits, primary, ~0ULL);
-        expectSameRun(ahead, per_op, what);
-        EXPECT_TRUE(ahead.done[primary]) << what;
+        const RunEnd ahead = runCores(false, limits, primary, ~0ULL);
+        const RunEnd per_op = runCores(true, limits, primary, ~0ULL);
+        compare::expectSameRun(ahead, per_op, what);
+        EXPECT_TRUE(ahead.threads[primary].done) << what;
     }
 }
 
@@ -238,11 +178,11 @@ TEST(LowestClockRunAhead, MaxCyclesCrossedInsideRun)
             const std::string what =
                 "max_cycles " + std::to_string(max_cycles) + " limit0 " +
                 std::to_string(limits[0]);
-            const RunState ahead = runCores(false, limits, 1, max_cycles);
-            const RunState per_op = runCores(true, limits, 1, max_cycles);
-            expectSameRun(ahead, per_op, what);
-            EXPECT_GE(ahead.now, max_cycles) << what;
-            EXPECT_FALSE(ahead.done[1]) << what;
+            const RunEnd ahead = runCores(false, limits, 1, max_cycles);
+            const RunEnd per_op = runCores(true, limits, 1, max_cycles);
+            compare::expectSameRun(ahead, per_op, what);
+            EXPECT_GE(ahead.tsc, max_cycles) << what;
+            EXPECT_FALSE(ahead.threads[1].done) << what;
         }
     }
 }
@@ -252,11 +192,11 @@ TEST(LowestClockRunAhead, ChildAlreadyDone)
     // A child that finished early drops out of the scan; the others
     // keep running ahead of each other around it.
     const std::vector<std::size_t> limits{300, 30'000, 5, 30'000};
-    const RunState ahead = runCores(false, limits, 3, ~0ULL);
-    const RunState per_op = runCores(true, limits, 3, ~0ULL);
-    expectSameRun(ahead, per_op, "done children");
-    EXPECT_TRUE(ahead.done[0]);
-    EXPECT_TRUE(ahead.done[2]);
+    const RunEnd ahead = runCores(false, limits, 3, ~0ULL);
+    const RunEnd per_op = runCores(true, limits, 3, ~0ULL);
+    compare::expectSameRun(ahead, per_op, "done children");
+    EXPECT_TRUE(ahead.threads[0].done);
+    EXPECT_TRUE(ahead.threads[2].done);
 }
 
 // ------------------------------------ LowestClock run-ahead on one core
@@ -311,7 +251,7 @@ using Programs = std::vector<std::unique_ptr<ThreadProgram>>;
  * reference::PerOpLowestClock (@p per_op true).  @p pl sets the L1's
  * PL-cache mode.
  */
-RunState
+RunEnd
 runOneCore(bool per_op, const std::function<Programs()> &make,
            unsigned primary, std::uint64_t max_cycles = ~0ULL,
            sim::PlMode pl = sim::PlMode::Disabled)
@@ -322,35 +262,32 @@ runOneCore(bool per_op, const std::function<Programs()> &make,
     hc.l2 = small.l2;
     hc.llc = small.llc;
     hc.l1_pl_mode = pl;
-    RunState out;
-    out.hierarchy = std::make_unique<sim::CacheHierarchy>(hc);
+    RunEnd out(hc);
     LowestClock ahead;
     reference::PerOpLowestClock reference;
     ArbitrationPolicy &policy =
         per_op ? static_cast<ArbitrationPolicy &>(reference) : ahead;
-    EngineConfig ec;
-    ec.max_cycles = max_cycles;
-    ec.seed = 7;
-    Engine engine(*out.hierarchy, timing::Uarch::intelXeonE52690(), policy,
+    const EngineConfig ec{.max_cycles = max_cycles, .seed = 7};
+    Engine engine(out.hierarchy(), timing::Uarch::intelXeonE52690(), policy,
                   ec);
 
-    const Programs programs = make();
     std::vector<ThreadSpec> specs;
-    for (const auto &p : programs)
-        specs.push_back(ThreadSpec{p.get(), 0});
-    capture(engine, engine.run(specs, primary), out);
+    for (auto &p : make())
+        specs.push_back(ThreadSpec{&out.own(std::move(p)), 0});
+    engine.run(specs, primary);
+    out.record(engine);
     return out;
 }
 
 /** runOneCore() both ways, compared. */
-RunState
+RunEnd
 expectSameOneCore(const std::function<Programs()> &make, unsigned primary,
                   const std::string &what, std::uint64_t max_cycles = ~0ULL,
                   sim::PlMode pl = sim::PlMode::Disabled)
 {
-    RunState ahead = runOneCore(false, make, primary, max_cycles, pl);
-    const RunState per_op = runOneCore(true, make, primary, max_cycles, pl);
-    expectSameRun(ahead, per_op, what);
+    RunEnd ahead = runOneCore(false, make, primary, max_cycles, pl);
+    const RunEnd per_op = runOneCore(true, make, primary, max_cycles, pl);
+    compare::expectSameRun(ahead, per_op, what);
     return ahead;
 }
 
@@ -398,10 +335,10 @@ TEST(LowestClockRunAhead, OneCoreReceiverParkedInSpin)
                          std::make_unique<ParkedProgram>(300, period));
                 return p;
             };
-            const RunState ahead = expectSameOneCore(make, 1, what);
-            EXPECT_TRUE(ahead.done[1]) << what;
-            EXPECT_EQ(ahead.stats[1].measures, 900u) << what;
-            EXPECT_GT(ahead.stats[1].spins, 0u) << what;
+            const RunEnd ahead = expectSameOneCore(make, 1, what);
+            EXPECT_TRUE(ahead.threads[1].done) << what;
+            EXPECT_EQ(ahead.threads[1].stats.measures, 900u) << what;
+            EXPECT_GT(ahead.threads[1].stats.spins, 0u) << what;
         }
     }
 }
@@ -420,9 +357,9 @@ TEST(LowestClockRunAhead, OneCoreTiedClocks)
                 return ticks(std::vector<std::size_t>(threads, 20'000),
                              period);
             };
-            const RunState ahead =
+            const RunEnd ahead =
                 expectSameOneCore(make, threads - 1, what);
-            EXPECT_TRUE(ahead.done[threads - 1]) << what;
+            EXPECT_TRUE(ahead.threads[threads - 1].done) << what;
         }
     }
 }
@@ -436,9 +373,9 @@ TEST(LowestClockRunAhead, OneCorePrimaryFinishesInsideRun)
             const std::string what = std::to_string(threads) +
                                      " threads, primary " +
                                      std::to_string(primary);
-            const RunState ahead = expectSameOneCore(
+            const RunEnd ahead = expectSameOneCore(
                 [&] { return ticks(limits); }, primary, what);
-            EXPECT_TRUE(ahead.done[primary]) << what;
+            EXPECT_TRUE(ahead.threads[primary].done) << what;
         }
     }
 }
@@ -459,10 +396,10 @@ TEST(LowestClockRunAhead, OneCoreMaxCyclesCrossedInsideRun)
                 std::to_string(limits.size()) + " threads, max_cycles " +
                 std::to_string(max_cycles) + " limit0 " +
                 std::to_string(limits[0]);
-            const RunState ahead = expectSameOneCore(
+            const RunEnd ahead = expectSameOneCore(
                 [&] { return ticks(limits); }, 1, what, max_cycles);
-            EXPECT_GE(ahead.now, max_cycles) << what;
-            EXPECT_FALSE(ahead.done[1]) << what;
+            EXPECT_GE(ahead.tsc, max_cycles) << what;
+            EXPECT_FALSE(ahead.threads[1].done) << what;
         }
     }
 }
@@ -477,14 +414,14 @@ TEST(LowestClockRunAhead, OneCoreLockRequests)
             const std::string what =
                 std::to_string(threads) + " threads, PL mode " +
                 std::to_string(static_cast<int>(pl));
-            const RunState ahead = expectSameOneCore(
+            const RunEnd ahead = expectSameOneCore(
                 [&] {
                     return ticks(std::vector<std::size_t>(threads, 20'000),
                                  200, /*locks=*/true);
                 },
                 0, what, ~0ULL, pl);
-            EXPECT_TRUE(ahead.done[0]) << what;
-            EXPECT_GT(lockedLines(ahead.hierarchy->l1()), 0u) << what;
+            EXPECT_TRUE(ahead.threads[0].done) << what;
+            EXPECT_GT(lockedLines(ahead.hierarchy().l1()), 0u) << what;
         }
     }
 }
@@ -559,7 +496,7 @@ TEST(MultiCoreL1HitExit, MatchesGeneralPathLevel)
                         << what;
                     ASSERT_EQ(a.writebacks, b.writebacks) << what;
                 }
-                expectSameMultiCore(fast, ref, what, 3);
+                compare::expectSameMultiCore(fast, ref, what, {0, 1, 2});
                 // The stream exercised what it is meant to.
                 EXPECT_GT(fast.l1(0).counters().total().hits, 1000u)
                     << what;
